@@ -147,11 +147,17 @@ fn main() {
     // `setup_ms`. The `rank_events_per_sec` bin breaks that fixed cost
     // down per rank source.
     let scenario = preset.scenario(messages, seed);
+    // The third term of a cold set-up, the topology build, timed on its
+    // own (the model itself is the warm-up's: same seed, same model).
+    let topology_start = Instant::now();
+    drop(scenario.build_model());
+    let topology_ms = topology_start.elapsed().as_secs_f64() * 1000.0;
     let setup_start = Instant::now();
     let setup = egm_workload::runner::prepare(&scenario, Some(warm.model.clone()));
     let setup_ms = setup_start.elapsed().as_secs_f64() * 1000.0;
     println!(
-        "setup (ranking [{}] + views): {setup_ms:.1} ms, amortized over {runs} runs",
+        "topology: {topology_ms:.1} ms; setup (ranking [{}] + views): {setup_ms:.1} ms, \
+         amortized over {runs} runs",
         scenario.rank_source.label()
     );
     let mut wall_ms: Vec<f64> = Vec::with_capacity(runs);
@@ -199,7 +205,7 @@ fn main() {
         .map(|mb| format!("{mb:.1}"))
         .unwrap_or_else(|| "null".to_string());
     let body = format!(
-        "{{\n  \"bench\": \"scale_events_per_sec\",\n  \"preset\": \"{}\",\n  \"scenario\": \"ranked best=20% scaled transit-stub\",\n  \"rank_source\": \"{}\",\n  \"nodes\": {nodes},\n  \"messages\": {messages},\n  \"runs\": {runs},\n  \"events\": {events},\n  \"setup_ms\": {setup_ms:.3},\n  \"best_wall_ms\": {best:.3},\n  \"mean_wall_ms\": {mean:.3},\n  \"events_per_sec\": {events_per_sec:.0},\n  \"timers_cancelled\": {timers_cancelled},\n  \"stale_timer_drops\": {stale_timer_drops},\n  \"retired_messages\": {retired_messages},\n  \"arena_high_water\": {arena_high_water},\n  \"traffic_spill_bytes\": {traffic_spill_bytes},\n  \"peak_rss_mb\": {rss_field}\n}}",
+        "{{\n  \"bench\": \"scale_events_per_sec\",\n  \"preset\": \"{}\",\n  \"scenario\": \"ranked best=20% scaled transit-stub\",\n  \"rank_source\": \"{}\",\n  \"nodes\": {nodes},\n  \"messages\": {messages},\n  \"runs\": {runs},\n  \"events\": {events},\n  \"topology_ms\": {topology_ms:.3},\n  \"setup_ms\": {setup_ms:.3},\n  \"best_wall_ms\": {best:.3},\n  \"mean_wall_ms\": {mean:.3},\n  \"events_per_sec\": {events_per_sec:.0},\n  \"timers_cancelled\": {timers_cancelled},\n  \"stale_timer_drops\": {stale_timer_drops},\n  \"retired_messages\": {retired_messages},\n  \"arena_high_water\": {arena_high_water},\n  \"traffic_spill_bytes\": {traffic_spill_bytes},\n  \"peak_rss_mb\": {rss_field}\n}}",
         preset.label(),
         scenario.rank_source.label()
     );

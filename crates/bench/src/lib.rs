@@ -68,7 +68,9 @@
 //!   preset chosen with `EGM_SCALE_PRESET`). It additionally records the
 //!   preset's `rank_source`, the fixed per-run `setup_ms` (ranking +
 //!   overlay-view bootstrap, paid once via `egm_workload::runner::
-//!   prepare` and amortized across the timed runs), the index-free
+//!   prepare` and amortized across the timed runs), `topology_ms` (one
+//!   `Scenario::build_model` timed on its own — with `setup_ms` the
+//!   whole of a cold set-up, term by term), the index-free
 //!   timer-cancellation counters and the process peak RSS, so the memory
 //!   budget per scenario size is tracked alongside throughput (see
 //!   `egm_workload::experiments::scale` for the budget table).

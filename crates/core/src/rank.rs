@@ -20,7 +20,9 @@
 //!   EWMA fed by ping RTT observations of the peers those views expose —
 //!   and contributes its local mean-RTT score; the rank is the fixed
 //!   point of the gossip sort over those local scores. O(n · view ·
-//!   rounds), no global sweep.
+//!   rounds), no global sweep: the shuffle chain runs first and records
+//!   what every view exposed, then each node's score is computed on its
+//!   own, fanned out over the rayon pool.
 //!
 //! The decentralized sources are deterministic given their seed and are
 //! pinned by regression tests; the oracle stays byte-identical to the
@@ -30,8 +32,13 @@ use crate::monitor::RuntimeMonitor;
 use egm_membership::{bootstrap_views, PartialView, ViewConfig};
 use egm_simnet::NodeId;
 use egm_topology::RoutedModel;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+
+/// Padding of a view shorter than the snapshot stride in
+/// [`BestSet::by_gossip_sorted`]'s view snapshots.
+const NO_PEER: u32 = u32::MAX;
 
 /// How the best set is computed from the environment — the knob that
 /// trades ranking fidelity against the cost of obtaining it.
@@ -386,7 +393,7 @@ impl BestSet {
     ///
     /// Every node starts from a bootstrapped [`PartialView`] (the same
     /// overlay state a run begins with) and hosts a [`RuntimeMonitor`].
-    /// Each of the `rounds` cycles then does what the running protocol's
+    /// Each of the `rounds` cycles does what the running protocol's
     /// monitor/scheduler layer does over time:
     ///
     /// 1. **measure** — the node pings every peer currently in its view;
@@ -403,13 +410,35 @@ impl BestSet {
     ///
     /// A node's score is its mean smoothed one-way delay over every peer
     /// it observed ([`RuntimeMonitor::mean_one_way_ms`]); the global rank
-    /// is assembled from those purely local scores. Cost is
-    /// O(n · view · rounds) — at 10 000 nodes with the default view of 15
-    /// and 6 rounds that is ~10⁶ latency lookups, versus 10⁸ for the
-    /// O(n²) oracle sweep.
+    /// is assembled from those purely local scores.
+    ///
+    /// # Shape and cost
+    ///
+    /// The shuffles never read a monitor, and a node's monitor is fed by
+    /// that node's views alone, so the computation runs in two phases:
+    ///
+    /// 1. **chain** — the shuffle chain, sequential on `rng` (it is one
+    ///    RNG stream and each exchange mutates two views). Before each
+    ///    round's shuffles every view's peers are copied into a flat
+    ///    `u32` snapshot.
+    /// 2. **score** — node by node, the snapshots are replayed in round
+    ///    order into a fresh monitor that lives only for that node: the
+    ///    same [`RuntimeMonitor::record_rtt`] sequence a monitor kept
+    ///    alive across the rounds would have seen. Nodes are independent
+    ///    here, so above a few thousand nodes the phase fans out over
+    ///    `rayon::current_num_threads()` contiguous chunks
+    ///    (`RAYON_NUM_THREADS` caps it; `1` keeps it on the caller's
+    ///    thread).
+    ///
+    /// Time is O(n · view · rounds) — at 10 000 nodes with the default
+    /// view of 15 and 6 rounds that is ~10⁶ latency lookups, versus 10⁸
+    /// for the O(n²) oracle sweep — of which only the chain is serial.
+    /// Memory is the snapshot, n · view · rounds × 4 B (48 MB at 100 000
+    /// nodes × 8 rounds), plus one live monitor per worker thread.
     ///
     /// Determinism: the result is a pure function of `(model, fraction,
-    /// view, rounds, rng seed)`; a regression test pins it.
+    /// view, rounds, rng seed)` — never of the thread count — and a
+    /// regression test pins it.
     ///
     /// # Panics
     ///
@@ -451,25 +480,50 @@ impl BestSet {
         down: &[bool],
         rng: &mut egm_rng::Rng,
     ) -> Self {
+        // Below this size scoring takes less than starting threads does:
+        // the 1k presets, the server's 24-node jobs and set-ups nested in
+        // a parallel sweep stay on the caller's thread.
+        const FAN_OUT_MIN_NODES: usize = 4096;
+        let chunks = if model.client_count() < FAN_OUT_MIN_NODES {
+            1
+        } else {
+            rayon::current_num_threads()
+        };
+        Self::gossip_sorted_chunked(model, fraction, view, rounds, down, rng, chunks)
+    }
+
+    /// [`BestSet::by_gossip_sorted_excluding`] with the score phase split
+    /// into `chunks` contiguous node ranges (the result does not depend
+    /// on it).
+    fn gossip_sorted_chunked(
+        model: &RoutedModel,
+        fraction: f64,
+        view: &ViewConfig,
+        rounds: usize,
+        down: &[bool],
+        rng: &mut egm_rng::Rng,
+        chunks: usize,
+    ) -> Self {
         assert!(rounds > 0, "need at least one gossip round");
         let n = model.client_count();
         assert!(n >= 2, "need at least two clients to rank");
         assert_eq!(down.len(), n, "one down flag per client");
+        assert!(n <= NO_PEER as usize, "node ids must fit the u32 snapshot");
+
+        // Phase 1, the chain. `observed` is laid out [round][node][slot],
+        // `stride` slots per view, short views padded with `NO_PEER`.
+        let stride = view.capacity.min(n - 1);
+        let mut observed = vec![NO_PEER; rounds * n * stride];
         let mut views: Vec<PartialView> = bootstrap_views(n, view, rng);
-        let mut monitors: Vec<RuntimeMonitor> = vec![RuntimeMonitor::new(); n];
         for round in 0..rounds {
-            // Measure: ping every *live* peer the current view exposes
-            // (a down peer never pongs, so no RTT sample lands).
+            let snapshot = &mut observed[round * n * stride..][..n * stride];
             for (i, view) in views.iter().enumerate() {
-                if down[i] {
-                    continue;
-                }
-                for &p in view.peers() {
-                    if down[p.index()] {
-                        continue;
-                    }
-                    let rtt = model.latency_ms(i, p.index()) + model.latency_ms(p.index(), i);
-                    monitors[i].record_rtt(p, rtt);
+                debug_assert!(
+                    view.len() <= stride,
+                    "a view holds distinct non-owner peers"
+                );
+                for (slot, p) in snapshot[i * stride..].iter_mut().zip(view.peers()) {
+                    *slot = p.index() as u32;
                 }
             }
             // Shuffle: several Cyclon exchange ticks per node, in node
@@ -499,11 +553,42 @@ impl BestSet {
                 }
             }
         }
-        let scores: Vec<f64> = monitors
-            .iter()
-            .map(|m| m.mean_one_way_ms().unwrap_or(f64::MAX))
+        drop(views);
+
+        // Phase 2, the scores.
+        let score = |i: usize| -> f64 {
+            if down[i] {
+                return f64::MAX; // not running: measures nothing
+            }
+            // A fresh map per node, never a cleared or pre-sized one: the
+            // mean sums f64s in hash-iteration order, which depends on
+            // the table's growth history.
+            let mut monitor = RuntimeMonitor::new();
+            for round in 0..rounds {
+                let view = &observed[(round * n + i) * stride..][..stride];
+                // Ping every *live* peer the view exposed (a down peer
+                // never pongs, so no RTT sample lands).
+                for &p in view.iter().take_while(|&&p| p != NO_PEER) {
+                    let p = p as usize;
+                    if down[p] {
+                        continue;
+                    }
+                    let rtt = model.latency_ms(i, p) + model.latency_ms(p, i);
+                    monitor.record_rtt(NodeId(p), rtt);
+                }
+            }
+            monitor.mean_one_way_ms().unwrap_or(f64::MAX)
+        };
+        let per_chunk = n.div_ceil(chunks);
+        let ranges: Vec<std::ops::Range<usize>> = (0..n)
+            .step_by(per_chunk)
+            .map(|lo| lo..(lo + per_chunk).min(n))
             .collect();
-        BestSet::from_scores_excluding(&scores, fraction, down)
+        let scores: Vec<Vec<f64>> = ranges
+            .into_par_iter()
+            .map(|range| range.map(score).collect())
+            .collect();
+        BestSet::from_scores_excluding(&scores.concat(), fraction, down)
     }
 
     /// Fraction of this set's best nodes that are also best in `other`
@@ -812,6 +897,109 @@ mod tests {
                 NodeId(22)
             ]
         );
+    }
+
+    /// The ranking as one round-major loop over `n` monitors that stay
+    /// alive across the rounds — the implementation the two-phase
+    /// production code replaced, kept as its oracle.
+    fn gossip_sorted_round_major(
+        model: &RoutedModel,
+        fraction: f64,
+        view: &egm_membership::ViewConfig,
+        rounds: usize,
+        down: &[bool],
+        rng: &mut egm_rng::Rng,
+    ) -> BestSet {
+        use crate::monitor::RuntimeMonitor;
+        let n = model.client_count();
+        let mut views = egm_membership::bootstrap_views(n, view, rng);
+        let mut monitors: Vec<RuntimeMonitor> = vec![RuntimeMonitor::new(); n];
+        for round in 0..rounds {
+            for (i, view) in views.iter().enumerate() {
+                if down[i] {
+                    continue;
+                }
+                for &p in view.peers() {
+                    if down[p.index()] {
+                        continue;
+                    }
+                    let rtt = model.latency_ms(i, p.index()) + model.latency_ms(p.index(), i);
+                    monitors[i].record_rtt(p, rtt);
+                }
+            }
+            if round + 1 < rounds {
+                for _ in 0..BestSet::SHUFFLES_PER_ROUND {
+                    for i in 0..n {
+                        if down[i] {
+                            continue;
+                        }
+                        let Some((partner, request)) = views[i].start_shuffle(rng) else {
+                            continue;
+                        };
+                        if down[partner.index()] {
+                            continue;
+                        }
+                        let (initiator, target) = super::pair_mut(&mut views, i, partner.index());
+                        if let Some((_, reply)) = target.handle_shuffle(rng, NodeId(i), request) {
+                            initiator.handle_shuffle(rng, partner, reply);
+                        }
+                    }
+                }
+            }
+        }
+        let scores: Vec<f64> = monitors
+            .iter()
+            .map(|m| m.mean_one_way_ms().unwrap_or(f64::MAX))
+            .collect();
+        BestSet::from_scores_excluding(&scores, fraction, down)
+    }
+
+    #[test]
+    fn two_phase_ranking_equals_round_major_reference() {
+        use egm_membership::ViewConfig;
+        use egm_rng::Rng;
+        use egm_topology::TransitStubConfig;
+        let view = ViewConfig::default();
+        for n in [64usize, 500, 5_000] {
+            // The two-level routed layout the scale presets rank over.
+            let model = TransitStubConfig::scaled(n).with_seed(31).build();
+            let mut mask_rng = Rng::seed_from_u64(n as u64);
+            // Hub-heavy: the nodes a churn-free ranking elects all fail,
+            // so live nodes' views are full of peers that never pong.
+            let hubs = BestSet::by_gossip_sorted(&model, 0.2, &view, 3, &mut Rng::seed_from_u64(2));
+            let masks: [(&str, Vec<bool>); 3] = [
+                ("all live", vec![false; n]),
+                ("random", (0..n).map(|_| mask_rng.bool(0.3)).collect()),
+                (
+                    "hub-heavy",
+                    (0..n).map(|i| hubs.is_best(NodeId(i))).collect(),
+                ),
+            ];
+            for (mask, down) in &masks {
+                for rounds in [1usize, 3, 8] {
+                    let mut rng = Rng::seed_from_u64(77);
+                    let reference =
+                        gossip_sorted_round_major(&model, 0.2, &view, rounds, down, &mut rng);
+                    for chunks in [1usize, 2, 3, 8] {
+                        let mut chunked_rng = Rng::seed_from_u64(77);
+                        let got = BestSet::gossip_sorted_chunked(
+                            &model,
+                            0.2,
+                            &view,
+                            rounds,
+                            down,
+                            &mut chunked_rng,
+                            chunks,
+                        );
+                        assert_eq!(
+                            got, reference,
+                            "n={n} mask={mask} rounds={rounds} chunks={chunks}"
+                        );
+                        assert_eq!(chunked_rng, rng, "RNG contract of the shuffle chain");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

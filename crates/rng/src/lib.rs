@@ -120,6 +120,16 @@ pub mod sample {
         chosen
     }
 
+    /// Largest `k` served by the linear `contains` scan; above it
+    /// [`distinct_indices_into`] tracks chosen indices in a bitmap.
+    ///
+    /// At the per-event call sites (gossip targets, shuffle subsets:
+    /// `k ≤ 15`) the scan is a handful of compares over one cache line and
+    /// allocates nothing. Its O(k²) membership test only hurts bulk draws —
+    /// client placement draws `k = n = 100 000` — where one `n`-bit
+    /// allocation is noise.
+    pub(crate) const SCAN_MAX_K: usize = 64;
+
     /// [`distinct_indices`] into a caller-owned buffer (cleared first).
     ///
     /// Draws exactly the same index sequence as `distinct_indices` for
@@ -127,19 +137,46 @@ pub mod sample {
     /// shuffle subsets) reuse one scratch vector instead of allocating
     /// per call.
     ///
+    /// Up to 64 picks the membership test scans `out` (allocation-free);
+    /// larger draws use an `n`-bit bitmap, so the cost is O(k + n/64)
+    /// instead of O(k²). Both make the same draws and the same picks.
+    ///
     /// # Panics
     ///
     /// Panics if `k > n`.
     pub fn distinct_indices_into(rng: &mut Rng, n: usize, k: usize, out: &mut Vec<usize>) {
         assert!(k <= n, "cannot sample {k} distinct indices from 0..{n}");
         out.clear();
+        if k <= SCAN_MAX_K {
+            floyd_scan(rng, n, k, out);
+        } else {
+            floyd_bitmap(rng, n, k, out);
+        }
+    }
+
+    /// Floyd's algorithm, membership by scanning the picks so far.
+    #[inline]
+    pub(crate) fn floyd_scan(rng: &mut Rng, n: usize, k: usize, out: &mut Vec<usize>) {
         for j in (n - k)..n {
             let t = rng.range_usize(0, j + 1);
-            if out.contains(&t) {
-                out.push(j);
+            out.push(if out.contains(&t) { j } else { t });
+        }
+    }
+
+    /// Floyd's algorithm, membership by a bitmap over `0..n`. Out of line
+    /// so the per-event callers inline only the scan.
+    #[inline(never)]
+    pub(crate) fn floyd_bitmap(rng: &mut Rng, n: usize, k: usize, out: &mut Vec<usize>) {
+        let mut seen = vec![0u64; n.div_ceil(64)];
+        for j in (n - k)..n {
+            let t = rng.range_usize(0, j + 1);
+            let pick = if seen[t / 64] & (1 << (t % 64)) != 0 {
+                j
             } else {
-                out.push(t);
-            }
+                t
+            };
+            seen[pick / 64] |= 1 << (pick % 64);
+            out.push(pick);
         }
     }
 
@@ -219,6 +256,72 @@ mod tests {
         let picks = distinct_indices(&mut rng, 12, 12);
         let set: HashSet<_> = picks.into_iter().collect();
         assert_eq!(set.len(), 12);
+    }
+}
+
+#[cfg(test)]
+mod sample_equivalence {
+    use super::sample::{distinct_indices, floyd_bitmap, floyd_scan, SCAN_MAX_K};
+    use super::Rng;
+    use proptest::prelude::*;
+
+    /// Both membership tests on one RNG state: same picks, same state after.
+    fn assert_paths_agree(seed: u64, n: usize, k: usize) -> Result<(), TestCaseError> {
+        let (mut scan_rng, mut bitmap_rng) = (Rng::seed_from_u64(seed), Rng::seed_from_u64(seed));
+        let (mut scan, mut bitmap) = (Vec::new(), Vec::new());
+        floyd_scan(&mut scan_rng, n, k, &mut scan);
+        floyd_bitmap(&mut bitmap_rng, n, k, &mut bitmap);
+        prop_assert!(scan == bitmap, "picks differ at n={n} k={k}");
+        prop_assert!(scan_rng == bitmap_rng, "RNG state differs at n={n} k={k}");
+        // The public entry point is one of the two, whichever `k` selects.
+        let mut rng = Rng::seed_from_u64(seed);
+        prop_assert_eq!(distinct_indices(&mut rng, n, k), scan);
+        prop_assert_eq!(rng, scan_rng);
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn bitmap_path_equals_scan_path(
+            seed in 0u64..1_000_000,
+            n in 0usize..600,
+            k_draw in 0usize..600,
+            shape in 0usize..6,
+        ) {
+            // Steer half of the cases onto the edges: nothing drawn,
+            // everything drawn, and the threshold and its neighbours.
+            let k = match shape {
+                0 => 0,
+                1 => n,
+                2 => (SCAN_MAX_K - 1 + k_draw % 3).min(n),
+                _ => k_draw % (n + 1),
+            };
+            assert_paths_agree(seed, n, k)?;
+        }
+    }
+
+    #[test]
+    fn threshold_edges_agree() {
+        for n in [SCAN_MAX_K - 1, SCAN_MAX_K, SCAN_MAX_K + 1, 4 * SCAN_MAX_K] {
+            for k in [0, SCAN_MAX_K - 1, SCAN_MAX_K, SCAN_MAX_K + 1, n] {
+                if k <= n {
+                    assert_paths_agree(9, n, k).unwrap_or_else(|e| panic!("{e}"));
+                }
+            }
+        }
+    }
+
+    /// Client placement at the 100k preset draws `k = n`; with the
+    /// quadratic scan this draw takes seconds instead of milliseconds.
+    #[test]
+    fn bulk_draw_is_linear_time() {
+        let mut rng = Rng::seed_from_u64(13);
+        let picks = distinct_indices(&mut rng, 200_100, 200_000);
+        assert_eq!(picks.len(), 200_000);
+        let mut seen = vec![false; 200_100];
+        for &i in &picks {
+            assert!(!std::mem::replace(&mut seen[i], true), "duplicate {i}");
+        }
     }
 }
 

@@ -710,10 +710,8 @@ fn run_with_setup_observed(
 
     // Traffic: live nodes multicast round-robin (§5.3), driven by the
     // scenario's arrival mode.
-    let senders: Vec<NodeId> = (0..n)
-        .map(NodeId)
-        .filter(|id| !victims.contains(id))
-        .collect();
+    let live = live_mask(n, &victims);
+    let senders: Vec<NodeId> = (0..n).map(NodeId).filter(|id| live[id.index()]).collect();
     let mut reranked_best_ids = None;
     if chain_think.is_some() {
         // Closed loop: seed sequence 0 at its round-robin owner; every
@@ -928,6 +926,15 @@ fn run_closed_loop(
     sim.run_until(last + SimDuration::from_ms(scenario.drain_ms));
 }
 
+/// One flag per node: `false` for the permanent fault victims.
+fn live_mask(n: usize, victims: &[NodeId]) -> Vec<bool> {
+    let mut live = vec![true; n];
+    for v in victims {
+        live[v.index()] = false;
+    }
+    live
+}
+
 /// Gathers node-side and network-side records into the outcome.
 fn collect(
     scenario: &Scenario,
@@ -1027,7 +1034,7 @@ fn collect(
         .collect();
     let payloads_per_node = traffic.payloads_sent_per_node(n);
 
-    let eligible: Vec<bool> = (0..n).map(|i| !victims.contains(&NodeId(i))).collect();
+    let eligible = live_mask(n, &victims);
     let total_deliveries = log.total_deliveries();
 
     let label = match scenario.noise {
@@ -1052,10 +1059,7 @@ fn collect(
             let sent: u64 = live.iter().map(|id| payloads_per_node[id.index()]).sum();
             Some(sent as f64 / (scenario.messages as f64 * live.len() as f64))
         };
-        let regular: Vec<NodeId> = (0..n)
-            .map(NodeId)
-            .filter(|id| !best_ids.contains(id))
-            .collect();
+        let regular = BestSet::from_ids(n, &best_ids).regular_ids();
         report.payloads_per_delivery_low = live_group(&regular);
         report.payloads_per_delivery_best = live_group(&best_ids);
     }
