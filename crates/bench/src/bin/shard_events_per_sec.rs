@@ -1,11 +1,10 @@
-//! Sharded event-loop throughput bench: events/s vs worker count and
+//! Multi-shard event-loop throughput bench: events/s vs shard count and
 //! partition strategy on the scale presets.
 //!
-//! Runs one scale preset through the sequential engine, through the
-//! sharded engine at W = 1 (the window-overhead row), and then through
-//! every [`PartitionStrategy`] at each wider width, asserting
-//! byte-identical results for every (width, strategy) pair — the
-//! determinism bar. Per-run wall clock, events/s, window counts, lane
+//! Runs one scale preset on one shard (the sequential reference) and
+//! then through every [`PartitionStrategy`] at each wider width,
+//! asserting byte-identical results for every (width, strategy) pair —
+//! the determinism bar. Per-run wall clock, events/s, window counts, lane
 //! traffic (events, batched flushes, skipped exchanges), configured and
 //! realized lookahead and the per-shard event balance are recorded in
 //! the `shard_events_per_sec_<preset>` bin of
@@ -20,10 +19,7 @@
 //! * `EGM_BENCH_RUNS` — timed runs per width after one warm-up (default 2).
 //! * `EGM_SCALE_MESSAGES` — multicasts per run (default 30).
 //! * `EGM_BENCH_OUT` — output path (default `BENCH_events_per_sec.json`).
-//! * `EGM_SHARD_WIDTHS` — comma-separated widths (default `1,2,4`).
-//! * `EGM_SHARD_OVERHEAD_MAX` — when set (e.g. `1.10`), assert that the
-//!   W=1 sharded run takes at most this factor of the sequential wall
-//!   time — the per-window overhead budget.
+//! * `EGM_SHARD_WIDTHS` — comma-separated widths (default `2,4`).
 //! * `EGM_SHARD_MAX_WINDOWS` — when set, assert that every run whose
 //!   *effective* strategy is domain-aligned (or rate-balanced) executes
 //!   at most this many windows — the topology-aware partitioning win,
@@ -66,14 +62,9 @@ fn main() {
                 .map(|w| w.trim().parse().expect("EGM_SHARD_WIDTHS: bad width"))
                 .collect()
         })
-        .unwrap_or_else(|_| vec![1, 2, 4]);
+        .unwrap_or_else(|_| vec![2, 4]);
     // Typoed gate knobs must fail the job, not silently disable the
     // gate (same policy as EGM_SHARDS / EGM_EVENT_QUEUE).
-    let overhead_max = std::env::var("EGM_SHARD_OVERHEAD_MAX").ok().map(|v| {
-        v.parse::<f64>().unwrap_or_else(|_| {
-            panic!("unrecognized EGM_SHARD_OVERHEAD_MAX {v:?}: use a factor like 1.10")
-        })
-    });
     let max_windows = std::env::var("EGM_SHARD_MAX_WINDOWS").ok().map(|v| {
         v.parse::<u64>().unwrap_or_else(|_| {
             panic!("unrecognized EGM_SHARD_MAX_WINDOWS {v:?}: use a window count like 1297")
@@ -93,7 +84,7 @@ fn main() {
     let model = std::sync::Arc::new(base.build_model());
     let setup = prepare(&base, Some(model.clone()));
 
-    // Sequential reference (forced: immune to EGM_SHARDS / auto).
+    // One-shard reference (forced: immune to EGM_SHARDS / auto).
     let seq_scenario = base.clone().with_shards(Some(0));
     let warm = run_prepared(&seq_scenario, &setup);
     let events = warm.events;
@@ -110,18 +101,13 @@ fn main() {
 
     let mut width_fields = String::new();
     for &w in &widths {
-        // W=1 runs windowless regardless of strategy; wider widths A/B
-        // every partition strategy over the same prepared setup.
-        let strategies: &[PartitionStrategy] = if w <= 1 {
-            &[PartitionStrategy::Contiguous]
-        } else {
-            &[
-                PartitionStrategy::Contiguous,
-                PartitionStrategy::DomainAligned,
-                PartitionStrategy::RateBalanced,
-            ]
-        };
-        for &strategy in strategies {
+        // Every width A/Bs every partition strategy over the same
+        // prepared setup.
+        for strategy in [
+            PartitionStrategy::Contiguous,
+            PartitionStrategy::DomainAligned,
+            PartitionStrategy::RateBalanced,
+        ] {
             let scenario = base
                 .clone()
                 .with_shards(Some(w))
@@ -159,19 +145,7 @@ fn main() {
                 la = stats.lookahead_us,
                 rla = stats.realized_lookahead_us,
             );
-            if w == 1 {
-                if let Some(max) = overhead_max {
-                    assert!(
-                        best <= seq_best * max,
-                        "W=1 overhead {best:.1} ms exceeds {max:.2}x of sequential {seq_best:.1} ms"
-                    );
-                    println!(
-                        "W=1 window overhead within budget ({:.3}x)",
-                        best / seq_best
-                    );
-                }
-            }
-            if w > 1 && stats.strategy != PartitionStrategy::Contiguous {
+            if stats.strategy != PartitionStrategy::Contiguous {
                 if let Some(max) = max_windows {
                     assert!(
                         stats.windows <= max,
@@ -180,11 +154,7 @@ fn main() {
                     );
                 }
             }
-            let key = if w <= 1 {
-                "w1".to_string()
-            } else {
-                format!("w{w}_{}", strategy.name().replace('-', "_"))
-            };
+            let key = format!("w{w}_{}", strategy.name().replace('-', "_"));
             let shard_events = stats
                 .per_shard_events
                 .iter()

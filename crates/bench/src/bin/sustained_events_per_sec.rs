@@ -3,10 +3,10 @@
 //!
 //! Runs a scale preset under the open-loop arrival axis
 //! (`egm_workload::arrival`) — a fixed offered rate that never backs off
-//! — once per shard width W ∈ {0 (sequential), 1, 2, 4}, asserting every
-//! width reproduces the sequential run byte for byte (report, event
-//! count, latency histogram, steady-state block), then upserts the
-//! `sustained_events_per_sec_<preset>` bin into
+//! — once per shard width W ∈ {0 (one shard, sequential), 2, 4},
+//! asserting every width reproduces the sequential run byte for byte
+//! (report, event count, latency histogram, steady-state block), then
+//! upserts the `sustained_events_per_sec_<preset>` bin into
 //! `BENCH_events_per_sec.json` with the p50/p99/p999 publish→delivery
 //! percentiles and the steady-state delivery rate alongside the usual
 //! wall-clock events/sec.
@@ -123,7 +123,7 @@ fn main() {
         reference.report.mean_delivery_fraction * 100.0
     );
     let mut acc_peak = reference.traffic_acc_peak;
-    for w in [1usize, 2, 4] {
+    for w in [2usize, 4] {
         let start = Instant::now();
         let run =
             egm_workload::runner::run_prepared(&scenario.clone().with_shards(Some(w)), &setup);

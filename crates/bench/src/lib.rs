@@ -85,12 +85,11 @@
 //!   behind retiring the O(n²) oracle on the scale axis.
 //!   `EGM_RANK_MIN_OVERLAP` asserts the overlap floor (the presets
 //!   require ≥ 0.8).
-//! * `shard_events_per_sec_<preset>` — the sharded-event-loop A/B
+//! * `shard_events_per_sec_<preset>` — the multi-shard event-loop A/B
 //!   (`cargo run --release -p egm_bench --bin shard_events_per_sec`):
-//!   the preset once through the sequential engine (`seq` sub-object),
-//!   once through the windowless W=1 sharded engine (`w1`), and then
-//!   once per (width, partition strategy) pair at every wider width
-//!   from `EGM_SHARD_WIDTHS` — `w2_contiguous` / `w2_domain_aligned` /
+//!   the preset once on one shard (`seq` sub-object) and then once per
+//!   (width, partition strategy) pair at every width from
+//!   `EGM_SHARD_WIDTHS` — `w2_contiguous` / `w2_domain_aligned` /
 //!   `w2_rate_balanced` / `w4_…` sub-objects. Each records the
 //!   *effective* `strategy` (a planned strategy falls back to
 //!   contiguous on structureless topologies), `best_wall_ms`,
@@ -101,15 +100,14 @@
 //!   window, and the `per_shard_events` balance. The bench *asserts*
 //!   byte-identical results for every pair (report, delivery log, link
 //!   tables, event count) — the determinism record behind parallelizing
-//!   one run. `EGM_SHARD_OVERHEAD_MAX` turns the W=1 window overhead
-//!   into a budget assertion, and `EGM_SHARD_MAX_WINDOWS` caps the
-//!   window count of every domain-aligned/rate-balanced run — the gated
+//!   one run. `EGM_SHARD_MAX_WINDOWS` caps the window count of every
+//!   domain-aligned/rate-balanced run — the gated
 //!   record that topology-aware cuts keep the conservative windows an
 //!   order of magnitude coarser than contiguous ones.
 //! * `sustained_events_per_sec_<preset>` — the heavy-traffic arrival
 //!   axis (`cargo run --release -p egm_bench --bin
 //!   sustained_events_per_sec`): one open-loop run per shard width
-//!   W ∈ {seq, 1, 2, 4} over a shared prepared setup, byte-identity
+//!   W ∈ {seq, 2, 4} over a shared prepared setup, byte-identity
 //!   asserted per width (report, event count, latency histogram,
 //!   steady-state block). Records the arrival `process` and offered
 //!   `rate_per_sec`, the steady-state `steady_publishes_per_sec` /

@@ -10,8 +10,8 @@
 //! All state is integer counters, so [`LatencyHistogram::merge`] is plain
 //! counter addition: commutative and associative. Shards can each record
 //! locally and merge in any order without changing a single reported
-//! quantile — which is what keeps `ShardedSim` runs byte-identical to
-//! sequential ones.
+//! quantile — which is what keeps multi-shard runs byte-identical to
+//! one-shard ones.
 //!
 //! # Examples
 //!

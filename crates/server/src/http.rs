@@ -3,14 +3,25 @@
 //!
 //! One connection serves one request (`Connection: close`), which keeps
 //! the server free of keep-alive state machines; SSE connections stay
-//! open for the lifetime of their stream. Request bodies are bounded by
-//! [`MAX_BODY_BYTES`].
+//! open for the lifetime of their stream. Every part of a request is
+//! bounded before it is buffered: the request line and each header line
+//! by [`MAX_LINE_BYTES`], the header count by [`MAX_HEADERS`], the body
+//! by [`MAX_BODY_BYTES`].
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
 
 /// Upper bound on accepted request bodies (jobs are small JSON specs).
 pub const MAX_BODY_BYTES: usize = 1 << 20;
+/// Upper bound on the request line and on each header line, terminator
+/// included.
+pub const MAX_LINE_BYTES: usize = 8 << 10;
+/// Upper bound on the number of header lines in one request.
+pub const MAX_HEADERS: usize = 64;
+/// How long [`refuse`] keeps discarding the client's input before it
+/// closes.
+const LINGER: Duration = Duration::from_millis(250);
 
 /// A parsed HTTP request: method, percent-decoded-free path, and body.
 #[derive(Debug)]
@@ -23,42 +34,116 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-/// Reads one request from the stream. Returns `None` on a closed or
-/// malformed connection (the caller just drops it).
-pub fn read_request(stream: &mut BufReader<TcpStream>) -> Option<Request> {
-    let mut line = String::new();
-    if stream.read_line(&mut line).ok()? == 0 {
-        return None;
+/// Why [`read_request`] stopped reading a request: the status line and
+/// message [`refuse`] answers with before the connection is closed.
+#[derive(Debug)]
+pub struct Refusal {
+    /// Status code and reason phrase.
+    pub status: &'static str,
+    /// Text of the JSON error envelope.
+    pub message: &'static str,
+}
+
+const LINE_TOO_LONG: Refusal = Refusal {
+    status: "431 Request Header Fields Too Large",
+    message: "request line or header line too long",
+};
+const TOO_MANY_HEADERS: Refusal = Refusal {
+    status: "431 Request Header Fields Too Large",
+    message: "too many header lines",
+};
+const BODY_TOO_LARGE: Refusal = Refusal {
+    status: "413 Payload Too Large",
+    message: "request body too large",
+};
+const BAD_REQUEST: Refusal = Refusal {
+    status: "400 Bad Request",
+    message: "malformed request head",
+};
+
+/// Reads one `\n`-terminated line of at most [`MAX_LINE_BYTES`] without
+/// ever buffering more than that. `Ok(None)` means the peer closed (or
+/// the read failed) before the line ended.
+fn read_line(stream: &mut BufReader<TcpStream>) -> Result<Option<String>, Refusal> {
+    let mut line = Vec::new();
+    let Ok(read) = stream
+        .take(MAX_LINE_BYTES as u64)
+        .read_until(b'\n', &mut line)
+    else {
+        return Ok(None);
+    };
+    if line.last() != Some(&b'\n') {
+        return if read == MAX_LINE_BYTES {
+            Err(LINE_TOO_LONG)
+        } else {
+            Ok(None)
+        };
     }
+    String::from_utf8(line).map(Some).map_err(|_| BAD_REQUEST)
+}
+
+/// Reads one request from the stream. `Ok(None)` means the connection
+/// closed before a whole request arrived (the caller just drops it);
+/// `Err` is a request the server will not read to the end — over a limit
+/// or malformed — which the caller answers through [`refuse`].
+pub fn read_request(stream: &mut BufReader<TcpStream>) -> Result<Option<Request>, Refusal> {
+    let Some(line) = read_line(stream)? else {
+        return Ok(None);
+    };
     let mut parts = line.split_whitespace();
-    let method = parts.next()?.to_string();
-    let target = parts.next()?;
+    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
+        return Err(BAD_REQUEST);
+    };
     let path = target.split('?').next().unwrap_or(target).to_string();
 
     let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        if stream.read_line(&mut header).ok()? == 0 {
-            return None;
-        }
+    for seen in 0.. {
+        let Some(header) = read_line(stream)? else {
+            return Ok(None);
+        };
         let header = header.trim();
         if header.is_empty() {
             break;
         }
+        if seen == MAX_HEADERS {
+            return Err(TOO_MANY_HEADERS);
+        }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().ok()?;
+                let digits = value.trim();
+                if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+                    return Err(BAD_REQUEST);
+                }
+                // A digit string `usize` cannot hold is over the limit too.
+                content_length = match digits.parse() {
+                    Ok(n) if n <= MAX_BODY_BYTES => n,
+                    _ => return Err(BODY_TOO_LARGE),
+                };
             }
         }
     }
-    if content_length > MAX_BODY_BYTES {
-        return None;
-    }
     let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        stream.read_exact(&mut body).ok()?;
+    if stream.read_exact(&mut body).is_err() {
+        return Ok(None);
     }
-    Some(Request { method, path, body })
+    Ok(Some(Request {
+        method: method.to_string(),
+        path,
+        body,
+    }))
+}
+
+/// Answers a request [`read_request`] refused, then closes. What the
+/// client has already sent is read and discarded for up to 250 ms
+/// first: closing a socket with unread input resets the connection, and
+/// the reset can reach the client ahead of the answer.
+pub fn refuse(stream: &mut TcpStream, unread: &mut BufReader<TcpStream>, refusal: &Refusal) {
+    let _ = respond_error(stream, refusal.status, refusal.message);
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(LINGER));
+    let until = Instant::now() + LINGER;
+    let mut discard = [0u8; 4096];
+    while Instant::now() < until && matches!(unread.read(&mut discard), Ok(n) if n > 0) {}
 }
 
 /// Writes a complete response with the given status line, content type

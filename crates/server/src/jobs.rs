@@ -387,8 +387,10 @@ impl ProgressSink for JobSink {
 /// - `strategy`: `{"kind":"flat","pi":0.5}`, `{"kind":"ttl","u":2}`,
 ///   `{"kind":"radius","rho":1.5,"t0_ms":40.0}`, or
 ///   `{"kind":"ranked","best_fraction":0.2}`;
-/// - `shards`: shard-width override (`0` forces the sequential engine;
-///   preset jobs default to 4 so progress streams as window frames);
+/// - `shards`: shard-count override (`0` and `1` both mean one shard,
+///   which streams `chunk` progress frames; wider runs stream `window`
+///   frames). Without it the count resolves like any other run:
+///   `EGM_SHARDS`, then the size-based default;
 /// - `sweep`: `{"field":"pi"|"best_fraction","values":[..]}` — one run
 ///   per value, overriding `strategy`.
 pub fn parse_job(body: &Json) -> Result<Vec<PlannedRun>, String> {
@@ -424,7 +426,6 @@ pub fn parse_job(body: &Json) -> Result<Vec<PlannedRun>, String> {
     };
 
     // Base scenario through the same constructors the benches use.
-    let preset_used = body.get("preset").is_some();
     let mut base = match (body.get("preset"), body.get("scenario")) {
         (Some(_), Some(_)) => return Err("'preset' and 'scenario' are mutually exclusive".into()),
         (Some(p), None) => {
@@ -457,23 +458,14 @@ pub fn parse_job(body: &Json) -> Result<Vec<PlannedRun>, String> {
         }
     };
 
-    match body.get("shards") {
-        Some(v) => {
-            let w = v
-                .as_u64()
-                .ok_or("'shards' must be a non-negative integer")?;
-            if w > 64 {
-                return Err("'shards' must be at most 64".into());
-            }
-            base = base.with_shards(Some(w as usize));
+    if let Some(v) = body.get("shards") {
+        let w = v
+            .as_u64()
+            .ok_or("'shards' must be a non-negative integer")?;
+        if w > 64 {
+            return Err("'shards' must be at most 64".into());
         }
-        // Preset (scale) jobs default onto the sharded engine so live
-        // progress arrives as conservative-window frames; outcomes are
-        // byte-identical either way (the workspace pins that), so this
-        // only changes the progress granularity. `"shards": 0` opts back
-        // into the sequential engine.
-        None if preset_used => base = base.with_shards(Some(4)),
-        None => {}
+        base = base.with_shards(Some(w as usize));
     }
 
     if let Some(spec) = body.get("strategy") {

@@ -151,10 +151,13 @@ fn handle_connection(stream: TcpStream, state: &AppState) {
         Err(_) => return,
     });
     let mut stream = stream;
-    let Some(req) = http::read_request(&mut reader) else {
-        return;
-    };
-    let _ = route(&mut stream, &req, state);
+    match http::read_request(&mut reader) {
+        Ok(Some(req)) => {
+            let _ = route(&mut stream, &req, state);
+        }
+        Ok(None) => {}
+        Err(refusal) => http::refuse(&mut stream, &mut reader, &refusal),
+    }
 }
 
 fn route(stream: &mut TcpStream, req: &http::Request, state: &AppState) -> io::Result<()> {

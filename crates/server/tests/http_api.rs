@@ -151,8 +151,8 @@ fn smoke_job_streams_progress_and_completes() {
         r#"{"scenario":"smoke","messages":5,"seed":7,"strategy":{"kind":"ranked","best_fraction":0.25}}"#,
     );
 
-    // The smoke scenario runs on the sequential engine, so progress
-    // arrives as runner-level chunk frames.
+    // The smoke scenario runs on one shard, so progress arrives as
+    // runner-level chunk frames.
     assert!(
         kinds.iter().any(|k| k == "chunk" || k == "window"),
         "no progress frames in {kinds:?}"
@@ -187,17 +187,27 @@ fn sweep_job_runs_every_value() {
     assert_eq!(job.get("status").and_then(Json::as_str), Some("done"));
 }
 
-/// The acceptance-criterion run: the 1k preset (1000 nodes) routes onto
-/// the sharded engine, so progress must arrive as conservative-window
-/// frames — at least one per executed window batch. Slower than the
-/// tier-1 budget allows, hence ignored by default; CI's `server-smoke`
-/// job drives the same path over curl.
+/// The acceptance-criterion run: the 1k preset (1000 nodes) on two
+/// shards, so progress must arrive as conservative-window frames — at
+/// least one per executed window batch — and on one shard, where the
+/// same job streams chunk frames instead. Slower than the tier-1 budget
+/// allows, hence ignored by default; CI's `server-smoke` job drives the
+/// same path over curl.
 #[test]
 #[ignore = "multi-second 1k-preset run; exercised by the server-smoke CI job"]
 fn preset_1k_job_streams_window_events_to_completion() {
     let addr = spawn_server();
-    let (id, kinds) =
-        run_job_and_collect_events(addr, r#"{"preset":"1k","messages":10,"seed":42}"#);
+    let (_, kinds) = run_job_and_collect_events(
+        addr,
+        r#"{"preset":"1k","messages":10,"seed":42,"shards":0}"#,
+    );
+    assert!(kinds.iter().any(|k| k == "chunk"), "no chunks: {kinds:?}");
+    assert!(!kinds.iter().any(|k| k == "window"), "windows: {kinds:?}");
+
+    let (id, kinds) = run_job_and_collect_events(
+        addr,
+        r#"{"preset":"1k","messages":10,"seed":42,"shards":2}"#,
+    );
     let windows = kinds.iter().filter(|k| *k == "window").count() as u64;
     assert!(windows >= 1, "no window frames in {kinds:?}");
     let (_, job) = get_json(addr, &format!("/api/jobs/{id}"));
@@ -210,4 +220,80 @@ fn preset_1k_job_streams_window_events_to_completion() {
     // One SSE window frame per executed window batch (minus any frames
     // dropped past the event-log cap, which a 10-message run never hits).
     assert_eq!(windows, reported);
+}
+
+/// Sends raw bytes and returns the status line of the answer (empty if
+/// the server closed without one).
+fn raw_status(addr: SocketAddr, head: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    stream.write_all(head).expect("write request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    response.lines().next().unwrap_or_default().to_string()
+}
+
+#[test]
+fn oversized_and_malformed_heads_are_answered_and_closed() {
+    use egm_server::http::{MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES};
+    let addr = spawn_server();
+    const TOO_LARGE: &str = "HTTP/1.1 431 Request Header Fields Too Large";
+
+    // A header line that never ends within the limit (the tail the
+    // server did not read must not cost the client its answer).
+    let long = format!(
+        "GET /api/jobs HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+        "a".repeat(4 * MAX_LINE_BYTES)
+    );
+    assert_eq!(raw_status(addr, long.as_bytes()), TOO_LARGE);
+    // The same for the request line itself.
+    let long = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE_BYTES));
+    assert_eq!(raw_status(addr, long.as_bytes()), TOO_LARGE);
+
+    let many = format!(
+        "GET /api/jobs HTTP/1.1\r\n{}\r\n",
+        "X-Pad: 1\r\n".repeat(MAX_HEADERS + 1)
+    );
+    assert_eq!(raw_status(addr, many.as_bytes()), TOO_LARGE);
+
+    let length =
+        |value: &str| format!("POST /api/jobs HTTP/1.1\r\nContent-Length: {value}\r\n\r\n");
+    for over in [
+        "999999999999".to_string(),
+        "9".repeat(40),
+        (MAX_BODY_BYTES + 1).to_string(),
+    ] {
+        assert_eq!(
+            raw_status(addr, length(&over).as_bytes()),
+            "HTTP/1.1 413 Payload Too Large",
+            "Content-Length: {over}"
+        );
+    }
+    for bad in ["abc", "-1", "+5", ""] {
+        assert_eq!(
+            raw_status(addr, length(bad).as_bytes()),
+            "HTTP/1.1 400 Bad Request",
+            "Content-Length: {bad:?}"
+        );
+    }
+    assert_eq!(
+        raw_status(addr, b"NONSENSE\r\n\r\n"),
+        "HTTP/1.1 400 Bad Request"
+    );
+
+    // Every limit met exactly is still a valid request: the longest
+    // legal header line, the most header lines, the largest body.
+    let spec = r#"{"scenario":"smoke","messages":2}"#;
+    let body = format!("{spec}{}", " ".repeat(MAX_BODY_BYTES - spec.len()));
+    let length_line = format!("Content-Length: {}\r\n", body.len());
+    let pad_line = format!(
+        "X-Pad: {}\r\n",
+        "a".repeat(MAX_LINE_BYTES - "X-Pad: \r\n".len())
+    );
+    assert_eq!(pad_line.len(), MAX_LINE_BYTES);
+    let filler = "X-Pad: 1\r\n".repeat(MAX_HEADERS - 2);
+    let full = format!("POST /api/jobs HTTP/1.1\r\n{length_line}{pad_line}{filler}\r\n{body}");
+    assert_eq!(raw_status(addr, full.as_bytes()), "HTTP/1.1 201 Created");
 }

@@ -14,10 +14,10 @@
 //! equal timestamps are ordered by an intrinsic `(origin, origin-seq)`
 //! key (see [`sim`]). The same scenario always produces byte-identical
 //! results (the root integration tests assert this across the full
-//! stack) — on the sequential [`Sim`] and on the partitioned
-//! [`ShardedSim`], which splits one large run across worker shards
-//! under conservative time windows with identical outputs for every
-//! shard count (see [`shard`]).
+//! stack). There is one engine, [`Sim`]: on one shard it is the plain
+//! sequential event loop, and [`Sim::with_shards`] splits one large run
+//! across several shards under conservative time windows with identical
+//! outputs for every shard count (see [`shard`]).
 //!
 //! # Examples
 //!
@@ -57,7 +57,7 @@ pub mod wire;
 pub use event::{CalendarQueue, EventQueue, HeapQueue, QueueKind, QueueStats, Scheduled};
 pub use net::{Network, SimConfig};
 pub use progress::{NoopSink, ProgressEvent, ProgressSink, SharedSink};
-pub use shard::{Partition, PartitionStrategy, ShardChoice, ShardStats, ShardedSim};
+pub use shard::{Partition, PartitionStrategy, ShardStats};
 pub use sim::{Context, Protocol, Sim, TimerTag, TimerToken};
 pub use stats::{LinkTally, Traffic};
 pub use time::{SimDuration, SimTime};

@@ -46,12 +46,11 @@ pub struct SimConfig {
     /// resolves by size at simulation start (`EGM_EVENT_QUEUE` or
     /// [`SimConfig::with_event_queue`] override it).
     event_queue: Option<QueueKind>,
-    /// How many worker shards a sharded run partitions the nodes across;
-    /// `None` resolves via `EGM_SHARDS`, then the size-based default
-    /// ([`crate::shard::auto_shards_for`]). `Some(0)` forces the
-    /// sequential engine.
+    /// How many shards the run partitions the nodes across; `None`
+    /// resolves via `EGM_SHARDS`, then the size-based default
+    /// ([`crate::shard::auto_shards_for`]).
     shards: Option<usize>,
-    /// How a sharded run maps nodes to shards; `None` resolves via
+    /// How a multi-shard run maps nodes to shards; `None` resolves via
     /// `EGM_PARTITION`, then the auto default (domain-aligned when the
     /// delay source yields a plan, contiguous otherwise).
     partition: Option<PartitionStrategy>,
@@ -183,36 +182,31 @@ impl SimConfig {
             .unwrap_or_else(|| QueueKind::auto_for(self.node_count()))
     }
 
-    /// Selects how many worker shards partition the run (builder style),
+    /// Selects how many shards partition the run (builder style),
     /// overriding both the `EGM_SHARDS` variable and the size-based
-    /// default. `1` runs the sharded engine as a single windowless shard;
-    /// `0` forces the plain sequential engine (the escape hatch, like
-    /// `EGM_EVENT_QUEUE=heap`). Every shard count produces byte-identical
-    /// results — this is a performance knob, never a behavioural one.
+    /// default. `0` and `1` both mean one shard — the plain sequential
+    /// event loop. Every shard count produces byte-identical results —
+    /// this is a performance knob, never a behavioural one.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
     }
 
-    /// The shard count this configuration resolves to: an explicit
+    /// The shard count this configuration resolves to — what the runner
+    /// hands to [`crate::Sim::with_shards`]: an explicit
     /// [`SimConfig::with_shards`] choice wins, then the `EGM_SHARDS`
     /// environment override, then the size-based default
-    /// ([`crate::shard::auto_shards_for`]). Counts above the node count
-    /// are clamped. See [`crate::ShardChoice`] for how a forced choice
-    /// differs from the default.
-    pub fn shard_choice(&self) -> crate::shard::ShardChoice {
-        use crate::shard::ShardChoice;
+    /// ([`crate::shard::auto_shards_for`]). The result is clamped to
+    /// `1..=node_count`, so `0` and `1` both resolve to one shard.
+    pub fn shard_count(&self) -> usize {
         let n = self.node_count();
-        if let Some(w) = self.shards {
-            return ShardChoice::Forced(w.min(n));
-        }
-        if let Some(w) = crate::shard::shards_from_env() {
-            return ShardChoice::Forced(w.min(n));
-        }
-        ShardChoice::Auto(crate::shard::auto_shards_for(n))
+        self.shards
+            .or_else(crate::shard::shards_from_env)
+            .unwrap_or_else(|| crate::shard::auto_shards_for(n))
+            .clamp(1, n)
     }
 
-    /// Selects the partition strategy of a sharded run (builder style),
+    /// Selects the partition strategy of a multi-shard run (builder style),
     /// overriding both the `EGM_PARTITION` variable and the auto
     /// default. Every strategy produces byte-identical results — this is
     /// a performance knob, never a behavioural one.
@@ -234,7 +228,7 @@ impl SimConfig {
     /// instead of holding them in memory (builder style) — the
     /// writer-backed [`crate::Traffic`] mode for runs whose link log
     /// would otherwise dominate RSS. Results are byte-identical to the
-    /// in-memory mode; sharded runs give each worker its own spool file.
+    /// in-memory mode; multi-shard runs give each shard its own spool file.
     pub fn with_traffic_spool(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.traffic_spool = Some(dir.into());
         self
@@ -278,7 +272,7 @@ impl SimConfig {
     }
 
     /// A conservative lower bound on the delivery delay of any message
-    /// crossing the given shard assignment — the sharded engine's window
+    /// crossing the given shard assignment — the multi-shard window
     /// *lookahead*. Derived from the minimum cross-shard base latency of
     /// the delay source (exact on routed and dense models), shrunk by the
     /// worst-case jitter factor and one microsecond of rounding slack,
@@ -323,8 +317,8 @@ pub struct Network {
     /// Time each node's uplink becomes free (egress-bandwidth model).
     egress_free: Vec<SimTime>,
     /// Transit degradation: latency multiplier on cross-domain base
-    /// delays (`1.0` = healthy). Never below `1.0`, so the sharded
-    /// engine's conservative lookahead stays a valid lower bound.
+    /// delays (`1.0` = healthy). Never below `1.0`, so the multi-shard
+    /// conservative lookahead stays a valid lower bound.
     degrade_mult: f64,
     /// Transit degradation: extra independent drop probability on
     /// cross-domain traffic, combined with the configured loss as
@@ -477,8 +471,8 @@ impl Network {
     /// extra independent drop probability `extra_loss`. `(1.0, 0.0)`
     /// restores the healthy network.
     ///
-    /// The multiplier can only *lengthen* delays (≥ 1.0), so the sharded
-    /// engine's conservative lookahead — a lower bound on cross-shard
+    /// The multiplier can only *lengthen* delays (≥ 1.0), so the
+    /// multi-shard conservative lookahead — a lower bound on cross-shard
     /// delivery delay — remains valid under degradation.
     ///
     /// # Panics
@@ -542,6 +536,16 @@ mod tests {
     use crate::{NodeId, SimDuration};
     use egm_rng::Rng;
     use egm_topology::RoutedModel;
+
+    #[test]
+    fn explicit_shard_counts_resolve_with_zero_and_one_meaning_one_shard() {
+        let config = SimConfig::uniform(6, 1.0);
+        assert_eq!(config.clone().with_shards(0).shard_count(), 1);
+        assert_eq!(config.clone().with_shards(1).shard_count(), 1);
+        assert_eq!(config.clone().with_shards(4).shard_count(), 4);
+        // Clamped to the node count.
+        assert_eq!(config.with_shards(64).shard_count(), 6);
+    }
 
     #[test]
     fn uniform_delay_is_constant() {

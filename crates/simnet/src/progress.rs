@@ -1,16 +1,16 @@
 //! Observe-only progress reporting for long runs.
 //!
 //! A [`ProgressSink`] receives [`ProgressEvent`]s at *coarse* execution
-//! boundaries — conservative window plans in [`crate::ShardedSim`], and
-//! chunk/tick/summary boundaries in the workload runner that drives the
-//! engines. The sink is strictly an observer: it is handed copies of
+//! boundaries — conservative window plans of a multi-shard
+//! [`crate::Sim`], and chunk/tick/summary boundaries in the workload
+//! runner that drives it. The sink is strictly an observer: it is handed copies of
 //! counters the engine already maintains, it is never consulted for
 //! decisions, and no event is emitted from the per-event hot path. A run
 //! with a sink installed is therefore byte-identical to the same run
 //! without one (the workload `progress_determinism` test pins this).
 //!
 //! Implementations must be cheap and non-blocking: window events fire
-//! once per planned window, which on a large sharded run can be
+//! once per planned window, which on a large multi-shard run can be
 //! thousands of times per wall-clock second.
 
 use std::sync::Arc;
@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// the system clock and runs stay reproducible.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProgressEvent {
-    /// A conservative window was planned by the sharded engine. Emitted
+    /// A conservative window was planned by a multi-shard run. Emitted
     /// by both window drivers at plan time, before the window executes.
     Window {
         /// Windows planned so far in this engine (1-based, cumulative).
@@ -33,9 +33,9 @@ pub enum ProgressEvent {
         /// Events dispatched across all shards *before* this window.
         events: u64,
     },
-    /// The runner advanced the sequential engine by one fixed
-    /// virtual-time chunk (the sequential engine has no windows, so the
-    /// runner chunks `run_until` into deterministic slices instead).
+    /// The runner advanced a one-shard run by one fixed virtual-time
+    /// chunk (one shard has no windows, so the runner chunks `run_until`
+    /// into deterministic slices instead).
     Chunk {
         /// Virtual time reached, in milliseconds.
         now_ms: f64,

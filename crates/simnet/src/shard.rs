@@ -1,57 +1,57 @@
-//! Deterministic sharded event loop: one large run partitioned across
-//! worker shards synchronized by conservative time windows.
+//! Multi-shard execution of one run: the node partition and the
+//! conservative-window loop that keeps shards in lockstep.
 //!
-//! [`ShardedSim`] splits the node id space into `W` disjoint shards
-//! under a [`PartitionStrategy`] — contiguous id ranges, or
-//! topology-aware domain-aligned cuts planned from the routed model
+//! [`Sim::with_shards`](crate::Sim::with_shards) splits the node id
+//! space into `W` disjoint shards under a [`PartitionStrategy`] —
+//! contiguous id ranges, or topology-aware domain-aligned cuts planned
+//! from the routed model
 //! ([`egm_topology::RoutedModel::partition_plan`]); each shard owns its
 //! nodes, their RNG streams, an [`EventQueue`](crate::EventQueue), a
 //! [`Traffic`] table and a copy of the fault view, and dispatches its
-//! own events through the *same* per-event path as the sequential
-//! [`Sim`](crate::Sim). Shards synchronize at window boundaries: a
-//! window's length is the **lookahead** — a
-//! conservative lower bound on the delivery delay of any cross-shard
-//! message ([`SimConfig::conservative_lookahead`]), derived from the
-//! minimum latency crossing the chosen partition. Within a window
-//! `[T, T + L)`, no shard can receive an event it has not already been
-//! handed (anything generated in the window arrives at `>= T + L`), so
-//! every shard may run its window independently — in parallel. Because
-//! the lookahead is the minimum *cross-shard* latency, the partition
-//! directly sets the window economics: domain-aligned cuts push the
-//! floor from the stub-access latency up to the inter-core latency of
-//! the planned clusters, collapsing the window count.
+//! own events through the *same* per-event path as a one-shard run.
+//! Shards synchronize at window boundaries: a window's length is the
+//! **lookahead** — a conservative lower bound on the delivery delay of
+//! any cross-shard message ([`SimConfig::conservative_lookahead`]),
+//! derived from the minimum latency crossing the chosen partition.
+//! Within a window `[T, T + L)`, no shard can receive an event it has
+//! not already been handed (anything generated in the window arrives at
+//! `>= T + L`), so every shard may run its window independently — in
+//! parallel. Because the lookahead is the minimum *cross-shard* latency,
+//! the partition directly sets the window economics: domain-aligned cuts
+//! push the floor from the stub-access latency up to the inter-core
+//! latency of the planned clusters, collapsing the window count.
 //!
 //! Cross-shard sends are buffered in per-`(source, destination)` *lanes*
 //! and moved into the destination queue at the window boundary. Order
 //! needs no repair at the merge: every event carries an intrinsic
 //! `(time, origin, origin-seq)` key (see [`crate::sim`]), so the
 //! destination queue interleaves merged and local events exactly where
-//! the sequential engine would have dispatched them. The outputs —
-//! delivery records, sealed [`Traffic`] (including the first-appearance
-//! spill order, reconstructed at merge time), scheduler counters, event
-//! counts — are **byte-identical to the sequential [`Sim`](crate::Sim)
-//! for every `W`**, which the `shard_equivalence` and
-//! `shard_determinism` suites assert on every PR.
+//! one shard would have dispatched them. The outputs — delivery records,
+//! sealed [`Traffic`] (including the first-appearance spill order,
+//! reconstructed at merge time), scheduler counters, event counts — are
+//! **byte-identical to the one-shard run for every `W`**, which the
+//! `shard_equivalence` and `shard_determinism` suites assert on every
+//! PR.
 //!
-//! With `W = 1` there are no cross-shard pairs, the lookahead is
-//! unbounded, and the run collapses to a single window — the sharded
-//! engine then is the sequential engine plus one bounds check.
+//! With `W = 1` there are no cross-shard pairs and nothing here runs:
+//! the one shard carries no route, no lanes and no windows.
 
-use crate::event::{EventKind, QueueStats, Scheduled};
-use crate::net::{Network, SimConfig};
+use crate::event::{EventKind, Scheduled};
+use crate::net::SimConfig;
 use crate::progress::{ProgressEvent, SharedSink};
-use crate::sim::{fork_streams, pack_seq, EngineState, Protocol, ShardRoute, SimCore, MAX_NODES};
+use crate::sim::{EngineState, Protocol, ShardRoute, SimCore};
 use crate::stats::Traffic;
 use crate::time::{SimDuration, SimTime};
 use crate::wire::Wire;
 use crate::NodeId;
 use egm_rng::hash::FastHashMap;
+use egm_rng::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
-/// Node count below which the size-based default runs the sequential
-/// engine: window bookkeeping has nothing to amortize on runs whose whole
-/// working set is cache-resident.
+/// Node count below which the size-based default is one shard: window
+/// bookkeeping has nothing to amortize on runs whose whole working set
+/// is cache-resident.
 pub const SHARD_MIN_NODES: usize = 1000;
 
 /// Cap on the size-based default shard count: beyond ~8 shards the
@@ -75,8 +75,7 @@ pub fn auto_shards_for(nodes: usize) -> usize {
 }
 
 /// Reads the `EGM_SHARDS` override from the environment; `None` when
-/// unset (the size-based default applies). `0` forces the sequential
-/// engine — the escape hatch, mirroring `EGM_EVENT_QUEUE=heap`.
+/// unset (the size-based default applies).
 ///
 /// # Panics
 ///
@@ -86,7 +85,7 @@ pub fn shards_from_env() -> Option<usize> {
     match std::env::var("EGM_SHARDS") {
         Err(_) => None,
         Ok(v) => Some(v.parse().unwrap_or_else(|_| {
-            panic!("unrecognized EGM_SHARDS {v:?}: use 0 (sequential) or a shard count")
+            panic!("unrecognized EGM_SHARDS {v:?}: use a shard count (0 and 1 both mean one shard)")
         })),
     }
 }
@@ -157,38 +156,6 @@ pub fn partition_from_env() -> Option<PartitionStrategy> {
     }
 }
 
-/// How a run's shard count was resolved (see
-/// [`SimConfig::shard_choice`]): a forced count (scenario or `EGM_SHARDS`)
-/// selects the sharded engine even at `W = 1` (and the sequential engine
-/// at `0`), while the size-based default only engages the sharded engine
-/// when it picks `W > 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardChoice {
-    /// Explicitly requested by configuration or environment.
-    Forced(usize),
-    /// The size-based default ([`auto_shards_for`]).
-    Auto(usize),
-}
-
-impl ShardChoice {
-    /// The shard count to run with (`0` meaning the sequential engine).
-    pub fn count(self) -> usize {
-        match self {
-            ShardChoice::Forced(w) => w,
-            ShardChoice::Auto(w) => w,
-        }
-    }
-
-    /// Whether the run should use [`ShardedSim`] rather than the
-    /// sequential [`Sim`](crate::Sim).
-    pub fn use_sharded(self) -> bool {
-        match self {
-            ShardChoice::Forced(w) => w >= 1,
-            ShardChoice::Auto(w) => w > 1,
-        }
-    }
-}
-
 /// A partition of the node id space over worker shards: an arbitrary
 /// node→shard map with O(1) shard and local-index lookup.
 ///
@@ -197,7 +164,7 @@ impl ShardChoice {
 /// shard, nodes are ordered by ascending global id — that invariant is
 /// what lets the engine hand each shard its slice of the global RNG
 /// stream vectors and run `on_start` callbacks in a per-shard order
-/// consistent with the sequential engine.
+/// consistent with the one-shard run.
 ///
 /// The map itself comes from a [`PartitionStrategy`]:
 /// [`Partition::contiguous`] builds the near-equal range baseline, and
@@ -313,16 +280,16 @@ impl Partition {
 /// threaded window driver.
 type Mailbox<M> = Mutex<Vec<Scheduled<EventKind<M>>>>;
 
-/// Window-loop counters of a sharded run.
+/// Window-loop counters of a run (one shard reports only `shards: 1`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Number of worker shards.
+    /// Number of shards.
     pub shards: usize,
     /// The partition strategy that actually took effect (a planned
     /// strategy falls back to [`PartitionStrategy::Contiguous`] when the
     /// delay source yields no domain structure to align with).
     pub strategy: PartitionStrategy,
-    /// Conservative window length in microseconds (0 when a single shard
+    /// Conservative window length in microseconds (0 on one shard, which
     /// runs windowless).
     pub lookahead_us: u64,
     /// Average virtual time advanced per executed window, in
@@ -340,93 +307,62 @@ pub struct ShardStats {
     /// Window boundaries at which the lane exchange was skipped because
     /// no shard had cross-shard sends pending.
     pub exchanges_skipped: u64,
-    /// Events dispatched by each shard — the observable partition
-    /// balance (sums to the sequential engine's event count).
+    /// Events dispatched by each shard of a multi-shard run — the
+    /// observable partition balance (sums to the run's event count).
     pub per_shard_events: Vec<u64>,
 }
 
-/// The deterministic sharded discrete-event simulator: the partitioned
-/// twin of [`crate::Sim`]. See the module documentation for the
-/// synchronization scheme; the public surface mirrors `Sim` (harness
-/// scheduling, bounded runs, node access, traffic) with two deltas —
-/// [`ShardedSim::send_external`] is pre-run only, and
-/// [`ShardedSim::traffic`] requires [`ShardedSim::seal_traffic`] first
-/// (the per-shard tables are merged at seal time).
+/// Everything a multi-shard [`Sim`](crate::Sim) holds beyond its
+/// per-shard event loops: the partition, the window lookahead and the
+/// window-loop counters. See the module documentation for the
+/// synchronization scheme.
 #[derive(Debug)]
-pub struct ShardedSim<P: Protocol> {
-    shards: Vec<EngineState<P>>,
+pub(crate) struct WindowLoop<M> {
     partition: Arc<Partition>,
     /// The strategy the partition was actually built with.
     strategy: PartitionStrategy,
-    /// Conservative window length; `None` collapses the run to a single
-    /// window (single shard).
-    lookahead: Option<SimDuration>,
-    now: SimTime,
-    harness_seq: u64,
+    /// Conservative window length.
+    lookahead: SimDuration,
     spill_threshold: usize,
-    merged: Option<Traffic>,
-    threaded: bool,
+    /// The merged traffic view, once [`WindowLoop::merge_traffic`] ran.
+    pub(crate) merged: Option<Traffic>,
+    pub(crate) threaded: bool,
     windows: u64,
     lane_events: u64,
     lane_flushes: u64,
     exchanges_skipped: u64,
     /// Reusable scratch buffer for the per-destination lane merge of the
     /// single-threaded window driver.
-    lane_gather: Vec<Scheduled<EventKind<P::Msg>>>,
+    lane_gather: Vec<Scheduled<EventKind<M>>>,
     /// Observe-only progress sink; window plans are reported to it.
     /// `None` (the default) leaves the window loop exactly as it was —
     /// the sink is never consulted for decisions, so installing one
     /// cannot change any simulation output.
-    progress: Option<SharedSink>,
+    pub(crate) progress: Option<SharedSink>,
 }
 
-impl<P: Protocol + Send> ShardedSim<P>
-where
-    P::Msg: Send,
-{
-    /// Creates a sharded simulation of `nodes` over the configured
-    /// network, partitioned across `shards` workers (clamped to the node
-    /// count). `seed` produces exactly the RNG tree of
-    /// [`crate::Sim::new`], so the run is byte-identical to the
-    /// sequential engine — under every [`PartitionStrategy`]: each node
-    /// receives the RNG streams of its *global* id regardless of which
-    /// shard owns it.
-    ///
-    /// The strategy resolves in precedence order: `Scenario` /
-    /// [`SimConfig::with_partition`], then `EGM_PARTITION`, then auto
-    /// (domain-aligned when the delay source yields a plan, contiguous
-    /// otherwise). A planned strategy falls back to contiguous when no
-    /// plan is available (uniform delays, or fewer populated domains
-    /// than shards); the effective strategy is reported in
-    /// [`ShardStats::strategy`].
+impl<M: Wire + Send> WindowLoop<M> {
+    /// Partitions `nodes` and their per-node RNG stream vectors (in
+    /// global-id order) across `w > 1` shards, returning the per-shard
+    /// event loops and the window-loop state that drives them.
     ///
     /// # Panics
     ///
-    /// Panics if the node count mismatches the network configuration or
-    /// `shards` is zero.
-    pub fn new(config: SimConfig, seed: u64, nodes: Vec<P>, shards: usize) -> Self {
-        let n = nodes.len();
-        assert_eq!(
-            n,
-            config.node_count(),
-            "node vector must match network size"
-        );
-        assert!(n <= MAX_NODES, "too many nodes for event keys");
-        assert!(shards > 0, "need at least one shard");
-        let w = shards.min(n);
-        let (partition, strategy) = resolve_partition(&config, n, w);
+    /// Panics if no latency floor separates the shards.
+    pub(crate) fn split<P: Protocol<Msg = M>>(
+        config: SimConfig,
+        nodes: Vec<P>,
+        node_rngs: Vec<Rng>,
+        net_rngs: Vec<Rng>,
+        w: usize,
+    ) -> (Vec<EngineState<P>>, Self) {
+        let (partition, strategy) = resolve_partition(&config, nodes.len(), w);
         let partition = Arc::new(partition);
-        let lookahead = config.conservative_lookahead(partition.assignment());
-        assert!(
-            w == 1 || lookahead.is_some(),
-            "multi-shard runs must have a cross-shard latency floor"
-        );
+        let lookahead = config
+            .conservative_lookahead(partition.assignment())
+            .expect("multi-shard runs must have a cross-shard latency floor");
         let spill_threshold = config.link_spill_threshold();
-        // A single shard's local record order *is* the global order, so
-        // the spill rule needs no keys there (and the W = 1 hot path
-        // stays probe-free, like the sequential engine's).
-        let track_first_keys = spill_threshold != usize::MAX && w > 1;
-        let (node_rngs, net_rngs) = fork_streams(seed, n);
+        let track_first_keys = spill_threshold != usize::MAX;
         // Distribute nodes and streams by *global* id: shard `s` gets,
         // in ascending id order, exactly the entries of its members —
         // for contiguous partitions this degenerates to slicing.
@@ -460,13 +396,10 @@ where
                 .collect();
             states.push(EngineState::new(core, owned));
         }
-        ShardedSim {
-            shards: states,
+        let windows = WindowLoop {
             partition,
             strategy,
             lookahead,
-            now: SimTime::ZERO,
-            harness_seq: 0,
             spill_threshold,
             merged: None,
             threaded: shard_threads_enabled(),
@@ -476,157 +409,42 @@ where
             exchanges_skipped: 0,
             lane_gather: Vec::new(),
             progress: None,
-        }
+        };
+        (states, windows)
     }
 
-    /// Installs an observe-only progress sink: both window drivers
-    /// report each planned window ([`ProgressEvent::Window`]) to it.
-    /// The sink receives copies of counters the engine already keeps
-    /// and is never consulted for decisions, so results stay
-    /// byte-identical with or without one (the workload
-    /// `progress_determinism` test asserts this).
-    pub fn set_progress_sink(&mut self, sink: SharedSink) {
-        self.progress = Some(sink);
+    /// The shard owning `node` and the node's index within it.
+    pub(crate) fn locate(&self, node: NodeId) -> (usize, usize) {
+        let i = node.index();
+        (self.partition.shard_of(i), self.partition.local_of(i))
     }
 
-    /// Forces the window driver onto one thread (`false`) or worker
-    /// threads (`true`). Both drivers produce identical results; the
-    /// default follows available parallelism and the
-    /// `EGM_SHARD_THREADS` variable (`0` disables threads).
-    pub fn set_threaded(&mut self, on: bool) {
-        self.threaded = on;
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.partition.node_count()
-    }
-
-    /// Number of worker shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The node partition.
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
-    /// The partition strategy that actually took effect.
-    pub fn strategy(&self) -> PartitionStrategy {
-        self.strategy
-    }
-
-    /// Window-loop counters.
-    pub fn shard_stats(&self) -> ShardStats {
+    /// The window-loop counters at virtual time `now`.
+    pub(crate) fn stats(&self, now: SimTime, per_shard_events: Vec<u64>) -> ShardStats {
         ShardStats {
-            shards: self.shards.len(),
+            shards: self.partition.shard_count(),
             strategy: self.strategy,
-            lookahead_us: self.lookahead.map_or(0, |l| l.as_micros()),
-            realized_lookahead_us: self.now.as_micros().checked_div(self.windows).unwrap_or(0),
+            lookahead_us: self.lookahead.as_micros(),
+            realized_lookahead_us: now.as_micros().checked_div(self.windows).unwrap_or(0),
             windows: self.windows,
             lane_events: self.lane_events,
             lane_flushes: self.lane_flushes,
             exchanges_skipped: self.exchanges_skipped,
-            per_shard_events: self.shards.iter().map(|s| s.events_processed).collect(),
+            per_shard_events,
         }
-    }
-
-    /// Total events processed across all shards; identical to the
-    /// sequential engine's count (replicated fault events are counted
-    /// once, by the shard owning the affected node).
-    pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.events_processed).sum()
-    }
-
-    /// Timers cancelled across all shards.
-    pub fn timers_cancelled(&self) -> u64 {
-        self.shards.iter().map(|s| s.core.timers_cancelled()).sum()
-    }
-
-    /// Stale timer events dropped at pop time across all shards.
-    pub fn stale_timer_drops(&self) -> u64 {
-        self.shards.iter().map(|s| s.core.stale_timer_drops()).sum()
-    }
-
-    /// Event-queue counters aggregated over the per-shard queues: sums
-    /// for activity counters (`pushes`, `pops`, `resizes`, `year_scans`)
-    /// and `bucket_count`, with `max_len` the sum of per-shard peaks (an
-    /// upper bound on global concurrency) and `bucket_width_us` the
-    /// maximum across shards.
-    pub fn queue_stats(&self) -> QueueStats {
-        let mut agg = QueueStats::default();
-        for s in &self.shards {
-            let q = s.core.queue.stats();
-            agg.pushes += q.pushes;
-            agg.pops += q.pops;
-            agg.max_len += q.max_len;
-            agg.resizes += q.resizes;
-            agg.bucket_count += q.bucket_count;
-            agg.bucket_width_us = agg.bucket_width_us.max(q.bucket_width_us);
-            agg.year_scans += q.year_scans;
-        }
-        agg
-    }
-
-    /// Immutable access to a protocol node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn node(&self, id: NodeId) -> &P {
-        let s = self.partition.shard_of(id.index());
-        &self.shards[s].nodes[self.partition.local_of(id.index())]
-    }
-
-    /// Mutable access to a protocol node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        let s = self.partition.shard_of(id.index());
-        &mut self.shards[s].nodes[self.partition.local_of(id.index())]
-    }
-
-    /// Iterates over all nodes with their ids, in id order — regardless
-    /// of which shard owns which id.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
-        (0..self.partition.node_count()).map(|i| (NodeId(i), self.node(NodeId(i))))
-    }
-
-    /// Mutably iterates over all nodes with their ids, in shard order
-    /// (e.g. for the harness's end-of-run sweeps — callers must not
-    /// depend on iteration order).
-    pub fn nodes_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut P)> {
-        let partition = &self.partition;
-        self.shards.iter_mut().enumerate().flat_map(move |(s, sh)| {
-            sh.nodes
-                .iter_mut()
-                .zip(partition.members(s))
-                .map(|(n, &g)| (NodeId(g as usize), n))
-        })
     }
 
     /// Merges the per-shard traffic tables into the sealed global view
-    /// (idempotent). Must be called before [`ShardedSim::traffic`]; the
-    /// simulation must not send any further messages afterwards.
-    pub fn seal_traffic(&mut self) {
+    /// (idempotent).
+    pub(crate) fn merge_traffic<P: Protocol<Msg = M>>(&mut self, shards: &mut [EngineState<P>]) {
         if self.merged.is_some() {
             return;
         }
-        let parts: Vec<Traffic> = self
-            .shards
+        let parts: Vec<Traffic> = shards
             .iter_mut()
             .map(|sh| std::mem::take(&mut sh.core.traffic))
             .collect();
-        let raw: Vec<_> = self
-            .shards
+        let raw: Vec<_> = shards
             .iter_mut()
             .map(|sh| sh.core.take_first_keys())
             .collect();
@@ -634,266 +452,52 @@ where
         self.merged = Some(Traffic::merge_shards(parts, keys, self.spill_threshold));
     }
 
-    /// The merged transport-level traffic accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`ShardedSim::seal_traffic`] ran first — per-shard
-    /// tables are merged at seal time.
-    pub fn traffic(&self) -> &Traffic {
-        self.merged
-            .as_ref()
-            .expect("call ShardedSim::seal_traffic() before traffic()")
-    }
-
-    /// The virtual network's current state. Fault events (silence,
-    /// revive, degradation, slowdown) are replicated to every shard, so
-    /// each shard's copy holds the same fault view; shard 0's copy is
-    /// returned as the representative.
-    pub fn network(&self) -> &Network {
-        self.shards[0].core.network()
-    }
-
-    /// Reserves the next harness event key (shared by every shard so
-    /// harness events order exactly as in the sequential engine).
-    fn next_harness_seq(&mut self) -> u64 {
-        let seq = pack_seq(0, self.harness_seq);
-        self.harness_seq += 1;
-        seq
-    }
-
-    /// Schedules a harness command for `node` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_command(&mut self, at: SimTime, node: NodeId, value: u64) {
-        assert!(at >= self.now, "cannot schedule in the past");
-        let seq = self.next_harness_seq();
-        let s = self.partition.shard_of(node.index());
-        self.shards[s].core.enqueue(Scheduled {
-            time: at,
-            seq,
-            item: EventKind::Command { node, value },
-        });
-    }
-
-    /// Schedules node silencing at time `at`. The event is replicated to
-    /// every shard (each holds its own fault view) under one shared key,
-    /// so all shards apply it at the same point of the global order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_silence(&mut self, at: SimTime, node: NodeId) {
-        assert!(at >= self.now, "cannot schedule in the past");
-        let seq = self.next_harness_seq();
-        for sh in &mut self.shards {
-            sh.core.enqueue(Scheduled {
-                time: at,
-                seq,
-                item: EventKind::Silence(node),
-            });
-        }
-    }
-
-    /// Schedules node revival at time `at` (see
-    /// [`ShardedSim::schedule_silence`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_revive(&mut self, at: SimTime, node: NodeId) {
-        assert!(at >= self.now, "cannot schedule in the past");
-        let seq = self.next_harness_seq();
-        for sh in &mut self.shards {
-            sh.core.enqueue(Scheduled {
-                time: at,
-                seq,
-                item: EventKind::Revive(node),
-            });
-        }
-    }
-
-    /// Schedules a transit-degradation change at time `at`, replicated to
-    /// every shard under one shared key like
-    /// [`ShardedSim::schedule_silence`]. Degradation only *lengthens*
-    /// delays (`latency_mult ≥ 1.0`), so the conservative window
-    /// lookahead computed from the healthy network remains a valid lower
-    /// bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past, `latency_mult < 1.0`, or
-    /// `extra_loss` is outside `[0, 1]`.
-    pub fn schedule_degrade(&mut self, at: SimTime, latency_mult: f64, extra_loss: f64) {
-        assert!(at >= self.now, "cannot schedule in the past");
-        assert!(
-            latency_mult.is_finite() && latency_mult >= 1.0,
-            "degradation may only lengthen delays"
-        );
-        assert!(
-            (0.0..=1.0).contains(&extra_loss),
-            "extra loss must be a probability"
-        );
-        let seq = self.next_harness_seq();
-        for sh in &mut self.shards {
-            sh.core.enqueue(Scheduled {
-                time: at,
-                seq,
-                item: EventKind::Degrade {
-                    latency_mult,
-                    extra_loss,
-                },
-            });
-        }
-    }
-
-    /// Schedules a processing-slowdown change for `node` at time `at`,
-    /// replicated to every shard under one shared key (see
-    /// [`ShardedSim::schedule_silence`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_slowdown(&mut self, at: SimTime, node: NodeId, delay: SimDuration) {
-        assert!(at >= self.now, "cannot schedule in the past");
-        let seq = self.next_harness_seq();
-        for sh in &mut self.shards {
-            sh.core.enqueue(Scheduled {
-                time: at,
-                seq,
-                item: EventKind::Slowdown { node, delay },
-            });
-        }
-    }
-
-    /// Injects a message from outside the simulation, delivered after the
-    /// usual network delay. Pre-run only under sharding: mid-run
-    /// injection would race the window pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics once the simulation has started.
-    pub fn send_external(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        assert!(
-            !self.shards.iter().any(|s| s.started),
-            "ShardedSim::send_external is pre-run only"
-        );
-        let seq = self.next_harness_seq();
-        let src = self.partition.shard_of(from.index());
-        let bytes = msg.wire_bytes();
-        self.shards[src].core.begin_harness(seq);
-        let now = self.now;
-        if let Some(delay) =
-            self.shards[src]
-                .core
-                .harness_send(now, from, to, bytes, msg.is_payload())
-        {
-            let time = now + delay;
-            let dest = self.partition.shard_of(to.index());
-            self.shards[dest].core.enqueue(Scheduled {
-                time,
-                seq,
-                item: EventKind::Deliver { to, from, msg },
-            });
-        }
-    }
-
-    /// Runs until every queue is exhausted or virtual time would pass
-    /// `deadline`; the clock finishes at `deadline` if it was reached.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        self.run_windows(Some(deadline));
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        for sh in &mut self.shards {
-            if sh.now < deadline {
-                sh.now = deadline;
-            }
-        }
-    }
-
-    /// Runs for `d` of virtual time from now.
-    pub fn run_for(&mut self, d: SimDuration) {
-        let deadline = self.now + d;
-        self.run_until(deadline);
-    }
-
-    /// Runs until every queue and lane is fully drained (beware periodic
-    /// timers: protocols that always re-arm will never drain).
-    pub fn run_to_idle(&mut self) {
-        self.run_windows(None);
-    }
-
     /// The window loop. Windows are planned from the global minimum
     /// pending event time `M`: everything in `[M, M + L)` is safe to run
     /// in parallel, so the bound handed to each shard is `M + L - 1 µs`
     /// (inclusive). Planning from `M` rather than marching fixed windows
     /// lets the loop leap over idle stretches of virtual time.
-    fn run_windows(&mut self, deadline: Option<SimTime>) {
-        let Some(lookahead) = self.lookahead else {
-            // Single shard: no cross-shard events can exist, so the one
-            // queue drains straight to the deadline — one "window", no
-            // lanes, no barriers. This is the W = 1 configuration whose
-            // per-window overhead the acceptance bar caps.
-            debug_assert_eq!(self.shards.len(), 1);
-            if let Some(sink) = &self.progress {
-                if let Some(next) = self.shards[0].core.next_time() {
-                    sink.emit(ProgressEvent::Window {
-                        window: self.windows + 1,
-                        now_us: next.as_micros(),
-                        events: self.shards[0].events_processed,
-                    });
-                }
-            }
-            self.shards[0].run_bounded(deadline);
-            self.windows += 1;
-            self.now = self.now.max(self.shards[0].now);
-            return;
-        };
+    pub(crate) fn run<P: Protocol<Msg = M> + Send>(
+        &mut self,
+        shards: &mut [EngineState<P>],
+        deadline: Option<SimTime>,
+    ) {
         if self.threaded {
-            self.run_windows_threaded(deadline, lookahead);
+            self.run_windows_threaded(shards, deadline);
         } else {
-            self.run_windows_sequential(deadline, lookahead);
+            self.run_windows_sequential(shards, deadline);
         }
     }
 
     /// Single-threaded window driver: identical schedule to the threaded
     /// driver, useful on one core and as the determinism reference.
-    fn run_windows_sequential(&mut self, deadline: Option<SimTime>, lookahead: SimDuration) {
-        for sh in &mut self.shards {
+    fn run_windows_sequential<P: Protocol<Msg = M>>(
+        &mut self,
+        shards: &mut [EngineState<P>],
+        deadline: Option<SimTime>,
+    ) {
+        for sh in shards.iter_mut() {
             sh.ensure_started();
         }
         loop {
-            self.exchange_lanes();
-            let min_t = self
-                .shards
-                .iter()
-                .filter_map(|sh| sh.core.next_time())
-                .min();
+            self.exchange_lanes(shards);
+            let min_t = shards.iter().filter_map(|sh| sh.core.next_time()).min();
             let Some(min_t) = min_t else { break };
             if deadline.is_some_and(|d| min_t > d) {
                 break;
             }
-            let bound = window_bound(min_t, lookahead, deadline);
+            let bound = window_bound(min_t, self.lookahead, deadline);
             if let Some(sink) = &self.progress {
                 sink.emit(ProgressEvent::Window {
                     window: self.windows + 1,
                     now_us: min_t.as_micros(),
-                    events: self.shards.iter().map(|sh| sh.events_processed).sum(),
+                    events: shards.iter().map(|sh| sh.events_processed).sum(),
                 });
             }
-            for sh in &mut self.shards {
+            for sh in shards.iter_mut() {
                 sh.run_bounded(Some(bound));
             }
             self.windows += 1;
-        }
-        // Like the threaded driver (and the sequential `Sim`), the clock
-        // finishes at the latest dispatched event; `run_until` then pads
-        // it to the deadline.
-        if let Some(max_now) = self.shards.iter().map(|sh| sh.now).max() {
-            self.now = self.now.max(max_now);
         }
     }
 
@@ -907,23 +511,23 @@ where
     /// ascending order — one batched flush instead of `W - 1` per-lane
     /// event streams. Push order never affects dispatch order (the queue
     /// orders by key), so batching is purely a throughput change.
-    fn exchange_lanes(&mut self) {
-        if !self.shards.iter().any(|sh| sh.core.lanes_pending()) {
+    fn exchange_lanes<P: Protocol<Msg = M>>(&mut self, shards: &mut [EngineState<P>]) {
+        if !shards.iter().any(|sh| sh.core.lanes_pending()) {
             self.exchanges_skipped += 1;
             return;
         }
-        let w = self.shards.len();
+        let w = shards.len();
         let mut gather = std::mem::take(&mut self.lane_gather);
         for dst in 0..w {
             debug_assert!(gather.is_empty());
-            for src in 0..w {
+            for (src, sh) in shards.iter_mut().enumerate() {
                 if dst == src {
                     continue;
                 }
-                let mut lane = self.shards[src].core.take_lane(dst);
+                let mut lane = sh.core.take_lane(dst);
                 self.lane_events += lane.len() as u64;
                 gather.append(&mut lane);
-                self.shards[src].core.put_lane(dst, lane);
+                sh.core.put_lane(dst, lane);
             }
             if gather.is_empty() {
                 continue;
@@ -931,7 +535,7 @@ where
             gather.sort_unstable_by_key(|ev| (ev.time, ev.seq));
             self.lane_flushes += 1;
             for ev in gather.drain(..) {
-                self.shards[dst].core.enqueue(ev);
+                shards[dst].core.enqueue(ev);
             }
         }
         self.lane_gather = gather;
@@ -944,16 +548,19 @@ where
     /// the previous window — merged-early events simply wait in the
     /// queue, which is harmless (only merging *late* would be a bug, and
     /// the publish-before-report barrier order rules it out).
-    fn run_windows_threaded(&mut self, deadline: Option<SimTime>, lookahead: SimDuration) {
+    fn run_windows_threaded<P: Protocol<Msg = M> + Send>(
+        &mut self,
+        shards: &mut [EngineState<P>],
+        deadline: Option<SimTime>,
+    ) {
         /// Sentinel bound: stop the loop.
         const STOP: u64 = u64::MAX;
-        let w = self.shards.len();
+        let w = shards.len();
         let barrier = Barrier::new(w);
         let next_times: Vec<AtomicU64> = (0..w).map(|_| AtomicU64::new(0)).collect();
         // Per-shard dispatched-event counts, refreshed at each boundary
         // so the leader can report progress without touching peer state.
-        let events_counts: Vec<AtomicU64> = self
-            .shards
+        let events_counts: Vec<AtomicU64> = shards
             .iter()
             .map(|sh| AtomicU64::new(sh.events_processed))
             .collect();
@@ -968,9 +575,9 @@ where
         // 0 lets every worker skip its mailbox entirely (adaptive
         // exchange). Reset by the leader while planning the window.
         let published = AtomicU64::new(0);
-        let mailboxes: Vec<Mailbox<P::Msg>> = (0..w).map(|_| Mutex::new(Vec::new())).collect();
+        let mailboxes: Vec<Mailbox<M>> = (0..w).map(|_| Mutex::new(Vec::new())).collect();
         let deadline_us = deadline.map(|d| d.as_micros());
-        let lookahead_us = lookahead.as_micros();
+        let lookahead_us = self.lookahead.as_micros();
         // `Barrier` does not poison: a worker that panicked and left the
         // protocol would deadlock its peers. Panics are therefore caught
         // per work segment; a poisoned worker keeps walking the barrier
@@ -979,7 +586,7 @@ where
         // re-raised once the scope is ready to join.
         let abort = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
-            for (i, sh) in self.shards.iter_mut().enumerate() {
+            for (i, sh) in shards.iter_mut().enumerate() {
                 let barrier = &barrier;
                 let next_times = &next_times;
                 let bound_cell = &bound_cell;
@@ -1113,10 +720,6 @@ where
         self.lane_events += lane_events.into_inner();
         self.lane_flushes += lane_flushes.into_inner();
         self.exchanges_skipped += exchanges_skipped.into_inner();
-        let max_now = self.shards.iter().map(|sh| sh.now).max();
-        if let Some(t) = max_now {
-            self.now = self.now.max(t);
-        }
     }
 }
 
@@ -1214,11 +817,10 @@ fn resolve_first_keys(
 /// took effect: a planned strategy (domain-aligned or rate-balanced)
 /// falls back to contiguous when the delay source yields no plan —
 /// uniform delays, a dense model, or fewer populated domains than
-/// shards. Single-shard runs always use the (trivial) contiguous
-/// partition.
+/// shards.
 fn resolve_partition(config: &SimConfig, n: usize, w: usize) -> (Partition, PartitionStrategy) {
     let requested = config.partition_strategy();
-    if w > 1 && requested != Some(PartitionStrategy::Contiguous) {
+    if requested != Some(PartitionStrategy::Contiguous) {
         let rate = requested == Some(PartitionStrategy::RateBalanced);
         if let Some(assign) = config.planned_assignment(w, rate) {
             let effective = if rate {
@@ -1258,7 +860,7 @@ fn shard_threads_enabled() -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::{auto_shards_for, Partition, ShardChoice};
+    use super::{auto_shards_for, Partition};
 
     #[test]
     fn contiguous_partition_covers_every_node_once() {
@@ -1299,14 +901,5 @@ mod tests {
         assert_eq!(auto_shards_for(999), 1);
         assert!(auto_shards_for(1000) >= 1);
         assert!(auto_shards_for(10_000) <= super::MAX_AUTO_SHARDS);
-    }
-
-    #[test]
-    fn shard_choice_engine_selection() {
-        assert!(ShardChoice::Forced(1).use_sharded());
-        assert!(ShardChoice::Forced(4).use_sharded());
-        assert!(!ShardChoice::Forced(0).use_sharded());
-        assert!(!ShardChoice::Auto(1).use_sharded());
-        assert!(ShardChoice::Auto(2).use_sharded());
     }
 }

@@ -7,19 +7,19 @@
 //! per-origin counter (`pack_seq`). The key is therefore an intrinsic
 //! property of the schedule — a function of the originating node's own
 //! event history, never of the global interleaving in which pushes
-//! happened to execute. That is what lets the sharded engine
-//! ([`crate::ShardedSim`]) process disjoint node ranges concurrently and
-//! still dispatch every event at exactly the position the sequential
-//! [`Sim`] would: both engines compute identical keys without
-//! coordination.
+//! happened to execute. That is what lets a multi-shard [`Sim`] (see
+//! [`crate::shard`]) process disjoint node sets concurrently and still
+//! dispatch every event at exactly the position the one-shard run would:
+//! every shard computes identical keys without coordination.
 //!
 //! For the same reason the network randomness (loss, jitter) is one
 //! stream *per sender* rather than one global stream: a sender's draws
-//! depend only on its own send order, which both engines reproduce.
+//! depend only on its own send order, which every shard count reproduces.
 
 use crate::event::{EventKind, QueueImpl, QueueStats, Scheduled};
 use crate::net::{Network, SimConfig};
-use crate::shard::Partition;
+use crate::progress::SharedSink;
+use crate::shard::{Partition, ShardStats, WindowLoop};
 use crate::stats::Traffic;
 use crate::time::{SimDuration, SimTime};
 use crate::wire::Wire;
@@ -38,26 +38,25 @@ const LOCAL_SEQ_BITS: u32 = 40;
 
 /// Maximum number of protocol nodes the event-key encoding supports
 /// (24 bits of origin rank, minus the harness rank).
-pub(crate) const MAX_NODES: usize = (1 << (64 - LOCAL_SEQ_BITS)) - 1;
+const MAX_NODES: usize = (1 << (64 - LOCAL_SEQ_BITS)) - 1;
 
 /// Packs an origin rank and its per-origin counter into the
 /// [`Scheduled::seq`] tie-breaker. Keys are unique (each origin counts
-/// its own pushes) and independent of execution interleaving, so the
-/// sequential and sharded engines order same-tick events identically.
+/// its own pushes) and independent of execution interleaving, so every
+/// shard count orders same-tick events identically.
 #[inline]
-pub(crate) fn pack_seq(origin_rank: u32, local: u64) -> u64 {
+fn pack_seq(origin_rank: u32, local: u64) -> u64 {
     debug_assert!((origin_rank as usize) <= MAX_NODES, "origin out of range");
     debug_assert!(local < (1 << LOCAL_SEQ_BITS), "per-origin counter overflow");
     ((origin_rank as u64) << LOCAL_SEQ_BITS) | local
 }
 
-/// Forks the deterministic RNG streams exactly as every engine must: one
-/// protocol stream per node in id order, then one network (loss/jitter)
-/// stream per *sender* in id order. The sharded engine distributes these
-/// vectors by *global* node id (whatever the partition shape), so a
-/// node's streams are identical no matter which shard — or engine —
-/// drives it.
-pub(crate) fn fork_streams(seed: u64, n: usize) -> (Vec<Rng>, Vec<Rng>) {
+/// Forks the deterministic RNG streams: one protocol stream per node in
+/// id order, then one network (loss/jitter) stream per *sender* in id
+/// order. A multi-shard run distributes these vectors by *global* node
+/// id (whatever the partition shape), so a node's streams are identical
+/// no matter which shard drives it.
+fn fork_streams(seed: u64, n: usize) -> (Vec<Rng>, Vec<Rng>) {
     let mut root = Rng::seed_from_u64(seed);
     let node_rngs: Vec<Rng> = (0..n).map(|_| root.fork()).collect();
     let net_rngs: Vec<Rng> = (0..n).map(|_| root.fork()).collect();
@@ -139,8 +138,8 @@ impl TimerTable {
 /// All callbacks receive a [`Context`] giving access to the virtual clock,
 /// the node's own id and RNG stream, message sending and timers. Nodes are
 /// single-threaded and run to completion per event (the actor model), so no
-/// synchronization is ever needed — including under the sharded engine,
-/// which never runs two events of the same node concurrently.
+/// synchronization is ever needed — including on several shards, which
+/// never run two events of the same node concurrently.
 ///
 /// # Examples
 ///
@@ -170,8 +169,8 @@ pub trait Protocol {
     }
 }
 
-/// Cross-shard routing state carried by a worker shard's core; absent in
-/// the sequential engine.
+/// Cross-shard routing state carried by each core of a multi-shard run;
+/// absent on one shard.
 #[derive(Debug)]
 pub(crate) struct ShardRoute<M> {
     /// The node partition, shared by all shards of one run.
@@ -293,9 +292,8 @@ pub(crate) fn key_with_mid(key: u128, mid: u64) -> u128 {
     (key & !(((1u128 << 64) - 1) << 14)) | ((mid as u128) << 14)
 }
 
-/// Shared mutable simulation state of one engine (the whole run for
-/// [`Sim`], one shard's slice for [`crate::ShardedSim`]): everything but
-/// the protocol nodes themselves.
+/// Shared mutable simulation state of one shard (the whole run when
+/// there is only one): everything but the protocol nodes themselves.
 #[derive(Debug)]
 pub(crate) struct SimCore<M> {
     pub(crate) queue: QueueImpl<EventKind<M>>,
@@ -308,12 +306,12 @@ pub(crate) struct SimCore<M> {
     node_rngs: Vec<Rng>,
     /// Per-sender network RNG streams (loss/jitter/egress draws).
     net_rngs: Vec<Rng>,
-    /// Cross-shard routing; `None` for the sequential engine.
+    /// Cross-shard routing; `None` on one shard.
     pub(crate) route: Option<ShardRoute<M>>,
 }
 
 impl<M: Wire> SimCore<M> {
-    /// Builds the core for one engine. `node_rngs`/`net_rngs` are the
+    /// Builds the core for one shard. `node_rngs`/`net_rngs` are the
     /// owned entries of the [`fork_streams`] vectors, in ascending
     /// global-id order (local-index order).
     pub(crate) fn new(
@@ -322,21 +320,20 @@ impl<M: Wire> SimCore<M> {
         net_rngs: Vec<Rng>,
         route: Option<ShardRoute<M>>,
     ) -> Self {
-        // A worker shard of a multi-shard run records traffic with an
-        // unbounded local threshold: the spill rule is applied globally
-        // at merge time so it matches the sequential first-appearance
-        // order (see `Traffic::merge_shards`). A single-shard run's
-        // local order *is* the global order, so it keeps the configured
-        // threshold like the sequential engine.
+        // A shard of a multi-shard run records traffic with an unbounded
+        // local threshold: the spill rule is applied globally at merge
+        // time so it matches the one-shard first-appearance order (see
+        // `Traffic::merge_shards`). One shard's local order *is* the
+        // global order, so it applies the configured threshold directly.
         let spill = match &route {
-            Some(r) if r.partition.shard_count() > 1 => usize::MAX,
-            _ => config.link_spill_threshold(),
+            Some(_) => usize::MAX,
+            None => config.link_spill_threshold(),
         };
         let owned = node_rngs.len();
         let mut traffic = Traffic::with_spill_threshold(spill);
         // Pre-size the per-node payload table to the full node count so
         // the record hot path never regrows it (senders are globally
-        // indexed even on a worker shard).
+        // indexed on every shard).
         traffic.reserve_nodes(config.node_count());
         if let Some(dir) = config.traffic_spool() {
             traffic.enable_spool(dir);
@@ -362,8 +359,8 @@ impl<M: Wire> SimCore<M> {
     }
 
     /// Local index of an owned node: its position in this core's
-    /// ascending-id member list. The sequential engine owns every node,
-    /// so local index = global id; a shard looks it up in the partition's
+    /// ascending-id member list. A lone shard owns every node, so local
+    /// index = global id; otherwise it is looked up in the partition's
     /// O(1) table.
     #[inline]
     pub(crate) fn local_of(&self, node: NodeId) -> usize {
@@ -425,13 +422,13 @@ impl<M: Wire> SimCore<M> {
 
     /// Takes (and empties) the outgoing lane toward `dest`.
     pub(crate) fn take_lane(&mut self, dest: usize) -> Vec<Scheduled<EventKind<M>>> {
-        std::mem::take(&mut self.route.as_mut().expect("sharded core").lanes[dest])
+        std::mem::take(&mut self.route.as_mut().expect("multi-shard core").lanes[dest])
     }
 
     /// Returns a drained lane buffer so its capacity is reused.
     pub(crate) fn put_lane(&mut self, dest: usize, lane: Vec<Scheduled<EventKind<M>>>) {
         debug_assert!(lane.is_empty());
-        self.route.as_mut().expect("sharded core").lanes[dest] = lane;
+        self.route.as_mut().expect("multi-shard core").lanes[dest] = lane;
     }
 
     /// Whether any outgoing lane holds events.
@@ -513,7 +510,7 @@ impl<M: Wire> SimCore<M> {
 
     /// Marks the start of one pre-run harness injection (ordered by the
     /// harness counter, before everything else).
-    pub(crate) fn begin_harness(&mut self, harness_seq: u64) {
+    fn begin_harness(&mut self, harness_seq: u64) {
         if let Some(route) = &mut self.route {
             if route.first_keys.is_some() {
                 route.cur_key = order_key(PHASE_PRERUN, 0, harness_seq);
@@ -532,34 +529,6 @@ impl<M: Wire> SimCore<M> {
         route.flush_tick();
         let keys = route.first_keys.take()?;
         Some((keys, std::mem::take(&mut route.tick_log)))
-    }
-
-    /// [`SimCore::send_message`] for harness-side injections (pre-keyed
-    /// by the caller through [`SimCore::begin_harness`]).
-    pub(crate) fn harness_send(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        to: NodeId,
-        bytes: u32,
-        payload: bool,
-    ) -> Option<SimDuration> {
-        self.send_message(now, from, to, bytes, payload)
-    }
-
-    /// See [`Sim::timers_cancelled`].
-    pub(crate) fn timers_cancelled(&self) -> u64 {
-        self.timers.cancelled
-    }
-
-    /// See [`Sim::stale_timer_drops`].
-    pub(crate) fn stale_timer_drops(&self) -> u64 {
-        self.timers.stale_drops
-    }
-
-    /// The network instance (this core's copy, under sharding).
-    pub(crate) fn network(&self) -> &Network {
-        &self.network
     }
 }
 
@@ -651,11 +620,10 @@ impl<M: Wire> Context<'_, M> {
     }
 }
 
-/// One engine's execution state: its core plus the protocol nodes it
-/// owns. The sequential [`Sim`] holds exactly one (owning every node);
-/// [`crate::ShardedSim`] holds one per worker shard. Both drive events
-/// through the same dispatch path, which is what makes "W shards" a
-/// performance knob rather than a behavioural one.
+/// One shard's execution state: its core plus the protocol nodes it
+/// owns. [`Sim`] holds one per shard, and every shard count drives
+/// events through the same dispatch path, which is what makes "W shards"
+/// a performance knob rather than a behavioural one.
 #[derive(Debug)]
 pub(crate) struct EngineState<P: Protocol> {
     pub(crate) core: SimCore<P::Msg>,
@@ -752,7 +720,7 @@ impl<P: Protocol> EngineState<P> {
             // Fault events are replicated to every shard (each keeps its
             // own fault view); the event is *counted* once, by the shard
             // owning the affected node, so `events_processed` sums to the
-            // sequential engine's count.
+            // one-shard count.
             EventKind::Silence(node) => {
                 if self.core.owns(node) {
                     self.events_processed += 1;
@@ -795,21 +763,41 @@ impl<P: Protocol> EngineState<P> {
     }
 }
 
-/// The sequential discrete-event simulator driving a set of [`Protocol`]
-/// nodes on one thread. [`crate::ShardedSim`] is the partitioned
-/// equivalent for large runs; both produce byte-identical results.
+/// The discrete-event simulator driving a set of [`Protocol`] nodes.
+///
+/// The nodes are split over one or more *shards*, each an independent
+/// event loop over its own nodes. One shard ([`Sim::new`]) is the plain
+/// sequential simulator: one queue, drained in `(time, seq)` order on
+/// the calling thread. Several shards ([`Sim::with_shards`]) run under
+/// conservative time windows (see [`crate::shard`]), optionally on
+/// worker threads, and produce byte-identical results for every shard
+/// count — the `shard_equivalence` and `shard_determinism` suites compare
+/// each against the one-shard run.
+///
+/// Three capabilities need the single queue and are one-shard only:
+/// [`Sim::step`], [`Sim::send_external`] after the run started, and
+/// reading [`Sim::traffic`] before [`Sim::seal_traffic`].
 ///
 /// See the crate-level documentation for an end-to-end example.
 #[derive(Debug)]
 pub struct Sim<P: Protocol> {
-    eng: EngineState<P>,
+    /// One event loop per shard, never empty.
+    shards: Vec<EngineState<P>>,
+    /// Partition, lookahead and window counters of a multi-shard run;
+    /// `None` on one shard, whose core carries no route.
+    windows: Option<WindowLoop<P::Msg>>,
     /// Counter behind harness-originated event keys (commands, faults,
-    /// external sends), mirrored by the sharded engine.
+    /// external sends), shared by every shard so harness events order
+    /// the same at every shard count.
     harness_seq: u64,
 }
 
-impl<P: Protocol> Sim<P> {
-    /// Creates a simulation of `nodes` over the configured network.
+impl<P: Protocol + Send> Sim<P>
+where
+    P::Msg: Send,
+{
+    /// Creates a one-shard simulation of `nodes` over the configured
+    /// network.
     ///
     /// `seed` determines every random choice in the run: node RNG streams
     /// are forked from it in id order, followed by one network stream
@@ -820,64 +808,185 @@ impl<P: Protocol> Sim<P> {
     /// Panics if the number of nodes does not match the network
     /// configuration.
     pub fn new(config: SimConfig, seed: u64, nodes: Vec<P>) -> Self {
+        Self::with_shards(config, seed, nodes, 1)
+    }
+
+    /// Creates a simulation of `nodes` partitioned across `shards` event
+    /// loops (clamped to the node count); `1` is [`Sim::new`]. `seed`
+    /// produces the same RNG tree at every shard count — each node
+    /// receives the streams of its *global* id regardless of which shard
+    /// owns it — so the run is byte-identical to the one-shard run under
+    /// every [`crate::PartitionStrategy`].
+    ///
+    /// The strategy resolves in precedence order: `Scenario` /
+    /// [`SimConfig::with_partition`], then `EGM_PARTITION`, then auto
+    /// (domain-aligned when the delay source yields a plan, contiguous
+    /// otherwise). A planned strategy falls back to contiguous when no
+    /// plan is available (uniform delays, or fewer populated domains
+    /// than shards); the effective strategy is reported in
+    /// [`ShardStats::strategy`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node count mismatches the network configuration or
+    /// `shards` is zero.
+    pub fn with_shards(config: SimConfig, seed: u64, nodes: Vec<P>, shards: usize) -> Self {
+        let n = nodes.len();
         assert_eq!(
-            nodes.len(),
+            n,
             config.node_count(),
             "node vector must match network size"
         );
-        assert!(nodes.len() <= MAX_NODES, "too many nodes for event keys");
-        let (node_rngs, net_rngs) = fork_streams(seed, nodes.len());
-        let core = SimCore::new(config, node_rngs, net_rngs, None);
+        assert!(n <= MAX_NODES, "too many nodes for event keys");
+        assert!(shards > 0, "need at least one shard");
+        let w = shards.min(n);
+        let (node_rngs, net_rngs) = fork_streams(seed, n);
+        let (shards, windows) = if w == 1 {
+            let core = SimCore::new(config, node_rngs, net_rngs, None);
+            (vec![EngineState::new(core, nodes)], None)
+        } else {
+            let (states, windows) = WindowLoop::split(config, nodes, node_rngs, net_rngs, w);
+            (states, Some(windows))
+        };
         Sim {
-            eng: EngineState::new(core, nodes),
+            shards,
+            windows,
             harness_seq: 0,
+        }
+    }
+
+    /// Installs an observe-only progress sink: on several shards, both
+    /// window drivers report each planned window
+    /// ([`crate::ProgressEvent::Window`]) to it. One shard has no
+    /// windows and reports nothing; its driver slices `run_until` into
+    /// chunks instead (see [`crate::ProgressEvent::Chunk`]). The sink
+    /// receives copies of counters the engine already keeps and is never
+    /// consulted for decisions, so results stay byte-identical with or
+    /// without one (the workload `progress_determinism` test asserts
+    /// this).
+    pub fn set_progress_sink(&mut self, sink: SharedSink) {
+        if let Some(w) = &mut self.windows {
+            w.progress = Some(sink);
+        }
+    }
+
+    /// Forces the window driver of a multi-shard run onto one thread
+    /// (`false`) or worker threads (`true`). Both drivers produce
+    /// identical results; the default follows available parallelism and
+    /// the `EGM_SHARD_THREADS` variable (`0` disables threads).
+    pub fn set_threaded(&mut self, on: bool) {
+        if let Some(w) = &mut self.windows {
+            w.threaded = on;
         }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.eng.now
+        let latest = self.shards.iter().map(|sh| sh.now).max();
+        latest.expect("at least one shard")
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.eng.nodes.len()
+        self.network().node_count()
     }
 
-    /// Total events processed so far. Stale cancellable-timer events that
-    /// are dropped at pop time are *not* counted — they never dispatch.
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Window-loop counters; one shard has none to report beyond its
+    /// shard count.
+    pub fn shard_stats(&self) -> ShardStats {
+        match &self.windows {
+            None => ShardStats {
+                shards: 1,
+                ..ShardStats::default()
+            },
+            Some(w) => w.stats(
+                self.now(),
+                self.shards.iter().map(|s| s.events_processed).collect(),
+            ),
+        }
+    }
+
+    /// Total events processed so far, over all shards (a fault event
+    /// replicated to every shard is counted once, by the shard owning
+    /// the affected node). Stale cancellable-timer events that are
+    /// dropped at pop time are *not* counted — they never dispatch.
     pub fn events_processed(&self) -> u64 {
-        self.eng.events_processed
+        self.shards.iter().map(|s| s.events_processed).sum()
     }
 
     /// Number of timers cancelled through [`Context::cancel_timer`].
     pub fn timers_cancelled(&self) -> u64 {
-        self.eng.core.timers_cancelled()
+        self.shards.iter().map(|s| s.core.timers.cancelled).sum()
     }
 
     /// Number of stale (cancelled) timer events dropped at pop time
     /// before dispatch.
     pub fn stale_timer_drops(&self) -> u64 {
-        self.eng.core.stale_timer_drops()
+        self.shards.iter().map(|s| s.core.timers.stale_drops).sum()
     }
 
-    /// Transport-level traffic accounting.
+    /// Transport-level traffic accounting: the live table on one shard,
+    /// the merged view on several.
+    ///
+    /// # Panics
+    ///
+    /// Panics on several shards unless [`Sim::seal_traffic`] ran first —
+    /// per-shard tables are merged at seal time.
     pub fn traffic(&self) -> &Traffic {
-        &self.eng.core.traffic
+        match &self.windows {
+            None => &self.shards[0].core.traffic,
+            Some(w) => w
+                .merged
+                .as_ref()
+                .expect("call Sim::seal_traffic() before traffic() on several shards"),
+        }
     }
 
     /// Seals the traffic log so repeated per-link queries are O(1) (see
-    /// [`Traffic::seal`]). Call once measurement is over: the simulation
-    /// must not send any further messages afterwards.
+    /// [`Traffic::seal`]); on several shards this merges the per-shard
+    /// tables into the global view (idempotent). Call once measurement
+    /// is over: the simulation must not send any further messages
+    /// afterwards.
     pub fn seal_traffic(&mut self) {
-        self.eng.core.traffic.seal();
+        match &mut self.windows {
+            None => self.shards[0].core.traffic.seal(),
+            Some(w) => w.merge_traffic(&mut self.shards),
+        }
     }
 
     /// Event-queue counters (pushes/pops plus, for the calendar queue,
-    /// bucket geometry and resize activity). See
-    /// [`crate::event::QueueStats`].
+    /// bucket geometry and resize activity; see
+    /// [`crate::event::QueueStats`]), aggregated over the per-shard
+    /// queues: sums for activity counters (`pushes`, `pops`, `resizes`,
+    /// `year_scans`) and `bucket_count`, with `max_len` the sum of
+    /// per-shard peaks (an upper bound on global concurrency) and
+    /// `bucket_width_us` the maximum across shards.
     pub fn queue_stats(&self) -> QueueStats {
-        self.eng.core.queue.stats()
+        let mut agg = QueueStats::default();
+        for s in &self.shards {
+            let q = s.core.queue.stats();
+            agg.pushes += q.pushes;
+            agg.pops += q.pops;
+            agg.max_len += q.max_len;
+            agg.resizes += q.resizes;
+            agg.bucket_count += q.bucket_count;
+            agg.bucket_width_us = agg.bucket_width_us.max(q.bucket_width_us);
+            agg.year_scans += q.year_scans;
+        }
+        agg
+    }
+
+    /// The shard owning `node` and the node's index within it.
+    fn locate(&self, node: NodeId) -> (usize, usize) {
+        match &self.windows {
+            None => (0, node.index()),
+            Some(w) => w.locate(node),
+        }
     }
 
     /// Immutable access to a protocol node (e.g. to read final state).
@@ -886,7 +995,8 @@ impl<P: Protocol> Sim<P> {
     ///
     /// Panics if the id is out of range.
     pub fn node(&self, id: NodeId) -> &P {
-        &self.eng.nodes[id.index()]
+        let (shard, local) = self.locate(id);
+        &self.shards[shard].nodes[local]
     }
 
     /// Mutable access to a protocol node (e.g. for harness-side setup).
@@ -895,31 +1005,34 @@ impl<P: Protocol> Sim<P> {
     ///
     /// Panics if the id is out of range.
     pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        &mut self.eng.nodes[id.index()]
+        let (shard, local) = self.locate(id);
+        &mut self.shards[shard].nodes[local]
     }
 
-    /// Iterates over all nodes with their ids.
+    /// Iterates over all nodes with their ids, in id order — regardless
+    /// of which shard owns which id.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
-        self.eng
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (NodeId(i), n))
+        (0..self.node_count()).map(|i| (NodeId(i), self.node(NodeId(i))))
     }
 
-    /// Mutably iterates over all nodes with their ids (e.g. for the
-    /// harness's end-of-run sweeps).
+    /// Mutably iterates over all nodes with their ids, in shard order
+    /// (e.g. for the harness's end-of-run sweeps — callers must not
+    /// depend on iteration order).
     pub fn nodes_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut P)> {
-        self.eng
-            .nodes
-            .iter_mut()
-            .enumerate()
-            .map(|(i, n)| (NodeId(i), n))
+        self.shards.iter_mut().flat_map(|sh| {
+            let core = &sh.core;
+            sh.nodes
+                .iter_mut()
+                .enumerate()
+                .map(move |(i, n)| (core.id_of_local(i), n))
+        })
     }
 
-    /// The virtual network (to inspect fault state).
+    /// The virtual network (to inspect fault state). Fault events are
+    /// replicated to every shard, so each shard's copy holds the same
+    /// fault view; shard 0's is returned.
     pub fn network(&self) -> &Network {
-        self.eng.core.network()
+        &self.shards[0].core.network
     }
 
     /// Reserves the next harness event key.
@@ -930,20 +1043,27 @@ impl<P: Protocol> Sim<P> {
     }
 
     /// Injects a message from outside the simulation, delivered after the
-    /// usual network delay. Useful in tests.
+    /// usual network delay. Useful in tests. On several shards this is
+    /// pre-run only: mid-run injection would race the window pipeline.
+    ///
+    /// # Panics
+    ///
+    /// Panics on several shards once the simulation has started.
     pub fn send_external(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
+        assert!(
+            self.windows.is_none() || !self.shards.iter().any(|s| s.started),
+            "Sim::send_external is pre-run only on several shards"
+        );
         let seq = self.next_harness_seq();
         let bytes = msg.wire_bytes();
-        self.eng.core.begin_harness(seq);
-        let now = self.eng.now;
-        if let Some(delay) = self
-            .eng
-            .core
-            .send_message(now, from, to, bytes, msg.is_payload())
-        {
-            let time = now + delay;
-            self.eng.core.enqueue(Scheduled {
-                time,
+        let now = self.now();
+        let (src, _) = self.locate(from);
+        let (dest, _) = self.locate(to);
+        let core = &mut self.shards[src].core;
+        core.begin_harness(seq);
+        if let Some(delay) = core.send_message(now, from, to, bytes, msg.is_payload()) {
+            self.shards[dest].core.enqueue(Scheduled {
+                time: now + delay,
                 seq,
                 item: EventKind::Deliver { to, from, msg },
             });
@@ -956,13 +1076,29 @@ impl<P: Protocol> Sim<P> {
     ///
     /// Panics if `at` is in the past.
     pub fn schedule_command(&mut self, at: SimTime, node: NodeId, value: u64) {
-        assert!(at >= self.eng.now, "cannot schedule in the past");
+        assert!(at >= self.now(), "cannot schedule in the past");
         let seq = self.next_harness_seq();
-        self.eng.core.enqueue(Scheduled {
+        let (shard, _) = self.locate(node);
+        self.shards[shard].core.enqueue(Scheduled {
             time: at,
             seq,
             item: EventKind::Command { node, value },
         });
+    }
+
+    /// Enqueues one fault event on every shard (each keeps its own fault
+    /// view) under one shared key, so all shards apply it at the same
+    /// point of the global order.
+    fn schedule_fault(&mut self, at: SimTime, fault: impl Fn() -> EventKind<P::Msg>) {
+        assert!(at >= self.now(), "cannot schedule in the past");
+        let seq = self.next_harness_seq();
+        for sh in &mut self.shards {
+            sh.core.enqueue(Scheduled {
+                time: at,
+                seq,
+                item: fault(),
+            });
+        }
     }
 
     /// Schedules node silencing (fault injection, §6.3) at time `at`.
@@ -971,13 +1107,7 @@ impl<P: Protocol> Sim<P> {
     ///
     /// Panics if `at` is in the past.
     pub fn schedule_silence(&mut self, at: SimTime, node: NodeId) {
-        assert!(at >= self.eng.now, "cannot schedule in the past");
-        let seq = self.next_harness_seq();
-        self.eng.core.enqueue(Scheduled {
-            time: at,
-            seq,
-            item: EventKind::Silence(node),
-        });
+        self.schedule_fault(at, || EventKind::Silence(node));
     }
 
     /// Schedules node revival at time `at`.
@@ -986,20 +1116,16 @@ impl<P: Protocol> Sim<P> {
     ///
     /// Panics if `at` is in the past.
     pub fn schedule_revive(&mut self, at: SimTime, node: NodeId) {
-        assert!(at >= self.eng.now, "cannot schedule in the past");
-        let seq = self.next_harness_seq();
-        self.eng.core.enqueue(Scheduled {
-            time: at,
-            seq,
-            item: EventKind::Revive(node),
-        });
+        self.schedule_fault(at, || EventKind::Revive(node));
     }
 
     /// Schedules a transit-degradation change at time `at`: cross-domain
     /// traffic gets its base delay multiplied by `latency_mult` and an
     /// extra drop probability `extra_loss` from then on. Schedule
     /// `(1.0, 0.0)` to restore the healthy network (see
-    /// [`crate::Network::degrade_transit`]).
+    /// [`crate::Network::degrade_transit`]). Degradation only
+    /// *lengthens* delays, so the conservative window lookahead computed
+    /// from the healthy network remains a valid lower bound.
     ///
     /// # Panics
     ///
@@ -1007,7 +1133,6 @@ impl<P: Protocol> Sim<P> {
     /// `extra_loss` is outside `[0, 1]` (parameters are validated here so
     /// a bad schedule fails fast, not mid-run).
     pub fn schedule_degrade(&mut self, at: SimTime, latency_mult: f64, extra_loss: f64) {
-        assert!(at >= self.eng.now, "cannot schedule in the past");
         assert!(
             latency_mult.is_finite() && latency_mult >= 1.0,
             "degradation may only lengthen delays"
@@ -1016,14 +1141,9 @@ impl<P: Protocol> Sim<P> {
             (0.0..=1.0).contains(&extra_loss),
             "extra loss must be a probability"
         );
-        let seq = self.next_harness_seq();
-        self.eng.core.enqueue(Scheduled {
-            time: at,
-            seq,
-            item: EventKind::Degrade {
-                latency_mult,
-                extra_loss,
-            },
+        self.schedule_fault(at, || EventKind::Degrade {
+            latency_mult,
+            extra_loss,
         });
     }
 
@@ -1036,50 +1156,63 @@ impl<P: Protocol> Sim<P> {
     ///
     /// Panics if `at` is in the past.
     pub fn schedule_slowdown(&mut self, at: SimTime, node: NodeId, delay: SimDuration) {
-        assert!(at >= self.eng.now, "cannot schedule in the past");
-        let seq = self.next_harness_seq();
-        self.eng.core.enqueue(Scheduled {
-            time: at,
-            seq,
-            item: EventKind::Slowdown { node, delay },
-        });
+        self.schedule_fault(at, || EventKind::Slowdown { node, delay });
     }
 
     /// Processes the next event, if any. Returns `false` when the queue is
-    /// empty.
+    /// empty. One shard only: several shards have no single next event.
     ///
     /// A popped cancellable-timer event whose generation is stale is
     /// dropped here, before dispatch: the clock does not advance, the
     /// protocol is never called, and [`Sim::events_processed`] does not
     /// count it (see [`Sim::stale_timer_drops`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on several shards.
     pub fn step(&mut self) -> bool {
-        self.eng.ensure_started();
-        let Some(ev) = self.eng.core.queue.pop_next(None) else {
+        assert!(self.windows.is_none(), "Sim::step needs a single shard");
+        let eng = &mut self.shards[0];
+        eng.ensure_started();
+        let Some(ev) = eng.core.queue.pop_next(None) else {
             return false;
         };
-        self.eng.dispatch(ev);
+        eng.dispatch(ev);
         true
     }
 
-    /// Runs until the event queue is exhausted or virtual time would pass
+    /// Dispatches every event with time `<= bound` (all of them when
+    /// `bound` is `None`): one shard drains its queue directly, several
+    /// run the window loop.
+    fn drain(&mut self, bound: Option<SimTime>) {
+        match &mut self.windows {
+            None => self.shards[0].run_bounded(bound),
+            Some(w) => w.run(&mut self.shards, bound),
+        }
+    }
+
+    /// Runs until every queue is exhausted or virtual time would pass
     /// `deadline`; the clock finishes at `deadline` if it was reached.
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.eng.run_bounded(Some(deadline));
-        if self.eng.now < deadline {
-            self.eng.now = deadline;
+        self.drain(Some(deadline));
+        for sh in &mut self.shards {
+            if sh.now < deadline {
+                sh.now = deadline;
+            }
         }
     }
 
     /// Runs for `d` of virtual time from now.
     pub fn run_for(&mut self, d: SimDuration) {
-        let deadline = self.eng.now + d;
+        let deadline = self.now() + d;
         self.run_until(deadline);
     }
 
-    /// Runs until the queue is fully drained (beware periodic timers:
-    /// protocols that always re-arm will never drain).
+    /// Runs until every queue (and cross-shard lane) is fully drained
+    /// (beware periodic timers: protocols that always re-arm will never
+    /// drain).
     pub fn run_to_idle(&mut self) {
-        while self.step() {}
+        self.drain(None);
     }
 }
 #[cfg(test)]
@@ -1271,6 +1404,58 @@ mod tests {
         assert_eq!(sim.events_processed(), 0);
         sim.run_until(SimTime::from_ms(600.0));
         assert!(sim.events_processed() > 0);
+    }
+
+    #[test]
+    fn single_queue_capabilities_are_one_shard_only() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let build = |shards| {
+            let nodes = (0..4).map(|_| Echo::default()).collect();
+            let mut sim = Sim::with_shards(SimConfig::uniform(4, 10.0), 7, nodes, shards);
+            sim.schedule_command(SimTime::from_ms(1.0), NodeId(0), 1);
+            sim.run_until(SimTime::from_ms(5.0));
+            sim
+        };
+
+        // One shard: stepping, mid-run injection and live traffic reads.
+        let mut one = build(1);
+        assert!(one.step(), "the pings of the 1 ms command are in flight");
+        one.send_external(NodeId(1), NodeId(2), Msg::Ping(9));
+        // Three pings, the stepped receiver's pong, the injected ping.
+        assert_eq!(one.traffic().total_messages(), 5);
+        one.run_to_idle();
+        assert_eq!(one.node(NodeId(1)).pongs, vec![(9, 31.0)]);
+
+        // Two shards: each is refused with its documented message.
+        let refusal = |f: &dyn Fn(&mut Sim<Echo>)| {
+            let mut two = build(2);
+            assert_eq!(two.shard_count(), 2);
+            let payload = catch_unwind(AssertUnwindSafe(|| f(&mut two))).expect_err("must panic");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .expect("panic message")
+        };
+        let stepped = refusal(&|s| {
+            s.step();
+        });
+        assert!(stepped.contains("Sim::step needs a single shard"));
+        let injected = refusal(&|s| s.send_external(NodeId(1), NodeId(2), Msg::Ping(9)));
+        assert!(injected.contains("Sim::send_external is pre-run only on several shards"));
+        let read = refusal(&|s| {
+            s.traffic();
+        });
+        assert!(read.contains("call Sim::seal_traffic() before traffic() on several shards"));
+
+        // Pre-run injection and sealed traffic work at every width.
+        let nodes = (0..4).map(|_| Echo::default()).collect();
+        let mut two = Sim::with_shards(SimConfig::uniform(4, 10.0), 7, nodes, 2);
+        two.send_external(NodeId(1), NodeId(2), Msg::Ping(9));
+        two.run_to_idle();
+        two.seal_traffic();
+        assert_eq!(two.traffic().total_messages(), 2);
+        assert_eq!(two.node(NodeId(1)).pongs, vec![(9, 20.0)]);
     }
 
     #[test]

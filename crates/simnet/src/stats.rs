@@ -225,7 +225,7 @@ pub struct Traffic {
     /// Bytes streamed to disk by spool compactions (survives sealing).
     spool_bytes: u64,
     /// Peak accumulator count observed while merging shard parts (0 for
-    /// sequential runs and for unbounded thresholds); bounded at
+    /// one-shard runs and for unbounded thresholds); bounded at
     /// `spill_threshold` by the merge-time capping in
     /// [`Traffic::merge_shards`].
     shard_merge_acc_peak: usize,
@@ -300,7 +300,7 @@ impl Traffic {
     }
 
     /// Peak link-accumulator count observed while merging shard parts
-    /// (spool read-back included). 0 for sequential runs and for
+    /// (spool read-back included). 0 for one-shard runs and for
     /// unbounded spill thresholds; never exceeds the configured threshold
     /// otherwise — pinned by the shard-determinism regression tests.
     pub fn shard_merge_acc_peak(&self) -> usize {
@@ -642,8 +642,8 @@ impl Traffic {
         }
     }
 
-    /// Merges per-shard traffic tables into the sealed view a sequential
-    /// run would produce.
+    /// Merges the per-shard traffic tables of a multi-shard run into the
+    /// sealed view a one-shard run would produce.
     ///
     /// Each part must still be recording (unsealed) and must have used an
     /// *unbounded* spill threshold, so no link was folded away shard-
@@ -655,7 +655,7 @@ impl Traffic {
     /// map from the packed directed link (`from << 32 | to`) to the
     /// 128-bit order key of the link's first record (see
     /// `SimCore::begin_dispatch`). Ranking links by that key reproduces
-    /// the sequential engine's spill selection exactly.
+    /// the one-shard spill selection exactly.
     ///
     /// When the threshold is finite, that key ranking is applied
     /// *incrementally* — to each part's folded list, after every spool
@@ -680,12 +680,9 @@ impl Traffic {
         spill_threshold: usize,
     ) -> Traffic {
         let mut parts = parts;
-        let single = parts.len() == 1;
-        // A single part's local record positions already are the global
-        // order — the spill rule can use them directly, no keys needed.
-        // With several parts and a finite threshold, rank by the global
-        // first-appearance keys instead, capping as we go.
-        let track = spill_threshold != usize::MAX && !single;
+        // With a finite threshold, rank by the global first-appearance
+        // keys, capping as we go.
+        let track = spill_threshold != usize::MAX;
         let key_of = |from: u32, to: u32| -> u128 {
             let packed = (u64::from(from) << 32) | u64::from(to);
             *first_keys
@@ -695,8 +692,8 @@ impl Traffic {
                 .min()
                 .unwrap_or_else(|| {
                     panic!(
-                        "link ({from}, {to}) has no first-appearance key: the sharded \
-                         engine must track keys whenever the spill threshold is \
+                        "link ({from}, {to}) has no first-appearance key: a multi-shard \
+                         run must track keys whenever the spill threshold is \
                          finite"
                     )
                 })
@@ -747,7 +744,7 @@ impl Traffic {
             spilled_acc.absorb(&part.spilled_acc);
             spool_bytes += part.spool_bytes;
         }
-        debug_assert!(single || flat.len() <= spill_threshold);
+        debug_assert!(flat.len() <= spill_threshold);
         let sealed = Self::finish(flat, spill_threshold, spilled_acc);
         Traffic {
             log: Vec::new(),

@@ -23,8 +23,7 @@ use egm_simnet::{
     Context, NodeId, Protocol, QueueKind, Sim, SimConfig, SimDuration, SimTime, TimerToken, Wire,
 };
 use proptest::prelude::*;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 // --- layer 1: raw queue lockstep -----------------------------------------
 
@@ -144,7 +143,7 @@ impl Wire for Probe {
 }
 
 /// A global dispatch trace shared by all nodes of one simulation.
-type Trace = Rc<RefCell<Vec<(u64, usize, u8, u64)>>>;
+type Trace = Arc<Mutex<Vec<(u64, usize, u8, u64)>>>;
 
 /// Drives schedule/cancel/send decisions from the node's deterministic
 /// RNG stream: both runs see identical streams, so any divergence in the
@@ -201,7 +200,7 @@ impl Protocol for Chaos {
     }
 
     fn on_receive(&mut self, ctx: &mut Context<'_, Probe>, from: NodeId, msg: Probe) {
-        self.trace.borrow_mut().push((
+        self.trace.lock().unwrap().push((
             ctx.now().as_micros(),
             ctx.id().index(),
             0,
@@ -213,14 +212,16 @@ impl Protocol for Chaos {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Probe>, tag: u64) {
         self.trace
-            .borrow_mut()
+            .lock()
+            .unwrap()
             .push((ctx.now().as_micros(), ctx.id().index(), 1, tag));
         self.act(ctx);
     }
 
     fn on_command(&mut self, ctx: &mut Context<'_, Probe>, value: u64) {
         self.trace
-            .borrow_mut()
+            .lock()
+            .unwrap()
             .push((ctx.now().as_micros(), ctx.id().index(), 2, value));
         self.act(ctx);
     }
@@ -235,7 +236,7 @@ fn chaos_run(
     nodes: usize,
     budget: u32,
 ) -> (Vec<(u64, usize, u8, u64)>, (u64, u64, u64), Vec<u64>) {
-    let trace: Trace = Rc::new(RefCell::new(Vec::new()));
+    let trace: Trace = Arc::new(Mutex::new(Vec::new()));
     let protos: Vec<Chaos> = (0..nodes)
         .map(|_| Chaos {
             trace: trace.clone(),
@@ -263,7 +264,10 @@ fn chaos_run(
         sim.traffic().total_payloads(),
     );
     drop(sim);
-    let trace = Rc::try_unwrap(trace).expect("sim dropped").into_inner();
+    let trace = Arc::try_unwrap(trace)
+        .expect("sim dropped")
+        .into_inner()
+        .unwrap();
     (trace, counters, vec![traffic.0, traffic.1, traffic.2])
 }
 

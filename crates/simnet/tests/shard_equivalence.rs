@@ -1,10 +1,11 @@
-//! Equivalence suite for the sharded event loop.
+//! Equivalence suite for multi-shard execution.
 //!
-//! The sharded engine is only allowed to exist because it is
-//! indistinguishable from the sequential one: identical per-node dispatch
+//! Running on several shards is only allowed to exist because it is
+//! indistinguishable from running on one: identical per-node dispatch
 //! traces, identical counters, identical sealed traffic (including the
 //! first-appearance spill order) for every shard count and both window
-//! drivers. Layers:
+//! drivers. The reference throughout is the one-shard `Sim::new` — the
+//! plain sequential drain. Layers:
 //!
 //! 1. **Partitioner properties** — every node lands in exactly one
 //!    contiguous shard range, for arbitrary `(n, W)`.
@@ -13,14 +14,14 @@
 //!    pairs) on dense and routed models.
 //! 3. **Full-simulation lockstep** — a chaos protocol (bursty sends,
 //!    same-tick ties, cancellable timers armed and cancelled from the
-//!    node RNG streams, fault injection) runs once sequentially and once
-//!    per shard width; all observable outputs must match byte for byte.
+//!    node RNG streams, fault injection) runs once on one shard and once
+//!    per wider width; all observable outputs must match byte for byte.
 //!
 //! The CI `shard-equivalence` job runs this suite with a fixed case
 //! count (`PROPTEST_CASES`).
 
 use egm_simnet::{
-    Context, LinkTally, NodeId, Partition, PartitionStrategy, Protocol, ShardedSim, Sim, SimConfig,
+    Context, LinkTally, NodeId, Partition, PartitionStrategy, Protocol, ShardStats, Sim, SimConfig,
     SimDuration, SimTime, TimerToken, Wire,
 };
 use egm_topology::{RoutedModel, TransitStubConfig};
@@ -57,8 +58,8 @@ impl Chaos {
     }
 
     /// Drives send/schedule/cancel decisions from the node's
-    /// deterministic RNG stream; both engines see identical streams, so
-    /// any trace divergence is the engine's fault.
+    /// deterministic RNG stream; every shard count sees identical
+    /// streams, so any trace divergence is the engine's fault.
     fn act(&mut self, ctx: &mut Context<'_, Probe>) {
         if self.budget == 0 {
             return;
@@ -160,82 +161,55 @@ struct Script {
     deadline_us: u64,
 }
 
-enum Engine {
-    Seq(Box<Sim<Chaos>>),
-    Sharded(Box<ShardedSim<Chaos>>),
+/// Builds the engine a test compares: `None` is the one-shard
+/// reference, `Some((w, threaded))` a `w`-shard run on the chosen window
+/// driver.
+fn build<P: Protocol + Send>(
+    config: SimConfig,
+    seed: u64,
+    nodes: Vec<P>,
+    shards: Option<(usize, bool)>,
+) -> Sim<P>
+where
+    P::Msg: Send,
+{
+    match shards {
+        None => Sim::new(config, seed, nodes),
+        Some((w, threaded)) => {
+            let mut sim = Sim::with_shards(config, seed, nodes, w);
+            sim.set_threaded(threaded);
+            sim
+        }
+    }
 }
 
 fn run_script(config: SimConfig, script: &Script, shards: Option<(usize, bool)>) -> Snapshot {
     let nodes: Vec<Chaos> = (0..script.n).map(|_| Chaos::new(script.budget)).collect();
-    let mut engine = match shards {
-        None => Engine::Seq(Box::new(Sim::new(config, script.seed, nodes))),
-        Some((w, threaded)) => {
-            let mut sim = ShardedSim::new(config, script.seed, nodes, w);
-            sim.set_threaded(threaded);
-            Engine::Sharded(Box::new(sim))
-        }
-    };
+    let mut sim = build(config, script.seed, nodes, shards);
     for &(at, node, value) in &script.commands {
-        let (at, node) = (SimTime::from_micros(at), NodeId(node % script.n));
-        match &mut engine {
-            Engine::Seq(s) => s.schedule_command(at, node, value),
-            Engine::Sharded(s) => s.schedule_command(at, node, value),
-        }
+        sim.schedule_command(SimTime::from_micros(at), NodeId(node % script.n), value);
     }
     for &(at, node, down_us) in &script.faults {
         let node = NodeId(node % script.n);
-        let (down, up) = (SimTime::from_micros(at), SimTime::from_micros(at + down_us));
-        match &mut engine {
-            Engine::Seq(s) => {
-                s.schedule_silence(down, node);
-                s.schedule_revive(up, node);
-            }
-            Engine::Sharded(s) => {
-                s.schedule_silence(down, node);
-                s.schedule_revive(up, node);
-            }
-        }
+        sim.schedule_silence(SimTime::from_micros(at), node);
+        sim.schedule_revive(SimTime::from_micros(at + down_us), node);
     }
-    let deadline = SimTime::from_micros(script.deadline_us);
-    match engine {
-        Engine::Seq(mut s) => {
-            s.run_until(deadline);
-            s.seal_traffic();
-            let t = s.traffic();
-            Snapshot {
-                traces: s.nodes().map(|(_, n)| n.trace.clone()).collect(),
-                events: s.events_processed(),
-                cancelled: s.timers_cancelled(),
-                stale_drops: s.stale_timer_drops(),
-                total_messages: t.total_messages(),
-                total_bytes: t.total_bytes(),
-                total_payloads: t.total_payloads(),
-                links: t.links(),
-                spilled: t.spilled(),
-                link_count: t.link_count(),
-                payloads_per_node: t.payloads_sent_per_node(script.n),
-                now_us: s.now().as_micros(),
-            }
-        }
-        Engine::Sharded(mut s) => {
-            s.run_until(deadline);
-            s.seal_traffic();
-            let t = s.traffic();
-            Snapshot {
-                traces: s.nodes().map(|(_, n)| n.trace.clone()).collect(),
-                events: s.events_processed(),
-                cancelled: s.timers_cancelled(),
-                stale_drops: s.stale_timer_drops(),
-                total_messages: t.total_messages(),
-                total_bytes: t.total_bytes(),
-                total_payloads: t.total_payloads(),
-                links: t.links(),
-                spilled: t.spilled(),
-                link_count: t.link_count(),
-                payloads_per_node: t.payloads_sent_per_node(script.n),
-                now_us: s.now().as_micros(),
-            }
-        }
+    sim.run_until(SimTime::from_micros(script.deadline_us));
+    sim.seal_traffic();
+    let t = sim.traffic();
+    Snapshot {
+        traces: sim.nodes().map(|(_, n)| n.trace.clone()).collect(),
+        events: sim.events_processed(),
+        cancelled: sim.timers_cancelled(),
+        stale_drops: sim.stale_timer_drops(),
+        total_messages: t.total_messages(),
+        total_bytes: t.total_bytes(),
+        total_payloads: t.total_payloads(),
+        links: t.links(),
+        spilled: t.spilled(),
+        link_count: t.link_count(),
+        payloads_per_node: t.payloads_sent_per_node(script.n),
+        now_us: sim.now().as_micros(),
     }
 }
 
@@ -259,7 +233,7 @@ fn sharded_matches_sequential_on_uniform_network() {
     let script = default_script(12, 7);
     let config = || SimConfig::uniform(12, 3.0);
     let seq = run_script(config(), &script, None);
-    for w in [1, 2, 3, 4] {
+    for w in [2, 3, 4] {
         for threaded in [false, true] {
             let sharded = run_script(config(), &script, Some((w, threaded)));
             assert_eq!(seq, sharded, "divergence at W={w}, threaded={threaded}");
@@ -305,54 +279,82 @@ fn sharded_matches_sequential_on_routed_model() {
 fn domain_aligned_chaos_matches_sequential_under_loss_jitter_faults_and_spill() {
     // The full chaos battery (bursty sends, same-tick ties, cancellable
     // timers, loss, jitter, fault injection, spill) in lockstep against
-    // the sequential engine, but under the *planned* partition: the
-    // domain-aligned cut must be just as invisible as the contiguous one,
-    // at every width and on both window drivers.
+    // the one-shard run, but under the *planned* partitions: a
+    // domain-aligned or rate-balanced cut must be just as invisible as
+    // the contiguous one, at every width and on both window drivers.
     let model = TransitStubConfig::small().with_clients(40).build();
     let script = default_script(40, 17);
-    let config = || {
-        SimConfig::from_model(model.clone())
-            .with_loss(0.2)
-            .with_jitter(0.15)
-            .with_link_spill_threshold(12)
-            .with_partition(PartitionStrategy::DomainAligned)
-    };
-    // The planner must actually engage (W=1 legitimately stays
-    // windowless-contiguous): a silent fallback would make this test
-    // re-prove the contiguous case.
-    for w in [2usize, 4] {
-        let nodes: Vec<Chaos> = (0..40).map(|_| Chaos::new(0)).collect();
-        let sim = ShardedSim::new(config(), 1, nodes, w);
-        assert_eq!(
-            sim.strategy(),
-            PartitionStrategy::DomainAligned,
-            "planner fell back to contiguous at W={w}"
+    for strategy in [
+        PartitionStrategy::Contiguous,
+        PartitionStrategy::DomainAligned,
+        PartitionStrategy::RateBalanced,
+    ] {
+        let config = || {
+            SimConfig::from_model(model.clone())
+                .with_loss(0.2)
+                .with_jitter(0.15)
+                .with_link_spill_threshold(12)
+                .with_partition(strategy)
+        };
+        // The planner must actually engage: a silent fallback would make
+        // this test re-prove the contiguous case.
+        for w in [2usize, 3, 4] {
+            let nodes: Vec<Chaos> = (0..40).map(|_| Chaos::new(0)).collect();
+            let sim = Sim::with_shards(config(), 1, nodes, w);
+            assert_eq!(
+                sim.shard_stats().strategy,
+                strategy,
+                "planner fell back to contiguous at W={w}"
+            );
+        }
+        let seq = run_script(config(), &script, None);
+        assert!(
+            seq.spilled.messages > 0,
+            "the scenario must actually exercise the spill rule"
         );
-    }
-    let seq = run_script(config(), &script, None);
-    assert!(
-        seq.spilled.messages > 0,
-        "the scenario must actually exercise the spill rule"
-    );
-    for w in [1, 2, 4] {
-        for threaded in [false, true] {
-            let sharded = run_script(config(), &script, Some((w, threaded)));
-            assert_eq!(seq, sharded, "divergence at W={w}, threaded={threaded}");
+        for w in [2, 3, 4] {
+            for threaded in [false, true] {
+                let sharded = run_script(config(), &script, Some((w, threaded)));
+                assert_eq!(
+                    seq, sharded,
+                    "divergence at {strategy}, W={w}, threaded={threaded}"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn single_shard_is_bit_identical_to_the_plain_sim() {
-    // W = 1 runs the sharded engine windowless; it must still be the
-    // sequential engine, observable bit for bit.
+    // `with_shards(.., 1)` *is* `new(..)`: equal traces, and the one
+    // shard carries no route — no windows, no lookahead, no lanes —
+    // whatever partition strategy was asked for.
     for seed in [1, 11, 99] {
         let script = default_script(9, seed);
-        let config = || SimConfig::uniform(9, 4.0).with_jitter(0.1);
+        let config = || {
+            SimConfig::uniform(9, 4.0)
+                .with_jitter(0.1)
+                .with_partition(PartitionStrategy::RateBalanced)
+        };
         let seq = run_script(config(), &script, None);
-        let sharded = run_script(config(), &script, Some((1, false)));
+        let sharded = run_script(config(), &script, Some((1, true)));
         assert_eq!(seq, sharded, "W=1 diverged at seed {seed}");
     }
+    let nodes = |n: usize| -> Vec<Chaos> { (0..n).map(|_| Chaos::new(10)).collect() };
+    let mut sim = Sim::with_shards(SimConfig::uniform(9, 4.0), 1, nodes(9), 1);
+    sim.run_until(SimTime::from_micros(50_000));
+    assert!(sim.events_processed() > 0);
+    assert_eq!(sim.shard_count(), 1);
+    assert_eq!(
+        sim.shard_stats(),
+        ShardStats {
+            shards: 1,
+            ..ShardStats::default()
+        }
+    );
+    // A width above the node count clamps; one node means one shard.
+    let lone = Sim::with_shards(SimConfig::uniform(1, 4.0), 1, nodes(1), 4);
+    assert_eq!(lone.shard_count(), 1);
 }
 
 #[test]
@@ -371,9 +373,9 @@ fn window_drivers_agree() {
 /// within one microsecond tick: node 2, on receiving from node 3, sends
 /// on a fresh link *and* arms a zero-delay timer whose event key (origin
 /// rank 3) is smaller than the triggering delivery's (origin rank 4);
-/// the timer then sends on another fresh link. The sequential record
+/// the timer then sends on another fresh link. The one-shard record
 /// stream sees the delivery's link first, execution order — not key
-/// order — and the sharded spill reconstruction must reproduce that.
+/// order — and the multi-shard spill reconstruction must reproduce that.
 struct Inversion;
 
 impl Protocol for Inversion {
@@ -409,26 +411,12 @@ fn spill_order_survives_same_tick_key_inversion() {
     let config = || SimConfig::uniform(4, 5.0).with_link_spill_threshold(3);
     let run = |shards: Option<(usize, bool)>| {
         let nodes: Vec<Inversion> = (0..4).map(|_| Inversion).collect();
-        let deadline = SimTime::from_micros(50_000);
-        match shards {
-            None => {
-                let mut s = Sim::new(config(), 1, nodes);
-                s.schedule_command(SimTime::from_micros(1_000), NodeId(0), 0);
-                s.schedule_command(SimTime::from_micros(2_000), NodeId(3), 1);
-                s.run_until(deadline);
-                s.seal_traffic();
-                (s.traffic().links(), s.traffic().spilled())
-            }
-            Some((w, threaded)) => {
-                let mut s = ShardedSim::new(config(), 1, nodes, w);
-                s.set_threaded(threaded);
-                s.schedule_command(SimTime::from_micros(1_000), NodeId(0), 0);
-                s.schedule_command(SimTime::from_micros(2_000), NodeId(3), 1);
-                s.run_until(deadline);
-                s.seal_traffic();
-                (s.traffic().links(), s.traffic().spilled())
-            }
-        }
+        let mut s = build(config(), 1, nodes, shards);
+        s.schedule_command(SimTime::from_micros(1_000), NodeId(0), 0);
+        s.schedule_command(SimTime::from_micros(2_000), NodeId(3), 1);
+        s.run_until(SimTime::from_micros(50_000));
+        s.seal_traffic();
+        (s.traffic().links(), s.traffic().spilled())
     };
     let (seq_links, seq_spill) = run(None);
     assert_eq!(seq_links.len(), 3, "three tracked links");
@@ -436,7 +424,7 @@ fn spill_order_survives_same_tick_key_inversion() {
         seq_links
             .iter()
             .any(|&((f, t), _)| f == NodeId(2) && t == NodeId(0)),
-        "sequential tracks the delivery's link (2→0): {seq_links:?}"
+        "one shard tracks the delivery's link (2→0): {seq_links:?}"
     );
     assert_eq!(seq_spill.messages, 1, "the timer's link (2→1) spills");
     for w in [2usize, 4] {
@@ -479,8 +467,7 @@ fn threaded_driver_propagates_worker_panics() {
     // surface to the caller instead of deadlocking.
     let result = std::panic::catch_unwind(|| {
         let nodes: Vec<Bomb> = (0..4).map(|_| Bomb).collect();
-        let mut sim = ShardedSim::new(SimConfig::uniform(4, 1.0), 1, nodes, 2);
-        sim.set_threaded(true);
+        let mut sim = build(SimConfig::uniform(4, 1.0), 1, nodes, Some((2, true)));
         sim.run_until(SimTime::from_micros(20_000));
     });
     assert!(result.is_err(), "the worker panic must propagate");
@@ -490,22 +477,21 @@ fn threaded_driver_propagates_worker_panics() {
 fn run_to_idle_clock_agrees_across_engines_and_drivers() {
     // `run_until` clamps the clock to the deadline, which would mask a
     // driver-dependent finish time; drain to idle instead and require
-    // every engine/driver to stop at the same (last-event) instant.
+    // every width/driver to stop at the same (last-event) instant.
     let n = 10;
     let config = || SimConfig::uniform(n, 3.0);
-    let build = || -> Vec<Chaos> { (0..n).map(|_| Chaos::new(25)).collect() };
+    let nodes = || -> Vec<Chaos> { (0..n).map(|_| Chaos::new(25)).collect() };
     let schedule = |f: &mut dyn FnMut(SimTime, NodeId, u64)| {
         for k in 0..5u64 {
             f(SimTime::from_micros(500 + k * 2_100), NodeId(k as usize), k);
         }
     };
-    let mut seq = Sim::new(config(), 9, build());
+    let mut seq = Sim::new(config(), 9, nodes());
     schedule(&mut |at, node, v| seq.schedule_command(at, node, v));
     seq.run_to_idle();
-    for w in [1usize, 3] {
+    for w in [2usize, 3] {
         for threaded in [false, true] {
-            let mut sharded = ShardedSim::new(config(), 9, build(), w);
-            sharded.set_threaded(threaded);
+            let mut sharded = build(config(), 9, nodes(), Some((w, threaded)));
             schedule(&mut |at, node, v| sharded.schedule_command(at, node, v));
             sharded.run_to_idle();
             assert_eq!(

@@ -17,7 +17,7 @@
 //!
 //! Every generator draws from the harness RNG stream at the same call
 //! position the uniform planner would, so runs are byte-identical across
-//! engines and shard widths, and a scenario with `arrival: None` replays
+//! shard widths, and a scenario with `arrival: None` replays
 //! the historical uniform plan bit for bit.
 //!
 //! Warm-up: each process knows analytically when its offered rate

@@ -273,8 +273,8 @@ pub struct TimedFault {
 /// schedule the runner replays event by event.
 ///
 /// Schedules are plain data — seed-derived, serde-round-trippable, and
-/// independent of simulator state — so the same trace drives the
-/// sequential engine and every shard width to byte-identical outcomes
+/// independent of simulator state — so the same trace drives every
+/// shard width to byte-identical outcomes
 /// (the `fault_determinism` suite pins this). Library constructors cover
 /// the scenarios the resilience experiment sweeps: correlated
 /// [domain outages](FaultSchedule::domain_outage), transit-link

@@ -21,8 +21,7 @@ use egm_membership::PartialView;
 use egm_metrics::{link, DeliveryLog, LatencyHistogram, RunReport};
 use egm_rng::Rng;
 use egm_simnet::{
-    NodeId, ProgressEvent, QueueStats, ShardStats, ShardedSim, SharedSink, Sim, SimConfig,
-    SimDuration, SimTime, Traffic,
+    NodeId, ProgressEvent, QueueStats, ShardStats, SharedSink, Sim, SimConfig, SimDuration, SimTime,
 };
 use egm_topology::RoutedModel;
 use std::collections::{HashMap, HashSet};
@@ -36,11 +35,11 @@ use std::sync::Arc;
 /// decentralized source exists in the build.
 const RANK_SEED_SALT: u64 = 0x524E_4B53;
 
-/// Virtual-time slice the *observed* sequential engine advances per
+/// Virtual-time slice an *observed* one-shard run advances per
 /// [`ProgressEvent::Chunk`]. A pure constant (never derived from live
 /// state), so chunked execution replays the exact event schedule of one
 /// uninterrupted `run_until` — the same argument that makes the re-rank
-/// ticks and the closed-loop chunks byte-identical across engines.
+/// ticks and the closed-loop chunks byte-identical across shard counts.
 const PROGRESS_CHUNK_MS: f64 = 500.0;
 
 /// Everything measured in one run: the summary report plus the raw data
@@ -77,7 +76,7 @@ pub struct RunOutcome {
     /// Cancelled timer events dropped at pop time without dispatch.
     pub stale_timer_drops: u64,
     /// Event-queue counters (pushes/pops plus calendar-queue geometry).
-    /// Under sharding these aggregate the per-shard queues, so they are
+    /// On several shards these aggregate the per-shard queues, so they are
     /// comparable across runs of one width but not across widths
     /// (replicated fault events are queued once per shard).
     pub queue: QueueStats,
@@ -105,163 +104,18 @@ pub struct RunOutcome {
     /// rates per simulated second.
     pub steady: SteadyState,
     /// Largest link-accumulator working set the shard-merge path held at
-    /// any instant while folding per-shard traffic (zero for sequential
+    /// any instant while folding per-shard traffic (zero for one-shard
     /// runs and unbounded merges; bounded by the spill threshold
     /// otherwise — the shard-mode spool regression pins this).
     pub traffic_acc_peak: usize,
-    /// Sharded-engine counters: worker count, effective partition
-    /// strategy, window lookahead (configured and realized), windows
-    /// executed, cross-shard lane events/flushes/skips, and per-shard
-    /// event counts (the observable partition balance). A sequential run
-    /// reports one shard and zero windows.
+    /// Window-loop counters: shard count, effective partition strategy,
+    /// window lookahead (configured and realized), windows executed,
+    /// cross-shard lane events/flushes/skips, and per-shard event counts
+    /// (the observable partition balance). A one-shard run reports zero
+    /// windows.
     pub shard_stats: ShardStats,
     /// The network model the run used.
     pub model: Arc<RoutedModel>,
-}
-
-/// The engine one run executes on — the sequential simulator or the
-/// deterministic sharded loop, selected by
-/// [`SimConfig::shard_choice`] (scenario override, then `EGM_SHARDS`,
-/// then the size-based default). Both engines produce byte-identical
-/// outputs (`shard_determinism` asserts it), so the choice only affects
-/// wall-clock time.
-enum Engine {
-    Seq(Box<Sim<EgmNode>>),
-    Sharded(Box<ShardedSim<EgmNode>>),
-}
-
-impl Engine {
-    /// Installs the observe-only progress sink where the engine supports
-    /// window-boundary reporting (the sharded loop). The sequential
-    /// engine has no windows; the runner chunks its `run_until` instead.
-    fn set_progress_sink(&mut self, sink: SharedSink) {
-        match self {
-            Engine::Seq(_) => {}
-            Engine::Sharded(s) => s.set_progress_sink(sink),
-        }
-    }
-
-    fn schedule_command(&mut self, at: SimTime, node: NodeId, value: u64) {
-        match self {
-            Engine::Seq(s) => s.schedule_command(at, node, value),
-            Engine::Sharded(s) => s.schedule_command(at, node, value),
-        }
-    }
-
-    fn schedule_silence(&mut self, at: SimTime, node: NodeId) {
-        match self {
-            Engine::Seq(s) => s.schedule_silence(at, node),
-            Engine::Sharded(s) => s.schedule_silence(at, node),
-        }
-    }
-
-    fn schedule_revive(&mut self, at: SimTime, node: NodeId) {
-        match self {
-            Engine::Seq(s) => s.schedule_revive(at, node),
-            Engine::Sharded(s) => s.schedule_revive(at, node),
-        }
-    }
-
-    fn schedule_degrade(&mut self, at: SimTime, latency_mult: f64, extra_loss: f64) {
-        match self {
-            Engine::Seq(s) => s.schedule_degrade(at, latency_mult, extra_loss),
-            Engine::Sharded(s) => s.schedule_degrade(at, latency_mult, extra_loss),
-        }
-    }
-
-    fn schedule_slowdown(&mut self, at: SimTime, node: NodeId, delay: SimDuration) {
-        match self {
-            Engine::Seq(s) => s.schedule_slowdown(at, node, delay),
-            Engine::Sharded(s) => s.schedule_slowdown(at, node, delay),
-        }
-    }
-
-    fn run_until(&mut self, deadline: SimTime) {
-        match self {
-            Engine::Seq(s) => s.run_until(deadline),
-            Engine::Sharded(s) => s.run_until(deadline),
-        }
-    }
-
-    fn seal_traffic(&mut self) {
-        match self {
-            Engine::Seq(s) => s.seal_traffic(),
-            Engine::Sharded(s) => s.seal_traffic(),
-        }
-    }
-
-    fn traffic(&self) -> &Traffic {
-        match self {
-            Engine::Seq(s) => s.traffic(),
-            Engine::Sharded(s) => s.traffic(),
-        }
-    }
-
-    fn now(&self) -> SimTime {
-        match self {
-            Engine::Seq(s) => s.now(),
-            Engine::Sharded(s) => s.now(),
-        }
-    }
-
-    fn node_count(&self) -> usize {
-        match self {
-            Engine::Seq(s) => s.node_count(),
-            Engine::Sharded(s) => s.node_count(),
-        }
-    }
-
-    fn nodes(&self) -> Box<dyn Iterator<Item = (NodeId, &EgmNode)> + '_> {
-        match self {
-            Engine::Seq(s) => Box::new(s.nodes()),
-            Engine::Sharded(s) => Box::new(s.nodes()),
-        }
-    }
-
-    fn nodes_mut(&mut self) -> Box<dyn Iterator<Item = (NodeId, &mut EgmNode)> + '_> {
-        match self {
-            Engine::Seq(s) => Box::new(s.nodes_mut()),
-            Engine::Sharded(s) => Box::new(s.nodes_mut()),
-        }
-    }
-
-    fn events_processed(&self) -> u64 {
-        match self {
-            Engine::Seq(s) => s.events_processed(),
-            Engine::Sharded(s) => s.events_processed(),
-        }
-    }
-
-    fn timers_cancelled(&self) -> u64 {
-        match self {
-            Engine::Seq(s) => s.timers_cancelled(),
-            Engine::Sharded(s) => s.timers_cancelled(),
-        }
-    }
-
-    fn stale_timer_drops(&self) -> u64 {
-        match self {
-            Engine::Seq(s) => s.stale_timer_drops(),
-            Engine::Sharded(s) => s.stale_timer_drops(),
-        }
-    }
-
-    fn queue_stats(&self) -> QueueStats {
-        match self {
-            Engine::Seq(s) => s.queue_stats(),
-            Engine::Sharded(s) => s.queue_stats(),
-        }
-    }
-
-    fn shard_stats(&self) -> ShardStats {
-        match self {
-            Engine::Seq(_) => ShardStats {
-                shards: 1,
-                ..ShardStats::default()
-            },
-            Engine::Sharded(s) => s.shard_stats(),
-        }
-    }
 }
 
 /// Runs a scenario (see [`Scenario::run`]); `model` overrides topology
@@ -408,8 +262,8 @@ pub fn run_prepared(scenario: &Scenario, setup: &RunSetup) -> RunOutcome {
 }
 
 /// [`run_prepared`] with an observe-only [`egm_simnet::ProgressSink`]
-/// attached: the sink receives window plans from the sharded engine,
-/// deterministic chunk boundaries from the sequential engine, scheduled
+/// attached: the sink receives window plans from a multi-shard run,
+/// deterministic chunk boundaries from a one-shard run, scheduled
 /// fault activations, re-rank ticks, and a final summary. The sink never
 /// feeds back into execution, so the outcome is byte-identical to
 /// [`run_prepared`] (the `progress_determinism` test asserts it).
@@ -428,25 +282,6 @@ pub fn run_prepared_observed(
         "setup was prepared for a different scenario configuration"
     );
     run_with_setup_observed(scenario, setup.clone(), Some(sink))
-}
-
-/// [`run_detailed`] with an observe-only progress sink attached; see
-/// [`run_prepared_observed`] for the event stream and the determinism
-/// guarantee.
-///
-/// # Panics
-///
-/// See [`run_detailed`].
-pub fn run_detailed_observed(
-    scenario: &Scenario,
-    model: Option<Arc<RoutedModel>>,
-    sink: SharedSink,
-) -> RunOutcome {
-    run_with_setup_observed(
-        scenario,
-        RunSetup::for_scenario(scenario, model),
-        Some(sink),
-    )
 }
 
 /// Runs a batch of independent scenarios across all available cores,
@@ -542,9 +377,9 @@ fn run_with_setup(scenario: &Scenario, setup: RunSetup) -> RunOutcome {
 
 /// [`run_with_setup`] with an optional observe-only progress sink. With
 /// `None` the execution path is exactly the unobserved one; with a sink
-/// the only deltas are (a) the sharded engine reports its window plans
-/// and (b) the sequential engine's single `run_until(end)` is advanced
-/// in fixed [`PROGRESS_CHUNK_MS`] slices — both proven byte-identical by
+/// the only deltas are (a) a multi-shard run reports its window plans
+/// and (b) a one-shard run's single `run_until(end)` is advanced in
+/// fixed [`PROGRESS_CHUNK_MS`] slices — both proven byte-identical by
 /// `progress_determinism`.
 fn run_with_setup_observed(
     scenario: &Scenario,
@@ -649,17 +484,8 @@ fn run_with_setup_observed(
     // with the workload's actual gossip parameters.
     sim_config =
         sim_config.with_rate_hint(scenario.protocol.fanout, scenario.protocol.view.capacity);
-    let choice = sim_config.shard_choice();
-    let mut sim = if choice.use_sharded() {
-        Engine::Sharded(Box::new(ShardedSim::new(
-            sim_config,
-            scenario.seed,
-            nodes,
-            choice.count(),
-        )))
-    } else {
-        Engine::Seq(Box::new(Sim::new(sim_config, scenario.seed, nodes)))
-    };
+    let shards = sim_config.shard_count();
+    let mut sim = Sim::with_shards(sim_config, scenario.seed, nodes, shards);
     if let Some(sink) = &sink {
         sim.set_progress_sink(sink.clone());
     }
@@ -765,13 +591,13 @@ fn run_with_setup_observed(
                 rerank_during_warmup(&mut sim, scenario, &model, plan, warmup_end, sink.as_ref());
         }
 
-        // The sequential engine has no window boundaries to report from,
-        // so an observed run advances it in fixed virtual-time chunks —
+        // One shard has no window boundaries to report from, so an
+        // observed run advances it in fixed virtual-time chunks —
         // deadlines are multiples of a constant, a pure function of
         // nothing, so the event schedule is exactly that of one
         // uninterrupted `run_until(end)`.
         match &sink {
-            Some(sink) if matches!(sim, Engine::Seq(_)) => {
+            Some(sink) if sim.shard_count() == 1 => {
                 let mut k = 1u64;
                 loop {
                     let deadline = SimTime::from_ms(k as f64 * PROGRESS_CHUNK_MS);
@@ -816,7 +642,7 @@ fn run_with_setup_observed(
 ///
 /// The tick times, the down mask and the per-tick rank seed are pure
 /// functions of the scenario (never of live simulator state), so chunked
-/// execution stays byte-identical across engines and shard widths — the
+/// execution stays byte-identical across shard widths — the
 /// `fault_determinism` suite pins this. Returns the final set's ids.
 ///
 /// # Panics
@@ -824,7 +650,7 @@ fn run_with_setup_observed(
 /// Panics if the strategy carries no best set, or a best-set override is
 /// installed (the override pins the ranking, re-ranking would fight it).
 fn rerank_during_warmup(
-    sim: &mut Engine,
+    sim: &mut Sim<EgmNode>,
     scenario: &Scenario,
     model: &RoutedModel,
     plan: RerankPlan,
@@ -882,9 +708,9 @@ fn rerank_during_warmup(
 /// forever — then drains from the last multicast.
 ///
 /// The chunk deadlines are a pure function of the scenario, so chunked
-/// execution stays byte-identical across engines and shard widths.
+/// execution stays byte-identical across shard widths.
 fn run_closed_loop(
-    sim: &mut Engine,
+    sim: &mut Sim<EgmNode>,
     scenario: &Scenario,
     start: SimTime,
     sink: Option<&SharedSink>,
@@ -938,7 +764,7 @@ fn live_mask(n: usize, victims: &[NodeId]) -> Vec<bool> {
 /// Gathers node-side and network-side records into the outcome.
 fn collect(
     scenario: &Scenario,
-    mut sim: Engine,
+    mut sim: Sim<EgmNode>,
     model: Arc<RoutedModel>,
     victims: Vec<NodeId>,
     best_ids: Vec<NodeId>,
@@ -974,8 +800,7 @@ fn collect(
     // Tail-latency histogram over the steady-state window: publish →
     // delivery for every message published after the arrival process's
     // analytic warm-up. Pure counter accumulation, so the node iteration
-    // order (global for the sequential engine, shard-major for the
-    // sharded one) cannot perturb it.
+    // order cannot perturb it.
     let window_start_ms = scenario.warmup_ms
         + match &scenario.arrival {
             Some(Arrival::Open(process)) => process.warmup_ms(),

@@ -157,17 +157,18 @@ pub struct Scenario {
     /// traffic randomness — and oracle runs stay byte-identical to
     /// pre-`RankSource` builds.
     pub rank_source: RankSource,
-    /// How many worker shards partition the run (`None` = the simulator's
-    /// default resolution: `EGM_SHARDS`, then size-based selection —
-    /// sequential below 1k nodes, available parallelism capped at 8
-    /// above). `Some(0)` forces the sequential engine, `Some(w)` forces
-    /// the sharded engine with `w` shards (1 = a single windowless
-    /// shard). Every choice is byte-identical — the `shard_determinism`
-    /// test runs the same scenario at several widths and asserts equal
+    /// How many shards partition the run (`None` = the simulator's
+    /// default resolution: `EGM_SHARDS`, then size-based selection — one
+    /// shard below 1k nodes, available parallelism capped at 8 above).
+    /// `Some(0)` and `Some(1)` both mean one shard, the plain sequential
+    /// event loop; `Some(w)` runs `w` shards under conservative windows.
+    /// Every choice is byte-identical — the `shard_determinism` test
+    /// runs the same scenario at several widths and asserts equal
     /// outputs — so this is purely a performance knob. See
-    /// [`egm_simnet::ShardedSim`].
+    /// [`egm_simnet::Sim::with_shards`] and
+    /// [`egm_simnet::SimConfig::shard_count`].
     pub shards: Option<usize>,
-    /// How a sharded run maps nodes to shards (`None` = the simulator's
+    /// How a multi-shard run maps nodes to shards (`None` = the simulator's
     /// default resolution: `EGM_PARTITION`, then auto — domain-aligned
     /// when the topology yields a plan, contiguous otherwise). Every
     /// strategy is byte-identical — the partitioning A/B in

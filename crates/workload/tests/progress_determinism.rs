@@ -1,5 +1,6 @@
 //! The ProgressSink is observe-only: a run with a sink installed must be
-//! byte-identical to the same run without one, on both engines. This is
+//! byte-identical to the same run without one, on one shard and on
+//! several. This is
 //! the determinism bar for the live-serving path — the server streams
 //! progress from exactly these hooks, so any feedback from observation
 //! into execution would silently fork the served results from the
@@ -47,12 +48,13 @@ fn sequential_run_is_byte_identical_with_sink() {
     });
     let plain = runner::run_detailed(&scenario, None);
     let sink = Arc::new(Collecting::default());
-    let observed = runner::run_detailed_observed(&scenario, None, sink.clone());
+    let observed =
+        runner::run_prepared_observed(&scenario, &runner::prepare(&scenario, None), sink.clone());
     assert_identical(&plain, &observed);
 
     let events = sink.0.lock().unwrap();
-    // The sequential engine reports fixed-chunk progress plus the final
-    // summary; windows only exist on the sharded engine.
+    // One shard reports fixed-chunk progress plus the final summary;
+    // windows only exist on several shards.
     assert!(
         events
             .iter()
@@ -74,10 +76,11 @@ fn sharded_run_is_byte_identical_with_sink_and_reports_windows() {
         .with_shards(Some(2));
     let plain = runner::run_detailed(&scenario, None);
     let sink = Arc::new(Collecting::default());
-    let observed = runner::run_detailed_observed(&scenario, None, sink.clone());
+    let observed =
+        runner::run_prepared_observed(&scenario, &runner::prepare(&scenario, None), sink.clone());
     assert_identical(&plain, &observed);
-    // Window counts are part of the sharded engine's stats and must not
-    // move under observation either.
+    // Window counts are part of the run's stats and must not move under
+    // observation either.
     assert_eq!(plain.shard_stats, observed.shard_stats);
 
     let events = sink.0.lock().unwrap();
@@ -117,7 +120,8 @@ fn faulted_reranked_run_is_byte_identical_and_reports_ticks() {
         .with_rerank(Some(RerankPlan::new(100.0, 2)));
     let plain = runner::run_detailed(&scenario, None);
     let sink = Arc::new(Collecting::default());
-    let observed = runner::run_detailed_observed(&scenario, None, sink.clone());
+    let observed =
+        runner::run_prepared_observed(&scenario, &runner::prepare(&scenario, None), sink.clone());
     assert_identical(&plain, &observed);
 
     let events = sink.0.lock().unwrap();

@@ -1,10 +1,10 @@
-//! End-to-end shard A/B regression: the sharded event loop must be a
-//! real performance knob, never a behavioural one.
+//! End-to-end shard A/B regression: the shard count must be a real
+//! performance knob, never a behavioural one.
 //!
-//! The `N1k` scale preset runs once sequentially and once per shard
+//! The `N1k` scale preset runs once on one shard and once per wider
 //! width over a shared topology; every observable output — the full
 //! `DeliveryLog`, the per-link traffic tables (whose first-appearance
-//! spill order the sharded engine reconstructs at merge time), per-node
+//! spill order a multi-shard run reconstructs at merge time), per-node
 //! payload counts, scheduler counters and the simulator event count —
 //! must be byte-identical. Together with `egm_simnet`'s
 //! `shard_equivalence` proptest suite this pins the property the whole
@@ -12,9 +12,10 @@
 //! results.
 
 use egm_simnet::shard::auto_shards_for;
+use egm_simnet::{ProgressEvent, ProgressSink, ShardStats};
 use egm_workload::experiments::scale::ScalePreset;
-use egm_workload::runner::{run_detailed, RunOutcome};
-use std::sync::Arc;
+use egm_workload::runner::{prepare, run_detailed, run_prepared_observed, RunOutcome};
+use std::sync::{Arc, Mutex};
 
 fn assert_outcomes_match(a: &RunOutcome, b: &RunOutcome, label: &str) {
     assert_eq!(a.log, b.log, "delivery logs diverged ({label})");
@@ -44,34 +45,78 @@ fn one_k_preset_is_byte_identical_across_shard_widths() {
     // Share the model so the comparison is purely about the event loop.
     let model = Arc::new(scenario.build_model());
 
-    // The reference: the plain sequential engine, forced explicitly so
-    // the test is immune to `EGM_SHARDS` or multi-core auto defaults.
+    // The reference: one shard, forced explicitly so the test is immune
+    // to `EGM_SHARDS` or multi-core auto defaults.
     let seq = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
     assert_eq!(seq.shard_stats.shards, 1);
-    assert_eq!(seq.shard_stats.windows, 0, "sequential runs no windows");
+    assert_eq!(seq.shard_stats.windows, 0, "one shard runs no windows");
 
-    for w in [1usize, 2, 4] {
+    for w in [2usize, 4] {
         let sharded = run_detailed(&scenario.clone().with_shards(Some(w)), Some(model.clone()));
         assert_outcomes_match(&seq, &sharded, &format!("W={w}"));
         assert_eq!(sharded.shard_stats.shards, w);
-        if w == 1 {
-            assert_eq!(
-                sharded.shard_stats.windows, 1,
-                "W=1 must collapse to a single windowless pass"
-            );
-            assert_eq!(sharded.shard_stats.lane_events, 0);
-        } else {
-            assert!(
-                sharded.shard_stats.windows > 1,
-                "W={w} must run conservative windows"
-            );
-            assert!(
-                sharded.shard_stats.lane_events > 0,
-                "W={w} must exchange cross-shard traffic"
-            );
-            assert!(sharded.shard_stats.lookahead_us > 0);
-        }
+        assert!(
+            sharded.shard_stats.windows > 1,
+            "W={w} must run conservative windows"
+        );
+        assert!(
+            sharded.shard_stats.lane_events > 0,
+            "W={w} must exchange cross-shard traffic"
+        );
+        assert!(sharded.shard_stats.lookahead_us > 0);
     }
+}
+
+#[derive(Debug, Default)]
+struct Frames(Mutex<Vec<ProgressEvent>>);
+
+impl ProgressSink for Frames {
+    fn emit(&self, event: ProgressEvent) {
+        self.0.lock().unwrap().push(event);
+    }
+}
+
+/// `shards = 0` and `shards = 1` are the same request — one shard, the
+/// route-less sequential loop: equal outcomes *including* the shard
+/// counters, and an observed run of each streams the identical frame
+/// sequence (chunks, never windows).
+#[test]
+fn zero_and_one_shards_are_the_same_run() {
+    let scenario = ScalePreset::N1k.scenario(4, 11);
+    let setup = prepare(&scenario, None);
+    let observe = |shards: usize| {
+        let sink = Arc::new(Frames::default());
+        let scenario = scenario.clone().with_shards(Some(shards));
+        let outcome = run_prepared_observed(&scenario, &setup, sink.clone());
+        let frames = std::mem::take(&mut *sink.0.lock().unwrap());
+        (outcome, frames)
+    };
+    let (zero, zero_frames) = observe(0);
+    let (one, one_frames) = observe(1);
+    assert_outcomes_match(&zero, &one, "shards 0 vs 1");
+    assert_eq!(zero.queue, one.queue);
+    assert_eq!(zero.shard_stats, one.shard_stats);
+    // No windows, no lookahead, no lanes, the contiguous default.
+    assert_eq!(
+        one.shard_stats,
+        ShardStats {
+            shards: 1,
+            ..ShardStats::default()
+        }
+    );
+
+    assert_eq!(zero_frames, one_frames, "frame streams diverged");
+    let chunks = one_frames
+        .iter()
+        .filter(|f| matches!(f, ProgressEvent::Chunk { .. }))
+        .count();
+    assert!(chunks > 1, "one shard streams chunk frames: {one_frames:?}");
+    assert!(
+        !one_frames
+            .iter()
+            .any(|f| matches!(f, ProgressEvent::Window { .. })),
+        "one shard plans no windows"
+    );
 }
 
 /// The 10k twin of the 1k A/B, for the nightly heavy pass:
@@ -93,7 +138,7 @@ fn ten_k_preset_is_byte_identical_across_shard_widths() {
 /// threshold and the disk spool on, the merge-time accumulator must stay
 /// within the threshold at every instant of the fold (it used to grow
 /// with the total number of distinct links read back from the spool)
-/// while the merged outputs stay byte-identical to the sequential twin.
+/// while the merged outputs stay byte-identical to the one-shard twin.
 #[test]
 fn spooled_shard_merge_caps_the_accumulator_and_matches_sequential() {
     use egm_core::StrategySpec;
@@ -108,8 +153,8 @@ fn spooled_shard_merge_caps_the_accumulator_and_matches_sequential() {
     let model = Arc::new(scenario.build_model());
 
     let seq = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
-    // The sequential engine caps incrementally while recording, so its
-    // merge path never accumulates anything.
+    // One shard caps incrementally while recording, so its merge path
+    // never accumulates anything.
     assert_eq!(seq.traffic_acc_peak, 0);
     assert_eq!(seq.report.used_links, threshold);
 
@@ -131,8 +176,8 @@ fn spooled_shard_merge_caps_the_accumulator_and_matches_sequential() {
 
 #[test]
 fn shard_selection_defaults() {
-    // The size-based default engages sharding only at scale; below the
-    // floor the sequential engine keeps its zero-overhead path.
+    // The size-based default engages several shards only at scale;
+    // below the floor a run keeps the one-shard zero-overhead path.
     assert_eq!(auto_shards_for(100), 1);
     assert_eq!(auto_shards_for(999), 1);
     let at_scale = auto_shards_for(1_000);
