@@ -9,9 +9,12 @@
 //!
 //! [`MsgArena`] collapses all of it into one structure: a single
 //! interning map (`MsgId` → dense slot index) and a slab of
-//! [`MsgState`] records holding *every* per-message flag and buffer
-//! side by side. A message event costs one hash probe to find the slot;
-//! everything else is field access on one contiguous record. Slots are
+//! [`MsgState`] records holding every per-message flag, the cached
+//! payload and the retry-timer handle in one cache line. A message event
+//! costs one hash probe to find the slot; everything else is field
+//! access on that one record. The variable-length lists (holders,
+//! request sources) live in a parallel cold slab that only the
+//! missing-message path and NeEM-style suppression ever touch. Slots are
 //! generation-stamped and recycled through a free list; a FIFO eviction
 //! queue bounds live slots to the configured `known_capacity` (mirroring
 //! the old bounded sets — far above any experiment's live message count),
@@ -25,7 +28,7 @@
 use crate::id::MsgId;
 use crate::msg::Payload;
 use egm_rng::hash::FastHashMap;
-use egm_simnet::{NodeId, SimTime, TimerTag, TimerToken};
+use egm_simnet::{NodeId, SimTime, TimerToken};
 use std::collections::VecDeque;
 
 /// Occupancy counters of one [`MsgArena`], for steady-state accounting.
@@ -39,11 +42,15 @@ pub struct ArenaStats {
     pub high_water: usize,
 }
 
-/// All per-message state one node keeps, in one record.
+/// The per-message state every message event reads, in one cache line
+/// (pinned by a size test). The variable-length lists live in a parallel
+/// cold slab.
 #[derive(Debug, Default)]
 pub struct MsgState {
     /// The interned message id.
     id: MsgId,
+    /// Cached payload and round for answering `IWANT`s.
+    cache: (Payload, u32),
     /// Bumped whenever the slot is evicted and recycled; stale handles
     /// (timer tags) carry the generation they were minted with.
     gen: u32,
@@ -56,8 +63,16 @@ pub struct MsgState {
     /// Whether the message is advertised-but-missing with a live request
     /// rotation.
     missing: bool,
-    /// Cached payload and round for answering `IWANT`s.
-    cache: (Payload, u32),
+    /// Pending retry timer, so a resolving payload can cancel it
+    /// index-free instead of letting the dead event pop. Its tag is a
+    /// function of the slot and `gen`, so only the token is kept.
+    timer: Option<TimerToken>,
+}
+
+/// The cold side of a slot: lists only the missing-message path and
+/// holder tracking touch. Parallel to the [`MsgState`] slab.
+#[derive(Debug, Default)]
+struct MsgLists {
     /// Peers known to hold the message (only tracked when NeEM-style
     /// suppression is enabled).
     holders: Vec<NodeId>,
@@ -65,22 +80,6 @@ pub struct MsgState {
     sources: Vec<NodeId>,
     /// Which sources have been asked in the current rotation.
     requested: Vec<bool>,
-    /// Pending retry timer, so a resolving payload can cancel it
-    /// index-free instead of letting the dead event pop.
-    timer: Option<(TimerTag, TimerToken)>,
-}
-
-impl MsgState {
-    fn reset(&mut self) {
-        self.known = false;
-        self.received = false;
-        self.cached = false;
-        self.missing = false;
-        self.holders.clear();
-        self.sources.clear();
-        self.requested.clear();
-        self.timer = None;
-    }
 }
 
 /// Dense, generation-checked arena of per-message state for one node.
@@ -99,8 +98,15 @@ impl MsgState {
 /// ```
 #[derive(Debug)]
 pub struct MsgArena {
+    /// Horizon of the retire queue's front entry (`None` when the queue
+    /// is empty), kept in the arena header so the per-event
+    /// [`MsgArena::retire_expired`] is one compare on a line the node has
+    /// already loaded rather than a read of the queue's heap buffer.
+    next_retire: Option<SimTime>,
     index: FastHashMap<MsgId, u32>,
     slots: Vec<MsgState>,
+    /// Cold lists, one per slot (same index as `slots`).
+    lists: Vec<MsgLists>,
     free: Vec<u32>,
     /// Slot insertion order (with mint generation) for FIFO eviction.
     fifo: VecDeque<(u32, u32)>,
@@ -138,8 +144,10 @@ impl MsgArena {
         assert!(cache_capacity > 0, "cache capacity must be positive");
         assert!(capacity <= 1 << 31, "capacity must fit a packed tag");
         MsgArena {
+            next_retire: None,
             index: FastHashMap::default(),
             slots: Vec::new(),
+            lists: Vec::new(),
             free: Vec::new(),
             fifo: VecDeque::new(),
             cache_fifo: VecDeque::new(),
@@ -177,6 +185,7 @@ impl MsgArena {
                     id,
                     ..MsgState::default()
                 });
+                self.lists.push(MsgLists::default());
                 s
             }
         };
@@ -221,7 +230,20 @@ impl MsgArena {
             self.missing -= 1;
         }
         self.index.remove(&s.id);
-        s.reset();
+        // `sources`/`requested` are only ever read while `missing` is set
+        // and `missing_start` clears them first, so the cold lists need a
+        // visit only if this slot could have written to them.
+        if s.missing || self.track_holders {
+            let lists = &mut self.lists[slot as usize];
+            lists.holders.clear();
+            lists.sources.clear();
+            lists.requested.clear();
+        }
+        s.known = false;
+        s.received = false;
+        s.cached = false;
+        s.missing = false;
+        s.timer = None;
         s.gen = s.gen.wrapping_add(1);
         self.free.push(slot);
         self.live -= 1;
@@ -242,6 +264,7 @@ impl MsgArena {
     pub fn schedule_retire(&mut self, slot: u32, at: SimTime) {
         let gen = self.slots[slot as usize].gen;
         self.retire_fifo.push_back((slot, gen, at));
+        self.next_retire.get_or_insert(at);
     }
 
     /// Frees every scheduled slot whose retirement horizon has passed,
@@ -256,10 +279,21 @@ impl MsgArena {
     /// miss, so the configured horizon must cover the worst-case quiesce
     /// time (gossip depth × (link delay + retry interval) under the run's
     /// loss rate).
+    #[inline]
     pub fn retire_expired(&mut self, now: SimTime) -> usize {
+        match self.next_retire {
+            Some(at) if at <= now => self.retire_until(Some(now)),
+            _ => 0,
+        }
+    }
+
+    /// Pops the retire queue up to and including horizon `until` (all of
+    /// it for `None`), freeing every slot FIFO eviction has not already
+    /// recycled, and re-caches the new front's horizon.
+    fn retire_until(&mut self, until: Option<SimTime>) -> usize {
         let mut freed = 0;
         while let Some(&(slot, gen, at)) = self.retire_fifo.front() {
-            if at > now {
+            if until.is_some_and(|now| at > now) {
                 break;
             }
             self.retire_fifo.pop_front();
@@ -274,6 +308,7 @@ impl MsgArena {
             self.retired += 1;
             freed += 1;
         }
+        self.next_retire = self.retire_fifo.front().map(|&(_, _, at)| at);
         freed
     }
 
@@ -289,20 +324,7 @@ impl MsgArena {
     /// state only) and `high_water` is unaffected because no new slots
     /// are interned afterwards.
     pub fn retire_all(&mut self) -> usize {
-        let mut freed = 0;
-        while let Some((slot, gen, _at)) = self.retire_fifo.pop_front() {
-            if self.slots[slot as usize].gen != gen {
-                continue; // FIFO eviction already recycled the slot
-            }
-            debug_assert!(
-                self.slots[slot as usize].received && self.slots[slot as usize].timer.is_none(),
-                "retire queue must only hold delivered, timer-free slots"
-            );
-            self.free_slot(slot);
-            self.retired += 1;
-            freed += 1;
-        }
-        freed
+        self.retire_until(None)
     }
 
     /// Occupancy counters: retired slots, live slots, live high-water.
@@ -439,15 +461,15 @@ impl MsgArena {
         if !self.track_holders {
             return;
         }
-        let s = &mut self.slots[slot as usize];
-        if !s.holders.contains(&peer) {
-            s.holders.push(peer);
+        let holders = &mut self.lists[slot as usize].holders;
+        if !holders.contains(&peer) {
+            holders.push(peer);
         }
     }
 
     /// Whether `peer` is known to hold the message.
     pub fn is_holder(&self, slot: u32, peer: NodeId) -> bool {
-        self.slots[slot as usize].holders.contains(&peer)
+        self.lists[slot as usize].holders.contains(&peer)
     }
 
     // --- missing-message queue ------------------------------------------
@@ -467,20 +489,21 @@ impl MsgArena {
         let s = &mut self.slots[slot as usize];
         debug_assert!(!s.missing);
         s.missing = true;
-        s.sources.clear();
-        s.requested.clear();
-        s.sources.push(source);
-        s.requested.push(false);
+        let lists = &mut self.lists[slot as usize];
+        lists.sources.clear();
+        lists.requested.clear();
+        lists.sources.push(source);
+        lists.requested.push(false);
         self.missing += 1;
     }
 
     /// Queues another source for a missing message (`Queue(i, s)`).
     pub fn missing_add_source(&mut self, slot: u32, source: NodeId) {
-        let s = &mut self.slots[slot as usize];
-        debug_assert!(s.missing);
-        if !s.sources.contains(&source) {
-            s.sources.push(source);
-            s.requested.push(false);
+        debug_assert!(self.slots[slot as usize].missing);
+        let lists = &mut self.lists[slot as usize];
+        if !lists.sources.contains(&source) {
+            lists.sources.push(source);
+            lists.requested.push(false);
         }
     }
 
@@ -492,8 +515,9 @@ impl MsgArena {
             return false;
         }
         s.missing = false;
-        s.sources.clear();
-        s.requested.clear();
+        let lists = &mut self.lists[slot as usize];
+        lists.sources.clear();
+        lists.requested.clear();
         self.missing -= 1;
         true
     }
@@ -509,19 +533,17 @@ impl MsgArena {
         idx: &mut Vec<usize>,
         sources: &mut Vec<NodeId>,
     ) {
-        let s = &mut self.slots[slot as usize];
-        debug_assert!(s.missing);
-        if s.requested.iter().all(|&r| r) {
-            for r in &mut s.requested {
-                *r = false;
-            }
+        debug_assert!(self.slots[slot as usize].missing);
+        let lists = &mut self.lists[slot as usize];
+        if lists.requested.iter().all(|&r| r) {
+            lists.requested.fill(false);
         }
         idx.clear();
         sources.clear();
-        for (i, &asked) in s.requested.iter().enumerate() {
+        for (i, &asked) in lists.requested.iter().enumerate() {
             if !asked {
                 idx.push(i);
-                sources.push(s.sources[i]);
+                sources.push(lists.sources[i]);
             }
         }
     }
@@ -529,27 +551,27 @@ impl MsgArena {
     /// Marks rotation position `source_idx` as requested and returns its
     /// source id.
     pub fn missing_mark_requested(&mut self, slot: u32, source_idx: usize) -> NodeId {
-        let s = &mut self.slots[slot as usize];
-        s.requested[source_idx] = true;
-        s.sources[source_idx]
+        let lists = &mut self.lists[slot as usize];
+        lists.requested[source_idx] = true;
+        lists.sources[source_idx]
     }
 
     // --- request-timer handle -------------------------------------------
 
     /// Stores the pending retry timer for `slot`.
-    pub fn set_timer(&mut self, slot: u32, tag: TimerTag, token: TimerToken) {
-        self.slots[slot as usize].timer = Some((tag, token));
+    pub fn set_timer(&mut self, slot: u32, token: TimerToken) {
+        self.slots[slot as usize].timer = Some(token);
     }
 
     /// Takes the pending retry timer for `slot`, if any.
-    pub fn take_timer(&mut self, slot: u32) -> Option<(TimerTag, TimerToken)> {
+    pub fn take_timer(&mut self, slot: u32) -> Option<TimerToken> {
         self.slots[slot as usize].timer.take()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::MsgArena;
+    use super::{MsgArena, MsgState};
     use crate::id::MsgId;
     use crate::msg::Payload;
     use egm_simnet::{NodeId, SimTime};
@@ -745,6 +767,83 @@ mod tests {
         assert!(a.lookup(&MsgId::from_raw(2)).is_some());
         assert!(a.is_received(s2));
         assert_eq!(a.stats().retired, 0);
+    }
+
+    #[test]
+    fn cached_horizon_tracks_the_retire_queue_front() {
+        let mut a = MsgArena::new(2, 2, false);
+        assert_eq!(a.next_retire, None);
+        assert_eq!(a.retire_expired(SimTime::from_ms(1e6)), 0, "empty queue");
+        let s0 = a.intern(MsgId::from_raw(0));
+        a.mark_received(s0);
+        a.schedule_retire(s0, SimTime::from_ms(10.0));
+        let s1 = a.intern(MsgId::from_raw(1));
+        a.mark_received(s1);
+        a.schedule_retire(s1, SimTime::from_ms(20.0));
+        assert_eq!(
+            a.next_retire,
+            Some(SimTime::from_ms(10.0)),
+            "front, not back"
+        );
+        // FIFO eviction recycles the front slot before its horizon: the
+        // queue entry (and the cached horizon) outlive the message, and
+        // the sweep that reaches it frees nothing in its place.
+        let s2 = a.intern(MsgId::from_raw(2));
+        assert_eq!(s2, s0, "capacity evicted message 0");
+        a.mark_received(s2);
+        assert_eq!(a.next_retire, Some(SimTime::from_ms(10.0)));
+        assert_eq!(a.retire_expired(SimTime::from_ms(9.0)), 0);
+        assert_eq!(a.retire_expired(SimTime::from_ms(10.0)), 0, "stale entry");
+        assert!(a.is_received(s2), "the slot's new message lives on");
+        assert_eq!(a.next_retire, Some(SimTime::from_ms(20.0)), "advanced");
+        assert_eq!(a.retire_expired(SimTime::from_ms(20.0)), 1);
+        assert_eq!(a.next_retire, None, "drained");
+        // A drained queue re-arms on the next delivery.
+        a.schedule_retire(s2, SimTime::from_ms(30.0));
+        assert_eq!(a.next_retire, Some(SimTime::from_ms(30.0)));
+    }
+
+    #[test]
+    fn retire_all_resets_the_cached_horizon() {
+        let mut a = MsgArena::new(8, 8, false);
+        for k in 0..3u64 {
+            let s = a.intern(MsgId::from_raw(u128::from(k)));
+            a.mark_received(s);
+            a.schedule_retire(s, SimTime::from_ms(1000.0 * (k + 1) as f64));
+        }
+        assert_eq!(a.retire_all(), 3);
+        assert_eq!(a.next_retire, None);
+        assert_eq!(a.retire_expired(SimTime::from_ms(1e9)), 0);
+        assert_eq!(a.stats().live, 0);
+    }
+
+    #[test]
+    fn missing_state_does_not_survive_slot_reuse() {
+        // The cold lists are cleared lazily; a recycled slot must still
+        // start its rotation from the new message's sources alone.
+        let mut a = MsgArena::new(1, 1, true);
+        let s = a.intern(MsgId::from_raw(1));
+        a.note_holder(s, NodeId(9));
+        a.missing_start(s, NodeId(1));
+        a.missing_add_source(s, NodeId(2));
+        let s2 = a.intern(MsgId::from_raw(2)); // evicts message 1 mid-rotation
+        assert_eq!(s2, s);
+        assert!(!a.is_missing(s2));
+        assert_eq!(a.missing_count(), 0);
+        assert!(!a.is_holder(s2, NodeId(9)));
+        a.missing_start(s2, NodeId(5));
+        let (mut idx, mut sources) = (Vec::new(), Vec::new());
+        a.missing_candidates_into(s2, &mut idx, &mut sources);
+        assert_eq!(sources, vec![NodeId(5)]);
+    }
+
+    #[test]
+    fn hot_record_fits_one_cache_line() {
+        assert!(
+            std::mem::size_of::<MsgState>() <= 64,
+            "MsgState grew to {} bytes",
+            std::mem::size_of::<MsgState>()
+        );
     }
 
     #[test]

@@ -133,8 +133,10 @@ impl ProtocolConfig {
     ///
     /// Panics if the fanout is zero, the fanout exceeds the view capacity
     /// (the peer sampling service cannot return more peers than it holds),
-    /// or any capacity is zero.
+    /// the view configuration is out of bounds (see
+    /// [`ViewConfig::validate`]), or any capacity is zero.
     pub fn validate(&self) {
+        self.view.validate();
         assert!(self.fanout > 0, "fanout must be positive");
         assert!(
             self.fanout <= self.view.capacity,
@@ -208,6 +210,22 @@ mod tests {
     #[should_panic(expected = "exceeds overlay fanout")]
     fn fanout_cannot_exceed_view() {
         ProtocolConfig::default().with_fanout(16).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=MAX_VIEW (32)")]
+    fn oversized_view_rejected() {
+        let mut config = ProtocolConfig::default();
+        config.view.capacity = egm_membership::MAX_VIEW + 1;
+        config.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=MAX_SHUFFLE (8)")]
+    fn oversized_shuffle_rejected() {
+        let mut config = ProtocolConfig::default();
+        config.view.shuffle_size = egm_membership::MAX_SHUFFLE + 1;
+        config.validate();
     }
 
     #[test]

@@ -4,33 +4,22 @@
 //! beneath it (§3.1): it emits `L-Send(i, d, r, p)` intents and receives
 //! `L-Receive(i, d, r, s)` upcalls, whether payloads travelled eagerly or
 //! lazily. This module is a pure state machine — the embedding node turns
-//! the returned [`LSend`] intents into wire messages through the
-//! scheduler.
+//! each target of the returned [`GossipStep`] into one `L-Send` through
+//! the scheduler.
 
 use crate::arena::MsgArena;
 use crate::config::ProtocolConfig;
 use crate::id::MsgId;
 use crate::msg::Payload;
-use egm_membership::PartialView;
+use egm_membership::{PartialView, PeerSample};
 use egm_rng::Rng;
-use egm_simnet::NodeId;
-
-/// An `L-Send(i, d, r, p)` intent produced by the gossip layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LSend {
-    /// Message identifier `i`.
-    pub id: MsgId,
-    /// Payload `d`.
-    pub payload: Payload,
-    /// Relay round `r` the message will travel at.
-    pub round: u32,
-    /// Target peer `p` from the peer sampling service.
-    pub to: NodeId,
-}
 
 /// Result of handing a message to the gossip layer: deliver locally at
-/// `round`, then perform the `sends`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `round`, then `L-Send(id, payload, relay_round, p)` to every target `p`.
+///
+/// Plain stack data: the targets are the peer sample itself, so a forward
+/// builds no per-target records and touches no heap.
+#[derive(Debug, Clone, Copy)]
 pub struct GossipStep {
     /// The delivered message identifier.
     pub id: MsgId,
@@ -38,15 +27,22 @@ pub struct GossipStep {
     pub payload: Payload,
     /// Round at which the payload arrived (0 for own multicasts).
     pub round: u32,
-    /// Forwarding intents (empty once `round >= t`).
-    pub sends: Vec<LSend>,
+    /// Peers to relay to (empty once `round >= t`).
+    pub targets: PeerSample,
+}
+
+impl GossipStep {
+    /// The round the relays travel at (Fig. 2, line 10: `r + 1`).
+    pub fn relay_round(&self) -> u32 {
+        self.round + 1
+    }
 }
 
 /// The basic gossip protocol of Fig. 2.
 ///
 /// The known-message set `K` lives in the node's [`MsgArena`] (alongside
 /// all other per-message state), so the layer itself holds only the
-/// configuration and its scratch buffers.
+/// configuration.
 ///
 /// # Examples
 ///
@@ -59,7 +55,7 @@ pub struct GossipStep {
 /// use egm_simnet::NodeId;
 ///
 /// let config = ProtocolConfig::default().with_fanout(2);
-/// let mut gossip = GossipLayer::new(&config);
+/// let gossip = GossipLayer::new(&config);
 /// let mut arena = MsgArena::new(64, 64, false);
 /// let mut view = PartialView::new(NodeId(0), ViewConfig::default());
 /// view.insert(NodeId(1));
@@ -68,22 +64,12 @@ pub struct GossipStep {
 ///
 /// let (_slot, step) = gossip.multicast(&mut rng, &view, &mut arena, Payload { seq: 0, bytes: 256 });
 /// assert_eq!(step.round, 0);
-/// assert_eq!(step.sends.len(), 2);
-/// assert!(step.sends.iter().all(|s| s.round == 1));
+/// assert_eq!(step.targets.len(), 2);
 /// ```
 #[derive(Debug)]
 pub struct GossipLayer {
     fanout: usize,
     rounds: u32,
-    /// Scratch for peer-sample indices, reused across forwards.
-    scratch_idx: Vec<usize>,
-    /// Scratch peer sample handed back by the view.
-    scratch_peers: Vec<NodeId>,
-    /// Recycled `sends` buffer: the embedding node hands the drained
-    /// vector back through [`GossipLayer::recycle`], making steady-state
-    /// forwarding allocation-free (one buffer suffices because exactly
-    /// one [`GossipStep`] is alive per node at a time).
-    spare_sends: Vec<LSend>,
 }
 
 impl GossipLayer {
@@ -92,26 +78,13 @@ impl GossipLayer {
         GossipLayer {
             fanout: config.fanout,
             rounds: config.rounds,
-            scratch_idx: Vec::new(),
-            scratch_peers: Vec::new(),
-            spare_sends: Vec::new(),
-        }
-    }
-
-    /// Returns a drained [`GossipStep::sends`] buffer to the layer's pool
-    /// so the next forward reuses its allocation. Buffers from other
-    /// layers are accepted too (capacity is capacity).
-    pub fn recycle(&mut self, mut sends: Vec<LSend>) {
-        sends.clear();
-        if sends.capacity() > self.spare_sends.capacity() {
-            self.spare_sends = sends;
         }
     }
 
     /// `Multicast(d)` (line 3): mint an id and forward at round 0.
     /// Returns the minted message's arena slot alongside the step.
     pub fn multicast(
-        &mut self,
+        &self,
         rng: &mut Rng,
         view: &PartialView,
         arena: &mut MsgArena,
@@ -129,7 +102,7 @@ impl GossipLayer {
     /// message is a duplicate, in which case `None` is returned.
     #[allow(clippy::too_many_arguments)]
     pub fn on_l_receive(
-        &mut self,
+        &self,
         rng: &mut Rng,
         view: &PartialView,
         arena: &mut MsgArena,
@@ -145,7 +118,7 @@ impl GossipLayer {
     /// sampled peers at round `r + 1` while `r < t`.
     #[allow(clippy::too_many_arguments)]
     fn forward(
-        &mut self,
+        &self,
         rng: &mut Rng,
         view: &PartialView,
         arena: &mut MsgArena,
@@ -157,33 +130,13 @@ impl GossipLayer {
         if !arena.mark_known(slot) {
             return None; // line 13: i ∈ K
         }
-        let sends = if round < self.rounds {
-            // line 9: PeerSample(f), drawn into reusable scratch buffers;
-            // the sends vector itself is recycled through
-            // [`GossipLayer::recycle`], so steady-state forwards allocate
-            // nothing.
-            view.sample_into(
-                rng,
-                self.fanout,
-                &mut self.scratch_idx,
-                &mut self.scratch_peers,
-            );
-            let mut sends = std::mem::take(&mut self.spare_sends);
-            sends.extend(self.scratch_peers.iter().map(|&to| LSend {
-                id,
-                payload,
-                round: round + 1,
-                to,
-            }));
-            sends
-        } else {
-            Vec::new()
-        };
+        // line 9: PeerSample(f) while r < t; sampling nothing draws nothing.
+        let fanout = if round < self.rounds { self.fanout } else { 0 };
         Some(GossipStep {
             id,
             payload,
             round,
-            sends,
+            targets: view.sample(rng, fanout),
         })
     }
 }
@@ -223,18 +176,18 @@ mod tests {
 
     #[test]
     fn multicast_fans_out_to_f_distinct_peers() {
-        let (mut gossip, mut arena, view, mut rng) = setup(4, 10);
+        let (gossip, mut arena, view, mut rng) = setup(4, 10);
         let (_slot, step) = gossip.multicast(&mut rng, &view, &mut arena, payload());
-        assert_eq!(step.sends.len(), 4);
-        let targets: HashSet<_> = step.sends.iter().map(|s| s.to).collect();
+        assert_eq!(step.targets.len(), 4);
+        let targets: HashSet<_> = step.targets.iter().collect();
         assert_eq!(targets.len(), 4, "targets must be distinct");
-        assert!(step.sends.iter().all(|s| s.round == 1 && s.id == step.id));
+        assert_eq!(step.relay_round(), 1);
         assert!(arena.knows(&step.id));
     }
 
     #[test]
     fn duplicates_are_dropped() {
-        let (mut gossip, mut arena, view, mut rng) = setup(3, 5);
+        let (gossip, mut arena, view, mut rng) = setup(3, 5);
         let id = MsgId::from_raw(42);
         let slot = arena.intern(id);
         let first = gossip.on_l_receive(&mut rng, &view, &mut arena, slot, id, payload(), 1);
@@ -246,33 +199,33 @@ mod tests {
 
     #[test]
     fn forwarding_stops_at_round_t() {
-        let (mut gossip, mut arena, view, mut rng) = setup(3, 5);
+        let (gossip, mut arena, view, mut rng) = setup(3, 5);
         // rounds = 3: r = 2 still forwards, r = 3 does not.
         let id = MsgId::from_raw(1);
         let slot = arena.intern(id);
         let step = gossip
             .on_l_receive(&mut rng, &view, &mut arena, slot, id, payload(), 2)
             .expect("new message");
-        assert_eq!(step.sends.len(), 3);
-        assert!(step.sends.iter().all(|s| s.round == 3));
+        assert_eq!(step.targets.len(), 3);
+        assert_eq!(step.relay_round(), 3);
         let id2 = MsgId::from_raw(2);
         let slot2 = arena.intern(id2);
         let stopped = gossip
             .on_l_receive(&mut rng, &view, &mut arena, slot2, id2, payload(), 3)
             .expect("new message");
-        assert!(stopped.sends.is_empty(), "r >= t must not relay");
+        assert!(stopped.targets.is_empty(), "r >= t must not relay");
     }
 
     #[test]
     fn small_view_limits_fanout() {
-        let (mut gossip, mut arena, view, mut rng) = setup(11, 3);
+        let (gossip, mut arena, view, mut rng) = setup(11, 3);
         let (_slot, step) = gossip.multicast(&mut rng, &view, &mut arena, payload());
-        assert_eq!(step.sends.len(), 3, "fanout capped by view size");
+        assert_eq!(step.targets.len(), 3, "fanout capped by view size");
     }
 
     #[test]
     fn delivery_round_is_the_arrival_round() {
-        let (mut gossip, mut arena, view, mut rng) = setup(2, 4);
+        let (gossip, mut arena, view, mut rng) = setup(2, 4);
         let id = MsgId::from_raw(3);
         let slot = arena.intern(id);
         let step = gossip

@@ -123,10 +123,6 @@ pub struct EgmNode {
     /// Closed-loop publish schedule, if this run gates publishes on
     /// deliveries (see [`PublishChain`]).
     chain: Option<PublishChain>,
-    /// Scratch buffers for the periodic ping sample, so monitor probing
-    /// stays allocation-free like the gossip and shuffle paths.
-    ping_idx: Vec<usize>,
-    ping_targets: Vec<NodeId>,
 }
 
 impl EgmNode {
@@ -161,8 +157,6 @@ impl EgmNode {
             multicasts: Vec::new(),
             deliveries: Vec::new(),
             chain: None,
-            ping_idx: Vec::new(),
-            ping_targets: Vec::new(),
         }
     }
 
@@ -241,9 +235,8 @@ impl EgmNode {
         &self.monitor
     }
 
-    /// Delivers a gossip step to the application and pushes its forwards
-    /// through the payload scheduler. The drained `sends` buffer is handed
-    /// back to the gossip layer's pool, keeping forwarding allocation-free.
+    /// Delivers a gossip step to the application and pushes one `L-Send`
+    /// per target through the payload scheduler.
     fn deliver_and_forward(
         &mut self,
         ctx: &mut Context<'_, EgmMessage>,
@@ -268,8 +261,7 @@ impl EgmNode {
                 ctx.set_timer(chain.think, PUBLISH_TAG_FLAG | next);
             }
         }
-        let mut sends = step.sends;
-        for s in sends.drain(..) {
+        for to in step.targets.iter() {
             let wire = {
                 let mut sctx = StrategyCtx {
                     me: self.id,
@@ -281,17 +273,16 @@ impl EgmNode {
                     self.strategy.as_mut(),
                     &mut self.msgs,
                     slot,
-                    s.id,
-                    s.payload,
-                    s.round,
-                    s.to,
+                    step.id,
+                    step.payload,
+                    step.relay_round(),
+                    to,
                 )
             };
             if let Some(wire) = wire {
-                ctx.send(s.to, wire);
+                ctx.send(to, wire);
             }
         }
-        self.gossip.recycle(sends);
     }
 
     /// Arms the request timer for a missing message as a cancellable
@@ -304,14 +295,14 @@ impl EgmNode {
     ) {
         let tag = request_tag(slot, self.msgs.generation(slot));
         let token = ctx.set_cancellable_timer(delay, tag);
-        self.msgs.set_timer(slot, tag, token);
+        self.msgs.set_timer(slot, token);
     }
 
     /// Cancels the pending retry timer for the message in `slot`, if any
     /// — called when the payload resolves so the timer never reaches the
     /// scheduler.
     fn cancel_request_timer(&mut self, ctx: &mut Context<'_, EgmMessage>, slot: u32) {
-        if let Some((_tag, token)) = self.msgs.take_timer(slot) {
+        if let Some(token) = self.msgs.take_timer(slot) {
             ctx.cancel_timer(token);
         }
     }
@@ -396,8 +387,8 @@ impl Protocol for EgmNode {
                 }
             }
             EgmMessage::Shuffle(shuffle) => {
-                if let Some((to, reply)) = self.view.handle_shuffle(ctx.rng(), from, *shuffle) {
-                    ctx.send(to, EgmMessage::Shuffle(Box::new(reply)));
+                if let Some((to, reply)) = self.view.handle_shuffle(ctx.rng(), from, shuffle) {
+                    ctx.send(to, EgmMessage::Shuffle(reply));
                 }
             }
             EgmMessage::Ping { sent_us } => {
@@ -417,7 +408,7 @@ impl Protocol for EgmNode {
         match tag {
             TAG_SHUFFLE => {
                 if let Some((to, msg)) = self.view.start_shuffle(ctx.rng()) {
-                    ctx.send(to, EgmMessage::Shuffle(Box::new(msg)));
+                    ctx.send(to, EgmMessage::Shuffle(msg));
                 }
                 if let Some(interval) = self.config.shuffle_interval {
                     ctx.set_timer(interval, TAG_SHUFFLE);
@@ -425,13 +416,9 @@ impl Protocol for EgmNode {
             }
             TAG_PING => {
                 let now_us = ctx.now().as_micros();
-                let mut targets = std::mem::take(&mut self.ping_targets);
-                self.view
-                    .sample_into(ctx.rng(), PING_FANOUT, &mut self.ping_idx, &mut targets);
-                for &to in &targets {
+                for to in self.view.sample(ctx.rng(), PING_FANOUT).iter() {
                     ctx.send(to, EgmMessage::Ping { sent_us: now_us });
                 }
-                self.ping_targets = targets;
                 if let Some(interval) = self.config.ping_interval {
                     ctx.set_timer(interval, TAG_PING);
                 }
@@ -465,7 +452,7 @@ impl Protocol for EgmNode {
                         let id = self.msgs.slot_id(slot);
                         ctx.send(to, EgmMessage::IWant { id });
                         let token = ctx.set_cancellable_timer(retry, tag);
-                        self.msgs.set_timer(slot, tag, token);
+                        self.msgs.set_timer(slot, token);
                     }
                 }
             }
@@ -765,7 +752,7 @@ mod tests {
         // metric should approximate the 25ms link delay.
         use crate::monitor::PerformanceMonitor;
         let node = sim.node(NodeId(0));
-        let peer = node.view().peers()[0];
+        let peer = node.view().peers().next().expect("bootstrapped view");
         let metric = node.monitor().metric(NodeId(0), peer);
         assert!(
             (metric - 25.0).abs() < 1.0,

@@ -919,7 +919,7 @@ mod tests {
                 if down[i] {
                     continue;
                 }
-                for &p in view.peers() {
+                for p in view.peers() {
                     if down[p.index()] {
                         continue;
                     }

@@ -13,6 +13,19 @@
 //! deterministic experiments may instead freeze the overlay with
 //! [`PartialView::set_static`].
 //!
+//! # Memory layout
+//!
+//! A node touches its view on every gossip forward and every shuffle, so
+//! both types are plain data and allocation-free by construction: a
+//! [`PartialView`] is an 8-byte header plus an inline table of
+//! [`MAX_VIEW`]` = 32` peer ids stored as `u32` (a 15-peer view spans
+//! two cache lines), a [`ShuffleMsg`] is `Copy` with up to
+//! [`MAX_SHUFFLE`]` = 8` ids inline, and samples and shuffle subsets are
+//! drawn into stack arrays ([`PeerSample`]). The two constants bound
+//! [`ViewConfig`] and are enforced by [`ViewConfig::validate`]; they are
+//! not configuration. Equality on both types compares the live prefix of
+//! the table only.
+//!
 //! # Examples
 //!
 //! ```
@@ -20,17 +33,19 @@
 //! use egm_rng::Rng;
 //!
 //! let mut rng = Rng::seed_from_u64(1);
-//! let mut views = bootstrap_views(10, &ViewConfig::default(), &mut rng);
+//! let views = bootstrap_views(10, &ViewConfig::default(), &mut rng);
 //! let sample = views[0].sample(&mut rng, 3);
 //! assert_eq!(sample.len(), 3);
-//! assert!(!sample.contains(&egm_simnet::NodeId(0)));
+//! assert!(sample.iter().all(|peer| peer != egm_simnet::NodeId(0)));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod reference;
 mod shuffle;
 mod view;
 
-pub use shuffle::ShuffleMsg;
-pub use view::{bootstrap_views, PartialView, ViewConfig};
+pub use shuffle::{ShuffleMsg, MAX_SHUFFLE};
+pub use view::{bootstrap_views, PartialView, PeerSample, ViewConfig, MAX_VIEW};

@@ -1,9 +1,14 @@
 //! The bounded partial view and uniform peer sampling.
 
-use crate::shuffle::ShuffleMsg;
+use crate::shuffle::{node_id, raw_id, ShuffleMsg, MAX_SHUFFLE};
 use egm_rng::{sample, Rng};
 use egm_simnet::NodeId;
 use serde::{Deserialize, Serialize};
+
+/// Most peers one [`PartialView`] holds, and so the upper bound on
+/// [`ViewConfig::capacity`]. A constant, not configuration: it fixes the
+/// inline peer table (the paper's overlay fanout is 15).
+pub const MAX_VIEW: usize = 32;
 
 /// Configuration of the partial view.
 ///
@@ -12,9 +17,11 @@ use serde::{Deserialize, Serialize};
 /// failures \[6\].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ViewConfig {
-    /// Maximum number of peers kept in the view (overlay fanout).
+    /// Maximum number of peers kept in the view (overlay fanout), in
+    /// `1..=`[`MAX_VIEW`].
     pub capacity: usize,
-    /// Number of view entries exchanged per shuffle.
+    /// Number of view entries exchanged per shuffle, in
+    /// `1..=`[`MAX_SHUFFLE`].
     pub shuffle_size: usize,
 }
 
@@ -27,21 +34,67 @@ impl Default for ViewConfig {
     }
 }
 
+impl ViewConfig {
+    /// Checks the bounds the inline view and message tables rely on.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= capacity <= MAX_VIEW` and
+    /// `1 <= shuffle_size <= MAX_SHUFFLE`.
+    pub fn validate(&self) {
+        assert!(
+            (1..=MAX_VIEW).contains(&self.capacity),
+            "view capacity {} outside 1..=MAX_VIEW ({MAX_VIEW})",
+            self.capacity
+        );
+        assert!(
+            (1..=MAX_SHUFFLE).contains(&self.shuffle_size),
+            "shuffle size {} outside 1..=MAX_SHUFFLE ({MAX_SHUFFLE})",
+            self.shuffle_size
+        );
+    }
+}
+
+/// The result of `PeerSample(f)`: up to [`MAX_VIEW`] distinct peers, held
+/// on the stack.
+#[derive(Debug, Clone, Copy)]
+pub struct PeerSample {
+    len: u8,
+    peers: [u32; MAX_VIEW],
+}
+
+impl PeerSample {
+    /// Number of peers sampled.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether no peer was sampled.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The sampled peers, in draw order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.peers[..self.len()].iter().copied().map(node_id)
+    }
+}
+
 /// A bounded, continuously shuffled partial view of the overlay.
 ///
 /// Invariants (checked in debug builds and by property tests):
 /// the view never contains the owning node or duplicates, and never
 /// exceeds `capacity`.
 ///
-/// The shuffle path is allocation-free in steady state: subset sampling
-/// draws into an owned index scratch buffer, and the `Vec` carried by
-/// each [`ShuffleMsg`] is recycled — a handled request's buffer becomes
-/// the reply's, a handled reply's buffer becomes the next outgoing
-/// request's. Equality ignores the scratch state (see the manual
-/// `PartialEq`), and so must any future serialization (the serde marker
-/// impls below are written by hand so a real-serde migration is forced
-/// to decide the field set rather than silently deriving the scratch
-/// buffers into the wire format).
+/// The view is plain data — an 8-byte header and an inline table of
+/// [`MAX_VIEW`] `u32` peer ids — and owns no heap memory, so sampling,
+/// shuffling and cloning are allocation-free by construction and a
+/// `Vec<PartialView>` is one flat block. Equality compares the live
+/// prefix of the table only (a slot a removed peer left behind is not
+/// state), and so must any future serialization (the serde marker impls
+/// below are written by hand so a real-serde migration is forced to
+/// decide the field set rather than silently deriving the stale tail
+/// into the wire format).
 ///
 /// # Examples
 ///
@@ -59,30 +112,27 @@ impl Default for ViewConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PartialView {
-    owner: NodeId,
-    config: ViewConfig,
-    peers: Vec<NodeId>,
+    owner: u32,
+    len: u8,
+    capacity: u8,
+    shuffle_size: u8,
     static_view: bool,
-    /// Scratch for subset-index sampling (never observable; excluded
-    /// from equality).
-    idx_scratch: Vec<usize>,
-    /// Recycled entry buffer for the next outgoing shuffle message
-    /// (never observable; excluded from equality).
-    spare: Vec<NodeId>,
+    peers: [u32; MAX_VIEW],
 }
 
 // Hand-written marker impls (the vendored serde is attribute-free): a
 // real-serde swap must serialize only the logical fields — owner,
-// config, peers, static_view — never the scratch buffers.
+// capacity, shuffle size, static flag and the live peers.
 impl Serialize for PartialView {}
 impl<'de> Deserialize<'de> for PartialView {}
 
 impl PartialEq for PartialView {
     fn eq(&self, other: &Self) -> bool {
         self.owner == other.owner
-            && self.config == other.config
-            && self.peers == other.peers
+            && self.capacity == other.capacity
+            && self.shuffle_size == other.shuffle_size
             && self.static_view == other.static_view
+            && self.live() == other.live()
     }
 }
 
@@ -90,40 +140,51 @@ impl Eq for PartialView {}
 
 impl PartialView {
     /// Creates an empty view owned by `owner`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is out of bounds (see
+    /// [`ViewConfig::validate`]) or `owner` does not fit `u32`.
     pub fn new(owner: NodeId, config: ViewConfig) -> Self {
+        config.validate();
         PartialView {
-            owner,
-            config,
-            peers: Vec::with_capacity(config.capacity),
+            owner: raw_id(owner),
+            len: 0,
+            capacity: config.capacity as u8,
+            shuffle_size: config.shuffle_size as u8,
             static_view: false,
-            idx_scratch: Vec::new(),
-            spare: Vec::new(),
+            peers: [0; MAX_VIEW],
         }
+    }
+
+    /// The live prefix of the peer table.
+    fn live(&self) -> &[u32] {
+        &self.peers[..self.len as usize]
     }
 
     /// The owning node.
     pub fn owner(&self) -> NodeId {
-        self.owner
+        node_id(self.owner)
     }
 
     /// Current peers, in internal order.
-    pub fn peers(&self) -> &[NodeId] {
-        &self.peers
+    pub fn peers(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.live().iter().copied().map(node_id)
     }
 
     /// Number of peers currently known.
     pub fn len(&self) -> usize {
-        self.peers.len()
+        self.len as usize
     }
 
     /// Whether the view is empty.
     pub fn is_empty(&self) -> bool {
-        self.peers.is_empty()
+        self.len == 0
     }
 
     /// Whether `peer` is in the view.
     pub fn contains(&self, peer: NodeId) -> bool {
-        self.peers.contains(&peer)
+        self.peers().any(|p| p == peer)
     }
 
     /// Freezes the view: shuffle ticks become no-ops. Used for
@@ -137,24 +198,34 @@ impl PartialView {
         self.static_view
     }
 
-    /// Inserts a peer, evicting a random entry if at capacity.
+    /// Inserts a peer, evicting the oldest entry if at capacity.
     ///
     /// Inserting the owner or an existing peer is a no-op. Returns whether
     /// the peer is in the view afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `peer` does not fit `u32`.
     pub fn insert(&mut self, peer: NodeId) -> bool {
+        self.insert_raw(raw_id(peer))
+    }
+
+    fn insert_raw(&mut self, peer: u32) -> bool {
         if peer == self.owner {
             return false;
         }
-        if self.peers.contains(&peer) {
+        if self.live().contains(&peer) {
             return true;
         }
-        if self.peers.len() < self.config.capacity {
-            self.peers.push(peer);
+        let len = self.len as usize;
+        if len < self.capacity as usize {
+            self.peers[len] = peer;
+            self.len += 1;
         } else {
             // Deterministic eviction of the oldest entry keeps the insert
             // path RNG-free; shuffling provides the randomness.
-            self.peers.remove(0);
-            self.peers.push(peer);
+            self.peers.copy_within(1..len, 0);
+            self.peers[len - 1] = peer;
         }
         true
     }
@@ -162,139 +233,104 @@ impl PartialView {
     /// Removes a peer (e.g. one detected as failed). Returns whether it was
     /// present.
     pub fn remove(&mut self, peer: NodeId) -> bool {
-        if let Some(pos) = self.peers.iter().position(|&p| p == peer) {
-            self.peers.remove(pos);
-            true
-        } else {
-            false
-        }
+        let Some(pos) = self.peers().position(|p| p == peer) else {
+            return false;
+        };
+        let len = self.len as usize;
+        self.peers.copy_within(pos + 1..len, pos);
+        self.len -= 1;
+        true
     }
 
     /// `PeerSample(f)`: a uniform sample of up to `f` distinct peers.
     ///
     /// Returns fewer than `f` peers when the view is smaller than `f`.
-    pub fn sample(&self, rng: &mut Rng, f: usize) -> Vec<NodeId> {
-        let k = f.min(self.peers.len());
-        if k == 0 {
-            return Vec::new();
+    /// This is the gossip layer's per-forward path: the sample is drawn
+    /// into (and returned as) a stack array.
+    pub fn sample(&self, rng: &mut Rng, f: usize) -> PeerSample {
+        let live = self.live();
+        let k = f.min(live.len());
+        let mut out = PeerSample {
+            len: k as u8,
+            peers: [0; MAX_VIEW],
+        };
+        sample::distinct_indices_array(rng, live.len(), k, &mut out.peers);
+        for slot in &mut out.peers[..k] {
+            *slot = live[*slot as usize];
         }
-        sample::distinct_indices(rng, self.peers.len(), k)
-            .into_iter()
-            .map(|i| self.peers[i])
-            .collect()
-    }
-
-    /// `PeerSample(f)` into caller-owned buffers: draws the same peers
-    /// (and consumes the same RNG stream) as [`PartialView::sample`],
-    /// but reuses `idx_scratch` and `out` instead of allocating. This is
-    /// the gossip layer's per-forward path, so it must stay
-    /// allocation-free.
-    pub fn sample_into(
-        &self,
-        rng: &mut Rng,
-        f: usize,
-        idx_scratch: &mut Vec<usize>,
-        out: &mut Vec<NodeId>,
-    ) {
-        out.clear();
-        let k = f.min(self.peers.len());
-        if k == 0 {
-            return;
-        }
-        sample::distinct_indices_into(rng, self.peers.len(), k, idx_scratch);
-        out.extend(idx_scratch.iter().map(|&i| self.peers[i]));
+        out
     }
 
     /// One uniformly chosen peer, if any.
     pub fn sample_one(&self, rng: &mut Rng) -> Option<NodeId> {
-        sample::choose(rng, &self.peers).copied()
+        sample::choose(rng, self.live()).copied().map(node_id)
     }
 
     /// Initiates a shuffle: picks a random partner and a subset to offer.
     ///
     /// Returns `None` if the view is static or empty. The offered subset
     /// includes the owner id so the partner learns about us (Cyclon-style).
-    /// The entry buffer is recycled from the last handled reply, so in
-    /// steady state this allocates nothing.
     pub fn start_shuffle(&mut self, rng: &mut Rng) -> Option<(NodeId, ShuffleMsg)> {
-        if self.static_view || self.peers.is_empty() {
+        if self.static_view {
             return None;
         }
-        let partner = *sample::choose(rng, &self.peers).expect("non-empty view");
-        let mut offer = std::mem::take(&mut self.spare);
-        self.subset_excluding_into(rng, partner, &mut offer);
-        offer.truncate(self.config.shuffle_size.saturating_sub(1));
+        let partner = *sample::choose(rng, self.live())?;
+        let mut offer = self.subset_excluding(rng, partner, false);
+        offer.truncate(self.shuffle_size as usize - 1);
         offer.push(self.owner);
-        Some((partner, ShuffleMsg::Request { entries: offer }))
+        Some((node_id(partner), offer))
     }
 
     /// Handles a shuffle message from `from`; returns a reply to send, if
-    /// any. The incoming message's entry buffer is kept as the spare for
-    /// the next outgoing message, so a request→reply exchange allocates
-    /// nothing in steady state.
+    /// any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` does not fit `u32`.
     pub fn handle_shuffle(
         &mut self,
         rng: &mut Rng,
         from: NodeId,
         msg: ShuffleMsg,
     ) -> Option<(NodeId, ShuffleMsg)> {
-        match msg {
-            ShuffleMsg::Request { entries } => {
-                let mut reply = std::mem::take(&mut self.spare);
-                self.subset_excluding_into(rng, from, &mut reply);
-                reply.truncate(self.config.shuffle_size);
-                self.merge(&entries);
-                // Requests also teach us about the requester.
-                self.insert(from);
-                self.recycle(entries);
-                Some((from, ShuffleMsg::Reply { entries: reply }))
-            }
-            ShuffleMsg::Reply { entries } => {
-                self.merge(&entries);
-                self.recycle(entries);
-                None
-            }
+        if msg.is_reply() {
+            self.merge(msg.raw_entries());
+            return None;
         }
+        let requester = raw_id(from);
+        let reply = self.subset_excluding(rng, requester, true);
+        self.merge(msg.raw_entries());
+        // Requests also teach us about the requester.
+        self.insert_raw(requester);
+        Some((from, reply))
     }
 
-    /// Keeps a consumed message buffer for the next outgoing message.
-    fn recycle(&mut self, mut entries: Vec<NodeId>) {
-        if entries.capacity() > self.spare.capacity() {
-            entries.clear();
-            self.spare = entries;
-        }
-    }
-
-    fn subset_excluding_into(&mut self, rng: &mut Rng, excluded: NodeId, out: &mut Vec<NodeId>) {
+    /// Up to `shuffle_size` distinct peers other than `excluded`, as a
+    /// message of the given kind.
+    fn subset_excluding(&self, rng: &mut Rng, excluded: u32, reply: bool) -> ShuffleMsg {
         // Sample over a *virtual* filtered sequence instead of
         // materializing it: index `i` of peers-minus-excluded maps back
         // to `peers` by skipping the excluded position. Same RNG draws
-        // and same result as filtering first; the index scratch and the
-        // output buffer are both reused, so the shuffle path performs no
-        // allocation once the buffers have grown to shuffle size.
-        out.clear();
-        let pos = self.peers.iter().position(|&p| p == excluded);
-        let n = self.peers.len() - usize::from(pos.is_some());
-        if n == 0 {
-            return;
+        // and same result as filtering first.
+        let mut out = ShuffleMsg::empty(reply);
+        let live = self.live();
+        let pos = live.iter().position(|&p| p == excluded);
+        let n = live.len() - usize::from(pos.is_some());
+        let k = (self.shuffle_size as usize).min(n);
+        let mut idx = [0u32; MAX_SHUFFLE];
+        for &i in sample::distinct_indices_array(rng, n, k, &mut idx) {
+            let i = i as usize;
+            out.push(live[i + usize::from(pos.is_some_and(|p| i >= p))]);
         }
-        let k = self.config.shuffle_size.min(n);
-        sample::distinct_indices_into(rng, n, k, &mut self.idx_scratch);
-        out.extend(self.idx_scratch.iter().map(|&i| {
-            let i = match pos {
-                Some(p) if i >= p => i + 1,
-                _ => i,
-            };
-            self.peers[i]
-        }));
+        out
     }
 
-    fn merge(&mut self, entries: &[NodeId]) {
+    fn merge(&mut self, entries: &[u32]) {
         for &p in entries {
-            self.insert(p);
+            self.insert_raw(p);
         }
-        debug_assert!(self.peers.len() <= self.config.capacity);
-        debug_assert!(!self.peers.contains(&self.owner));
+        debug_assert!(self.len <= self.capacity);
+        debug_assert!(!self.live().contains(&self.owner));
     }
 }
 
@@ -304,24 +340,20 @@ impl PartialView {
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`.
+/// Panics if `n == 0`, `n` does not fit `u32`, or the configuration is out
+/// of bounds (see [`ViewConfig::validate`]).
 pub fn bootstrap_views(n: usize, config: &ViewConfig, rng: &mut Rng) -> Vec<PartialView> {
     assert!(n > 0, "need at least one node");
-    let mut idx_scratch = Vec::new();
+    config.validate();
+    let k = config.capacity.min(n - 1);
+    let mut idx = [0u32; MAX_VIEW];
     (0..n)
         .map(|i| {
             let mut view = PartialView::new(NodeId(i), *config);
-            let k = config.capacity.min(n.saturating_sub(1));
             // Sample k distinct peers from 0..n-1 excluding i by index
-            // remapping: indices >= i shift up by one. One shared index
-            // buffer serves all n draws (same index sequence as the
-            // allocating variant).
-            if k > 0 {
-                sample::distinct_indices_into(rng, n - 1, k, &mut idx_scratch);
-                for &idx in &idx_scratch {
-                    let peer = if idx >= i { idx + 1 } else { idx };
-                    view.insert(NodeId(peer));
-                }
+            // remapping: indices >= i shift up by one.
+            for &pick in sample::distinct_indices_array(rng, n - 1, k, &mut idx) {
+                view.insert_raw(pick + u32::from(pick as usize >= i));
             }
             view
         })
@@ -330,8 +362,8 @@ pub fn bootstrap_views(n: usize, config: &ViewConfig, rng: &mut Rng) -> Vec<Part
 
 #[cfg(test)]
 mod tests {
-    use super::{bootstrap_views, PartialView, ViewConfig};
-    use crate::shuffle::ShuffleMsg;
+    use super::{bootstrap_views, PartialView, ViewConfig, MAX_VIEW};
+    use crate::shuffle::{ShuffleMsg, MAX_SHUFFLE};
     use egm_rng::Rng;
     use egm_simnet::NodeId;
     use std::collections::HashSet;
@@ -384,7 +416,7 @@ mod tests {
             assert_eq!(s.len(), 4);
             let set: HashSet<_> = s.iter().collect();
             assert_eq!(set.len(), 4);
-            assert!(!s.contains(&NodeId(0)));
+            assert!(!set.contains(&NodeId(0)));
         }
         // Sampling more than view size returns the whole view.
         assert_eq!(v.sample(&mut rng, 50).len(), 10);
@@ -399,7 +431,7 @@ mod tests {
         }
         let mut counts = [0usize; 11];
         for _ in 0..10_000 {
-            for p in v.sample(&mut rng, 1) {
+            for p in v.sample(&mut rng, 1).iter() {
                 counts[p.index()] += 1;
             }
         }
@@ -429,7 +461,7 @@ mod tests {
         for v in [&a, &b] {
             assert!(v.len() <= 5);
             assert!(!v.contains(v.owner()));
-            let set: HashSet<_> = v.peers().iter().collect();
+            let set: HashSet<_> = v.peers().collect();
             assert_eq!(set.len(), v.len(), "no duplicates");
         }
         // b learned about a through the request's self-entry.
@@ -463,9 +495,9 @@ mod tests {
         for (i, v) in views.iter().enumerate() {
             assert_eq!(v.len(), 15);
             assert!(!v.contains(NodeId(i)));
-            let set: HashSet<_> = v.peers().iter().collect();
+            let set: HashSet<_> = v.peers().collect();
             assert_eq!(set.len(), 15);
-            assert!(v.peers().iter().all(|p| p.index() < 30));
+            assert!(v.peers().all(|p| p.index() < 30));
         }
     }
 
@@ -486,16 +518,230 @@ mod tests {
         b.insert(NodeId(0));
         b.insert(NodeId(2));
         let (_, reply) = b
-            .handle_shuffle(&mut rng, NodeId(0), ShuffleMsg::Request { entries: vec![] })
+            .handle_shuffle(&mut rng, NodeId(0), ShuffleMsg::request(&[]))
             .expect("reply");
-        match reply {
-            ShuffleMsg::Reply { entries } => {
-                assert!(
-                    !entries.contains(&NodeId(0)),
-                    "reply leaks requester id back"
+        assert!(reply.is_reply(), "expected reply");
+        assert!(
+            !reply.entries().any(|p| p == NodeId(0)),
+            "reply leaks requester id back"
+        );
+    }
+
+    #[test]
+    fn view_is_a_small_header_and_the_inline_table() {
+        // No `Vec` can creep back in: three of them alone are 72 bytes.
+        assert!(
+            std::mem::size_of::<PartialView>() <= 16 + 4 * MAX_VIEW,
+            "PartialView grew to {} bytes",
+            std::mem::size_of::<PartialView>()
+        );
+    }
+
+    #[test]
+    fn equality_ignores_the_stale_tail() {
+        let mut a = PartialView::new(NodeId(0), cfg(4, 2));
+        let mut b = a.clone();
+        a.insert(NodeId(1));
+        a.insert(NodeId(2));
+        a.remove(NodeId(2)); // leaves 2 behind in the unused slot
+        b.insert(NodeId(1));
+        assert_eq!(a, b);
+        b.insert(NodeId(3));
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=MAX_VIEW (32)")]
+    fn zero_capacity_rejected() {
+        let _ = PartialView::new(NodeId(0), cfg(0, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=MAX_VIEW (32)")]
+    fn capacity_above_max_view_rejected() {
+        let mut rng = Rng::seed_from_u64(1);
+        let _ = bootstrap_views(4, &cfg(MAX_VIEW + 1, 3), &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=MAX_SHUFFLE (8)")]
+    fn zero_shuffle_size_rejected() {
+        cfg(15, 0).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=MAX_SHUFFLE (8)")]
+    fn shuffle_size_above_max_shuffle_rejected() {
+        let _ = PartialView::new(NodeId(0), cfg(15, MAX_SHUFFLE + 1));
+    }
+}
+
+/// The inline view against the `Vec`-based one it replaced: any sequence
+/// of operations leaves both with the same peers, emits the same entries
+/// and wire sizes, and consumes the same RNG stream.
+#[cfg(test)]
+mod reference_equivalence {
+    use super::{PartialView, ViewConfig, MAX_VIEW};
+    use crate::reference;
+    use crate::shuffle::{ShuffleMsg, MAX_SHUFFLE};
+    use egm_rng::Rng;
+    use egm_simnet::NodeId;
+    use proptest::prelude::*;
+
+    type Emitted = Option<(NodeId, ShuffleMsg)>;
+    type RefEmitted = Option<(NodeId, reference::ShuffleMsg)>;
+
+    fn same_view(new: &PartialView, old: &reference::PartialView) -> Result<(), TestCaseError> {
+        prop_assert!(
+            new.peers().eq(old.peers().iter().copied()),
+            "peers differ: {:?} vs {:?}",
+            new.peers().collect::<Vec<_>>(),
+            old.peers()
+        );
+        prop_assert_eq!(new.len(), old.len());
+        prop_assert_eq!(new.is_empty(), old.is_empty());
+        for probe in [new.owner(), NodeId(3)] {
+            prop_assert_eq!(new.contains(probe), old.contains(probe));
+        }
+        prop_assert_eq!(new.is_static(), old.is_static());
+        prop_assert_eq!(new.owner(), old.owner());
+        Ok(())
+    }
+
+    fn same_emitted(new: &Emitted, old: &RefEmitted) -> Result<(), TestCaseError> {
+        match (new, old) {
+            (None, None) => Ok(()),
+            (Some((to, msg)), Some((old_to, old_msg))) => {
+                prop_assert_eq!(to, old_to);
+                let (old_reply, old_entries) = match old_msg {
+                    reference::ShuffleMsg::Request { entries } => (false, entries),
+                    reference::ShuffleMsg::Reply { entries } => (true, entries),
+                };
+                prop_assert_eq!(msg.is_reply(), old_reply);
+                prop_assert!(
+                    msg.entries().eq(old_entries.iter().copied()),
+                    "entries differ: {msg:?} vs {old_entries:?}"
                 );
+                prop_assert_eq!(msg.entry_count(), old_msg.entry_count());
+                prop_assert_eq!(msg.wire_bytes(), old_msg.wire_bytes());
+                Ok(())
             }
-            _ => panic!("expected reply"),
+            _ => Err(TestCaseError::fail(format!(
+                "one side emitted, the other did not: {new:?} vs {old:?}"
+            ))),
+        }
+    }
+
+    fn to_reference(msg: &ShuffleMsg) -> reference::ShuffleMsg {
+        let entries = msg.entries().collect();
+        if msg.is_reply() {
+            reference::ShuffleMsg::Reply { entries }
+        } else {
+            reference::ShuffleMsg::Request { entries }
+        }
+    }
+
+    proptest! {
+        /// One view under a random operation sequence. Incoming messages
+        /// carry arbitrary ids — the owner, the sender, duplicates and
+        /// peers already held included.
+        #[test]
+        fn random_operations_match_the_vec_view(
+            seed in 0u64..1_000_000,
+            capacity in 1usize..MAX_VIEW + 1,
+            shuffle_size in 1usize..MAX_SHUFFLE + 1,
+            ops in proptest::collection::vec((0u32..8, 0usize..48, 0u64..1_000_000), 1..120),
+        ) {
+            let config = ViewConfig { capacity, shuffle_size };
+            let owner = NodeId(7);
+            let mut new = PartialView::new(owner, config);
+            let mut old = reference::PartialView::new(owner, config);
+            let (mut rng, mut old_rng) = (Rng::seed_from_u64(seed), Rng::seed_from_u64(seed));
+            for (kind, id, draw) in ops {
+                let peer = NodeId(id);
+                match kind {
+                    0 | 1 => prop_assert_eq!(new.insert(peer), old.insert(peer)),
+                    2 => prop_assert_eq!(new.remove(peer), old.remove(peer)),
+                    3 => {
+                        // Both of the old entry points: the allocating
+                        // one and the scratch-buffer one gossip used.
+                        let f = id % (MAX_VIEW + 2);
+                        let sample = new.sample(&mut rng, f);
+                        let old_sample = old.sample(&mut old_rng, f);
+                        prop_assert!(sample.iter().eq(old_sample.iter().copied()));
+                        prop_assert_eq!(sample.len(), old_sample.len());
+                        let sample = new.sample(&mut rng, f);
+                        let (mut idx, mut old_sample) = (Vec::new(), vec![NodeId(0)]);
+                        old.sample_into(&mut old_rng, f, &mut idx, &mut old_sample);
+                        prop_assert!(sample.iter().eq(old_sample.iter().copied()));
+                        prop_assert_eq!(sample.is_empty(), old_sample.is_empty());
+                        prop_assert_eq!(new.sample_one(&mut rng), old.sample_one(&mut old_rng));
+                    }
+                    4 => same_emitted(
+                        &new.start_shuffle(&mut rng),
+                        &old.start_shuffle(&mut old_rng),
+                    )?,
+                    5 | 6 => {
+                        let mut entry_rng = Rng::seed_from_u64(draw);
+                        let entries: Vec<NodeId> = (0..entry_rng.range_usize(0, MAX_SHUFFLE + 1))
+                            .map(|_| NodeId(entry_rng.range_usize(0, 48)))
+                            .collect();
+                        let msg = if kind == 5 {
+                            ShuffleMsg::request(&entries)
+                        } else {
+                            ShuffleMsg::reply(&entries)
+                        };
+                        same_emitted(
+                            &new.handle_shuffle(&mut rng, peer, msg),
+                            &old.handle_shuffle(&mut old_rng, peer, to_reference(&msg)),
+                        )?;
+                    }
+                    _ => {
+                        new.set_static(draw % 2 == 0);
+                        old.set_static(draw % 2 == 0);
+                    }
+                }
+                same_view(&new, &old)?;
+                prop_assert!(rng == old_rng, "RNG streams diverged after op {kind}");
+            }
+        }
+
+        /// A whole overlay shuffling in lockstep: every message either
+        /// side emits is fed to its partner, as the simulator and the
+        /// ranking chain do.
+        #[test]
+        fn shuffling_overlays_stay_in_lockstep(
+            seed in 0u64..1_000_000,
+            n in 2usize..40,
+            capacity in 1usize..MAX_VIEW + 1,
+            shuffle_size in 1usize..MAX_SHUFFLE + 1,
+            exchanges in 1usize..200,
+        ) {
+            let config = ViewConfig { capacity, shuffle_size };
+            let (mut rng, mut old_rng) = (Rng::seed_from_u64(seed), Rng::seed_from_u64(seed));
+            let mut new = super::bootstrap_views(n, &config, &mut rng);
+            let mut old = reference::bootstrap_views(n, &config, &mut old_rng);
+            for _ in 0..exchanges {
+                let i = rng.range_usize(0, n);
+                prop_assert_eq!(old_rng.range_usize(0, n), i);
+                let started = new[i].start_shuffle(&mut rng);
+                let old_started = old[i].start_shuffle(&mut old_rng);
+                same_emitted(&started, &old_started)?;
+                if let (Some((partner, request)), Some((_, old_request))) = (started, old_started) {
+                    let j = partner.index();
+                    let reply = new[j].handle_shuffle(&mut rng, NodeId(i), request);
+                    let old_reply = old[j].handle_shuffle(&mut old_rng, NodeId(i), old_request);
+                    same_emitted(&reply, &old_reply)?;
+                    if let (Some((_, reply)), Some((_, old_reply))) = (reply, old_reply) {
+                        prop_assert!(new[i].handle_shuffle(&mut rng, partner, reply).is_none());
+                        prop_assert!(old[i].handle_shuffle(&mut old_rng, partner, old_reply).is_none());
+                    }
+                }
+                prop_assert!(rng == old_rng, "RNG streams diverged");
+            }
+            for (view, old_view) in new.iter().zip(&old) {
+                same_view(view, old_view)?;
+            }
         }
     }
 }

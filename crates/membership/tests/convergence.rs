@@ -35,9 +35,9 @@ fn long_shuffling_preserves_invariants() {
     for (i, v) in views.iter().enumerate() {
         assert!(v.len() <= 8);
         assert!(!v.contains(NodeId(i)), "node {i} contains itself");
-        let set: HashSet<_> = v.peers().iter().collect();
+        let set: HashSet<_> = v.peers().collect();
         assert_eq!(set.len(), v.len(), "duplicates at node {i}");
-        assert!(v.peers().iter().all(|p| p.index() < 40));
+        assert!(v.peers().all(|p| p.index() < 40));
     }
 }
 
@@ -49,14 +49,14 @@ fn shuffling_changes_views_over_time() {
         shuffle_size: 4,
     };
     let initial = bootstrap_views(30, &config, &mut rng);
-    let snapshot: Vec<Vec<NodeId>> = initial.iter().map(|v| v.peers().to_vec()).collect();
+    let snapshot: Vec<Vec<NodeId>> = initial.iter().map(|v| v.peers().collect()).collect();
     let evolved = shuffle_rounds(initial, 2000, &mut rng);
     let changed = evolved
         .iter()
         .zip(&snapshot)
         .filter(|(v, old)| {
-            let now: HashSet<_> = v.peers().iter().collect();
-            let before: HashSet<_> = old.iter().collect();
+            let now: HashSet<_> = v.peers().collect();
+            let before: HashSet<_> = old.iter().copied().collect();
             now != before
         })
         .count();
@@ -110,7 +110,7 @@ fn coverage_spreads_through_shuffles() {
         shuffle_size: 3,
     };
     let mut views = bootstrap_views(40, &config, &mut rng);
-    let mut met: HashSet<NodeId> = views[0].peers().iter().copied().collect();
+    let mut met: HashSet<NodeId> = views[0].peers().collect();
     for _ in 0..3000 {
         let initiator = rng.range_usize(0, 40);
         let Some((partner, request)) = views[initiator].start_shuffle(&mut rng) else {
@@ -120,7 +120,7 @@ fn coverage_spreads_through_shuffles() {
         if let Some((back, msg)) = reply {
             views[back.index()].handle_shuffle(&mut rng, partner, msg);
         }
-        met.extend(views[0].peers().iter().copied());
+        met.extend(views[0].peers());
     }
     assert!(
         met.len() > 25,

@@ -111,47 +111,65 @@ pub mod sample {
     /// `n`. The result is in insertion order (not sorted, not uniform over
     /// permutations — uniform over *sets*).
     ///
+    /// Up to 64 picks the membership test scans the picks so far; larger
+    /// draws use an `n`-bit bitmap, so the cost is O(k + n/64) instead of
+    /// O(k²). Both make the same draws and the same picks.
+    ///
     /// # Panics
     ///
     /// Panics if `k > n`.
     pub fn distinct_indices(rng: &mut Rng, n: usize, k: usize) -> Vec<usize> {
+        assert!(k <= n, "cannot sample {k} distinct indices from 0..{n}");
         let mut chosen: Vec<usize> = Vec::with_capacity(k);
-        distinct_indices_into(rng, n, k, &mut chosen);
+        if k <= SCAN_MAX_K {
+            floyd_scan(rng, n, k, &mut chosen);
+        } else {
+            floyd_bitmap(rng, n, k, &mut chosen);
+        }
         chosen
     }
 
     /// Largest `k` served by the linear `contains` scan; above it
-    /// [`distinct_indices_into`] tracks chosen indices in a bitmap.
+    /// [`distinct_indices`] tracks chosen indices in a bitmap.
     ///
-    /// At the per-event call sites (gossip targets, shuffle subsets:
-    /// `k ≤ 15`) the scan is a handful of compares over one cache line and
-    /// allocates nothing. Its O(k²) membership test only hurts bulk draws —
-    /// client placement draws `k = n = 100 000` — where one `n`-bit
-    /// allocation is noise.
+    /// The scan's O(k²) membership test only hurts bulk draws — client
+    /// placement draws `k = n = 100 000` — where one `n`-bit allocation
+    /// is noise. The per-event call sites (gossip targets, shuffle
+    /// subsets: `k ≤ 32`) use [`distinct_indices_array`] instead.
     pub(crate) const SCAN_MAX_K: usize = 64;
 
-    /// [`distinct_indices`] into a caller-owned buffer (cleared first).
+    /// [`distinct_indices`] into a caller-owned stack array: the first
+    /// `k` slots of `buf` receive the picks, which are also returned as a
+    /// slice.
     ///
-    /// Draws exactly the same index sequence as `distinct_indices` for
-    /// the same RNG state, but lets hot paths (gossip target sampling,
-    /// shuffle subsets) reuse one scratch vector instead of allocating
-    /// per call.
-    ///
-    /// Up to 64 picks the membership test scans `out` (allocation-free);
-    /// larger draws use an `n`-bit bitmap, so the cost is O(k + n/64)
-    /// instead of O(k²). Both make the same draws and the same picks.
+    /// Makes exactly the draws and the picks of `distinct_indices` for
+    /// the same RNG state (Floyd with the scan membership test), but
+    /// touches no heap: this is what a node runs on every gossip forward
+    /// and every shuffle, where `k` is bounded by a compile-time view or
+    /// message size.
     ///
     /// # Panics
     ///
-    /// Panics if `k > n`.
-    pub fn distinct_indices_into(rng: &mut Rng, n: usize, k: usize, out: &mut Vec<usize>) {
+    /// Panics if `k > n`, `k > CAP`, or `n` exceeds `u32::MAX`.
+    #[inline]
+    pub fn distinct_indices_array<'a, const CAP: usize>(
+        rng: &mut Rng,
+        n: usize,
+        k: usize,
+        buf: &'a mut [u32; CAP],
+    ) -> &'a [u32] {
         assert!(k <= n, "cannot sample {k} distinct indices from 0..{n}");
-        out.clear();
-        if k <= SCAN_MAX_K {
-            floyd_scan(rng, n, k, out);
-        } else {
-            floyd_bitmap(rng, n, k, out);
+        assert!(k <= CAP, "{k} picks do not fit a {CAP}-slot array");
+        assert!(n <= u32::MAX as usize, "indices must fit u32");
+        for (filled, j) in ((n - k)..n).enumerate() {
+            let t = rng.range_usize(0, j + 1) as u32;
+            buf[filled] = if buf[..filled].contains(&t) {
+                j as u32
+            } else {
+                t
+            };
         }
+        &buf[..k]
     }
 
     /// Floyd's algorithm, membership by scanning the picks so far.
@@ -261,11 +279,13 @@ mod tests {
 
 #[cfg(test)]
 mod sample_equivalence {
-    use super::sample::{distinct_indices, floyd_bitmap, floyd_scan, SCAN_MAX_K};
+    use super::sample::{
+        distinct_indices, distinct_indices_array, floyd_bitmap, floyd_scan, SCAN_MAX_K,
+    };
     use super::Rng;
     use proptest::prelude::*;
 
-    /// Both membership tests on one RNG state: same picks, same state after.
+    /// Every membership test on one RNG state: same picks, same state after.
     fn assert_paths_agree(seed: u64, n: usize, k: usize) -> Result<(), TestCaseError> {
         let (mut scan_rng, mut bitmap_rng) = (Rng::seed_from_u64(seed), Rng::seed_from_u64(seed));
         let (mut scan, mut bitmap) = (Vec::new(), Vec::new());
@@ -275,8 +295,21 @@ mod sample_equivalence {
         prop_assert!(scan_rng == bitmap_rng, "RNG state differs at n={n} k={k}");
         // The public entry point is one of the two, whichever `k` selects.
         let mut rng = Rng::seed_from_u64(seed);
-        prop_assert_eq!(distinct_indices(&mut rng, n, k), scan);
-        prop_assert_eq!(rng, scan_rng);
+        prop_assert!(distinct_indices(&mut rng, n, k) == scan);
+        prop_assert!(rng == scan_rng);
+        // The stack-array Floyd of the per-event paths, started on a dirty
+        // buffer: stale slots beyond the picks so far must not be "seen".
+        if k <= SCAN_MAX_K {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut buf = [u32::MAX; SCAN_MAX_K];
+            if let Some(&first) = scan.first() {
+                buf.fill(first as u32);
+            }
+            let picks = distinct_indices_array(&mut rng, n, k, &mut buf);
+            let picks: Vec<usize> = picks.iter().map(|&i| i as usize).collect();
+            prop_assert!(picks == scan, "array picks differ at n={n} k={k}");
+            prop_assert!(rng == scan_rng, "array RNG state differs at n={n} k={k}");
+        }
         Ok(())
     }
 
@@ -309,6 +342,13 @@ mod sample_equivalence {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit a 4-slot array")]
+    fn array_draw_rejects_more_picks_than_slots() {
+        let mut rng = Rng::seed_from_u64(1);
+        let _ = distinct_indices_array(&mut rng, 10, 5, &mut [0u32; 4]);
     }
 
     /// Client placement at the 100k preset draws `k = n`; with the

@@ -6,6 +6,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::NodeId;
 use egm_rng::Rng;
 use egm_topology::{PlanBalance, RoutedModel};
+use std::sync::Arc;
 
 /// Configuration of the virtual network between `n` protocol nodes.
 ///
@@ -67,8 +68,9 @@ pub struct SimConfig {
 enum DelaySource {
     /// Constant one-way delay between every pair.
     Uniform { n: usize, ms: f64 },
-    /// Latencies from a routed topology model.
-    Model(RoutedModel),
+    /// Latencies from a routed topology model, shared: cloning the
+    /// configuration (once per shard) never copies the model's tables.
+    Model(Arc<RoutedModel>),
 }
 
 impl SimConfig {
@@ -96,10 +98,12 @@ impl SimConfig {
     }
 
     /// A network whose delays come from a routed topology model — the
-    /// standard configuration for reproducing the paper.
-    pub fn from_model(model: RoutedModel) -> Self {
+    /// standard configuration for reproducing the paper. Takes the model
+    /// by value or as an `Arc` a caller already shares; either way every
+    /// clone of the configuration reads the same one.
+    pub fn from_model(model: impl Into<Arc<RoutedModel>>) -> Self {
         SimConfig {
-            delay: DelaySource::Model(model),
+            delay: DelaySource::Model(model.into()),
             loss: 0.0,
             jitter: 0.0,
             min_delay: SimDuration::from_micros(10),
@@ -536,6 +540,19 @@ mod tests {
     use crate::{NodeId, SimDuration};
     use egm_rng::Rng;
     use egm_topology::RoutedModel;
+
+    #[test]
+    fn cloned_configs_share_one_model() {
+        let model = std::sync::Arc::new(RoutedModel::uniform_synthetic(4, 10.0, 20.0, 1));
+        let config = SimConfig::from_model(std::sync::Arc::clone(&model));
+        let per_shard = [config.clone(), config.clone()];
+        assert_eq!(
+            std::sync::Arc::strong_count(&model),
+            4,
+            "a config clone must not deep-copy the routed model"
+        );
+        assert_eq!(per_shard[1].node_count(), 4);
+    }
 
     #[test]
     fn explicit_shard_counts_resolve_with_zero_and_one_meaning_one_shard() {

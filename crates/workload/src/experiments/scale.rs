@@ -46,14 +46,15 @@
 //! measures throughput and peak RSS on these presets and records them in
 //! `BENCH_events_per_sec.json`.
 //!
-//! # Memory budget (measured on the 2026-07 calendar-queue/arena
-//! refactor, release build, 30 messages, Ranked best=20 %)
+//! # Memory budget (measured with the inline per-node views and shuffle
+//! messages, release build, sequential engine, 30 messages, Ranked
+//! best=20 %; the `Vec`-based layout before them read 37 / 124 / 281 MB)
 //!
 //! | preset | nodes     | routed model | peak process RSS |
 //! |--------|-----------|--------------|------------------|
-//! | 1k     | 1 000     | ~0.3 MB      | ~37 MB  |
-//! | 4k     | 4 000     | ~0.5 MB      | ~127 MB |
-//! | 10k    | 10 000    | ~1 MB        | ~292 MB |
+//! | 1k     | 1 000     | ~0.3 MB      | ~35 MB  |
+//! | 4k     | 4 000     | ~0.5 MB      | ~117 MB |
+//! | 10k    | 10 000    | ~1 MB        | ~265 MB |
 //! | 100k   | 100 000   | ~10 MB       | see [`ScalePreset::rss_budget_mb`] |
 //! | 1m     | 1 000 000 | ~100 MB      | see [`ScalePreset::rss_budget_mb`] |
 //!

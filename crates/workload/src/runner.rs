@@ -459,7 +459,7 @@ fn run_with_setup_observed(
         })
         .collect();
 
-    let mut sim_config = SimConfig::from_model((*model).clone())
+    let mut sim_config = SimConfig::from_model(Arc::clone(&model))
         .with_loss(scenario.loss)
         .with_jitter(scenario.jitter);
     if let Some(bw) = scenario.egress_bandwidth {

@@ -81,7 +81,7 @@ proptest! {
         let mut rng = Rng::seed_from_u64(seed);
         let views = bootstrap_views(n, &ViewConfig { capacity, shuffle_size: 3 }, &mut rng);
         for (i, view) in views.iter().enumerate() {
-            let sample = view.sample(&mut rng, f);
+            let sample: Vec<NodeId> = view.sample(&mut rng, f).iter().collect();
             prop_assert!(sample.len() <= f);
             prop_assert!(!sample.contains(&NodeId(i)));
             let mut dedup = sample.clone();
@@ -132,7 +132,7 @@ proptest! {
         events in proptest::collection::vec((0u128..20, 0u32..8), 1..100),
     ) {
         let config = ProtocolConfig::default().with_fanout(4).with_rounds(5);
-        let mut gossip = GossipLayer::new(&config);
+        let gossip = GossipLayer::new(&config);
         let mut arena = MsgArena::new(config.known_capacity, config.cache_capacity, false);
         let mut rng = Rng::seed_from_u64(seed);
         let mut view = PartialView::new(NodeId(0), ViewConfig { capacity: 8, shuffle_size: 3 });
@@ -147,12 +147,10 @@ proptest! {
                 gossip.on_l_receive(&mut rng, &view, &mut arena, slot, id, Payload { seq: 0, bytes: 1 }, round);
             if let Some(step) = step {
                 prop_assert!(delivered.insert(id), "duplicate delivery of {id}");
-                prop_assert!(step.sends.len() <= 4);
-                for s in &step.sends {
-                    prop_assert_eq!(s.round, round + 1);
-                }
+                prop_assert!(step.targets.len() <= 4);
+                prop_assert_eq!(step.relay_round(), round + 1);
                 if round >= 5 {
-                    prop_assert!(step.sends.is_empty());
+                    prop_assert!(step.targets.is_empty());
                 }
             } else {
                 prop_assert!(delivered.contains(&id));
