@@ -1,14 +1,23 @@
 //! Multi-shard event-loop throughput bench: events/s vs shard count and
-//! partition strategy on the scale presets.
+//! partition on the scale presets.
 //!
 //! Runs one scale preset on one shard (the sequential reference) and
-//! then through every [`PartitionStrategy`] at each wider width,
-//! asserting byte-identical results for every (width, strategy) pair —
-//! the determinism bar. Per-run wall clock, events/s, window counts, lane
-//! traffic (events, batched flushes, skipped exchanges), configured and
-//! realized lookahead and the per-shard event balance are recorded in
-//! the `shard_events_per_sec_<preset>` bin of
-//! `BENCH_events_per_sec.json` (schema in `egm_bench`'s crate docs).
+//! then, at each wider width, under the contiguous partition and under
+//! the planned (domain-aligned) cut, asserting byte-identical results
+//! for every (width, partition) pair — the determinism bar. The planner
+//! yields one cut under both of its strategy names (`domain-aligned`,
+//! `rate-balanced`: their weights differ by a constant); the bench
+//! asserts that equality on the preset's model and times the cut once.
+//! Per-run wall clock, events/s, window counts, lane traffic (events,
+//! batched flushes, skipped exchanges), configured and realized
+//! lookahead and the per-shard event balance are recorded in the
+//! `shard_events_per_sec_<preset>` bin of `BENCH_events_per_sec.json`
+//! (schema in `egm_bench`'s crate docs).
+//!
+//! Two gates need no knob, because they compare counts that repeat
+//! exactly: the planned cut at W = 2 must split the events within
+//! 1.10 × of the mean per shard, and every pair must reproduce the
+//! one-shard run.
 //!
 //! ```sh
 //! EGM_SCALE_PRESET=10k cargo run --release -p egm_bench --bin shard_events_per_sec
@@ -20,15 +29,14 @@
 //! * `EGM_SCALE_MESSAGES` — multicasts per run (default 30).
 //! * `EGM_BENCH_OUT` — output path (default `BENCH_events_per_sec.json`).
 //! * `EGM_SHARD_WIDTHS` — comma-separated widths (default `2,4`).
-//! * `EGM_SHARD_MAX_WINDOWS` — when set, assert that every run whose
-//!   *effective* strategy is domain-aligned (or rate-balanced) executes
-//!   at most this many windows — the topology-aware partitioning win,
-//!   gated.
+//! * `EGM_SHARD_MAX_WINDOWS` — when set, assert that every run under the
+//!   planned cut executes at most this many windows — the
+//!   topology-aware partitioning win, gated.
 //! * `EGM_SCALE_RSS_BUDGET_MB` — when set, assert peak RSS stays under
 //!   this budget across all widths.
 
 use egm_bench::{env_usize, record};
-use egm_simnet::PartitionStrategy;
+use egm_simnet::{PartitionStrategy, SimConfig};
 use egm_workload::experiments::scale::ScalePreset;
 use egm_workload::runner::{prepare, run_prepared, RunOutcome};
 use std::fmt::Write as _;
@@ -99,14 +107,26 @@ fn main() {
     let seq_eps = events as f64 / seq_best * 1000.0;
     println!("sequential: {seq_best:.1} ms wall ({seq_eps:.0} events/sec)");
 
+    // The planner's view of the run, as the runner configures it.
+    let planner = SimConfig::from_model((*model).clone())
+        .with_rate_hint(base.protocol.fanout, base.protocol.view.capacity);
     let mut width_fields = String::new();
     for &w in &widths {
-        // Every width A/Bs every partition strategy over the same
-        // prepared setup.
+        let planned = planner.planned_assignment(w, false);
+        assert!(
+            planned.is_some(),
+            "the {nodes}-node preset must plan at W={w}"
+        );
+        assert_eq!(
+            planned,
+            planner.planned_assignment(w, true),
+            "W={w}: domain-aligned and rate-balanced must be one cut"
+        );
+        // Every width A/Bs the structure-free and the planned partition
+        // over the same prepared setup.
         for strategy in [
             PartitionStrategy::Contiguous,
             PartitionStrategy::DomainAligned,
-            PartitionStrategy::RateBalanced,
         ] {
             let scenario = base
                 .clone()
@@ -145,12 +165,22 @@ fn main() {
                 la = stats.lookahead_us,
                 rla = stats.realized_lookahead_us,
             );
-            if stats.strategy != PartitionStrategy::Contiguous {
+            if strategy != PartitionStrategy::Contiguous {
+                assert_eq!(stats.strategy, strategy, "{tag}: the planner fell back");
                 if let Some(max) = max_windows {
                     assert!(
                         stats.windows <= max,
                         "{tag} ran {} windows, exceeding the EGM_SHARD_MAX_WINDOWS budget of {max}",
                         stats.windows
+                    );
+                }
+                // Event counts repeat exactly, so this cannot flake: two
+                // shards under the planned cut share the work evenly.
+                if w == 2 {
+                    let heaviest = *stats.per_shard_events.iter().max().expect("two shards");
+                    assert!(
+                        heaviest as f64 * 2.0 <= 1.10 * events as f64,
+                        "{tag} split the events {balance}: heaviest shard over 1.10 x mean"
                     );
                 }
             }

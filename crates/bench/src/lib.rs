@@ -87,23 +87,28 @@
 //!   require ≥ 0.8).
 //! * `shard_events_per_sec_<preset>` — the multi-shard event-loop A/B
 //!   (`cargo run --release -p egm_bench --bin shard_events_per_sec`):
-//!   the preset once on one shard (`seq` sub-object) and then once per
-//!   (width, partition strategy) pair at every width from
-//!   `EGM_SHARD_WIDTHS` — `w2_contiguous` / `w2_domain_aligned` /
-//!   `w2_rate_balanced` / `w4_…` sub-objects. Each records the
-//!   *effective* `strategy` (a planned strategy falls back to
-//!   contiguous on structureless topologies), `best_wall_ms`,
-//!   `events_per_sec`, `speedup_vs_seq`, and the window-loop counters:
-//!   `windows`, `lane_events`, the batched `lane_flushes`, the
+//!   the preset once on one shard (`seq` sub-object) and then, at every
+//!   width from `EGM_SHARD_WIDTHS`, once under the contiguous partition
+//!   and once under the planned cut — `w2_contiguous` /
+//!   `w2_domain_aligned` / `w4_…` sub-objects. (Records written before
+//!   2026-10 also carry `w<W>_rate_balanced` rows — the same cut timed
+//!   a second time; the bench now asserts that both planner names yield
+//!   one assignment and times it once.) Each records the *effective*
+//!   `strategy` (a planned strategy falls back to contiguous on
+//!   structureless topologies), `best_wall_ms`, `events_per_sec`,
+//!   `speedup_vs_seq`, and the window-loop counters: `windows`,
+//!   `lane_events`, the batched `lane_flushes`, the
 //!   `exchanges_skipped` by the adaptive barrier, the configured
 //!   `lookahead_us`, the `realized_lookahead_us` actually advanced per
 //!   window, and the `per_shard_events` balance. The bench *asserts*
 //!   byte-identical results for every pair (report, delivery log, link
 //!   tables, event count) — the determinism record behind parallelizing
-//!   one run. `EGM_SHARD_MAX_WINDOWS` caps the window count of every
-//!   domain-aligned/rate-balanced run — the gated
-//!   record that topology-aware cuts keep the conservative windows an
-//!   order of magnitude coarser than contiguous ones.
+//!   one run — and, always on because it compares exact counts, that
+//!   the planned cut at W = 2 keeps the heaviest shard within 1.10× of
+//!   the mean `per_shard_events`. `EGM_SHARD_MAX_WINDOWS` caps the
+//!   window count of every planned run — the gated record that
+//!   topology-aware cuts keep the conservative windows an order of
+//!   magnitude coarser than contiguous ones.
 //! * `sustained_events_per_sec_<preset>` — the heavy-traffic arrival
 //!   axis (`cargo run --release -p egm_bench --bin
 //!   sustained_events_per_sec`): one open-loop run per shard width

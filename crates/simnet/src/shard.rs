@@ -27,8 +27,9 @@
 //! `(time, origin, origin-seq)` key (see [`crate::sim`]), so the
 //! destination queue interleaves merged and local events exactly where
 //! one shard would have dispatched them. The outputs — delivery records,
-//! sealed [`Traffic`] (including the first-appearance spill order,
-//! reconstructed at merge time), scheduler counters, event counts — are
+//! sealed [`Traffic`] (including which links spill: the rule depends on
+//! the link alone, so shards cap locally and merge), scheduler counters,
+//! event counts — are
 //! **byte-identical to the one-shard run for every `W`**, which the
 //! `shard_equivalence` and `shard_determinism` suites assert on every
 //! PR.
@@ -44,20 +45,28 @@ use crate::stats::Traffic;
 use crate::time::{SimDuration, SimTime};
 use crate::wire::Wire;
 use crate::NodeId;
-use egm_rng::hash::FastHashMap;
 use egm_rng::Rng;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 
-/// Node count below which the size-based default is one shard: window
-/// bookkeeping has nothing to amortize on runs whose whole working set
-/// is cache-resident.
+/// Node count below which the size-based default is one shard: the
+/// smallest scale preset at which two shards beat one by ≥ 1.1× on two
+/// cores. Measured with this PR's engine (`shard_events_per_sec`, best
+/// of 5–10 warm runs, planning included, `available_parallelism` = 2):
+/// 1k 52–58 ms against 80–84 ms on one shard (1.38–1.53×), 4k 246–271
+/// against 437–460 ms (1.66–1.78×), 10k 732 against 1 202 ms (1.64×).
+/// Nothing smaller than the 1k preset has been measured, and a 1k
+/// window already holds only ~600 events, so the floor stays here.
 pub const SHARD_MIN_NODES: usize = 1000;
 
-/// Cap on the size-based default shard count: beyond ~8 shards the
-/// per-window barrier cost grows faster than the per-shard work shrinks
-/// at the scales this simulator targets.
-pub const MAX_AUTO_SHARDS: usize = 8;
+/// Cap on the size-based default shard count: the widest width measured
+/// as a win over the next narrower one. On two cores four shards read
+/// 0.74× of one shard at 1k, 1.40× at 4k and 1.49× at 10k — behind two
+/// shards everywhere (four workers on two cores park at every barrier,
+/// and the presets' ten transit domains split 3 / 3 / 3 / 1). Wider
+/// runs stay an explicit choice (`EGM_SHARDS`, `Scenario::with_shards`)
+/// until there is a measurement on ≥ 8 cores.
+pub const MAX_AUTO_SHARDS: usize = 2;
 
 /// The size-based default shard count: 1 below [`SHARD_MIN_NODES`] nodes,
 /// otherwise the machine's available parallelism capped at
@@ -280,6 +289,109 @@ impl Partition {
 /// threaded window driver.
 type Mailbox<M> = Mutex<Vec<Scheduled<EventKind<M>>>>;
 
+/// What a poisoned mailbox or barrier lock means. Work segments run
+/// under `catch_unwind` *outside* these locks, which only ever guard a
+/// `Vec` append/swap or a counter bump, so this is unreachable short of
+/// a failed allocation.
+const LOCK_POISONED: &str = "a window-driver lock is held only across infallible moves";
+
+/// How long a [`WindowBarrier`] waiter polls for the release before it
+/// parks, in [`std::hint::spin_loop`] iterations. Measured on this PR's
+/// two-core box (one iteration ≈ 20 ns), W = 2 on the 10k preset: a run
+/// makes 1 770 waits (590 windows × 3 phases) averaging ≈ 2 500
+/// iterations (50 µs — about what one futex sleep and wake-up costs on
+/// top); 62–67 % of them end within 2¹⁰ iterations, 81 % within 2¹²,
+/// 90–94 % within 2¹³ and 99.5 % within 2¹⁵. The budget is set where
+/// parking has become the exception, and caps what a waiter can burn on
+/// a peer that lost its core at ≈ 0.65 ms — half of one 10k window.
+const BARRIER_SPIN_ITERS: u32 = 1 << 15;
+
+/// The window driver's reusable barrier: the last of `parties` arrivers
+/// releases the others by bumping a generation counter. A waiter first
+/// polls that counter for up to `spin` iterations and only then parks on
+/// the condvar; `spin = 0` parks at once, which is what a machine with
+/// fewer cores than shards wants (a spinning waiter would be burning the
+/// time slice its peer needs to arrive).
+#[derive(Debug)]
+struct WindowBarrier {
+    parties: usize,
+    spin: u32,
+    arrived: AtomicUsize,
+    generation: AtomicU64,
+    /// Held by the releaser while it bumps `generation` and by a parking
+    /// waiter while it re-checks it, so a wake-up cannot fall between a
+    /// waiter's check and its sleep.
+    parking: Mutex<()>,
+    released: Condvar,
+}
+
+impl WindowBarrier {
+    fn new(parties: usize, spin: u32) -> Self {
+        WindowBarrier {
+            parties,
+            spin,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicU64::new(0),
+            parking: Mutex::new(()),
+            released: Condvar::new(),
+        }
+    }
+
+    /// Blocks until all parties have arrived; `true` for exactly one of
+    /// them (the last to arrive), which the driver makes its leader.
+    fn wait(&self) -> bool {
+        match self.arrive() {
+            None => true,
+            Some(generation) => {
+                if !self.spin(generation) {
+                    self.park(generation);
+                }
+                false
+            }
+        }
+    }
+
+    /// Registers one arrival. The last arriver resets the count, releases
+    /// the generation and gets `None`; every other gets the generation
+    /// whose end it has to wait for.
+    fn arrive(&self) -> Option<u64> {
+        // Cannot move between this load and the increment below: the
+        // generation only advances once this thread, too, has arrived.
+        let generation = self.generation.load(Ordering::SeqCst);
+        if self.arrived.fetch_add(1, Ordering::SeqCst) + 1 < self.parties {
+            return Some(generation);
+        }
+        // Reset before the release: a released peer may re-arrive (for
+        // the next phase) the moment it sees the new generation.
+        self.arrived.store(0, Ordering::SeqCst);
+        let parking = self.parking.lock().expect(LOCK_POISONED);
+        self.generation.store(generation + 1, Ordering::SeqCst);
+        drop(parking);
+        self.released.notify_all();
+        None
+    }
+
+    /// Polls for the end of `generation` within the spin budget; `false`
+    /// when the budget ran out first.
+    fn spin(&self, generation: u64) -> bool {
+        for _ in 0..self.spin {
+            if self.generation.load(Ordering::SeqCst) != generation {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        false
+    }
+
+    /// Sleeps until `generation` has ended.
+    fn park(&self, generation: u64) {
+        let mut parking = self.parking.lock().expect(LOCK_POISONED);
+        while self.generation.load(Ordering::SeqCst) == generation {
+            parking = self.released.wait(parking).expect(LOCK_POISONED);
+        }
+    }
+}
+
 /// Window-loop counters of a run (one shard reports only `shards: 1`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
@@ -323,10 +435,12 @@ pub(crate) struct WindowLoop<M> {
     strategy: PartitionStrategy,
     /// Conservative window length.
     lookahead: SimDuration,
-    spill_threshold: usize,
     /// The merged traffic view, once [`WindowLoop::merge_traffic`] ran.
     pub(crate) merged: Option<Traffic>,
     pub(crate) threaded: bool,
+    /// Spin budget of the threaded driver's barrier: [`BARRIER_SPIN_ITERS`]
+    /// when every shard can have a core to itself, else 0 (park at once).
+    barrier_spin: u32,
     windows: u64,
     lane_events: u64,
     lane_flushes: u64,
@@ -361,8 +475,6 @@ impl<M: Wire + Send> WindowLoop<M> {
         let lookahead = config
             .conservative_lookahead(partition.assignment())
             .expect("multi-shard runs must have a cross-shard latency floor");
-        let spill_threshold = config.link_spill_threshold();
-        let track_first_keys = spill_threshold != usize::MAX;
         // Distribute nodes and streams by *global* id: shard `s` gets,
         // in ascending id order, exactly the entries of its members —
         // for contiguous partitions this degenerates to slicing.
@@ -372,12 +484,7 @@ impl<M: Wire + Send> WindowLoop<M> {
         let mut states = Vec::with_capacity(w);
         for s in 0..w {
             let members = partition.members(s);
-            let route = ShardRoute::new(
-                partition.clone(),
-                s,
-                w,
-                track_first_keys.then(FastHashMap::default),
-            );
+            let route = ShardRoute::new(partition.clone(), s, w);
             let take = |v: &mut Vec<Option<_>>| -> Vec<_> {
                 members
                     .iter()
@@ -396,13 +503,14 @@ impl<M: Wire + Send> WindowLoop<M> {
                 .collect();
             states.push(EngineState::new(core, owned));
         }
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
         let windows = WindowLoop {
             partition,
             strategy,
             lookahead,
-            spill_threshold,
             merged: None,
             threaded: shard_threads_enabled(),
+            barrier_spin: if cores >= w { BARRIER_SPIN_ITERS } else { 0 },
             windows: 0,
             lane_events: 0,
             lane_flushes: 0,
@@ -444,12 +552,7 @@ impl<M: Wire + Send> WindowLoop<M> {
             .iter_mut()
             .map(|sh| std::mem::take(&mut sh.core.traffic))
             .collect();
-        let raw: Vec<_> = shards
-            .iter_mut()
-            .map(|sh| sh.core.take_first_keys())
-            .collect();
-        let keys = resolve_first_keys(raw);
-        self.merged = Some(Traffic::merge_shards(parts, keys, self.spill_threshold));
+        self.merged = Some(Traffic::merge_shards(parts));
     }
 
     /// The window loop. Windows are planned from the global minimum
@@ -556,7 +659,7 @@ impl<M: Wire + Send> WindowLoop<M> {
         /// Sentinel bound: stop the loop.
         const STOP: u64 = u64::MAX;
         let w = shards.len();
-        let barrier = Barrier::new(w);
+        let barrier = WindowBarrier::new(w, self.barrier_spin);
         let next_times: Vec<AtomicU64> = (0..w).map(|_| AtomicU64::new(0)).collect();
         // Per-shard dispatched-event counts, refreshed at each boundary
         // so the leader can report progress without touching peer state.
@@ -578,13 +681,13 @@ impl<M: Wire + Send> WindowLoop<M> {
         let mailboxes: Vec<Mailbox<M>> = (0..w).map(|_| Mutex::new(Vec::new())).collect();
         let deadline_us = deadline.map(|d| d.as_micros());
         let lookahead_us = self.lookahead.as_micros();
-        // `Barrier` does not poison: a worker that panicked and left the
-        // protocol would deadlock its peers. Panics are therefore caught
-        // per work segment; a poisoned worker keeps walking the barrier
-        // sequence (doing no work, reporting "empty"), the abort flag
-        // makes the leader plan a stop for everyone, and the payload is
-        // re-raised once the scope is ready to join.
-        let abort = std::sync::atomic::AtomicBool::new(false);
+        // A worker that panicked and left the protocol would strand its
+        // peers at the barrier. Panics are therefore caught per work
+        // segment; a poisoned worker keeps walking the barrier sequence
+        // (doing no work, reporting "empty"), the abort flag makes the
+        // leader plan a stop for everyone, and the payload is re-raised
+        // once the scope is ready to join.
+        let abort = AtomicBool::new(false);
         std::thread::scope(|scope| {
             for (i, sh) in shards.iter_mut().enumerate() {
                 let barrier = &barrier;
@@ -626,7 +729,7 @@ impl<M: Wire + Send> WindowLoop<M> {
                                 if !lane.is_empty() {
                                     lane_events.fetch_add(lane.len() as u64, Ordering::Relaxed);
                                     published.fetch_add(lane.len() as u64, Ordering::SeqCst);
-                                    mailbox.lock().unwrap().append(&mut lane);
+                                    mailbox.lock().expect(LOCK_POISONED).append(&mut lane);
                                 }
                                 sh.core.put_lane(dst, lane);
                             }
@@ -642,7 +745,7 @@ impl<M: Wire + Send> WindowLoop<M> {
                         guard(&mut poison, &mut || {
                             if published.load(Ordering::SeqCst) > 0 {
                                 let mut incoming =
-                                    std::mem::take(&mut *mailboxes[i].lock().unwrap());
+                                    std::mem::take(&mut *mailboxes[i].lock().expect(LOCK_POISONED));
                                 if !incoming.is_empty() {
                                     incoming.sort_unstable_by_key(|ev| (ev.time, ev.seq));
                                     lane_flushes.fetch_add(1, Ordering::Relaxed);
@@ -651,16 +754,15 @@ impl<M: Wire + Send> WindowLoop<M> {
                                     }
                                     // Hand the buffer back so its
                                     // capacity is reused next window.
-                                    *mailboxes[i].lock().unwrap() = incoming;
+                                    *mailboxes[i].lock().expect(LOCK_POISONED) = incoming;
                                 }
                             }
                             t = sh.core.next_time().map_or(u64::MAX, |t| t.as_micros());
                         });
                         next_times[i].store(t, Ordering::SeqCst);
                         events_counts[i].store(sh.events_processed, Ordering::SeqCst);
-                        let turn = barrier.wait();
                         // Phase 3: one leader plans the window for all.
-                        if turn.is_leader() {
+                        if barrier.wait() {
                             // Reset the publish counter for the next
                             // boundary (every phase-2 read is behind the
                             // previous barrier; the next phase-1 adds are
@@ -723,94 +825,6 @@ impl<M: Wire + Send> WindowLoop<M> {
     }
 }
 
-/// Rewrites per-shard first-appearance keys into one globally comparable
-/// order, reproducing the *sequential execution* order of the record
-/// stream.
-///
-/// Pre-run and `on_start` keys are already global (harness counter /
-/// node id). Dispatch-phase keys rank by `(tick, local execution
-/// position)`, which is only comparable within one shard: when several
-/// shards hold first appearances in the *same* microsecond tick, their
-/// interleaving must be replayed. The sequential engine's within-tick
-/// order is the greedy head-merge of the shards' local execution
-/// sequences by intrinsic event key — at every step the event the
-/// sequential queue would pop next is the smallest-keyed *head* (local
-/// predecessors must dispatch first, because a same-tick child only
-/// enters the queue when its parent runs; shards not holding first
-/// appearances in the tick cannot reorder the others and are skipped).
-/// The replay assigns each involved event its cross-shard slot, and the
-/// keys are rewritten to `(tick, slot)`.
-#[allow(clippy::type_complexity)]
-fn resolve_first_keys(
-    raw: Vec<Option<(FastHashMap<u64, u128>, FastHashMap<u64, Vec<u64>>)>>,
-) -> Vec<Option<FastHashMap<u64, u128>>> {
-    use crate::sim::{key_mid, key_phase, key_tick, key_with_mid, PHASE_DISPATCH};
-    // Ticks holding dispatch-phase first appearances, per shard.
-    let mut tick_shards: FastHashMap<u64, Vec<usize>> = FastHashMap::default();
-    for (s, entry) in raw.iter().enumerate() {
-        if let Some((keys, _)) = entry {
-            for &key in keys.values() {
-                if key_phase(key) == PHASE_DISPATCH {
-                    let shards = tick_shards.entry(key_tick(key)).or_default();
-                    if shards.last() != Some(&s) && !shards.contains(&s) {
-                        shards.push(s);
-                    }
-                }
-            }
-        }
-    }
-    // Replay every contended tick: cross-shard slot per (tick, shard,
-    // local position).
-    let mut slots: FastHashMap<(u64, usize, u64), u64> = FastHashMap::default();
-    for (&tick, shards) in &tick_shards {
-        if shards.len() < 2 {
-            continue;
-        }
-        let seqs: Vec<&[u64]> = shards
-            .iter()
-            .map(|&s| {
-                raw[s]
-                    .as_ref()
-                    .and_then(|(_, log)| log.get(&tick))
-                    .expect("a shard with first appearances retained the tick")
-                    .as_slice()
-            })
-            .collect();
-        let mut heads = vec![0usize; seqs.len()];
-        let mut slot = 0u64;
-        loop {
-            let next = (0..seqs.len())
-                .filter(|&i| heads[i] < seqs[i].len())
-                .min_by_key(|&i| seqs[i][heads[i]]);
-            let Some(i) = next else { break };
-            slots.insert((tick, shards[i], heads[i] as u64), slot);
-            heads[i] += 1;
-            slot += 1;
-        }
-    }
-    raw.into_iter()
-        .enumerate()
-        .map(|(s, entry)| {
-            entry.map(|(mut keys, _)| {
-                for key in keys.values_mut() {
-                    if key_phase(*key) == PHASE_DISPATCH {
-                        let tick = key_tick(*key);
-                        if tick_shards.get(&tick).is_some_and(|v| v.len() >= 2) {
-                            // The mid field holds the local execution
-                            // position (the record index lives in the
-                            // low bits, untouched by the rewrite).
-                            let pos = key_mid(*key);
-                            let slot = slots[&(tick, s, pos)];
-                            *key = key_with_mid(*key, slot);
-                        }
-                    }
-                }
-                keys
-            })
-        })
-        .collect()
-}
-
 /// Builds the node partition for a `w`-shard run of `n` nodes, applying
 /// the strategy resolution of [`SimConfig::partition_strategy`] and
 /// returning the partition together with the strategy that actually
@@ -860,7 +874,83 @@ fn shard_threads_enabled() -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::{auto_shards_for, Partition};
+    use super::{auto_shards_for, Partition, WindowBarrier};
+    use std::sync::mpsc;
+
+    /// Runs one generation of a 3-party barrier with the interleaving
+    /// forced by a channel: both waiters have arrived — and have gone
+    /// through `before_report` — before the main thread arrives, so it is
+    /// the last arriver by construction. After reporting, a waiter takes
+    /// the path `wait()` would: park unless the spin saw the release.
+    fn release_two_waiters(spin: u32, before_report: fn(&WindowBarrier, u64)) {
+        let barrier = WindowBarrier::new(3, spin);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let (barrier, tx) = (&barrier, tx.clone());
+                scope.spawn(move || {
+                    let generation = barrier.arrive().expect("the main thread arrives last");
+                    before_report(barrier, generation);
+                    tx.send(generation).expect("main thread is listening");
+                    if !barrier.spin(generation) {
+                        barrier.park(generation);
+                    }
+                });
+            }
+            assert_eq!(rx.recv(), Ok(0));
+            assert_eq!(rx.recv(), Ok(0));
+            assert_eq!(barrier.arrive(), None, "last arriver releases");
+        });
+        // The scope joined: both waiters woke. The barrier is reusable.
+        assert_eq!(barrier.arrive(), Some(1));
+    }
+
+    #[test]
+    fn last_arriver_releases_spinning_waiters() {
+        // A budget no test outlives: the waiters are released while
+        // polling and never touch the condvar.
+        release_two_waiters(u32::MAX, |_, _| {});
+    }
+
+    #[test]
+    fn last_arriver_releases_parking_waiters() {
+        // No budget: `spin` gives up at once and the waiters park —
+        // before or after the release, which is the race the parking
+        // lock closes.
+        release_two_waiters(0, |barrier, generation| {
+            assert!(!barrier.spin(generation), "nothing to poll with");
+        });
+    }
+
+    #[test]
+    fn waiter_that_exhausts_its_spin_budget_still_wakes() {
+        // The release cannot come before the report, so this spin runs
+        // its whole budget out; the waiter then parks and must be woken.
+        release_two_waiters(64, |barrier, generation| {
+            assert!(
+                !barrier.spin(generation),
+                "released before the last arrival"
+            );
+        });
+    }
+
+    #[test]
+    fn every_generation_has_exactly_one_leader() {
+        // `wait()` end to end over many generations, with a budget small
+        // enough that spinning and parking both occur.
+        let rounds = 500;
+        let barrier = WindowBarrier::new(3, 32);
+        let leaders: usize = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| (0..rounds).filter(|_| barrier.wait()).count()))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker finished"))
+                .sum()
+        });
+        assert_eq!(leaders, rounds);
+    }
 
     #[test]
     fn contiguous_partition_covers_every_node_once() {
@@ -898,8 +988,13 @@ mod tests {
     #[test]
     fn auto_default_is_sequential_below_the_floor() {
         assert_eq!(auto_shards_for(100), 1);
-        assert_eq!(auto_shards_for(999), 1);
-        assert!(auto_shards_for(1000) >= 1);
-        assert!(auto_shards_for(10_000) <= super::MAX_AUTO_SHARDS);
+        assert_eq!(auto_shards_for(super::SHARD_MIN_NODES - 1), 1);
+        // From the floor up: one shard per core, never more than the
+        // widest width measured as a win.
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let expect = cores.min(super::MAX_AUTO_SHARDS);
+        assert_eq!(auto_shards_for(super::SHARD_MIN_NODES), expect);
+        assert_eq!(auto_shards_for(100_000), expect);
+        assert_eq!(super::MAX_AUTO_SHARDS, 2);
     }
 }

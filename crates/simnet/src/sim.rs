@@ -24,7 +24,6 @@ use crate::stats::Traffic;
 use crate::time::{SimDuration, SimTime};
 use crate::wire::Wire;
 use crate::NodeId;
-use egm_rng::hash::FastHashMap;
 use egm_rng::Rng;
 use std::sync::Arc;
 
@@ -180,116 +179,17 @@ pub(crate) struct ShardRoute<M> {
     /// Outgoing cross-shard deliveries, one lane per destination shard;
     /// moved into the destination's queue at the next window boundary.
     pub(crate) lanes: Vec<Vec<Scheduled<EventKind<M>>>>,
-    /// First-appearance order key per directed link, maintained only when
-    /// the merged traffic view will need the global first-appearance
-    /// order (finite spill threshold) — see [`Traffic::merge_shards`].
-    ///
-    /// Within one microsecond tick, *execution* order is not key order:
-    /// a callback may push a same-tick event with a smaller intrinsic
-    /// key (a zero-delay timer from a lower-ranked origin), which the
-    /// engine dispatches *after* its parent. Dispatch-phase keys
-    /// therefore rank events by `(tick, local execution position)`, and
-    /// the seal-time merge replays the cross-shard interleaving of any
-    /// tick holding first appearances from several shards (see
-    /// `crate::shard::resolve_first_keys`) — reproducing the sequential
-    /// record stream exactly.
-    pub(crate) first_keys: Option<FastHashMap<u64, u128>>,
-    /// Order key of the event currently dispatching (low bits left for
-    /// the per-event record index).
-    cur_key: u128,
-    /// Traffic records emitted by the current event so far.
-    cur_idx: u32,
-    /// The tick (µs) the execution buffer below describes.
-    tick_us: u64,
-    /// Intrinsic keys of the protocol events dispatched at `tick_us`, in
-    /// local execution order (fault events and stale timer drops are
-    /// excluded — they emit no records and push nothing, so they are
-    /// transparent to the record order).
-    tick_buf: Vec<u64>,
-    /// First appearances recorded during `tick_us` so far.
-    tick_firsts: u32,
-    /// Retained execution sequences for every tick that held a first
-    /// appearance — the data the seal-time replay needs.
-    tick_log: FastHashMap<u64, Vec<u64>>,
-}
-
-impl<M> ShardRoute<M> {
-    /// Closes the buffered tick: sequences of ticks that held a first
-    /// appearance are retained for the seal-time replay, the rest are
-    /// discarded.
-    fn flush_tick(&mut self) {
-        if self.tick_firsts > 0 {
-            self.tick_log.insert(self.tick_us, self.tick_buf.clone());
-        }
-        self.tick_buf.clear();
-        self.tick_firsts = 0;
-    }
 }
 
 impl<M> ShardRoute<M> {
     /// Builds the routing state for shard `me` of `shard_count`.
-    pub(crate) fn new(
-        partition: Arc<Partition>,
-        me: usize,
-        shard_count: usize,
-        first_keys: Option<FastHashMap<u64, u128>>,
-    ) -> Self {
+    pub(crate) fn new(partition: Arc<Partition>, me: usize, shard_count: usize) -> Self {
         ShardRoute {
             partition,
             me,
             lanes: (0..shard_count).map(|_| Vec::new()).collect(),
-            first_keys,
-            cur_key: 0,
-            cur_idx: 0,
-            // Sentinel: the first dispatched tick (even tick 0) opens a
-            // fresh buffer.
-            tick_us: u64::MAX,
-            tick_buf: Vec::new(),
-            tick_firsts: 0,
-            tick_log: FastHashMap::default(),
         }
     }
-}
-
-/// Phase component of a traffic-record order key: pre-run harness
-/// injections come first, then `on_start` callbacks in node order, then
-/// dispatched events in `(time, seq)` order — exactly the record order of
-/// a sequential run.
-const PHASE_PRERUN: u8 = 0;
-/// See [`PHASE_PRERUN`].
-const PHASE_START: u8 = 1;
-/// See [`PHASE_PRERUN`].
-pub(crate) const PHASE_DISPATCH: u8 = 2;
-
-/// Builds a 128-bit global order key for traffic records:
-/// `phase(2) | time_us(48) | mid(64) | record_idx(14)`. The `mid` field
-/// is the harness counter (phase 0), the node id (phase 1), or the
-/// event's *local execution position within its tick* (phase 2) — the
-/// latter rewritten to a cross-shard slot by the seal-time replay.
-#[inline]
-fn order_key(phase: u8, time_us: u64, mid: u64) -> u128 {
-    debug_assert!(time_us < (1 << 48), "virtual time exceeds key range");
-    ((phase as u128) << 126) | ((time_us as u128) << 78) | ((mid as u128) << 14)
-}
-
-/// Field accessors for the order keys above (merge-time replay).
-pub(crate) fn key_phase(key: u128) -> u8 {
-    (key >> 126) as u8
-}
-
-/// The tick (µs) field of an order key.
-pub(crate) fn key_tick(key: u128) -> u64 {
-    ((key >> 78) & ((1u128 << 48) - 1)) as u64
-}
-
-/// The `mid` field of an order key.
-pub(crate) fn key_mid(key: u128) -> u64 {
-    ((key >> 14) & ((1u128 << 64) - 1)) as u64
-}
-
-/// Replaces the `mid` field of an order key.
-pub(crate) fn key_with_mid(key: u128, mid: u64) -> u128 {
-    (key & !(((1u128 << 64) - 1) << 14)) | ((mid as u128) << 14)
 }
 
 /// Shared mutable simulation state of one shard (the whole run when
@@ -320,17 +220,12 @@ impl<M: Wire> SimCore<M> {
         net_rngs: Vec<Rng>,
         route: Option<ShardRoute<M>>,
     ) -> Self {
-        // A shard of a multi-shard run records traffic with an unbounded
-        // local threshold: the spill rule is applied globally at merge
-        // time so it matches the one-shard first-appearance order (see
-        // `Traffic::merge_shards`). One shard's local order *is* the
-        // global order, so it applies the configured threshold directly.
-        let spill = match &route {
-            Some(_) => usize::MAX,
-            None => config.link_spill_threshold(),
-        };
         let owned = node_rngs.len();
-        let mut traffic = Traffic::with_spill_threshold(spill);
+        // Every shard applies the configured threshold locally: the
+        // spill rule ranks links by `(from, to)` alone, so capping per
+        // shard and then merging equals capping the whole run (see
+        // `Traffic::merge_shards`).
+        let mut traffic = Traffic::with_spill_threshold(config.link_spill_threshold());
         // Pre-size the per-node payload table to the full node count so
         // the record hot path never regrows it (senders are globally
         // indexed on every shard).
@@ -454,81 +349,9 @@ impl<M: Wire> SimCore<M> {
         payload: bool,
     ) -> Option<SimDuration> {
         self.traffic.record(from, to, bytes, payload);
-        if let Some(route) = &mut self.route {
-            if let Some(map) = &mut route.first_keys {
-                debug_assert!(route.cur_idx < (1 << 14), "record index overflow");
-                let link = ((from.index() as u64) << 32) | to.index() as u64;
-                let pos = route.cur_key | route.cur_idx as u128;
-                if let std::collections::hash_map::Entry::Vacant(e) = map.entry(link) {
-                    e.insert(pos);
-                    // A dispatch-phase first appearance makes the tick's
-                    // execution sequence worth retaining for the replay.
-                    if key_phase(pos) == PHASE_DISPATCH {
-                        route.tick_firsts += 1;
-                    }
-                }
-                route.cur_idx += 1;
-            }
-        }
         let li = self.local_of(from);
         let rng = &mut self.net_rngs[li];
         self.network.transmit(rng, now, from, to, bytes)
-    }
-
-    /// Marks the start of one dispatched protocol event so the traffic
-    /// records it emits can be globally ordered (no-op unless
-    /// first-appearance keys are being tracked). The event's intrinsic
-    /// key enters the tick's execution buffer; its *position* there —
-    /// not the key itself — orders its records, because within a tick
-    /// execution order is the priority order over a growing queue, which
-    /// key comparison alone cannot reproduce.
-    fn begin_dispatch(&mut self, time: SimTime, seq: u64) {
-        if let Some(route) = &mut self.route {
-            if route.first_keys.is_some() {
-                let t = time.as_micros();
-                if t != route.tick_us {
-                    route.flush_tick();
-                    route.tick_us = t;
-                }
-                route.tick_buf.push(seq);
-                route.cur_key = order_key(PHASE_DISPATCH, t, (route.tick_buf.len() - 1) as u64);
-                route.cur_idx = 0;
-            }
-        }
-    }
-
-    /// Marks the start of one `on_start` callback (ordered by node id,
-    /// after all pre-run harness records, before all dispatch records).
-    fn begin_start(&mut self, node: NodeId) {
-        if let Some(route) = &mut self.route {
-            if route.first_keys.is_some() {
-                route.cur_key = order_key(PHASE_START, 0, node.index() as u64);
-                route.cur_idx = 0;
-            }
-        }
-    }
-
-    /// Marks the start of one pre-run harness injection (ordered by the
-    /// harness counter, before everything else).
-    fn begin_harness(&mut self, harness_seq: u64) {
-        if let Some(route) = &mut self.route {
-            if route.first_keys.is_some() {
-                route.cur_key = order_key(PHASE_PRERUN, 0, harness_seq);
-                route.cur_idx = 0;
-            }
-        }
-    }
-
-    /// Surrenders the per-link first-appearance keys and the retained
-    /// tick execution sequences for the traffic merge.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn take_first_keys(
-        &mut self,
-    ) -> Option<(FastHashMap<u64, u128>, FastHashMap<u64, Vec<u64>>)> {
-        let route = self.route.as_mut()?;
-        route.flush_tick();
-        let keys = route.first_keys.take()?;
-        Some((keys, std::mem::take(&mut route.tick_log)))
     }
 }
 
@@ -654,7 +477,6 @@ impl<P: Protocol> EngineState<P> {
         self.started = true;
         for i in 0..self.nodes.len() {
             let id = self.core.id_of_local(i);
-            self.core.begin_start(id);
             let mut ctx = Context {
                 id,
                 now: self.now,
@@ -674,18 +496,6 @@ impl<P: Protocol> EngineState<P> {
             }
         }
         self.now = ev.time;
-        // Fault events stay out of the record-order bookkeeping: they
-        // emit no records and push no events, and they are replicated
-        // per shard (their non-unique keys would corrupt the replay).
-        if !matches!(
-            ev.item,
-            EventKind::Silence(_)
-                | EventKind::Revive(_)
-                | EventKind::Degrade { .. }
-                | EventKind::Slowdown { .. }
-        ) {
-            self.core.begin_dispatch(ev.time, ev.seq);
-        }
         match ev.item {
             EventKind::Deliver { to, from, msg } => {
                 self.events_processed += 1;
@@ -1060,7 +870,6 @@ where
         let (src, _) = self.locate(from);
         let (dest, _) = self.locate(to);
         let core = &mut self.shards[src].core;
-        core.begin_harness(seq);
         if let Some(delay) = core.send_message(now, from, to, bytes, msg.is_payload()) {
             self.shards[dest].core.enqueue(Scheduled {
                 time: now + delay,

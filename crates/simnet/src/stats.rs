@@ -18,32 +18,47 @@
 //! counting-sort aggregation over the log. Long runs stay bounded: the
 //! log folds into per-link accumulators every `COMPACT_AT` records, so
 //! traffic memory is O(distinct links) plus a ~64 MB log window rather
-//! than O(total sends). Results are identical to the old streaming map
-//! at every query point, because the aggregation replays (or merges
-//! partial folds of) the same deterministic record stream.
+//! than O(total sends). Where the folds fall cannot show in any query:
+//! tally sums are integer additions, and the spill rule below does not
+//! depend on order.
 //!
 //! # Spill threshold
 //!
-//! A configurable *spill threshold* bounds link tracking at scale: links
-//! are tracked individually in order of first appearance, and links whose
-//! first-appearance rank exceeds the threshold are folded into a single
-//! aggregate [`Traffic::spilled`] tally (totals and per-node counters
-//! stay exact), so a 10k-node run cannot let link accounting grow toward
-//! the n² worst case. This reproduces the old streaming semantics
-//! exactly: a link was tracked iff fewer than `threshold` distinct links
-//! had appeared before its first record.
+//! A configurable *spill threshold* bounds link tracking at scale, so a
+//! 10k-node run cannot let link accounting grow toward the n² worst
+//! case: once more than `threshold` distinct links exist, the tracked
+//! set is the `threshold` **smallest links in `(from, to)` order**, and
+//! every other link is folded into the single aggregate
+//! [`Traffic::spilled`] tally. Totals and per-node payload counters stay
+//! exact either way.
 //!
-//! The rule is applied *incrementally*, at every compaction fold, not
-//! just at seal time: once `threshold` links have appeared, any link
-//! first seen later is folded into the spilled tally immediately, so the
-//! in-memory accumulator list (and the spool read-back working set) is
-//! bounded at `threshold` entries for the whole run. Incremental capping
-//! is byte-identical to capping once at seal, because record positions
-//! only grow: every link in a later fold window first appears after
-//! *all* links already accumulated, so the smallest-`threshold`
-//! first-appearance set can never change once full — an evicted link
-//! that reappears gets an even later first position and is evicted
-//! again, with its tally landing in the same spilled aggregate.
+//! Which links are tracked is therefore a function of the set of links
+//! alone — never of when a link first appeared, how the record stream
+//! was ordered, where compactions fell or how senders were split over
+//! shards. The pair itself is the rank (rather than, say, a hash of it)
+//! because every accumulator list in this module is already
+//! `(from, to)`-sorted: capping is a truncate that folds the tail, with
+//! no sort, no hashing and no per-link side data. The threshold is a
+//! memory bound that no preset reaches (`report.used_links` stays well
+//! below it), not a sampling device; a run that does hit it keeps exact
+//! tallies for its low-id senders and says so through a non-zero
+//! `spilled()`.
+//!
+//! The rule is *monotone*: a link outside the `threshold` smallest of
+//! some set of links is outside the `threshold` smallest of every
+//! superset, so an evicted link can never re-enter — when it reappears
+//! in a later fold it is evicted again and its tally lands in the same
+//! aggregate. Three things follow, and the proptests at the bottom of
+//! this file pin each of them:
+//!
+//! * capping after every fold (which keeps the in-memory accumulator
+//!   list, every spooled run and the spool read-back working set at
+//!   `threshold` entries for the whole run) equals capping once at seal;
+//! * any permutation of the record stream seals to the same table;
+//! * shards that each cap *locally* at the same threshold and are then
+//!   merged (`Traffic::merge_shards`) equal one table fed the whole
+//!   stream — a link a shard evicted is beyond `threshold` smaller links
+//!   of that shard alone, hence of the union.
 
 use crate::NodeId;
 use serde::{Deserialize, Serialize};
@@ -86,13 +101,11 @@ struct SendRecord {
     payload: bool,
 }
 
-/// One partially aggregated link: its tally so far plus the global
-/// position of its first record (drives the spill rule at seal time).
+/// One partially aggregated link and its tally so far.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct LinkAcc {
     from: u32,
     to: u32,
-    first_pos: u64,
     tally: LinkTally,
 }
 
@@ -106,7 +119,7 @@ const COMPACT_AT: usize = 1 << 22;
 const SPOOL_COMPACT_AT: usize = 1 << 20;
 
 /// On-disk size of one spooled [`LinkAcc`] (little-endian fields).
-const SPOOL_REC_BYTES: usize = 40;
+const SPOOL_REC_BYTES: usize = 32;
 
 /// Disk backing for folded link accumulators: each compaction appends one
 /// `(from, to)`-sorted run of fixed-width records to a private temp file
@@ -147,7 +160,6 @@ impl Drop for Spool {
 fn encode_acc(acc: &LinkAcc, buf: &mut Vec<u8>) {
     buf.extend_from_slice(&acc.from.to_le_bytes());
     buf.extend_from_slice(&acc.to.to_le_bytes());
-    buf.extend_from_slice(&acc.first_pos.to_le_bytes());
     buf.extend_from_slice(&acc.tally.messages.to_le_bytes());
     buf.extend_from_slice(&acc.tally.bytes.to_le_bytes());
     buf.extend_from_slice(&acc.tally.payloads.to_le_bytes());
@@ -159,11 +171,10 @@ fn decode_acc(rec: &[u8; SPOOL_REC_BYTES]) -> LinkAcc {
     LinkAcc {
         from: u32_at(0),
         to: u32_at(4),
-        first_pos: u64_at(8),
         tally: LinkTally {
-            messages: u64_at(16),
-            bytes: u64_at(24),
-            payloads: u64_at(32),
+            messages: u64_at(8),
+            bytes: u64_at(16),
+            payloads: u64_at(24),
         },
     }
 }
@@ -197,11 +208,10 @@ struct SealedLinks {
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Traffic {
     log: Vec<SendRecord>,
-    /// Records folded out of `log` so far (sorted by `(from, to)`); the
-    /// log is compacted into this once it reaches `compact_at`.
+    /// Records folded out of `log` so far (sorted by `(from, to)`, at
+    /// most `spill_threshold` entries); the log is compacted into this
+    /// once it reaches `compact_at`.
     folded: Vec<LinkAcc>,
-    /// Total records ever logged (global positions for the spill rule).
-    records_seen: u64,
     /// Built by [`Traffic::seal`]; `None` while recording.
     sealed: Option<SealedLinks>,
     total: LinkTally,
@@ -213,10 +223,8 @@ pub struct Traffic {
     node_payload_growths: u32,
     /// Maximum number of distinct links tracked individually.
     spill_threshold: usize,
-    /// Tallies of links already folded into the spilled aggregate by
-    /// incremental capping (links first seen after `spill_threshold`
-    /// distinct links were live); [`Traffic::finish`] adds this base to
-    /// whatever the final pass spills.
+    /// Tallies of links already folded into the spilled aggregate by the
+    /// cap applied at each fold.
     spilled_acc: LinkTally,
     /// Log length that triggers a compaction.
     compact_at: usize,
@@ -224,10 +232,8 @@ pub struct Traffic {
     spool: Option<Spool>,
     /// Bytes streamed to disk by spool compactions (survives sealing).
     spool_bytes: u64,
-    /// Peak accumulator count observed while merging shard parts (0 for
-    /// one-shard runs and for unbounded thresholds); bounded at
-    /// `spill_threshold` by the merge-time capping in
-    /// [`Traffic::merge_shards`].
+    /// Longest accumulator list held while merging shard parts (0 for
+    /// one-shard runs); see [`Traffic::shard_merge_acc_peak`].
     shard_merge_acc_peak: usize,
 }
 
@@ -239,14 +245,13 @@ impl Default for Traffic {
 
 impl Traffic {
     /// Creates an accounting table that tracks at most `spill_threshold`
-    /// distinct links individually (in order of first appearance);
-    /// records on further links are folded into the aggregate
+    /// distinct links individually — the smallest in `(from, to)` order;
+    /// records on all other links are folded into the aggregate
     /// [`Traffic::spilled`] tally.
     pub fn with_spill_threshold(spill_threshold: usize) -> Self {
         Traffic {
             log: Vec::new(),
             folded: Vec::new(),
-            records_seen: 0,
             sealed: None,
             total: LinkTally::default(),
             node_payloads: Vec::new(),
@@ -272,7 +277,7 @@ impl Traffic {
     /// Panics if recording already started or the file cannot be created.
     pub fn enable_spool(&mut self, dir: &Path) {
         assert!(
-            self.records_seen == 0 && self.sealed.is_none(),
+            self.total.messages == 0 && self.sealed.is_none(),
             "enable spooling before recording"
         );
         self.spool = Some(Spool::create(dir).expect("create traffic spool file"));
@@ -299,10 +304,12 @@ impl Traffic {
         self.node_payload_growths
     }
 
-    /// Peak link-accumulator count observed while merging shard parts
-    /// (spool read-back included). 0 for one-shard runs and for
-    /// unbounded spill thresholds; never exceeds the configured threshold
-    /// otherwise — pinned by the shard-determinism regression tests.
+    /// Longest link-accumulator list held while merging shard parts:
+    /// each part's drained list (spool read-back included) and the merged
+    /// output. 0 for one-shard runs; never exceeds the configured
+    /// threshold otherwise — every shard caps locally, and the merge
+    /// stops emitting at the threshold. Pinned by the shard-determinism
+    /// regression tests.
     pub fn shard_merge_acc_peak(&self) -> usize {
         self.shard_merge_acc_peak
     }
@@ -331,7 +338,6 @@ impl Traffic {
             bytes,
             payload,
         });
-        self.records_seen += 1;
         if self.log.len() >= self.compact_at {
             self.compact();
         }
@@ -339,15 +345,17 @@ impl Traffic {
 
     /// Folds the log into `folded` (or streams the fold to the spool
     /// file) and clears it (keeping its capacity), bounding traffic
-    /// memory over arbitrarily long runs.
+    /// memory over arbitrarily long runs. Either way the fold is capped
+    /// at the spill threshold, so neither the in-memory list nor any
+    /// spooled run ever exceeds it.
     fn compact(&mut self) {
         if self.log.is_empty() {
             return;
         }
-        let base = self.records_seen - self.log.len() as u64;
-        let flat = Self::flatten(&self.log, base);
+        let flat = Self::flatten(&self.log);
         self.log.clear();
         if let Some(spool) = &mut self.spool {
+            let flat = Self::cap(flat, self.spill_threshold, &mut self.spilled_acc);
             let mut buf = Vec::with_capacity(flat.len() * SPOOL_REC_BYTES);
             for acc in &flat {
                 encode_acc(acc, &mut buf);
@@ -356,80 +364,35 @@ impl Traffic {
             spool.runs.push(flat.len() as u64);
             self.spool_bytes += buf.len() as u64;
         } else {
-            let merged = Self::merge(std::mem::take(&mut self.folded), flat);
-            self.folded = Self::cap(merged, self.spill_threshold, &mut self.spilled_acc);
+            self.folded = Self::merge(
+                vec![std::mem::take(&mut self.folded), flat],
+                self.spill_threshold,
+                &mut self.spilled_acc,
+            );
         }
     }
 
     /// Applies the spill rule to one `(from, to)`-sorted accumulator
-    /// list: keeps the `threshold` earliest-appearing links and folds the
-    /// rest into `spilled`. Called after every fold, so the tracked
-    /// working set never exceeds `threshold` entries mid-run (see the
-    /// module docs for why this is byte-identical to capping at seal).
+    /// list: keeps the `threshold` smallest links and folds the tail into
+    /// `spilled` (see the module docs for why capping at every fold
+    /// equals capping once at seal).
     fn cap(mut flat: Vec<LinkAcc>, threshold: usize, spilled: &mut LinkTally) -> Vec<LinkAcc> {
-        if flat.len() <= threshold {
-            return flat;
-        }
-        let mut order: Vec<u32> = (0..flat.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| flat[i as usize].first_pos);
-        let mut evict = vec![false; flat.len()];
-        for &i in &order[threshold..] {
-            evict[i as usize] = true;
-            spilled.absorb(&flat[i as usize].tally);
-        }
-        let mut keep = 0usize;
-        for i in 0..flat.len() {
-            if !evict[i] {
-                flat[keep] = flat[i];
-                keep += 1;
+        if flat.len() > threshold {
+            for acc in &flat[threshold..] {
+                spilled.absorb(&acc.tally);
             }
+            flat.truncate(threshold);
         }
-        flat.truncate(keep);
         flat
     }
 
-    /// Applies the spill rule with an *externally supplied* link order: a
-    /// caller-provided `key_of(from, to)` ranks links instead of their
-    /// (possibly shard-local, incomparable) `first_pos`. Used by
-    /// [`Traffic::merge_shards`], where the 128-bit first-appearance
-    /// order keys provide the global record order.
-    fn cap_by_key(
-        mut flat: Vec<LinkAcc>,
-        threshold: usize,
-        spilled: &mut LinkTally,
-        key_of: &dyn Fn(u32, u32) -> u128,
-    ) -> Vec<LinkAcc> {
-        if flat.len() <= threshold {
-            return flat;
-        }
-        let mut order: Vec<u32> = (0..flat.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| key_of(flat[i as usize].from, flat[i as usize].to));
-        let mut evict = vec![false; flat.len()];
-        for &i in &order[threshold..] {
-            evict[i as usize] = true;
-            spilled.absorb(&flat[i as usize].tally);
-        }
-        let mut keep = 0usize;
-        for i in 0..flat.len() {
-            if !evict[i] {
-                flat[keep] = flat[i];
-                keep += 1;
-            }
-        }
-        flat.truncate(keep);
-        flat
-    }
-
-    /// Reads the spooled runs back in write order, merging each into
-    /// `acc` and applying `cap` after every run so the read-back working
-    /// set stays bounded by whatever rule the capper enforces.
-    fn read_spool_with(
-        spool: &Spool,
-        mut acc: Vec<LinkAcc>,
-        cap: &mut dyn FnMut(Vec<LinkAcc>) -> Vec<LinkAcc>,
-    ) -> Vec<LinkAcc> {
+    /// Reads the spooled runs back and merges them into one
+    /// `(from, to)`-sorted accumulator list, capping the working set at
+    /// `threshold` links after each run.
+    fn read_spool(spool: &Spool, threshold: usize, spilled: &mut LinkTally) -> Vec<LinkAcc> {
         let file = std::fs::File::open(&spool.path).expect("reopen traffic spool file");
         let mut reader = std::io::BufReader::new(file);
+        let mut acc = Vec::new();
         for &len in &spool.runs {
             let mut run = Vec::with_capacity(len as usize);
             let mut rec = [0u8; SPOOL_REC_BYTES];
@@ -437,19 +400,9 @@ impl Traffic {
                 reader.read_exact(&mut rec).expect("read traffic spool run");
                 run.push(decode_acc(&rec));
             }
-            acc = cap(Self::merge(acc, run));
+            acc = Self::merge(vec![acc, run], threshold, spilled);
         }
         acc
-    }
-
-    /// Reads the spooled runs back and merges them into one
-    /// `(from, to)`-sorted accumulator list, capping the working set at
-    /// `threshold` links after each run (runs are read in write order, so
-    /// the incremental spill rule sees first positions chronologically).
-    fn read_spool(spool: &Spool, threshold: usize, spilled: &mut LinkTally) -> Vec<LinkAcc> {
-        Self::read_spool_with(spool, Vec::new(), &mut |flat| {
-            Self::cap(flat, threshold, spilled)
-        })
     }
 
     /// Compacts, then takes the complete folded accumulator list —
@@ -459,30 +412,11 @@ impl Traffic {
         let mut flat = std::mem::take(&mut self.folded);
         if let Some(spool) = self.spool.take() {
             let runs = Self::read_spool(&spool, self.spill_threshold, &mut self.spilled_acc);
-            flat = Self::cap(
-                Self::merge(flat, runs),
+            flat = Self::merge(
+                vec![flat, runs],
                 self.spill_threshold,
                 &mut self.spilled_acc,
             );
-            // Dropping the spool deletes its file; spool_bytes persists.
-        }
-        flat
-    }
-
-    /// Like [`Traffic::drain_folded`], but with a caller-supplied capper
-    /// applied to the folded list and after every spool run, in place of
-    /// this table's own (here: unbounded) spill rule. This is how
-    /// [`Traffic::merge_shards`] bounds each shard's spool read-back even
-    /// though the shard recorded with an infinite local threshold.
-    fn drain_folded_with(
-        &mut self,
-        cap: &mut dyn FnMut(Vec<LinkAcc>) -> Vec<LinkAcc>,
-    ) -> Vec<LinkAcc> {
-        self.compact();
-        let mut flat = cap(std::mem::take(&mut self.folded));
-        if let Some(spool) = self.spool.take() {
-            let runs = Self::read_spool_with(&spool, Vec::new(), cap);
-            flat = cap(Self::merge(flat, runs));
             // Dropping the spool deletes its file; spool_bytes persists.
         }
         flat
@@ -497,16 +431,15 @@ impl Traffic {
         if self.sealed.is_none() {
             let flat = self.drain_folded();
             self.log = Vec::new();
-            self.sealed = Some(Self::finish(flat, self.spill_threshold, self.spilled_acc));
+            self.sealed = Some(Self::finish(&flat, self.spilled_acc));
         }
     }
 
     /// Folds one log chunk into per-link accumulators sorted by
     /// `(from, to)`: counting-sort by sender, sort each sender's slice by
     /// target, group. Tally sums are integer additions, so accumulation
-    /// order within a link is irrelevant and the link's first appearance
-    /// is simply the minimum position of its group (`base` + local).
-    fn flatten(log: &[SendRecord], base: u64) -> Vec<LinkAcc> {
+    /// order within a link is irrelevant.
+    fn flatten(log: &[SendRecord]) -> Vec<LinkAcc> {
         debug_assert!(log.len() < u32::MAX as usize);
         let senders = log.iter().map(|r| r.from as usize + 1).max().unwrap_or(0);
         // Counting sort: group records by sender (contiguous copies, so
@@ -514,7 +447,6 @@ impl Traffic {
         #[derive(Clone, Copy, Default)]
         struct GroupedRec {
             to: u32,
-            pos: u32,
             bytes: u32,
             payload: bool,
         }
@@ -527,19 +459,17 @@ impl Traffic {
         }
         let mut grouped = vec![GroupedRec::default(); log.len()];
         let mut cursor: Vec<u32> = offsets[..senders].to_vec();
-        for (pos, r) in log.iter().enumerate() {
+        for r in log {
             let c = &mut cursor[r.from as usize];
             grouped[*c as usize] = GroupedRec {
                 to: r.to,
-                pos: pos as u32,
                 bytes: r.bytes,
                 payload: r.payload,
             };
             *c += 1;
         }
         // Per sender: sort by target, then fold each group. The result
-        // is ordered by (from, to) with each link's first global
-        // position attached.
+        // is ordered by (from, to).
         let mut flat: Vec<LinkAcc> = Vec::new();
         for from in 0..senders {
             let seg = &mut grouped[offsets[from] as usize..offsets[from + 1] as usize];
@@ -548,7 +478,6 @@ impl Traffic {
                 match flat.last_mut() {
                     Some(last) if last.from == from as u32 && last.to == g.to => {
                         last.tally.add(g.bytes, g.payload);
-                        last.first_pos = last.first_pos.min(base + u64::from(g.pos));
                     }
                     _ => {
                         let mut tally = LinkTally::default();
@@ -556,7 +485,6 @@ impl Traffic {
                         flat.push(LinkAcc {
                             from: from as u32,
                             to: g.to,
-                            first_pos: base + u64::from(g.pos),
                             tally,
                         });
                     }
@@ -566,78 +494,58 @@ impl Traffic {
         flat
     }
 
-    /// Merges two `(from, to)`-sorted accumulator lists, adding tallies
-    /// and keeping the earlier first appearance.
-    fn merge(a: Vec<LinkAcc>, b: Vec<LinkAcc>) -> Vec<LinkAcc> {
-        if a.is_empty() {
-            return b;
+    /// Merges `(from, to)`-sorted accumulator lists into one, adding the
+    /// tallies of equal links, and applies the spill rule on the way:
+    /// once `threshold` links are out, whatever the inputs still hold is
+    /// folded into `spilled` without ever entering the output.
+    fn merge(
+        mut lists: Vec<Vec<LinkAcc>>,
+        threshold: usize,
+        spilled: &mut LinkTally,
+    ) -> Vec<LinkAcc> {
+        lists.retain(|l| !l.is_empty());
+        if lists.len() <= 1 {
+            return Self::cap(lists.pop().unwrap_or_default(), threshold, spilled);
         }
-        if b.is_empty() {
-            return a;
-        }
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut ia, mut ib) = (0, 0);
-        while ia < a.len() && ib < b.len() {
-            let (ka, kb) = ((a[ia].from, a[ia].to), (b[ib].from, b[ib].to));
-            match ka.cmp(&kb) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[ia]);
-                    ia += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[ib]);
-                    ib += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    let mut m = a[ia];
-                    m.first_pos = m.first_pos.min(b[ib].first_pos);
-                    m.tally.messages += b[ib].tally.messages;
-                    m.tally.bytes += b[ib].tally.bytes;
-                    m.tally.payloads += b[ib].tally.payloads;
-                    out.push(m);
-                    ia += 1;
-                    ib += 1;
+        let total: usize = lists.iter().map(Vec::len).sum();
+        let mut out: Vec<LinkAcc> = Vec::with_capacity(total.min(threshold));
+        let mut heads = vec![0usize; lists.len()];
+        while out.len() < threshold {
+            let next = lists
+                .iter()
+                .zip(&heads)
+                .filter_map(|(l, &h)| l.get(h).map(|a| (a.from, a.to)))
+                .min();
+            let Some((from, to)) = next else { break };
+            let mut tally = LinkTally::default();
+            for (l, h) in lists.iter().zip(&mut heads) {
+                if let Some(a) = l.get(*h).filter(|a| (a.from, a.to) == (from, to)) {
+                    tally.absorb(&a.tally);
+                    *h += 1;
                 }
             }
+            out.push(LinkAcc { from, to, tally });
         }
-        out.extend_from_slice(&a[ia..]);
-        out.extend_from_slice(&b[ib..]);
+        for (l, &h) in lists.iter().zip(&heads) {
+            for a in &l[h..] {
+                spilled.absorb(&a.tally);
+            }
+        }
         out
     }
 
-    /// Applies the first-appearance spill rule — a link is tracked iff
-    /// fewer than `spill_threshold` distinct links appeared before it —
-    /// and builds the queryable per-sender view. `spilled_base` carries
-    /// the tallies of links already evicted by incremental capping.
-    fn finish(flat: Vec<LinkAcc>, spill_threshold: usize, spilled_base: LinkTally) -> SealedLinks {
-        let mut spilled = spilled_base;
-        let mut tracked_flags: Option<Vec<bool>> = None;
-        if flat.len() > spill_threshold {
-            let mut order: Vec<u32> = (0..flat.len() as u32).collect();
-            order.sort_unstable_by_key(|&i| flat[i as usize].first_pos);
-            let mut flags = vec![false; flat.len()];
-            for &i in &order[..spill_threshold] {
-                flags[i as usize] = true;
-            }
-            for &i in &order[spill_threshold..] {
-                spilled.absorb(&flat[i as usize].tally);
-            }
-            tracked_flags = Some(flags);
-        }
-        let senders = flat.iter().map(|l| l.from as usize + 1).max().unwrap_or(0);
+    /// Builds the queryable per-sender view from a capped accumulator
+    /// list; `spilled` carries the tallies of every evicted link.
+    fn finish(flat: &[LinkAcc], spilled: LinkTally) -> SealedLinks {
+        let senders = flat.last().map_or(0, |l| l.from as usize + 1);
         let mut per_sender: Vec<Vec<(NodeId, LinkTally)>> = Vec::new();
         per_sender.resize_with(senders, Vec::new);
-        let mut tracked = 0usize;
-        for (i, link) in flat.iter().enumerate() {
-            if tracked_flags.as_ref().is_some_and(|flags| !flags[i]) {
-                continue;
-            }
+        for link in flat {
             per_sender[link.from as usize].push((NodeId(link.to as usize), link.tally));
-            tracked += 1;
         }
         SealedLinks {
             per_sender,
-            tracked,
+            tracked: flat.len(),
             spilled,
         }
     }
@@ -645,59 +553,23 @@ impl Traffic {
     /// Merges the per-shard traffic tables of a multi-shard run into the
     /// sealed view a one-shard run would produce.
     ///
-    /// Each part must still be recording (unsealed) and must have used an
-    /// *unbounded* spill threshold, so no link was folded away shard-
-    /// locally. Totals, per-node payload counters and per-link tallies
-    /// are plain sums (links are disjoint across sender-partitioned
-    /// shards, but equal keys merge defensively). The first-appearance
-    /// spill rule needs the *global* record order, which shard-local
-    /// positions cannot provide — `first_keys` supplies it: per shard, a
-    /// map from the packed directed link (`from << 32 | to`) to the
-    /// 128-bit order key of the link's first record (see
-    /// `SimCore::begin_dispatch`). Ranking links by that key reproduces
-    /// the one-shard spill selection exactly.
-    ///
-    /// When the threshold is finite, that key ranking is applied
-    /// *incrementally* — to each part's folded list, after every spool
-    /// run read back, and after each part merges into the global list —
-    /// so the merge-time accumulator working set stays bounded at
-    /// `spill_threshold` entries instead of growing to the run's full
-    /// distinct-link count. This is byte-identical to capping once at the
-    /// end: the `spill_threshold` smallest-key links can only lose
-    /// members to links with still smaller keys, so an evicted link
-    /// (whose key exceeds every kept key) is evicted again whenever a
-    /// later spool run makes it reappear, and its tally lands in the same
-    /// spilled aggregate. The observed peak is recorded and exposed via
-    /// [`Traffic::shard_merge_acc_peak`].
+    /// Each part must still be recording (unsealed), and all parts must
+    /// share one spill threshold — the run's configured one, which each
+    /// shard has been applying locally all along. Totals, per-node
+    /// payload counters and per-link tallies are plain sums (links are
+    /// disjoint across sender-partitioned shards, but equal keys merge
+    /// defensively); the tracked set is the `threshold` smallest links of
+    /// the k-way merge of the parts' sorted lists. That equals what one
+    /// table fed every record would track, because the spill rule ranks
+    /// links by `(from, to)` alone (module docs): a link some shard
+    /// already evicted has at least `threshold` smaller links in that
+    /// shard, so the merge would evict it too.
     ///
     /// # Panics
     ///
-    /// Panics if a part was already sealed, or if the spill rule needs
-    /// first-appearance keys that were not tracked.
-    pub(crate) fn merge_shards(
-        parts: Vec<Traffic>,
-        first_keys: Vec<Option<egm_rng::hash::FastHashMap<u64, u128>>>,
-        spill_threshold: usize,
-    ) -> Traffic {
-        let mut parts = parts;
-        // With a finite threshold, rank by the global first-appearance
-        // keys, capping as we go.
-        let track = spill_threshold != usize::MAX;
-        let key_of = |from: u32, to: u32| -> u128 {
-            let packed = (u64::from(from) << 32) | u64::from(to);
-            *first_keys
-                .iter()
-                .flatten()
-                .filter_map(|m| m.get(&packed))
-                .min()
-                .unwrap_or_else(|| {
-                    panic!(
-                        "link ({from}, {to}) has no first-appearance key: a multi-shard \
-                         run must track keys whenever the spill threshold is \
-                         finite"
-                    )
-                })
-        };
+    /// Panics if a part was already sealed or the thresholds differ.
+    pub(crate) fn merge_shards(mut parts: Vec<Traffic>) -> Traffic {
+        let spill_threshold = parts.first().expect("at least one shard").spill_threshold;
         // Recycle the largest per-shard payload table as the merged one
         // instead of growing a fresh allocation from zero.
         let donor = (0..parts.len())
@@ -705,18 +577,18 @@ impl Traffic {
             .expect("at least one shard");
         let mut node_payloads = std::mem::take(&mut parts[donor].node_payloads);
         let mut total = LinkTally::default();
-        let mut records_seen = 0u64;
-        let mut flat: Vec<LinkAcc> = Vec::new();
+        let mut lists = Vec::with_capacity(parts.len());
         let mut spool_bytes = 0u64;
         let mut node_payload_growths = 0u32;
         let mut spilled_acc = LinkTally::default();
         let mut merge_acc_peak = 0usize;
         for mut part in parts {
             assert!(part.sealed.is_none(), "cannot merge sealed traffic");
-            total.messages += part.total.messages;
-            total.bytes += part.total.bytes;
-            total.payloads += part.total.payloads;
-            records_seen += part.records_seen;
+            assert_eq!(
+                part.spill_threshold, spill_threshold,
+                "shards of one run share one spill threshold"
+            );
+            total.absorb(&part.total);
             node_payload_growths += part.node_payload_growths;
             if node_payloads.len() < part.node_payloads.len() {
                 node_payloads.resize(part.node_payloads.len(), 0);
@@ -724,42 +596,23 @@ impl Traffic {
             for (i, v) in part.node_payloads.iter().enumerate() {
                 node_payloads[i] += v;
             }
-            let drained = if track {
-                let mut cap = |f: Vec<LinkAcc>| {
-                    let f = Self::cap_by_key(f, spill_threshold, &mut spilled_acc, &key_of);
-                    merge_acc_peak = merge_acc_peak.max(f.len());
-                    f
-                };
-                part.drain_folded_with(&mut cap)
-            } else {
-                part.drain_folded()
-            };
-            flat = Self::merge(flat, drained);
-            if track {
-                flat = Self::cap_by_key(flat, spill_threshold, &mut spilled_acc, &key_of);
-                merge_acc_peak = merge_acc_peak.max(flat.len());
-            }
-            // Shard-local thresholds are unbounded, so parts normally cap
-            // nothing themselves — carry their accumulator defensively.
+            let drained = part.drain_folded();
+            merge_acc_peak = merge_acc_peak.max(drained.len());
+            lists.push(drained);
             spilled_acc.absorb(&part.spilled_acc);
             spool_bytes += part.spool_bytes;
         }
-        debug_assert!(flat.len() <= spill_threshold);
-        let sealed = Self::finish(flat, spill_threshold, spilled_acc);
+        let flat = Self::merge(lists, spill_threshold, &mut spilled_acc);
+        merge_acc_peak = merge_acc_peak.max(flat.len());
         Traffic {
-            log: Vec::new(),
-            folded: Vec::new(),
-            records_seen,
-            sealed: Some(sealed),
+            sealed: Some(Self::finish(&flat, spilled_acc)),
             total,
             node_payloads,
             node_payload_growths,
-            spill_threshold,
             spilled_acc,
-            compact_at: COMPACT_AT,
-            spool: None,
             spool_bytes,
             shard_merge_acc_peak: merge_acc_peak,
+            ..Traffic::with_spill_threshold(spill_threshold)
         }
     }
 
@@ -771,13 +624,12 @@ impl Traffic {
             Some(s) => f(s),
             None => {
                 let mut spilled = self.spilled_acc;
-                let base = self.records_seen - self.log.len() as u64;
-                let mut flat = Self::merge(self.folded.clone(), Self::flatten(&self.log, base));
+                let mut lists = vec![self.folded.clone(), Self::flatten(&self.log)];
                 if let Some(spool) = &self.spool {
-                    let runs = Self::read_spool(spool, self.spill_threshold, &mut spilled);
-                    flat = Self::merge(runs, flat);
+                    lists.push(Self::read_spool(spool, self.spill_threshold, &mut spilled));
                 }
-                f(&Self::finish(flat, self.spill_threshold, spilled))
+                let flat = Self::merge(lists, self.spill_threshold, &mut spilled);
+                f(&Self::finish(&flat, spilled))
             }
         }
     }
@@ -854,8 +706,9 @@ impl Traffic {
 
 #[cfg(test)]
 mod tests {
-    use super::Traffic;
+    use super::{LinkTally, Traffic};
     use crate::NodeId;
+    use proptest::prelude::*;
 
     #[test]
     fn records_accumulate_per_link() {
@@ -905,11 +758,11 @@ mod tests {
     #[test]
     fn spill_threshold_bounds_link_tracking() {
         let mut t = Traffic::with_spill_threshold(2);
+        // The largest pair spills although it was recorded first...
+        t.record(NodeId(0), NodeId(3), 10, true);
         t.record(NodeId(0), NodeId(1), 10, true);
         t.record(NodeId(0), NodeId(2), 10, false);
-        // Third distinct link spills...
-        t.record(NodeId(0), NodeId(3), 10, true);
-        // ...but already-tracked links keep accumulating exactly.
+        // ...and the tracked links keep accumulating exactly.
         t.record(NodeId(0), NodeId(1), 10, false);
         assert_eq!(t.link_count(), 2);
         assert!(t.link(NodeId(0), NodeId(3)).is_none(), "spilled link");
@@ -940,7 +793,7 @@ mod tests {
         t.record(NodeId(1), NodeId(0), 5, true);
         t.record(NodeId(0), NodeId(1), 5, false);
         t.record(NodeId(0), NodeId(2), 5, false);
-        t.record(NodeId(2), NodeId(1), 5, true); // spilled (4th link)
+        t.record(NodeId(2), NodeId(1), 5, true); // spilled (largest pair)
         let before = (t.links(), t.link_count(), t.spilled());
         t.seal();
         t.seal(); // idempotent
@@ -963,7 +816,7 @@ mod tests {
     fn compaction_preserves_queries_and_spill_order() {
         // Two identical record streams; `b` folds its log mid-stream.
         // Every query and the sealed view must agree with the
-        // never-compacted twin, including which link spills.
+        // never-compacted twin, including which links spill.
         let stream = [(5, 6), (4, 5), (0, 1), (5, 6), (0, 2), (4, 5)];
         let mut a = Traffic::with_spill_threshold(2);
         let mut b = Traffic::with_spill_threshold(2);
@@ -980,10 +833,12 @@ mod tests {
         b.seal();
         assert_eq!(a.links(), b.links());
         assert_eq!(a.spilled(), b.spilled());
-        assert!(
-            b.link(NodeId(0), NodeId(1)).is_none(),
-            "third-seen link spills on both"
-        );
+        // `b` tracked (5,6) and (4,5) after its first folds and evicted
+        // them when the smaller pairs arrived; their later records
+        // followed them into the aggregate.
+        assert!(b.link(NodeId(0), NodeId(1)).is_some(), "seen third, kept");
+        assert!(b.link(NodeId(5), NodeId(6)).is_none(), "seen first, spilt");
+        assert_eq!(b.spilled().messages, 4, "(5,6) and (4,5), twice each");
     }
 
     #[test]
@@ -1052,38 +907,31 @@ mod tests {
 
     #[test]
     fn merge_shards_caps_working_set_and_matches_sequential() {
-        use egm_rng::hash::FastHashMap;
-        // Two sender-partitioned parts recording with unbounded local
-        // thresholds; global first-appearance order comes from the key
-        // maps: (1,9) then (0,1) then (0,2) then (1,8) then (0,3).
-        let mut part0 = Traffic::with_spill_threshold(usize::MAX);
+        // Two sender-partitioned parts, each capping locally at the
+        // run's threshold: part 0 evicts (0,3) on its own, and the merge
+        // evicts both of part 1's links in favour of (0,1) and (0,2).
+        let mut part0 = Traffic::with_spill_threshold(2);
+        part0.record(NodeId(0), NodeId(3), 10, true);
         part0.record(NodeId(0), NodeId(1), 10, true);
         part0.record(NodeId(0), NodeId(2), 10, false);
-        part0.record(NodeId(0), NodeId(3), 10, true);
-        let mut part1 = Traffic::with_spill_threshold(usize::MAX);
+        let mut part1 = Traffic::with_spill_threshold(2);
         part1.record(NodeId(1), NodeId(9), 10, false);
         part1.record(NodeId(1), NodeId(8), 10, true);
-        let pack = |f: u64, t: u64| (f << 32) | t;
-        let mut k0 = FastHashMap::<u64, u128>::default();
-        k0.insert(pack(0, 1), 2);
-        k0.insert(pack(0, 2), 3);
-        k0.insert(pack(0, 3), 5);
-        let mut k1 = FastHashMap::<u64, u128>::default();
-        k1.insert(pack(1, 9), 1);
-        k1.insert(pack(1, 8), 4);
-        let merged = Traffic::merge_shards(vec![part0, part1], vec![Some(k0), Some(k1)], 2);
-        // Sequential twin: same records in global order, same threshold.
+        let merged = Traffic::merge_shards(vec![part0, part1]);
+        // Sequential twin: the same records interleaved, same threshold.
         let mut seq = Traffic::with_spill_threshold(2);
         seq.record(NodeId(1), NodeId(9), 10, false);
-        seq.record(NodeId(0), NodeId(1), 10, true);
-        seq.record(NodeId(0), NodeId(2), 10, false);
-        seq.record(NodeId(1), NodeId(8), 10, true);
         seq.record(NodeId(0), NodeId(3), 10, true);
+        seq.record(NodeId(0), NodeId(1), 10, true);
+        seq.record(NodeId(1), NodeId(8), 10, true);
+        seq.record(NodeId(0), NodeId(2), 10, false);
         seq.seal();
         assert_eq!(merged.links(), seq.links());
         assert_eq!(merged.link_count(), seq.link_count());
         assert_eq!(merged.spilled(), seq.spilled());
+        assert_eq!(merged.spilled().messages, 3);
         assert_eq!(merged.total_messages(), seq.total_messages());
+        assert_eq!(merged.payloads_sent_per_node(2), vec![2, 1]);
         let peak = merged.shard_merge_acc_peak();
         assert!(peak > 0 && peak <= 2, "peak {peak} exceeds threshold");
         assert_eq!(seq.shard_merge_acc_peak(), 0, "sequential never merges");
@@ -1091,12 +939,11 @@ mod tests {
 
     #[test]
     fn merge_shards_caps_spool_read_back_with_reappearing_links() {
-        use egm_rng::hash::FastHashMap;
         // Part 0 spools two runs; link (0,3) is evicted while reading run
         // 1 back and reappears in run 2, so it must be evicted again with
         // both tally pieces landing in the spilled aggregate.
         let dir = std::env::temp_dir();
-        let mut part0 = Traffic::with_spill_threshold(usize::MAX);
+        let mut part0 = Traffic::with_spill_threshold(2);
         part0.enable_spool(&dir);
         part0.record(NodeId(0), NodeId(1), 1, false);
         part0.record(NodeId(0), NodeId(2), 1, false);
@@ -1105,16 +952,9 @@ mod tests {
         part0.record(NodeId(0), NodeId(1), 1, false);
         part0.record(NodeId(0), NodeId(3), 1, false);
         part0.compact();
-        let mut part1 = Traffic::with_spill_threshold(usize::MAX);
+        let mut part1 = Traffic::with_spill_threshold(2);
         part1.record(NodeId(1), NodeId(5), 1, false);
-        let pack = |f: u64, t: u64| (f << 32) | t;
-        let mut k0 = FastHashMap::<u64, u128>::default();
-        k0.insert(pack(0, 1), 10);
-        k0.insert(pack(0, 2), 20);
-        k0.insert(pack(0, 3), 30);
-        let mut k1 = FastHashMap::<u64, u128>::default();
-        k1.insert(pack(1, 5), 40);
-        let merged = Traffic::merge_shards(vec![part0, part1], vec![Some(k0), Some(k1)], 2);
+        let merged = Traffic::merge_shards(vec![part0, part1]);
         let mut seq = Traffic::with_spill_threshold(2);
         for (f, t) in [(0, 1), (0, 2), (0, 3), (1, 5), (0, 1), (0, 3)] {
             seq.record(NodeId(f), NodeId(t), 1, false);
@@ -1128,16 +968,158 @@ mod tests {
     }
 
     #[test]
-    fn spill_rule_is_first_appearance_order() {
-        // The link first seen third spills even though it is
-        // lexicographically smallest.
+    fn spill_rule_ranks_by_pair_not_by_first_appearance() {
+        // The link seen first spills because it is the largest pair; the
+        // one seen last is tracked because it is the smallest.
         let mut t = Traffic::with_spill_threshold(2);
         t.record(NodeId(5), NodeId(6), 1, false);
         t.record(NodeId(4), NodeId(5), 1, false);
         t.record(NodeId(0), NodeId(1), 1, false);
-        assert!(t.link(NodeId(5), NodeId(6)).is_some());
+        assert!(t.link(NodeId(0), NodeId(1)).is_some());
         assert!(t.link(NodeId(4), NodeId(5)).is_some());
-        assert!(t.link(NodeId(0), NodeId(1)).is_none(), "third link spills");
+        assert!(
+            t.link(NodeId(5), NodeId(6)).is_none(),
+            "largest pair spills"
+        );
         assert_eq!(t.spilled().messages, 1);
+    }
+
+    /// Everything a sealed table answers.
+    type View = (
+        Vec<((NodeId, NodeId), LinkTally)>,
+        LinkTally,
+        (u64, u64, u64),
+        Vec<u64>,
+    );
+
+    fn view(t: &Traffic) -> View {
+        (
+            t.links(),
+            t.spilled(),
+            (t.total_messages(), t.total_bytes(), t.total_payloads()),
+            t.payloads_sent_per_node(NODES),
+        )
+    }
+
+    /// Node ids the proptest streams draw from: few enough that links
+    /// repeat and every threshold class (0, 1, mid, ≥ distinct) occurs.
+    const NODES: usize = 6;
+
+    /// Feeds `stream` to one table — compacting after every record index
+    /// in `compact_at`, spooling if asked — and seals it.
+    fn sealed_table(
+        stream: &[(usize, usize, u32, bool)],
+        threshold: usize,
+        compact_at: &[usize],
+        spool: bool,
+    ) -> Traffic {
+        let mut t = recording_table(stream, threshold, compact_at, spool);
+        t.seal();
+        t
+    }
+
+    fn recording_table(
+        stream: &[(usize, usize, u32, bool)],
+        threshold: usize,
+        compact_at: &[usize],
+        spool: bool,
+    ) -> Traffic {
+        let mut t = Traffic::with_spill_threshold(threshold);
+        if spool {
+            t.enable_spool(&std::env::temp_dir());
+        }
+        for (i, &(from, to, bytes, payload)) in stream.iter().enumerate() {
+            t.record(NodeId(from), NodeId(to), bytes, payload);
+            if compact_at.contains(&i) {
+                t.compact();
+            }
+        }
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The spill rule is order-free: for a random record stream and a
+        /// threshold from every class, (a) any permutation of the stream,
+        /// (b) compaction at any points, in memory or through the spool,
+        /// and (c) any sender-partition into 1..=4 locally capped parts
+        /// merged by `merge_shards` all seal to the table of one
+        /// uncompacted pass — same links, same `spilled`, same totals and
+        /// per-node counters — and (d) the shard merge never holds an
+        /// accumulator list longer than the threshold.
+        #[test]
+        fn spill_rule_is_order_free(
+            stream in prop::collection::vec(
+                ((0usize..NODES, 0usize..NODES), (1u32..400, prop::bool::ANY)),
+                0..60,
+            ),
+            threshold_class in 0usize..4,
+            shuffle_seed in 0u64..1_000_000,
+            compact_at in prop::collection::vec(0usize..60, 0..6),
+            spool in prop::bool::ANY,
+            parts in 1usize..5,
+            owner_seed in 0u64..1_000_000,
+        ) {
+            let stream: Vec<(usize, usize, u32, bool)> = stream
+                .into_iter()
+                .map(|((from, to), (bytes, payload))| (from, to, bytes, payload))
+                .collect();
+            let mut distinct: Vec<(usize, usize)> =
+                stream.iter().map(|&(f, t, ..)| (f, t)).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            let threshold = match threshold_class {
+                0 => 0,
+                1 => 1,
+                2 => distinct.len() / 2,
+                _ => distinct.len() + 1,
+            };
+            let reference = sealed_table(&stream, threshold, &[], false);
+            let expect = view(&reference);
+            // The rule itself: the tracked set is the `threshold`
+            // smallest pairs.
+            let tracked: Vec<(usize, usize)> = expect
+                .0
+                .iter()
+                .map(|&((f, t), _)| (f.index(), t.index()))
+                .collect();
+            prop_assert_eq!(&tracked[..], &distinct[..threshold.min(distinct.len())]);
+
+            // (a) a permutation of the stream (Fisher–Yates off a seed).
+            let mut permuted = stream.clone();
+            let mut rng = egm_rng::Rng::seed_from_u64(shuffle_seed);
+            for i in (1..permuted.len()).rev() {
+                permuted.swap(i, rng.range_usize(0, i + 1));
+            }
+            prop_assert_eq!(&view(&sealed_table(&permuted, threshold, &[], false)), &expect);
+
+            // (b) forced compaction points, spool on or off; the unsealed
+            // snapshot agrees too.
+            let compacted = recording_table(&stream, threshold, &compact_at, spool);
+            prop_assert_eq!(&view(&compacted), &expect);
+            prop_assert_eq!(&view(&sealed_table(&stream, threshold, &compact_at, spool)), &expect);
+
+            // (c) + (d) senders dealt to `parts` shards, each recording
+            // its share with the same threshold, compaction points and
+            // spool mode, then merged.
+            let mut rng = egm_rng::Rng::seed_from_u64(owner_seed);
+            let owner: Vec<usize> = (0..NODES).map(|_| rng.range_usize(0, parts)).collect();
+            let shards: Vec<Traffic> = (0..parts)
+                .map(|p| {
+                    let share: Vec<_> =
+                        stream.iter().copied().filter(|r| owner[r.0] == p).collect();
+                    recording_table(&share, threshold, &compact_at, spool)
+                })
+                .collect();
+            let merged = Traffic::merge_shards(shards);
+            prop_assert_eq!(&view(&merged), &expect);
+            prop_assert!(
+                merged.shard_merge_acc_peak() <= threshold,
+                "merge held {} links over a threshold of {}",
+                merged.shard_merge_acc_peak(),
+                threshold
+            );
+        }
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! Running on several shards is only allowed to exist because it is
 //! indistinguishable from running on one: identical per-node dispatch
-//! traces, identical counters, identical sealed traffic (including the
-//! first-appearance spill order) for every shard count and both window
-//! drivers. The reference throughout is the one-shard `Sim::new` — the
+//! traces, identical counters, identical sealed traffic (including
+//! which links spill) for every shard count and both window drivers. The reference throughout is the one-shard `Sim::new` — the
 //! plain sequential drain. Layers:
 //!
 //! 1. **Partitioner properties** — every node lands in exactly one
@@ -373,9 +372,8 @@ fn window_drivers_agree() {
 /// within one microsecond tick: node 2, on receiving from node 3, sends
 /// on a fresh link *and* arms a zero-delay timer whose event key (origin
 /// rank 3) is smaller than the triggering delivery's (origin rank 4);
-/// the timer then sends on another fresh link. The one-shard record
-/// stream sees the delivery's link first, execution order — not key
-/// order — and the multi-shard spill reconstruction must reproduce that.
+/// the timer then sends on another fresh link. The engine dispatches the
+/// child after its parent whatever their keys say, on every shard count.
 struct Inversion;
 
 impl Protocol for Inversion {
@@ -404,10 +402,11 @@ impl Protocol for Inversion {
 
 #[test]
 fn spill_order_survives_same_tick_key_inversion() {
-    // Four distinct links appear in the order 0→1, 3→2, 2→0, 2→1; a
-    // threshold of 3 puts the cutoff exactly between the same-tick
-    // inverted pair, so ranking by event key instead of execution order
-    // would track 2→1 and spill 2→0.
+    // Four distinct links appear in the order 0→1, 3→2, 2→0, 2→1, the
+    // last two in one tick from a zero-delay child keyed below its
+    // parent. Which of them a threshold of 3 spills is a function of the
+    // links alone, so the schedule is one more one-shard-vs-W equality
+    // case — with the cut-off inside a same-tick pair.
     let config = || SimConfig::uniform(4, 5.0).with_link_spill_threshold(3);
     let run = |shards: Option<(usize, bool)>| {
         let nodes: Vec<Inversion> = (0..4).map(|_| Inversion).collect();
@@ -420,13 +419,7 @@ fn spill_order_survives_same_tick_key_inversion() {
     };
     let (seq_links, seq_spill) = run(None);
     assert_eq!(seq_links.len(), 3, "three tracked links");
-    assert!(
-        seq_links
-            .iter()
-            .any(|&((f, t), _)| f == NodeId(2) && t == NodeId(0)),
-        "one shard tracks the delivery's link (2→0): {seq_links:?}"
-    );
-    assert_eq!(seq_spill.messages, 1, "the timer's link (2→1) spills");
+    assert_eq!(seq_spill.messages, 1, "the fourth spills");
     for w in [2usize, 4] {
         for threaded in [false, true] {
             let (links, spill) = run(Some((w, threaded)));

@@ -282,9 +282,10 @@ fn min_opt(best: Option<f64>, candidate: f64) -> Option<f64> {
 /// simulator's conservative lookahead — is an *inter-domain* path (two
 /// access links plus up-links and a core traversal), never the ~2–3 ms
 /// stub-access floor that arbitrary cuts collapse to. On top of the
-/// invariant the planner clusters whole transit-router subtrees that sit
-/// close on the core, so the realized floor approaches the inter-cluster
-/// core distance rather than the cheapest same-router domain pair.
+/// invariant the planner keeps whole transit-router subtrees that sit
+/// closer than a core-latency *floor* on one shard, so the realized
+/// lookahead is at least that floor ([`PartitionPlan::floor_ms`]), and
+/// picks the floor that lets the shards balance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionPlan {
     /// Shard per client.
@@ -295,6 +296,10 @@ pub struct PartitionPlan {
     /// count under [`PlanBalance::Nodes`], estimated events per unit time
     /// under [`PlanBalance::Rate`]).
     shard_weights: Vec<f64>,
+    /// Core-latency floor the packing was taken at.
+    floor_ms: f64,
+    /// Coarsest floor that still left one component per shard.
+    coarsest_floor_ms: f64,
 }
 
 impl PartitionPlan {
@@ -311,6 +316,23 @@ impl PartitionPlan {
     /// Predicted per-shard load in the planner's balance unit.
     pub fn shard_weights(&self) -> &[f64] {
         &self.shard_weights
+    }
+
+    /// The core-latency floor (ms) the plan guarantees between shards:
+    /// any two transit routers closer than this share a shard, so no
+    /// cross-shard path has a shorter core segment. 0 for a one-shard
+    /// plan and when the planner had to cut between stub domains of one
+    /// transit router.
+    pub fn floor_ms(&self) -> f64 {
+        self.floor_ms
+    }
+
+    /// The coarsest floor (ms) that still left at least one component
+    /// per shard — the upper end of the planner's search.
+    /// [`PartitionPlan::floor_ms`] is at least half of it; the gap is the
+    /// lookahead traded for balance.
+    pub fn coarsest_floor_ms(&self) -> f64 {
+        self.coarsest_floor_ms
     }
 }
 
@@ -332,67 +354,191 @@ pub enum PlanBalance {
     },
 }
 
-/// Weight-capped single-linkage agglomeration: merges the closest pair of
-/// clusters (by min inter-cluster core latency) whose combined weight
-/// stays under the cap, relaxing the cap when no pair qualifies, until
-/// exactly `shards` clusters remain. Single linkage maximizes the
-/// *minimum* spacing between the final clusters — exactly the quantity
-/// the conservative lookahead is derived from.
-struct UnitClusters {
-    /// Cluster id per unit (units are core routers with attached clients).
-    cluster_of: Vec<usize>,
-    /// Live cluster ids.
-    live: Vec<usize>,
-    /// Pairwise min core latency between clusters (indexed by cluster id).
-    dist: Vec<Vec<f64>>,
-    /// Total weight per cluster.
-    weight: Vec<f64>,
+/// A packing of [`RoutedModel::partition_plan`] counts as balanced when
+/// its heaviest shard is within this factor of the ideal `total / shards`.
+/// Measured on the scale presets (model seed 42, W = 2): the floor taken
+/// packs 500 / 500 at 1k, 5 016 / 4 984 at 10k and
+/// 50 002 / 49 998 at 100k (heaviest / ideal ≤ 1.004) where the coarsest
+/// floor gives 612 / 388, 5 994 / 4 006 and 59 996 / 40 004 (1.20–1.22);
+/// ten ~equal transit domains cannot pack four or eight shards below
+/// 1.20, so those widths keep their coarsest floor. 5 % admits the first
+/// group with room for uneven client placement and rejects the second.
+const PLAN_BALANCE_TOLERANCE: f64 = 1.05;
+
+/// How far below the coarsest feasible floor the planner may look for a
+/// balanced packing, as a fraction of that floor. A window costs three
+/// barrier phases however little it holds, so lookahead is only traded
+/// for balance within a factor of two: at W = 2 the balanced cut sits at
+/// 0.88–0.90 of the coarsest floor on the scale presets (28.8 / 32.8,
+/// 27.7 / 31.3, 27.3 / 30.7 ms lookahead — 589 windows instead of 522 at
+/// 10k), far inside the bound; the bound exists so that a topology whose
+/// only balanced cut runs between neighbouring routers keeps its coarse
+/// windows instead.
+const PLAN_FLOOR_FRACTION: f64 = 0.5;
+
+/// One candidate of the floor-then-pack search: the shard of every
+/// clustering unit and the load that puts on each shard.
+#[derive(Debug, Clone, PartialEq)]
+struct Packing {
+    shard_of_unit: Vec<u32>,
+    loads: Vec<u64>,
 }
 
-impl UnitClusters {
-    fn merge_to(&mut self, shards: usize) {
-        let total: f64 = self.live.iter().map(|&c| self.weight[c]).sum();
-        // 25% headroom over the ideal shard weight; relaxed geometrically
-        // if the cap is infeasible (e.g. one unit heavier than the cap).
-        let mut cap = total / shards as f64 * 1.25;
-        while self.live.len() > shards {
-            let mut best: Option<(f64, usize, usize)> = None;
-            for (i, &a) in self.live.iter().enumerate() {
-                for &b in &self.live[i + 1..] {
-                    if self.weight[a] + self.weight[b] > cap {
-                        continue;
-                    }
-                    let d = self.dist[a][b];
-                    // Deterministic ties: smaller (distance, a, b) wins.
-                    let better = match best {
-                        None => true,
-                        Some((bd, ba, bb)) => (d, a, b) < (bd, ba, bb),
-                    };
-                    if better {
-                        best = Some((d, a, b));
-                    }
-                }
-            }
-            let Some((_, a, b)) = best else {
-                cap *= 1.25;
-                continue;
-            };
-            // Merge b into a: single-linkage distance update.
-            self.weight[a] += self.weight[b];
-            for &c in &self.live {
-                if c != a && c != b {
-                    let d = self.dist[b][c].min(self.dist[a][c]);
-                    self.dist[a][c] = d;
-                    self.dist[c][a] = d;
-                }
-            }
-            for cl in &mut self.cluster_of {
-                if *cl == b {
-                    *cl = a;
-                }
-            }
-            self.live.retain(|&c| c != b);
+impl Packing {
+    fn heaviest(&self) -> f64 {
+        *self.loads.iter().max().expect("at least one shard") as f64
+    }
+}
+
+/// The outcome of [`floor_then_pack`].
+#[derive(Debug, Clone, PartialEq)]
+struct PackedUnits {
+    packing: Packing,
+    /// The floor the packing was taken at.
+    floor: f64,
+    /// The coarsest floor that still left `shards` components.
+    coarsest_floor: f64,
+}
+
+/// Disjoint sets over the clustering units, with path halving.
+struct UnitSets(Vec<u32>);
+
+impl UnitSets {
+    fn find(&mut self, mut i: u32) -> u32 {
+        while self.0[i as usize] != i {
+            let up = self.0[i as usize];
+            self.0[i as usize] = self.0[up as usize];
+            i = self.0[i as usize];
         }
+        i
+    }
+
+    /// Joins the sets of `a` and `b`; `false` when they already were one.
+    fn union(&mut self, a: u32, b: u32) -> bool {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra != rb {
+            self.0[ra.max(rb) as usize] = ra.min(rb);
+        }
+        ra != rb
+    }
+
+    /// Packs the current components onto `shards` shards: heaviest first
+    /// (ties by lowest member index) onto the lightest shard (ties by
+    /// lowest shard index). Roots are each set's smallest member (see
+    /// [`UnitSets::union`]), so nothing here depends on the order equal
+    /// distances were joined in.
+    fn pack(&mut self, weight: &[u64], shards: usize) -> Packing {
+        let units = weight.len();
+        let mut component_weight = vec![0u64; units];
+        for (i, &w) in weight.iter().enumerate() {
+            component_weight[self.find(i as u32) as usize] += w;
+        }
+        let mut components: Vec<usize> = (0..units)
+            .filter(|&i| self.find(i as u32) as usize == i)
+            .collect();
+        components.sort_by_key(|&c| (std::cmp::Reverse(component_weight[c]), c));
+        let mut loads = vec![0u64; shards];
+        let mut shard_of_component = vec![u32::MAX; units];
+        for c in components {
+            let lightest = (0..shards)
+                .min_by_key(|&s| loads[s])
+                .expect("at least one shard");
+            shard_of_component[c] = lightest as u32;
+            loads[lightest] += component_weight[c];
+        }
+        let shard_of_unit = (0..units)
+            .map(|i| shard_of_component[self.find(i as u32) as usize])
+            .collect();
+        Packing {
+            shard_of_unit,
+            loads,
+        }
+    }
+}
+
+/// Floor-then-pack: chooses a latency floor `L` among the distinct unit
+/// distances, keeps units closer than `L` together (the connected
+/// components of `{d < L}`), and packs the components onto `shards`
+/// shards for balance ([`UnitSets::pack`]). Any two units on different
+/// shards are then at least `L` apart — the quantity the conservative
+/// lookahead is derived from.
+///
+/// Candidate floors run from the coarsest that still leaves `shards`
+/// components down to [`PLAN_FLOOR_FRACTION`] of it. The floor taken is
+/// the largest whose packing is balanced ([`PLAN_BALANCE_TOLERANCE`]).
+/// When none is, the coarsest floor stands unless a finer candidate pays
+/// for itself: going down the candidates, one replaces the choice only
+/// if the heaviest shard's excess over the ideal load shrinks by a larger
+/// factor than the floor does. Ten equal domains on eight shards thus
+/// keep their coarse floor (no finer cut removes much of the excess),
+/// while three shards are not left 60 / 30 / 10 when the next floor down
+/// packs 40 / 30 / 30.
+///
+/// One ascending pass over the sorted distances with an incremental
+/// union-find: raising the floor only ever joins components, and the
+/// packing is redone only when it did.
+///
+/// `dist` is a flattened symmetric `units × units` matrix; there must be
+/// at least `shards ≥ 2` units, each of positive weight, so every level
+/// up to the coarsest fills every shard.
+fn floor_then_pack(dist: &[f64], weight: &[u64], shards: usize) -> PackedUnits {
+    let units = weight.len();
+    debug_assert!(shards >= 2 && units >= shards && dist.len() == units * units);
+    let mut pairs: Vec<(f64, u32, u32)> = Vec::with_capacity(units * (units - 1) / 2);
+    for i in 0..units {
+        for j in (i + 1)..units {
+            pairs.push((dist[i * units + j], i as u32, j as u32));
+        }
+    }
+    pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    // One candidate per distinct component structure, finest first: the
+    // largest floor it holds at, and its packing.
+    let mut candidates: Vec<(f64, Packing)> = Vec::new();
+    let mut sets = UnitSets((0..units as u32).collect());
+    let mut components = units;
+    let mut joined = true;
+    let mut next = 0;
+    while next < pairs.len() && components >= shards {
+        // Every pair below `floor` is joined: the components of {d < floor}.
+        let floor = pairs[next].0;
+        if joined {
+            candidates.push((floor, sets.pack(weight, shards)));
+            joined = false;
+        }
+        candidates.last_mut().expect("pushed above").0 = floor;
+        while next < pairs.len() && pairs[next].0 == floor {
+            if sets.union(pairs[next].1, pairs[next].2) {
+                components -= 1;
+                joined = true;
+            }
+            next += 1;
+        }
+    }
+    // The finest floor leaves every unit apart, so there is a candidate.
+    let coarsest = candidates.len() - 1;
+    let coarsest_floor = candidates[coarsest].0;
+    let ideal = weight.iter().sum::<u64>() as f64 / shards as f64;
+    let in_range = (0..=coarsest)
+        .rev()
+        .take_while(|&c| candidates[c].0 >= PLAN_FLOOR_FRACTION * coarsest_floor);
+    let balanced = in_range
+        .clone()
+        .find(|&c| candidates[c].1.heaviest() <= PLAN_BALANCE_TOLERANCE * ideal);
+    let chosen = balanced.unwrap_or_else(|| {
+        let excess = |c: usize| candidates[c].1.heaviest() - ideal;
+        in_range.fold(coarsest, |choice, c| {
+            if excess(c) * candidates[choice].0 < excess(choice) * candidates[c].0 {
+                c
+            } else {
+                choice
+            }
+        })
+    });
+    let (floor, packing) = candidates.swap_remove(chosen);
+    PackedUnits {
+        packing,
+        floor,
+        coarsest_floor,
     }
 }
 
@@ -854,14 +1000,22 @@ impl RoutedModel {
     /// models) or has too few populated domains to fill every shard.
     ///
     /// The plan never splits a stub domain across shards, and it goes
-    /// further than the minimal invariant: populated transit routers are
-    /// clustered by weight-capped single-linkage agglomeration over the
-    /// core latency matrix, so each shard is a spatially coherent region
-    /// of the core and the minimum cross-shard latency — the conservative
-    /// lookahead of the sharded simulator — approaches the *inter-region*
-    /// core floor instead of the cheapest same-router domain pair.
-    /// Balance weights come from `balance`: client count, or the
-    /// [`RoutedModel::domain_event_rates`] estimate.
+    /// further than the minimal invariant — floor-then-pack over the
+    /// populated transit routers: routers closer on the core than a
+    /// latency floor stay on one shard, the resulting groups are packed
+    /// heaviest-first onto the lightest shard, and the floor is the
+    /// largest that balances the shards within 5 %, looking no lower than
+    /// half the coarsest floor that still fills every shard (which is
+    /// kept when nothing in that range balances). The minimum cross-shard
+    /// latency — the conservative lookahead of the sharded simulator — is
+    /// therefore at least [`PartitionPlan::floor_ms`] of core distance
+    /// plus the access and up-links at both ends, instead of the cheapest
+    /// same-router domain pair.
+    ///
+    /// `balance` names the unit of [`PartitionPlan::shard_weights`]:
+    /// client count, or the [`RoutedModel::domain_event_rates`] estimate.
+    /// The two weigh every client by a constant, so the search runs on
+    /// client counts and both yield the same assignment.
     ///
     /// Deterministic: identical inputs produce identical plans.
     ///
@@ -886,17 +1040,19 @@ impl RoutedModel {
                 assign: vec![0; self.n],
                 shards: 1,
                 shard_weights: vec![per_client * self.n as f64],
+                floor_ms: 0.0,
+                coarsest_floor_ms: 0.0,
             });
         }
-        // Weight per domain, and the units the planner clusters: populated
+        // Clients per domain, and the units the planner groups: populated
         // core routers when there are enough of them to fill every shard,
         // else individual populated domains (tiny test models).
-        let mut domain_weight = vec![0.0f64; tl.domains.len()];
+        let mut domain_clients = vec![0u64; tl.domains.len()];
         for col in &tl.cols {
-            domain_weight[col.domain as usize] += per_client;
+            domain_clients[col.domain as usize] += 1;
         }
         let populated: Vec<usize> = (0..tl.domains.len())
-            .filter(|&d| domain_weight[d] > 0.0)
+            .filter(|&d| domain_clients[d] > 0)
             .collect();
         let mut core_populated: Vec<u32> = populated
             .iter()
@@ -904,7 +1060,7 @@ impl RoutedModel {
             .collect();
         core_populated.sort_unstable();
         core_populated.dedup();
-        // One clustering unit per entry: (core router, domains it carries).
+        // One unit per entry: (core router, domains it carries).
         let units: Vec<(u32, Vec<usize>)> = if core_populated.len() >= shards {
             core_populated
                 .iter()
@@ -926,34 +1082,19 @@ impl RoutedModel {
             return None;
         };
         let u = units.len();
-        let mut clusters = UnitClusters {
-            cluster_of: (0..u).collect(),
-            live: (0..u).collect(),
-            dist: vec![vec![0.0; u]; u],
-            weight: units
-                .iter()
-                .map(|(_, ds)| ds.iter().map(|&d| domain_weight[d]).sum())
-                .collect(),
-        };
-        for i in 0..u {
-            for j in (i + 1)..u {
-                let (c1, c2) = (units[i].0 as usize, units[j].0 as usize);
-                let d = tl.core_latency_ms[c1 * tl.core_n + c2];
-                clusters.dist[i][j] = d;
-                clusters.dist[j][i] = d;
+        let weight: Vec<u64> = units
+            .iter()
+            .map(|(_, ds)| ds.iter().map(|&d| domain_clients[d]).sum())
+            .collect();
+        let mut dist = vec![0.0; u * u];
+        for (i, (c1, _)) in units.iter().enumerate() {
+            for (j, (c2, _)) in units.iter().enumerate() {
+                dist[i * u + j] = tl.core_latency_ms[*c1 as usize * tl.core_n + *c2 as usize];
             }
         }
-        clusters.merge_to(shards);
-        // Shard ids in first-unit order, so the numbering is stable.
-        let mut shard_of_cluster = vec![u32::MAX; u];
-        let mut shard_weights = Vec::with_capacity(shards);
-        for (s, &c) in clusters.live.iter().enumerate() {
-            shard_of_cluster[c] = s as u32;
-            shard_weights.push(clusters.weight[c]);
-        }
+        let packed = floor_then_pack(&dist, &weight, shards);
         let mut shard_of_domain = vec![u32::MAX; tl.domains.len()];
-        for (unit, (_, ds)) in units.iter().enumerate() {
-            let s = shard_of_cluster[clusters.cluster_of[unit]];
+        for ((_, ds), &s) in units.iter().zip(&packed.packing.shard_of_unit) {
             for &d in ds {
                 shard_of_domain[d] = s;
             }
@@ -967,7 +1108,14 @@ impl RoutedModel {
         Some(PartitionPlan {
             assign,
             shards,
-            shard_weights,
+            shard_weights: packed
+                .packing
+                .loads
+                .iter()
+                .map(|&clients| per_client * clients as f64)
+                .collect(),
+            floor_ms: packed.floor,
+            coarsest_floor_ms: packed.coarsest_floor,
         })
     }
 
@@ -999,8 +1147,160 @@ impl RoutedModel {
 
 #[cfg(test)]
 mod tests {
-    use super::RoutedModel;
+    use super::{
+        floor_then_pack, PackedUnits, RoutedModel, UnitSets, PLAN_BALANCE_TOLERANCE,
+        PLAN_FLOOR_FRACTION,
+    };
     use crate::geometry::Point;
+    use proptest::prelude::*;
+
+    /// The search as its definition reads, re-clustering from scratch at
+    /// every candidate floor — the oracle the one-pass implementation is
+    /// checked against.
+    fn floor_then_pack_reference(dist: &[f64], weight: &[u64], shards: usize) -> PackedUnits {
+        let units = weight.len();
+        let mut levels: Vec<f64> = (0..units)
+            .flat_map(|i| ((i + 1)..units).map(move |j| dist[i * units + j]))
+            .collect();
+        levels.sort_unstable_by(f64::total_cmp);
+        levels.dedup();
+        let at = |floor: f64| {
+            let mut sets = UnitSets((0..units as u32).collect());
+            let mut components = units;
+            for i in 0..units {
+                for j in (i + 1)..units {
+                    if dist[i * units + j] < floor && sets.union(i as u32, j as u32) {
+                        components -= 1;
+                    }
+                }
+            }
+            let packing = sets.pack(weight, shards);
+            (components, packing.heaviest(), packing)
+        };
+        let coarsest_floor = *levels
+            .iter()
+            .rev()
+            .find(|&&l| at(l).0 >= shards)
+            .expect("the finest floor leaves every unit apart");
+        let ideal = weight.iter().sum::<u64>() as f64 / shards as f64;
+        let in_range: Vec<f64> = levels
+            .iter()
+            .rev()
+            .copied()
+            .filter(|&l| l <= coarsest_floor && l >= PLAN_FLOOR_FRACTION * coarsest_floor)
+            .collect();
+        let floor = in_range
+            .iter()
+            .copied()
+            .find(|&l| at(l).1 <= PLAN_BALANCE_TOLERANCE * ideal)
+            .unwrap_or_else(|| {
+                in_range.iter().fold(coarsest_floor, |choice, &l| {
+                    if (at(l).1 - ideal) / (at(choice).1 - ideal) < l / choice {
+                        l
+                    } else {
+                        choice
+                    }
+                })
+            });
+        PackedUnits {
+            packing: at(floor).2,
+            floor,
+            coarsest_floor,
+        }
+    }
+
+    /// A symmetric distance matrix from its upper triangle, row by row.
+    fn symmetric(units: usize, upper: &[f64]) -> Vec<f64> {
+        let mut dist = vec![0.0; units * units];
+        let mut next = upper.iter();
+        for i in 0..units {
+            for j in (i + 1)..units {
+                let d = *next.next().expect("one distance per pair");
+                dist[i * units + j] = d;
+                dist[j * units + i] = d;
+            }
+        }
+        dist
+    }
+
+    #[test]
+    fn balance_buys_a_lower_floor_only_within_half_the_coarsest() {
+        // Units a, b (6 each) and c, d (4 each); a–b is the only pair
+        // closer than 10. At floor 10 {a, b} must share a shard: 12 / 8
+        // against an ideal of 10.
+        let weight = [6, 6, 4, 4];
+        let plan = |ab: f64| {
+            floor_then_pack(
+                &symmetric(4, &[ab, 10.0, 10.0, 10.0, 10.0, 10.0]),
+                &weight,
+                2,
+            )
+        };
+        // a–b at 9: keeping them apart (floor 9) packs 10 / 10.
+        let near = plan(9.0);
+        assert_eq!((near.floor, near.coarsest_floor), (9.0, 10.0));
+        assert_eq!(near.packing.loads, vec![10, 10]);
+        assert_eq!(near.packing.shard_of_unit, vec![0, 1, 0, 1]);
+        // a–b at 4: the balanced floor is below half the coarsest, so the
+        // coarse cut stands.
+        let far = plan(4.0);
+        assert_eq!((far.floor, far.coarsest_floor), (10.0, 10.0));
+        assert_eq!(far.packing.loads, vec![12, 8]);
+        assert_eq!(far.packing.shard_of_unit, vec![0, 0, 1, 1]);
+    }
+
+    #[test]
+    fn an_unbalanced_search_lowers_the_floor_only_where_it_pays() {
+        // A lone far unit o (1) and p (6), q (2), r (1) with p–q at 12 and
+        // q–r at 3. The coarsest floor (20) can only cut o off: 9 / 1, an
+        // excess of 4 over the ideal 5. Nothing in range balances within
+        // 5 %, but floor 12 packs 6 / 4: a quarter of the excess for
+        // three fifths of the floor.
+        let dist = symmetric(4, &[20.0, 20.0, 20.0, 12.0, 12.0, 3.0]);
+        let plan = floor_then_pack(&dist, &[1, 6, 2, 1], 2);
+        assert_eq!((plan.floor, plan.coarsest_floor), (12.0, 20.0));
+        assert_eq!(plan.packing.loads, vec![6, 4]);
+        assert_eq!(plan.packing.shard_of_unit, vec![1, 0, 1, 1]);
+        // With p at 10 and q at 1 the finer cut is 10 / 3: 3.5 of an
+        // excess of 5.5 would remain, more than three fifths of it.
+        let plan = floor_then_pack(&dist, &[1, 10, 1, 1], 2);
+        assert_eq!((plan.floor, plan.coarsest_floor), (20.0, 20.0));
+        assert_eq!(plan.packing.loads, vec![12, 1]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass search equals the per-level re-clustering on
+        /// random matrices with plenty of equal distances, keeps units
+        /// closer than the floor together and fills every shard.
+        #[test]
+        fn one_pass_search_equals_the_per_level_reference(
+            units in 2usize..11,
+            upper in prop::collection::vec(0u32..7, 45..46),
+            weight in prop::collection::vec(1u64..40, 10..11),
+            shards in 2usize..6,
+        ) {
+            let upper: Vec<f64> = upper.iter().map(|&d| f64::from(d)).collect();
+            let dist = symmetric(units, &upper[..units * (units - 1) / 2]);
+            let weight = &weight[..units];
+            let shards = shards.min(units);
+            let plan = floor_then_pack(&dist, weight, shards);
+            prop_assert_eq!(&plan, &floor_then_pack_reference(&dist, weight, shards));
+            prop_assert!(plan.floor >= PLAN_FLOOR_FRACTION * plan.coarsest_floor);
+            prop_assert!(plan.packing.loads.iter().all(|&l| l > 0), "no empty shard");
+            for i in 0..units {
+                for j in 0..units {
+                    let apart = plan.packing.shard_of_unit[i] != plan.packing.shard_of_unit[j];
+                    prop_assert!(
+                        !apart || dist[i * units + j] >= plan.floor,
+                        "units {} and {} are closer than the floor yet on different shards",
+                        i, j
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn uniform_synthetic_bounds_and_symmetry() {

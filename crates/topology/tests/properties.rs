@@ -91,7 +91,9 @@ proptest! {
 
     /// Every partition plan over a scaled transit-stub model is a total,
     /// disjoint, **domain-aligned** cover with non-empty shards and
-    /// positive predicted weights, under both balance modes.
+    /// positive predicted weights; it is deterministic, the same cut
+    /// under both balance modes, and keeps the lookahead at or above half
+    /// the coarsest feasible floor.
     #[test]
     fn partition_plans_are_domain_aligned_covers(
         n in 50usize..500,
@@ -99,15 +101,14 @@ proptest! {
         w in 2usize..9,
     ) {
         let model = TransitStubConfig::scaled(n).with_seed(seed).build();
-        let balances = [
-            PlanBalance::Nodes,
-            PlanBalance::Rate { fanout: 11, view_degree: 15 },
-        ];
-        for balance in balances {
-            // The planner declines (falls back to contiguous at the sim
-            // layer) when the topology has fewer populated units than
-            // shards; a returned plan must uphold every invariant.
-            let Some(plan) = model.partition_plan(w, balance) else { continue };
+        let rate = PlanBalance::Rate { fanout: 11, view_degree: 15 };
+        // The planner declines (falls back to contiguous at the sim
+        // layer) when the topology has fewer populated units than
+        // shards; a returned plan must uphold every invariant.
+        let by_nodes = model.partition_plan(w, PlanBalance::Nodes);
+        let by_rate = model.partition_plan(w, rate);
+        prop_assert_eq!(by_nodes.is_some(), by_rate.is_some());
+        if let (Some(plan), Some(by_rate)) = (by_nodes, by_rate) {
             let assign = plan.assignment();
             prop_assert_eq!(assign.len(), n);
             prop_assert_eq!(plan.shard_count(), w);
@@ -117,8 +118,6 @@ proptest! {
                 population[s as usize] += 1;
             }
             prop_assert!(population.iter().all(|&p| p > 0), "no empty shard");
-            prop_assert_eq!(plan.shard_weights().len(), w);
-            prop_assert!(plan.shard_weights().iter().all(|&x| x > 0.0));
             // Domain alignment: no stub domain is split across shards.
             let mut domain_shard: HashMap<u32, u32> = HashMap::new();
             for (c, &a) in assign.iter().enumerate() {
@@ -126,6 +125,30 @@ proptest! {
                 let s = *domain_shard.entry(d).or_insert(a);
                 prop_assert!(s == a, "stub domain split across shards");
             }
+            // Weights are the populations in the balance unit, so the two
+            // modes differ by a constant and plan the same cut.
+            prop_assert_eq!(plan.shard_weights().len(), w);
+            let per_client = 11.0 * 15.0 / n as f64;
+            for (s, &clients) in population.iter().enumerate() {
+                prop_assert_eq!(plan.shard_weights()[s], clients as f64);
+                let expect = per_client * clients as f64;
+                prop_assert!((by_rate.shard_weights()[s] - expect).abs() <= 1e-9 * expect);
+            }
+            prop_assert_eq!(by_rate.assignment(), assign);
+            prop_assert_eq!(&model.partition_plan(w, PlanBalance::Nodes), &Some(plan.clone()));
+            // Shards are at least the plan's floor apart on the core, and
+            // the floor was lowered to no less than half the coarsest one.
+            let lookahead = model
+                .min_cross_partition_latency_ms(assign)
+                .expect("several shards");
+            prop_assert!(plan.floor_ms() <= plan.coarsest_floor_ms());
+            prop_assert!(plan.floor_ms() >= 0.5 * plan.coarsest_floor_ms());
+            prop_assert!(
+                lookahead >= plan.floor_ms(),
+                "lookahead {} ms under the plan's floor {} ms",
+                lookahead,
+                plan.floor_ms()
+            );
         }
     }
 
@@ -152,12 +175,28 @@ proptest! {
     }
 }
 
+/// The scale presets' network at scenario seed 42 — the model the
+/// benchmark pins: `egm_workload` seeds the topology with the scenario
+/// seed xor its `TOPOLOGY_SEED_SALT` (0x7090).
+fn preset_model(n: usize) -> RoutedModel {
+    TransitStubConfig::scaled(n).with_seed(42 ^ 0x7090).build()
+}
+
+fn populations(plan: &egm_topology::PartitionPlan) -> Vec<usize> {
+    let mut population = vec![0usize; plan.shard_count()];
+    for &s in plan.assignment() {
+        population[s as usize] += 1;
+    }
+    population
+}
+
 /// Pins that the planner actually engages on the scale-axis presets —
 /// the property above skips declined plans, so this guards against the
-/// fallback silently becoming the only behaviour.
+/// fallback silently becoming the only behaviour — and that two shards
+/// come out balanced at every scale.
 #[test]
 fn scale_axis_models_always_yield_plans() {
-    let model = TransitStubConfig::scaled(1000).with_seed(42).build();
+    let model = preset_model(1000);
     for w in [2, 4, 8] {
         for balance in [
             PlanBalance::Nodes,
@@ -171,5 +210,42 @@ fn scale_axis_models_always_yield_plans() {
                 .expect("scaled(1000) must be plannable");
             assert_eq!(plan.shard_count(), w);
         }
+    }
+    for n in [1000, 10_000, 100_000] {
+        let plan = preset_model(n)
+            .partition_plan(2, PlanBalance::Nodes)
+            .expect("plannable");
+        let heaviest = *populations(&plan).iter().max().expect("two shards");
+        assert!(
+            heaviest as f64 <= 1.05 * n as f64 / 2.0,
+            "W=2 at {n} nodes: heaviest shard {heaviest}"
+        );
+        assert!(
+            plan.floor_ms() < plan.coarsest_floor_ms(),
+            "traded for balance"
+        );
+    }
+}
+
+/// Ten near-equal transit domains cannot balance four or eight shards at
+/// any floor worth having, so those widths keep the coarsest floor: the
+/// heaviest shard and lookahead the stop-at-W agglomeration gave (the
+/// nightly window-count gate rests on the lookahead).
+#[test]
+fn wide_plans_at_10k_keep_their_coarse_floor() {
+    let model = preset_model(10_000);
+    for (w, heaviest, lookahead_ms) in [(4, 2998, 27.7467), (8, 2001, 13.8478)] {
+        let plan = model
+            .partition_plan(w, PlanBalance::Nodes)
+            .expect("plannable");
+        assert_eq!(populations(&plan).iter().max(), Some(&heaviest), "W={w}");
+        assert_eq!(plan.floor_ms(), plan.coarsest_floor_ms(), "W={w}");
+        let lookahead = model
+            .min_cross_partition_latency_ms(plan.assignment())
+            .expect("several shards");
+        assert!(
+            (lookahead - lookahead_ms).abs() < 1e-3,
+            "W={w}: lookahead {lookahead} ms"
+        );
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! The `N1k` scale preset runs once on one shard and once per wider
 //! width over a shared topology; every observable output — the full
-//! `DeliveryLog`, the per-link traffic tables (whose first-appearance
-//! spill order a multi-shard run reconstructs at merge time), per-node
-//! payload counts, scheduler counters and the simulator event count —
+//! `DeliveryLog`, the per-link traffic tables (including which links
+//! spill — shards cap locally and merge), per-node payload counts,
+//! scheduler counters and the simulator event count —
 //! must be byte-identical. Together with `egm_simnet`'s
 //! `shard_equivalence` proptest suite this pins the property the whole
 //! scale axis relies on: sharding one run across cores cannot change its
@@ -65,6 +65,29 @@ fn one_k_preset_is_byte_identical_across_shard_widths() {
         );
         assert!(sharded.shard_stats.lookahead_us > 0);
     }
+}
+
+/// The planned cut is there to share the work: two shards of the 1k
+/// preset dispatch 171 450 / 161 072 events (51.6 / 48.4 %; the
+/// stop-at-W planner left 612 / 388 nodes). Event counts repeat exactly,
+/// so the gate cannot flake.
+#[test]
+fn planned_cut_balances_two_shards_of_the_one_k_preset() {
+    use egm_simnet::PartitionStrategy;
+    let scenario = ScalePreset::N1k
+        .scenario(30, 42)
+        .with_shards(Some(2))
+        .with_partition(Some(PartitionStrategy::DomainAligned));
+    let outcome = run_detailed(&scenario, None);
+    let stats = &outcome.shard_stats;
+    assert_eq!(stats.strategy, PartitionStrategy::DomainAligned);
+    let per_shard = &stats.per_shard_events;
+    assert_eq!(per_shard.iter().sum::<u64>(), outcome.events);
+    let heaviest = *per_shard.iter().max().expect("two shards");
+    assert!(
+        heaviest as f64 * 2.0 <= 1.10 * outcome.events as f64,
+        "W=2 split the events {per_shard:?}: heaviest shard over 1.10 x mean"
+    );
 }
 
 #[derive(Debug, Default)]
@@ -176,13 +199,18 @@ fn spooled_shard_merge_caps_the_accumulator_and_matches_sequential() {
 
 #[test]
 fn shard_selection_defaults() {
-    // The size-based default engages several shards only at scale;
-    // below the floor a run keeps the one-shard zero-overhead path.
+    // The size-based default engages two shards only at scale; below
+    // the floor a run keeps the one-shard zero-overhead path, and no
+    // machine makes it wider than the widest width measured as a win.
+    use egm_simnet::shard::{MAX_AUTO_SHARDS, SHARD_MIN_NODES};
     assert_eq!(auto_shards_for(100), 1);
-    assert_eq!(auto_shards_for(999), 1);
-    let at_scale = auto_shards_for(1_000);
-    assert!(
-        (1..=egm_simnet::shard::MAX_AUTO_SHARDS).contains(&at_scale),
-        "auto default follows available parallelism, capped: {at_scale}"
-    );
+    assert_eq!(auto_shards_for(SHARD_MIN_NODES - 1), 1);
+    for nodes in [SHARD_MIN_NODES, 10_000, 100_000] {
+        let at_scale = auto_shards_for(nodes);
+        assert!(
+            (1..=MAX_AUTO_SHARDS).contains(&at_scale),
+            "auto default follows available parallelism, capped: {at_scale}"
+        );
+    }
+    assert_eq!(MAX_AUTO_SHARDS, 2);
 }
