@@ -20,7 +20,7 @@
 //!   gross event-loop regression fails CI instead of silently updating
 //!   the JSON record.
 
-use egm_bench::env_usize;
+use egm_bench::{env_parse, env_usize};
 use egm_core::{MonitorSpec, StrategySpec};
 use egm_workload::Scenario;
 use std::time::Instant;
@@ -71,12 +71,7 @@ fn main() {
     let events_per_sec = events as f64 / best * 1000.0;
     println!("best: {best:.1} ms wall ({events_per_sec:.0} events/sec)");
 
-    if let Ok(v) = std::env::var("EGM_MIN_EVENTS_PER_SEC") {
-        // A typoed gate knob must fail the job, not silently disable the
-        // gate (same policy as EGM_SHARDS / EGM_EVENT_QUEUE).
-        let floor: f64 = v.parse().unwrap_or_else(|_| {
-            panic!("unrecognized EGM_MIN_EVENTS_PER_SEC {v:?}: use an events/sec number")
-        });
+    if let Some(floor) = env_parse::<f64>("EGM_MIN_EVENTS_PER_SEC") {
         assert!(
             events_per_sec >= floor,
             "event-loop throughput regressed: {events_per_sec:.0} events/sec is below the \

@@ -24,7 +24,7 @@
 //! * `EGM_SHARD_WIDTHS` — comma-separated widths for the byte-identity
 //!   check on the representative cell (default `2,4`; empty to skip).
 
-use egm_bench::{env_usize, record};
+use egm_bench::{env_list, env_parse, env_usize, record};
 use egm_workload::experiments::fault_resilience::{
     churn_levels, render, rerank_plan, run_at_preset,
 };
@@ -38,14 +38,8 @@ fn main() {
     let messages = env_usize("EGM_SCALE_MESSAGES", 10).max(1);
     let out_path =
         std::env::var("EGM_BENCH_OUT").unwrap_or_else(|_| "BENCH_events_per_sec.json".to_string());
-    let min_delivery = std::env::var("EGM_MIN_DELIVERY_RATIO")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok());
-    let widths: Vec<usize> = std::env::var("EGM_SHARD_WIDTHS")
-        .unwrap_or_else(|_| "2,4".to_string())
-        .split(',')
-        .filter_map(|w| w.trim().parse().ok())
-        .collect();
+    let min_delivery = env_parse::<f64>("EGM_MIN_DELIVERY_RATIO");
+    let widths: Vec<usize> = env_list("EGM_SHARD_WIDTHS").unwrap_or_else(|| vec![2, 4]);
 
     let nodes = preset.nodes();
     let seed = 42u64;

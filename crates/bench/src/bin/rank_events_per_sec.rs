@@ -26,7 +26,7 @@
 //!   axis requires ≥ 0.8; the sampled baseline is exempt — it exists to
 //!   calibrate the overlap scale).
 
-use egm_bench::{env_usize, record};
+use egm_bench::{env_parse, env_usize, record};
 use egm_core::BestSet;
 use egm_workload::experiments::scale::ScalePreset;
 use egm_workload::runner;
@@ -39,9 +39,7 @@ fn main() {
     let messages = env_usize("EGM_SCALE_MESSAGES", 30).max(1);
     let out_path =
         std::env::var("EGM_BENCH_OUT").unwrap_or_else(|_| "BENCH_events_per_sec.json".to_string());
-    let min_overlap = std::env::var("EGM_RANK_MIN_OVERLAP")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok());
+    let min_overlap = env_parse::<f64>("EGM_RANK_MIN_OVERLAP");
 
     let nodes = preset.nodes();
     let seed = 42u64;

@@ -1,8 +1,9 @@
 //! Scale-axis event-loop throughput bench: 1k … 1M-node presets.
 //!
-//! Runs a `egm_workload::experiments::scale` preset through the parallel
-//! sweep runner, measures wall clock, simulator events per second and
-//! process peak RSS, and upserts the `scale_events_per_sec_<preset>` bin
+//! Runs a `egm_workload::experiments::scale` preset on one shard (the
+//! RSS budgets and the README table are calibrated for it; width sweeps
+//! live in `shard_events_per_sec`), measures wall clock, simulator
+//! events per second and process peak RSS, and upserts the `scale_events_per_sec_<preset>` bin
 //! into `BENCH_events_per_sec.json` (schema in `egm_bench`'s crate docs).
 //!
 //! ```sh
@@ -29,8 +30,9 @@
 //! Determinism is pinned run-over-run: every timed run must reproduce
 //! the warm-up's full report, not just its event count.
 
-use egm_bench::{env_usize, record};
-use egm_workload::experiments::scale::{run_presets, ScalePreset};
+use egm_bench::{env_parse, env_usize, record};
+use egm_workload::experiments::scale::ScalePreset;
+use egm_workload::Scenario;
 use std::time::Instant;
 
 /// Plateau mode: the steady-state working set must not scale with total
@@ -49,7 +51,7 @@ use std::time::Instant;
 ///   never reaches steady state and the ratio pins nothing.
 fn run_plateau(preset: ScalePreset, messages: usize, seed: u64, max_ratio: f64) {
     let run = |messages: usize| {
-        let scenario = preset.scenario(messages, seed).with_traffic_spool(true);
+        let scenario = one_shard(preset, messages, seed).with_traffic_spool(true);
         egm_workload::runner::run_detailed(&scenario, None)
     };
     let base = run(messages);
@@ -90,30 +92,31 @@ fn run_plateau(preset: ScalePreset, messages: usize, seed: u64, max_ratio: f64) 
     println!("peak RSS plateaued: 2x messages cost {ratio:.3}x RSS (budget {max_ratio:.3}x)");
 }
 
+/// The preset's scenario, pinned to one shard.
+fn one_shard(preset: ScalePreset, messages: usize, seed: u64) -> Scenario {
+    preset.scenario(messages, seed).with_shards(Some(1))
+}
+
 fn main() {
     let preset = ScalePreset::from_env();
     let runs = env_usize("EGM_BENCH_RUNS", 2).max(1);
     let messages = env_usize("EGM_SCALE_MESSAGES", 30).max(1);
     let out_path =
         std::env::var("EGM_BENCH_OUT").unwrap_or_else(|_| "BENCH_events_per_sec.json".to_string());
-    let rss_budget_mb = std::env::var("EGM_SCALE_RSS_BUDGET_MB")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok());
+    let rss_budget_mb = env_parse::<f64>("EGM_SCALE_RSS_BUDGET_MB");
 
     let nodes = preset.nodes();
     let seed = 42u64;
 
-    if let Ok(v) = std::env::var("EGM_SCALE_PLATEAU_MAX") {
-        let max_ratio: f64 = v.parse().expect("EGM_SCALE_PLATEAU_MAX must be a number");
+    if let Some(max_ratio) = env_parse::<f64>("EGM_SCALE_PLATEAU_MAX") {
         run_plateau(preset, messages, seed, max_ratio);
         return;
     }
 
     // Warm-up run (allocator/caches), which also yields the deterministic
     // event count and the cancellation/retirement counters.
-    let warm = run_presets(&[(preset, seed)], messages)
-        .pop()
-        .expect("one outcome");
+    let scenario = one_shard(preset, messages, seed);
+    let warm = egm_workload::runner::run_detailed(&scenario, None);
     let events = warm.events;
     let timers_cancelled = warm.timers_cancelled;
     let stale_timer_drops = warm.stale_timer_drops;
@@ -146,7 +149,6 @@ fn main() {
     // event loop — the fixed per-run cost is paid once and reported as
     // `setup_ms`. The `rank_events_per_sec` bin breaks that fixed cost
     // down per rank source.
-    let scenario = preset.scenario(messages, seed);
     // The third term of a cold set-up, the topology build, timed on its
     // own (the model itself is the warm-up's: same seed, same model).
     let topology_start = Instant::now();

@@ -6,8 +6,7 @@
 //! the planned (domain-aligned) cut, asserting byte-identical results
 //! for every (width, partition) pair — the determinism bar. The planner
 //! yields one cut under both of its strategy names (`domain-aligned`,
-//! `rate-balanced`: their weights differ by a constant); the bench
-//! asserts that equality on the preset's model and times the cut once.
+//! `rate-balanced`), so the cut is timed once.
 //! Per-run wall clock, events/s, window counts, lane traffic (events,
 //! batched flushes, skipped exchanges), configured and realized
 //! lookahead and the per-shard event balance are recorded in the
@@ -35,8 +34,8 @@
 //! * `EGM_SCALE_RSS_BUDGET_MB` — when set, assert peak RSS stays under
 //!   this budget across all widths.
 
-use egm_bench::{env_usize, record};
-use egm_simnet::{PartitionStrategy, SimConfig};
+use egm_bench::{env_list, env_parse, env_usize, record};
+use egm_simnet::PartitionStrategy;
 use egm_workload::experiments::scale::ScalePreset;
 use egm_workload::runner::{prepare, run_prepared, RunOutcome};
 use std::fmt::Write as _;
@@ -64,24 +63,9 @@ fn main() {
     let messages = env_usize("EGM_SCALE_MESSAGES", 30).max(1);
     let out_path =
         std::env::var("EGM_BENCH_OUT").unwrap_or_else(|_| "BENCH_events_per_sec.json".to_string());
-    let widths: Vec<usize> = std::env::var("EGM_SHARD_WIDTHS")
-        .map(|v| {
-            v.split(',')
-                .map(|w| w.trim().parse().expect("EGM_SHARD_WIDTHS: bad width"))
-                .collect()
-        })
-        .unwrap_or_else(|_| vec![2, 4]);
-    // Typoed gate knobs must fail the job, not silently disable the
-    // gate (same policy as EGM_SHARDS / EGM_EVENT_QUEUE).
-    let max_windows = std::env::var("EGM_SHARD_MAX_WINDOWS").ok().map(|v| {
-        v.parse::<u64>().unwrap_or_else(|_| {
-            panic!("unrecognized EGM_SHARD_MAX_WINDOWS {v:?}: use a window count like 1297")
-        })
-    });
-    let rss_budget_mb = std::env::var("EGM_SCALE_RSS_BUDGET_MB").ok().map(|v| {
-        v.parse::<f64>()
-            .unwrap_or_else(|_| panic!("unrecognized EGM_SCALE_RSS_BUDGET_MB {v:?}: use MB"))
-    });
+    let widths: Vec<usize> = env_list("EGM_SHARD_WIDTHS").unwrap_or_else(|| vec![2, 4]);
+    let max_windows = env_parse::<u64>("EGM_SHARD_MAX_WINDOWS");
+    let rss_budget_mb = env_parse::<f64>("EGM_SCALE_RSS_BUDGET_MB");
 
     let nodes = preset.nodes();
     let seed = 42u64;
@@ -89,10 +73,9 @@ fn main() {
 
     // One shared topology + prepared setup (ranking, views): the
     // comparison is purely about the event loop.
-    let model = std::sync::Arc::new(base.build_model());
-    let setup = prepare(&base, Some(model.clone()));
+    let setup = prepare(&base, Some(std::sync::Arc::new(base.build_model())));
 
-    // One-shard reference (forced: immune to EGM_SHARDS / auto).
+    // One-shard reference (forced: immune to the auto width).
     let seq_scenario = base.clone().with_shards(Some(0));
     let warm = run_prepared(&seq_scenario, &setup);
     let events = warm.events;
@@ -107,21 +90,8 @@ fn main() {
     let seq_eps = events as f64 / seq_best * 1000.0;
     println!("sequential: {seq_best:.1} ms wall ({seq_eps:.0} events/sec)");
 
-    // The planner's view of the run, as the runner configures it.
-    let planner = SimConfig::from_model((*model).clone())
-        .with_rate_hint(base.protocol.fanout, base.protocol.view.capacity);
     let mut width_fields = String::new();
     for &w in &widths {
-        let planned = planner.planned_assignment(w, false);
-        assert!(
-            planned.is_some(),
-            "the {nodes}-node preset must plan at W={w}"
-        );
-        assert_eq!(
-            planned,
-            planner.planned_assignment(w, true),
-            "W={w}: domain-aligned and rate-balanced must be one cut"
-        );
         // Every width A/Bs the structure-free and the planned partition
         // over the same prepared setup.
         for strategy in [

@@ -30,7 +30,7 @@
 //! * `EGM_SCALE_RSS_BUDGET_MB` — when set, asserts peak RSS stays under
 //!   this budget.
 
-use egm_bench::{env_usize, record};
+use egm_bench::{env_parse, env_usize, record};
 use egm_workload::experiments::scale::ScalePreset;
 use egm_workload::runner::RunOutcome;
 use egm_workload::{Arrival, ArrivalProcess};
@@ -78,19 +78,12 @@ fn assert_matches(reference: &RunOutcome, run: &RunOutcome, label: &str) {
 fn main() {
     let preset = ScalePreset::from_env();
     let messages = env_usize("EGM_SCALE_MESSAGES", 120).max(1);
-    let rate: f64 = std::env::var("EGM_SUSTAINED_RATE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
+    let rate = env_parse::<f64>("EGM_SUSTAINED_RATE").unwrap_or(20.0);
     let (process_label, process) = process_from_env(rate);
     let out_path =
         std::env::var("EGM_BENCH_OUT").unwrap_or_else(|_| "BENCH_events_per_sec.json".to_string());
-    let min_eps = std::env::var("EGM_MIN_SUSTAINED_EPS")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok());
-    let rss_budget_mb = std::env::var("EGM_SCALE_RSS_BUDGET_MB")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok());
+    let min_eps = env_parse::<f64>("EGM_MIN_SUSTAINED_EPS");
+    let rss_budget_mb = env_parse::<f64>("EGM_SCALE_RSS_BUDGET_MB");
 
     let nodes = preset.nodes();
     let seed = 42u64;

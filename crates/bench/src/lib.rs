@@ -1,26 +1,9 @@
-//! Benchmark harnesses regenerating the paper's evaluation.
+//! Throughput and gate binaries tracking the simulator's performance.
 //!
-//! Each Criterion bench target under `benches/` corresponds to one figure
-//! (or the §5.1/§5.4 statistics): it first *prints the figure's series* —
-//! the same rows the paper plots — and then times a representative
-//! scenario execution so `cargo bench` doubles as both the reproduction
-//! record and a performance regression guard.
-//!
-//! # Scale
-//!
-//! Scale is controlled by the `EGM_SCALE` environment variable: unset or
-//! `quick` runs a reduced configuration (50 nodes × 120 messages);
-//! `paper` reproduces the full 100 nodes × 400 messages of §5.3. Every
-//! figure experiment reads it through
-//! [`egm_workload::experiments::Scale::from_env`].
-//!
-//! # Parallel sweeps
-//!
-//! Figure experiments execute their independent points through
-//! `egm_workload::runner::run_sweep`, which fans scenarios across cores
-//! and returns results in input order, byte-identical to sequential
-//! execution (each run forks its whole RNG tree from its own seed). Cap
-//! or disable the parallelism with `RAYON_NUM_THREADS`.
+//! The paper's figures are reproduced by the workspace examples
+//! (`cargo run --release --example full_report` prints all of them, at
+//! the scale chosen with `EGM_SCALE`); this crate holds the bench
+//! binaries under `src/bin/` and the record they write.
 //!
 //! # Perf trajectory: `BENCH_events_per_sec.json`
 //!
@@ -92,8 +75,7 @@
 //!   and once under the planned cut — `w2_contiguous` /
 //!   `w2_domain_aligned` / `w4_…` sub-objects. (Records written before
 //!   2026-10 also carry `w<W>_rate_balanced` rows — the same cut timed
-//!   a second time; the bench now asserts that both planner names yield
-//!   one assignment and times it once.) Each records the *effective*
+//!   a second time under its other name.) Each records the *effective*
 //!   `strategy` (a planned strategy falls back to contiguous on
 //!   structureless topologies), `best_wall_ms`, `events_per_sec`,
 //!   `speedup_vs_seq`, and the window-loop counters: `windows`,
@@ -174,32 +156,98 @@
 
 pub mod record;
 
-use egm_workload::experiments::Scale;
+use std::env::VarError;
+use std::str::FromStr;
 
-/// Reads a `usize` environment knob (`EGM_BENCH_RUNS`,
-/// `EGM_SCALE_MESSAGES`, …), falling back to `default` when the variable
-/// is unset or unparseable. Shared by every bench binary.
-pub fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Parses the value of environment knob `key`.
+///
+/// # Panics
+///
+/// Panics naming the variable and the value when it does not parse: a
+/// typoed gate knob must fail the job, not silently disable the gate.
+fn parse_knob<T: FromStr>(key: &str, value: &str) -> T {
+    value.trim().parse().unwrap_or_else(|_| {
+        panic!(
+            "unrecognized {key} {value:?}: expected a value of type {}",
+            std::any::type_name::<T>()
+        )
+    })
 }
 
-/// Prints a figure banner plus its rendered table.
-pub fn print_figure(name: &str, scale: &Scale, table: &str) {
-    println!(
-        "\n=== {name} (nodes={}, messages={}, seed={}) ===",
-        scale.nodes, scale.messages, scale.seed
-    );
-    println!("{table}");
+/// Parses a comma-separated knob value; an empty value is an empty list.
+fn parse_knob_list<T: FromStr>(key: &str, value: &str) -> Vec<T> {
+    if value.trim().is_empty() {
+        return Vec::new();
+    }
+    value.split(',').map(|v| parse_knob(key, v)).collect()
+}
+
+/// Reads an optional environment knob (`EGM_MIN_EVENTS_PER_SEC`,
+/// `EGM_SCALE_RSS_BUDGET_MB`, …): `None` when unset. Shared by every
+/// bench binary.
+///
+/// # Panics
+///
+/// Panics when the variable is set to something that does not parse.
+pub fn env_parse<T: FromStr>(key: &str) -> Option<T> {
+    match std::env::var(key) {
+        Ok(v) => Some(parse_knob(key, &v)),
+        Err(VarError::NotPresent) => None,
+        Err(VarError::NotUnicode(v)) => panic!("unrecognized {key} {v:?}: not UTF-8"),
+    }
+}
+
+/// Reads a `usize` environment knob (`EGM_BENCH_RUNS`,
+/// `EGM_SCALE_MESSAGES`, …), `default` when unset.
+///
+/// # Panics
+///
+/// Panics when the variable is set to something that does not parse.
+pub fn env_usize(key: &str, default: usize) -> usize {
+    env_parse(key).unwrap_or(default)
+}
+
+/// Reads a comma-separated environment knob (`EGM_SHARD_WIDTHS`): `None`
+/// when unset, an empty list when set to the empty string.
+///
+/// # Panics
+///
+/// Panics when any item does not parse.
+pub fn env_list<T: FromStr>(key: &str) -> Option<Vec<T>> {
+    env_parse::<String>(key).map(|v| parse_knob_list(key, &v))
 }
 
 #[cfg(test)]
 mod tests {
+    use super::{parse_knob, parse_knob_list};
+
     #[test]
-    fn print_figure_is_callable() {
-        let scale = egm_workload::experiments::Scale::quick();
-        super::print_figure("smoke", &scale, "a b\n---\n1 2\n");
+    fn knobs_parse_with_surrounding_whitespace() {
+        assert_eq!(parse_knob::<f64>("EGM_MIN_DELIVERY_RATIO", " 0.90 "), 0.9);
+        assert_eq!(parse_knob::<usize>("EGM_BENCH_RUNS", "3"), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "unrecognized EGM_MIN_DELIVERY_RATIO \"0,90\"")]
+    fn a_typoed_gate_value_panics_naming_variable_and_value() {
+        let _ = parse_knob::<f64>("EGM_MIN_DELIVERY_RATIO", "0,90");
+    }
+
+    #[test]
+    #[should_panic(expected = "unrecognized EGM_BENCH_RUNS \"two\"")]
+    fn a_typoed_count_panics_instead_of_taking_the_default() {
+        let _ = parse_knob::<usize>("EGM_BENCH_RUNS", "two");
+    }
+
+    #[test]
+    fn lists_split_on_commas_and_empty_means_none() {
+        assert_eq!(parse_knob_list::<usize>("EGM_SHARD_WIDTHS", "2, 4"), [2, 4]);
+        assert_eq!(parse_knob_list::<usize>("EGM_SHARD_WIDTHS", ""), []);
+    }
+
+    #[test]
+    #[should_panic(expected = "unrecognized EGM_SHARD_WIDTHS \"x\"")]
+    fn one_bad_list_item_panics_instead_of_being_dropped() {
+        let _ = parse_knob_list::<usize>("EGM_SHARD_WIDTHS", "2,x");
     }
 }

@@ -2,7 +2,6 @@
 
 use egm_membership::ViewConfig;
 use egm_simnet::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one protocol node.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(config.fanout, 7);
 /// assert_eq!(config.rounds, 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolConfig {
     /// Gossip fanout `f`: targets per forwarding step (11 in §5.2).
     pub fanout: usize,

@@ -1,7 +1,6 @@
 //! Probabilistically unique message identifiers.
 
 use egm_rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A 128-bit random message identifier.
 ///
@@ -25,9 +24,7 @@ use serde::{Deserialize, Serialize};
 // the whole enum of wire messages 16-byte aligned, growing every
 // event-queue entry in the simulator's BinaryHeap. The derived Ord over
 // (hi, lo) is lexicographic, i.e. identical to the u128 ordering.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MsgId(u64, u64);
 
 impl MsgId {

@@ -193,8 +193,8 @@ impl PerformanceMonitor for Monitor {
 }
 
 /// Declarative monitor configuration, buildable into per-node [`Monitor`]
-/// instances. Serialized as part of experiment scenarios.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize, Default)]
+/// instances. Part of every experiment scenario.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MonitorSpec {
     /// No environmental knowledge.
     #[default]

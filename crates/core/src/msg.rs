@@ -4,14 +4,13 @@ use crate::config::ProtocolConfig;
 use crate::id::MsgId;
 use egm_membership::ShuffleMsg;
 use egm_simnet::Wire;
-use serde::{Deserialize, Serialize};
 
 /// Application payload descriptor.
 ///
 /// The simulator does not ship actual bytes; a payload is its experiment
 /// sequence number (used by the measurement harness to match deliveries to
 /// multicasts) plus its declared size, which drives byte accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Payload {
     /// Harness-assigned multicast sequence number.
     pub seq: u64,
@@ -26,7 +25,7 @@ pub struct Payload {
 /// service; `Ping`/`Pong` feed the runtime performance monitor (§3.2's
 /// note that the monitor *"may be required to exchange messages with its
 /// peers, for instance, to measure roundtrip delays"*).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EgmMessage {
     /// `MSG(i, d, r)` — full payload transmission at gossip round `r`.
     Msg {

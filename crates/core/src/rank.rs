@@ -33,7 +33,6 @@ use egm_membership::{bootstrap_views, PartialView, ViewConfig};
 use egm_simnet::NodeId;
 use egm_topology::RoutedModel;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Padding of a view shorter than the snapshot stride in
@@ -48,7 +47,7 @@ const NO_PEER: u32 = u32::MAX;
 /// the scale presets use `GossipSorted` (decentralized, no O(n²) sweep)
 /// once its hub-choice overlap with the oracle was measured ≥ 0.8 at
 /// 1k–10k nodes (`experiments::rank_quality`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RankSource {
     /// Exact centrality over the model file (O(n²) global sweep).
     #[default]
@@ -202,7 +201,7 @@ impl RankSource {
 /// assert!(!best.is_best(NodeId(3)));
 /// assert_eq!(best.best_count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BestSet {
     flags: Vec<bool>,
 }

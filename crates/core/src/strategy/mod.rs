@@ -35,7 +35,6 @@ use crate::monitor::PerformanceMonitor;
 use crate::rank::BestSet;
 use egm_rng::Rng;
 use egm_simnet::{NodeId, SimDuration};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Everything a strategy may consult while deciding.
@@ -132,7 +131,7 @@ pub(crate) fn nearest_source(ctx: &mut StrategyCtx<'_>, sources: &[NodeId]) -> u
 
 /// Declarative strategy configuration, buildable into per-node strategy
 /// instances. This is what experiment scenarios serialize.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StrategySpec {
     /// [`Flat`] with eager probability `pi`.
     Flat {

@@ -55,10 +55,7 @@ impl ShuffleMsg {
 /// each [`ShuffleMsg`] is recycled — a handled request's buffer becomes
 /// the reply's, a handled reply's buffer becomes the next outgoing
 /// request's. Equality ignores the scratch state (see the manual
-/// `PartialEq`), and so must any future serialization (the serde marker
-/// impls below are written by hand so a real-serde migration is forced
-/// to decide the field set rather than silently deriving the scratch
-/// buffers into the wire format).
+/// `PartialEq`).
 #[derive(Debug, Clone)]
 pub struct PartialView {
     owner: NodeId,

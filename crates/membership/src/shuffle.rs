@@ -1,7 +1,6 @@
 //! Shuffle wire messages.
 
 use egm_simnet::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Most entries one [`ShuffleMsg`] carries, and so the upper bound on
 /// [`crate::ViewConfig::shuffle_size`]. A constant, not configuration:
@@ -38,12 +37,6 @@ pub struct ShuffleMsg {
     len: u8,
     entries: [u32; MAX_SHUFFLE],
 }
-
-// Hand-written marker impls (the vendored serde is attribute-free): a
-// real-serde swap must serialize the kind and the carried entries, never
-// the unused tail of the table.
-impl Serialize for ShuffleMsg {}
-impl<'de> Deserialize<'de> for ShuffleMsg {}
 
 impl PartialEq for ShuffleMsg {
     fn eq(&self, other: &Self) -> bool {

@@ -3,7 +3,6 @@
 use crate::shuffle::{node_id, raw_id, ShuffleMsg, MAX_SHUFFLE};
 use egm_rng::{sample, Rng};
 use egm_simnet::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Most peers one [`PartialView`] holds, and so the upper bound on
 /// [`ViewConfig::capacity`]. A constant, not configuration: it fixes the
@@ -15,7 +14,7 @@ pub const MAX_VIEW: usize = 32;
 /// The paper uses an *overlay fanout* of 15 (§5.2): with 200 nodes this
 /// yields probability 0.999 of overlay connectedness under 15 % node
 /// failures \[6\].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ViewConfig {
     /// Maximum number of peers kept in the view (overlay fanout), in
     /// `1..=`[`MAX_VIEW`].
@@ -91,10 +90,7 @@ impl PeerSample {
 /// shuffling and cloning are allocation-free by construction and a
 /// `Vec<PartialView>` is one flat block. Equality compares the live
 /// prefix of the table only (a slot a removed peer left behind is not
-/// state), and so must any future serialization (the serde marker impls
-/// below are written by hand so a real-serde migration is forced to
-/// decide the field set rather than silently deriving the stale tail
-/// into the wire format).
+/// state).
 ///
 /// # Examples
 ///
@@ -119,12 +115,6 @@ pub struct PartialView {
     static_view: bool,
     peers: [u32; MAX_VIEW],
 }
-
-// Hand-written marker impls (the vendored serde is attribute-free): a
-// real-serde swap must serialize only the logical fields — owner,
-// capacity, shuffle size, static flag and the live peers.
-impl Serialize for PartialView {}
-impl<'de> Deserialize<'de> for PartialView {}
 
 impl PartialEq for PartialView {
     fn eq(&self, other: &Self) -> bool {

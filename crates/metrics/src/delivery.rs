@@ -1,7 +1,6 @@
 //! Multicast/delivery logging: latency and reliability.
 
 use crate::summary::Summary;
-use serde::{Deserialize, Serialize};
 
 /// Log of multicasts and deliveries for one experiment run.
 ///
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(log.delivery_count(m), 2);
 /// assert_eq!(log.latencies(), vec![50.0, 60.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeliveryLog {
     node_count: usize,
     /// Per message: (source node, multicast time ms).
@@ -45,7 +44,7 @@ pub struct DeliveryLog {
 }
 
 /// Sparse first-delivery records of one message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct MessageDeliveries {
     /// `(node, delivery time ms, gossip round)` in arrival order.
     entries: Vec<(u32, f64, u32)>,
@@ -58,7 +57,7 @@ struct MessageDeliveries {
 /// Starts sparse (a sorted id list), promotes itself to a dense bitmap
 /// once the list would cost more than the bitmap, and drops all storage
 /// when the message saturates — at which point membership is implicit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum SeenSet {
     /// Sorted node ids; membership and insertion by binary search.
     Sparse(Vec<u32>),

@@ -1,7 +1,5 @@
 //! Fixed-width bucket histograms.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram with fixed-width buckets over `[lo, hi)` plus overflow and
 /// underflow counters.
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.bucket_count(9), 1);
 /// assert_eq!(h.total(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -1,7 +1,6 @@
 //! The serializable result of one experiment run.
 
 use crate::summary::Summary;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated results of one simulated experiment — one point in the
 //  paper's figures.
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// };
 /// assert!(report.to_string().contains("flat"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Human-readable configuration label (strategy and parameters).
     pub label: String,

@@ -1,7 +1,5 @@
 //! Summary statistics with 95 % confidence intervals.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics over a set of `f64` samples.
 ///
 /// The confidence interval uses the normal approximation
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.mean - 11.5).abs() < 1e-9);
 /// assert!(s.ci95_contains(11.5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub n: usize,

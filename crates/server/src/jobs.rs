@@ -389,8 +389,8 @@ impl ProgressSink for JobSink {
 ///   `{"kind":"ranked","best_fraction":0.2}`;
 /// - `shards`: shard-count override (`0` and `1` both mean one shard,
 ///   which streams `chunk` progress frames; wider runs stream `window`
-///   frames). Without it the count resolves like any other run:
-///   `EGM_SHARDS`, then the size-based default;
+///   frames). Without it the count resolves like any other run: the
+///   size-based default;
 /// - `sweep`: `{"field":"pi"|"best_fraction","values":[..]}` — one run
 ///   per value, overriding `strategy`.
 pub fn parse_job(body: &Json) -> Result<Vec<PlannedRun>, String> {

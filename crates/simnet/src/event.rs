@@ -20,8 +20,7 @@
 //! `queue_equivalence` integration test drives both with arbitrary
 //! interleaved push/pop sequences and asserts identical pop streams; the
 //! simulator exposes the choice through
-//! [`SimConfig::with_event_queue`](crate::SimConfig::with_event_queue)
-//! and the `EGM_EVENT_QUEUE` environment variable.
+//! [`SimConfig::with_event_queue`](crate::SimConfig::with_event_queue).
 
 use crate::sim::TimerToken;
 use crate::time::{SimDuration, SimTime};
@@ -665,9 +664,9 @@ impl<T> EventQueue<T> for CalendarQueue<T> {
 /// `queue_equivalence` suite), so the choice is purely a performance
 /// knob: the calendar queue stays O(1) and cache-warm at 1k–10k-node
 /// scale (~1.6× the heap's event rate at 10k), while a small simulation's
-/// heap fits in cache and wins on constant factors. When neither the
-/// scenario nor `EGM_EVENT_QUEUE` forces a choice, the simulator picks by
-/// size ([`QueueKind::auto_for`]).
+/// heap fits in cache and wins on constant factors. Unless the scenario
+/// forces a choice, the simulator picks by size
+/// ([`QueueKind::auto_for`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
     /// Binary heap (`O(log n)`, reference implementation).
@@ -683,33 +682,6 @@ pub enum QueueKind {
 pub const CALENDAR_MIN_NODES: usize = 512;
 
 impl QueueKind {
-    /// Parses a label (`"heap"` or `"calendar"`).
-    pub fn parse(label: &str) -> Option<Self> {
-        match label {
-            "heap" | "binary-heap" => Some(QueueKind::Heap),
-            "calendar" => Some(QueueKind::Calendar),
-            _ => None,
-        }
-    }
-
-    /// Reads the `EGM_EVENT_QUEUE` override from the environment; `None`
-    /// when unset (size-based default applies). Setting `heap` is the
-    /// escape hatch should the calendar ever misbehave; `calendar`
-    /// forces the scale queue on small runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value — silently falling back would turn
-    /// an A/B comparison into two identical runs.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("EGM_EVENT_QUEUE") {
-            Err(_) => None,
-            Ok(v) => Some(QueueKind::parse(&v).unwrap_or_else(|| {
-                panic!("unrecognized EGM_EVENT_QUEUE {v:?}: use heap or calendar")
-            })),
-        }
-    }
-
     /// The size-based default: heap below [`CALENDAR_MIN_NODES`] nodes,
     /// calendar from there on.
     pub fn auto_for(nodes: usize) -> Self {
@@ -929,12 +901,5 @@ mod tests {
         cal.push(ev(10.0, 1));
         assert_eq!(cal.pop_next(None).unwrap().seq, 1);
         assert_eq!(cal.pop_next(None).unwrap().seq, 0);
-    }
-
-    #[test]
-    fn queue_kind_parses_and_reads_env() {
-        assert_eq!(QueueKind::parse("heap"), Some(QueueKind::Heap));
-        assert_eq!(QueueKind::parse("calendar"), Some(QueueKind::Calendar));
-        assert_eq!(QueueKind::parse("splay"), None);
     }
 }

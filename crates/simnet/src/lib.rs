@@ -63,8 +63,6 @@ pub use stats::{LinkTally, Traffic};
 pub use time::{SimDuration, SimTime};
 pub use wire::Wire;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a simulated protocol node (dense, `0..n`).
 ///
 /// # Examples
@@ -75,9 +73,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.index(), 3);
 /// assert_eq!(a.to_string(), "n3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub usize);
 
 impl NodeId {

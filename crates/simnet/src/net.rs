@@ -44,21 +44,16 @@ pub struct SimConfig {
     /// (see [`crate::Traffic::with_spill_threshold`]).
     link_spill_threshold: usize,
     /// Which event-queue implementation the simulator uses; `None`
-    /// resolves by size at simulation start (`EGM_EVENT_QUEUE` or
-    /// [`SimConfig::with_event_queue`] override it).
+    /// resolves by size ([`QueueKind::auto_for`]).
     event_queue: Option<QueueKind>,
     /// How many shards the run partitions the nodes across; `None`
-    /// resolves via `EGM_SHARDS`, then the size-based default
+    /// resolves by size and core count
     /// ([`crate::shard::auto_shards_for`]).
     shards: Option<usize>,
-    /// How a multi-shard run maps nodes to shards; `None` resolves via
-    /// `EGM_PARTITION`, then the auto default (domain-aligned when the
-    /// delay source yields a plan, contiguous otherwise).
+    /// How a multi-shard run maps nodes to shards; `None` is auto
+    /// (domain-aligned when the delay source yields a plan, contiguous
+    /// otherwise).
     partition: Option<PartitionStrategy>,
-    /// `(fanout, view degree)` hint for the rate-balanced partition
-    /// planner's per-domain event-rate estimate; `None` falls back to a
-    /// uniform per-client rate.
-    rate_hint: Option<(usize, usize)>,
     /// Directory for writer-backed traffic compaction (see
     /// [`crate::Traffic::enable_spool`]); `None` keeps folds in memory.
     traffic_spool: Option<std::path::PathBuf>,
@@ -89,10 +84,9 @@ impl SimConfig {
             min_delay: SimDuration::from_micros(10),
             egress_bandwidth: None,
             link_spill_threshold: usize::MAX,
-            event_queue: QueueKind::from_env(),
+            event_queue: None,
             shards: None,
             partition: None,
-            rate_hint: None,
             traffic_spool: None,
         }
     }
@@ -109,10 +103,9 @@ impl SimConfig {
             min_delay: SimDuration::from_micros(10),
             egress_bandwidth: None,
             link_spill_threshold: usize::MAX,
-            event_queue: QueueKind::from_env(),
+            event_queue: None,
             shards: None,
             partition: None,
-            rate_hint: None,
             traffic_spool: None,
         }
     }
@@ -169,28 +162,27 @@ impl SimConfig {
     }
 
     /// Selects the event-queue implementation (builder style),
-    /// overriding both the `EGM_EVENT_QUEUE` variable and the size-based
-    /// default. Both implementations dispatch in bit-identical order, so
-    /// this is a performance A/B switch, never a behavioural one.
+    /// overriding the size-based default. Both implementations dispatch
+    /// in bit-identical order, so this is a performance A/B switch, never
+    /// a behavioural one.
     pub fn with_event_queue(mut self, kind: QueueKind) -> Self {
         self.event_queue = Some(kind);
         self
     }
 
     /// The event-queue implementation this configuration resolves to:
-    /// an explicit [`SimConfig::with_event_queue`] choice wins, then the
-    /// `EGM_EVENT_QUEUE` environment override, then the size-based
-    /// default ([`QueueKind::auto_for`]).
+    /// an explicit [`SimConfig::with_event_queue`] choice, else the
+    /// size-based default ([`QueueKind::auto_for`]).
     pub fn event_queue(&self) -> QueueKind {
         self.event_queue
             .unwrap_or_else(|| QueueKind::auto_for(self.node_count()))
     }
 
     /// Selects how many shards partition the run (builder style),
-    /// overriding both the `EGM_SHARDS` variable and the size-based
-    /// default. `0` and `1` both mean one shard — the plain sequential
-    /// event loop. Every shard count produces byte-identical results —
-    /// this is a performance knob, never a behavioural one.
+    /// overriding the size-based default. `0` and `1` both mean one
+    /// shard — the plain sequential event loop. Every shard count
+    /// produces byte-identical results — this is a performance knob,
+    /// never a behavioural one.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
@@ -198,33 +190,23 @@ impl SimConfig {
 
     /// The shard count this configuration resolves to — what the runner
     /// hands to [`crate::Sim::with_shards`]: an explicit
-    /// [`SimConfig::with_shards`] choice wins, then the `EGM_SHARDS`
-    /// environment override, then the size-based default
-    /// ([`crate::shard::auto_shards_for`]). The result is clamped to
-    /// `1..=node_count`, so `0` and `1` both resolve to one shard.
+    /// [`SimConfig::with_shards`] choice, else the default for this node
+    /// count and machine ([`crate::shard::auto_shards_for`]). The result
+    /// is clamped to `1..=node_count`, so `0` and `1` both resolve to one
+    /// shard.
     pub fn shard_count(&self) -> usize {
         let n = self.node_count();
         self.shards
-            .or_else(crate::shard::shards_from_env)
             .unwrap_or_else(|| crate::shard::auto_shards_for(n))
             .clamp(1, n)
     }
 
     /// Selects the partition strategy of a multi-shard run (builder style),
-    /// overriding both the `EGM_PARTITION` variable and the auto
-    /// default. Every strategy produces byte-identical results — this is
-    /// a performance knob, never a behavioural one.
+    /// overriding the auto default. Every strategy produces
+    /// byte-identical results — this is a performance knob, never a
+    /// behavioural one.
     pub fn with_partition(mut self, strategy: PartitionStrategy) -> Self {
         self.partition = Some(strategy);
-        self
-    }
-
-    /// Supplies the `(fanout, view_degree)` workload hint the
-    /// rate-balanced partition planner weighs domains by. Without a hint
-    /// the planner assumes a uniform per-client event rate (equivalent
-    /// to balancing by node count).
-    pub fn with_rate_hint(mut self, fanout: usize, view_degree: usize) -> Self {
-        self.rate_hint = Some((fanout, view_degree));
         self
     }
 
@@ -244,34 +226,22 @@ impl SimConfig {
     }
 
     /// The partition strategy this configuration resolves to: an
-    /// explicit [`SimConfig::with_partition`] choice wins, then the
-    /// `EGM_PARTITION` environment override; `None` means *auto* — the
-    /// engine plans a domain-aligned partition when the delay source
-    /// supports one and falls back to contiguous otherwise (see
+    /// explicit [`SimConfig::with_partition`] choice, else `None` —
+    /// *auto*: the engine plans a domain-aligned partition when the delay
+    /// source supports one and falls back to contiguous otherwise (see
     /// [`crate::ShardStats::strategy`] for what took effect).
     pub fn partition_strategy(&self) -> Option<PartitionStrategy> {
-        self.partition.or_else(crate::shard::partition_from_env)
+        self.partition
     }
 
     /// Plans a domain-aligned node→shard assignment over the routed
     /// delay model: `None` when the delay source has no domain structure
-    /// (uniform or dense) or fewer populated domains than shards. With
-    /// `rate_balanced`, shards are balanced by the per-domain event-rate
-    /// estimate seeded from [`SimConfig::with_rate_hint`].
-    pub fn planned_assignment(&self, shards: usize, rate_balanced: bool) -> Option<Vec<u32>> {
+    /// (uniform or dense) or fewer populated domains than shards.
+    pub fn planned_assignment(&self, shards: usize) -> Option<Vec<u32>> {
         let DelaySource::Model(m) = &self.delay else {
             return None;
         };
-        let balance = if rate_balanced {
-            let (fanout, view_degree) = self.rate_hint.unwrap_or((1, 1));
-            PlanBalance::Rate {
-                fanout,
-                view_degree,
-            }
-        } else {
-            PlanBalance::Nodes
-        };
-        m.partition_plan(shards, balance)
+        m.partition_plan(shards, PlanBalance::Nodes)
             .map(|p| p.assignment().to_vec())
     }
 
@@ -537,7 +507,8 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::{Network, SimConfig};
-    use crate::{NodeId, SimDuration};
+    use crate::shard::auto_shards_for;
+    use crate::{NodeId, PartitionStrategy, QueueKind, SimDuration};
     use egm_rng::Rng;
     use egm_topology::RoutedModel;
 
@@ -561,7 +532,21 @@ mod tests {
         assert_eq!(config.clone().with_shards(1).shard_count(), 1);
         assert_eq!(config.clone().with_shards(4).shard_count(), 4);
         // Clamped to the node count.
-        assert_eq!(config.with_shards(64).shard_count(), 6);
+        assert_eq!(config.clone().with_shards(64).shard_count(), 6);
+        // Nothing explicit: the size-based defaults, whatever the
+        // process environment holds.
+        assert_eq!(config.shard_count(), auto_shards_for(6));
+        assert_eq!(config.event_queue(), QueueKind::auto_for(6));
+        assert_eq!(config.partition_strategy(), None);
+        // Explicit choices come back as given.
+        let pinned = config
+            .with_event_queue(QueueKind::Calendar)
+            .with_partition(PartitionStrategy::Contiguous);
+        assert_eq!(pinned.event_queue(), QueueKind::Calendar);
+        assert_eq!(
+            pinned.partition_strategy(),
+            Some(PartitionStrategy::Contiguous)
+        );
     }
 
     #[test]

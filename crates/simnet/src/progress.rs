@@ -23,7 +23,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProgressEvent {
     /// A conservative window was planned by a multi-shard run. Emitted
-    /// by both window drivers at plan time, before the window executes.
+    /// by the window driver at plan time, before the window executes.
     Window {
         /// Windows planned so far in this engine (1-based, cumulative).
         window: u64,
@@ -78,7 +78,7 @@ pub enum ProgressEvent {
 
 /// Receiver for [`ProgressEvent`]s.
 ///
-/// `Send + Sync` because the threaded window driver emits from its
+/// `Send + Sync` because the window driver emits from its
 /// leader worker thread; `Debug` so engines holding a sink can keep
 /// deriving `Debug`.
 pub trait ProgressSink: Send + Sync + std::fmt::Debug {

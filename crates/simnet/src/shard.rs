@@ -43,7 +43,6 @@ use crate::progress::{ProgressEvent, SharedSink};
 use crate::sim::{EngineState, Protocol, ShardRoute, SimCore};
 use crate::stats::Traffic;
 use crate::time::{SimDuration, SimTime};
-use crate::wire::Wire;
 use crate::NodeId;
 use egm_rng::Rng;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -64,8 +63,8 @@ pub const SHARD_MIN_NODES: usize = 1000;
 /// 0.74× of one shard at 1k, 1.40× at 4k and 1.49× at 10k — behind two
 /// shards everywhere (four workers on two cores park at every barrier,
 /// and the presets' ten transit domains split 3 / 3 / 3 / 1). Wider
-/// runs stay an explicit choice (`EGM_SHARDS`, `Scenario::with_shards`)
-/// until there is a measurement on ≥ 8 cores.
+/// runs stay an explicit choice (`Scenario::with_shards`,
+/// [`SimConfig::with_shards`]) until there is a measurement on ≥ 8 cores.
 pub const MAX_AUTO_SHARDS: usize = 2;
 
 /// The size-based default shard count: 1 below [`SHARD_MIN_NODES`] nodes,
@@ -83,22 +82,6 @@ pub fn auto_shards_for(nodes: usize) -> usize {
         .min(nodes)
 }
 
-/// Reads the `EGM_SHARDS` override from the environment; `None` when
-/// unset (the size-based default applies).
-///
-/// # Panics
-///
-/// Panics on an unparseable value — silently falling back would turn a
-/// scaling A/B into two identical runs.
-pub fn shards_from_env() -> Option<usize> {
-    match std::env::var("EGM_SHARDS") {
-        Err(_) => None,
-        Ok(v) => Some(v.parse().unwrap_or_else(|_| {
-            panic!("unrecognized EGM_SHARDS {v:?}: use a shard count (0 and 1 both mean one shard)")
-        })),
-    }
-}
-
 /// How nodes are mapped to shards (see [`Partition`]). Every strategy
 /// produces byte-identical simulation outputs — the strategy only moves
 /// the cross-shard latency floor (the window lookahead) and the lane
@@ -114,24 +97,14 @@ pub enum PartitionStrategy {
     /// clustering populated core routers to maximize the inter-shard
     /// latency floor; shards balanced by node count.
     DomainAligned,
-    /// Domain-aligned cuts balanced by the per-domain event-rate
-    /// estimate (fanout × view degree × traffic share) instead of raw
-    /// node count.
+    /// A second name for [`PartitionStrategy::DomainAligned`]: the same
+    /// planned cut, reported under this name in [`ShardStats::strategy`].
+    /// Kept because the repository's benchmark constructs it.
     RateBalanced,
 }
 
 impl PartitionStrategy {
-    /// Parses a strategy name as used by `EGM_PARTITION`.
-    pub fn parse(s: &str) -> Option<PartitionStrategy> {
-        match s {
-            "contiguous" => Some(PartitionStrategy::Contiguous),
-            "domain-aligned" | "domain" => Some(PartitionStrategy::DomainAligned),
-            "rate-balanced" | "rate" => Some(PartitionStrategy::RateBalanced),
-            _ => None,
-        }
-    }
-
-    /// The canonical name (inverse of [`PartitionStrategy::parse`]).
+    /// The canonical name, as reports and bench records print it.
     pub fn name(self) -> &'static str {
         match self {
             PartitionStrategy::Contiguous => "contiguous",
@@ -144,24 +117,6 @@ impl PartitionStrategy {
 impl std::fmt::Display for PartitionStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Reads the `EGM_PARTITION` override from the environment; `None` when
-/// unset (the scenario choice or the auto default applies).
-///
-/// # Panics
-///
-/// Panics on an unrecognized value — silently falling back would turn a
-/// partitioning A/B into two identical runs.
-pub fn partition_from_env() -> Option<PartitionStrategy> {
-    match std::env::var("EGM_PARTITION") {
-        Err(_) => None,
-        Ok(v) => Some(PartitionStrategy::parse(&v).unwrap_or_else(|| {
-            panic!(
-                "unrecognized EGM_PARTITION {v:?}: use contiguous, domain-aligned or rate-balanced"
-            )
-        })),
     }
 }
 
@@ -286,7 +241,7 @@ impl Partition {
 }
 
 /// A destination shard's inbox for cross-shard events published by the
-/// threaded window driver.
+/// window driver.
 type Mailbox<M> = Mutex<Vec<Scheduled<EventKind<M>>>>;
 
 /// What a poisoned mailbox or barrier lock means. Work segments run
@@ -429,7 +384,7 @@ pub struct ShardStats {
 /// window-loop counters. See the module documentation for the
 /// synchronization scheme.
 #[derive(Debug)]
-pub(crate) struct WindowLoop<M> {
+pub(crate) struct WindowLoop {
     partition: Arc<Partition>,
     /// The strategy the partition was actually built with.
     strategy: PartitionStrategy,
@@ -437,17 +392,13 @@ pub(crate) struct WindowLoop<M> {
     lookahead: SimDuration,
     /// The merged traffic view, once [`WindowLoop::merge_traffic`] ran.
     pub(crate) merged: Option<Traffic>,
-    pub(crate) threaded: bool,
-    /// Spin budget of the threaded driver's barrier: [`BARRIER_SPIN_ITERS`]
-    /// when every shard can have a core to itself, else 0 (park at once).
+    /// Spin budget of the driver's barrier: [`BARRIER_SPIN_ITERS`] when
+    /// every shard can have a core to itself, else 0 (park at once).
     barrier_spin: u32,
     windows: u64,
     lane_events: u64,
     lane_flushes: u64,
     exchanges_skipped: u64,
-    /// Reusable scratch buffer for the per-destination lane merge of the
-    /// single-threaded window driver.
-    lane_gather: Vec<Scheduled<EventKind<M>>>,
     /// Observe-only progress sink; window plans are reported to it.
     /// `None` (the default) leaves the window loop exactly as it was —
     /// the sink is never consulted for decisions, so installing one
@@ -455,7 +406,7 @@ pub(crate) struct WindowLoop<M> {
     pub(crate) progress: Option<SharedSink>,
 }
 
-impl<M: Wire + Send> WindowLoop<M> {
+impl WindowLoop {
     /// Partitions `nodes` and their per-node RNG stream vectors (in
     /// global-id order) across `w > 1` shards, returning the per-shard
     /// event loops and the window-loop state that drives them.
@@ -463,7 +414,7 @@ impl<M: Wire + Send> WindowLoop<M> {
     /// # Panics
     ///
     /// Panics if no latency floor separates the shards.
-    pub(crate) fn split<P: Protocol<Msg = M>>(
+    pub(crate) fn split<P: Protocol>(
         config: SimConfig,
         nodes: Vec<P>,
         node_rngs: Vec<Rng>,
@@ -509,13 +460,11 @@ impl<M: Wire + Send> WindowLoop<M> {
             strategy,
             lookahead,
             merged: None,
-            threaded: shard_threads_enabled(),
             barrier_spin: if cores >= w { BARRIER_SPIN_ITERS } else { 0 },
             windows: 0,
             lane_events: 0,
             lane_flushes: 0,
             exchanges_skipped: 0,
-            lane_gather: Vec::new(),
             progress: None,
         };
         (states, windows)
@@ -544,7 +493,7 @@ impl<M: Wire + Send> WindowLoop<M> {
 
     /// Merges the per-shard traffic tables into the sealed global view
     /// (idempotent).
-    pub(crate) fn merge_traffic<P: Protocol<Msg = M>>(&mut self, shards: &mut [EngineState<P>]) {
+    pub(crate) fn merge_traffic<P: Protocol>(&mut self, shards: &mut [EngineState<P>]) {
         if self.merged.is_some() {
             return;
         }
@@ -560,102 +509,23 @@ impl<M: Wire + Send> WindowLoop<M> {
     /// in parallel, so the bound handed to each shard is `M + L - 1 µs`
     /// (inclusive). Planning from `M` rather than marching fixed windows
     /// lets the loop leap over idle stretches of virtual time.
-    pub(crate) fn run<P: Protocol<Msg = M> + Send>(
-        &mut self,
-        shards: &mut [EngineState<P>],
-        deadline: Option<SimTime>,
-    ) {
-        if self.threaded {
-            self.run_windows_threaded(shards, deadline);
-        } else {
-            self.run_windows_sequential(shards, deadline);
-        }
-    }
-
-    /// Single-threaded window driver: identical schedule to the threaded
-    /// driver, useful on one core and as the determinism reference.
-    fn run_windows_sequential<P: Protocol<Msg = M>>(
-        &mut self,
-        shards: &mut [EngineState<P>],
-        deadline: Option<SimTime>,
-    ) {
-        for sh in shards.iter_mut() {
-            sh.ensure_started();
-        }
-        loop {
-            self.exchange_lanes(shards);
-            let min_t = shards.iter().filter_map(|sh| sh.core.next_time()).min();
-            let Some(min_t) = min_t else { break };
-            if deadline.is_some_and(|d| min_t > d) {
-                break;
-            }
-            let bound = window_bound(min_t, self.lookahead, deadline);
-            if let Some(sink) = &self.progress {
-                sink.emit(ProgressEvent::Window {
-                    window: self.windows + 1,
-                    now_us: min_t.as_micros(),
-                    events: shards.iter().map(|sh| sh.events_processed).sum(),
-                });
-            }
-            for sh in shards.iter_mut() {
-                sh.run_bounded(Some(bound));
-            }
-            self.windows += 1;
-        }
-    }
-
-    /// Moves every pending cross-shard lane into its destination queue.
     ///
-    /// Adaptive: when no shard has cross-shard sends pending, the whole
-    /// exchange is one boolean check. Otherwise the per-`(src, dst)`
-    /// lanes are coalesced into **one sorted merge per destination**: all
-    /// source lanes gather into a reusable scratch buffer, sort by the
-    /// intrinsic `(time, seq)` key, and enter the destination queue in
-    /// ascending order — one batched flush instead of `W - 1` per-lane
-    /// event streams. Push order never affects dispatch order (the queue
-    /// orders by key), so batching is purely a throughput change.
-    fn exchange_lanes<P: Protocol<Msg = M>>(&mut self, shards: &mut [EngineState<P>]) {
-        if !shards.iter().any(|sh| sh.core.lanes_pending()) {
-            self.exchanges_skipped += 1;
-            return;
-        }
-        let w = shards.len();
-        let mut gather = std::mem::take(&mut self.lane_gather);
-        for dst in 0..w {
-            debug_assert!(gather.is_empty());
-            for (src, sh) in shards.iter_mut().enumerate() {
-                if dst == src {
-                    continue;
-                }
-                let mut lane = sh.core.take_lane(dst);
-                self.lane_events += lane.len() as u64;
-                gather.append(&mut lane);
-                sh.core.put_lane(dst, lane);
-            }
-            if gather.is_empty() {
-                continue;
-            }
-            gather.sort_unstable_by_key(|ev| (ev.time, ev.seq));
-            self.lane_flushes += 1;
-            for ev in gather.drain(..) {
-                shards[dst].core.enqueue(ev);
-            }
-        }
-        self.lane_gather = gather;
-    }
-
-    /// Multi-threaded window driver: one persistent worker per shard,
-    /// three barrier phases per window (publish lanes → merge + report →
-    /// plan). Lane hand-off goes through per-destination mailboxes; a
-    /// worker may publish into a mailbox while its owner still processes
-    /// the previous window — merged-early events simply wait in the
-    /// queue, which is harmless (only merging *late* would be a bug, and
-    /// the publish-before-report barrier order rules it out).
-    fn run_windows_threaded<P: Protocol<Msg = M> + Send>(
+    /// One persistent worker thread per shard, three barrier phases per
+    /// window (publish lanes → merge + report → plan). Lane hand-off goes
+    /// through per-destination mailboxes; a worker may publish into a
+    /// mailbox while its owner still processes the previous window —
+    /// merged-early events simply wait in the queue, which is harmless
+    /// (only merging *late* would be a bug, and the publish-before-report
+    /// barrier order rules it out). Push order never affects dispatch
+    /// order (the queue orders by the intrinsic key), so the schedule is
+    /// the same on any number of cores.
+    pub(crate) fn run<P: Protocol + Send>(
         &mut self,
         shards: &mut [EngineState<P>],
         deadline: Option<SimTime>,
-    ) {
+    ) where
+        P::Msg: Send,
+    {
         /// Sentinel bound: stop the loop.
         const STOP: u64 = u64::MAX;
         let w = shards.len();
@@ -678,7 +548,7 @@ impl<M: Wire + Send> WindowLoop<M> {
         // 0 lets every worker skip its mailbox entirely (adaptive
         // exchange). Reset by the leader while planning the window.
         let published = AtomicU64::new(0);
-        let mailboxes: Vec<Mailbox<M>> = (0..w).map(|_| Mutex::new(Vec::new())).collect();
+        let mailboxes: Vec<Mailbox<P::Msg>> = (0..w).map(|_| Mutex::new(Vec::new())).collect();
         let deadline_us = deadline.map(|d| d.as_micros());
         let lookahead_us = self.lookahead.as_micros();
         // A worker that panicked and left the protocol would strand its
@@ -825,51 +695,22 @@ impl<M: Wire + Send> WindowLoop<M> {
     }
 }
 
-/// Builds the node partition for a `w`-shard run of `n` nodes, applying
-/// the strategy resolution of [`SimConfig::partition_strategy`] and
-/// returning the partition together with the strategy that actually
-/// took effect: a planned strategy (domain-aligned or rate-balanced)
-/// falls back to contiguous when the delay source yields no plan —
-/// uniform delays, a dense model, or fewer populated domains than
-/// shards.
+/// Builds the node partition for a `w`-shard run of `n` nodes: the
+/// planned domain-aligned cut unless [`SimConfig::partition_strategy`]
+/// asks for contiguous ranges, falling back to contiguous when the delay
+/// source yields no plan — uniform delays, a dense model, or fewer
+/// populated domains than shards. Returns the partition with the
+/// strategy name that took effect (a planned cut echoes `RateBalanced`
+/// when that is the name it was requested under).
 fn resolve_partition(config: &SimConfig, n: usize, w: usize) -> (Partition, PartitionStrategy) {
     let requested = config.partition_strategy();
     if requested != Some(PartitionStrategy::Contiguous) {
-        let rate = requested == Some(PartitionStrategy::RateBalanced);
-        if let Some(assign) = config.planned_assignment(w, rate) {
-            let effective = if rate {
-                PartitionStrategy::RateBalanced
-            } else {
-                PartitionStrategy::DomainAligned
-            };
+        if let Some(assign) = config.planned_assignment(w) {
+            let effective = requested.unwrap_or(PartitionStrategy::DomainAligned);
             return (Partition::from_assignment(assign, w), effective);
         }
     }
     (Partition::contiguous(n, w), PartitionStrategy::Contiguous)
-}
-
-/// The inclusive bound of the window starting at the earliest pending
-/// event: everything strictly earlier than `min_t + lookahead` may run,
-/// clamped to the deadline.
-fn window_bound(min_t: SimTime, lookahead: SimDuration, deadline: Option<SimTime>) -> SimTime {
-    let b = SimTime::from_micros(min_t.as_micros() + lookahead.as_micros() - 1);
-    match deadline {
-        Some(d) => b.min(d),
-        None => b,
-    }
-}
-
-/// Whether the window driver should use worker threads: yes when the
-/// machine has more than one core, overridable with `EGM_SHARD_THREADS`
-/// (`0` forces the single-threaded driver, anything else forces
-/// threads).
-fn shard_threads_enabled() -> bool {
-    match std::env::var("EGM_SHARD_THREADS") {
-        Ok(v) => v != "0",
-        Err(_) => std::thread::available_parallelism()
-            .map(|c| c.get() > 1)
-            .unwrap_or(false),
-    }
 }
 
 #[cfg(test)]

@@ -579,8 +579,8 @@ impl<P: Protocol> EngineState<P> {
 /// event loop over its own nodes. One shard ([`Sim::new`]) is the plain
 /// sequential simulator: one queue, drained in `(time, seq)` order on
 /// the calling thread. Several shards ([`Sim::with_shards`]) run under
-/// conservative time windows (see [`crate::shard`]), optionally on
-/// worker threads, and produce byte-identical results for every shard
+/// conservative time windows (see [`crate::shard`]), one worker thread
+/// each, and produce byte-identical results for every shard
 /// count — the `shard_equivalence` and `shard_determinism` suites compare
 /// each against the one-shard run.
 ///
@@ -595,7 +595,7 @@ pub struct Sim<P: Protocol> {
     shards: Vec<EngineState<P>>,
     /// Partition, lookahead and window counters of a multi-shard run;
     /// `None` on one shard, whose core carries no route.
-    windows: Option<WindowLoop<P::Msg>>,
+    windows: Option<WindowLoop>,
     /// Counter behind harness-originated event keys (commands, faults,
     /// external sends), shared by every shard so harness events order
     /// the same at every shard count.
@@ -628,12 +628,12 @@ where
     /// owns it — so the run is byte-identical to the one-shard run under
     /// every [`crate::PartitionStrategy`].
     ///
-    /// The strategy resolves in precedence order: `Scenario` /
-    /// [`SimConfig::with_partition`], then `EGM_PARTITION`, then auto
-    /// (domain-aligned when the delay source yields a plan, contiguous
-    /// otherwise). A planned strategy falls back to contiguous when no
-    /// plan is available (uniform delays, or fewer populated domains
-    /// than shards); the effective strategy is reported in
+    /// The strategy is the explicit `Scenario` /
+    /// [`SimConfig::with_partition`] choice, else auto (domain-aligned
+    /// when the delay source yields a plan, contiguous otherwise). A
+    /// planned strategy falls back to contiguous when no plan is
+    /// available (uniform delays, or fewer populated domains than
+    /// shards); the effective strategy is reported in
     /// [`ShardStats::strategy`].
     ///
     /// # Panics
@@ -665,8 +665,8 @@ where
         }
     }
 
-    /// Installs an observe-only progress sink: on several shards, both
-    /// window drivers report each planned window
+    /// Installs an observe-only progress sink: on several shards, the
+    /// window driver reports each planned window
     /// ([`crate::ProgressEvent::Window`]) to it. One shard has no
     /// windows and reports nothing; its driver slices `run_until` into
     /// chunks instead (see [`crate::ProgressEvent::Chunk`]). The sink
@@ -677,16 +677,6 @@ where
     pub fn set_progress_sink(&mut self, sink: SharedSink) {
         if let Some(w) = &mut self.windows {
             w.progress = Some(sink);
-        }
-    }
-
-    /// Forces the window driver of a multi-shard run onto one thread
-    /// (`false`) or worker threads (`true`). Both drivers produce
-    /// identical results; the default follows available parallelism and
-    /// the `EGM_SHARD_THREADS` variable (`0` disables threads).
-    pub fn set_threaded(&mut self, on: bool) {
-        if let Some(w) = &mut self.windows {
-            w.threaded = on;
         }
     }
 

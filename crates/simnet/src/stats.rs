@@ -61,12 +61,11 @@
 //!   of that shard alone, hence of the union.
 
 use crate::NodeId;
-use serde::{Deserialize, Serialize};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Per-directed-link tally of traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkTally {
     /// Messages of any kind sent over this link.
     pub messages: u64,
@@ -93,7 +92,7 @@ impl LinkTally {
 }
 
 /// One logged transmission (16 bytes).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct SendRecord {
     from: u32,
     to: u32,
@@ -102,7 +101,7 @@ struct SendRecord {
 }
 
 /// One partially aggregated link and its tally so far.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct LinkAcc {
     from: u32,
     to: u32,
@@ -180,7 +179,7 @@ fn decode_acc(rec: &[u8; SPOOL_REC_BYTES]) -> LinkAcc {
 }
 
 /// The aggregated per-link view: one sorted target table per sender.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SealedLinks {
     /// `per_sender[from]` lists `(to, tally)` sorted by `to`, tracked
     /// links only.
@@ -205,7 +204,7 @@ struct SealedLinks {
 /// assert_eq!(t.total_bytes(), 320);
 /// assert_eq!(t.node_payloads_sent(NodeId(0)), 1);
 /// ```
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Traffic {
     log: Vec<SendRecord>,
     /// Records folded out of `log` so far (sorted by `(from, to)`, at

@@ -1,6 +1,5 @@
 //! Virtual time: microsecond-resolution instants and durations.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Sub};
 
 /// An instant on the simulation clock, in microseconds since start.
@@ -13,15 +12,11 @@ use std::ops::{Add, AddAssign, Sub};
 /// let t = SimTime::ZERO + SimDuration::from_ms(1.5);
 /// assert_eq!(t.as_ms(), 1.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in microseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

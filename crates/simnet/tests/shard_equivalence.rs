@@ -3,8 +3,11 @@
 //! Running on several shards is only allowed to exist because it is
 //! indistinguishable from running on one: identical per-node dispatch
 //! traces, identical counters, identical sealed traffic (including
-//! which links spill) for every shard count and both window drivers. The reference throughout is the one-shard `Sim::new` — the
-//! plain sequential drain. Layers:
+//! which links spill) for every shard count. The reference throughout
+//! is the one-shard `Sim::new` — the plain sequential drain. Widths above
+//! the machine's core count (W = 4 on a two-core box) exercise the
+//! window barrier's park-at-once path, narrower ones its spin path.
+//! Layers:
 //!
 //! 1. **Partitioner properties** — every node lands in exactly one
 //!    contiguous shard range, for arbitrary `(n, W)`.
@@ -161,28 +164,23 @@ struct Script {
 }
 
 /// Builds the engine a test compares: `None` is the one-shard
-/// reference, `Some((w, threaded))` a `w`-shard run on the chosen window
-/// driver.
+/// reference, `Some(w)` a `w`-shard run.
 fn build<P: Protocol + Send>(
     config: SimConfig,
     seed: u64,
     nodes: Vec<P>,
-    shards: Option<(usize, bool)>,
+    shards: Option<usize>,
 ) -> Sim<P>
 where
     P::Msg: Send,
 {
     match shards {
         None => Sim::new(config, seed, nodes),
-        Some((w, threaded)) => {
-            let mut sim = Sim::with_shards(config, seed, nodes, w);
-            sim.set_threaded(threaded);
-            sim
-        }
+        Some(w) => Sim::with_shards(config, seed, nodes, w),
     }
 }
 
-fn run_script(config: SimConfig, script: &Script, shards: Option<(usize, bool)>) -> Snapshot {
+fn run_script(config: SimConfig, script: &Script, shards: Option<usize>) -> Snapshot {
     let nodes: Vec<Chaos> = (0..script.n).map(|_| Chaos::new(script.budget)).collect();
     let mut sim = build(config, script.seed, nodes, shards);
     for &(at, node, value) in &script.commands {
@@ -233,10 +231,8 @@ fn sharded_matches_sequential_on_uniform_network() {
     let config = || SimConfig::uniform(12, 3.0);
     let seq = run_script(config(), &script, None);
     for w in [2, 3, 4] {
-        for threaded in [false, true] {
-            let sharded = run_script(config(), &script, Some((w, threaded)));
-            assert_eq!(seq, sharded, "divergence at W={w}, threaded={threaded}");
-        }
+        let sharded = run_script(config(), &script, Some(w));
+        assert_eq!(seq, sharded, "divergence at W={w}");
     }
 }
 
@@ -255,10 +251,8 @@ fn sharded_matches_sequential_with_loss_jitter_and_spill() {
         "the scenario must actually exercise the spill rule"
     );
     for w in [2, 4] {
-        for threaded in [false, true] {
-            let sharded = run_script(config(), &script, Some((w, threaded)));
-            assert_eq!(seq, sharded, "divergence at W={w}, threaded={threaded}");
-        }
+        let sharded = run_script(config(), &script, Some(w));
+        assert_eq!(seq, sharded, "divergence at W={w}");
     }
 }
 
@@ -269,7 +263,7 @@ fn sharded_matches_sequential_on_routed_model() {
     let config = || SimConfig::from_model(model.clone()).with_egress_bandwidth(200_000.0);
     let seq = run_script(config(), &script, None);
     for w in [2, 4] {
-        let sharded = run_script(config(), &script, Some((w, true)));
+        let sharded = run_script(config(), &script, Some(w));
         assert_eq!(seq, sharded, "divergence at W={w}");
     }
 }
@@ -280,7 +274,7 @@ fn domain_aligned_chaos_matches_sequential_under_loss_jitter_faults_and_spill() 
     // timers, loss, jitter, fault injection, spill) in lockstep against
     // the one-shard run, but under the *planned* partitions: a
     // domain-aligned or rate-balanced cut must be just as invisible as
-    // the contiguous one, at every width and on both window drivers.
+    // the contiguous one, at every width.
     let model = TransitStubConfig::small().with_clients(40).build();
     let script = default_script(40, 17);
     for strategy in [
@@ -312,13 +306,8 @@ fn domain_aligned_chaos_matches_sequential_under_loss_jitter_faults_and_spill() 
             "the scenario must actually exercise the spill rule"
         );
         for w in [2, 3, 4] {
-            for threaded in [false, true] {
-                let sharded = run_script(config(), &script, Some((w, threaded)));
-                assert_eq!(
-                    seq, sharded,
-                    "divergence at {strategy}, W={w}, threaded={threaded}"
-                );
-            }
+            let sharded = run_script(config(), &script, Some(w));
+            assert_eq!(seq, sharded, "divergence at {strategy}, W={w}");
         }
     }
 }
@@ -336,7 +325,7 @@ fn single_shard_is_bit_identical_to_the_plain_sim() {
                 .with_partition(PartitionStrategy::RateBalanced)
         };
         let seq = run_script(config(), &script, None);
-        let sharded = run_script(config(), &script, Some((1, true)));
+        let sharded = run_script(config(), &script, Some(1));
         assert_eq!(seq, sharded, "W=1 diverged at seed {seed}");
     }
     let nodes = |n: usize| -> Vec<Chaos> { (0..n).map(|_| Chaos::new(10)).collect() };
@@ -354,18 +343,6 @@ fn single_shard_is_bit_identical_to_the_plain_sim() {
     // A width above the node count clamps; one node means one shard.
     let lone = Sim::with_shards(SimConfig::uniform(1, 4.0), 1, nodes(1), 4);
     assert_eq!(lone.shard_count(), 1);
-}
-
-#[test]
-fn window_drivers_agree() {
-    // The threaded and single-threaded window drivers plan identical
-    // windows; equality to `seq` transitively covers this, but pinning
-    // it directly localizes a failure.
-    let script = default_script(14, 5);
-    let config = || SimConfig::uniform(14, 2.0);
-    let st = run_script(config(), &script, Some((4, false)));
-    let mt = run_script(config(), &script, Some((4, true)));
-    assert_eq!(st, mt);
 }
 
 /// A protocol engineered to invert key order against execution order
@@ -408,7 +385,7 @@ fn spill_order_survives_same_tick_key_inversion() {
     // links alone, so the schedule is one more one-shard-vs-W equality
     // case — with the cut-off inside a same-tick pair.
     let config = || SimConfig::uniform(4, 5.0).with_link_spill_threshold(3);
-    let run = |shards: Option<(usize, bool)>| {
+    let run = |shards: Option<usize>| {
         let nodes: Vec<Inversion> = (0..4).map(|_| Inversion).collect();
         let mut s = build(config(), 1, nodes, shards);
         s.schedule_command(SimTime::from_micros(1_000), NodeId(0), 0);
@@ -421,14 +398,9 @@ fn spill_order_survives_same_tick_key_inversion() {
     assert_eq!(seq_links.len(), 3, "three tracked links");
     assert_eq!(seq_spill.messages, 1, "the fourth spills");
     for w in [2usize, 4] {
-        for threaded in [false, true] {
-            let (links, spill) = run(Some((w, threaded)));
-            assert_eq!(
-                links, seq_links,
-                "tracked set diverged at W={w}, threaded={threaded}"
-            );
-            assert_eq!(spill, seq_spill);
-        }
+        let (links, spill) = run(Some(w));
+        assert_eq!(links, seq_links, "tracked set diverged at W={w}");
+        assert_eq!(spill, seq_spill);
     }
 }
 
@@ -460,7 +432,7 @@ fn threaded_driver_propagates_worker_panics() {
     // surface to the caller instead of deadlocking.
     let result = std::panic::catch_unwind(|| {
         let nodes: Vec<Bomb> = (0..4).map(|_| Bomb).collect();
-        let mut sim = build(SimConfig::uniform(4, 1.0), 1, nodes, Some((2, true)));
+        let mut sim = build(SimConfig::uniform(4, 1.0), 1, nodes, Some(2));
         sim.run_until(SimTime::from_micros(20_000));
     });
     assert!(result.is_err(), "the worker panic must propagate");
@@ -469,8 +441,9 @@ fn threaded_driver_propagates_worker_panics() {
 #[test]
 fn run_to_idle_clock_agrees_across_engines_and_drivers() {
     // `run_until` clamps the clock to the deadline, which would mask a
-    // driver-dependent finish time; drain to idle instead and require
-    // every width/driver to stop at the same (last-event) instant.
+    // finish time that depends on the driver (one-shard drain or window
+    // loop); drain to idle instead and require every width to stop at
+    // the same (last-event) instant.
     let n = 10;
     let config = || SimConfig::uniform(n, 3.0);
     let nodes = || -> Vec<Chaos> { (0..n).map(|_| Chaos::new(25)).collect() };
@@ -483,17 +456,11 @@ fn run_to_idle_clock_agrees_across_engines_and_drivers() {
     schedule(&mut |at, node, v| seq.schedule_command(at, node, v));
     seq.run_to_idle();
     for w in [2usize, 3] {
-        for threaded in [false, true] {
-            let mut sharded = build(config(), 9, nodes(), Some((w, threaded)));
-            schedule(&mut |at, node, v| sharded.schedule_command(at, node, v));
-            sharded.run_to_idle();
-            assert_eq!(
-                sharded.now(),
-                seq.now(),
-                "finish time diverged at W={w}, threaded={threaded}"
-            );
-            assert_eq!(sharded.events_processed(), seq.events_processed());
-        }
+        let mut sharded = build(config(), 9, nodes(), Some(w));
+        schedule(&mut |at, node, v| sharded.schedule_command(at, node, v));
+        sharded.run_to_idle();
+        assert_eq!(sharded.now(), seq.now(), "finish time diverged at W={w}");
+        assert_eq!(sharded.events_processed(), seq.events_processed());
     }
 }
 
@@ -608,7 +575,6 @@ proptest! {
         delay_ms in 1u32..20,
         lossy in proptest::bool::ANY,
         spill in proptest::bool::ANY,
-        threaded in proptest::bool::ANY,
     ) {
         let script = default_script(n, seed);
         let config = || {
@@ -622,14 +588,14 @@ proptest! {
             c
         };
         let seq = run_script(config(), &script, None);
-        let sharded = run_script(config(), &script, Some((w.min(n), threaded)));
+        let sharded = run_script(config(), &script, Some(w.min(n)));
         prop_assert_eq!(&seq, &sharded);
     }
 
-    /// Every partition strategy yields a total, disjoint cover of the
-    /// scaled transit-stub model, the O(1) shard/local lookups agree with
-    /// the per-shard member lists, and planned strategies never split a
-    /// stub domain.
+    /// The contiguous and the planned partition each yield a total,
+    /// disjoint cover of the scaled transit-stub model, the O(1)
+    /// shard/local lookups agree with the per-shard member lists, and the
+    /// planned cut never splits a stub domain.
     #[test]
     fn every_strategy_partitions_exactly_once(
         n in 50usize..400,
@@ -638,20 +604,16 @@ proptest! {
     ) {
         let model = TransitStubConfig::scaled(n).with_seed(seed).build();
         let config = SimConfig::from_model(model.clone());
-        for strategy in [
-            PartitionStrategy::Contiguous,
-            PartitionStrategy::DomainAligned,
-            PartitionStrategy::RateBalanced,
-        ] {
-            let rate = strategy == PartitionStrategy::RateBalanced;
-            let p = match strategy {
-                PartitionStrategy::Contiguous => Partition::contiguous(n, w),
+        for planned in [false, true] {
+            let p = if planned {
                 // A declined plan falls back to contiguous in the sim;
                 // here only a returned plan is checked.
-                _ => match config.planned_assignment(w, rate) {
+                match config.planned_assignment(w) {
                     Some(assign) => Partition::from_assignment(assign, w),
                     None => continue,
-                },
+                }
+            } else {
+                Partition::contiguous(n, w)
             };
             prop_assert_eq!(p.shard_count(), w);
             prop_assert_eq!(p.node_count(), n);
@@ -665,7 +627,7 @@ proptest! {
                 }
             }
             prop_assert!(covered.iter().all(|&c| c == 1), "each node exactly once");
-            if strategy != PartitionStrategy::Contiguous {
+            if planned {
                 let assign = p.assignment();
                 let mut domain_shard = std::collections::HashMap::new();
                 for (c, &a) in assign.iter().enumerate() {

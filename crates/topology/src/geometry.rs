@@ -1,7 +1,5 @@
 //! Planar geometry for pseudo-geographical placement.
 
-use serde::{Deserialize, Serialize};
-
 /// A point on the pseudo-geographical plane.
 ///
 /// Units are abstract "map units"; the generator converts distances to
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let b = Point::new(3.0, 4.0);
 /// assert_eq!(a.distance(b), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Horizontal coordinate in map units.
     pub x: f64,

@@ -4,7 +4,6 @@
 use crate::geometry::Point;
 use crate::stats::ModelStats;
 use egm_rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Hard cap on the number of client pairs [`RoutedModel::stats`] measures
 /// exactly; larger models are summarized over a deterministic strided
@@ -50,7 +49,7 @@ const MAX_STATS_PAIRS: usize = 1 << 20;
 /// assert!((39.0..60.0).contains(&l));
 /// assert_eq!(l, model.latency_ms(5, 0));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoutedModel {
     n: usize,
     /// Pseudo-geographic coordinate per client.
@@ -61,7 +60,7 @@ pub struct RoutedModel {
 }
 
 /// Storage layout behind the latency/hop oracle.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum ModelRepr {
     /// Flattened `n × n` client matrices.
     Dense {
@@ -77,7 +76,7 @@ enum ModelRepr {
 /// client. Exact for transit–stub graphs because every inter-domain path
 /// must traverse the attached transit routers (stub domains connect to the
 /// core through exactly one transit router).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct TwoLevelModel {
     /// Client access-link latency (ms), applied twice per client pair.
     pub(crate) access_ms: f64,
@@ -98,7 +97,7 @@ pub(crate) struct TwoLevelModel {
 }
 
 /// Per-client routing column of the two-level layout.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ClientCol {
     /// Stub domain index.
     pub(crate) domain: u32,
@@ -114,7 +113,7 @@ pub(crate) struct ClientCol {
 
 /// Shortest paths within one stub domain (its members plus its transit
 /// router, which sits at matrix index `members`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct DomainTable {
     /// Core index of the transit router this domain hangs off.
     pub(crate) core_index: u32,
@@ -128,7 +127,7 @@ pub(crate) struct DomainTable {
 }
 
 /// Where one client attaches to the router level.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ClientAttachment {
     /// Index into [`TwoLevelModel::domains`].
     pub(crate) domain: u32,
@@ -341,11 +340,11 @@ impl PartitionPlan {
 pub enum PlanBalance {
     /// Balance by client count.
     Nodes,
-    /// Balance by the per-domain event-rate estimate
-    /// ([`RoutedModel::domain_event_rates`]): each client contributes
-    /// `fanout × view_degree` events per unit traffic share, so a
-    /// domain's predicted rate scales with its population times the
-    /// configured gossip intensity.
+    /// Balance by client count, with [`PartitionPlan::shard_weights`]
+    /// expressed as `clients × fanout × view_degree / n`: a constant
+    /// per client, so the assignment equals [`PlanBalance::Nodes`]'s
+    /// (property-tested). Kept because the repository's benchmark
+    /// constructs it.
     Rate {
         /// Gossip fanout (eager/lazy targets per relay).
         fanout: usize,
@@ -970,31 +969,6 @@ impl RoutedModel {
         )
     }
 
-    /// Per-stub-domain event-rate estimate, indexed by domain id, or
-    /// `None` for dense layouts.
-    ///
-    /// Each client relays to `fanout` gossip targets and maintains
-    /// `view_degree` partial-view peers (shuffle and lazy-retry traffic
-    /// scale with the view), and under the paper's homogeneous workload
-    /// every client carries an expected traffic share of `1/n` of the
-    /// multicast stream. A domain's predicted rate is therefore
-    /// `clients_in_domain × fanout × view_degree / n` — proportional to
-    /// population under homogeneous parameters, but expressed in rate
-    /// units so heterogeneous per-domain gossip intensities slot in
-    /// without an interface change.
-    pub fn domain_event_rates(&self, fanout: usize, view_degree: usize) -> Option<Vec<f64>> {
-        let tl = match &self.repr {
-            ModelRepr::Dense { .. } => return None,
-            ModelRepr::Routed(tl) => tl,
-        };
-        let per_client = fanout as f64 * view_degree as f64 / self.n as f64;
-        let mut rates = vec![0.0; tl.domains.len()];
-        for col in &tl.cols {
-            rates[col.domain as usize] += per_client;
-        }
-        Some(rates)
-    }
-
     /// Plans a domain-aligned cut of the client set into `shards` shards,
     /// or `None` when the layout exposes no domain structure (dense
     /// models) or has too few populated domains to fill every shard.
@@ -1013,9 +987,9 @@ impl RoutedModel {
     /// same-router domain pair.
     ///
     /// `balance` names the unit of [`PartitionPlan::shard_weights`]:
-    /// client count, or the [`RoutedModel::domain_event_rates`] estimate.
-    /// The two weigh every client by a constant, so the search runs on
-    /// client counts and both yield the same assignment.
+    /// client count, or client count times a constant
+    /// ([`PlanBalance::Rate`]). The search runs on client counts and both
+    /// yield the same assignment.
     ///
     /// Deterministic: identical inputs produce identical plans.
     ///

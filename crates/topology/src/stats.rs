@@ -1,8 +1,6 @@
 //! Aggregate model statistics matching the figures quoted in §5.1 of the
 //! paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Distributional properties of a [`RoutedModel`](crate::RoutedModel),
 /// mirroring the quantities the paper reports for its Inet-3.0 model:
 /// *"average hop distance between client nodes is 5.54, with 74.28 % of
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean_latency_ms, 50.0);
 /// assert_eq!(s.pair_count, 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelStats {
     /// Number of distinct client pairs measured.
     pub pair_count: usize,

@@ -36,7 +36,6 @@ use crate::geometry::Point;
 use crate::graph::Graph;
 use crate::model::{ClientAttachment, DomainTable, RoutedModel};
 use egm_rng::{sample, Rng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the transit–stub generator.
 ///
@@ -52,7 +51,7 @@ use serde::{Deserialize, Serialize};
 /// let model = TransitStubConfig::small().with_clients(16).with_seed(3).build();
 /// assert_eq!(model.client_count(), 16);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransitStubConfig {
     /// Number of transit domains.
     pub transit_domains: usize,

@@ -29,13 +29,12 @@
 use crate::traffic::PlannedMulticast;
 use egm_rng::Rng;
 use egm_simnet::{NodeId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A deterministic open-loop arrival-process generator. All rates are
 /// per *simulated* second; gaps are drawn from the harness RNG via
 /// inverse-CDF sampling, so a process is a pure function of (spec, rng
 /// position).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Homogeneous Poisson arrivals: exponential gaps with mean
     /// `1000 / rate_per_sec` ms.
@@ -192,7 +191,7 @@ impl ArrivalProcess {
 
 /// How publishes are driven when a scenario opts into the arrival axis
 /// ([`crate::Scenario::arrival`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Arrival {
     /// Open loop at a fixed offered rate: the schedule is planned up
     /// front from the process, exactly like the historical uniform plan
@@ -280,7 +279,7 @@ pub fn detect_warmup_ms(schedule: &[PlannedMulticast], start: SimTime, bin_ms: f
 /// the run (drain included), so the rates are mild underestimates of the
 /// instantaneous steady rate — comparable across runs of one scenario
 /// shape, which is what the sustained bench pins.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SteadyState {
     /// Window start, absolute sim time in ms.
     pub window_start_ms: f64,

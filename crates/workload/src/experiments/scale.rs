@@ -11,8 +11,7 @@
 //! * the **calendar event queue** (O(1) amortized, cache-warm slab
 //!   storage) replaces the binary heap by default at this scale —
 //!   bit-identical dispatch order, ~1.5–1.75× the heap's event rate at
-//!   10k (`EGM_EVENT_QUEUE=heap` or [`Scenario::event_queue`] switch
-//!   back);
+//!   10k ([`Scenario::event_queue`] switches back);
 //! * **arena-backed node state** (`egm_core::arena::MsgArena`) replaces
 //!   the per-node per-message hash maps with dense generation-stamped
 //!   slots — one intern probe per message event;

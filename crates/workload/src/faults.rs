@@ -12,10 +12,9 @@ use egm_core::BestSet;
 use egm_rng::{sample, Rng};
 use egm_simnet::NodeId;
 use egm_topology::RoutedModel;
-use serde::{Deserialize, Serialize};
 
 /// How failed nodes are selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSelection {
     /// Uniformly random victims.
     Random,
@@ -34,7 +33,7 @@ pub enum FaultSelection {
 /// let plan = FaultPlan::new(0.2, FaultSelection::Random);
 /// assert_eq!(plan.victim_count(100), 20);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Fraction of nodes to silence, in `[0, 1)`.
     pub fraction: f64,
@@ -120,7 +119,7 @@ impl FaultPlan {
 /// let plan = ChurnPlan::new(500.0, 1500.0);
 /// assert_eq!(plan.events_within(5000.0), 10);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnPlan {
     /// Interval between churn events in milliseconds.
     pub period_ms: f64,
@@ -214,7 +213,7 @@ pub struct ChurnEvent {
 
 /// One timed fault action (see [`FaultSchedule`]). Nodes are raw indices
 /// so traces serialize without depending on simulator types.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAction {
     /// The node stops sending and receiving (fail-by-firewall, §6.3).
     Silence {
@@ -259,7 +258,7 @@ impl FaultAction {
 }
 
 /// A timed fault: `action` fires at `at_ms` of simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedFault {
     /// When the action fires, in absolute simulated milliseconds.
     pub at_ms: f64,
@@ -272,10 +271,9 @@ pub struct TimedFault {
 /// and [`ChurnPlan`] (periodic transient outages) into an explicit
 /// schedule the runner replays event by event.
 ///
-/// Schedules are plain data — seed-derived, serde-round-trippable, and
-/// independent of simulator state — so the same trace drives every
-/// shard width to byte-identical outcomes
-/// (the `fault_determinism` suite pins this). Library constructors cover
+/// Schedules are plain data — seed-derived and independent of simulator
+/// state — so the same trace drives every shard width to byte-identical
+/// outcomes (the `fault_determinism` suite pins this). Library constructors cover
 /// the scenarios the resilience experiment sweeps: correlated
 /// [domain outages](FaultSchedule::domain_outage), transit-link
 /// [degradation](FaultSchedule::transit_degradation),
@@ -293,7 +291,7 @@ pub struct TimedFault {
 /// assert_eq!(s.events.len(), 2, "onset plus recovery");
 /// assert!(!s.down_at(1200.0, 8).iter().any(|&d| d), "degradation kills nobody");
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultSchedule {
     /// The timed events, in firing order.
     pub events: Vec<TimedFault>,
@@ -549,7 +547,7 @@ impl FaultSchedule {
 /// The library fault scenarios the resilience experiment sweeps
 /// (`fault_resilience`): each maps to one canonical [`FaultSchedule`]
 /// via [`FaultScenarioKind::schedule`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultScenarioKind {
     /// No faults: the reference cell.
     Baseline,
@@ -622,7 +620,7 @@ impl FaultScenarioKind {
 /// rebinds every node's strategy to the new set. This is how hubs
 /// re-rank *while churn is active* instead of trusting a pre-fault
 /// ranking.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RerankPlan {
     /// Interval between re-rank ticks in milliseconds.
     pub period_ms: f64,
@@ -779,16 +777,6 @@ mod tests {
         let events = plan.schedule(2, 1000.0, &excluded, &mut rng);
         assert_eq!(events.len(), 1, "only the first outage can fire");
         assert_eq!(events[0].node, NodeId(0));
-    }
-
-    #[test]
-    fn schedule_types_are_serde_round_trippable() {
-        fn assert_round_trippable<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_round_trippable::<super::FaultSchedule>();
-        assert_round_trippable::<super::TimedFault>();
-        assert_round_trippable::<super::FaultAction>();
-        assert_round_trippable::<super::FaultScenarioKind>();
-        assert_round_trippable::<super::RerankPlan>();
     }
 
     #[test]

@@ -480,10 +480,6 @@ fn run_with_setup_observed(
     if let Some(partition) = scenario.partition {
         sim_config = sim_config.with_partition(partition);
     }
-    // Seed the rate-balanced planner's per-domain event-rate estimate
-    // with the workload's actual gossip parameters.
-    sim_config =
-        sim_config.with_rate_hint(scenario.protocol.fanout, scenario.protocol.view.capacity);
     let shards = sim_config.shard_count();
     let mut sim = Sim::with_shards(sim_config, scenario.seed, nodes, shards);
     if let Some(sink) = &sink {

@@ -6,7 +6,6 @@ use egm_core::{MonitorSpec, ProtocolConfig, RankSource, StrategySpec};
 use egm_metrics::RunReport;
 use egm_simnet::QueueKind;
 use egm_topology::{RoutedModel, TransitStubConfig};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Salt XORed into the scenario seed for topology construction, keeping
@@ -17,7 +16,7 @@ use std::sync::Arc;
 pub const TOPOLOGY_SEED_SALT: u64 = 0x7090;
 
 /// Where the network model comes from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TopologySource {
     /// Generate a transit–stub model (the paper's Inet-3.0 setting).
     TransitStub(TransitStubConfig),
@@ -71,7 +70,7 @@ impl TopologySource {
 /// Noise injection configuration (§4.3): ratio `o` plus the calibration
 /// constant `c` (the strategy's overall eager rate, see
 /// [`crate::calibrate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseConfig {
     /// Noise ratio `o ∈ [0, 1]`.
     pub o: f64,
@@ -141,8 +140,7 @@ pub struct Scenario {
     /// [`egm_simnet::SimConfig::with_link_spill_threshold`].
     pub link_spill_threshold: Option<usize>,
     /// Forces a simulator event-queue implementation (`None` = the
-    /// simulator's default resolution: `EGM_EVENT_QUEUE`, then size-based
-    /// selection). Both implementations dispatch in bit-identical order —
+    /// simulator's size-based selection). Both implementations dispatch in bit-identical order —
     /// the `queue_determinism` test runs the same scenario through both
     /// and asserts byte-identical results — so this is a performance A/B
     /// switch, never a behavioural one.
@@ -158,8 +156,8 @@ pub struct Scenario {
     /// pre-`RankSource` builds.
     pub rank_source: RankSource,
     /// How many shards partition the run (`None` = the simulator's
-    /// default resolution: `EGM_SHARDS`, then size-based selection — one
-    /// shard below 1k nodes, available parallelism capped at 8 above).
+    /// default: one shard below 1k nodes, available parallelism capped
+    /// at [`egm_simnet::shard::MAX_AUTO_SHARDS`] above).
     /// `Some(0)` and `Some(1)` both mean one shard, the plain sequential
     /// event loop; `Some(w)` runs `w` shards under conservative windows.
     /// Every choice is byte-identical — the `shard_determinism` test
@@ -168,9 +166,9 @@ pub struct Scenario {
     /// [`egm_simnet::Sim::with_shards`] and
     /// [`egm_simnet::SimConfig::shard_count`].
     pub shards: Option<usize>,
-    /// How a multi-shard run maps nodes to shards (`None` = the simulator's
-    /// default resolution: `EGM_PARTITION`, then auto — domain-aligned
-    /// when the topology yields a plan, contiguous otherwise). Every
+    /// How a multi-shard run maps nodes to shards (`None` = auto:
+    /// domain-aligned when the topology yields a plan, contiguous
+    /// otherwise). Every
     /// strategy is byte-identical — the partitioning A/B in
     /// `shard_events_per_sec` and the `shard_determinism` suite assert
     /// it — so this is purely a performance knob. See

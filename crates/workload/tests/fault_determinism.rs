@@ -1,7 +1,6 @@
 //! Fault-scenario determinism: every library [`FaultScenarioKind`] —
 //! with overlapping churn and online re-ranking active — must produce a
-//! byte-identical [`RunOutcome`] on rerun, at every shard width, and
-//! under both window drivers (single-threaded and worker threads).
+//! byte-identical [`RunOutcome`] on rerun and at every shard width.
 //!
 //! This is the property the whole fault axis rests on: a fault trace is
 //! plain data replayed at fixed `(time, seq)` points, the re-rank ticks
@@ -56,45 +55,58 @@ fn base_scenario() -> Scenario {
     .with_seed(13)
 }
 
-/// One test body instead of one test per width/driver: the threaded
-/// window driver is toggled through `EGM_SHARD_THREADS`, and tests in
-/// one binary share the process environment.
-#[test]
-fn library_fault_scenarios_are_byte_identical_across_engines() {
+/// Runs one library scenario on one shard twice, then at every width,
+/// and requires one outcome throughout. W = 4 on a two-core box also
+/// covers the window barrier's park-at-once path.
+fn assert_byte_identical_across_widths(kind: FaultScenarioKind) {
     let base = base_scenario();
     let model = Arc::new(base.build_model());
     let traffic_ms = base.messages as f64 * base.mean_interval_ms + base.drain_ms;
+    let schedule = kind.schedule(&model, base.warmup_ms, traffic_ms, base.seed);
+    let scenario = base.with_fault_schedule(Some(schedule));
+    let label = kind.label();
 
-    for kind in FaultScenarioKind::all() {
-        let schedule = kind.schedule(&model, base.warmup_ms, traffic_ms, base.seed);
-        let scenario = base.clone().with_fault_schedule(Some(schedule));
-        let label = kind.label();
-
-        let seq = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
-        let again = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
-        assert_outcomes_match(&seq, &again, &format!("{label}: seq rerun"));
+    let seq = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
+    let again = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
+    assert_outcomes_match(&seq, &again, &format!("{label}: seq rerun"));
+    assert!(
+        seq.report.mean_delivery_fraction > 0.5,
+        "{label}: {}",
+        seq.report
+    );
+    if kind != FaultScenarioKind::Baseline {
         assert!(
-            seq.report.mean_delivery_fraction > 0.5,
-            "{label}: {}",
-            seq.report
+            seq.reranked_best_ids.is_some(),
+            "{label}: re-rank ticks must have run"
         );
-        if kind != FaultScenarioKind::Baseline {
-            assert!(
-                seq.reranked_best_ids.is_some(),
-                "{label}: re-rank ticks must have run"
-            );
-        }
-
-        std::env::set_var("EGM_SHARD_THREADS", "0");
-        for w in [1usize, 2, 4] {
-            let sharded = run_detailed(&scenario.clone().with_shards(Some(w)), Some(model.clone()));
-            assert_outcomes_match(&seq, &sharded, &format!("{label}: W={w} single-thread"));
-        }
-        std::env::set_var("EGM_SHARD_THREADS", "1");
-        for w in [2usize, 4] {
-            let sharded = run_detailed(&scenario.clone().with_shards(Some(w)), Some(model.clone()));
-            assert_outcomes_match(&seq, &sharded, &format!("{label}: W={w} threaded"));
-        }
-        std::env::remove_var("EGM_SHARD_THREADS");
     }
+    for w in [1usize, 2, 4] {
+        let sharded = run_detailed(&scenario.clone().with_shards(Some(w)), Some(model.clone()));
+        assert_outcomes_match(&seq, &sharded, &format!("{label}: W={w}"));
+    }
+}
+
+#[test]
+fn baseline_is_byte_identical_across_widths() {
+    assert_byte_identical_across_widths(FaultScenarioKind::Baseline);
+}
+
+#[test]
+fn domain_outage_is_byte_identical_across_widths() {
+    assert_byte_identical_across_widths(FaultScenarioKind::DomainOutage);
+}
+
+#[test]
+fn transit_degradation_is_byte_identical_across_widths() {
+    assert_byte_identical_across_widths(FaultScenarioKind::TransitDegradation);
+}
+
+#[test]
+fn flash_crowd_is_byte_identical_across_widths() {
+    assert_byte_identical_across_widths(FaultScenarioKind::FlashCrowd);
+}
+
+#[test]
+fn node_slowdown_is_byte_identical_across_widths() {
+    assert_byte_identical_across_widths(FaultScenarioKind::NodeSlowdown);
 }

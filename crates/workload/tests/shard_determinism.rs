@@ -46,7 +46,7 @@ fn one_k_preset_is_byte_identical_across_shard_widths() {
     let model = Arc::new(scenario.build_model());
 
     // The reference: one shard, forced explicitly so the test is immune
-    // to `EGM_SHARDS` or multi-core auto defaults.
+    // to the multi-core auto default.
     let seq = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
     assert_eq!(seq.shard_stats.shards, 1);
     assert_eq!(seq.shard_stats.windows, 0, "one shard runs no windows");
