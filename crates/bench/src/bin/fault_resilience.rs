@@ -1,4 +1,4 @@
-//! Fault-resilience sweep: the scheduled-fault scenario library ×
+//! Fault-resilience gates: the scheduled-fault scenario library ×
 //! churn-rate grid, with online re-ranking active, on one scale preset.
 //!
 //! Runs [`egm_workload::experiments::fault_resilience::run_at_preset`] —
@@ -17,44 +17,40 @@
 //!
 //! Environment:
 //! * `EGM_SCALE_PRESET` — `1k` (default), `4k` or `10k`.
-//! * `EGM_SCALE_MESSAGES` — multicasts per run (default 10).
 //! * `EGM_BENCH_OUT` — output path (default `BENCH_events_per_sec.json`).
 //! * `EGM_MIN_DELIVERY_RATIO` — when set, *assert* every cell's delivery
 //!   ratio meets this floor (the CI fault smoke job's regression guard).
 //! * `EGM_SHARD_WIDTHS` — comma-separated widths for the byte-identity
 //!   check on the representative cell (default `2,4`; empty to skip).
 
-use egm_bench::{env_list, env_parse, env_usize, record};
+use egm_bench::{env_list, env_parse, peak_rss_field, record, rounded};
+use egm_server::json::Json;
 use egm_workload::experiments::fault_resilience::{
     churn_levels, render, rerank_plan, run_at_preset,
 };
 use egm_workload::experiments::scale::ScalePreset;
 use egm_workload::{runner, FaultScenarioKind};
 use std::sync::Arc;
-use std::time::Instant;
+
+/// Multicasts per cell.
+const MESSAGES: usize = 10;
+const SEED: u64 = 42;
 
 fn main() {
     let preset = ScalePreset::from_env();
-    let messages = env_usize("EGM_SCALE_MESSAGES", 10).max(1);
-    let out_path =
-        std::env::var("EGM_BENCH_OUT").unwrap_or_else(|_| "BENCH_events_per_sec.json".to_string());
     let min_delivery = env_parse::<f64>("EGM_MIN_DELIVERY_RATIO");
     let widths: Vec<usize> = env_list("EGM_SHARD_WIDTHS").unwrap_or_else(|| vec![2, 4]);
 
     let nodes = preset.nodes();
-    let seed = 42u64;
     println!(
-        "{} preset: {nodes} nodes, {messages} messages, {} scenarios × {} churn levels",
+        "{} preset: {nodes} nodes, {MESSAGES} messages, {} scenarios × {} churn levels",
         preset.label(),
         FaultScenarioKind::all().len(),
         churn_levels().len()
     );
 
-    let t = Instant::now();
-    let rows = run_at_preset(preset, messages, seed);
-    let sweep_ms = t.elapsed().as_secs_f64() * 1000.0;
+    let rows = run_at_preset(preset, MESSAGES, SEED);
     println!("{}", render(&rows));
-    println!("grid: {} cells in {sweep_ms:.0} ms", rows.len());
 
     if let Some(min) = min_delivery {
         for r in &rows {
@@ -74,12 +70,12 @@ fn main() {
     // sequential results exactly under the parallel engine.
     if !widths.is_empty() {
         let base = preset
-            .scenario(messages, seed)
+            .scenario(MESSAGES, SEED)
             .with_rerank(Some(rerank_plan()));
         let model = Arc::new(base.build_model());
-        let traffic_ms = messages as f64 * base.mean_interval_ms + base.drain_ms;
+        let traffic_ms = MESSAGES as f64 * base.mean_interval_ms + base.drain_ms;
         let schedule =
-            FaultScenarioKind::DomainOutage.schedule(&model, base.warmup_ms, traffic_ms, seed);
+            FaultScenarioKind::DomainOutage.schedule(&model, base.warmup_ms, traffic_ms, SEED);
         let (_, heavy) = churn_levels()[2];
         let cell = base.with_fault_schedule(Some(schedule)).with_churn(heavy);
         let seq = runner::run_detailed(&cell.clone().with_shards(Some(0)), Some(model.clone()));
@@ -101,30 +97,36 @@ fn main() {
         );
     }
 
-    let rss_field = record::peak_rss_mb()
-        .map(|mb| format!("{mb:.1}"))
-        .unwrap_or_else(|| "null".to_string());
     let cells: Vec<String> = rows
         .iter()
-        .map(|r| {
-            let key = format!(
-                "{}_{}",
-                r.scenario.replace(' ', "_"),
-                r.churn.replace(' ', "_")
-            );
-            format!(
-                "  \"{key}\": {{\n    \"scenario\": \"{}\",\n    \"churn\": \"{}\",\n    \"delivery\": {:.4},\n    \"hub_stability\": {:.4},\n    \"p99_ms\": {:.3}\n  }}",
-                r.scenario, r.churn, r.delivery, r.hub_stability, r.p99_ms
-            )
-        })
+        .map(|r| format!("{}_{}", r.scenario, r.churn).replace(' ', "_"))
         .collect();
-    let body = format!(
-        "{{\n  \"bench\": \"fault_resilience\",\n  \"preset\": \"{}\",\n  \"scenario\": \"fault scenario library × churn, online re-rank\",\n  \"nodes\": {nodes},\n  \"messages\": {messages},\n  \"cells\": {},\n  \"sweep_ms\": {sweep_ms:.1},\n  \"peak_rss_mb\": {rss_field},\n{}\n}}",
-        preset.label(),
-        rows.len(),
-        cells.join(",\n")
-    );
-    let bin = format!("fault_resilience_{}", preset.label());
-    record::upsert_bin(&out_path, &bin, &body);
-    println!("wrote bin {bin} to {out_path}");
+    let mut bin = vec![
+        ("bench", Json::str("fault_resilience")),
+        ("preset", Json::str(preset.label())),
+        (
+            "scenario",
+            Json::str("fault scenario library × churn, online re-rank"),
+        ),
+        ("nodes", Json::num(nodes as f64)),
+        ("messages", Json::num(MESSAGES as f64)),
+        ("cells", Json::num(rows.len() as f64)),
+        ("peak_rss_mb", peak_rss_field(None, preset.label())),
+    ];
+    for (key, r) in cells.iter().zip(&rows) {
+        bin.push((
+            key,
+            Json::obj(vec![
+                ("scenario", Json::str(&r.scenario)),
+                ("churn", Json::str(&r.churn)),
+                ("delivery", rounded(r.delivery, 4)),
+                ("hub_stability", rounded(r.hub_stability, 4)),
+                ("p99_ms", rounded(r.p99_ms, 3)),
+            ]),
+        ));
+    }
+    let out_path = record::path();
+    let name = format!("fault_resilience_{}", preset.label());
+    record::upsert_bin(&out_path, &name, Json::obj(bin));
+    println!("wrote bin {name} to {out_path}");
 }

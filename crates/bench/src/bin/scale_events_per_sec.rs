@@ -1,10 +1,13 @@
-//! Scale-axis event-loop throughput bench: 1k … 1M-node presets.
+//! Scale-axis gates: 1k … 1M-node presets on one shard.
 //!
 //! Runs a `egm_workload::experiments::scale` preset on one shard (the
-//! RSS budgets and the README table are calibrated for it; width sweeps
-//! live in `shard_events_per_sec`), measures wall clock, simulator
-//! events per second and process peak RSS, and upserts the `scale_events_per_sec_<preset>` bin
-//! into `BENCH_events_per_sec.json` (schema in `egm_bench`'s crate docs).
+//! RSS budgets are calibrated for it; width sweeps live in
+//! `shard_events_per_sec`) twice — cold, then from a prepared setup —
+//! asserts both runs produce the same report, that the model holds no
+//! dense latency cells, that the payload table never regrew, and that
+//! peak RSS stays within budget, then upserts the
+//! `scale_events_per_sec_<preset>` bin into `BENCH_events_per_sec.json`
+//! (schema in `egm_bench`'s crate docs).
 //!
 //! ```sh
 //! EGM_SCALE_PRESET=1k cargo run --release -p egm_bench --bin scale_events_per_sec
@@ -12,50 +15,47 @@
 //!
 //! Environment:
 //! * `EGM_SCALE_PRESET` — `1k` (default), `4k`, `10k`, `100k` or `1m`.
-//! * `EGM_BENCH_RUNS` — timed runs after one warm-up (default 2).
-//! * `EGM_SCALE_MESSAGES` — multicasts per run (default 30).
 //! * `EGM_BENCH_OUT` — output path (default `BENCH_events_per_sec.json`).
-//! * `EGM_SCALE_RSS_BUDGET_MB` — when set, the bench *asserts* peak RSS
-//!   stays under this budget (exit 1 otherwise); the CI smoke jobs rely
-//!   on this to catch accidental O(n²) allocations.
-//!   [`ScalePreset::rss_budget_mb`] is the suggested value per preset.
-//! * `EGM_SCALE_PLATEAU_MAX` — switches to *plateau mode*: instead of
-//!   the timed loop, run the preset at 1× and then 2× the message count
-//!   in the same process and assert the 2× peak RSS stays within this
-//!   factor of the 1× peak (e.g. `1.15`). Peak RSS is process-monotone,
-//!   so the ratio isolates exactly the memory the extra messages added —
-//!   with horizon-based retirement on, total traffic volume must not
-//!   move the plateau.
-//!
-//! Determinism is pinned run-over-run: every timed run must reproduce
-//! the warm-up's full report, not just its event count.
+//! * `EGM_SCALE_RSS_BUDGET_MB` — the peak-RSS budget (default
+//!   [`ScalePreset::rss_budget_mb`]); set it lower to tighten the gate.
+//! * `EGM_SCALE_PLATEAU_MAX` — switches to *plateau mode*: run the
+//!   preset at 120 messages and then at 240 in the same
+//!   process and assert the 2× peak RSS stays within this factor of the
+//!   1× peak (e.g. `1.15`). Peak RSS is process-monotone, so the ratio
+//!   isolates exactly the memory the extra messages added — with
+//!   horizon-based retirement on, total traffic volume must not move the
+//!   plateau. Writes no bin.
 
-use egm_bench::{env_parse, env_usize, record};
+use egm_bench::{env_parse, peak_rss_field, peak_rss_mb, record};
+use egm_server::json::Json;
 use egm_workload::experiments::scale::ScalePreset;
 use egm_workload::Scenario;
-use std::time::Instant;
+
+/// Multicasts per run.
+const MESSAGES: usize = 30;
+/// Multicasts of plateau mode's 1× run: enough to put the traffic phase
+/// well past the retirement horizon at the presets' 250 ms interval, or
+/// the 1× run never reaches steady state and the ratio pins nothing.
+const PLATEAU_MESSAGES: usize = 120;
+const SEED: u64 = 42;
 
 /// Plateau mode: the steady-state working set must not scale with total
 /// messages sent. Runs 1× then 2× messages in one process; peak RSS is
 /// monotone per process, so `peak(2×)/peak(1×)` measures only what the
 /// second, doubled run added on top.
 ///
-/// Two knobs differ from the timed mode, both to make the measurement a
-/// steady-state one:
-/// * the traffic spool is forced on regardless of preset size (the
-///   in-memory compaction window and its flatten transient are the
-///   dominant non-plateau term below 100k — exactly the subsystem the
-///   ≥100k presets stream to disk);
-/// * `messages` should put the traffic phase well past the retirement
-///   horizon (≥ ~120 at the default 250 ms interval), or the 1× run
-///   never reaches steady state and the ratio pins nothing.
-fn run_plateau(preset: ScalePreset, messages: usize, seed: u64, max_ratio: f64) {
+/// The traffic spool is forced on regardless of preset size: the
+/// in-memory compaction window and its flatten transient are the
+/// dominant non-plateau term below 100k — exactly the subsystem the
+/// ≥100k presets stream to disk.
+fn run_plateau(preset: ScalePreset, max_ratio: f64) {
     let run = |messages: usize| {
-        let scenario = one_shard(preset, messages, seed).with_traffic_spool(true);
+        let scenario = one_shard(preset, messages).with_traffic_spool(true);
         egm_workload::runner::run_detailed(&scenario, None)
     };
+    let messages = PLATEAU_MESSAGES;
     let base = run(messages);
-    let peak1 = record::peak_rss_mb().expect("plateau mode needs /proc RSS");
+    let peak1 = peak_rss_mb().expect("plateau mode needs /proc RSS");
     println!(
         "plateau 1x: {messages} messages, {} events, {} retired, arena high water {}, \
          peak RSS {peak1:.1} MB",
@@ -68,7 +68,7 @@ fn run_plateau(preset: ScalePreset, messages: usize, seed: u64, max_ratio: f64) 
     drop(base);
 
     let doubled = run(messages * 2);
-    let peak2 = record::peak_rss_mb().expect("plateau mode needs /proc RSS");
+    let peak2 = peak_rss_mb().expect("plateau mode needs /proc RSS");
     println!(
         "plateau 2x: {} messages, {} events, {} retired, arena high water {}, \
          peak RSS {peak2:.1} MB",
@@ -93,125 +93,79 @@ fn run_plateau(preset: ScalePreset, messages: usize, seed: u64, max_ratio: f64) 
 }
 
 /// The preset's scenario, pinned to one shard.
-fn one_shard(preset: ScalePreset, messages: usize, seed: u64) -> Scenario {
-    preset.scenario(messages, seed).with_shards(Some(1))
+fn one_shard(preset: ScalePreset, messages: usize) -> Scenario {
+    preset.scenario(messages, SEED).with_shards(Some(1))
 }
 
 fn main() {
     let preset = ScalePreset::from_env();
-    let runs = env_usize("EGM_BENCH_RUNS", 2).max(1);
-    let messages = env_usize("EGM_SCALE_MESSAGES", 30).max(1);
-    let out_path =
-        std::env::var("EGM_BENCH_OUT").unwrap_or_else(|_| "BENCH_events_per_sec.json".to_string());
-    let rss_budget_mb = env_parse::<f64>("EGM_SCALE_RSS_BUDGET_MB");
-
-    let nodes = preset.nodes();
-    let seed = 42u64;
-
     if let Some(max_ratio) = env_parse::<f64>("EGM_SCALE_PLATEAU_MAX") {
-        run_plateau(preset, messages, seed, max_ratio);
+        run_plateau(preset, max_ratio);
         return;
     }
+    let rss_budget_mb =
+        env_parse::<f64>("EGM_SCALE_RSS_BUDGET_MB").unwrap_or(preset.rss_budget_mb() as f64);
 
-    // Warm-up run (allocator/caches), which also yields the deterministic
-    // event count and the cancellation/retirement counters.
-    let scenario = one_shard(preset, messages, seed);
-    let warm = egm_workload::runner::run_detailed(&scenario, None);
-    let events = warm.events;
-    let timers_cancelled = warm.timers_cancelled;
-    let stale_timer_drops = warm.stale_timer_drops;
-    let retired_messages = warm.retired_messages;
-    let arena_high_water = warm.arena_high_water;
-    let traffic_spill_bytes = warm.traffic_spill_bytes;
+    let nodes = preset.nodes();
+    let scenario = one_shard(preset, MESSAGES);
+    let cold = egm_workload::runner::run_detailed(&scenario, None);
+    let events = cold.events;
     assert_eq!(
-        warm.model.memory_shape().dense_cells,
+        cold.model.memory_shape().dense_cells,
         0,
         "scale presets must use the two-level routed model"
     );
     assert_eq!(
-        warm.payload_vec_growths, 0,
+        cold.payload_vec_growths, 0,
         "the per-node payload table must stay pre-sized on the hot path"
     );
     println!(
-        "warm-up: {nodes} nodes ({} preset), {messages} messages, {events} events, \
-         delivery {:.2}%, {timers_cancelled} timers cancelled",
+        "{nodes} nodes ({} preset), {MESSAGES} messages, {events} events, \
+         delivery {:.2}%, {} timers cancelled",
         preset.label(),
-        warm.report.mean_delivery_fraction * 100.0
+        cold.report.mean_delivery_fraction * 100.0,
+        cold.timers_cancelled
     );
     println!(
-        "steady state: {retired_messages} messages retired, arena high water {arena_high_water}, \
-         {traffic_spill_bytes} traffic bytes spooled"
+        "steady state: {} messages retired, arena high water {}, {} traffic bytes spooled",
+        cold.retired_messages, cold.arena_high_water, cold.traffic_spill_bytes
     );
-    println!("queue: {:?}", warm.queue);
+    println!("queue: {:?}", cold.queue);
 
-    // Timed runs share the warm-up's topology plus one prepared setup
-    // (ranking + overlay views), so the measurement is the steady-state
-    // event loop — the fixed per-run cost is paid once and reported as
-    // `setup_ms`. The `rank_events_per_sec` bin breaks that fixed cost
-    // down per rank source.
-    // The third term of a cold set-up, the topology build, timed on its
-    // own (the model itself is the warm-up's: same seed, same model).
-    let topology_start = Instant::now();
-    drop(scenario.build_model());
-    let topology_ms = topology_start.elapsed().as_secs_f64() * 1000.0;
-    let setup_start = Instant::now();
-    let setup = egm_workload::runner::prepare(&scenario, Some(warm.model.clone()));
-    let setup_ms = setup_start.elapsed().as_secs_f64() * 1000.0;
-    println!(
-        "topology: {topology_ms:.1} ms; setup (ranking [{}] + views): {setup_ms:.1} ms, \
-         amortized over {runs} runs",
-        scenario.rank_source.label()
-    );
-    let mut wall_ms: Vec<f64> = Vec::with_capacity(runs);
-    for i in 0..runs {
-        let start = Instant::now();
-        let outcome = egm_workload::runner::run_prepared(&scenario, &setup);
-        let ms = start.elapsed().as_secs_f64() * 1000.0;
-        assert_eq!(outcome.events, events, "deterministic event count");
-        assert_eq!(
-            outcome.report,
-            warm.report,
-            "deterministic report (run {} diverged from warm-up)",
-            i + 1
-        );
-        println!(
-            "run {}/{runs}: {ms:.1} ms wall, {:.0} events/sec",
-            i + 1,
-            events as f64 / ms * 1000.0
-        );
-        wall_ms.push(ms);
-    }
+    // Run-over-run determinism: the same scenario from a prepared setup
+    // (ranking + overlay views, on the cold run's model) must reproduce
+    // the cold run's full report, not just its event count.
+    let setup = egm_workload::runner::prepare(&scenario, Some(cold.model.clone()));
+    let again = egm_workload::runner::run_prepared(&scenario, &setup);
+    assert_eq!(again.events, events, "deterministic event count");
+    assert_eq!(again.report, cold.report, "the prepared run diverged");
 
-    let best = wall_ms.iter().copied().fold(f64::INFINITY, f64::min);
-    let mean = wall_ms.iter().sum::<f64>() / wall_ms.len() as f64;
-    let events_per_sec = events as f64 / best * 1000.0;
-    let peak_rss = record::peak_rss_mb();
-    println!(
-        "best: {best:.1} ms wall ({events_per_sec:.0} events/sec), peak RSS {}",
-        peak_rss
-            .map(|mb| format!("{mb:.1} MB"))
-            .unwrap_or_else(|| "unavailable".to_string())
-    );
-
-    if let Some(budget) = rss_budget_mb {
-        let peak = peak_rss.expect("RSS budget asserted but /proc unavailable");
-        assert!(
-            peak <= budget,
-            "peak RSS {peak:.1} MB exceeds the {budget:.1} MB budget for the {} preset",
-            preset.label()
-        );
-        println!("peak RSS within budget ({peak:.1} <= {budget:.1} MB)");
-    }
-
-    let rss_field = peak_rss
-        .map(|mb| format!("{mb:.1}"))
-        .unwrap_or_else(|| "null".to_string());
-    let body = format!(
-        "{{\n  \"bench\": \"scale_events_per_sec\",\n  \"preset\": \"{}\",\n  \"scenario\": \"ranked best=20% scaled transit-stub\",\n  \"rank_source\": \"{}\",\n  \"nodes\": {nodes},\n  \"messages\": {messages},\n  \"runs\": {runs},\n  \"events\": {events},\n  \"topology_ms\": {topology_ms:.3},\n  \"setup_ms\": {setup_ms:.3},\n  \"best_wall_ms\": {best:.3},\n  \"mean_wall_ms\": {mean:.3},\n  \"events_per_sec\": {events_per_sec:.0},\n  \"timers_cancelled\": {timers_cancelled},\n  \"stale_timer_drops\": {stale_timer_drops},\n  \"retired_messages\": {retired_messages},\n  \"arena_high_water\": {arena_high_water},\n  \"traffic_spill_bytes\": {traffic_spill_bytes},\n  \"peak_rss_mb\": {rss_field}\n}}",
-        preset.label(),
-        scenario.rank_source.label()
-    );
-    let bin = format!("scale_events_per_sec_{}", preset.label());
-    record::upsert_bin(&out_path, &bin, &body);
-    println!("wrote bin {bin} to {out_path}");
+    let bin = Json::obj(vec![
+        ("bench", Json::str("scale_events_per_sec")),
+        ("preset", Json::str(preset.label())),
+        ("scenario", Json::str("ranked best=20% scaled transit-stub")),
+        ("rank_source", Json::str(scenario.rank_source.label())),
+        ("nodes", Json::num(nodes as f64)),
+        ("messages", Json::num(MESSAGES as f64)),
+        ("events", Json::num(events as f64)),
+        ("timers_cancelled", Json::num(cold.timers_cancelled as f64)),
+        (
+            "stale_timer_drops",
+            Json::num(cold.stale_timer_drops as f64),
+        ),
+        ("retired_messages", Json::num(cold.retired_messages as f64)),
+        ("arena_high_water", Json::num(cold.arena_high_water as f64)),
+        (
+            "traffic_spill_bytes",
+            Json::num(cold.traffic_spill_bytes as f64),
+        ),
+        (
+            "peak_rss_mb",
+            peak_rss_field(Some(rss_budget_mb), preset.label()),
+        ),
+    ]);
+    let out_path = record::path();
+    let name = format!("scale_events_per_sec_{}", preset.label());
+    record::upsert_bin(&out_path, &name, bin);
+    println!("wrote bin {name} to {out_path}");
 }

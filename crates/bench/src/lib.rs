@@ -1,161 +1,85 @@
-//! Throughput and gate binaries tracking the simulator's performance.
+//! Gate binaries: the assertions the repository benchmark does not make.
 //!
-//! The paper's figures are reproduced by the workspace examples
-//! (`cargo run --release --example full_report` prints all of them, at
-//! the scale chosen with `EGM_SCALE`); this crate holds the bench
-//! binaries under `src/bin/` and the record they write.
+//! Throughput is measured by the benchmark package (`benchmark/`: six
+//! pinned workloads, fingerprint checks, regression bounds), and the
+//! paper's figures are printed by the workspace examples
+//! (`cargo run --release --example full_report`). Each binary under
+//! `src/bin/` runs one scale preset (`EGM_SCALE_PRESET`), fails on the
+//! first gate it breaks, and records its evidence — counts, memory,
+//! windows, percentiles, fault cells; never wall time — as one bin of
+//! `BENCH_events_per_sec.json`.
 //!
-//! # Perf trajectory: `BENCH_events_per_sec.json`
+//! # The record: `BENCH_events_per_sec.json`
 //!
-//! `BENCH_events_per_sec.json` at the repository root records the
-//! event-loop perf trajectory across PRs. The file is a JSON object of
-//! **named bins**, one per throughput bench binary, each bin a flat
-//! object:
+//! A JSON object of **named bins**, sorted by name, each written by
+//! [`record::upsert_bin`] in the [`Json::render_pretty`] layout:
 //!
 //! ```json
 //! {
-//!   "events_per_sec": {
-//!     "bench": "events_per_sec",
-//!     "scenario": "ranked best=20% oracle-latency transit-stub",
-//!     "nodes": 100,
-//!     "messages": 150,
-//!     "runs": 5,
-//!     "events": 208898,
-//!     "best_wall_ms": 55.1,
-//!     "mean_wall_ms": 60.2,
-//!     "events_per_sec": 3794504
-//!   },
 //!   "scale_events_per_sec_1k": {
 //!     "bench": "scale_events_per_sec",
 //!     "preset": "1k",
 //!     "nodes": 1000,
 //!     "messages": 30,
-//!     "runs": 2,
-//!     "events": 1234567,
-//!     "best_wall_ms": 400.0,
-//!     "mean_wall_ms": 410.0,
-//!     "events_per_sec": 3000000,
-//!     "timers_cancelled": 56789,
-//!     "stale_timer_drops": 56789,
-//!     "peak_rss_mb": 120.5
+//!     "events": 332522,
+//!     "peak_rss_mb": 38.4
 //!   }
 //! }
 //! ```
 //!
-//! * `events_per_sec` — the original 100-node Ranked scenario
-//!   (`cargo run --release -p egm_bench --bin events_per_sec`). Its
-//!   deterministic `events` value doubles as the cross-PR byte-identity
-//!   check for the oracle-ranked path.
-//! * `scale_events_per_sec_<preset>` — the 1k/4k/10k scale-axis presets
-//!   (`cargo run --release -p egm_bench --bin scale_events_per_sec`,
-//!   preset chosen with `EGM_SCALE_PRESET`). It additionally records the
-//!   preset's `rank_source`, the fixed per-run `setup_ms` (ranking +
-//!   overlay-view bootstrap, paid once via `egm_workload::runner::
-//!   prepare` and amortized across the timed runs), `topology_ms` (one
-//!   `Scenario::build_model` timed on its own — with `setup_ms` the
-//!   whole of a cold set-up, term by term), the index-free
-//!   timer-cancellation counters and the process peak RSS, so the memory
-//!   budget per scenario size is tracked alongside throughput (see
-//!   `egm_workload::experiments::scale` for the budget table).
-//!   `EGM_SCALE_RSS_BUDGET_MB` turns the RSS record into a hard assertion
-//!   — the CI scale smoke job uses this.
-//! * `rank_events_per_sec_<preset>` — the rank-source A/B
-//!   (`cargo run --release -p egm_bench --bin rank_events_per_sec`): one
-//!   sub-object per [`RankSource`](egm_core::RankSource) (oracle /
-//!   sampled / the preset's gossip-sorted source) with that source's
-//!   `oracle_overlap`, fixed `setup_ms`, deterministic `events`,
-//!   `best_wall_ms` and `events_per_sec` — the accuracy/cost record
-//!   behind retiring the O(n²) oracle on the scale axis.
-//!   `EGM_RANK_MIN_OVERLAP` asserts the overlap floor (the presets
-//!   require ≥ 0.8).
-//! * `shard_events_per_sec_<preset>` — the multi-shard event-loop A/B
-//!   (`cargo run --release -p egm_bench --bin shard_events_per_sec`):
-//!   the preset once on one shard (`seq` sub-object) and then, at every
-//!   width from `EGM_SHARD_WIDTHS`, once under the contiguous partition
-//!   and once under the planned cut — `w2_contiguous` /
-//!   `w2_domain_aligned` / `w4_…` sub-objects. (Records written before
-//!   2026-10 also carry `w<W>_rate_balanced` rows — the same cut timed
-//!   a second time under its other name.) Each records the *effective*
-//!   `strategy` (a planned strategy falls back to contiguous on
-//!   structureless topologies), `best_wall_ms`, `events_per_sec`,
-//!   `speedup_vs_seq`, and the window-loop counters: `windows`,
-//!   `lane_events`, the batched `lane_flushes`, the
-//!   `exchanges_skipped` by the adaptive barrier, the configured
-//!   `lookahead_us`, the `realized_lookahead_us` actually advanced per
-//!   window, and the `per_shard_events` balance. The bench *asserts*
-//!   byte-identical results for every pair (report, delivery log, link
-//!   tables, event count) — the determinism record behind parallelizing
-//!   one run — and, always on because it compares exact counts, that
-//!   the planned cut at W = 2 keeps the heaviest shard within 1.10× of
-//!   the mean `per_shard_events`. `EGM_SHARD_MAX_WINDOWS` caps the
-//!   window count of every planned run — the gated record that
-//!   topology-aware cuts keep the conservative windows an order of
-//!   magnitude coarser than contiguous ones.
-//! * `sustained_events_per_sec_<preset>` — the heavy-traffic arrival
-//!   axis (`cargo run --release -p egm_bench --bin
-//!   sustained_events_per_sec`): one open-loop run per shard width
-//!   W ∈ {seq, 2, 4} over a shared prepared setup, byte-identity
-//!   asserted per width (report, event count, latency histogram,
-//!   steady-state block). Records the arrival `process` and offered
-//!   `rate_per_sec`, the steady-state `steady_publishes_per_sec` /
-//!   `steady_deliveries_per_sec` (simulated-time rates over the
-//!   post-warm-up window), the `latency_p50_ms` / `latency_p99_ms` /
-//!   `latency_p999_ms` publish→delivery percentiles from the mergeable
-//!   log-bucketed histogram, and the `traffic_acc_peak` merge-time
-//!   accumulator bound (pinned ≤ the spill threshold).
-//!   `EGM_MIN_SUSTAINED_EPS` turns the wall-clock events/s into a floor
-//!   assertion — the CI sustained smoke job's regression guard;
-//!   `EGM_SUSTAINED_PROCESS` / `EGM_SUSTAINED_RATE` select the arrival
-//!   process (poisson / bursty / diurnal) and offered rate.
-//! * `fault_resilience_<preset>` — the scheduled-fault resilience grid
-//!   (`cargo run --release -p egm_bench --bin fault_resilience`): every
-//!   [`FaultScenarioKind`](egm_workload::FaultScenarioKind) — baseline,
-//!   correlated domain outage, transit-link degradation, flash crowd,
-//!   node slowdown — against every churn level (none / light / heavy
-//!   overlapping outages), with online re-ranking active. One sub-object
-//!   per `<scenario>_<churn>` cell holding `delivery` (mean delivery
-//!   fraction), `hub_stability` (overlap between the initial and final
-//!   re-ranked hub sets), and the steady-state `p99_ms`
-//!   publish→delivery latency; plus the grid `cells` count, `sweep_ms`
-//!   and `peak_rss_mb`. The bin re-runs the harshest cell (domain
-//!   outage × heavy churn) at every `EGM_SHARD_WIDTHS` width and
-//!   *asserts* byte-identity with the sequential engine.
-//!   `EGM_MIN_DELIVERY_RATIO` turns every cell's delivery ratio into a
-//!   floor assertion — the CI fault smoke job's regression guard.
-//! * `queue_events_per_sec_<preset>` — the event-queue A/B comparison
-//!   (`cargo run --release -p egm_bench --bin queue_events_per_sec`):
-//!   one scale preset run per queue implementation over a shared
-//!   topology, asserting event-for-event identical results at runtime. A
-//!   flat object with `heap_best_wall_ms` / `heap_events_per_sec`,
-//!   `calendar_best_wall_ms` / `calendar_events_per_sec`, the
-//!   `calendar_speedup` ratio, and the calendar geometry
-//!   (`calendar_bucket_count`, `calendar_bucket_width_us`,
-//!   `calendar_resizes`, `calendar_year_scans`). On the 2026-07 10k
-//!   measurement the calendar queue is ~1.7× the heap's event rate;
-//!   combined with the arena-backed node state and log-based traffic
-//!   accounting the `scale_events_per_sec_10k` bin moved from ~0.39 M to
-//!   ~0.93 M events/s (2.4×) on the same container.
+//! Every bin carries `bench`, `preset`, `nodes`, `messages` and the
+//! process `peak_rss_mb` (`null` without procfs). `events` is the
+//! deterministic simulator event count: identical across runs and
+//! machines for a given code version, so a changed value means changed
+//! protocol behaviour. Per binary:
 //!
-//! `events` is the deterministic simulator event count of the scenario
-//! (identical across runs and machines for a given code version — a
-//! changed value means the protocol behaviour changed, not just its
-//! speed); `events_per_sec` is computed from the best wall time. Stale
-//! cancelled-timer drops are excluded from `events` — they never
-//! dispatch. `EGM_BENCH_RUNS`, `EGM_BENCH_MESSAGES` and `EGM_BENCH_OUT`
-//! override the run count, workload size and output path;
-//! `EGM_MIN_EVENTS_PER_SEC` makes `events_per_sec` *assert* a
-//! throughput floor so gross event-loop regressions fail CI instead of
-//! silently updating the record.
+//! * `scale_events_per_sec_<preset>` — the preset on one shard, run cold
+//!   and then from a prepared setup; the two reports must be identical.
+//!   Adds `scenario`, `rank_source`, `events`, `timers_cancelled`,
+//!   `stale_timer_drops`, `retired_messages`, `arena_high_water` and
+//!   `traffic_spill_bytes`. Gates: no dense latency cells, no payload
+//!   table regrowth, peak RSS under
+//!   [`ScalePreset::rss_budget_mb`](egm_workload::experiments::scale::ScalePreset::rss_budget_mb)
+//!   (`EGM_SCALE_RSS_BUDGET_MB` overrides), and in plateau mode
+//!   (`EGM_SCALE_PLATEAU_MAX`, no bin written) the 2×-message peak RSS
+//!   within that factor of the 1× peak.
+//! * `shard_events_per_sec_<preset>` — one shard, then the planned
+//!   (domain-aligned) cut at each `EGM_SHARD_WIDTHS` width, every width
+//!   byte-identical to one shard (report, delivery log, link tables,
+//!   event count). One `w<W>` sub-object per width: the effective
+//!   `strategy`, `speedup_vs_seq` (one timed run each side — the only
+//!   wall-clock number in the record, kept for multi-core runners),
+//!   `windows`, `lane_events`, `lane_flushes`, `exchanges_skipped`,
+//!   `lookahead_us`, `realized_lookahead_us` and `per_shard_events`.
+//!   Gates: the planner does not fall back, the W = 2 cut keeps the
+//!   heaviest shard within 1.10 × the mean (always on: counts repeat
+//!   exactly), `EGM_SHARD_MAX_WINDOWS` caps every width's window count,
+//!   `EGM_SCALE_RSS_BUDGET_MB` caps peak RSS.
+//! * `sustained_events_per_sec_<preset>` — 120 messages of open-loop
+//!   Poisson arrivals at 20 msg/s on one shard and at W ∈ {2, 4}, every
+//!   width byte-identical (report, event count, latency histogram,
+//!   steady-state block). Adds `process`, `rate_per_sec`,
+//!   `steady_publishes_per_sec`, `steady_deliveries_per_sec`,
+//!   `latency_p50_ms` / `latency_p99_ms` / `latency_p999_ms` and the
+//!   `traffic_acc_peak` merge accumulator. Gates: the accumulator never
+//!   exceeds the spill threshold, `EGM_SCALE_RSS_BUDGET_MB` caps peak RSS.
+//! * `fault_resilience_<preset>` — every
+//!   [`FaultScenarioKind`](egm_workload::FaultScenarioKind) × churn level
+//!   with online re-ranking, 10 messages per cell: `scenario`, the
+//!   `cells` count and one `<scenario>_<churn>` sub-object per cell with
+//!   `delivery`, `hub_stability` and `p99_ms`. Gates:
+//!   `EGM_MIN_DELIVERY_RATIO` floors every cell's delivery, and the
+//!   domain-outage × heavy-churn cell is byte-identical at every
+//!   `EGM_SHARD_WIDTHS` width.
 //!
-//! Each binary rewrites only its own bin through [`record::upsert_bin`],
-//! preserving the others (a pre-2026-07 flat single-bench file is
-//! migrated in place).
+//! `EGM_BENCH_OUT` moves the record ([`record::path`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod record;
 
+use egm_server::json::Json;
 use std::env::VarError;
 use std::str::FromStr;
 
@@ -182,7 +106,7 @@ fn parse_knob_list<T: FromStr>(key: &str, value: &str) -> Vec<T> {
     value.split(',').map(|v| parse_knob(key, v)).collect()
 }
 
-/// Reads an optional environment knob (`EGM_MIN_EVENTS_PER_SEC`,
+/// Reads an optional environment knob (`EGM_MIN_DELIVERY_RATIO`,
 /// `EGM_SCALE_RSS_BUDGET_MB`, …): `None` when unset. Shared by every
 /// bench binary.
 ///
@@ -197,16 +121,6 @@ pub fn env_parse<T: FromStr>(key: &str) -> Option<T> {
     }
 }
 
-/// Reads a `usize` environment knob (`EGM_BENCH_RUNS`,
-/// `EGM_SCALE_MESSAGES`, …), `default` when unset.
-///
-/// # Panics
-///
-/// Panics when the variable is set to something that does not parse.
-pub fn env_usize(key: &str, default: usize) -> usize {
-    env_parse(key).unwrap_or(default)
-}
-
 /// Reads a comma-separated environment knob (`EGM_SHARD_WIDTHS`): `None`
 /// when unset, an empty list when set to the empty string.
 ///
@@ -217,14 +131,54 @@ pub fn env_list<T: FromStr>(key: &str) -> Option<Vec<T>> {
     env_parse::<String>(key).map(|v| parse_knob_list(key, &v))
 }
 
+/// `x` rounded to `decimals` places: the precision a bin records it at.
+pub fn rounded(x: f64, decimals: i32) -> Json {
+    let scale = 10f64.powi(decimals);
+    Json::num((x * scale).round() / scale)
+}
+
+/// Peak resident set size of this process in MB (`VmHWM`), or `None`
+/// where procfs is unavailable.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    for line in status.lines() {
+        if let Some(rest) = line.strip_prefix("VmHWM:") {
+            let kb: f64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
+            return Some(kb / 1024.0);
+        }
+    }
+    None
+}
+
+/// The process peak RSS as a bin's `peak_rss_mb` field (`null` without
+/// procfs), after asserting it stays within `budget_mb` when one is given.
+///
+/// # Panics
+///
+/// Panics when the peak exceeds the budget, or when a budget is given
+/// and procfs is unavailable.
+pub fn peak_rss_field(budget_mb: Option<f64>, preset: &str) -> Json {
+    let peak = peak_rss_mb();
+    if let Some(budget) = budget_mb {
+        let peak = peak.expect("RSS budget asserted but /proc unavailable");
+        assert!(
+            peak <= budget,
+            "peak RSS {peak:.1} MB exceeds the {budget:.1} MB budget for the {preset} preset"
+        );
+        println!("peak RSS within budget ({peak:.1} <= {budget:.1} MB)");
+    }
+    peak.map_or(Json::Null, |mb| rounded(mb, 1))
+}
+
 #[cfg(test)]
 mod tests {
-    use super::{parse_knob, parse_knob_list};
+    use super::{parse_knob, parse_knob_list, rounded};
+    use egm_server::json::Json;
 
     #[test]
     fn knobs_parse_with_surrounding_whitespace() {
         assert_eq!(parse_knob::<f64>("EGM_MIN_DELIVERY_RATIO", " 0.90 "), 0.9);
-        assert_eq!(parse_knob::<usize>("EGM_BENCH_RUNS", "3"), 3);
+        assert_eq!(parse_knob::<u64>("EGM_SHARD_MAX_WINDOWS", "3"), 3);
     }
 
     #[test]
@@ -234,9 +188,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unrecognized EGM_BENCH_RUNS \"two\"")]
+    #[should_panic(expected = "unrecognized EGM_SHARD_MAX_WINDOWS \"two\"")]
     fn a_typoed_count_panics_instead_of_taking_the_default() {
-        let _ = parse_knob::<usize>("EGM_BENCH_RUNS", "two");
+        let _ = parse_knob::<u64>("EGM_SHARD_MAX_WINDOWS", "two");
     }
 
     #[test]
@@ -249,5 +203,12 @@ mod tests {
     #[should_panic(expected = "unrecognized EGM_SHARD_WIDTHS \"x\"")]
     fn one_bad_list_item_panics_instead_of_being_dropped() {
         let _ = parse_knob_list::<usize>("EGM_SHARD_WIDTHS", "2,x");
+    }
+
+    #[test]
+    fn rounded_values_render_at_their_recorded_precision() {
+        assert_eq!(rounded(0.78499996, 4).render(), "0.785");
+        assert_eq!(rounded(466.94312, 3).render(), "466.943");
+        assert_eq!(rounded(44.04, 1), Json::num(44.0));
     }
 }

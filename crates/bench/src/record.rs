@@ -1,285 +1,115 @@
-//! `BENCH_events_per_sec.json` bin handling.
-//!
-//! The trajectory file is a JSON object of named bins (see the crate
-//! docs for the schema). The workspace deliberately carries no JSON
-//! parser dependency, so this module implements the minimal subset the
-//! bins format needs: top-level string keys mapping to balanced-brace
-//! object values (string contents are skipped while balancing). Each
-//! bench binary replaces only its own bin and preserves the rest.
+//! `BENCH_events_per_sec.json`: one JSON object of named bins (schema in
+//! the crate docs). Each bench binary replaces only its own bin.
 
-/// Splits a bins file into `(name, raw object text)` pairs, in file
-/// order.
-///
-/// A legacy flat single-bench file (pre-bins schema: scalar fields at the
-/// top level, including a `"bench": "<name>"` field) is returned as one
-/// bin named after its `bench` field, so the first upsert migrates it.
-/// Unparseable text yields an empty list (the file is then rebuilt).
-pub fn parse_bins(text: &str) -> Vec<(String, String)> {
-    let bytes = text.as_bytes();
-    let mut bins = Vec::new();
-    let mut i = match text.find('{') {
-        Some(p) => p + 1,
-        None => return bins,
-    };
-    while i < bytes.len() {
-        // Next top-level key.
-        let Some(key_start) = text[i..].find('"').map(|p| i + p + 1) else {
-            break;
-        };
-        let Some(key_end) = text[key_start..].find('"').map(|p| key_start + p) else {
-            break;
-        };
-        let key = &text[key_start..key_end];
-        let Some(colon) = text[key_end..].find(':').map(|p| key_end + p) else {
-            break;
-        };
-        let value_start = match text[colon + 1..].find(|c: char| !c.is_whitespace()) {
-            Some(p) => colon + 1 + p,
-            None => break,
-        };
-        if bytes[value_start] != b'{' {
-            // Scalar value at the top level: legacy flat schema.
-            return parse_legacy(text);
-        }
-        // Balance braces, skipping string contents.
-        let mut depth = 0usize;
-        let mut in_string = false;
-        let mut escaped = false;
-        let mut end = None;
-        for (off, &b) in bytes[value_start..].iter().enumerate() {
-            if in_string {
-                match b {
-                    _ if escaped => escaped = false,
-                    b'\\' => escaped = true,
-                    b'"' => in_string = false,
-                    _ => {}
-                }
-                continue;
-            }
-            match b {
-                b'"' => in_string = true,
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = Some(value_start + off + 1);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let Some(end) = end else { break };
-        bins.push((key.to_string(), text[value_start..end].to_string()));
-        i = end;
-    }
-    bins
+use egm_server::json::Json;
+
+/// The record file: `EGM_BENCH_OUT`, default `BENCH_events_per_sec.json`
+/// (the name the repository benchmark and `egm_server` read).
+pub fn path() -> String {
+    std::env::var("EGM_BENCH_OUT").unwrap_or_else(|_| "BENCH_events_per_sec.json".to_string())
 }
 
-/// Wraps a legacy flat single-bench object as one bin named after its
-/// `"bench"` field.
-fn parse_legacy(text: &str) -> Vec<(String, String)> {
-    let Some(tag) = text.find("\"bench\"") else {
-        return Vec::new();
-    };
-    let rest = &text[tag + "\"bench\"".len()..];
-    let Some(open) = rest.find('"') else {
-        return Vec::new();
-    };
-    let Some(close) = rest[open + 1..].find('"') else {
-        return Vec::new();
-    };
-    let name = rest[open + 1..open + 1 + close].to_string();
-    let trimmed = text.trim();
-    vec![(name, trimmed.to_string())]
-}
-
-/// Renders bins (sorted by name for deterministic files) as the
-/// trajectory JSON document.
-///
-/// Every bin body is re-indented through `reindent`, so the file has
-/// one canonical layout no matter how a bench binary formatted the body
-/// it handed to [`upsert_bin`] — repeated parse/render round trips are
-/// byte-stable, and bins with nested sub-objects (the A/B benches) get
-/// the same two-space-per-level indentation as flat ones.
-pub fn render_bins(bins: &[(String, String)]) -> String {
-    let mut sorted: Vec<&(String, String)> = bins.iter().collect();
-    sorted.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = String::from("{\n");
-    for (i, (name, body)) in sorted.iter().enumerate() {
-        out.push_str(&format!("  \"{name}\": {}", reindent(body)));
-        out.push_str(if i + 1 < sorted.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Pretty-prints one bin body in the canonical layout: objects break
-/// onto one line per member at two spaces of indentation per nesting
-/// level (the bin itself sits one level inside the document), arrays
-/// stay inline. Existing whitespace outside strings is discarded and
-/// re-derived, so any syntactically valid input yields the same output.
-fn reindent(body: &str) -> String {
-    let mut out = String::with_capacity(body.len() * 2);
-    // The bin object is one level inside the trajectory document.
-    let mut depth = 1usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut arrays = 0usize;
-    let indent = |out: &mut String, depth: usize| {
-        for _ in 0..depth * 2 {
-            out.push(' ');
-        }
-    };
-    for c in body.chars() {
-        if in_string {
-            out.push(c);
-            match c {
-                _ if escaped => escaped = false,
-                '\\' => escaped = true,
-                '"' => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_string = true;
-                out.push(c);
-            }
-            c if c.is_whitespace() => {}
-            '[' => {
-                arrays += 1;
-                out.push('[');
-            }
-            ']' => {
-                arrays = arrays.saturating_sub(1);
-                out.push(']');
-            }
-            '{' if arrays == 0 => {
-                depth += 1;
-                out.push('{');
-                out.push('\n');
-                indent(&mut out, depth);
-            }
-            '}' if arrays == 0 => {
-                depth = depth.saturating_sub(1);
-                out.push('\n');
-                indent(&mut out, depth);
-                out.push('}');
-            }
-            ',' if arrays == 0 => {
-                out.push(',');
-                out.push('\n');
-                indent(&mut out, depth);
-            }
-            ':' if arrays == 0 => out.push_str(": "),
-            ',' => out.push_str(", "),
-            ':' => out.push_str(": "),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inserts or replaces the named bin in the trajectory file at `path`,
-/// preserving every other bin (and migrating a legacy flat file).
+/// Sets bin `name` of the record at `path` to `bin`, keeping every
+/// other bin, and rewrites the file sorted by bin name in the
+/// [`Json::render_pretty`] layout. A missing file starts empty.
 ///
 /// # Panics
 ///
-/// Panics if the file cannot be written.
-pub fn upsert_bin(path: &str, name: &str, body: &str) {
-    let mut bins = std::fs::read_to_string(path)
-        .map(|text| parse_bins(&text))
-        .unwrap_or_default();
-    bins.retain(|(k, _)| k != name);
-    bins.push((name.to_string(), body.trim().to_string()));
-    std::fs::write(path, render_bins(&bins)).expect("write bench json");
-}
-
-/// Peak resident set size of this process in MB (`VmHWM`), or `None`
-/// where procfs is unavailable. Used by the scale bench bin to record —
-/// and, under `EGM_SCALE_RSS_BUDGET_MB`, assert — the memory budget per
-/// scenario size.
-pub fn peak_rss_mb() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: f64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb / 1024.0);
-        }
-    }
-    None
+/// Panics when the file exists but cannot be read, is not a JSON object
+/// (rebuilding it would drop every other bin), or cannot be written.
+pub fn upsert_bin(path: &str, name: &str, bin: Json) {
+    let mut bins = match std::fs::read_to_string(path) {
+        Ok(text) => match Json::parse(&text) {
+            Ok(Json::Obj(bins)) => bins,
+            Ok(_) => panic!("bench record {path} is not a JSON object of bins"),
+            Err(e) => panic!("bench record {path} is not valid JSON: {e}"),
+        },
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => panic!("cannot read bench record {path}: {e}"),
+    };
+    bins.retain(|(key, _)| key != name);
+    bins.push((name.to_string(), bin));
+    bins.sort_by(|a, b| a.0.cmp(&b.0));
+    std::fs::write(path, Json::Obj(bins).render_pretty()).expect("write bench record");
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_bins, render_bins, upsert_bin};
+    use super::upsert_bin;
+    use egm_server::json::Json;
+
+    /// A fresh record path per test: tests run on parallel threads.
+    fn scratch(name: &str) -> String {
+        let dir = std::env::temp_dir().join("egm_bench_record_test");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        path.to_str().expect("utf-8 path").to_string()
+    }
+
+    fn events(n: f64) -> Json {
+        Json::obj(vec![("events", Json::num(n))])
+    }
 
     #[test]
     fn round_trips_two_bins() {
-        let a = ("alpha".to_string(), "{\n  \"x\": 1\n}".to_string());
-        let b = ("beta".to_string(), "{\n  \"y\": \"s{}\"\n}".to_string());
-        let text = render_bins(&[b.clone(), a.clone()]);
-        let parsed = parse_bins(&text);
-        // Sorted on render.
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].0, "alpha");
-        assert_eq!(parsed[1].0, "beta");
-        assert!(parsed[0].1.contains("\"x\": 1"));
-        assert!(parsed[1].1.contains("s{}"), "braces in strings survive");
+        let path = scratch("round_trip.json");
+        upsert_bin(&path, "beta", Json::obj(vec![("y", Json::str("s{}\"\n"))]));
+        upsert_bin(&path, "alpha", events(1.0));
+        let text = std::fs::read_to_string(&path).expect("read back");
+        let expected = Json::obj(vec![
+            ("alpha", events(1.0)),
+            ("beta", Json::obj(vec![("y", Json::str("s{}\"\n"))])),
+        ]);
+        assert_eq!(Json::parse(&text), Ok(expected), "sorted, strings intact");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn nested_bins_render_canonically_and_stably() {
-        // A sloppily formatted nested body (the A/B bench shape) gets
-        // two-space-per-level indentation, inline arrays, and is a fixed
-        // point of parse/render.
-        let body = "{ \"preset\":\"1k\",\n\"seq\":{\"ms\": 1.5,\"eps\": 2},\n  \
-                    \"per_shard_events\": [ 1,2 , 3 ] }";
-        let text = render_bins(&[("shard".to_string(), body.to_string())]);
-        let expected = "{\n  \"shard\": {\n    \"preset\": \"1k\",\n    \"seq\": {\n      \
-                        \"ms\": 1.5,\n      \"eps\": 2\n    },\n    \
-                        \"per_shard_events\": [1, 2, 3]\n  }\n}\n";
+        // The shard bin's shape: nested objects break one member per
+        // line, arrays stay inline, and the file is a fixed point.
+        let path = scratch("nested.json");
+        let bin = Json::obj(vec![
+            ("preset", Json::str("1k")),
+            ("w2", Json::obj(vec![("speedup_vs_seq", Json::num(1.5))])),
+            (
+                "per_shard_events",
+                Json::Arr(vec![Json::num(1.0), Json::num(2.0)]),
+            ),
+        ]);
+        upsert_bin(&path, "shard", bin);
+        let text = std::fs::read_to_string(&path).expect("read back");
+        let expected = "{\n  \"shard\": {\n    \"preset\": \"1k\",\n    \"w2\": {\n      \
+                        \"speedup_vs_seq\": 1.5\n    },\n    \
+                        \"per_shard_events\": [1, 2]\n  }\n}\n";
         assert_eq!(text, expected);
-        let again = render_bins(&parse_bins(&text));
+        let again = Json::parse(&text).expect("valid").render_pretty();
         assert_eq!(again, text, "render is a fixed point");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn legacy_flat_file_becomes_one_bin() {
-        let legacy = "{\n  \"bench\": \"events_per_sec\",\n  \"nodes\": 100,\n  \"events_per_sec\": 3794504\n}\n";
-        let parsed = parse_bins(legacy);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].0, "events_per_sec");
-        assert!(parsed[0].1.contains("\"nodes\": 100"));
-    }
-
-    #[test]
-    fn garbage_yields_no_bins() {
-        assert!(parse_bins("").is_empty());
-        assert!(parse_bins("not json").is_empty());
+    #[should_panic(expected = "is not valid JSON")]
+    fn a_corrupt_record_is_refused_not_rebuilt() {
+        let path = scratch("corrupt.json");
+        std::fs::write(&path, "{\"scale\": {\"events\": 1},").expect("write");
+        upsert_bin(&path, "shard", events(2.0));
     }
 
     #[test]
     fn upsert_replaces_only_its_bin() {
-        let dir = std::env::temp_dir().join("egm_bench_record_test");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("bins.json");
-        let path = path.to_str().expect("utf-8 path");
-        let _ = std::fs::remove_file(path);
+        let path = scratch("upsert.json");
+        upsert_bin(&path, "shard_events_per_sec_1k", events(1.0));
+        upsert_bin(&path, "scale_events_per_sec_1k", events(2.0));
+        upsert_bin(&path, "shard_events_per_sec_1k", events(3.0));
 
-        upsert_bin(path, "events_per_sec", "{\n  \"events\": 1\n}");
-        upsert_bin(path, "scale_events_per_sec_1k", "{\n  \"events\": 2\n}");
-        upsert_bin(path, "events_per_sec", "{\n  \"events\": 3\n}");
-
-        let text = std::fs::read_to_string(path).expect("read back");
-        let bins = parse_bins(&text);
-        assert_eq!(bins.len(), 2);
-        let events: Vec<&str> = bins.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(events, vec!["events_per_sec", "scale_events_per_sec_1k"]);
-        assert!(bins[0].1.contains("\"events\": 3"), "replaced in place");
-        assert!(bins[1].1.contains("\"events\": 2"), "other bin preserved");
-        let _ = std::fs::remove_file(path);
+        let text = std::fs::read_to_string(&path).expect("read back");
+        let expected = Json::obj(vec![
+            ("scale_events_per_sec_1k", events(2.0)),
+            ("shard_events_per_sec_1k", events(3.0)),
+        ]);
+        assert_eq!(Json::parse(&text), Ok(expected));
+        let _ = std::fs::remove_file(&path);
     }
 }

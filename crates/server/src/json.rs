@@ -1,14 +1,19 @@
 //! Minimal JSON value: parse, render, and typed accessors.
 //!
-//! The workspace deliberately carries no JSON dependency (the bench
-//! record module hand-parses its own bins the same way); this module is
-//! the server's equivalent for request bodies and responses. It covers
-//! the full JSON grammar except exotic number forms (`NaN`/`Infinity`
-//! are rejected, as in the spec) and renders with the same conventions
-//! the rest of the repository uses: shortest round-trip floats, no
-//! insignificant whitespace.
+//! The workspace deliberately carries no JSON dependency; this module is
+//! its one JSON implementation — request bodies and responses here, the
+//! `BENCH_events_per_sec.json` record in `egm_bench`. It covers the full
+//! JSON grammar except exotic number forms (`NaN`/`Infinity` are
+//! rejected, as in the spec) and nesting deeper than [`MAX_DEPTH`], and
+//! renders shortest round-trip floats either compactly ([`Json::render`])
+//! or in the record's layout ([`Json::render_pretty`]).
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets one request body
+/// overflow a connection thread's stack; job specs nest three levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Objects preserve insertion order (a `Vec` of
 /// pairs, not a map) so rendering is deterministic.
@@ -32,8 +37,10 @@ impl Json {
     /// Parses `text` as a single JSON value (trailing whitespace only).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -47,11 +54,45 @@ impl Json {
     /// Renders the value as compact JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.render_into(&mut out, false);
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Renders the value as a newline-terminated document: every
+    /// non-empty object breaks onto one line per member, indented two
+    /// spaces per level; arrays, and everything inside them, stay on one
+    /// line with a space after each `,` and `:`.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.pretty_into(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn pretty_into(&self, out: &mut String, depth: usize) {
+        let Json::Obj(pairs) = self else {
+            return self.render_into(out, true);
+        };
+        if pairs.is_empty() {
+            return out.push_str("{}");
+        }
+        let indent = |out: &mut String, depth: usize| out.extend((0..2 * depth).map(|_| ' '));
+        out.push('{');
+        for (i, (key, value)) in pairs.iter().enumerate() {
+            out.push_str(if i > 0 { ",\n" } else { "\n" });
+            indent(out, depth + 1);
+            render_str(key, out);
+            out.push_str(": ");
+            value.pretty_into(out, depth + 1);
+        }
+        out.push('\n');
+        indent(out, depth);
+        out.push('}');
+    }
+
+    /// Renders on one line; `spaced` puts a space after each `,` and `:`.
+    fn render_into(&self, out: &mut String, spaced: bool) {
+        let (comma, colon) = if spaced { (", ", ": ") } else { (",", ":") };
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -67,9 +108,9 @@ impl Json {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(comma);
                     }
-                    item.render_into(out);
+                    item.render_into(out, spaced);
                 }
                 out.push(']');
             }
@@ -77,11 +118,11 @@ impl Json {
                 out.push('{');
                 for (i, (key, value)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(comma);
                     }
                     render_str(key, out);
-                    out.push(':');
-                    value.render_into(out);
+                    out.push_str(colon);
+                    value.render_into(out, spaced);
                 }
                 out.push('}');
             }
@@ -161,8 +202,11 @@ fn render_str(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -204,8 +248,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
@@ -300,11 +358,9 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar: every byte consumed so far
+                    // ended a scalar, so `pos` is on a char boundary.
+                    let c = self.text[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -356,6 +412,16 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Unbounded, this recursed until the test thread's stack overflowed.
+        assert!(Json::parse(&"[{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

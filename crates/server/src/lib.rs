@@ -6,8 +6,8 @@
 //! via `runner::prepare` / `run_prepared_observed`, and observed live
 //! over a server-sent-event stream (`GET /api/jobs/:id/events`) fed by
 //! the [`egm_simnet::ProgressSink`] hooks in the runner and the sharded
-//! window loop. `GET /api/bench` serves the benchmark record history
-//! through `egm_bench::record`, and `/` serves a minimal vanilla-JS
+//! window loop. `GET /api/bench` serves the bench-bin record
+//! re-rendered through [`json::Json`], and `/` serves a minimal vanilla-JS
 //! dashboard. The full API is documented in `crates/server/README.md`;
 //! the progress hooks are observe-only, so a served run is
 //! byte-identical to the same scenario run from the CLI (the workload
@@ -64,15 +64,16 @@ impl ServerConfig {
     /// (default `127.0.0.1:7878`), `EGM_SERVER_WORKERS` (default 2),
     /// and `EGM_BENCH_OUT` (default `BENCH_events_per_sec.json`, the
     /// same variable the benches write through).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `EGM_SERVER_WORKERS` is not a positive integer.
     pub fn from_env() -> ServerConfig {
         let defaults = ServerConfig::default();
         ServerConfig {
             addr: std::env::var("EGM_SERVER_ADDR").unwrap_or(defaults.addr),
             workers: std::env::var("EGM_SERVER_WORKERS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&w| w > 0)
-                .unwrap_or(defaults.workers),
+                .map_or(defaults.workers, |v| parse_workers(&v)),
             bench_path: std::env::var("EGM_BENCH_OUT")
                 .map(PathBuf::from)
                 .unwrap_or(defaults.bench_path),
@@ -80,15 +81,14 @@ impl ServerConfig {
     }
 }
 
-/// The benchmark record re-serialized through the bench parser: parse
-/// to bins, render back. Because `egm_bench::record::render_bins` is a
-/// fixed point of its own output format (every writer goes through it),
-/// the response is byte-identical to the checked-in file — the server
-/// round-trip test asserts exactly that.
-pub fn bench_json(path: &std::path::Path) -> io::Result<String> {
-    let text = std::fs::read_to_string(path)?;
-    let bins = egm_bench::record::parse_bins(&text);
-    Ok(egm_bench::record::render_bins(&bins))
+/// Parses an `EGM_SERVER_WORKERS` value, panicking naming the variable
+/// and the value unless it is a positive integer: a typo must not
+/// quietly start the default pool.
+fn parse_workers(value: &str) -> usize {
+    match value.trim().parse() {
+        Ok(workers) if workers > 0 => workers,
+        _ => panic!("unrecognized EGM_SERVER_WORKERS {value:?}: expected a positive integer"),
+    }
 }
 
 struct AppState {
@@ -166,17 +166,26 @@ fn route(stream: &mut TcpStream, req: &http::Request, state: &AppState) -> io::R
         ("GET", "/app.js") => {
             http::respond(stream, "200 OK", "text/javascript; charset=utf-8", APP_JS)
         }
-        ("GET", "/api/bench") => match bench_json(&state.config.bench_path) {
-            Ok(body) => http::respond_json(stream, "200 OK", &body),
-            Err(e) => http::respond_error(
-                stream,
-                "404 Not Found",
-                &format!(
-                    "no benchmark record at {}: {e}",
-                    state.config.bench_path.display()
+        // Every bench bin writes the record through `render_pretty`, so a
+        // record nobody edited by hand is served byte for byte.
+        ("GET", "/api/bench") => {
+            let path = state.config.bench_path.display();
+            match std::fs::read_to_string(&state.config.bench_path) {
+                Ok(text) => match Json::parse(&text) {
+                    Ok(record) => http::respond_json(stream, "200 OK", &record.render_pretty()),
+                    Err(e) => http::respond_error(
+                        stream,
+                        "500 Internal Server Error",
+                        &format!("benchmark record at {path} is not valid JSON: {e}"),
+                    ),
+                },
+                Err(e) => http::respond_error(
+                    stream,
+                    "404 Not Found",
+                    &format!("no benchmark record at {path}: {e}"),
                 ),
-            ),
-        },
+            }
+        }
         ("GET", "/api/jobs") => {
             let jobs: Vec<Json> = state
                 .registry
@@ -271,5 +280,28 @@ fn stream_job_events(stream: &mut TcpStream, job: &jobs::Job) -> io::Result<()> 
         if done {
             return Ok(());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_workers;
+
+    #[test]
+    fn workers_parse_as_positive_integers() {
+        assert_eq!(parse_workers("1"), 1);
+        assert_eq!(parse_workers(" 8 "), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "unrecognized EGM_SERVER_WORKERS \"two\"")]
+    fn a_typoed_worker_count_panics_instead_of_taking_the_default() {
+        parse_workers("two");
+    }
+
+    #[test]
+    #[should_panic(expected = "unrecognized EGM_SERVER_WORKERS \"0\"")]
+    fn zero_workers_panics_instead_of_taking_the_default() {
+        parse_workers("0");
     }
 }

@@ -14,10 +14,14 @@ fn bench_record_path() -> PathBuf {
 }
 
 fn spawn_server() -> SocketAddr {
+    spawn_server_serving(bench_record_path())
+}
+
+fn spawn_server_serving(bench_path: PathBuf) -> SocketAddr {
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
-        bench_path: bench_record_path(),
+        bench_path,
     };
     Server::bind(config)
         .expect("bind ephemeral port")
@@ -64,10 +68,20 @@ fn bench_endpoint_round_trips_the_checked_in_record() {
     let (status, body) = request(addr, "GET", "/api/bench", None);
     assert_eq!(status, "HTTP/1.1 200 OK");
     let on_disk = std::fs::read_to_string(bench_record_path()).expect("checked-in bench record");
-    // parse_bins -> render_bins must be the identity on the checked-in
-    // file: every writer goes through render_bins, so the served bytes
-    // match the repository bytes exactly (satellite 5).
+    // Json::parse -> render_pretty must be the identity on the
+    // checked-in file: every bin writes it through render_pretty, so the
+    // served bytes match the repository bytes exactly.
     assert_eq!(body, on_disk);
+}
+
+#[test]
+fn a_corrupt_bench_record_is_a_server_error() {
+    let path = std::env::temp_dir().join(format!("egm_corrupt_bench_{}.json", std::process::id()));
+    std::fs::write(&path, "{\"scale\": {\"events\": 1},").expect("write corrupt record");
+    let addr = spawn_server_serving(path);
+    let (status, body) = request(addr, "GET", "/api/bench", None);
+    assert_eq!(status, "HTTP/1.1 500 Internal Server Error");
+    assert!(body.contains("not valid JSON"), "{body}");
 }
 
 #[test]
@@ -102,6 +116,18 @@ fn rejects_bad_submissions_and_unknown_routes() {
 
     let (status, _) = request(addr, "GET", "/api/nope", None);
     assert_eq!(status, "HTTP/1.1 404 Not Found");
+}
+
+#[test]
+fn deeply_nested_bodies_are_refused_without_killing_the_server() {
+    let addr = spawn_server();
+    // One parser frame per `[` used to overflow the connection thread's
+    // stack, which aborts the whole process.
+    let (status, body) = request(addr, "POST", "/api/jobs", Some(&"[".repeat(100_000)));
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    assert!(body.contains("nesting deeper than"), "{body}");
+    let (status, _) = request(addr, "GET", "/api/jobs", None);
+    assert_eq!(status, "HTTP/1.1 200 OK");
 }
 
 /// Submits a job, follows its SSE stream to completion, and returns the

@@ -68,11 +68,23 @@ impl Scale {
     }
 
     /// Reads `EGM_SCALE` from the environment: `paper` selects
-    /// [`Scale::paper`], anything else (or unset) [`Scale::quick`].
+    /// [`Scale::paper`], `quick` or unset [`Scale::quick`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other value: a typoed `paper` must not quietly
+    /// print the reduced figures.
     pub fn from_env() -> Self {
-        match std::env::var("EGM_SCALE").as_deref() {
-            Ok("paper") => Scale::paper(),
-            _ => Scale::quick(),
+        std::env::var("EGM_SCALE").map_or(Scale::quick(), |v| Scale::parse(&v))
+    }
+
+    /// The scale named by an `EGM_SCALE` value; panics naming the
+    /// variable and the value unless it is `quick` or `paper`.
+    fn parse(value: &str) -> Self {
+        match value {
+            "quick" => Scale::quick(),
+            "paper" => Scale::paper(),
+            _ => panic!("unrecognized EGM_SCALE {value:?}: expected quick or paper"),
         }
     }
 }
@@ -109,6 +121,18 @@ mod tests {
         assert!(q.nodes < p.nodes);
         assert_eq!(p.nodes, 100);
         assert_eq!(p.messages, 400);
+    }
+
+    #[test]
+    fn scale_names_parse() {
+        assert_eq!(Scale::parse("quick"), Scale::quick());
+        assert_eq!(Scale::parse("paper"), Scale::paper());
+    }
+
+    #[test]
+    #[should_panic(expected = "unrecognized EGM_SCALE \"papr\"")]
+    fn a_typoed_scale_panics_instead_of_running_quick() {
+        Scale::parse("papr");
     }
 
     #[test]

@@ -147,8 +147,8 @@ mod tests {
     fn gossip_ranking_overlaps_oracle_at_one_k() {
         // The scale-axis acceptance measurement at the CI-sized preset:
         // the gossip-sorted source the presets ship with must choose
-        // ≥ 80 % of the oracle's hubs. (The 4k/10k variants run in the
-        // `rank_events_per_sec` bench and the ignored test below.)
+        // ≥ 80 % of the oracle's hubs. (The 10k variant is the ignored
+        // test below, run nightly.)
         let rows = run_at_preset(ScalePreset::N1k, 2, 11);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].estimator, "oracle");

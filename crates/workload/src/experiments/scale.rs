@@ -42,8 +42,9 @@
 //! Presets run through [`run_sweep`] like every figure experiment, so
 //! multi-seed scale sweeps parallelize across cores with byte-identical
 //! results. The `scale_events_per_sec` bench bin (crate `egm-bench`)
-//! measures throughput and peak RSS on these presets and records them in
-//! `BENCH_events_per_sec.json`.
+//! asserts peak RSS on these presets against [`ScalePreset::rss_budget_mb`]
+//! and records it in `BENCH_events_per_sec.json`; the repository
+//! benchmark (`benchmark/`) times them.
 //!
 //! # Memory budget (measured with the inline per-node views and shuffle
 //! messages, release build, sequential engine, 30 messages, Ranked
@@ -156,9 +157,9 @@ impl ScalePreset {
         }
     }
 
-    /// Peak-RSS budget for this preset in MB, the default the
-    /// `scale_events_per_sec` bench asserts against
-    /// (`EGM_SCALE_RSS_BUDGET_MB` overrides). Budgets leave ~2–4×
+    /// Peak-RSS budget for this preset in MB: what the
+    /// `scale_events_per_sec` bench asserts unless
+    /// `EGM_SCALE_RSS_BUDGET_MB` sets another. Budgets leave ~2–4×
     /// headroom over the measured plateau so allocator noise never flakes
     /// CI, while still catching any return of an O(n²) or
     /// O(total-messages) term.
@@ -204,13 +205,10 @@ impl ScalePreset {
         }
     }
 
-    /// The rank-source comparison triple measured by both
-    /// `rank_quality::run_at_preset` and the `rank_events_per_sec` bench
-    /// bin (one definition, so the experiment table and the bench record
-    /// always describe the same A/B): the oracle reference, a sampled
-    /// baseline calibrating the overlap scale, and the gossip-sorted
-    /// source the preset actually ships with. Oracle first — the other
-    /// sources are scored against it.
+    /// The rank-source comparison triple `rank_quality::run_at_preset`
+    /// measures: the oracle reference, a sampled baseline calibrating the
+    /// overlap scale, and the gossip-sorted source the preset actually
+    /// ships with. Oracle first — the other sources are scored against it.
     pub fn rank_ab_sources(&self) -> [RankSource; 3] {
         [
             RankSource::Oracle,

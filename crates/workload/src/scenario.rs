@@ -169,9 +169,9 @@ pub struct Scenario {
     /// How a multi-shard run maps nodes to shards (`None` = auto:
     /// domain-aligned when the topology yields a plan, contiguous
     /// otherwise). Every
-    /// strategy is byte-identical — the partitioning A/B in
-    /// `shard_events_per_sec` and the `shard_determinism` suite assert
-    /// it — so this is purely a performance knob. See
+    /// strategy is byte-identical — the `shard_equivalence` proptests
+    /// and the `shard_determinism` suite assert it — so this is purely a
+    /// performance knob. See
     /// [`egm_simnet::PartitionStrategy`].
     pub partition: Option<egm_simnet::PartitionStrategy>,
     /// Overrides the best-node set computed from the strategy spec (used
