@@ -9,7 +9,8 @@
 //! execute each run via [`runner::prepare`] / [`runner::run_prepared_observed`]
 //! with a sink that appends pre-rendered SSE frames to the job's event
 //! log; readers replay the log from any index and block on a condvar
-//! for the tail.
+//! for the tail ([`Job::wait_for_events`]), which an append signals only
+//! while a reader waits.
 
 use crate::json::Json;
 use egm_core::StrategySpec;
@@ -17,7 +18,7 @@ use egm_simnet::{ProgressEvent, ProgressSink};
 use egm_workload::experiments::scale::ScalePreset;
 use egm_workload::{runner, Scenario};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Upper bound on events kept per job. Window events from very long
@@ -80,6 +81,10 @@ pub struct JobInner {
     pub results: Vec<Json>,
     /// Populated when `status == Failed`.
     pub error: Option<String>,
+    /// Readers blocked in [`Job::wait_for_events`]; an append skips the
+    /// wakeup when there are none. Both sides hold the job mutex, so no
+    /// wakeup can be lost between the count and the wait.
+    readers: usize,
 }
 
 /// One submitted job: id, validated runs, and the event log.
@@ -91,8 +96,8 @@ pub struct Job {
     pub runs: Vec<PlannedRun>,
     /// Mutable state; lock order is leaf (never held across a run).
     pub inner: Mutex<JobInner>,
-    /// Signalled on every event append and status change.
-    pub cond: Condvar,
+    /// Signalled on an event append or status change while readers wait.
+    cond: Condvar,
 }
 
 impl Job {
@@ -106,6 +111,7 @@ impl Job {
                 dropped_events: 0,
                 results: Vec::new(),
                 error: None,
+                readers: 0,
             }),
             cond: Condvar::new(),
         }
@@ -120,9 +126,32 @@ impl Job {
             return;
         }
         let frame = format!("event: {kind}\ndata: {}\n\n", data.render());
+        self.append(inner, frame);
+    }
+
+    /// Appends `frame` under the held lock, then wakes the waiting
+    /// readers, if there are any.
+    fn append(&self, mut inner: MutexGuard<'_, JobInner>, frame: String) {
         inner.events.push(frame);
+        let wake = inner.readers > 0;
         drop(inner);
-        self.cond.notify_all();
+        if wake {
+            self.cond.notify_all();
+        }
+    }
+
+    /// Blocks until the event log holds more than `seen` frames or the
+    /// job is terminal, and returns the locked state. A terminal status
+    /// and its final frame are appended under one lock, so a terminal
+    /// state returned here already holds every frame.
+    pub fn wait_for_events(&self, seen: usize) -> MutexGuard<'_, JobInner> {
+        let mut inner = self.inner.lock().unwrap();
+        while inner.events.len() == seen && !inner.status.terminal() {
+            inner.readers += 1;
+            inner = self.cond.wait(inner).unwrap();
+            inner.readers -= 1;
+        }
+        inner
     }
 
     /// Status change and its announcement frame land under one lock, so
@@ -134,15 +163,12 @@ impl Job {
             data.push(("error", Json::str(e.clone())));
         }
         let frame = format!("event: status\ndata: {}\n\n", Json::obj(data).render());
-        {
-            let mut inner = self.inner.lock().unwrap();
-            inner.status = status;
-            if error.is_some() {
-                inner.error = error;
-            }
-            inner.events.push(frame);
+        let mut inner = self.inner.lock().unwrap();
+        inner.status = status;
+        if error.is_some() {
+            inner.error = error;
         }
-        self.cond.notify_all();
+        self.append(inner, frame);
     }
 
     /// Status summary for `GET /api/jobs[/:id]`.
@@ -636,10 +662,14 @@ mod tests {
         registry.spawn_workers(1);
         let body = Json::parse(r#"{"scenario":"smoke","messages":5}"#).unwrap();
         let job = registry.submit(parse_job(&body).unwrap());
-        let mut inner = job.inner.lock().unwrap();
-        while !inner.status.terminal() {
-            inner = job.cond.wait(inner).unwrap();
-        }
+        let mut seen = 0;
+        let inner = loop {
+            let inner = job.wait_for_events(seen);
+            if inner.status.terminal() {
+                break inner;
+            }
+            seen = inner.events.len();
+        };
         assert_eq!(inner.status, JobStatus::Done, "{:?}", inner.error);
         assert_eq!(inner.results.len(), 1);
         let frames = inner.events.join("");

@@ -26,9 +26,10 @@ pub mod json;
 
 use jobs::{parse_job, Registry};
 use json::Json;
-use std::io::{self, BufReader, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Embedded dashboard page, served at `/`.
@@ -91,16 +92,25 @@ fn parse_workers(value: &str) -> usize {
     }
 }
 
+/// Connection threads allowed to wait in `accept` at once: a thread that
+/// finishes its connection while this many others wait exits, so a burst
+/// of connections does not leave its threads behind.
+const MAX_IDLE_THREADS: usize = 4;
+
 struct AppState {
+    listener: TcpListener,
+    /// Connection threads waiting in `accept`, counting a successor from
+    /// the moment its predecessor hands it the slot. Never above
+    /// [`MAX_IDLE_THREADS`], and never 0 while threads can be spawned.
+    idle: AtomicUsize,
     registry: Arc<Registry>,
     config: ServerConfig,
 }
 
 /// The HTTP server: a bound listener plus the job registry and worker
 /// pool. Construct with [`Server::bind`], then either [`Server::serve`]
-/// (blocking) or [`Server::spawn`] (background thread, for tests).
+/// (blocking) or [`Server::spawn`] (returns at once, for tests).
 pub struct Server {
-    listener: TcpListener,
     state: Arc<AppState>,
 }
 
@@ -111,56 +121,105 @@ impl Server {
         let registry = Arc::new(Registry::new());
         registry.spawn_workers(config.workers);
         Ok(Server {
-            listener,
-            state: Arc::new(AppState { registry, config }),
+            state: Arc::new(AppState {
+                listener,
+                // The slot of the first connection thread `spawn` starts.
+                idle: AtomicUsize::new(1),
+                registry,
+                config,
+            }),
         })
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
+        self.state.listener.local_addr()
     }
 
-    /// Serves forever: one thread per connection. Worker threads and
-    /// connection threads are detached; the process exits to stop them.
+    /// Serves forever. Connection threads accept for themselves: each
+    /// waits in `accept` on the shared listener, and the one that takes
+    /// the last waiting slot starts its successor before it handles its
+    /// connection, so a thread is always waiting and no connection queues
+    /// behind another (an SSE stream can last minutes). A thread that
+    /// finishes while a small fixed number of others wait exits. The
+    /// calling thread only parks; worker and connection threads are
+    /// detached, and the process exits to stop them.
     pub fn serve(self) -> io::Result<()> {
-        for stream in self.listener.incoming() {
-            let Ok(stream) = stream else { continue };
-            let state = self.state.clone();
-            std::thread::spawn(move || handle_connection(stream, &state));
+        self.spawn()?;
+        loop {
+            std::thread::park();
         }
-        Ok(())
     }
 
-    /// Starts [`Server::serve`] on a background thread and returns the
-    /// bound address — the test harness entry point.
+    /// Starts serving on background threads and returns the bound
+    /// address — the test harness entry point.
     pub fn spawn(self) -> io::Result<SocketAddr> {
         let addr = self.local_addr()?;
-        std::thread::Builder::new()
-            .name("egm-server-accept".to_string())
-            .spawn(move || {
-                let _ = self.serve();
-            })?;
+        spawn_connection_thread(self.state)?;
         Ok(addr)
     }
-}
 
-fn handle_connection(stream: TcpStream, state: &AppState) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut stream = stream;
-    match http::read_request(&mut reader) {
-        Ok(Some(req)) => {
-            let _ = route(&mut stream, &req, state);
-        }
-        Ok(None) => {}
-        Err(refusal) => http::refuse(&mut stream, &mut reader, &refusal),
+    /// Test probe, not API: reads how many connection threads wait in
+    /// `accept`.
+    #[doc(hidden)]
+    pub fn idle_threads(&self) -> impl Fn() -> usize + Send + 'static {
+        let state = self.state.clone();
+        move || state.idle.load(Ordering::SeqCst)
     }
 }
 
-fn route(stream: &mut TcpStream, req: &http::Request, state: &AppState) -> io::Result<()> {
+/// Starts a connection thread on the idle slot already counted for it.
+fn spawn_connection_thread(state: Arc<AppState>) -> io::Result<()> {
+    std::thread::Builder::new()
+        .name("egm-conn".to_string())
+        .spawn(move || connection_thread(&state))
+        .map(drop)
+}
+
+/// Accepts and handles connections until it finds enough threads
+/// waiting without it.
+fn connection_thread(state: &Arc<AppState>) {
+    loop {
+        let Ok((stream, _)) = state.listener.accept() else {
+            continue;
+        };
+        // Leave the idle count, unless this was the last waiting thread:
+        // then its slot passes to a successor started before the
+        // connection is handled. If no thread can be started, the slot is
+        // given up and this thread comes back to `accept` when done.
+        let last = state
+            .idle
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |idle| {
+                (idle > 1).then(|| idle - 1)
+            })
+            .is_err();
+        if last && spawn_connection_thread(state.clone()).is_err() {
+            state.idle.fetch_sub(1, Ordering::SeqCst);
+        }
+        handle_connection(&stream, state);
+        // Wait again only while fewer than the cap do; claiming the slot
+        // and checking the cap are one atomic step, so threads finishing
+        // together cannot overshoot it.
+        let rejoined = state
+            .idle
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |idle| {
+                (idle < MAX_IDLE_THREADS).then(|| idle + 1)
+            })
+            .is_ok();
+        if !rejoined {
+            return;
+        }
+    }
+}
+
+fn handle_connection(stream: &TcpStream, state: &AppState) {
+    if let Some(req) = http::receive(stream) {
+        let mut out = stream;
+        let _ = route(&mut out, &req, state);
+    }
+}
+
+fn route(stream: &mut impl Write, req: &http::Request, state: &AppState) -> io::Result<()> {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/") => http::respond(stream, "200 OK", "text/html; charset=utf-8", INDEX_HTML),
         ("GET", "/app.js") => {
@@ -258,25 +317,22 @@ fn route(stream: &mut TcpStream, req: &http::Request, state: &AppState) -> io::R
 /// Streams a job's event log as SSE: replay from the start, then follow
 /// the tail until the job reaches a terminal status and every frame has
 /// been flushed (the stream then ends; `EventSource` clients should
-/// close on the final `status` event to avoid auto-reconnect).
-fn stream_job_events(stream: &mut TcpStream, job: &jobs::Job) -> io::Result<()> {
-    http::start_sse(stream)?;
+/// close on the final `status` event to avoid auto-reconnect). Each
+/// wakeup sends everything logged since the last one as one batch; the
+/// first batch carries the response head.
+fn stream_job_events(stream: &mut impl Write, job: &jobs::Job) -> io::Result<()> {
+    let mut sse = http::start_sse(stream);
     let mut sent = 0usize;
     loop {
-        let (frames, done) = {
-            let mut inner = job.inner.lock().unwrap();
-            while inner.events.len() == sent && !inner.status.terminal() {
-                inner = job.cond.wait(inner).unwrap();
+        let done = {
+            let inner = job.wait_for_events(sent);
+            for frame in &inner.events[sent..] {
+                sse.push(frame);
             }
-            // A terminal status and its final frame are appended under
-            // one lock, so `done` implies the copy below is complete.
-            (inner.events[sent..].to_vec(), inner.status.terminal())
+            sent = inner.events.len();
+            inner.status.terminal()
         };
-        for frame in &frames {
-            stream.write_all(frame.as_bytes())?;
-        }
-        stream.flush()?;
-        sent += frames.len();
+        sse.send()?;
         if done {
             return Ok(());
         }

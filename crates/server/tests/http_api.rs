@@ -7,7 +7,7 @@ use egm_server::{Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn bench_record_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_events_per_sec.json")
@@ -18,15 +18,18 @@ fn spawn_server() -> SocketAddr {
 }
 
 fn spawn_server_serving(bench_path: PathBuf) -> SocketAddr {
+    bind_server(bench_path)
+        .spawn()
+        .expect("spawn connection threads")
+}
+
+fn bind_server(bench_path: PathBuf) -> Server {
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
         bench_path,
     };
-    Server::bind(config)
-        .expect("bind ephemeral port")
-        .spawn()
-        .expect("spawn accept loop")
+    Server::bind(config).expect("bind ephemeral port")
 }
 
 /// One request/response over a fresh connection (the server speaks
@@ -130,43 +133,61 @@ fn deeply_nested_bodies_are_refused_without_killing_the_server() {
     assert_eq!(status, "HTTP/1.1 200 OK");
 }
 
-/// Submits a job, follows its SSE stream to completion, and returns the
-/// collected `event:` kinds in order.
-fn run_job_and_collect_events(addr: SocketAddr, spec: &str) -> (u64, Vec<String>) {
+/// Submits a job and returns its id.
+fn submit(addr: SocketAddr, spec: &str) -> u64 {
     let (status, body) = request(addr, "POST", "/api/jobs", Some(spec));
     assert_eq!(status, "HTTP/1.1 201 Created", "submit failed: {body}");
-    let id = Json::parse(&body)
+    Json::parse(&body)
         .expect("submit response JSON")
         .get("id")
         .and_then(Json::as_u64)
-        .expect("job id");
+        .expect("job id")
+}
 
-    let mut stream = TcpStream::connect(addr).expect("connect SSE");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
+/// Sends `GET /api/jobs/:id/events` on `stream`.
+fn request_events(mut stream: &TcpStream, id: u64) {
     write!(
         stream,
         "GET /api/jobs/{id}/events HTTP/1.1\r\nHost: test\r\n\r\n"
     )
-    .unwrap();
+    .expect("write events request");
+}
+
+/// Opens a job's SSE stream and reads its status line.
+fn open_events(addr: SocketAddr, id: u64) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).expect("connect SSE");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    request_events(&stream, id);
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line).expect("SSE status line");
     assert!(line.starts_with("HTTP/1.1 200 OK"), "SSE refused: {line}");
+    reader
+}
 
-    // The stream ends (EOF) once the job is terminal and flushed.
+/// Reads an SSE stream to its end (EOF once the job is terminal and
+/// flushed) and returns the `event:` kinds in order.
+fn collect_events(reader: &mut impl BufRead) -> Vec<String> {
     let mut kinds = Vec::new();
+    let mut line = String::new();
     loop {
         line.clear();
         if reader.read_line(&mut line).expect("read SSE frame") == 0 {
-            break;
+            return kinds;
         }
         if let Some(kind) = line.trim_end().strip_prefix("event: ") {
             kinds.push(kind.to_string());
         }
     }
-    (id, kinds)
+}
+
+/// Submits a job, follows its SSE stream to completion, and returns the
+/// collected `event:` kinds in order.
+fn run_job_and_collect_events(addr: SocketAddr, spec: &str) -> (u64, Vec<String>) {
+    let id = submit(addr, spec);
+    (id, collect_events(&mut open_events(addr, id)))
 }
 
 #[test]
@@ -322,4 +343,92 @@ fn oversized_and_malformed_heads_are_answered_and_closed() {
     let filler = "X-Pad: 1\r\n".repeat(MAX_HEADERS - 2);
     let full = format!("POST /api/jobs HTTP/1.1\r\n{length_line}{pad_line}{filler}\r\n{body}");
     assert_eq!(raw_status(addr, full.as_bytes()), "HTTP/1.1 201 Created");
+}
+
+/// The small job the connection tests run beside held connections.
+const SMOKE_JOB: &str = r#"{"scenario":"smoke","messages":5,"seed":7}"#;
+
+#[test]
+fn silent_and_trickling_clients_are_answered_408_while_a_job_completes() {
+    let addr = spawn_server();
+    let opened = Instant::now();
+    let silent = TcpStream::connect(addr).expect("connect");
+    // One byte every 200 ms: each read succeeds, only the whole-request
+    // deadline stops it.
+    let trickle = TcpStream::connect(addr).expect("connect");
+    let mut writer = trickle.try_clone().expect("clone");
+    std::thread::spawn(move || {
+        for byte in b"GET /api/jobs HTTP/1.1\r\nX-Pad: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaa" {
+            if writer.write_all(&[*byte]).is_err() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(200));
+        }
+    });
+
+    let (_, kinds) = run_job_and_collect_events(addr, SMOKE_JOB);
+    assert_eq!(kinds.last().map(String::as_str), Some("status"));
+
+    for mut client in [silent, trickle] {
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut answer = String::new();
+        client.read_to_string(&mut answer).expect("read the answer");
+        assert!(
+            answer.starts_with("HTTP/1.1 408 Request Timeout"),
+            "{answer}"
+        );
+    }
+    // The head timeout is 2 s, for the whole request as for each read.
+    let held = opened.elapsed();
+    assert!(held < Duration::from_secs(5), "held for {held:?}");
+}
+
+#[test]
+fn held_streams_and_silent_connections_do_not_starve_a_new_job() {
+    let addr = spawn_server();
+    // Runs for seconds even in release builds; nothing waits for it.
+    let long = submit(addr, r#"{"preset":"1k","messages":1000}"#);
+    let held: Vec<_> = (0..16).map(|_| open_events(addr, long)).collect();
+    let silent: Vec<_> = (0..4)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+
+    let (id, kinds) = run_job_and_collect_events(addr, SMOKE_JOB);
+    assert_eq!(kinds.last().map(String::as_str), Some("status"));
+    let (_, job) = get_json(addr, &format!("/api/jobs/{id}"));
+    assert_eq!(job.get("status").and_then(Json::as_str), Some("done"));
+    // The held streams stayed open throughout: their job still runs.
+    let (_, job) = get_json(addr, &format!("/api/jobs/{long}"));
+    assert_eq!(job.get("status").and_then(Json::as_str), Some("running"));
+    drop((held, silent));
+}
+
+#[test]
+fn after_a_burst_of_streams_at_most_four_threads_wait_in_accept() {
+    let server = bind_server(bench_record_path());
+    let idle = server.idle_threads();
+    let addr = server.spawn().expect("spawn connection threads");
+    let (id, _) = run_job_and_collect_events(addr, SMOKE_JOB);
+
+    // Connect all first, so every stream holds a thread at once.
+    let burst: Vec<_> = (0..32)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    for stream in &burst {
+        request_events(stream, id);
+    }
+    for stream in burst {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let kinds = collect_events(&mut BufReader::new(stream));
+        assert_eq!(kinds.last().map(String::as_str), Some("status"));
+    }
+
+    // The cap is 4; one thread always waits for the next connection.
+    let (status, _) = request(addr, "GET", "/api/jobs", None);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!((1..=4).contains(&idle()), "{} threads wait", idle());
 }

@@ -62,9 +62,10 @@
 //! protocol state, both O(n); nothing is O(n²). For comparison, a dense
 //! client latency+hop matrix alone would be ~1.2 GB at 10k nodes, and a
 //! dense per-(node, message) delivery table another ~5 MB per message.
-//! With retirement on, total messages sent no longer contributes to peak
-//! RSS — the `scale_events_per_sec` bench's plateau mode
-//! (`EGM_SCALE_PLATEAU_MAX`) asserts it.
+//! With retirement on, total messages sent contributes to peak RSS
+//! mostly through the per-delivery records every run keeps — the
+//! `scale_events_per_sec` bench's plateau mode (`EGM_SCALE_PLATEAU_MAX`)
+//! bounds it.
 
 use crate::runner::{run_sweep, RunOutcome};
 use crate::scenario::{Scenario, TopologySource};
