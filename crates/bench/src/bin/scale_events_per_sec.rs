@@ -1,4 +1,4 @@
-//! Scale-axis gates: 1k … 1M-node presets on one shard.
+//! Scale-axis gates: 1k … 100k-node presets on one shard.
 //!
 //! Runs a `egm_workload::experiments::scale` preset on one shard (the
 //! RSS budgets are calibrated for it; width sweeps live in
@@ -14,14 +14,14 @@
 //! ```
 //!
 //! Environment:
-//! * `EGM_SCALE_PRESET` — `1k` (default), `4k`, `10k`, `100k` or `1m`.
+//! * `EGM_SCALE_PRESET` — `1k` (default), `4k`, `10k` or `100k`.
 //! * `EGM_BENCH_OUT` — output path (default `BENCH_events_per_sec.json`).
 //! * `EGM_SCALE_RSS_BUDGET_MB` — the peak-RSS budget (default
 //!   [`ScalePreset::rss_budget_mb`]); set it lower to tighten the gate.
 //! * `EGM_SCALE_PLATEAU_MAX` — switches to *plateau mode*: run the
 //!   preset at 120 messages and then at 240 in the same
 //!   process and assert the 2× peak RSS stays within this factor of the
-//!   1× peak (CI: `1.35`, 1.28 measured at 4k). Peak RSS is
+//!   1× peak (CI: `1.35`, 1.24 measured at 4k). Peak RSS is
 //!   process-monotone, so the ratio isolates exactly the memory the
 //!   extra messages added — with horizon-based retirement on, mostly
 //!   the per-delivery records a run keeps by design. Writes no bin.
@@ -43,16 +43,9 @@ const SEED: u64 = 42;
 /// messages sent. Runs 1× then 2× messages in one process; peak RSS is
 /// monotone per process, so `peak(2×)/peak(1×)` measures only what the
 /// second, doubled run added on top.
-///
-/// The traffic spool is forced on regardless of preset size: the
-/// in-memory compaction window and its flatten transient are the
-/// dominant non-plateau term below 100k — exactly the subsystem the
-/// ≥100k presets stream to disk.
 fn run_plateau(preset: ScalePreset, max_ratio: f64) {
-    let run = |messages: usize| {
-        let scenario = one_shard(preset, messages).with_traffic_spool(true);
-        egm_workload::runner::run_detailed(&scenario, None)
-    };
+    let run =
+        |messages: usize| egm_workload::runner::run_detailed(&one_shard(preset, messages), None);
     let messages = PLATEAU_MESSAGES;
     let base = run(messages);
     let peak1 = peak_rss_mb().expect("plateau mode needs /proc RSS");
@@ -127,8 +120,8 @@ fn main() {
         cold.timers_cancelled
     );
     println!(
-        "steady state: {} messages retired, arena high water {}, {} traffic bytes spooled",
-        cold.retired_messages, cold.arena_high_water, cold.traffic_spill_bytes
+        "steady state: {} messages retired, arena high water {}",
+        cold.retired_messages, cold.arena_high_water
     );
     println!("queue: {:?}", cold.queue);
 
@@ -155,10 +148,6 @@ fn main() {
         ),
         ("retired_messages", Json::num(cold.retired_messages as f64)),
         ("arena_high_water", Json::num(cold.arena_high_water as f64)),
-        (
-            "traffic_spill_bytes",
-            Json::num(cold.traffic_spill_bytes as f64),
-        ),
         (
             "peak_rss_mb",
             peak_rss_field(Some(rss_budget_mb), preset.label()),

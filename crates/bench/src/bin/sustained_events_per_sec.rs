@@ -16,7 +16,7 @@
 //! ```
 //!
 //! Environment:
-//! * `EGM_SCALE_PRESET` — `1k` (default), `4k`, `10k`, `100k` or `1m`.
+//! * `EGM_SCALE_PRESET` — `1k` (default), `4k`, `10k` or `100k`.
 //! * `EGM_BENCH_OUT` — output path (default `BENCH_events_per_sec.json`).
 //! * `EGM_SCALE_RSS_BUDGET_MB` — when set, asserts peak RSS stays under
 //!   this budget.

@@ -36,8 +36,8 @@
 //! * `scale_events_per_sec_<preset>` — the preset on one shard, run cold
 //!   and then from a prepared setup; the two reports must be identical.
 //!   Adds `scenario`, `rank_source`, `events`, `timers_cancelled`,
-//!   `stale_timer_drops`, `retired_messages`, `arena_high_water` and
-//!   `traffic_spill_bytes`. Gates: no dense latency cells, no payload
+//!   `stale_timer_drops`, `retired_messages` and `arena_high_water`.
+//!   Gates: no dense latency cells, no payload
 //!   table regrowth, peak RSS under
 //!   [`ScalePreset::rss_budget_mb`](egm_workload::experiments::scale::ScalePreset::rss_budget_mb)
 //!   (`EGM_SCALE_RSS_BUDGET_MB` overrides), and in plateau mode

@@ -31,6 +31,10 @@ use egm_rng::hash::FastHashMap;
 use egm_simnet::{NodeId, SimTime, TimerToken};
 use std::collections::VecDeque;
 
+/// Stale entries the intern-order fifo may hold beyond twice the live
+/// count before it is compacted (see `MsgArena::free_slot`).
+const FIFO_SLACK: usize = 32;
+
 /// Occupancy counters of one [`MsgArena`], for steady-state accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
@@ -108,7 +112,8 @@ pub struct MsgArena {
     /// Cold lists, one per slot (same index as `slots`).
     lists: Vec<MsgLists>,
     free: Vec<u32>,
-    /// Slot insertion order (with mint generation) for FIFO eviction.
+    /// Slot insertion order (with mint generation) for FIFO eviction;
+    /// at most `2 × live + FIFO_SLACK` entries.
     fifo: VecDeque<(u32, u32)>,
     /// Cache insertion order (with generation) for FIFO payload eviction.
     cache_fifo: VecDeque<(u32, u32)>,
@@ -251,6 +256,16 @@ impl MsgArena {
         // stale front entries so the fifo stays bounded even when the
         // cache itself never overflows.
         self.drain_stale_cache_fifo();
+        // The intern-order entry is stranded too, and retirement frees in
+        // delivery order, so stale entries need not reach the front where
+        // eviction (which retirement keeps from running) would pop them.
+        // Once they outnumber the live ones, drop them all: order is kept,
+        // the fifo stays O(live), and each pass removes over half of what
+        // it scans (amortised O(1) per interned message).
+        if self.fifo.len() > 2 * self.live + FIFO_SLACK {
+            let slots = &self.slots;
+            self.fifo.retain(|&(s, g)| slots[s as usize].gen == g);
+        }
     }
 
     // --- horizon-based retirement ---------------------------------------
@@ -699,6 +714,37 @@ mod tests {
             a.cache_fifo.len()
         );
         assert_eq!(a.cached, 2);
+    }
+
+    #[test]
+    fn intern_fifo_stays_bounded_under_retirement() {
+        // Capacity is never reached, so eviction never pops the fifo;
+        // retirement alone frees slots, one horizon behind delivery.
+        let mut a = MsgArena::new(64, 64, false);
+        for k in 0..10_000u64 {
+            let s = a.intern(MsgId::from_raw(u128::from(k)));
+            a.mark_received(s);
+            a.schedule_retire(s, SimTime::from_ms(k as f64 + 4.0));
+            a.retire_expired(SimTime::from_ms(k as f64));
+            let live = a.stats().live;
+            assert!(
+                a.fifo.len() <= 2 * live + super::FIFO_SLACK,
+                "fifo holds {} entries for {live} live slots",
+                a.fifo.len()
+            );
+        }
+        // Compaction kept intern order: filling the arena evicts the
+        // oldest live message first.
+        let oldest = (0..10_000u128)
+            .find(|&k| a.lookup(&MsgId::from_raw(k)).is_some())
+            .expect("some message is live");
+        for k in 10_000..10_000 + 64 - a.stats().live as u128 {
+            a.intern(MsgId::from_raw(k));
+        }
+        assert!(a.lookup(&MsgId::from_raw(oldest)).is_some());
+        a.intern(MsgId::from_raw(20_000));
+        assert_eq!(a.lookup(&MsgId::from_raw(oldest)), None, "oldest evicted");
+        assert!(a.lookup(&MsgId::from_raw(oldest + 1)).is_some());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::summary::Summary;
 /// message saturates (every node delivered) — no storage at all, the
 /// entry is *sealed* and membership is implicit. Memory is
 /// `O(total deliveries)` rather than the `O(messages × n/8)` a
-/// per-message bitmap costs (125 KB per in-flight message at 1M nodes)
+/// per-message bitmap costs (12.5 KB per in-flight message at 100k nodes)
 /// or the dense `O(messages × n)` of a per-(node, message) matrix.
 ///
 /// # Examples

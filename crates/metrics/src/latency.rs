@@ -1,7 +1,7 @@
 //! Log-bucketed, mergeable latency histogram for sustained-load runs.
 //!
 //! The open-loop workload axis records one publish→delivery latency per
-//! (message, node) pair — at the 100k/1M presets that is far too many
+//! (message, node) pair — at the 100k preset that is far too many
 //! samples to keep as a `Vec<f64>`. [`LatencyHistogram`] stores them in
 //! O(1) memory instead: a fixed array of power-of-two groups, each split
 //! into 32 linear sub-buckets (hdrhistogram-style), giving a worst-case

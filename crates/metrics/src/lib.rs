@@ -6,8 +6,6 @@
 //! This crate provides those tools:
 //!
 //! * [`Summary`] — mean / standard deviation / CI95 / percentiles.
-//! * [`Histogram`] — fixed-width bucket histograms for latency
-//!   distributions.
 //! * [`LatencyHistogram`] — log-bucketed O(1)-memory histogram with
 //!   deterministic quantiles and order-independent merging, for
 //!   sustained-load tail latency (p50/p99/p999).
@@ -33,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod delivery;
-pub mod histogram;
 pub mod latency;
 pub mod link;
 pub mod report;
@@ -41,7 +38,6 @@ pub mod summary;
 pub mod table;
 
 pub use delivery::DeliveryLog;
-pub use histogram::Histogram;
 pub use latency::LatencyHistogram;
 pub use report::RunReport;
 pub use summary::Summary;

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 /// Upper bound on events kept per job. Window events from very long
 /// runs past the cap are dropped (terminal and summary events are
-/// always appended), so one 1M-node job cannot grow without bound.
+/// always appended), so one 100k-node job cannot grow without bound.
 pub const MAX_JOB_EVENTS: usize = 65_536;
 
 /// Hard cap on runs per submitted job (sweep width).
@@ -405,8 +405,8 @@ impl ProgressSink for JobSink {
 /// Parses and validates a `POST /api/jobs` body into planned runs.
 ///
 /// Accepted fields (all optional unless noted):
-/// - `preset`: a scale-preset label (`"1k"`, `"4k"`, `"10k"`, `"100k"`,
-///   `"1m"`) — mutually exclusive with `scenario`;
+/// - `preset`: a scale-preset label (`"1k"`, `"4k"`, `"10k"`, `"100k"`)
+///   — mutually exclusive with `scenario`;
 /// - `scenario`: `"smoke"` (24 nodes) or `"paper"` (100 nodes,
 ///   the default);
 /// - `messages`, `seed`: workload size and experiment seed;
@@ -457,7 +457,8 @@ pub fn parse_job(body: &Json) -> Result<Vec<PlannedRun>, String> {
         (Some(p), None) => {
             let label = p.as_str().ok_or("'preset' must be a string")?;
             let preset = ScalePreset::parse(label).ok_or_else(|| {
-                format!("unknown preset '{label}' (expected 1k, 4k, 10k, 100k or 1m)")
+                let valid: Vec<&str> = ScalePreset::ALL.iter().map(|p| p.label()).collect();
+                format!("unknown preset '{label}' (expected {})", valid.join(", "))
             })?;
             preset.scenario(messages.unwrap_or(30), seed.unwrap_or(42))
         }

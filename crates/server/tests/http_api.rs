@@ -122,6 +122,18 @@ fn rejects_bad_submissions_and_unknown_routes() {
 }
 
 #[test]
+fn a_million_node_preset_is_refused_and_never_queued() {
+    let addr = spawn_server();
+    let (status, body) = request(addr, "POST", "/api/jobs", Some(r#"{"preset":"1m"}"#));
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    assert!(body.contains("unknown preset '1m'"), "{body}");
+    assert!(body.contains("(expected 1k, 4k, 10k, 100k)"), "{body}");
+    let (status, jobs) = get_json(addr, "/api/jobs");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert_eq!(jobs.get("jobs"), Some(&Json::Arr(Vec::new())));
+}
+
+#[test]
 fn deeply_nested_bodies_are_refused_without_killing_the_server() {
     let addr = spawn_server();
     // One parser frame per `[` used to overflow the connection thread's

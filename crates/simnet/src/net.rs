@@ -54,9 +54,6 @@ pub struct SimConfig {
     /// (domain-aligned when the delay source yields a plan, contiguous
     /// otherwise).
     partition: Option<PartitionStrategy>,
-    /// Directory for writer-backed traffic compaction (see
-    /// [`crate::Traffic::enable_spool`]); `None` keeps folds in memory.
-    traffic_spool: Option<std::path::PathBuf>,
 }
 
 #[derive(Debug, Clone)]
@@ -87,7 +84,6 @@ impl SimConfig {
             event_queue: None,
             shards: None,
             partition: None,
-            traffic_spool: None,
         }
     }
 
@@ -106,7 +102,6 @@ impl SimConfig {
             event_queue: None,
             shards: None,
             partition: None,
-            traffic_spool: None,
         }
     }
 
@@ -208,21 +203,6 @@ impl SimConfig {
     pub fn with_partition(mut self, strategy: PartitionStrategy) -> Self {
         self.partition = Some(strategy);
         self
-    }
-
-    /// Streams folded traffic accumulators to temp files under `dir`
-    /// instead of holding them in memory (builder style) — the
-    /// writer-backed [`crate::Traffic`] mode for runs whose link log
-    /// would otherwise dominate RSS. Results are byte-identical to the
-    /// in-memory mode; multi-shard runs give each shard its own spool file.
-    pub fn with_traffic_spool(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.traffic_spool = Some(dir.into());
-        self
-    }
-
-    /// The traffic-spool directory, if writer-backed compaction is on.
-    pub fn traffic_spool(&self) -> Option<&std::path::Path> {
-        self.traffic_spool.as_deref()
     }
 
     /// The partition strategy this configuration resolves to: an

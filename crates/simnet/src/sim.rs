@@ -230,9 +230,6 @@ impl<M: Wire> SimCore<M> {
         // the record hot path never regrows it (senders are globally
         // indexed on every shard).
         traffic.reserve_nodes(config.node_count());
-        if let Some(dir) = config.traffic_spool() {
-            traffic.enable_spool(dir);
-        }
         SimCore {
             // Pre-size the event queue: a gossip burst schedules
             // ~fanout events per node, so even modest runs reach

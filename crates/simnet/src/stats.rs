@@ -20,7 +20,9 @@
 //! traffic memory is O(distinct links) plus a ~64 MB log window rather
 //! than O(total sends). Where the folds fall cannot show in any query:
 //! tally sums are integer additions, and the spill rule below does not
-//! depend on order.
+//! depend on order. The folds stay in memory: sealing materialises the
+//! whole tracked link set anyway, so moving them out of RAM between
+//! folds would not lower the peak.
 //!
 //! # Spill threshold
 //!
@@ -51,8 +53,7 @@
 //! aggregate. Three things follow, and the proptests at the bottom of
 //! this file pin each of them:
 //!
-//! * capping after every fold (which keeps the in-memory accumulator
-//!   list, every spooled run and the spool read-back working set at
+//! * capping after every fold (which keeps the accumulator list at
 //!   `threshold` entries for the whole run) equals capping once at seal;
 //! * any permutation of the record stream seals to the same table;
 //! * shards that each cap *locally* at the same threshold and are then
@@ -61,8 +62,6 @@
 //!   of that shard alone, hence of the union.
 
 use crate::NodeId;
-use std::io::{Read as _, Write as _};
-use std::path::{Path, PathBuf};
 
 /// Per-directed-link tally of traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -113,71 +112,6 @@ struct LinkAcc {
 /// link count plus a constant, not by the total send count of the run.
 const COMPACT_AT: usize = 1 << 22;
 
-/// Compaction window in spool mode (16 MB of log): folds stream to disk,
-/// so a small window costs no link-memory growth and keeps RSS flat.
-const SPOOL_COMPACT_AT: usize = 1 << 20;
-
-/// On-disk size of one spooled [`LinkAcc`] (little-endian fields).
-const SPOOL_REC_BYTES: usize = 32;
-
-/// Disk backing for folded link accumulators: each compaction appends one
-/// `(from, to)`-sorted run of fixed-width records to a private temp file
-/// instead of merging into an in-memory table. Seal time streams the runs
-/// back and merges them. The byte stream is a pure function of the
-/// recorded sends, so spooling cannot affect results.
-#[derive(Debug)]
-struct Spool {
-    /// Append-only write handle.
-    file: std::fs::File,
-    /// File path, re-opened for reads and deleted on drop.
-    path: PathBuf,
-    /// Record count of each flushed run, in write order.
-    runs: Vec<u64>,
-}
-
-impl Spool {
-    fn create(dir: &Path) -> std::io::Result<Spool> {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let path = dir.join(format!("egm-traffic-{}-{n}.spool", std::process::id()));
-        let file = std::fs::File::create(&path)?;
-        Ok(Spool {
-            file,
-            path,
-            runs: Vec::new(),
-        })
-    }
-}
-
-impl Drop for Spool {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-fn encode_acc(acc: &LinkAcc, buf: &mut Vec<u8>) {
-    buf.extend_from_slice(&acc.from.to_le_bytes());
-    buf.extend_from_slice(&acc.to.to_le_bytes());
-    buf.extend_from_slice(&acc.tally.messages.to_le_bytes());
-    buf.extend_from_slice(&acc.tally.bytes.to_le_bytes());
-    buf.extend_from_slice(&acc.tally.payloads.to_le_bytes());
-}
-
-fn decode_acc(rec: &[u8; SPOOL_REC_BYTES]) -> LinkAcc {
-    let u32_at = |o: usize| u32::from_le_bytes(rec[o..o + 4].try_into().expect("4 bytes"));
-    let u64_at = |o: usize| u64::from_le_bytes(rec[o..o + 8].try_into().expect("8 bytes"));
-    LinkAcc {
-        from: u32_at(0),
-        to: u32_at(4),
-        tally: LinkTally {
-            messages: u64_at(8),
-            bytes: u64_at(16),
-            payloads: u64_at(24),
-        },
-    }
-}
-
 /// The aggregated per-link view: one sorted target table per sender.
 #[derive(Debug, Clone)]
 struct SealedLinks {
@@ -209,7 +143,7 @@ pub struct Traffic {
     log: Vec<SendRecord>,
     /// Records folded out of `log` so far (sorted by `(from, to)`, at
     /// most `spill_threshold` entries); the log is compacted into this
-    /// once it reaches `compact_at`.
+    /// once it reaches `COMPACT_AT`.
     folded: Vec<LinkAcc>,
     /// Built by [`Traffic::seal`]; `None` while recording.
     sealed: Option<SealedLinks>,
@@ -225,12 +159,6 @@ pub struct Traffic {
     /// Tallies of links already folded into the spilled aggregate by the
     /// cap applied at each fold.
     spilled_acc: LinkTally,
-    /// Log length that triggers a compaction.
-    compact_at: usize,
-    /// Writer-backed compaction target; `None` keeps folds in memory.
-    spool: Option<Spool>,
-    /// Bytes streamed to disk by spool compactions (survives sealing).
-    spool_bytes: u64,
     /// Longest accumulator list held while merging shard parts (0 for
     /// one-shard runs); see [`Traffic::shard_merge_acc_peak`].
     shard_merge_acc_peak: usize,
@@ -257,30 +185,8 @@ impl Traffic {
             node_payload_growths: 0,
             spill_threshold,
             spilled_acc: LinkTally::default(),
-            compact_at: COMPACT_AT,
-            spool: None,
-            spool_bytes: 0,
             shard_merge_acc_peak: 0,
         }
-    }
-
-    /// Switches compaction to a writer-backed mode: folded link
-    /// accumulators are streamed to a private temp file under `dir`
-    /// (deleted at seal time or on drop) instead of held in memory, and
-    /// the log window shrinks accordingly. Sealed results are
-    /// byte-identical to the in-memory mode — the spool is a pure
-    /// spill target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if recording already started or the file cannot be created.
-    pub fn enable_spool(&mut self, dir: &Path) {
-        assert!(
-            self.total.messages == 0 && self.sealed.is_none(),
-            "enable spooling before recording"
-        );
-        self.spool = Some(Spool::create(dir).expect("create traffic spool file"));
-        self.compact_at = SPOOL_COMPACT_AT;
     }
 
     /// Pre-sizes the per-node payload table for `n` nodes, capping it at
@@ -291,12 +197,6 @@ impl Traffic {
         }
     }
 
-    /// Bytes of folded link accumulators streamed to the spool file so
-    /// far (0 unless [`Traffic::enable_spool`] was used).
-    pub fn spool_bytes(&self) -> u64 {
-        self.spool_bytes
-    }
-
     /// How often the hot path had to grow the per-node payload table
     /// (0 when [`Traffic::reserve_nodes`] pre-sized it).
     pub fn node_payload_growths(&self) -> u32 {
@@ -304,11 +204,10 @@ impl Traffic {
     }
 
     /// Longest link-accumulator list held while merging shard parts:
-    /// each part's drained list (spool read-back included) and the merged
-    /// output. 0 for one-shard runs; never exceeds the configured
-    /// threshold otherwise — every shard caps locally, and the merge
-    /// stops emitting at the threshold. Pinned by the shard-determinism
-    /// regression tests.
+    /// each part's drained list and the merged output. 0 for one-shard
+    /// runs; never exceeds the configured threshold otherwise — every
+    /// shard caps locally, and the merge stops emitting at the threshold.
+    /// Pinned by the shard-determinism regression tests.
     pub fn shard_merge_acc_peak(&self) -> usize {
         self.shard_merge_acc_peak
     }
@@ -337,38 +236,25 @@ impl Traffic {
             bytes,
             payload,
         });
-        if self.log.len() >= self.compact_at {
+        if self.log.len() >= COMPACT_AT {
             self.compact();
         }
     }
 
-    /// Folds the log into `folded` (or streams the fold to the spool
-    /// file) and clears it (keeping its capacity), bounding traffic
-    /// memory over arbitrarily long runs. Either way the fold is capped
-    /// at the spill threshold, so neither the in-memory list nor any
-    /// spooled run ever exceeds it.
+    /// Folds the log into `folded` and clears it (keeping its capacity),
+    /// bounding traffic memory over arbitrarily long runs. The fold is
+    /// capped at the spill threshold, so `folded` never exceeds it.
     fn compact(&mut self) {
         if self.log.is_empty() {
             return;
         }
         let flat = Self::flatten(&self.log);
         self.log.clear();
-        if let Some(spool) = &mut self.spool {
-            let flat = Self::cap(flat, self.spill_threshold, &mut self.spilled_acc);
-            let mut buf = Vec::with_capacity(flat.len() * SPOOL_REC_BYTES);
-            for acc in &flat {
-                encode_acc(acc, &mut buf);
-            }
-            spool.file.write_all(&buf).expect("write traffic spool run");
-            spool.runs.push(flat.len() as u64);
-            self.spool_bytes += buf.len() as u64;
-        } else {
-            self.folded = Self::merge(
-                vec![std::mem::take(&mut self.folded), flat],
-                self.spill_threshold,
-                &mut self.spilled_acc,
-            );
-        }
+        self.folded = Self::merge(
+            vec![std::mem::take(&mut self.folded), flat],
+            self.spill_threshold,
+            &mut self.spilled_acc,
+        );
     }
 
     /// Applies the spill rule to one `(from, to)`-sorted accumulator
@@ -385,46 +271,16 @@ impl Traffic {
         flat
     }
 
-    /// Reads the spooled runs back and merges them into one
-    /// `(from, to)`-sorted accumulator list, capping the working set at
-    /// `threshold` links after each run.
-    fn read_spool(spool: &Spool, threshold: usize, spilled: &mut LinkTally) -> Vec<LinkAcc> {
-        let file = std::fs::File::open(&spool.path).expect("reopen traffic spool file");
-        let mut reader = std::io::BufReader::new(file);
-        let mut acc = Vec::new();
-        for &len in &spool.runs {
-            let mut run = Vec::with_capacity(len as usize);
-            let mut rec = [0u8; SPOOL_REC_BYTES];
-            for _ in 0..len {
-                reader.read_exact(&mut rec).expect("read traffic spool run");
-                run.push(decode_acc(&rec));
-            }
-            acc = Self::merge(vec![acc, run], threshold, spilled);
-        }
-        acc
-    }
-
-    /// Compacts, then takes the complete folded accumulator list —
-    /// reading back and deleting the spool file if one is attached.
+    /// Compacts, then takes the complete folded accumulator list.
     fn drain_folded(&mut self) -> Vec<LinkAcc> {
         self.compact();
-        let mut flat = std::mem::take(&mut self.folded);
-        if let Some(spool) = self.spool.take() {
-            let runs = Self::read_spool(&spool, self.spill_threshold, &mut self.spilled_acc);
-            flat = Self::merge(
-                vec![flat, runs],
-                self.spill_threshold,
-                &mut self.spilled_acc,
-            );
-            // Dropping the spool deletes its file; spool_bytes persists.
-        }
-        flat
+        std::mem::take(&mut self.folded)
     }
 
     /// Builds the per-link view once and drops the record log. Optional:
     /// queries aggregate transparently (each call re-scans the log) —
-    /// sealing makes repeated queries O(1) and frees the log's memory
-    /// (plus any spool file), at the price that no further
+    /// sealing makes repeated queries O(1) and frees the log's memory,
+    /// at the price that no further
     /// [`Traffic::record`] is accepted.
     pub fn seal(&mut self) {
         if self.sealed.is_none() {
@@ -577,7 +433,6 @@ impl Traffic {
         let mut node_payloads = std::mem::take(&mut parts[donor].node_payloads);
         let mut total = LinkTally::default();
         let mut lists = Vec::with_capacity(parts.len());
-        let mut spool_bytes = 0u64;
         let mut node_payload_growths = 0u32;
         let mut spilled_acc = LinkTally::default();
         let mut merge_acc_peak = 0usize;
@@ -599,7 +454,6 @@ impl Traffic {
             merge_acc_peak = merge_acc_peak.max(drained.len());
             lists.push(drained);
             spilled_acc.absorb(&part.spilled_acc);
-            spool_bytes += part.spool_bytes;
         }
         let flat = Self::merge(lists, spill_threshold, &mut spilled_acc);
         merge_acc_peak = merge_acc_peak.max(flat.len());
@@ -609,7 +463,6 @@ impl Traffic {
             node_payloads,
             node_payload_growths,
             spilled_acc,
-            spool_bytes,
             shard_merge_acc_peak: merge_acc_peak,
             ..Traffic::with_spill_threshold(spill_threshold)
         }
@@ -623,10 +476,7 @@ impl Traffic {
             Some(s) => f(s),
             None => {
                 let mut spilled = self.spilled_acc;
-                let mut lists = vec![self.folded.clone(), Self::flatten(&self.log)];
-                if let Some(spool) = &self.spool {
-                    lists.push(Self::read_spool(spool, self.spill_threshold, &mut spilled));
-                }
+                let lists = vec![self.folded.clone(), Self::flatten(&self.log)];
                 let flat = Self::merge(lists, self.spill_threshold, &mut spilled);
                 f(&Self::finish(&flat, spilled))
             }
@@ -841,51 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn spooled_traffic_matches_in_memory_twin() {
-        // Identical streams, one spooling folds to disk with forced
-        // mid-stream compactions: every query and the sealed view must be
-        // byte-identical, including the spill selection.
-        let dir = std::env::temp_dir();
-        let stream = [(5, 6), (4, 5), (0, 1), (5, 6), (0, 2), (4, 5), (1, 0)];
-        let mut mem = Traffic::with_spill_threshold(2);
-        let mut disk = Traffic::with_spill_threshold(2);
-        disk.enable_spool(&dir);
-        for (i, &(f, t)) in stream.iter().enumerate() {
-            mem.record(NodeId(f), NodeId(t), 10, i % 2 == 0);
-            disk.record(NodeId(f), NodeId(t), 10, i % 2 == 0);
-            if i % 3 == 0 {
-                disk.compact();
-            }
-        }
-        assert!(disk.spool_bytes() > 0, "compactions streamed to disk");
-        // Pre-seal queries read the spool transparently.
-        assert_eq!(mem.links(), disk.links());
-        assert_eq!(mem.spilled(), disk.spilled());
-        mem.seal();
-        disk.seal();
-        assert_eq!(mem.links(), disk.links());
-        assert_eq!(mem.link_count(), disk.link_count());
-        assert_eq!(mem.spilled(), disk.spilled());
-        assert_eq!(mem.total_messages(), disk.total_messages());
-        let bytes = disk.spool_bytes();
-        assert!(bytes > 0, "spool byte counter survives sealing");
-    }
-
-    #[test]
-    fn spool_file_is_deleted_at_seal() {
-        let dir = std::env::temp_dir();
-        let mut t = Traffic::default();
-        t.enable_spool(&dir);
-        t.record(NodeId(0), NodeId(1), 1, true);
-        t.compact();
-        let path = t.spool.as_ref().expect("spooling").path.clone();
-        assert!(path.exists(), "spool file present while recording");
-        t.seal();
-        assert!(!path.exists(), "seal() removes the spool file");
-        assert!(t.spool.is_none());
-    }
-
-    #[test]
     fn reserved_payload_table_never_regrows() {
         let mut t = Traffic::default();
         t.reserve_nodes(100);
@@ -937,13 +742,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_shards_caps_spool_read_back_with_reappearing_links() {
-        // Part 0 spools two runs; link (0,3) is evicted while reading run
-        // 1 back and reappears in run 2, so it must be evicted again with
-        // both tally pieces landing in the spilled aggregate.
-        let dir = std::env::temp_dir();
+    fn merge_shards_caps_folds_with_reappearing_links() {
+        // Part 0 folds twice; link (0,3) is evicted by the first fold and
+        // reappears in the second, so it must be evicted again with both
+        // tally pieces landing in the spilled aggregate.
         let mut part0 = Traffic::with_spill_threshold(2);
-        part0.enable_spool(&dir);
         part0.record(NodeId(0), NodeId(1), 1, false);
         part0.record(NodeId(0), NodeId(2), 1, false);
         part0.record(NodeId(0), NodeId(3), 1, false);
@@ -1005,14 +808,13 @@ mod tests {
     const NODES: usize = 6;
 
     /// Feeds `stream` to one table — compacting after every record index
-    /// in `compact_at`, spooling if asked — and seals it.
+    /// in `compact_at` — and seals it.
     fn sealed_table(
         stream: &[(usize, usize, u32, bool)],
         threshold: usize,
         compact_at: &[usize],
-        spool: bool,
     ) -> Traffic {
-        let mut t = recording_table(stream, threshold, compact_at, spool);
+        let mut t = recording_table(stream, threshold, compact_at);
         t.seal();
         t
     }
@@ -1021,12 +823,8 @@ mod tests {
         stream: &[(usize, usize, u32, bool)],
         threshold: usize,
         compact_at: &[usize],
-        spool: bool,
     ) -> Traffic {
         let mut t = Traffic::with_spill_threshold(threshold);
-        if spool {
-            t.enable_spool(&std::env::temp_dir());
-        }
         for (i, &(from, to, bytes, payload)) in stream.iter().enumerate() {
             t.record(NodeId(from), NodeId(to), bytes, payload);
             if compact_at.contains(&i) {
@@ -1041,8 +839,7 @@ mod tests {
 
         /// The spill rule is order-free: for a random record stream and a
         /// threshold from every class, (a) any permutation of the stream,
-        /// (b) compaction at any points, in memory or through the spool,
-        /// and (c) any sender-partition into 1..=4 locally capped parts
+        /// (b) compaction at any points, and (c) any sender-partition into 1..=4 locally capped parts
         /// merged by `merge_shards` all seal to the table of one
         /// uncompacted pass — same links, same `spilled`, same totals and
         /// per-node counters — and (d) the shard merge never holds an
@@ -1056,7 +853,6 @@ mod tests {
             threshold_class in 0usize..4,
             shuffle_seed in 0u64..1_000_000,
             compact_at in prop::collection::vec(0usize..60, 0..6),
-            spool in prop::bool::ANY,
             parts in 1usize..5,
             owner_seed in 0u64..1_000_000,
         ) {
@@ -1074,7 +870,7 @@ mod tests {
                 2 => distinct.len() / 2,
                 _ => distinct.len() + 1,
             };
-            let reference = sealed_table(&stream, threshold, &[], false);
+            let reference = sealed_table(&stream, threshold, &[]);
             let expect = view(&reference);
             // The rule itself: the tracked set is the `threshold`
             // smallest pairs.
@@ -1091,24 +887,24 @@ mod tests {
             for i in (1..permuted.len()).rev() {
                 permuted.swap(i, rng.range_usize(0, i + 1));
             }
-            prop_assert_eq!(&view(&sealed_table(&permuted, threshold, &[], false)), &expect);
+            prop_assert_eq!(&view(&sealed_table(&permuted, threshold, &[])), &expect);
 
-            // (b) forced compaction points, spool on or off; the unsealed
-            // snapshot agrees too.
-            let compacted = recording_table(&stream, threshold, &compact_at, spool);
+            // (b) forced compaction points; the unsealed snapshot agrees
+            // too.
+            let compacted = recording_table(&stream, threshold, &compact_at);
             prop_assert_eq!(&view(&compacted), &expect);
-            prop_assert_eq!(&view(&sealed_table(&stream, threshold, &compact_at, spool)), &expect);
+            prop_assert_eq!(&view(&sealed_table(&stream, threshold, &compact_at)), &expect);
 
             // (c) + (d) senders dealt to `parts` shards, each recording
-            // its share with the same threshold, compaction points and
-            // spool mode, then merged.
+            // its share with the same threshold and compaction points,
+            // then merged.
             let mut rng = egm_rng::Rng::seed_from_u64(owner_seed);
             let owner: Vec<usize> = (0..NODES).map(|_| rng.range_usize(0, parts)).collect();
             let shards: Vec<Traffic> = (0..parts)
                 .map(|p| {
                     let share: Vec<_> =
                         stream.iter().copied().filter(|r| owner[r.0] == p).collect();
-                    recording_table(&share, threshold, &compact_at, spool)
+                    recording_table(&share, threshold, &compact_at)
                 })
                 .collect();
             let merged = Traffic::merge_shards(shards);

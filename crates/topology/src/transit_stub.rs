@@ -135,10 +135,10 @@ impl TransitStubConfig {
         }
     }
 
-    /// A configuration sized for `clients` protocol nodes (the 1k–1M
+    /// A configuration sized for `clients` protocol nodes (the 1k–100k
     /// scale axis): the transit core stays at the default 100 routers so
     /// the two-level core matrix stays small, while stub capacity grows
-    /// with the client count — at 1M clients that is ~1 430 stub domains
+    /// with the client count — at 100k clients that is ~143 stub domains
     /// per transit router, still O(n) routers and O(domains) tables.
     ///
     /// # Examples

@@ -1,4 +1,4 @@
-//! Scale-axis scenario presets: 1k / 4k / 10k / 100k / 1M-node runs.
+//! Scale-axis scenario presets: 1k / 4k / 10k / 100k-node runs.
 //!
 //! The paper's emergent-structure results are measured on a hundred
 //! nodes; gossip overlays in the HyParView/Plumtree lineage are routinely
@@ -34,10 +34,7 @@
 //!   of growing with total messages sent;
 //! * the **sparse→dense seen-set hybrid** in the delivery log costs
 //!   O(actual deliveries) per message, never the n/8-byte bitmap up
-//!   front (125 KB per in-flight message at 1M);
-//! * the ≥100k presets **stream sealed traffic tallies to disk**
-//!   ([`Scenario::traffic_spool`]), bounding link accounting to the live
-//!   compaction window in RAM.
+//!   front (12.5 KB per in-flight message at 100k).
 //!
 //! Presets run through [`run_sweep`] like every figure experiment, so
 //! multi-seed scale sweeps parallelize across cores with byte-identical
@@ -53,10 +50,9 @@
 //! | preset | nodes     | routed model | peak process RSS |
 //! |--------|-----------|--------------|------------------|
 //! | 1k     | 1 000     | ~0.3 MB      | ~35 MB  |
-//! | 4k     | 4 000     | ~0.5 MB      | ~117 MB |
-//! | 10k    | 10 000    | ~1 MB        | ~265 MB |
-//! | 100k   | 100 000   | ~10 MB       | see [`ScalePreset::rss_budget_mb`] |
-//! | 1m     | 1 000 000 | ~100 MB      | see [`ScalePreset::rss_budget_mb`] |
+//! | 4k     | 4 000     | ~0.5 MB      | ~110 MB |
+//! | 10k    | 10 000    | ~1 MB        | ~246 MB |
+//! | 100k   | 100 000   | ~10 MB       | ~2 006 MB |
 //!
 //! Peak RSS is dominated by in-flight simulator events and per-node
 //! protocol state, both O(n); nothing is O(n²). For comparison, a dense
@@ -82,23 +78,19 @@ pub enum ScalePreset {
     N4k,
     /// 10 000 nodes — the HyParView/Plumtree evaluation regime.
     N10k,
-    /// 100 000 nodes — the nightly decade jump; needs retirement and the
-    /// traffic spool to stay inside its RSS budget.
+    /// 100 000 nodes — the nightly decade jump; needs retirement to stay
+    /// inside its RSS budget.
     N100k,
-    /// 1 000 000 nodes — opt-in only (`EGM_SCALE_PRESET=1m` plus the
-    /// nightly dispatch gate); hours of wall time on one core.
-    N1M,
 }
 
 impl ScalePreset {
     /// Every preset, smallest first (the order error messages list them
     /// in).
-    pub const ALL: [ScalePreset; 5] = [
+    pub const ALL: [ScalePreset; 4] = [
         ScalePreset::N1k,
         ScalePreset::N4k,
         ScalePreset::N10k,
         ScalePreset::N100k,
-        ScalePreset::N1M,
     ];
 
     /// Number of protocol nodes.
@@ -108,31 +100,28 @@ impl ScalePreset {
             ScalePreset::N4k => 4_000,
             ScalePreset::N10k => 10_000,
             ScalePreset::N100k => 100_000,
-            ScalePreset::N1M => 1_000_000,
         }
     }
 
-    /// Display label (`"1k"`, `"4k"`, `"10k"`, `"100k"`, `"1m"`).
+    /// Display label (`"1k"`, `"4k"`, `"10k"`, `"100k"`).
     pub fn label(&self) -> &'static str {
         match self {
             ScalePreset::N1k => "1k",
             ScalePreset::N4k => "4k",
             ScalePreset::N10k => "10k",
             ScalePreset::N100k => "100k",
-            ScalePreset::N1M => "1m",
         }
     }
 
     /// Parses a label, case-insensitively; `None` for anything
-    /// unrecognized. Each preset answers to its short label (`"100k"`,
-    /// `"1m"`) and its plain node count (`"100000"`, `"1000000"`).
+    /// unrecognized. Each preset answers to its short label (`"100k"`)
+    /// and its plain node count (`"100000"`).
     pub fn parse(label: &str) -> Option<Self> {
         match label.to_ascii_lowercase().as_str() {
             "1k" | "1000" => Some(ScalePreset::N1k),
             "4k" | "4000" => Some(ScalePreset::N4k),
             "10k" | "10000" => Some(ScalePreset::N10k),
             "100k" | "100000" => Some(ScalePreset::N100k),
-            "1m" | "1000k" | "1000000" => Some(ScalePreset::N1M),
             _ => None,
         }
     }
@@ -171,7 +160,6 @@ impl ScalePreset {
             ScalePreset::N10k => 512,
             // The issue's acceptance bound: ≤ ~10× the 10k preset.
             ScalePreset::N100k => 2_900,
-            ScalePreset::N1M => 30_000,
         }
     }
 
@@ -230,13 +218,6 @@ impl ScalePreset {
         SimDuration::from_ms(10_000.0)
     }
 
-    /// Whether this preset streams sealed traffic tallies to a disk
-    /// spool (the ≥100k sizes; below that the in-memory fold is already
-    /// small).
-    pub fn spools_traffic(&self) -> bool {
-        self.nodes() >= 100_000
-    }
-
     /// The scenario this preset runs: a scaled transit–stub topology
     /// (100-router transit core, stub capacity ≥ n), the paper's §5.2
     /// protocol parameters, and the Ranked best=20 % strategy with the
@@ -245,8 +226,7 @@ impl ScalePreset {
     /// the configuration whose emergent structure the paper studies,
     /// pushed along the scale axis without any O(n²) global sweep.
     /// Message retirement is on ([`ScalePreset::retire_horizon`]) so the
-    /// working set plateaus; the ≥100k sizes additionally spool sealed
-    /// traffic to disk.
+    /// working set plateaus.
     pub fn scenario(&self, messages: usize, seed: u64) -> Scenario {
         let n = self.nodes();
         let mut s = Scenario::paper_default();
@@ -260,7 +240,6 @@ impl ScalePreset {
         s.link_spill_threshold = Some(self.link_spill_threshold());
         s.rank_source = self.rank_source();
         s.protocol.retire_after = Some(Self::retire_horizon());
-        s.traffic_spool = self.spools_traffic();
         s.seed = seed;
         s
     }
@@ -291,7 +270,6 @@ mod tests {
         assert_eq!(ScalePreset::N4k.nodes(), 4_000);
         assert_eq!(ScalePreset::N10k.nodes(), 10_000);
         assert_eq!(ScalePreset::N100k.nodes(), 100_000);
-        assert_eq!(ScalePreset::N1M.nodes(), 1_000_000);
         assert_eq!(ScalePreset::parse("10k"), Some(ScalePreset::N10k));
         assert_eq!(ScalePreset::parse("4000"), Some(ScalePreset::N4k));
         assert_eq!(ScalePreset::parse("huge"), None);
@@ -310,10 +288,9 @@ mod tests {
         for spelling in ["100k", "100K", "100000"] {
             assert_eq!(ScalePreset::parse(spelling), Some(ScalePreset::N100k));
         }
-        for spelling in ["1m", "1M", "1000k", "1000000"] {
-            assert_eq!(ScalePreset::parse(spelling), Some(ScalePreset::N1M));
+        for spelling in ["1m", "1M", "1000k", "1000000", "1mm"] {
+            assert_eq!(ScalePreset::parse(spelling), None, "{spelling}");
         }
-        assert_eq!(ScalePreset::parse("1mm"), None);
         assert_eq!(ScalePreset::parse(""), None);
     }
 
@@ -340,14 +317,10 @@ mod tests {
                 Some(ScalePreset::retire_horizon()),
                 "scale runs must bound steady-state memory"
             );
-            assert_eq!(s.traffic_spool, preset.spools_traffic());
             // The horizon comfortably covers the retry interval (the
             // config validator's floor) and the worst-case quiesce.
             s.protocol.validate();
         }
-        assert!(!ScalePreset::N10k.spools_traffic());
-        assert!(ScalePreset::N100k.spools_traffic());
-        assert!(ScalePreset::N1M.spools_traffic());
     }
 
     #[test]

@@ -87,9 +87,6 @@ pub struct RunOutcome {
     /// Largest number of arena slots simultaneously live on any one node
     /// — the steady-state working-set ceiling retirement bounds.
     pub arena_high_water: usize,
-    /// Bytes of compacted traffic tallies streamed to the disk spool
-    /// (zero unless [`Scenario::traffic_spool`] is set).
-    pub traffic_spill_bytes: u64,
     /// Hot-path reallocations of the per-node payload table (pinned to
     /// zero by the scale regression tests — the table is pre-sized).
     pub payload_vec_growths: u32,
@@ -106,7 +103,7 @@ pub struct RunOutcome {
     /// Largest link-accumulator working set the shard-merge path held at
     /// any instant while folding per-shard traffic (zero for one-shard
     /// runs and unbounded merges; bounded by the spill threshold
-    /// otherwise — the shard-mode spool regression pins this).
+    /// otherwise — the shard-merge regression test pins this).
     pub traffic_acc_peak: usize,
     /// Window-loop counters: shard count, effective partition strategy,
     /// window lookahead (configured and realized), windows executed,
@@ -467,9 +464,6 @@ fn run_with_setup_observed(
     }
     if let Some(links) = scenario.link_spill_threshold {
         sim_config = sim_config.with_link_spill_threshold(links);
-    }
-    if scenario.traffic_spool {
-        sim_config = sim_config.with_traffic_spool(std::env::temp_dir());
     }
     if let Some(queue) = scenario.event_queue {
         sim_config = sim_config.with_event_queue(queue);
@@ -922,7 +916,6 @@ fn collect(
         shard_stats: sim.shard_stats(),
         retired_messages,
         arena_high_water,
-        traffic_spill_bytes: traffic.spool_bytes(),
         payload_vec_growths: traffic.node_payload_growths(),
         latency,
         steady,

@@ -178,12 +178,6 @@ pub struct Scenario {
     /// to plug in externally computed / estimated rankings, e.g. the
     /// `rank_quality` experiment's degraded estimators).
     pub best_override: Option<std::sync::Arc<egm_core::BestSet>>,
-    /// Streams sealed traffic tallies to a temp-file spool instead of
-    /// holding every compacted run in memory (see
-    /// [`egm_simnet::SimConfig::with_traffic_spool`]). The ≥100k scale
-    /// presets turn this on so link accounting stays O(live window)
-    /// in RAM; results are byte-identical either way.
-    pub traffic_spool: bool,
     /// Master seed: drives topology, views, node RNGs and the network.
     pub seed: u64,
 }
@@ -217,7 +211,6 @@ impl Scenario {
             partition: None,
             rank_source: RankSource::Oracle,
             best_override: None,
-            traffic_spool: false,
             seed: 42,
         }
     }
@@ -321,13 +314,6 @@ impl Scenario {
     /// Bounds link-accounting memory (builder style).
     pub fn with_link_spill_threshold(mut self, links: Option<usize>) -> Self {
         self.link_spill_threshold = links;
-        self
-    }
-
-    /// Streams sealed traffic to a disk spool (builder style); see
-    /// [`Scenario::traffic_spool`].
-    pub fn with_traffic_spool(mut self, spool: bool) -> Self {
-        self.traffic_spool = spool;
         self
     }
 

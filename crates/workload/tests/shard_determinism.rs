@@ -157,13 +157,12 @@ fn ten_k_preset_is_byte_identical_across_shard_widths() {
     }
 }
 
-/// The shard-mode spool-capping fix, end to end: with a finite spill
-/// threshold and the disk spool on, the merge-time accumulator must stay
-/// within the threshold at every instant of the fold (it used to grow
-/// with the total number of distinct links read back from the spool)
-/// while the merged outputs stay byte-identical to the one-shard twin.
+/// The shard-mode merge cap, end to end: with a finite spill threshold
+/// the merge-time accumulator must stay within the threshold at every
+/// instant of the fold while the merged outputs stay byte-identical to
+/// the one-shard twin.
 #[test]
-fn spooled_shard_merge_caps_the_accumulator_and_matches_sequential() {
+fn shard_merge_caps_the_accumulator_and_matches_sequential() {
     use egm_core::StrategySpec;
     use egm_workload::Scenario;
 
@@ -171,8 +170,7 @@ fn spooled_shard_merge_caps_the_accumulator_and_matches_sequential() {
     let scenario = Scenario::smoke_test()
         .with_strategy(StrategySpec::Flat { pi: 1.0 })
         .with_messages(60)
-        .with_link_spill_threshold(Some(threshold))
-        .with_traffic_spool(true);
+        .with_link_spill_threshold(Some(threshold));
     let model = Arc::new(scenario.build_model());
 
     let seq = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
@@ -183,7 +181,7 @@ fn spooled_shard_merge_caps_the_accumulator_and_matches_sequential() {
 
     for w in [2usize, 4] {
         let sharded = run_detailed(&scenario.clone().with_shards(Some(w)), Some(model.clone()));
-        assert_outcomes_match(&seq, &sharded, &format!("spooled W={w}"));
+        assert_outcomes_match(&seq, &sharded, &format!("capped W={w}"));
         assert!(
             sharded.traffic_acc_peak > 0,
             "W={w} must exercise the capped merge path"
