@@ -100,21 +100,9 @@ impl ProtocolConfig {
         self
     }
 
-    /// Sets the `IWANT` retransmission period (builder style).
-    pub fn with_retry_interval(mut self, t: SimDuration) -> Self {
-        self.retry_interval = t;
-        self
-    }
-
     /// Freezes or enables overlay shuffling (builder style).
     pub fn with_shuffle_interval(mut self, interval: Option<SimDuration>) -> Self {
         self.shuffle_interval = interval;
-        self
-    }
-
-    /// Enables the runtime ping monitor (builder style).
-    pub fn with_ping_interval(mut self, interval: Option<SimDuration>) -> Self {
-        self.ping_interval = interval;
         self
     }
 
@@ -176,12 +164,14 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let c = ProtocolConfig::default()
-            .with_fanout(5)
-            .with_rounds(3)
-            .with_retry_interval(SimDuration::from_ms(100.0))
-            .with_shuffle_interval(None)
-            .with_ping_interval(Some(SimDuration::from_ms(500.0)));
+        let c = ProtocolConfig {
+            retry_interval: SimDuration::from_ms(100.0),
+            ping_interval: Some(SimDuration::from_ms(500.0)),
+            ..ProtocolConfig::default()
+        }
+        .with_fanout(5)
+        .with_rounds(3)
+        .with_shuffle_interval(None);
         assert_eq!(c.fanout, 5);
         assert_eq!(c.rounds, 3);
         assert!(c.shuffle_interval.is_none());

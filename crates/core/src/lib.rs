@@ -19,10 +19,10 @@
 //! * [`gossip`] — the push gossip protocol (paper Fig. 2), strategy
 //!   oblivious.
 //! * [`scheduler`] — the Lazy Point-to-Point module (paper Fig. 3).
-//! * [`strategy`] — `Eager?` policies: [`strategy::Flat`],
-//!   [`strategy::Ttl`], [`strategy::Radius`], [`strategy::Ranked`], the
-//!   hybrid [`strategy::Combined`] (§6.4) and the traffic-preserving
-//!   [`strategy::Noisy`] wrapper (§4.3).
+//! * [`strategy`] — `Eager?` policies: Flat, TTL, Radius, Ranked, the
+//!   hybrid Combined (§6.4) and the Adaptive extension, each a
+//!   [`StrategySpec`] variant built into one closed [`Strategy`], with an
+//!   optional traffic-preserving noise step (§4.3).
 //! * [`monitor`] — `Metric(p)` providers: model-file oracles (latency /
 //!   distance) and a ping-based runtime monitor.
 //! * [`rank`] — best-node (hub) selection for Ranked/Combined: the
@@ -83,7 +83,6 @@ pub mod node;
 pub mod rank;
 pub mod scheduler;
 pub mod strategy;
-pub mod util;
 
 pub use config::ProtocolConfig;
 pub use id::MsgId;
@@ -92,4 +91,4 @@ pub use msg::{EgmMessage, Payload};
 pub use node::{DeliveryRecord, EgmNode, MulticastRecord, PublishChain};
 pub use rank::{BestSet, RankSource};
 pub use scheduler::SchedulerStats;
-pub use strategy::{StrategySpec, TransmissionStrategy};
+pub use strategy::{Strategy, StrategySpec};

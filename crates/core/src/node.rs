@@ -4,7 +4,7 @@
 //! This is the composition of Fig. 1: the application multicasts (injected
 //! by the harness as simulator commands), the gossip protocol relays, the
 //! Payload Scheduler turns `L-Send`s into `MSG`/`IHAVE`/`IWANT` exchanges
-//! under the node's [`TransmissionStrategy`], and the Performance Monitor
+//! under the node's [`Strategy`], and the Performance Monitor
 //! (oracle or ping-based) feeds the strategy.
 
 use crate::arena::{ArenaStats, MsgArena};
@@ -13,8 +13,7 @@ use crate::gossip::{GossipLayer, GossipStep};
 use crate::monitor::Monitor;
 use crate::msg::{EgmMessage, Payload};
 use crate::scheduler::{PayloadScheduler, RequestAction, SchedulerStats};
-use crate::strategy::StrategyCtx;
-use crate::strategy::TransmissionStrategy;
+use crate::strategy::{Strategy, StrategyCtx};
 use egm_membership::PartialView;
 use egm_simnet::{Context, NodeId, Protocol, SimDuration, SimTime, TimerTag};
 
@@ -112,7 +111,7 @@ pub struct EgmNode {
     view: PartialView,
     gossip: GossipLayer,
     scheduler: PayloadScheduler,
-    strategy: Box<dyn TransmissionStrategy>,
+    strategy: Strategy,
     monitor: Monitor,
     /// Arena holding all per-message state (known/received flags, payload
     /// cache, missing queue, holder lists, retry-timer handles) in dense
@@ -136,7 +135,7 @@ impl EgmNode {
         id: NodeId,
         config: ProtocolConfig,
         view: PartialView,
-        strategy: Box<dyn TransmissionStrategy>,
+        strategy: Strategy,
         monitor: Monitor,
     ) -> Self {
         config.validate();
@@ -218,14 +217,9 @@ impl EgmNode {
         &self.view
     }
 
-    /// The strategy's display label.
-    pub fn strategy_label(&self) -> String {
-        self.strategy.label()
-    }
-
     /// Hands the node a freshly re-ranked best set (online re-ranking
     /// under churn); rank-free strategies ignore it. See
-    /// [`TransmissionStrategy::rebind_best`].
+    /// [`Strategy::rebind_best`].
     pub fn rebind_best(&mut self, best: std::sync::Arc<crate::rank::BestSet>) {
         self.strategy.rebind_best(best);
     }
@@ -270,7 +264,7 @@ impl EgmNode {
                 };
                 self.scheduler.l_send(
                     &mut sctx,
-                    self.strategy.as_mut(),
+                    &self.strategy,
                     &mut self.msgs,
                     slot,
                     step.id,
@@ -355,7 +349,7 @@ impl Protocol for EgmNode {
                         // this id: cancel it instead of letting the dead
                         // event pop through the queue.
                         self.cancel_request_timer(ctx, slot);
-                        self.strategy.on_payload(from);
+                        self.strategy.on_payload();
                         if let Some(step) = self.gossip.on_l_receive(
                             ctx.rng(),
                             &self.view,
@@ -368,7 +362,7 @@ impl Protocol for EgmNode {
                             self.deliver_and_forward(ctx, slot, step);
                         }
                     }
-                    None => self.strategy.on_duplicate(from),
+                    None => self.strategy.on_duplicate(),
                 }
             }
             EgmMessage::IHave { id } => {
@@ -376,7 +370,7 @@ impl Protocol for EgmNode {
                 self.msgs.note_holder(slot, from);
                 if let Some(delay) =
                     self.scheduler
-                        .on_ihave(self.strategy.as_ref(), &mut self.msgs, slot, from)
+                        .on_ihave(&self.strategy, &mut self.msgs, slot, from)
                 {
                     self.arm_request_timer(ctx, slot, delay);
                 }
@@ -432,17 +426,13 @@ impl Protocol for EgmNode {
                     return; // the message was evicted; the timer is stale
                 }
                 let action = {
-                    let mut sctx = StrategyCtx {
+                    let sctx = StrategyCtx {
                         me: self.id,
                         rng: ctx.rng(),
                         monitor: &self.monitor,
                     };
-                    self.scheduler.on_request_timer(
-                        &mut sctx,
-                        self.strategy.as_mut(),
-                        &mut self.msgs,
-                        slot,
-                    )
+                    self.scheduler
+                        .on_request_timer(&sctx, &self.strategy, &mut self.msgs, slot)
                 };
                 match action {
                     RequestAction::Resolved => {

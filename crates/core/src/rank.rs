@@ -103,17 +103,8 @@ impl RankSource {
         view: &ViewConfig,
         seed: u64,
     ) -> BestSet {
-        match self {
-            RankSource::Oracle => BestSet::by_centrality(model, fraction),
-            RankSource::Sampled { samples_per_node } => {
-                let mut rng = egm_rng::Rng::seed_from_u64(seed);
-                BestSet::by_sampled_centrality(model, fraction, *samples_per_node, &mut rng)
-            }
-            RankSource::GossipSorted { rounds } => {
-                let mut rng = egm_rng::Rng::seed_from_u64(seed);
-                BestSet::by_gossip_sorted(model, fraction, view, *rounds, &mut rng)
-            }
-        }
+        let down = vec![false; model.client_count()];
+        self.best_set_excluding(model, fraction, view, seed, &down)
     }
 
     /// Computes the best set over `model` with a churn mask: nodes with
@@ -138,50 +129,17 @@ impl RankSource {
         seed: u64,
         down: &[bool],
     ) -> BestSet {
-        let n = model.client_count();
-        assert_eq!(down.len(), n, "one down flag per client");
+        let mut rng = egm_rng::Rng::seed_from_u64(seed);
         match self {
-            RankSource::Oracle => {
-                // Exact centrality over the live sub-population.
-                let live: Vec<usize> = (0..n).filter(|&i| !down[i]).collect();
-                assert!(live.len() >= 2, "need at least two live clients to rank");
-                let scores: Vec<f64> = (0..n)
-                    .map(|i| {
-                        if down[i] {
-                            return f64::MAX;
-                        }
-                        let total: f64 = live
-                            .iter()
-                            .filter(|&&j| j != i)
-                            .map(|&j| model.latency_ms(i, j))
-                            .sum();
-                        total / (live.len() - 1) as f64
-                    })
-                    .collect();
-                BestSet::from_scores_excluding(&scores, fraction, down)
-            }
-            RankSource::Sampled { samples_per_node } => {
-                // Sampled centrality over live peers only: each live node
-                // probes `samples_per_node` distinct live peers. Down
-                // nodes consume no RNG draws (they are not running).
-                assert!(*samples_per_node > 0, "need at least one sample per node");
-                let live: Vec<usize> = (0..n).filter(|&i| !down[i]).collect();
-                assert!(live.len() >= 2, "need at least two live clients to rank");
-                let mut rng = egm_rng::Rng::seed_from_u64(seed);
-                let mut scores = vec![f64::MAX; n];
-                for (li, &i) in live.iter().enumerate() {
-                    let k = (*samples_per_node).min(live.len() - 1);
-                    let mut total = 0.0;
-                    for idx in egm_rng::sample::distinct_indices(&mut rng, live.len() - 1, k) {
-                        let peer = live[if idx >= li { idx + 1 } else { idx }];
-                        total += model.latency_ms(i, peer);
-                    }
-                    scores[i] = total / k as f64;
-                }
-                BestSet::from_scores_excluding(&scores, fraction, down)
-            }
+            RankSource::Oracle => BestSet::by_centrality_excluding(model, fraction, down),
+            RankSource::Sampled { samples_per_node } => BestSet::by_sampled_centrality_excluding(
+                model,
+                fraction,
+                *samples_per_node,
+                down,
+                &mut rng,
+            ),
             RankSource::GossipSorted { rounds } => {
-                let mut rng = egm_rng::Rng::seed_from_u64(seed);
                 BestSet::by_gossip_sorted_excluding(model, fraction, view, *rounds, down, &mut rng)
             }
         }
@@ -247,28 +205,31 @@ impl BestSet {
     /// Panics if `fraction` is outside `(0, 1]` or the model has fewer
     /// than two clients.
     pub fn by_centrality(model: &RoutedModel, fraction: f64) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "fraction must be in (0, 1]"
-        );
+        Self::by_centrality_excluding(model, fraction, &vec![false; model.client_count()])
+    }
+
+    /// [`BestSet::by_centrality`] over the live sub-population: a down
+    /// node (`down[i] == true`) neither scores nor counts in a live
+    /// node's mean.
+    fn by_centrality_excluding(model: &RoutedModel, fraction: f64, down: &[bool]) -> Self {
         let n = model.client_count();
-        assert!(n >= 2, "need at least two clients to rank");
-        let mut scored: Vec<(f64, usize)> = (0..n)
+        assert_eq!(down.len(), n, "one down flag per client");
+        let live: Vec<usize> = (0..n).filter(|&i| !down[i]).collect();
+        assert!(live.len() >= 2, "need at least two live clients to rank");
+        let scores: Vec<f64> = (0..n)
             .map(|i| {
-                let total: f64 = (0..n)
-                    .filter(|&j| j != i)
-                    .map(|j| model.latency_ms(i, j))
+                if down[i] {
+                    return f64::MAX;
+                }
+                let total: f64 = live
+                    .iter()
+                    .filter(|&&j| j != i)
+                    .map(|&j| model.latency_ms(i, j))
                     .sum();
-                (total / (n - 1) as f64, i)
+                total / (live.len() - 1) as f64
             })
             .collect();
-        scored.sort_by(|a, b| a.partial_cmp(b).expect("finite scores"));
-        let k = ((n as f64 * fraction).round() as usize).clamp(1, n);
-        let mut flags = vec![false; n];
-        for &(_, i) in &scored[..k] {
-            flags[i] = true;
-        }
-        BestSet { flags }
+        BestSet::from_scores_excluding(&scores, fraction, down)
     }
 
     /// Ranks nodes by externally supplied scores (lower = better): the
@@ -285,25 +246,7 @@ impl BestSet {
     /// `fraction` is outside `(0, 1]`.
     pub fn from_scores(scores: &[f64], fraction: f64) -> Self {
         assert!(!scores.is_empty(), "no scores to rank");
-        assert!(scores.iter().all(|s| s.is_finite()), "non-finite score");
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "fraction must be in (0, 1]"
-        );
-        let n = scores.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            scores[a]
-                .partial_cmp(&scores[b])
-                .expect("finite scores")
-                .then(a.cmp(&b))
-        });
-        let k = ((n as f64 * fraction).round() as usize).clamp(1, n);
-        let mut flags = vec![false; n];
-        for &i in &order[..k] {
-            flags[i] = true;
-        }
-        BestSet { flags }
+        Self::from_scores_excluding(scores, fraction, &vec![false; scores.len()])
     }
 
     /// [`BestSet::from_scores`] restricted to *live* nodes: entries with
@@ -369,21 +312,36 @@ impl BestSet {
         samples_per_node: usize,
         rng: &mut egm_rng::Rng,
     ) -> Self {
+        let down = vec![false; model.client_count()];
+        Self::by_sampled_centrality_excluding(model, fraction, samples_per_node, &down, rng)
+    }
+
+    /// [`BestSet::by_sampled_centrality`] over the live sub-population:
+    /// each live node probes `samples_per_node` distinct live peers, and
+    /// down nodes consume no RNG draws (they are not running).
+    fn by_sampled_centrality_excluding(
+        model: &RoutedModel,
+        fraction: f64,
+        samples_per_node: usize,
+        down: &[bool],
+        rng: &mut egm_rng::Rng,
+    ) -> Self {
         assert!(samples_per_node > 0, "need at least one sample per node");
         let n = model.client_count();
-        assert!(n >= 2, "need at least two clients to rank");
-        let scores: Vec<f64> = (0..n)
-            .map(|i| {
-                let k = samples_per_node.min(n - 1);
-                let mut total = 0.0;
-                for idx in egm_rng::sample::distinct_indices(rng, n - 1, k) {
-                    let peer = if idx >= i { idx + 1 } else { idx };
-                    total += model.latency_ms(i, peer);
-                }
-                total / k as f64
-            })
-            .collect();
-        BestSet::from_scores(&scores, fraction)
+        assert_eq!(down.len(), n, "one down flag per client");
+        let live: Vec<usize> = (0..n).filter(|&i| !down[i]).collect();
+        assert!(live.len() >= 2, "need at least two live clients to rank");
+        let k = samples_per_node.min(live.len() - 1);
+        let mut scores = vec![f64::MAX; n];
+        for (li, &i) in live.iter().enumerate() {
+            let mut total = 0.0;
+            for idx in egm_rng::sample::distinct_indices(rng, live.len() - 1, k) {
+                let peer = live[if idx >= li { idx + 1 } else { idx }];
+                total += model.latency_ms(i, peer);
+            }
+            scores[i] = total / k as f64;
+        }
+        BestSet::from_scores_excluding(&scores, fraction, down)
     }
 
     /// Decentralized gossip-sorted ranking (the paper's reference \[11\]),

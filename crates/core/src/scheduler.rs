@@ -6,7 +6,7 @@
 //! `IHAVE` advertisement with the payload cached for later `IWANT`
 //! requests (lazy push). The receiving side queues advertised-but-missing
 //! messages and schedules `IWANT`s according to the Transmission Strategy:
-//! first request after [`TransmissionStrategy::first_request_delay`], then
+//! first request after [`Strategy::first_request_delay`], then
 //! periodically every `T` while sources are known, rotating through
 //! sources so that *"a queue eventually clears itself as requests on all
 //! known sources for a given message identifier are scheduled"*.
@@ -21,7 +21,7 @@ use crate::arena::MsgArena;
 use crate::config::ProtocolConfig;
 use crate::id::MsgId;
 use crate::msg::{EgmMessage, Payload};
-use crate::strategy::{StrategyCtx, TransmissionStrategy};
+use crate::strategy::{Strategy, StrategyCtx};
 use egm_simnet::{NodeId, SimDuration};
 
 /// Per-node scheduler counters, exposed for reports.
@@ -103,7 +103,7 @@ impl PayloadScheduler {
     pub fn l_send(
         &mut self,
         ctx: &mut StrategyCtx<'_>,
-        strategy: &mut dyn TransmissionStrategy,
+        strategy: &Strategy,
         arena: &mut MsgArena,
         slot: u32,
         id: MsgId,
@@ -115,7 +115,7 @@ impl PayloadScheduler {
             self.stats.suppressed_sends += 1;
             return None;
         }
-        if strategy.eager(ctx, to, id, round) {
+        if strategy.eager(ctx, to, round) {
             self.stats.eager_sends += 1;
             Some(EgmMessage::Msg { id, payload, round })
         } else {
@@ -148,7 +148,7 @@ impl PayloadScheduler {
     /// timer is already pending or the payload is already here.
     pub fn on_ihave(
         &mut self,
-        strategy: &dyn TransmissionStrategy,
+        strategy: &Strategy,
         arena: &mut MsgArena,
         slot: u32,
         from: NodeId,
@@ -189,8 +189,8 @@ impl PayloadScheduler {
     /// strategy, emit `IWANT`, and reschedule.
     pub fn on_request_timer(
         &mut self,
-        ctx: &mut StrategyCtx<'_>,
-        strategy: &mut dyn TransmissionStrategy,
+        ctx: &StrategyCtx<'_>,
+        strategy: &Strategy,
         arena: &mut MsgArena,
         slot: u32,
     ) -> RequestAction {
@@ -224,7 +224,7 @@ mod tests {
     use crate::id::MsgId;
     use crate::monitor::NullMonitor;
     use crate::msg::{EgmMessage, Payload};
-    use crate::strategy::{Flat, StrategyCtx};
+    use crate::strategy::{StrategyCtx, StrategySpec};
     use egm_rng::Rng;
     use egm_simnet::{NodeId, SimDuration};
 
@@ -258,20 +258,11 @@ mod tests {
     #[test]
     fn eager_strategy_sends_full_message() {
         let (mut sched, mut arena) = scheduler();
-        let mut eager = Flat::new(1.0);
+        let eager = StrategySpec::Flat { pi: 1.0 }.build(None);
         let id = MsgId::from_raw(1);
         let slot = arena.intern(id);
         let out = with_ctx(|ctx| {
-            sched.l_send(
-                ctx,
-                &mut eager,
-                &mut arena,
-                slot,
-                id,
-                payload(),
-                1,
-                NodeId(2),
-            )
+            sched.l_send(ctx, &eager, &mut arena, slot, id, payload(), 1, NodeId(2))
         })
         .expect("not suppressed");
         assert!(matches!(out, EgmMessage::Msg { round: 1, .. }));
@@ -282,22 +273,12 @@ mod tests {
     #[test]
     fn lazy_strategy_advertises_and_caches() {
         let (mut sched, mut arena) = scheduler();
-        let mut lazy = Flat::new(0.0);
+        let lazy = StrategySpec::Flat { pi: 0.0 }.build(None);
         let id = MsgId::from_raw(2);
         let slot = arena.intern(id);
-        let out = with_ctx(|ctx| {
-            sched.l_send(
-                ctx,
-                &mut lazy,
-                &mut arena,
-                slot,
-                id,
-                payload(),
-                2,
-                NodeId(3),
-            )
-        })
-        .expect("not suppressed");
+        let out =
+            with_ctx(|ctx| sched.l_send(ctx, &lazy, &mut arena, slot, id, payload(), 2, NodeId(3)))
+                .expect("not suppressed");
         assert_eq!(out, EgmMessage::IHave { id });
         assert_eq!(sched.stats().lazy_advertisements, 1);
         // the cached payload answers IWANT with the original round
@@ -327,7 +308,7 @@ mod tests {
     #[test]
     fn first_ihave_arms_timer_with_strategy_delay() {
         let (mut sched, mut arena) = scheduler();
-        let lazy = Flat::new(0.0);
+        let lazy = StrategySpec::Flat { pi: 0.0 }.build(None);
         let id = MsgId::from_raw(4);
         let slot = arena.intern(id);
         let delay = sched.on_ihave(&lazy, &mut arena, slot, NodeId(5));
@@ -340,7 +321,7 @@ mod tests {
     #[test]
     fn ihave_after_payload_is_ignored() {
         let (mut sched, mut arena) = scheduler();
-        let lazy = Flat::new(0.0);
+        let lazy = StrategySpec::Flat { pi: 0.0 }.build(None);
         let id = MsgId::from_raw(5);
         let slot = arena.intern(id);
         sched.on_msg(&mut arena, slot, payload(), 1);
@@ -351,23 +332,23 @@ mod tests {
     #[test]
     fn request_timer_rotates_through_sources() {
         let (mut sched, mut arena) = scheduler();
-        let mut lazy = Flat::new(0.0);
+        let lazy = StrategySpec::Flat { pi: 0.0 }.build(None);
         let id = MsgId::from_raw(6);
         let slot = arena.intern(id);
         sched.on_ihave(&lazy, &mut arena, slot, NodeId(10));
         sched.on_ihave(&lazy, &mut arena, slot, NodeId(11));
-        let first = with_ctx(|ctx| sched.on_request_timer(ctx, &mut lazy, &mut arena, slot));
+        let first = with_ctx(|ctx| sched.on_request_timer(ctx, &lazy, &mut arena, slot));
         let RequestAction::Request(s1, t) = first else {
             panic!("expected a request");
         };
         assert_eq!(t, SimDuration::from_ms(400.0));
-        let second = with_ctx(|ctx| sched.on_request_timer(ctx, &mut lazy, &mut arena, slot));
+        let second = with_ctx(|ctx| sched.on_request_timer(ctx, &lazy, &mut arena, slot));
         let RequestAction::Request(s2, _) = second else {
             panic!("expected a request");
         };
         assert_ne!(s1, s2, "rotation must try the other source");
         // Third request wraps around the rotation.
-        let third = with_ctx(|ctx| sched.on_request_timer(ctx, &mut lazy, &mut arena, slot));
+        let third = with_ctx(|ctx| sched.on_request_timer(ctx, &lazy, &mut arena, slot));
         assert!(matches!(third, RequestAction::Request(_, _)));
         assert_eq!(sched.stats().requests_sent, 3);
     }
@@ -375,12 +356,12 @@ mod tests {
     #[test]
     fn request_timer_resolves_after_payload_arrives() {
         let (mut sched, mut arena) = scheduler();
-        let mut lazy = Flat::new(0.0);
+        let lazy = StrategySpec::Flat { pi: 0.0 }.build(None);
         let id = MsgId::from_raw(7);
         let slot = arena.intern(id);
         sched.on_ihave(&lazy, &mut arena, slot, NodeId(10));
         sched.on_msg(&mut arena, slot, payload(), 1);
-        let action = with_ctx(|ctx| sched.on_request_timer(ctx, &mut lazy, &mut arena, slot));
+        let action = with_ctx(|ctx| sched.on_request_timer(ctx, &lazy, &mut arena, slot));
         assert_eq!(action, RequestAction::Resolved);
         assert_eq!(arena.missing_count(), 0);
         assert_eq!(sched.stats().requests_sent, 0);
@@ -398,23 +379,14 @@ mod tests {
             config.cache_capacity,
             config.suppress_known,
         );
-        let mut eager = Flat::new(1.0);
+        let eager = StrategySpec::Flat { pi: 1.0 }.build(None);
         let id = MsgId::from_raw(50);
         let slot = arena.intern(id);
         arena.note_holder(slot, NodeId(7));
         assert!(arena.is_holder(slot, NodeId(7)));
         assert!(!arena.is_holder(slot, NodeId(8)));
         let to_holder = with_ctx(|ctx| {
-            sched.l_send(
-                ctx,
-                &mut eager,
-                &mut arena,
-                slot,
-                id,
-                payload(),
-                1,
-                NodeId(7),
-            )
+            sched.l_send(ctx, &eager, &mut arena, slot, id, payload(), 1, NodeId(7))
         });
         assert!(
             to_holder.is_none(),
@@ -422,16 +394,7 @@ mod tests {
         );
         assert_eq!(sched.stats().suppressed_sends, 1);
         let to_other = with_ctx(|ctx| {
-            sched.l_send(
-                ctx,
-                &mut eager,
-                &mut arena,
-                slot,
-                id,
-                payload(),
-                1,
-                NodeId(8),
-            )
+            sched.l_send(ctx, &eager, &mut arena, slot, id, payload(), 1, NodeId(8))
         });
         assert!(to_other.is_some());
     }
@@ -439,21 +402,12 @@ mod tests {
     #[test]
     fn suppression_is_off_by_default() {
         let (mut sched, mut arena) = scheduler();
-        let mut eager = Flat::new(1.0);
+        let eager = StrategySpec::Flat { pi: 1.0 }.build(None);
         let id = MsgId::from_raw(51);
         let slot = arena.intern(id);
         arena.note_holder(slot, NodeId(7));
         let out = with_ctx(|ctx| {
-            sched.l_send(
-                ctx,
-                &mut eager,
-                &mut arena,
-                slot,
-                id,
-                payload(),
-                1,
-                NodeId(7),
-            )
+            sched.l_send(ctx, &eager, &mut arena, slot, id, payload(), 1, NodeId(7))
         });
         assert!(out.is_some(), "pseudocode-faithful mode pushes regardless");
         assert_eq!(sched.stats().suppressed_sends, 0);
@@ -462,9 +416,9 @@ mod tests {
     #[test]
     fn unknown_timer_is_resolved_quietly() {
         let (mut sched, mut arena) = scheduler();
-        let mut lazy = Flat::new(0.0);
+        let lazy = StrategySpec::Flat { pi: 0.0 }.build(None);
         let slot = arena.intern(MsgId::from_raw(77));
-        let action = with_ctx(|ctx| sched.on_request_timer(ctx, &mut lazy, &mut arena, slot));
+        let action = with_ctx(|ctx| sched.on_request_timer(ctx, &lazy, &mut arena, slot));
         assert_eq!(action, RequestAction::Resolved);
     }
 }

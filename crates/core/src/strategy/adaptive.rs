@@ -1,165 +1,110 @@
-//! Adaptive eagerness (extension beyond the paper).
-//!
-//! §8 of the paper calls the approach *"a promising base for building
-//! large scale adaptive protocols, given that its operation does not
-//! require tight global coordination"*. This strategy demonstrates that:
-//! each node tunes its own Flat-style eager probability from purely local
-//! feedback — the fraction of received payloads that were duplicates — so
-//! the swarm converges toward a chosen redundancy budget without any
-//! coordination. Correctness is unaffected by construction (any `Eager?`
-//! policy is safe, §6.4).
+use super::probability;
 
-use super::{StrategyCtx, TransmissionStrategy};
-use crate::id::MsgId;
-use egm_simnet::NodeId;
-
-/// Number of payload receptions between adjustments.
+/// Payload receptions between adjustments.
 const WINDOW: u64 = 16;
 
 /// Proportional gain applied to the duplicate-ratio error.
 const GAIN: f64 = 0.5;
 
-/// Flat-style strategy whose eager probability follows the observed
-/// duplicate ratio.
-///
-/// After every `WINDOW` (16) payload receptions the node compares the
-/// windowed duplicate ratio `d / (d + p)` against the target and moves
-/// `pi` proportionally: too many duplicates → push less eagerly; too few
-/// (while below the eager ceiling) → push more.
-///
-/// # Examples
+/// Adaptive eagerness (extension): Flat whose `pi` follows the observed
+/// duplicate ratio. After every `WINDOW` payloads the windowed ratio
+/// `d / (d + p)` is compared with the target and `pi` moves
+/// proportionally — down on too many duplicates, up on too few. §8 calls
+/// the approach *"a promising base for building large scale adaptive
+/// protocols"*: each node tunes itself from local feedback alone, and any
+/// `Eager?` is safe (§6.4).
 ///
 /// ```
-/// use egm_core::strategy::Adaptive;
-/// use egm_core::TransmissionStrategy;
+/// use egm_core::{monitor::NullMonitor, strategy::StrategyCtx, StrategySpec};
+/// use egm_simnet::NodeId;
 ///
-/// let s = Adaptive::new(1.0, 0.3);
-/// assert!(s.label().contains("adaptive"));
-/// assert_eq!(s.pi(), 1.0);
+/// let spec = StrategySpec::Adaptive { initial_pi: 1.0, target_duplicate_ratio: 0.0 };
+/// let mut s = spec.build(None);
+/// let rng = &mut egm_rng::Rng::seed_from_u64(1);
+/// let mut ctx = StrategyCtx { me: NodeId(0), rng, monitor: &NullMonitor };
+/// assert!(s.eager(&mut ctx, NodeId(1), 1), "starts fully eager");
+/// (0..16).for_each(|_| s.on_duplicate()); // pi falls from 1 to 0.5
+/// assert!((0..100).any(|_| !s.eager(&mut ctx, NodeId(1), 1)));
 /// ```
 #[derive(Debug, Clone)]
-pub struct Adaptive {
-    pi: f64,
+pub(super) struct Adaptive {
+    pub(super) pi: f64,
     target: f64,
     fresh: u64,
     duplicates: u64,
 }
 
 impl Adaptive {
-    /// Creates the strategy with a starting probability and a target
-    /// duplicate ratio.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either argument is outside `[0, 1]`.
-    pub fn new(initial_pi: f64, target_duplicate_ratio: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&initial_pi),
-            "pi must be a probability"
-        );
-        assert!(
-            (0.0..=1.0).contains(&target_duplicate_ratio),
-            "target ratio must be in [0, 1]"
-        );
+    pub(super) fn new(pi: f64, target: f64) -> Self {
         Adaptive {
-            pi: initial_pi,
-            target: target_duplicate_ratio,
+            pi: probability("pi", pi),
+            target: probability("target ratio", target),
             fresh: 0,
             duplicates: 0,
         }
     }
 
-    /// The current eager probability.
-    pub fn pi(&self) -> f64 {
-        self.pi
-    }
-
-    /// The configured target duplicate ratio.
-    pub fn target(&self) -> f64 {
-        self.target
-    }
-
-    fn maybe_adjust(&mut self) {
+    /// Counts one payload reception and adjusts `pi` when a window fills.
+    pub(super) fn observe(&mut self, duplicate: bool) {
+        self.duplicates += u64::from(duplicate);
+        self.fresh += u64::from(!duplicate);
         let total = self.fresh + self.duplicates;
-        if total < WINDOW {
-            return;
+        if total >= WINDOW {
+            let ratio = self.duplicates as f64 / total as f64;
+            self.pi = (self.pi - GAIN * (ratio - self.target)).clamp(0.0, 1.0);
+            self.fresh = 0;
+            self.duplicates = 0;
         }
-        let ratio = self.duplicates as f64 / total as f64;
-        self.pi = (self.pi - GAIN * (ratio - self.target)).clamp(0.0, 1.0);
-        self.fresh = 0;
-        self.duplicates = 0;
-    }
-}
-
-impl TransmissionStrategy for Adaptive {
-    fn eager(&mut self, ctx: &mut StrategyCtx<'_>, _to: NodeId, _id: MsgId, _round: u32) -> bool {
-        ctx.rng.bool(self.pi)
-    }
-
-    fn on_payload(&mut self, _from: NodeId) {
-        self.fresh += 1;
-        self.maybe_adjust();
-    }
-
-    fn on_duplicate(&mut self, _from: NodeId) {
-        self.duplicates += 1;
-        self.maybe_adjust();
-    }
-
-    fn label(&self) -> String {
-        format!("adaptive target={:.2}", self.target)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::Adaptive;
-    use crate::strategy::TransmissionStrategy;
-    use egm_simnet::NodeId;
 
     #[test]
     fn high_duplication_lowers_pi() {
         let mut s = Adaptive::new(1.0, 0.2);
         // Feed a window dominated by duplicates.
         for _ in 0..4 {
-            s.on_payload(NodeId(1));
+            s.observe(false);
         }
         for _ in 0..16 {
-            s.on_duplicate(NodeId(1));
+            s.observe(true);
         }
-        assert!(s.pi() < 1.0, "pi should fall, got {}", s.pi());
+        assert!(s.pi < 1.0, "pi should fall, got {}", s.pi);
     }
 
     #[test]
     fn low_duplication_raises_pi() {
         let mut s = Adaptive::new(0.2, 0.5);
         for _ in 0..20 {
-            s.on_payload(NodeId(1));
+            s.observe(false);
         }
-        assert!(s.pi() > 0.2, "pi should rise, got {}", s.pi());
+        assert!(s.pi > 0.2, "pi should rise, got {}", s.pi);
     }
 
     #[test]
     fn pi_stays_in_unit_interval() {
         let mut s = Adaptive::new(0.0, 0.0);
         for _ in 0..100 {
-            s.on_duplicate(NodeId(1));
+            s.observe(true);
         }
-        assert!(s.pi() >= 0.0);
+        assert!(s.pi >= 0.0);
         let mut s = Adaptive::new(1.0, 1.0);
         for _ in 0..100 {
-            s.on_payload(NodeId(1));
+            s.observe(false);
         }
-        assert!(s.pi() <= 1.0);
+        assert!(s.pi <= 1.0);
     }
 
     #[test]
     fn adjustment_waits_for_a_full_window() {
         let mut s = Adaptive::new(0.5, 0.0);
         for _ in 0..5 {
-            s.on_duplicate(NodeId(1));
+            s.observe(true);
         }
-        assert_eq!(s.pi(), 0.5, "no adjustment before the window fills");
+        assert_eq!(s.pi, 0.5, "no adjustment before the window fills");
     }
 
     #[test]

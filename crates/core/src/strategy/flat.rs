@@ -1,83 +1,35 @@
-//! The Flat strategy (§4.1): Bernoulli eager push.
-
-use super::{StrategyCtx, TransmissionStrategy};
-use crate::id::MsgId;
-use egm_simnet::NodeId;
-
-/// `Eager?` returns `true` with probability `pi`.
-///
-/// With `pi = 1` this is pure eager push gossip; with `pi = 0`, pure lazy
-/// push; in between it trades bandwidth for latency uniformly, with no
-/// knowledge of the environment — the paper's baseline (Fig. 5(a)).
-///
-/// Retransmission scheduling: the first request is issued immediately upon
-/// the first `IHAVE`; further requests every `T` (the node's retry
-/// interval) while sources are known.
-///
-/// # Examples
+/// Flat (§4.1): `Eager?` is `true` with probability `pi`. `pi = 1` is
+/// pure eager push gossip, `pi = 0` pure lazy push, and in between it
+/// trades bandwidth for latency uniformly, with no knowledge of the
+/// environment — the paper's baseline (Fig. 5(a)). The first request
+/// follows the first `IHAVE` at once, then one every retry interval `T`.
 ///
 /// ```
-/// use egm_core::strategy::Flat;
-/// use egm_core::TransmissionStrategy;
-///
-/// let eager = Flat::new(1.0);
-/// assert_eq!(eager.label(), "flat pi=1.00");
+/// let flat = egm_core::StrategySpec::Flat { pi: 0.5 }.build(None);
+/// assert_eq!(flat.first_request_delay(), egm_simnet::SimDuration::ZERO);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Flat {
-    pi: f64,
-}
-
-impl Flat {
-    /// Creates the strategy with eager probability `pi`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi` is outside `[0, 1]`.
-    pub fn new(pi: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&pi),
-            "pi must be a probability, got {pi}"
-        );
-        Flat { pi }
-    }
-
-    /// The configured eager probability.
-    pub fn pi(&self) -> f64 {
-        self.pi
-    }
-}
-
-impl TransmissionStrategy for Flat {
-    fn eager(&mut self, ctx: &mut StrategyCtx<'_>, _to: NodeId, _id: MsgId, _round: u32) -> bool {
-        ctx.rng.bool(self.pi)
-    }
-
-    fn label(&self) -> String {
-        format!("flat pi={:.2}", self.pi)
-    }
+pub(super) struct Flat {
+    pub(super) pi: f64,
 }
 
 #[cfg(test)]
 mod tests {
-    use super::Flat;
-    use crate::id::MsgId;
     use crate::monitor::NullMonitor;
-    use crate::strategy::{StrategyCtx, TransmissionStrategy};
+    use crate::strategy::{StrategyCtx, StrategySpec};
     use egm_rng::Rng;
     use egm_simnet::NodeId;
 
     fn eager_fraction(pi: f64, trials: u32) -> f64 {
-        let mut s = Flat::new(pi);
+        let s = StrategySpec::Flat { pi }.build(None);
         let mut rng = Rng::seed_from_u64(7);
-        let monitor = NullMonitor;
         let mut ctx = StrategyCtx {
             me: NodeId(0),
             rng: &mut rng,
-            monitor: &monitor,
+            monitor: &NullMonitor,
         };
         let hits = (0..trials)
-            .filter(|_| s.eager(&mut ctx, NodeId(1), MsgId::from_raw(1), 0))
+            .filter(|_| s.eager(&mut ctx, NodeId(1), 0))
             .count();
         hits as f64 / trials as f64
     }
@@ -97,12 +49,13 @@ mod tests {
     #[test]
     fn first_request_is_immediate() {
         use egm_simnet::SimDuration;
-        assert_eq!(Flat::new(0.5).first_request_delay(), SimDuration::ZERO);
+        let flat = StrategySpec::Flat { pi: 0.5 }.build(None);
+        assert_eq!(flat.first_request_delay(), SimDuration::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "probability")]
     fn out_of_range_pi_panics() {
-        let _ = Flat::new(1.5);
+        let _ = StrategySpec::Flat { pi: 1.5 }.build(None);
     }
 }

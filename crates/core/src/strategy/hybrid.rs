@@ -1,160 +1,84 @@
-//! The hybrid "combined" strategy of §6.4.
-
-use super::{nearest_source, StrategyCtx, TransmissionStrategy};
-use crate::id::MsgId;
+use super::radius::Radius;
 use crate::rank::BestSet;
-use egm_simnet::{NodeId, SimDuration};
 use std::sync::Arc;
 
-/// The paper's hybrid heuristic, leveraging TTL, Radius and Ranked at
-/// once. `Eager?(i, d, r, p)` returns `true` iff
-///
-/// * one of the involved nodes is a best node; **or**
-/// * `Metric(p) < 2ρ` when `r < u`; **or**
-/// * `Metric(p) < ρ` otherwise,
-///
-/// i.e. the radius shrinks as the round number grows (§6.4).
-/// Retransmission scheduling is as in Radius: first request after `T0`,
-/// nearest source first.
-///
-/// # Examples
+/// Combined (§6.4), the hybrid of TTL, Radius and Ranked: `Eager?` is
+/// `true` iff a best node is involved, or `Metric(p) < 2ρ` while `r < u`,
+/// or `Metric(p) < ρ` after — the radius shrinks as rounds grow. Requests
+/// are scheduled as in Radius.
 ///
 /// ```
-/// use egm_core::rank::BestSet;
-/// use egm_core::strategy::Combined;
-/// use egm_core::TransmissionStrategy;
+/// use egm_core::{rank::BestSet, StrategySpec};
 /// use egm_simnet::SimDuration;
 ///
-/// let best = BestSet::none(8).shared();
-/// let s = Combined::new(best, 20.0, 2, SimDuration::from_ms(25.0));
-/// assert!(s.label().contains("combined"));
+/// let spec = StrategySpec::Combined { best_fraction: 0.2, rho: 20.0, u: 2, t0_ms: 25.0 };
+/// let s = spec.build(Some(BestSet::none(8).shared()));
+/// assert_eq!(s.first_request_delay(), SimDuration::from_ms(25.0));
 /// ```
 #[derive(Debug, Clone)]
-pub struct Combined {
-    best: Arc<BestSet>,
-    rho: f64,
-    u: u32,
-    t0: SimDuration,
-}
-
-impl Combined {
-    /// Creates the hybrid with best set, radius `rho`, round threshold `u`
-    /// and first-request delay `t0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho` is negative or non-finite.
-    pub fn new(best: Arc<BestSet>, rho: f64, u: u32, t0: SimDuration) -> Self {
-        assert!(
-            rho.is_finite() && rho >= 0.0,
-            "radius must be non-negative, got {rho}"
-        );
-        Combined { best, rho, u, t0 }
-    }
-}
-
-impl TransmissionStrategy for Combined {
-    fn eager(&mut self, ctx: &mut StrategyCtx<'_>, to: NodeId, _id: MsgId, round: u32) -> bool {
-        if self.best.is_best(ctx.me) || self.best.is_best(to) {
-            return true;
-        }
-        let radius = if round < self.u {
-            2.0 * self.rho
-        } else {
-            self.rho
-        };
-        ctx.monitor.metric(ctx.me, to) < radius
-    }
-
-    fn first_request_delay(&self) -> SimDuration {
-        self.t0
-    }
-
-    fn pick_source(&mut self, ctx: &mut StrategyCtx<'_>, sources: &[NodeId]) -> usize {
-        nearest_source(ctx, sources)
-    }
-
-    fn rebind_best(&mut self, best: Arc<BestSet>) {
-        self.best = best;
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "combined rho={:.1} u={} best={}",
-            self.rho,
-            self.u,
-            self.best.best_count()
-        )
-    }
+pub(super) struct Combined {
+    pub(super) best: Arc<BestSet>,
+    pub(super) radius: Radius,
+    pub(super) u: u32,
 }
 
 #[cfg(test)]
 mod tests {
-    use super::Combined;
-    use crate::id::MsgId;
-    use crate::monitor::PerformanceMonitor;
     use crate::rank::BestSet;
-    use crate::strategy::{StrategyCtx, TransmissionStrategy};
+    use crate::strategy::tests::{decide, Linear};
+    use crate::strategy::{Strategy, StrategyCtx, StrategySpec};
     use egm_rng::Rng;
     use egm_simnet::{NodeId, SimDuration};
 
-    #[derive(Debug)]
-    struct Linear;
-    impl PerformanceMonitor for Linear {
-        fn metric(&self, _me: NodeId, p: NodeId) -> f64 {
-            p.index() as f64 * 10.0
+    /// rho = 25, u = 2, T0 = 30 ms over `best`.
+    fn combined(best: BestSet) -> Strategy {
+        StrategySpec::Combined {
+            best_fraction: 0.1,
+            rho: 25.0,
+            u: 2,
+            t0_ms: 30.0,
         }
+        .build(Some(best.shared()))
     }
 
-    fn decide(me: usize, to: usize, round: u32) -> bool {
-        // node 9 is best; rho = 25, u = 2.
-        let best = BestSet::from_ids(10, &[NodeId(9)]).shared();
-        let mut s = Combined::new(best, 25.0, 2, SimDuration::from_ms(25.0));
-        let mut rng = Rng::seed_from_u64(1);
-        let monitor = Linear;
-        let mut ctx = StrategyCtx {
-            me: NodeId(me),
-            rng: &mut rng,
-            monitor: &monitor,
-        };
-        s.eager(&mut ctx, NodeId(to), MsgId::from_raw(1), round)
+    fn hub9(me: usize, to: usize, round: u32) -> bool {
+        let s = combined(BestSet::from_ids(10, &[NodeId(9)]));
+        decide(&s, &Linear, me, to, round)
     }
 
     #[test]
     fn best_node_involvement_is_always_eager() {
-        assert!(decide(9, 8, 5), "best sender");
-        assert!(decide(1, 9, 5), "best receiver (metric 90 > radius)");
+        assert!(hub9(9, 8, 5), "best sender");
+        assert!(hub9(1, 9, 5), "best receiver (metric 90 > radius)");
     }
 
     #[test]
     fn radius_is_doubled_in_early_rounds() {
         // metric(4) = 40: inside 2ρ=50 but outside ρ=25.
-        assert!(decide(0, 4, 0));
-        assert!(decide(0, 4, 1));
-        assert!(!decide(0, 4, 2), "radius shrinks at round u");
-        assert!(!decide(0, 4, 3));
+        assert!(hub9(0, 4, 0));
+        assert!(hub9(0, 4, 1));
+        assert!(!hub9(0, 4, 2), "radius shrinks at round u");
+        assert!(!hub9(0, 4, 3));
     }
 
     #[test]
     fn close_peers_stay_eager_in_late_rounds() {
         // metric(2) = 20 < ρ.
-        assert!(decide(0, 2, 5));
+        assert!(hub9(0, 2, 5));
         // metric(6) = 60 > 2ρ: never eager for regular nodes.
-        assert!(!decide(0, 6, 0));
+        assert!(!hub9(0, 6, 0));
     }
 
     #[test]
     fn scheduling_matches_radius_behaviour() {
-        let best = BestSet::none(4).shared();
-        let mut s = Combined::new(best, 25.0, 2, SimDuration::from_ms(30.0));
+        let s = combined(BestSet::none(4));
         assert_eq!(s.first_request_delay(), SimDuration::from_ms(30.0));
         let mut rng = Rng::seed_from_u64(2);
-        let monitor = Linear;
-        let mut ctx = StrategyCtx {
+        let ctx = StrategyCtx {
             me: NodeId(0),
             rng: &mut rng,
-            monitor: &monitor,
+            monitor: &Linear,
         };
-        assert_eq!(s.pick_source(&mut ctx, &[NodeId(3), NodeId(1)]), 1);
+        assert_eq!(s.pick_source(&ctx, &[NodeId(3), NodeId(1)]), 1);
     }
 }

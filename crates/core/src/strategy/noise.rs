@@ -1,159 +1,35 @@
-//! Traffic-preserving noise injection (§4.3).
-
-use super::{StrategyCtx, TransmissionStrategy};
-use crate::id::MsgId;
-use crate::rank::BestSet;
-use egm_simnet::{NodeId, SimDuration};
-use std::sync::Arc;
-
-/// Wraps a strategy and blurs its `Eager?` decisions without changing the
-/// expected amount of eager traffic.
-///
-/// Each query's crisp outcome `v ∈ {0, 1}` is remapped to
-/// `v' = c + (v − c)(1 − o)` and a Bernoulli draw with probability `v'`
-/// becomes the answer. `c` is the strategy's overall eager rate
-/// (calibrated by `egm-workload::calibrate`), so the expected number of
-/// eager transmissions is unchanged; `o` is the noise ratio: at `o = 0`
-/// decisions are untouched, at `o = 1` the strategy degenerates to
-/// `Flat(c)` and all structure is erased (Fig. 6).
-///
-/// # Examples
+/// The traffic-preserving noise step (§4.3): the rule's crisp `Eager?`
+/// answer `v ∈ {0, 1}` maps to `v' = c + (v − c)(1 − o)`, and a
+/// Bernoulli(`v'`) draw — taken even at `o = 0` — is the answer. `c` is
+/// the rule's overall eager rate (`egm-workload::calibrate`), so expected
+/// eager traffic is unchanged; at `o = 1` every rule is `Flat(c)` (Fig. 6).
 ///
 /// ```
-/// use egm_core::strategy::{Flat, Noisy};
-/// use egm_core::TransmissionStrategy;
+/// use egm_core::{monitor::NullMonitor, strategy::StrategyCtx, StrategySpec};
+/// use egm_simnet::NodeId;
 ///
-/// let s = Noisy::new(Flat::new(0.2), 0.2, 0.5);
-/// assert!(s.label().contains("noise=50%"));
+/// // TTL u=1 is lazy at round 5; full noise turns it into Flat(0.5).
+/// let s = StrategySpec::Ttl { u: 1 }.build(None).with_noise(0.5, 1.0);
+/// let rng = &mut egm_rng::Rng::seed_from_u64(3);
+/// let mut ctx = StrategyCtx { me: NodeId(0), rng, monitor: &NullMonitor };
+/// let eager = (0..1000).filter(|_| s.eager(&mut ctx, NodeId(1), 5)).count();
+/// assert!((400..600).contains(&eager));
 /// ```
-#[derive(Debug, Clone)]
-pub struct Noisy<S> {
-    inner: S,
-    c: f64,
-    o: f64,
-}
-
-impl<S: TransmissionStrategy> Noisy<S> {
-    /// Wraps `inner` with calibration constant `c` (its overall eager
-    /// rate) and noise ratio `o`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` or `o` is outside `[0, 1]`.
-    pub fn new(inner: S, c: f64, o: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&c),
-            "calibration constant must be a probability"
-        );
-        assert!((0.0..=1.0).contains(&o), "noise ratio must be in [0, 1]");
-        Noisy { inner, c, o }
-    }
-
-    /// The wrapped strategy.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// The noise ratio `o`.
-    pub fn noise(&self) -> f64 {
-        self.o
-    }
-}
-
-impl<S: TransmissionStrategy> TransmissionStrategy for Noisy<S> {
-    fn eager(&mut self, ctx: &mut StrategyCtx<'_>, to: NodeId, id: MsgId, round: u32) -> bool {
-        let v = if self.inner.eager(ctx, to, id, round) {
-            1.0
-        } else {
-            0.0
-        };
-        let v_prime = self.c + (v - self.c) * (1.0 - self.o);
-        ctx.rng.bool(v_prime)
-    }
-
-    fn first_request_delay(&self) -> SimDuration {
-        self.inner.first_request_delay()
-    }
-
-    fn pick_source(&mut self, ctx: &mut StrategyCtx<'_>, sources: &[NodeId]) -> usize {
-        self.inner.pick_source(ctx, sources)
-    }
-
-    fn on_payload(&mut self, from: NodeId) {
-        self.inner.on_payload(from);
-    }
-
-    fn on_duplicate(&mut self, from: NodeId) {
-        self.inner.on_duplicate(from);
-    }
-
-    fn rebind_best(&mut self, best: Arc<BestSet>) {
-        self.inner.rebind_best(best);
-    }
-
-    fn label(&self) -> String {
-        format!("{} noise={:.0}%", self.inner.label(), self.o * 100.0)
-    }
-}
-
-/// Boxed-strategy convenience: noise over an already-built strategy.
-impl Noisy<Box<dyn TransmissionStrategy>> {
-    /// Wraps a boxed strategy (used by the experiment runner, which builds
-    /// strategies from [`StrategySpec`](crate::StrategySpec)s).
-    pub fn boxed(
-        inner: Box<dyn TransmissionStrategy>,
-        c: f64,
-        o: f64,
-    ) -> Box<dyn TransmissionStrategy> {
-        assert!(
-            (0.0..=1.0).contains(&c),
-            "calibration constant must be a probability"
-        );
-        assert!((0.0..=1.0).contains(&o), "noise ratio must be in [0, 1]");
-        Box::new(Noisy { inner, c, o })
-    }
-}
-
-impl TransmissionStrategy for Box<dyn TransmissionStrategy> {
-    fn eager(&mut self, ctx: &mut StrategyCtx<'_>, to: NodeId, id: MsgId, round: u32) -> bool {
-        (**self).eager(ctx, to, id, round)
-    }
-
-    fn first_request_delay(&self) -> SimDuration {
-        (**self).first_request_delay()
-    }
-
-    fn pick_source(&mut self, ctx: &mut StrategyCtx<'_>, sources: &[NodeId]) -> usize {
-        (**self).pick_source(ctx, sources)
-    }
-
-    fn on_payload(&mut self, from: NodeId) {
-        (**self).on_payload(from);
-    }
-
-    fn on_duplicate(&mut self, from: NodeId) {
-        (**self).on_duplicate(from);
-    }
-
-    fn rebind_best(&mut self, best: Arc<BestSet>) {
-        (**self).rebind_best(best);
-    }
-
-    fn label(&self) -> String {
-        (**self).label()
-    }
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Noise {
+    pub(super) c: f64,
+    pub(super) o: f64,
 }
 
 #[cfg(test)]
 mod tests {
-    use super::Noisy;
-    use crate::id::MsgId;
     use crate::monitor::NullMonitor;
-    use crate::strategy::{Flat, StrategyCtx, TransmissionStrategy, Ttl};
+    use crate::strategy::{StrategyCtx, StrategySpec};
     use egm_rng::Rng;
-    use egm_simnet::NodeId;
+    use egm_simnet::{NodeId, SimDuration};
 
-    fn eager_rate<S: TransmissionStrategy>(mut s: S, round: u32, trials: u32) -> f64 {
+    fn eager_rate(spec: StrategySpec, c: f64, o: f64, round: u32, trials: u32) -> f64 {
+        let s = spec.build(None).with_noise(c, o);
         let mut rng = Rng::seed_from_u64(5);
         let monitor = NullMonitor;
         let mut ctx = StrategyCtx {
@@ -162,66 +38,67 @@ mod tests {
             monitor: &monitor,
         };
         let hits = (0..trials)
-            .filter(|_| s.eager(&mut ctx, NodeId(1), MsgId::from_raw(1), round))
+            .filter(|_| s.eager(&mut ctx, NodeId(1), round))
             .count();
         hits as f64 / trials as f64
     }
 
+    const TTL1: StrategySpec = StrategySpec::Ttl { u: 1 };
+
     #[test]
     fn zero_noise_is_transparent() {
         // TTL at round 0 with u=1 is always eager; noise 0 keeps it so.
-        assert_eq!(eager_rate(Noisy::new(Ttl::new(1), 0.3, 0.0), 0, 1000), 1.0);
-        assert_eq!(eager_rate(Noisy::new(Ttl::new(1), 0.3, 0.0), 5, 1000), 0.0);
+        assert_eq!(eager_rate(TTL1, 0.3, 0.0, 0, 1000), 1.0);
+        assert_eq!(eager_rate(TTL1, 0.3, 0.0, 5, 1000), 0.0);
     }
 
     #[test]
     fn full_noise_degenerates_to_flat_c() {
-        // o=1: outcome is Bernoulli(c) regardless of the inner decision.
-        let rate_eager_round = eager_rate(Noisy::new(Ttl::new(1), 0.3, 1.0), 0, 100_000);
-        let rate_lazy_round = eager_rate(Noisy::new(Ttl::new(1), 0.3, 1.0), 5, 100_000);
+        // o=1: outcome is Bernoulli(c) regardless of the rule's decision.
+        let rate_eager_round = eager_rate(TTL1, 0.3, 1.0, 0, 100_000);
+        let rate_lazy_round = eager_rate(TTL1, 0.3, 1.0, 5, 100_000);
         assert!((rate_eager_round - 0.3).abs() < 0.01, "{rate_eager_round}");
         assert!((rate_lazy_round - 0.3).abs() < 0.01, "{rate_lazy_round}");
     }
 
     #[test]
     fn expected_traffic_is_preserved_at_intermediate_noise() {
-        // Inner eager rate is 0.3 (round 0 of a Flat(0.3) proxy: use TTL
-        // mix). Use a strategy whose rate is exactly c and check the
-        // blurred rate stays c: with v ~ Bernoulli(c),
-        // E[v'] = c + (c - c)(1 - o) = c.
+        // Use a rule whose rate is exactly c and check the blurred rate
+        // stays c: with v ~ Bernoulli(c), E[v'] = c + (c - c)(1 - o) = c.
         for o in [0.25, 0.5, 0.75] {
-            let rate = eager_rate(Noisy::new(Flat::new(0.3), 0.3, o), 0, 200_000);
+            let rate = eager_rate(StrategySpec::Flat { pi: 0.3 }, 0.3, o, 0, 200_000);
             assert!((rate - 0.3).abs() < 0.01, "o={o}: rate {rate}");
         }
     }
 
     #[test]
     fn intermediate_noise_blurs_decisions() {
-        // At o=0.5, an always-eager inner with c=0.3 should be eager with
+        // At o=0.5, an always-eager rule with c=0.3 should be eager with
         // probability 0.3 + 0.7*0.5 = 0.65.
-        let rate = eager_rate(Noisy::new(Ttl::new(1), 0.3, 0.5), 0, 100_000);
+        let rate = eager_rate(TTL1, 0.3, 0.5, 0, 100_000);
         assert!((rate - 0.65).abs() < 0.01, "rate {rate}");
-        // and a never-eager inner: 0.3*0.5 = 0.15.
-        let rate = eager_rate(Noisy::new(Ttl::new(1), 0.3, 0.5), 5, 100_000);
+        // and a never-eager rule: 0.3*0.5 = 0.15.
+        let rate = eager_rate(TTL1, 0.3, 0.5, 5, 100_000);
         assert!((rate - 0.15).abs() < 0.01, "rate {rate}");
     }
 
     #[test]
     fn scheduling_is_delegated() {
-        use egm_simnet::SimDuration;
-        let s = Noisy::new(
-            crate::strategy::Radius::new(10.0, SimDuration::from_ms(20.0)),
-            0.1,
-            0.5,
-        );
+        // Noise blurs `Eager?` only: request scheduling stays the rule's.
+        let s = StrategySpec::Radius {
+            rho: 10.0,
+            t0_ms: 20.0,
+        }
+        .build(None)
+        .with_noise(0.1, 0.5);
         assert_eq!(s.first_request_delay(), SimDuration::from_ms(20.0));
-        assert_eq!(s.inner().rho(), 10.0);
-        assert_eq!(s.noise(), 0.5);
     }
 
     #[test]
     #[should_panic(expected = "noise ratio")]
     fn invalid_noise_panics() {
-        let _ = Noisy::new(Flat::new(0.5), 0.5, 1.5);
+        let _ = StrategySpec::Flat { pi: 0.5 }
+            .build(None)
+            .with_noise(0.5, 1.5);
     }
 }

@@ -1,140 +1,89 @@
-//! The Radius strategy (§4.1): eager push to nearby peers only.
+use egm_simnet::SimDuration;
 
-use super::{nearest_source, StrategyCtx, TransmissionStrategy};
-use crate::id::MsgId;
-use egm_simnet::{NodeId, SimDuration};
-
-/// `Eager?` returns `true` iff `Metric(p) < ρ`.
-///
-/// Gossip eagerly with close nodes to minimize per-hop latency; the
-/// expected emergent structure is a *mesh* carried by short links
-/// (Fig. 4(b)). Retransmission scheduling differs from Flat: the first
-/// request is delayed by `T0` — an estimate of the latency to nodes within
-/// the radius — giving eager copies a chance to arrive first, and the
-/// *nearest* known source is selected for each request.
-///
-/// The paper's negative result (§6.2) is that Radius does not improve
-/// end-to-end latency: shorter hops are offset by needing more rounds.
-///
-/// # Examples
+/// Radius (§4.1): `Eager?` is `true` iff `Metric(p) < ρ`. Eager pushes to
+/// close nodes minimize per-hop latency; the emergent structure is a
+/// *mesh* of short links (Fig. 4(b)). The first request waits `T0`, the
+/// latency to nodes within the radius, so eager copies can arrive first,
+/// and asks the *nearest* source. The paper's negative result (§6.2):
+/// shorter hops need more rounds, so end-to-end latency does not improve.
 ///
 /// ```
-/// use egm_core::strategy::Radius;
-/// use egm_core::TransmissionStrategy;
+/// use egm_core::StrategySpec;
 /// use egm_simnet::SimDuration;
 ///
-/// let s = Radius::new(25.0, SimDuration::from_ms(30.0));
+/// let s = StrategySpec::Radius { rho: 25.0, t0_ms: 30.0 }.build(None);
 /// assert_eq!(s.first_request_delay(), SimDuration::from_ms(30.0));
 /// ```
 #[derive(Debug, Clone)]
-pub struct Radius {
-    rho: f64,
-    t0: SimDuration,
+pub(super) struct Radius {
+    pub(super) rho: f64,
+    pub(super) t0: SimDuration,
 }
 
 impl Radius {
-    /// Creates the strategy with radius `rho` (monitor units) and first
-    /// request delay `t0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho` is negative or non-finite.
-    pub fn new(rho: f64, t0: SimDuration) -> Self {
+    pub(super) fn new(rho: f64, t0_ms: f64) -> Self {
         assert!(
             rho.is_finite() && rho >= 0.0,
             "radius must be non-negative, got {rho}"
         );
+        let t0 = SimDuration::from_ms(t0_ms);
         Radius { rho, t0 }
-    }
-
-    /// The configured radius.
-    pub fn rho(&self) -> f64 {
-        self.rho
-    }
-}
-
-impl TransmissionStrategy for Radius {
-    fn eager(&mut self, ctx: &mut StrategyCtx<'_>, to: NodeId, _id: MsgId, _round: u32) -> bool {
-        ctx.monitor.metric(ctx.me, to) < self.rho
-    }
-
-    fn first_request_delay(&self) -> SimDuration {
-        self.t0
-    }
-
-    fn pick_source(&mut self, ctx: &mut StrategyCtx<'_>, sources: &[NodeId]) -> usize {
-        nearest_source(ctx, sources)
-    }
-
-    fn label(&self) -> String {
-        format!("radius rho={:.1}", self.rho)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::Radius;
-    use crate::id::MsgId;
-    use crate::monitor::{NullMonitor, PerformanceMonitor};
-    use crate::strategy::{StrategyCtx, TransmissionStrategy};
+    use crate::monitor::NullMonitor;
+    use crate::strategy::tests::{decide, Linear};
+    use crate::strategy::{StrategyCtx, StrategySpec};
     use egm_rng::Rng;
     use egm_simnet::{NodeId, SimDuration};
 
-    #[derive(Debug)]
-    struct Linear;
-    impl PerformanceMonitor for Linear {
-        fn metric(&self, _me: NodeId, p: NodeId) -> f64 {
-            p.index() as f64 * 10.0
-        }
-    }
-
     #[test]
     fn eager_strictly_inside_radius() {
-        let mut s = Radius::new(25.0, SimDuration::ZERO);
-        let mut rng = Rng::seed_from_u64(1);
-        let monitor = Linear;
-        let mut ctx = StrategyCtx {
-            me: NodeId(0),
-            rng: &mut rng,
-            monitor: &monitor,
-        };
-        assert!(s.eager(&mut ctx, NodeId(0), MsgId::from_raw(1), 0)); // metric 0
-        assert!(s.eager(&mut ctx, NodeId(2), MsgId::from_raw(1), 0)); // metric 20
-        assert!(!s.eager(&mut ctx, NodeId(3), MsgId::from_raw(1), 0)); // metric 30
+        let s = StrategySpec::Radius {
+            rho: 25.0,
+            t0_ms: 0.0,
+        }
+        .build(None);
+        assert!(decide(&s, &Linear, 0, 0, 0)); // metric 0
+        assert!(decide(&s, &Linear, 0, 2, 0)); // metric 20
+        assert!(!decide(&s, &Linear, 0, 3, 0)); // metric 30
     }
 
     #[test]
     fn unknown_peers_are_lazy() {
         // NullMonitor returns infinity: fail closed.
-        let mut s = Radius::new(1e9, SimDuration::ZERO);
-        let mut rng = Rng::seed_from_u64(2);
-        let monitor = NullMonitor;
-        let mut ctx = StrategyCtx {
-            me: NodeId(0),
-            rng: &mut rng,
-            monitor: &monitor,
-        };
-        assert!(!s.eager(&mut ctx, NodeId(1), MsgId::from_raw(1), 0));
+        let s = StrategySpec::Radius {
+            rho: 1e9,
+            t0_ms: 0.0,
+        }
+        .build(None);
+        assert!(!decide(&s, &NullMonitor, 0, 1, 0));
     }
 
     #[test]
     fn requests_prefer_nearest_source() {
-        let mut s = Radius::new(25.0, SimDuration::from_ms(30.0));
+        let s = StrategySpec::Radius {
+            rho: 25.0,
+            t0_ms: 30.0,
+        }
+        .build(None);
         let mut rng = Rng::seed_from_u64(3);
-        let monitor = Linear;
-        let mut ctx = StrategyCtx {
+        let ctx = StrategyCtx {
             me: NodeId(0),
             rng: &mut rng,
-            monitor: &monitor,
+            monitor: &Linear,
         };
         let sources = [NodeId(9), NodeId(4), NodeId(6)];
-        assert_eq!(s.pick_source(&mut ctx, &sources), 1);
+        assert_eq!(s.pick_source(&ctx, &sources), 1);
         assert_eq!(s.first_request_delay(), SimDuration::from_ms(30.0));
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_radius_panics() {
-        let _ = Radius::new(-1.0, SimDuration::ZERO);
+        let _ = Radius::new(-1.0, 0.0);
     }
 }

@@ -1,117 +1,67 @@
-//! The Ranked strategy (§4.1): hubs-and-spokes through best nodes.
-
-use super::{StrategyCtx, TransmissionStrategy};
-use crate::id::MsgId;
 use crate::rank::BestSet;
-use egm_simnet::NodeId;
 use std::sync::Arc;
 
-/// `Eager?` returns `true` iff either endpoint is a *best node*.
-///
-/// Payload flows eagerly whenever a hub is involved, making a small set of
-/// well-provisioned nodes carry most transmissions — the emergent
-/// super-node structure of Fig. 4(c). Regular-to-regular exchanges are
-/// lazy, so spokes receive ≈1 payload per message.
-///
-/// Retransmission scheduling is as in Flat: request immediately, retry
-/// every `T`.
-///
-/// # Examples
+/// Ranked (§4.1): `Eager?` is `true` iff either endpoint is a *best
+/// node*. A few well-provisioned hubs carry most transmissions — the
+/// emergent super-node structure of Fig. 4(c) — while spoke-to-spoke
+/// exchanges are lazy, so spokes receive ≈1 payload per message.
 ///
 /// ```
-/// use egm_core::rank::BestSet;
-/// use egm_core::strategy::Ranked;
-/// use egm_core::TransmissionStrategy;
+/// use egm_core::{monitor::NullMonitor, rank::BestSet, strategy::StrategyCtx, StrategySpec};
 /// use egm_simnet::NodeId;
 ///
 /// let best = BestSet::from_ids(4, &[NodeId(0)]).shared();
-/// let s = Ranked::new(best);
-/// assert!(s.label().contains("ranked"));
+/// let s = StrategySpec::Ranked { best_fraction: 0.25 }.build(Some(best));
+/// let rng = &mut egm_rng::Rng::seed_from_u64(1);
+/// let mut ctx = StrategyCtx { me: NodeId(2), rng, monitor: &NullMonitor };
+/// assert!(s.eager(&mut ctx, NodeId(0), 3), "to a hub");
+/// assert!(!s.eager(&mut ctx, NodeId(1), 3), "spoke to spoke");
 /// ```
 #[derive(Debug, Clone)]
-pub struct Ranked {
-    best: Arc<BestSet>,
-}
-
-impl Ranked {
-    /// Creates the strategy over a shared best set.
-    pub fn new(best: Arc<BestSet>) -> Self {
-        Ranked { best }
-    }
-
-    /// The shared best set.
-    pub fn best(&self) -> &BestSet {
-        &self.best
-    }
-}
-
-impl TransmissionStrategy for Ranked {
-    fn eager(&mut self, ctx: &mut StrategyCtx<'_>, to: NodeId, _id: MsgId, _round: u32) -> bool {
-        self.best.is_best(ctx.me) || self.best.is_best(to)
-    }
-
-    fn rebind_best(&mut self, best: Arc<BestSet>) {
-        self.best = best;
-    }
-
-    fn label(&self) -> String {
-        format!("ranked best={}", self.best.best_count())
-    }
+pub(super) struct Ranked {
+    pub(super) best: Arc<BestSet>,
 }
 
 #[cfg(test)]
 mod tests {
-    use super::Ranked;
-    use crate::id::MsgId;
     use crate::monitor::NullMonitor;
     use crate::rank::BestSet;
-    use crate::strategy::{StrategyCtx, TransmissionStrategy};
-    use egm_rng::Rng;
+    use crate::strategy::tests::decide;
+    use crate::strategy::StrategySpec;
     use egm_simnet::NodeId;
 
-    fn decide(me: usize, to: usize) -> bool {
-        let best = BestSet::from_ids(4, &[NodeId(0)]).shared();
-        let mut s = Ranked::new(best);
-        let mut rng = Rng::seed_from_u64(1);
-        let monitor = NullMonitor;
-        let mut ctx = StrategyCtx {
-            me: NodeId(me),
-            rng: &mut rng,
-            monitor: &monitor,
-        };
-        s.eager(&mut ctx, NodeId(to), MsgId::from_raw(1), 0)
+    fn ranked(best: BestSet, me: usize, to: usize) -> bool {
+        let s = StrategySpec::Ranked {
+            best_fraction: 0.25,
+        }
+        .build(Some(best.shared()));
+        decide(&s, &NullMonitor, me, to, 0)
+    }
+
+    fn hub0(me: usize, to: usize) -> bool {
+        ranked(BestSet::from_ids(4, &[NodeId(0)]), me, to)
     }
 
     #[test]
     fn eager_when_sender_is_best() {
-        assert!(decide(0, 1));
+        assert!(hub0(0, 1));
     }
 
     #[test]
     fn eager_when_receiver_is_best() {
-        assert!(decide(2, 0));
+        assert!(hub0(2, 0));
     }
 
     #[test]
     fn lazy_between_regular_nodes() {
-        assert!(!decide(1, 2));
-        assert!(!decide(3, 1));
+        assert!(!hub0(1, 2));
+        assert!(!hub0(3, 1));
     }
 
     #[test]
     fn no_best_nodes_is_pure_lazy() {
-        let best = BestSet::none(4).shared();
-        let mut s = Ranked::new(best);
-        let mut rng = Rng::seed_from_u64(2);
-        let monitor = NullMonitor;
-        let mut ctx = StrategyCtx {
-            me: NodeId(1),
-            rng: &mut rng,
-            monitor: &monitor,
-        };
         for to in 0..4 {
-            assert!(!s.eager(&mut ctx, NodeId(to), MsgId::from_raw(1), 0));
+            assert!(!ranked(BestSet::none(4), 1, to));
         }
-        assert_eq!(s.best().best_count(), 0);
     }
 }

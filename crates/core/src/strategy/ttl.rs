@@ -1,94 +1,59 @@
-//! The Time-To-Live strategy (§4.1): eager for the first rounds.
-
-use super::{StrategyCtx, TransmissionStrategy};
-use crate::id::MsgId;
-use egm_simnet::NodeId;
-
-/// `Eager?` returns `true` iff `round < u`.
-///
-/// The intuition (§4.1): during the first rounds the chance that a target
-/// already holds the payload is small, so lazy push would only add
-/// latency; duplicates concentrate in the later rounds, which is where
-/// deferring pays. Note that `L-Send` rounds are 1-based (Fig. 2 relays at
-/// `r + 1`, so even the source's own sends travel at round 1): `u <= 1` is
-/// pure lazy push and `u > t` is pure eager push.
-///
-/// # Examples
+/// Time-To-Live (§4.1): `Eager?` is `true` iff `round < u`. In the first
+/// rounds a target is unlikely to hold the payload yet, so lazy push
+/// would only add latency; duplicates concentrate in later rounds, where
+/// deferring pays. `L-Send` rounds are 1-based (Fig. 2 relays at
+/// `r + 1`): `u <= 1` is pure lazy push, `u > t` pure eager push.
 ///
 /// ```
-/// use egm_core::strategy::Ttl;
-/// use egm_core::TransmissionStrategy;
+/// use egm_core::{monitor::NullMonitor, strategy::StrategyCtx, StrategySpec};
+/// use egm_simnet::NodeId;
 ///
-/// let s = Ttl::new(2);
-/// assert_eq!(s.label(), "ttl u=2");
+/// let ttl = StrategySpec::Ttl { u: 2 }.build(None);
+/// let rng = &mut egm_rng::Rng::seed_from_u64(1);
+/// let mut ctx = StrategyCtx { me: NodeId(0), rng, monitor: &NullMonitor };
+/// assert!(ttl.eager(&mut ctx, NodeId(1), 1));
+/// assert!(!ttl.eager(&mut ctx, NodeId(1), 2));
 /// ```
 #[derive(Debug, Clone)]
-pub struct Ttl {
-    u: u32,
-}
-
-impl Ttl {
-    /// Creates the strategy with eager-round threshold `u`.
-    pub fn new(u: u32) -> Self {
-        Ttl { u }
-    }
-
-    /// The configured threshold.
-    pub fn u(&self) -> u32 {
-        self.u
-    }
-}
-
-impl TransmissionStrategy for Ttl {
-    fn eager(&mut self, _ctx: &mut StrategyCtx<'_>, _to: NodeId, _id: MsgId, round: u32) -> bool {
-        round < self.u
-    }
-
-    fn label(&self) -> String {
-        format!("ttl u={}", self.u)
-    }
+pub(super) struct Ttl {
+    pub(super) u: u32,
 }
 
 #[cfg(test)]
 mod tests {
-    use super::Ttl;
-    use crate::id::MsgId;
     use crate::monitor::NullMonitor;
-    use crate::strategy::{StrategyCtx, TransmissionStrategy};
-    use egm_rng::Rng;
-    use egm_simnet::NodeId;
+    use crate::strategy::tests::decide;
+    use crate::strategy::StrategySpec;
 
-    fn decide(u: u32, round: u32) -> bool {
-        let mut s = Ttl::new(u);
-        let mut rng = Rng::seed_from_u64(1);
-        let monitor = NullMonitor;
-        let mut ctx = StrategyCtx {
-            me: NodeId(0),
-            rng: &mut rng,
-            monitor: &monitor,
-        };
-        s.eager(&mut ctx, NodeId(1), MsgId::from_raw(1), round)
+    fn ttl(u: u32, round: u32) -> bool {
+        decide(
+            &StrategySpec::Ttl { u }.build(None),
+            &NullMonitor,
+            0,
+            1,
+            round,
+        )
     }
 
     #[test]
     fn eager_strictly_below_threshold() {
-        assert!(decide(2, 0));
-        assert!(decide(2, 1));
-        assert!(!decide(2, 2));
-        assert!(!decide(2, 5));
+        assert!(ttl(2, 0));
+        assert!(ttl(2, 1));
+        assert!(!ttl(2, 2));
+        assert!(!ttl(2, 5));
     }
 
     #[test]
     fn zero_threshold_is_pure_lazy() {
         for r in 0..5 {
-            assert!(!decide(0, r));
+            assert!(!ttl(0, r));
         }
     }
 
     #[test]
     fn huge_threshold_is_pure_eager() {
         for r in 0..10 {
-            assert!(decide(100, r));
+            assert!(ttl(100, r));
         }
     }
 }

@@ -52,39 +52,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Renders the table as CSV (RFC-4180-style quoting of cells
-    /// containing commas, quotes or newlines), for plotting the figure
-    /// series with external tools.
-    pub fn to_csv(&self) -> String {
-        fn cell(s: &str) -> String {
-            if s.contains([',', '"', '\n']) {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], out: &mut String| {
-            for (i, c) in cells.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&cell(c));
-            }
-            out.push('\n');
-        };
-        fmt_row(&self.header, &mut out);
-        for row in &self.rows {
-            fmt_row(row, &mut out);
-        }
-        out
-    }
-
     /// Renders the table with aligned columns and a separator line.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.chars().count()).collect();
@@ -149,7 +116,6 @@ mod tests {
         // Column 2 starts at the same offset in all data rows.
         let col2 = lines[2].find('1').expect("cell present");
         assert_eq!(lines[3].find('2').expect("cell present"), col2);
-        assert_eq!(t.row_count(), 2);
     }
 
     #[test]
@@ -164,19 +130,5 @@ mod tests {
         assert_eq!(num(1.2345, 2), "1.23");
         assert_eq!(num(f64::NAN, 2), "-");
         assert_eq!(pct(0.3751), "37.5");
-    }
-
-    #[test]
-    fn csv_export_is_parseable() {
-        let mut t = Table::new(["name", "value"]);
-        t.row(["plain", "1"]);
-        t.row(["with,comma", "2"]);
-        t.row(["with\"quote", "3"]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,value");
-        assert_eq!(lines[1], "plain,1");
-        assert_eq!(lines[2], "\"with,comma\",2");
-        assert_eq!(lines[3], "\"with\"\"quote\",3");
     }
 }

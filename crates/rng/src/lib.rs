@@ -43,8 +43,6 @@ pub mod hash {
 
     /// `HashMap` keyed by the deterministic [`FxHasher`].
     pub type FastHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
-    /// `HashSet` keyed by the deterministic [`FxHasher`].
-    pub type FastHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
 
     const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -367,7 +365,7 @@ mod sample_equivalence {
 
 #[cfg(test)]
 mod hash_tests {
-    use super::hash::{FastHashMap, FastHashSet, FxHasher};
+    use super::hash::{FastHashMap, FxHasher};
     use std::hash::{Hash, Hasher};
 
     #[test]
@@ -389,8 +387,5 @@ mod hash_tests {
         m.insert((1, 2), 20);
         assert_eq!(m.get(&(1, 2)), Some(&20));
         assert_eq!(m.len(), 1);
-        let mut s: FastHashSet<u128> = FastHashSet::default();
-        assert!(s.insert(7));
-        assert!(!s.insert(7));
     }
 }

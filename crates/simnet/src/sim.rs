@@ -796,16 +796,6 @@ where
         &self.shards[shard].nodes[local]
     }
 
-    /// Mutable access to a protocol node (e.g. for harness-side setup).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        let (shard, local) = self.locate(id);
-        &mut self.shards[shard].nodes[local]
-    }
-
     /// Iterates over all nodes with their ids, in id order — regardless
     /// of which shard owns which id.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {

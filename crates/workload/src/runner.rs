@@ -15,7 +15,6 @@ use crate::arrival::{self, Arrival, SteadyState};
 use crate::faults::{FaultAction, FaultSchedule, RerankPlan};
 use crate::scenario::Scenario;
 use crate::traffic;
-use egm_core::strategy::Noisy;
 use egm_core::{BestSet, EgmNode, PublishChain, SchedulerStats};
 use egm_membership::PartialView;
 use egm_metrics::{link, DeliveryLog, LatencyHistogram, RunReport};
@@ -434,7 +433,7 @@ fn run_with_setup_observed(
         .map(|(i, view)| {
             let mut strategy = scenario.strategy.build(best.clone());
             if let Some(noise) = scenario.noise {
-                strategy = Noisy::boxed(strategy, noise.c, noise.o);
+                strategy = strategy.with_noise(noise.c, noise.o);
             }
             let monitor = scenario.monitor.build(Some(&model));
             let mut node = EgmNode::new(

@@ -3,8 +3,8 @@
 use egm_core::arena::MsgArena;
 use egm_core::gossip::GossipLayer;
 use egm_core::scheduler::{PayloadScheduler, RequestAction};
-use egm_core::strategy::{Flat, StrategyCtx};
-use egm_core::{MsgId, Payload, ProtocolConfig};
+use egm_core::strategy::StrategyCtx;
+use egm_core::{MsgId, Payload, ProtocolConfig, StrategySpec};
 use egm_membership::{bootstrap_views, PartialView, ViewConfig};
 use egm_metrics::summary::quantile;
 use egm_metrics::{link, Summary};
@@ -168,7 +168,7 @@ proptest! {
         let config = ProtocolConfig::default();
         let mut sched = PayloadScheduler::new(&config);
         let mut arena = MsgArena::new(config.known_capacity, config.cache_capacity, false);
-        let mut strategy = Flat::new(0.0);
+        let strategy = StrategySpec::Flat { pi: 0.0 }.build(None);
         let mut rng = Rng::seed_from_u64(seed);
         let monitor = egm_core::monitor::NullMonitor;
         for (raw, source, receive_payload) in script {
@@ -181,8 +181,8 @@ proptest! {
             }
             // Fire the request timer: if the payload was received the
             // action must be Resolved, never a request.
-            let mut ctx = StrategyCtx { me: NodeId(99), rng: &mut rng, monitor: &monitor };
-            let action = sched.on_request_timer(&mut ctx, &mut strategy, &mut arena, slot);
+            let ctx = StrategyCtx { me: NodeId(99), rng: &mut rng, monitor: &monitor };
+            let action = sched.on_request_timer(&ctx, &strategy, &mut arena, slot);
             if arena.has_received(&id) {
                 prop_assert_eq!(action, RequestAction::Resolved);
             } else {
