@@ -78,17 +78,11 @@ fn main() {
             FaultScenarioKind::DomainOutage.schedule(&model, base.warmup_ms, traffic_ms, SEED);
         let (_, heavy) = churn_levels()[2];
         let cell = base.with_fault_schedule(Some(schedule)).with_churn(heavy);
-        let seq = runner::run_detailed(&cell.clone().with_shards(Some(0)), Some(model.clone()));
+        let setup = runner::prepare(&cell, Some(model));
+        let seq = runner::run_prepared(&cell.clone().with_shards(Some(0)), &setup);
         for &w in &widths {
-            let sharded =
-                runner::run_detailed(&cell.clone().with_shards(Some(w)), Some(model.clone()));
-            assert_eq!(seq.report, sharded.report, "W={w} report diverged");
-            assert_eq!(seq.log, sharded.log, "W={w} delivery log diverged");
-            assert_eq!(seq.events, sharded.events, "W={w} event counts diverged");
-            assert_eq!(
-                seq.reranked_best_ids, sharded.reranked_best_ids,
-                "W={w} re-ranked hubs diverged"
-            );
+            let sharded = runner::run_prepared(&cell.clone().with_shards(Some(w)), &setup);
+            assert_eq!(seq.first_difference(&sharded), None, "W={w} diverged");
         }
         println!(
             "byte-identity: domain outage × heavy churn matches seq at W ∈ {widths:?} \

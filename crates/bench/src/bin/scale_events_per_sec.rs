@@ -3,7 +3,7 @@
 //! Runs a `egm_workload::experiments::scale` preset on one shard (the
 //! RSS budgets are calibrated for it; width sweeps live in
 //! `shard_events_per_sec`) twice — cold, then from a prepared setup —
-//! asserts both runs produce the same report, that the model holds no
+//! asserts both runs produce the same outcome, that the model holds no
 //! dense latency cells, that the payload table never regrew, and that
 //! peak RSS stays within budget, then upserts the
 //! `scale_events_per_sec_<preset>` bin into `BENCH_events_per_sec.json`
@@ -44,8 +44,7 @@ const SEED: u64 = 42;
 /// monotone per process, so `peak(2×)/peak(1×)` measures only what the
 /// second, doubled run added on top.
 fn run_plateau(preset: ScalePreset, max_ratio: f64) {
-    let run =
-        |messages: usize| egm_workload::runner::run_detailed(&one_shard(preset, messages), None);
+    let run = |messages: usize| one_shard(preset, messages).run();
     let messages = PLATEAU_MESSAGES;
     let base = run(messages);
     let peak1 = peak_rss_mb().expect("plateau mode needs /proc RSS");
@@ -101,7 +100,7 @@ fn main() {
 
     let nodes = preset.nodes();
     let scenario = one_shard(preset, MESSAGES);
-    let cold = egm_workload::runner::run_detailed(&scenario, None);
+    let cold = scenario.run();
     let events = cold.events;
     assert_eq!(
         cold.model.memory_shape().dense_cells,
@@ -127,11 +126,14 @@ fn main() {
 
     // Run-over-run determinism: the same scenario from a prepared setup
     // (ranking + overlay views, on the cold run's model) must reproduce
-    // the cold run's full report, not just its event count.
+    // the cold run's full outcome, not just its event count.
     let setup = egm_workload::runner::prepare(&scenario, Some(cold.model.clone()));
     let again = egm_workload::runner::run_prepared(&scenario, &setup);
-    assert_eq!(again.events, events, "deterministic event count");
-    assert_eq!(again.report, cold.report, "the prepared run diverged");
+    assert_eq!(
+        cold.first_difference(&again),
+        None,
+        "the prepared run diverged"
+    );
 
     let bin = Json::obj(vec![
         ("bench", Json::str("scale_events_per_sec")),

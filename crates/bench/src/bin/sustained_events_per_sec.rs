@@ -5,9 +5,10 @@
 //! (`egm_workload::arrival`) — Poisson arrivals at a fixed offered rate
 //! that never backs off — once per shard width W ∈ {0 (one shard,
 //! sequential), 2, 4}, asserting every width reproduces the sequential
-//! run byte for byte (report, event count, latency histogram,
-//! steady-state block) and that the merge accumulator never exceeds the
-//! spill threshold, then upserts the `sustained_events_per_sec_<preset>`
+//! run byte for byte (`RunOutcome::first_difference`: report, logs,
+//! counters, latency histogram, steady-state block) and that the merge
+//! accumulator never exceeds the spill threshold, then upserts the
+//! `sustained_events_per_sec_<preset>`
 //! bin into `BENCH_events_per_sec.json` with the p50/p99/p999
 //! publish→delivery percentiles and the steady-state delivery rate.
 //!
@@ -24,7 +25,6 @@
 use egm_bench::{env_parse, peak_rss_field, record, rounded};
 use egm_server::json::Json;
 use egm_workload::experiments::scale::ScalePreset;
-use egm_workload::runner::RunOutcome;
 use egm_workload::{Arrival, ArrivalProcess};
 
 /// Multicasts per run.
@@ -32,22 +32,6 @@ const MESSAGES: usize = 120;
 /// Offered rate, messages per simulated second.
 const RATE_PER_SEC: f64 = 20.0;
 const SEED: u64 = 42;
-
-fn assert_matches(reference: &RunOutcome, run: &RunOutcome, label: &str) {
-    assert_eq!(reference.report, run.report, "reports diverged ({label})");
-    assert_eq!(
-        reference.events, run.events,
-        "event counts diverged ({label})"
-    );
-    assert_eq!(
-        reference.latency, run.latency,
-        "latency histograms diverged ({label})"
-    );
-    assert_eq!(
-        reference.steady, run.steady,
-        "steady blocks diverged ({label})"
-    );
-}
 
 fn main() {
     let preset = ScalePreset::from_env();
@@ -82,7 +66,7 @@ fn main() {
     for w in [2usize, 4] {
         let run =
             egm_workload::runner::run_prepared(&scenario.clone().with_shards(Some(w)), &setup);
-        assert_matches(&reference, &run, &format!("W={w}"));
+        assert_eq!(reference.first_difference(&run), None, "W={w} diverged");
         acc_peak = acc_peak.max(run.traffic_acc_peak);
         if let Some(threshold) = scenario.link_spill_threshold {
             assert!(

@@ -50,7 +50,8 @@ pub fn rate_from_outcome(outcome: &crate::runner::RunOutcome) -> f64 {
 /// Panics if the calibration run performs no `L-Send`s at all (no traffic
 /// means nothing to calibrate).
 pub fn eager_rate(scenario: &Scenario, model: Option<Arc<RoutedModel>>) -> f64 {
-    let outcome = crate::runner::run_detailed(&probe_scenario(scenario), model);
+    let probe = probe_scenario(scenario);
+    let outcome = crate::runner::run_prepared(&probe, &crate::runner::prepare(&probe, model));
     rate_from_outcome(&outcome)
 }
 

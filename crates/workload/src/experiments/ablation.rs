@@ -53,9 +53,9 @@ pub fn run(scale: &Scale) -> Vec<AblationRow> {
             scenarios.push(scenario);
         }
     }
-    let reports = crate::runner::run_sweep_reports(scenarios, Some(model));
+    let outcomes = crate::runner::run_sweep(scenarios, Some(model));
     meta.into_iter()
-        .zip(reports)
+        .zip(outcomes.into_iter().map(|o| o.report))
         .map(|((strategy, suppression), report)| AblationRow {
             strategy,
             suppression,

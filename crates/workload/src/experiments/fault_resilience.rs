@@ -97,17 +97,12 @@ pub fn run_at_preset(preset: ScalePreset, messages: usize, seed: u64) -> Vec<Res
                 Some(ids) => BestSet::from_ids(n, ids).overlap(&initial),
                 None => 1.0,
             };
-            let p99_ms = if outcome.latency.is_empty() {
-                0.0
-            } else {
-                outcome.latency.p99_ms()
-            };
             ResilienceRow {
                 scenario,
                 churn,
                 delivery: outcome.report.mean_delivery_fraction,
                 hub_stability,
-                p99_ms,
+                p99_ms: outcome.latency.p99_ms(),
                 report: outcome.report,
             }
         })
@@ -199,21 +194,12 @@ mod tests {
         let (_, heavy) = churn_levels()[2];
         let cell = base.with_fault_schedule(Some(schedule)).with_churn(heavy);
 
-        let seq =
-            crate::runner::run_detailed(&cell.clone().with_shards(Some(0)), Some(model.clone()));
+        let setup = crate::runner::prepare(&cell, Some(model));
+        let run =
+            |w: usize| crate::runner::run_prepared(&cell.clone().with_shards(Some(w)), &setup);
+        let seq = run(0);
         for w in [1usize, 2, 4] {
-            let sharded = crate::runner::run_detailed(
-                &cell.clone().with_shards(Some(w)),
-                Some(model.clone()),
-            );
-            assert_eq!(seq.report, sharded.report, "W={w} report diverged");
-            assert_eq!(seq.log, sharded.log, "W={w} delivery log diverged");
-            assert_eq!(seq.best_ids, sharded.best_ids, "W={w}");
-            assert_eq!(
-                seq.reranked_best_ids, sharded.reranked_best_ids,
-                "W={w} re-ranked hubs diverged"
-            );
-            assert_eq!(seq.events, sharded.events, "W={w} event counts diverged");
+            assert_eq!(seq.first_difference(&run(w)), None, "W={w}");
         }
     }
 }

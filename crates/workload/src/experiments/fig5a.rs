@@ -65,10 +65,11 @@ pub fn run(scale: &Scale) -> Vec<TradeoffPoint> {
                 .with_monitor(MonitorSpec::OracleLatency)
         })
         .collect();
-    let reports = crate::runner::run_sweep_reports(scenarios, Some(model));
+    let outcomes = crate::runner::run_sweep(scenarios, Some(model));
 
     let mut points = Vec::new();
-    for ((series, label, _), report) in jobs.into_iter().zip(reports) {
+    for ((series, label, _), report) in jobs.into_iter().zip(outcomes.into_iter().map(|o| o.report))
+    {
         points.push(TradeoffPoint {
             series,
             label,

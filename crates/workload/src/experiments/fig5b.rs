@@ -62,9 +62,9 @@ pub fn run(scale: &Scale) -> Vec<ReliabilityPoint> {
             );
         }
     }
-    let reports = crate::runner::run_sweep_reports(scenarios, Some(model));
+    let outcomes = crate::runner::run_sweep(scenarios, Some(model));
     meta.into_iter()
-        .zip(reports)
+        .zip(outcomes.into_iter().map(|o| o.report))
         .map(|((series, frac), report)| ReliabilityPoint {
             series,
             dead_fraction: frac,

@@ -79,9 +79,9 @@ pub fn run(scale: &Scale) -> Vec<NoisePoint> {
             scenarios.push(base.clone().with_noise(noise));
         }
     }
-    let reports = crate::runner::run_sweep_reports(scenarios, Some(model));
+    let outcomes = crate::runner::run_sweep(scenarios, Some(model));
     meta.into_iter()
-        .zip(reports)
+        .zip(outcomes.into_iter().map(|o| o.report))
         .map(|((series, o, c), report)| NoisePoint {
             series,
             noise: o,

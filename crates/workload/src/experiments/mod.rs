@@ -113,6 +113,7 @@ pub fn shared_model(scale: &Scale) -> Arc<RoutedModel> {
 #[cfg(test)]
 mod tests {
     use super::{base_scenario, shared_model, Scale};
+    use crate::runner::{prepare, run_prepared};
 
     #[test]
     fn scales_differ_as_documented() {
@@ -160,8 +161,10 @@ mod tests {
         };
         let model = shared_model(&scale);
         assert_eq!(model.client_count(), 12);
+        let scenario = base_scenario(&scale);
+        let shared = run_prepared(&scenario, &prepare(&scenario, Some(model)));
+        assert_eq!(shared.report.nodes, 12);
         // And is exactly the model a plain `run()` would build.
-        let report = base_scenario(&scale).run_with_model(model);
-        assert_eq!(report.nodes, 12);
+        assert_eq!(scenario.run().first_difference(&shared), None);
     }
 }

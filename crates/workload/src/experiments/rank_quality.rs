@@ -67,9 +67,9 @@ pub fn run(scale: &Scale) -> Vec<RankRow> {
                 .with_best_override(Some(set.shared())),
         );
     }
-    let reports = crate::runner::run_sweep_reports(scenarios, Some(model));
+    let outcomes = crate::runner::run_sweep(scenarios, Some(model));
     meta.into_iter()
-        .zip(reports)
+        .zip(outcomes.into_iter().map(|o| o.report))
         .map(|((estimator, overlap), report)| RankRow {
             estimator,
             overlap,

@@ -3,10 +3,18 @@
 //!
 //! One [`Scenario`] describes a full experiment run — topology, protocol
 //! parameters, strategy, monitor, noise, fault plan and workload — and
-//! [`Scenario::run`] executes it deterministically, producing an
-//! [`egm_metrics::RunReport`]. The [`experiments`] module then sweeps
-//! scenarios to regenerate every figure of the paper's evaluation
-//! (Fig. 4, 5(a–c), 6(a–c)) plus the §5.1 network-model statistics.
+//! [`Scenario::run`] executes it deterministically, producing a
+//! [`runner::RunOutcome`] whose [`report`](runner::RunOutcome::report) is
+//! one figure point. The [`experiments`] module then sweeps scenarios to
+//! regenerate every figure of the paper's evaluation (Fig. 4, 5(a–c),
+//! 6(a–c)) plus the §5.1 network-model statistics.
+//!
+//! Besides that cold convenience the [`runner`] has exactly four entry
+//! points: [`runner::prepare`] computes a reusable setup (model, ranking,
+//! views), [`runner::run_prepared`] and [`runner::run_prepared_observed`]
+//! run over it, and [`runner::run_sweep`] runs a batch. Two outcomes of
+//! one scenario agree when [`runner::RunOutcome::first_difference`] says
+//! `None`; every determinism test and gate uses that one comparison.
 //!
 //! Sweeps execute through [`runner::run_sweep`], which fans independent
 //! scenario runs across all cores and returns results in input order,
@@ -36,10 +44,11 @@
 //! use egm_core::StrategySpec;
 //! use egm_workload::Scenario;
 //!
-//! let report = Scenario::smoke_test()
-//!     .with_strategy(StrategySpec::Flat { pi: 1.0 })
-//!     .run();
-//! assert!(report.mean_delivery_fraction > 0.9);
+//! let scenario = Scenario::smoke_test().with_strategy(StrategySpec::Flat { pi: 1.0 });
+//! let outcome = scenario.run();
+//! assert!(outcome.report.mean_delivery_fraction > 0.9);
+//! // Runs are deterministic: a rerun agrees on every compared field.
+//! assert_eq!(outcome.first_difference(&scenario.run()), None);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -4,12 +4,17 @@
 //! The deterministic *prefix* of a run — building the routed model,
 //! ranking the best set, bootstrapping overlay views and positioning the
 //! harness RNG — is factored into [`RunSetup`] so repeated or related
-//! runs can amortize it: [`prepare`] once, then [`run_prepared`] many
-//! times, each byte-identical to a cold [`run_detailed`]. [`run_sweep`]
-//! applies the same amortization automatically, sharing one setup across
-//! all scenarios whose setup inputs (topology, seed, view config, rank
-//! configuration) coincide — at 10 000 nodes this removes ~0.2 s of view
-//! construction plus the ranking cost from every run after the first.
+//! runs can amortize it: [`prepare`] once, then [`run_prepared`] (or
+//! [`run_prepared_observed`]) many times, each byte-identical to a cold
+//! [`Scenario::run`]. [`run_sweep`] applies the same amortization
+//! automatically, sharing one setup across all scenarios whose setup
+//! inputs (topology, seed, view config, rank configuration) coincide — at
+//! 10 000 nodes this removes ~0.2 s of view construction plus the
+//! ranking cost from every run after the first.
+//!
+//! These four functions and [`Scenario::run`] are the only ways into the
+//! engine; [`RunOutcome::first_difference`] is the one way to say two
+//! runs agree.
 
 use crate::arrival::{self, Arrival, SteadyState};
 use crate::faults::{FaultAction, FaultSchedule, RerankPlan};
@@ -114,10 +119,36 @@ pub struct RunOutcome {
     pub model: Arc<RoutedModel>,
 }
 
-/// Runs a scenario (see [`Scenario::run`]); `model` overrides topology
-/// construction so sweeps can share one network.
-pub fn run(scenario: &Scenario, model: Option<Arc<RoutedModel>>) -> RunReport {
-    run_detailed(scenario, model).report
+impl RunOutcome {
+    /// Names the first field, in declaration order, on which two outcomes
+    /// of the same scenario disagree, or `None` when they are
+    /// byte-identical — the one determinism check behind every rerun,
+    /// width, queue, sink, sweep and prepared-setup A/B in the workspace.
+    ///
+    /// Every field is compared except the four that legitimately vary
+    /// with the engine choice or the sharing: `queue` (queue geometry,
+    /// replicated fault pushes), `traffic_acc_peak` (the shard-merge
+    /// working set), `shard_stats` (window and lane counters) and `model`
+    /// (a shared handle, built from the scenario's setup inputs).
+    pub fn first_difference(&self, other: &RunOutcome) -> Option<&'static str> {
+        // Destructuring without `..` makes a new field a compile error
+        // here until it is classified as compared or engine-dependent.
+        macro_rules! first_differing {
+            ($($field:ident),* ; skip $($skip:ident),*) => {{
+                let RunOutcome { $($field,)* $($skip: _,)* } = self;
+                $(if *$field != other.$field {
+                    return Some(stringify!($field));
+                })*
+                None
+            }};
+        }
+        first_differing!(
+            report, log, payload_links, payloads_per_node, victims, best_ids,
+            reranked_best_ids, scheduler, events, timers_cancelled, stale_timer_drops,
+            retired_messages, arena_high_water, payload_vec_growths, latency, steady;
+            skip queue, traffic_acc_peak, shard_stats, model
+        )
+    }
 }
 
 /// The deterministic pre-run state of a scenario: the routed model, the
@@ -126,7 +157,7 @@ pub fn run(scenario: &Scenario, model: Option<Arc<RoutedModel>>) -> RunReport {
 /// bootstrap.
 ///
 /// Build one with [`prepare`] and execute with [`run_prepared`]; the
-/// outcome is byte-identical to [`run_detailed`] because the setup is a
+/// outcome is byte-identical to [`Scenario::run`] because the setup is a
 /// pure function of the scenario's setup inputs and each run works on a
 /// clone. This is how the scale benches separate the *fixed per-run
 /// cost* (ranking + construction, paid once here) from steady-state
@@ -137,69 +168,14 @@ pub struct RunSetup {
     best: Option<Arc<BestSet>>,
     views: Vec<PartialView>,
     rng: Rng,
-    /// The sharing key of the scenario this setup was computed from;
-    /// [`run_prepared`] asserts it against the scenario it is handed, so
-    /// a setup can never silently be replayed under a scenario whose
-    /// setup inputs (topology, seed, view config, rank config) drifted.
+    /// The sharing key of the scenario this setup was computed from; every
+    /// run asserts it against the scenario it is handed, so a setup can
+    /// never silently be replayed under a scenario whose setup inputs
+    /// (topology, seed, view config, rank config) drifted.
     key: String,
 }
 
 impl RunSetup {
-    /// Computes the setup for `scenario`; `model` overrides topology
-    /// construction (it must match the scenario's node count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario has fewer than two nodes, a provided model
-    /// or best-set override mismatches the node count.
-    pub fn for_scenario(scenario: &Scenario, model: Option<Arc<RoutedModel>>) -> RunSetup {
-        let n = scenario.node_count();
-        assert!(n > 1, "need at least two nodes");
-        let model = model.unwrap_or_else(|| Arc::new(scenario.build_model()));
-        assert_eq!(model.client_count(), n, "model size must match scenario");
-
-        let best = match &scenario.best_override {
-            Some(b) => {
-                assert_eq!(b.len(), n, "best-set override must cover all nodes");
-                Some(b.clone())
-            }
-            None => scenario.strategy.best_fraction().map(|fraction| {
-                scenario
-                    .rank_source
-                    .best_set(
-                        &model,
-                        fraction,
-                        &scenario.protocol.view,
-                        scenario.seed ^ RANK_SEED_SALT,
-                    )
-                    .shared()
-            }),
-        };
-
-        // Harness randomness (views, victims, traffic plan) is forked from
-        // the scenario seed, independent of the simulator's own streams —
-        // and of the rank source's stream, see `RANK_SEED_SALT`.
-        let mut rng = Rng::seed_from_u64(scenario.seed ^ 0xE1A7_BEEF);
-        let views = egm_membership::bootstrap_views(n, &scenario.protocol.view, &mut rng);
-        RunSetup {
-            model,
-            best,
-            views,
-            rng,
-            key: Self::key(scenario),
-        }
-    }
-
-    /// The network model the runs will use.
-    pub fn model(&self) -> &Arc<RoutedModel> {
-        &self.model
-    }
-
-    /// The ranked best set, when the scenario's strategy uses one.
-    pub fn best(&self) -> Option<&Arc<BestSet>> {
-        self.best.as_ref()
-    }
-
     /// The setup-sharing key: scenarios with equal keys produce
     /// bit-identical setups, so [`run_sweep`] computes the setup once per
     /// distinct key. Distinct `best_override` allocations hash by
@@ -225,36 +201,67 @@ impl RunSetup {
 }
 
 /// Computes the deterministic pre-run state of `scenario` (see
-/// [`RunSetup`]): topology, ranking, overlay views.
+/// [`RunSetup`]): topology, ranking, overlay views. `model` overrides
+/// topology construction (it must match the scenario's node count).
 ///
 /// # Panics
 ///
-/// See [`RunSetup::for_scenario`].
+/// Panics if the scenario has fewer than two nodes, or a provided model
+/// or best-set override mismatches the node count.
 pub fn prepare(scenario: &Scenario, model: Option<Arc<RoutedModel>>) -> RunSetup {
-    RunSetup::for_scenario(scenario, model)
+    let n = scenario.node_count();
+    assert!(n > 1, "need at least two nodes");
+    let model = model.unwrap_or_else(|| Arc::new(scenario.build_model()));
+    assert_eq!(model.client_count(), n, "model size must match scenario");
+
+    let best = match &scenario.best_override {
+        Some(b) => {
+            assert_eq!(b.len(), n, "best-set override must cover all nodes");
+            Some(b.clone())
+        }
+        None => scenario.strategy.best_fraction().map(|fraction| {
+            scenario
+                .rank_source
+                .best_set(
+                    &model,
+                    fraction,
+                    &scenario.protocol.view,
+                    scenario.seed ^ RANK_SEED_SALT,
+                )
+                .shared()
+        }),
+    };
+
+    // Harness randomness (views, victims, traffic plan) is forked from
+    // the scenario seed, independent of the simulator's own streams —
+    // and of the rank source's stream, see `RANK_SEED_SALT`.
+    let mut rng = Rng::seed_from_u64(scenario.seed ^ 0xE1A7_BEEF);
+    let views = egm_membership::bootstrap_views(n, &scenario.protocol.view, &mut rng);
+    RunSetup {
+        model,
+        best,
+        views,
+        rng,
+        key: RunSetup::key(scenario),
+    }
 }
 
 /// Runs a scenario over a previously [`prepare`]d setup, skipping
 /// topology construction, ranking and view bootstrap. Byte-identical to
-/// [`run_detailed`] on the same scenario.
+/// [`Scenario::run`] on the same scenario.
 ///
 /// The scenario may differ from the one the setup was prepared from only
 /// in fields the setup does not depend on (strategy parameters that keep
-/// the same rank configuration, traffic volume, faults, queue choice…);
-/// any drift in the setup inputs — topology, seed, view config, rank
-/// source — is rejected.
+/// the same rank configuration, traffic volume, faults, queue choice,
+/// shard count…); any drift in the setup inputs — topology, seed, view
+/// config, rank source — is rejected.
 ///
 /// # Panics
 ///
 /// Panics if `setup` was prepared for a scenario with different setup
 /// inputs, or the scenario is inconsistent (zero messages).
 pub fn run_prepared(scenario: &Scenario, setup: &RunSetup) -> RunOutcome {
-    assert_eq!(
-        setup.key,
-        RunSetup::key(scenario),
-        "setup was prepared for a different scenario configuration"
-    );
-    run_with_setup(scenario, setup.clone())
+    execute(scenario, setup.clone(), None)
 }
 
 /// [`run_prepared`] with an observe-only [`egm_simnet::ProgressSink`]
@@ -272,12 +279,7 @@ pub fn run_prepared_observed(
     setup: &RunSetup,
     sink: SharedSink,
 ) -> RunOutcome {
-    assert_eq!(
-        setup.key,
-        RunSetup::key(scenario),
-        "setup was prepared for a different scenario configuration"
-    );
-    run_with_setup_observed(scenario, setup.clone(), Some(sink))
+    execute(scenario, setup.clone(), Some(sink))
 }
 
 /// Runs a batch of independent scenarios across all available cores,
@@ -287,8 +289,8 @@ pub fn run_prepared_observed(
 /// node and network streams) from its own seed and owns all of its
 /// mutable state, so parallel execution is byte-identical to running the
 /// scenarios sequentially — the `sweep_determinism` integration test
-/// asserts this, report for report and link table for link table. Thread
-/// count follows rayon (`RAYON_NUM_THREADS` to cap it).
+/// asserts this with [`RunOutcome::first_difference`]. Thread count
+/// follows rayon (`RAYON_NUM_THREADS` to cap it).
 ///
 /// `model` is the shared network topology, used by every run (the paper
 /// holds the model fixed while sweeping strategy parameters); pass `None`
@@ -296,7 +298,8 @@ pub fn run_prepared_observed(
 ///
 /// This is the execution engine behind every figure experiment in
 /// [`crate::experiments`] — a figure point sweep (e.g. the Fig. 5 π
-/// sweep) fans one scenario per point.
+/// sweep) fans one scenario per point and keeps each outcome's
+/// [`RunOutcome::report`].
 ///
 /// Scenarios whose setup inputs coincide — same topology source, seed,
 /// view configuration and rank configuration — share one [`RunSetup`]:
@@ -309,7 +312,8 @@ pub fn run_prepared_observed(
 ///
 /// # Panics
 ///
-/// Panics if any scenario is inconsistent (see [`run_detailed`]).
+/// Panics if any scenario is inconsistent (see [`prepare`] and
+/// [`run_prepared`]).
 pub fn run_sweep(scenarios: Vec<Scenario>, model: Option<Arc<RoutedModel>>) -> Vec<RunOutcome> {
     use rayon::prelude::*;
     let keys: Vec<String> = scenarios.iter().map(RunSetup::key).collect();
@@ -327,7 +331,7 @@ pub fn run_sweep(scenarios: Vec<Scenario>, model: Option<Arc<RoutedModel>>) -> V
     // oracle sweep), then fan the runs out with their shared setup.
     let built: Vec<Arc<RunSetup>> = distinct_scenarios
         .into_par_iter()
-        .map(|scenario| Arc::new(RunSetup::for_scenario(&scenario, model.clone())))
+        .map(|scenario| Arc::new(prepare(&scenario, model.clone())))
         .collect();
     let setups: HashMap<String, Arc<RunSetup>> = distinct_keys.into_iter().zip(built).collect();
     let paired: Vec<(Scenario, Arc<RunSetup>)> = scenarios
@@ -340,44 +344,24 @@ pub fn run_sweep(scenarios: Vec<Scenario>, model: Option<Arc<RoutedModel>>) -> V
         .collect();
     paired
         .into_par_iter()
-        .map(|(scenario, setup)| run_with_setup(&scenario, (*setup).clone()))
+        .map(|(scenario, setup)| execute(&scenario, (*setup).clone(), None))
         .collect()
 }
 
-/// [`run_sweep`], keeping only the aggregated reports.
-pub fn run_sweep_reports(
-    scenarios: Vec<Scenario>,
-    model: Option<Arc<RoutedModel>>,
-) -> Vec<RunReport> {
-    run_sweep(scenarios, model)
-        .into_iter()
-        .map(|outcome| outcome.report)
-        .collect()
-}
-
-/// Runs a scenario and returns the full [`RunOutcome`].
+/// Executes the post-setup phase of a run, consuming the setup — the one
+/// body behind [`Scenario::run`], [`run_prepared`],
+/// [`run_prepared_observed`] and [`run_sweep`]. With `sink: None` the
+/// execution path is exactly the unobserved one; with a sink the only
+/// deltas are (a) a multi-shard run reports its window plans and (b) a
+/// one-shard run's single `run_until(end)` is advanced in fixed
+/// [`PROGRESS_CHUNK_MS`] slices — both proven byte-identical by
+/// `progress_determinism`.
 ///
 /// # Panics
 ///
-/// Panics if a provided model's size differs from the scenario's node
-/// count, or if the scenario is internally inconsistent (e.g. zero
-/// messages).
-pub fn run_detailed(scenario: &Scenario, model: Option<Arc<RoutedModel>>) -> RunOutcome {
-    run_with_setup(scenario, RunSetup::for_scenario(scenario, model))
-}
-
-/// Executes the post-setup phase of a run, consuming the setup.
-fn run_with_setup(scenario: &Scenario, setup: RunSetup) -> RunOutcome {
-    run_with_setup_observed(scenario, setup, None)
-}
-
-/// [`run_with_setup`] with an optional observe-only progress sink. With
-/// `None` the execution path is exactly the unobserved one; with a sink
-/// the only deltas are (a) a multi-shard run reports its window plans
-/// and (b) a one-shard run's single `run_until(end)` is advanced in
-/// fixed [`PROGRESS_CHUNK_MS`] slices — both proven byte-identical by
-/// `progress_determinism`.
-fn run_with_setup_observed(
+/// Panics if `setup` was prepared for a scenario with different setup
+/// inputs, or the scenario is inconsistent (zero messages).
+pub(crate) fn execute(
     scenario: &Scenario,
     setup: RunSetup,
     sink: Option<SharedSink>,
@@ -389,12 +373,12 @@ fn run_with_setup_observed(
         best,
         mut views,
         mut rng,
-        key: _,
+        key,
     } = setup;
     assert_eq!(
-        model.client_count(),
-        n,
-        "setup must match the scenario's node count"
+        key,
+        RunSetup::key(scenario),
+        "setup was prepared for a different scenario configuration"
     );
 
     let best_ids = best.as_ref().map(|b| b.best_ids()).unwrap_or_default();
@@ -925,6 +909,7 @@ fn collect(
 
 #[cfg(test)]
 mod tests {
+    use super::{prepare, run_prepared, run_sweep};
     use crate::scenario::Scenario;
     use crate::{FaultPlan, FaultSelection};
     use egm_core::StrategySpec;
@@ -933,7 +918,8 @@ mod tests {
     fn eager_smoke_run_delivers_everything() {
         let report = Scenario::smoke_test()
             .with_strategy(StrategySpec::Flat { pi: 1.0 })
-            .run();
+            .run()
+            .report;
         assert!(report.mean_delivery_fraction > 0.99, "{report}");
         assert!(report.payloads_per_delivery > 3.0, "{report}");
         assert_eq!(report.messages, 30);
@@ -944,7 +930,8 @@ mod tests {
     fn lazy_smoke_run_is_near_optimal_bandwidth() {
         let report = Scenario::smoke_test()
             .with_strategy(StrategySpec::Flat { pi: 0.0 })
-            .run();
+            .run()
+            .report;
         assert!(report.mean_delivery_fraction > 0.99, "{report}");
         assert!(report.payloads_per_delivery < 1.3, "{report}");
     }
@@ -953,10 +940,12 @@ mod tests {
     fn lazy_is_slower_than_eager() {
         let eager = Scenario::smoke_test()
             .with_strategy(StrategySpec::Flat { pi: 1.0 })
-            .run();
+            .run()
+            .report;
         let lazy = Scenario::smoke_test()
             .with_strategy(StrategySpec::Flat { pi: 0.0 })
-            .run();
+            .run()
+            .report;
         assert!(
             lazy.mean_latency_ms() > 1.5 * eager.mean_latency_ms(),
             "lazy {} vs eager {}",
@@ -968,8 +957,8 @@ mod tests {
     #[test]
     fn same_seed_reproduces_report_exactly() {
         let scenario = Scenario::smoke_test().with_strategy(StrategySpec::Ttl { u: 2 });
-        let a = scenario.run();
-        let b = scenario.run();
+        let a = scenario.run().report;
+        let b = scenario.run().report;
         assert_eq!(a, b, "runs must be deterministic");
     }
 
@@ -978,7 +967,7 @@ mod tests {
         let scenario = Scenario::smoke_test()
             .with_strategy(StrategySpec::Flat { pi: 1.0 })
             .with_faults(Some(FaultPlan::new(0.25, FaultSelection::Random)));
-        let outcome = super::run_detailed(&scenario, None);
+        let outcome = scenario.run();
         assert_eq!(outcome.victims.len(), 6);
         // Victims never multicast.
         for m in 0..outcome.log.message_count() {
@@ -996,19 +985,12 @@ mod tests {
         let scenario = Scenario::smoke_test().with_strategy(StrategySpec::Ranked {
             best_fraction: 0.25,
         });
-        let cold = super::run_detailed(&scenario, None);
-        let setup = super::prepare(&scenario, None);
-        let warm_a = super::run_prepared(&scenario, &setup);
-        let warm_b = super::run_prepared(&scenario, &setup);
+        let cold = scenario.run();
+        let setup = prepare(&scenario, None);
+        let warm_a = run_prepared(&scenario, &setup);
+        let warm_b = run_prepared(&scenario, &setup);
         for warm in [&warm_a, &warm_b] {
-            assert_eq!(cold.report, warm.report, "reports diverged");
-            assert_eq!(cold.log, warm.log, "delivery logs diverged");
-            assert_eq!(cold.payload_links, warm.payload_links);
-            assert_eq!(cold.payloads_per_node, warm.payloads_per_node);
-            assert_eq!(cold.best_ids, warm.best_ids);
-            assert_eq!(cold.victims, warm.victims);
-            assert_eq!(cold.scheduler, warm.scheduler);
-            assert_eq!(cold.events, warm.events);
+            assert_eq!(cold.first_difference(warm), None);
         }
     }
 
@@ -1028,15 +1010,9 @@ mod tests {
             base.clone()
                 .with_rank_source(RankSource::GossipSorted { rounds: 3 }),
         ];
-        let swept = super::run_sweep(scenarios.clone(), None);
-        let solo: Vec<_> = scenarios
-            .iter()
-            .map(|s| super::run_detailed(s, None))
-            .collect();
-        for (a, b) in swept.iter().zip(&solo) {
-            assert_eq!(a.report, b.report, "sweep sharing changed a result");
-            assert_eq!(a.best_ids, b.best_ids);
-            assert_eq!(a.events, b.events);
+        let swept = run_sweep(scenarios.clone(), None);
+        for (a, s) in swept.iter().zip(&scenarios) {
+            assert_eq!(a.first_difference(&s.run()), None);
         }
         // The decentralized source really ranked differently from the
         // oracle here (otherwise this test pins nothing).
@@ -1058,13 +1034,11 @@ mod tests {
                 0.25,
                 crate::FaultSelection::Random,
             )));
-        let oracle = super::run_detailed(&base, None);
-        let gossip = super::run_detailed(
-            &base
-                .clone()
-                .with_rank_source(RankSource::GossipSorted { rounds: 3 }),
-            None,
-        );
+        let oracle = base.run();
+        let gossip = base
+            .clone()
+            .with_rank_source(RankSource::GossipSorted { rounds: 3 })
+            .run();
         assert_eq!(oracle.victims, gossip.victims, "victim draw perturbed");
         assert_ne!(oracle.best_ids, gossip.best_ids);
     }
@@ -1076,11 +1050,12 @@ mod tests {
         // "cross-domain": a 3× latency multiplier over the whole run
         // must show up in the mean delivery latency.
         let base = Scenario::smoke_test().with_strategy(StrategySpec::Flat { pi: 1.0 });
-        let healthy = base.run();
+        let healthy = base.run().report;
         let degraded = base
             .clone()
             .with_fault_schedule(Some(FaultSchedule::transit_degradation(0.0, 1e9, 3.0, 0.0)))
-            .run();
+            .run()
+            .report;
         assert!(
             degraded.mean_latency_ms() > 1.5 * healthy.mean_latency_ms(),
             "degraded {} vs healthy {}",
@@ -1099,9 +1074,10 @@ mod tests {
             .with_fault_schedule(Some(schedule));
         let healthy = Scenario::smoke_test()
             .with_strategy(StrategySpec::Flat { pi: 1.0 })
-            .run();
-        let a = scenario.run();
-        let b = scenario.run();
+            .run()
+            .report;
+        let a = scenario.run().report;
+        let b = scenario.run().report;
         assert_eq!(a, b, "slowdown runs must be deterministic");
         assert!(
             a.mean_latency_ms() > healthy.mean_latency_ms(),
@@ -1117,7 +1093,7 @@ mod tests {
         let base = Scenario::smoke_test().with_strategy(StrategySpec::Ranked {
             best_fraction: 0.25,
         });
-        let initial = super::run_detailed(&base, None);
+        let initial = base.run();
         assert_eq!(initial.best_ids.len(), 6);
         assert!(initial.reranked_best_ids.is_none());
 
@@ -1134,13 +1110,10 @@ mod tests {
                 })
                 .collect(),
         };
-        let reranked = super::run_detailed(
-            &base
-                .clone()
-                .with_fault_schedule(Some(schedule))
-                .with_rerank(Some(RerankPlan::new(100.0, 2))),
-            None,
-        );
+        let scenario = base
+            .with_fault_schedule(Some(schedule))
+            .with_rerank(Some(RerankPlan::new(100.0, 2)));
+        let reranked = scenario.run();
         assert_eq!(reranked.best_ids, initial.best_ids, "initial set kept");
         let final_ids = reranked.reranked_best_ids.as_ref().expect("reranked");
         // 18 live nodes × 0.25 → 4 or 5 hubs, none of them dead.
@@ -1151,29 +1124,12 @@ mod tests {
                 "downed hub {id:?} survived the re-rank"
             );
         }
-        let again = super::run_detailed(
-            &base
-                .clone()
-                .with_fault_schedule(Some(reranked_schedule_for(&initial)))
-                .with_rerank(Some(RerankPlan::new(100.0, 2))),
+        let again = scenario.run();
+        assert_eq!(
+            reranked.first_difference(&again),
             None,
+            "re-rank runs deterministic"
         );
-        assert_eq!(again.report, reranked.report, "re-rank runs deterministic");
-        assert_eq!(again.reranked_best_ids, reranked.reranked_best_ids);
-    }
-
-    fn reranked_schedule_for(initial: &super::RunOutcome) -> crate::faults::FaultSchedule {
-        use crate::faults::{FaultAction, FaultSchedule, TimedFault};
-        FaultSchedule {
-            events: initial
-                .best_ids
-                .iter()
-                .map(|id| TimedFault {
-                    at_ms: 50.0,
-                    action: FaultAction::Silence { node: id.index() },
-                })
-                .collect(),
-        }
     }
 
     #[test]
@@ -1186,8 +1142,8 @@ mod tests {
             .with_strategy(StrategySpec::Flat { pi: 1.0 })
             .with_churn(Some(ChurnPlan::new(200.0, 800.0)))
             .with_faults(Some(FaultPlan::new(0.25, FaultSelection::Random)));
-        let a = super::run_detailed(&scenario, None);
-        let b = super::run_detailed(&scenario, None);
+        let a = scenario.run();
+        let b = scenario.run();
         assert_eq!(a.report, b.report, "churn runs must be deterministic");
         assert!(a.report.mean_delivery_fraction > 0.5, "{}", a.report);
     }
@@ -1197,12 +1153,62 @@ mod tests {
         let scenario = Scenario::smoke_test().with_strategy(StrategySpec::Ranked {
             best_fraction: 0.25,
         });
-        let outcome = super::run_detailed(&scenario, None);
+        let outcome = scenario.run();
         assert_eq!(outcome.best_ids.len(), 6);
         assert!(outcome.report.payloads_per_delivery_low.is_some());
         assert!(outcome.report.payloads_per_delivery_best.is_some());
         let low = outcome.report.payloads_per_delivery_low.expect("set");
         let best = outcome.report.payloads_per_delivery_best.expect("set");
         assert!(best > low, "hubs must carry more: best {best} vs low {low}");
+    }
+
+    /// A ranked smoke run with a fault trace and online re-ranking: the
+    /// widest slice of the outcome a small scenario fills in.
+    fn faulted_ranked(seed: u64) -> Scenario {
+        use crate::faults::{FaultSchedule, RerankPlan};
+        Scenario::smoke_test()
+            .with_strategy(StrategySpec::Ranked {
+                best_fraction: 0.25,
+            })
+            .with_fault_schedule(Some(FaultSchedule::node_slowdown(
+                24, 0.25, 0.0, 20.0, 1e9, 3,
+            )))
+            .with_rerank(Some(RerankPlan::new(100.0, 2)))
+            .with_seed(seed)
+    }
+
+    #[test]
+    fn first_difference_is_none_on_rerun_and_across_widths() {
+        let scenario = faulted_ranked(7).with_shards(Some(0));
+        let seq = scenario.run();
+        assert!(seq.reranked_best_ids.is_some(), "re-rank ticks must run");
+        assert_eq!(seq.first_difference(&scenario.run()), None);
+
+        let wide = scenario.clone().with_shards(Some(2)).run();
+        assert_ne!(
+            seq.shard_stats, wide.shard_stats,
+            "the width must show in the skipped shard counters"
+        );
+        assert_eq!(seq.first_difference(&wide), None);
+    }
+
+    #[test]
+    fn first_difference_names_the_first_differing_field() {
+        let a = faulted_ranked(7).run();
+        let b = faulted_ranked(8).run();
+        assert_eq!(a.first_difference(&b), Some("report"));
+    }
+
+    #[test]
+    fn first_difference_skips_queue_geometry() {
+        use crate::experiments::scale::ScalePreset;
+        use egm_simnet::QueueKind;
+        let scenario = ScalePreset::N1k.scenario(4, 11);
+        let setup = prepare(&scenario, None);
+        let on = |queue| run_prepared(&scenario.clone().with_event_queue(Some(queue)), &setup);
+        let heap = on(QueueKind::Heap);
+        let calendar = on(QueueKind::Calendar);
+        assert_ne!(heap.queue, calendar.queue);
+        assert_eq!(heap.first_difference(&calendar), None);
     }
 }

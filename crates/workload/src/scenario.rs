@@ -2,11 +2,10 @@
 
 use crate::arrival::Arrival;
 use crate::faults::{ChurnPlan, FaultPlan, FaultSchedule, RerankPlan};
+use crate::runner::{self, RunOutcome};
 use egm_core::{MonitorSpec, ProtocolConfig, RankSource, StrategySpec};
-use egm_metrics::RunReport;
 use egm_simnet::QueueKind;
 use egm_topology::{RoutedModel, TransitStubConfig};
-use std::sync::Arc;
 
 /// Salt XORed into the scenario seed for topology construction, keeping
 /// the topology stream independent of the harness stream (views,
@@ -245,8 +244,9 @@ impl Scenario {
     }
 
     /// Builds this scenario's network model exactly as a cold run would
-    /// ([`crate::runner::run_detailed`] with no model override): the
-    /// topology source seeded with `seed ^` [`TOPOLOGY_SEED_SALT`].
+    /// ([`Scenario::run`], or [`crate::runner::prepare`] with no model
+    /// override): the topology source seeded with `seed ^`
+    /// [`TOPOLOGY_SEED_SALT`].
     ///
     /// Benches and A/B tests that pre-build a model to share across runs
     /// must use this (not a hand-derived seed), or the model they measure
@@ -354,22 +354,21 @@ impl Scenario {
         self
     }
 
-    /// Runs the scenario, building the topology from the scenario seed.
+    /// Runs the scenario cold: builds its [`crate::runner::RunSetup`]
+    /// (topology from the scenario seed, ranking, views) and executes it
+    /// by value, so nothing is cloned.
     ///
-    /// See [`crate::runner::run`] for details; use
-    /// [`Scenario::run_with_model`] to share one topology across a sweep
-    /// (the paper holds the network model fixed while varying strategy).
-    pub fn run(&self) -> RunReport {
-        crate::runner::run(self, None)
-    }
-
-    /// Runs the scenario over a pre-built network model.
+    /// To share a model or a setup across runs — the paper holds the
+    /// network fixed while varying strategy — use
+    /// [`crate::runner::prepare`] with [`crate::runner::run_prepared`], or
+    /// [`crate::runner::run_sweep`] for a batch.
     ///
     /// # Panics
     ///
-    /// Panics if the model size differs from the scenario's node count.
-    pub fn run_with_model(&self, model: Arc<RoutedModel>) -> RunReport {
-        crate::runner::run(self, Some(model))
+    /// Panics if the scenario is inconsistent (fewer than two nodes, zero
+    /// messages, a mis-sized best-set override).
+    pub fn run(&self) -> RunOutcome {
+        runner::execute(self, runner::prepare(self, None), None)
     }
 }
 

@@ -4,31 +4,20 @@
 //! tail-latency histogram and steady-state block consistently.
 
 use egm_core::StrategySpec;
-use egm_workload::runner::{run_detailed, RunOutcome};
+use egm_workload::runner::{prepare, run_prepared, RunOutcome};
 use egm_workload::{Arrival, ArrivalProcess, Scenario};
-use std::sync::Arc;
 
-fn assert_outcomes_match(a: &RunOutcome, b: &RunOutcome, label: &str) {
-    assert_eq!(a.report, b.report, "reports diverged ({label})");
-    assert_eq!(a.log, b.log, "delivery logs diverged ({label})");
-    assert_eq!(
-        a.payload_links, b.payload_links,
-        "link tables diverged ({label})"
-    );
-    assert_eq!(
-        a.payloads_per_node, b.payloads_per_node,
-        "per-node payloads diverged ({label})"
-    );
-    assert_eq!(
-        a.scheduler, b.scheduler,
-        "scheduler stats diverged ({label})"
-    );
-    assert_eq!(a.events, b.events, "event counts diverged ({label})");
-    assert_eq!(
-        a.latency, b.latency,
-        "latency histograms diverged ({label})"
-    );
-    assert_eq!(a.steady, b.steady, "steady blocks diverged ({label})");
+/// Runs `scenario` on one shard twice, then at every width over the
+/// same setup, requires one outcome throughout and returns it.
+fn assert_byte_identical_across_widths(scenario: &Scenario) -> RunOutcome {
+    let setup = prepare(scenario, None);
+    let run = |w: usize| run_prepared(&scenario.clone().with_shards(Some(w)), &setup);
+    let seq = run(0);
+    assert_eq!(seq.first_difference(&run(0)), None, "rerun");
+    for w in [1usize, 2, 4] {
+        assert_eq!(seq.first_difference(&run(w)), None, "W={w}");
+    }
+    seq
 }
 
 fn open_poisson() -> Scenario {
@@ -49,15 +38,7 @@ fn closed_loop() -> Scenario {
 
 #[test]
 fn open_loop_is_byte_identical_across_reruns_and_widths() {
-    let scenario = open_poisson();
-    let model = Arc::new(scenario.build_model());
-    let seq = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
-    let again = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
-    assert_outcomes_match(&seq, &again, "rerun");
-    for w in [1usize, 2, 4] {
-        let sharded = run_detailed(&scenario.clone().with_shards(Some(w)), Some(model.clone()));
-        assert_outcomes_match(&seq, &sharded, &format!("W={w}"));
-    }
+    let seq = assert_byte_identical_across_widths(&open_poisson());
 
     // The stationary process has zero warm-up: the window covers every
     // delivery, and percentiles come out well-ordered.
@@ -72,15 +53,7 @@ fn open_loop_is_byte_identical_across_reruns_and_widths() {
 
 #[test]
 fn closed_loop_completes_and_is_byte_identical_across_widths() {
-    let scenario = closed_loop();
-    let model = Arc::new(scenario.build_model());
-    let seq = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
-    let again = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
-    assert_outcomes_match(&seq, &again, "rerun");
-    for w in [1usize, 2, 4] {
-        let sharded = run_detailed(&scenario.clone().with_shards(Some(w)), Some(model.clone()));
-        assert_outcomes_match(&seq, &sharded, &format!("W={w}"));
-    }
+    let seq = assert_byte_identical_across_widths(&closed_loop());
 
     // Every publish was gated on the previous delivery, so the full
     // message count still went out and arrived everywhere.
@@ -99,7 +72,7 @@ fn diurnal_warmup_excludes_the_ramp_from_the_window() {
             high_rate: 50.0,
             ramp_ms: 2_000.0,
         })));
-    let outcome = run_detailed(&scenario, None);
+    let outcome = scenario.run();
     // The window opens after the 2 s ramp: ramp-time publishes exist but
     // are excluded from the steady block and the histogram.
     assert!(
@@ -116,5 +89,5 @@ fn diurnal_warmup_excludes_the_ramp_from_the_window() {
 fn closed_loop_rejects_fault_plans() {
     use egm_workload::{FaultPlan, FaultSelection};
     let scenario = closed_loop().with_faults(Some(FaultPlan::new(0.25, FaultSelection::Random)));
-    let _ = run_detailed(&scenario, None);
+    let _ = scenario.run();
 }

@@ -11,31 +11,9 @@
 use egm_core::{RankSource, StrategySpec};
 use egm_topology::TransitStubConfig;
 use egm_workload::faults::{ChurnPlan, FaultScenarioKind, RerankPlan};
-use egm_workload::runner::{run_detailed, RunOutcome};
+use egm_workload::runner::{prepare, run_prepared};
 use egm_workload::{Scenario, TopologySource};
 use std::sync::Arc;
-
-fn assert_outcomes_match(a: &RunOutcome, b: &RunOutcome, label: &str) {
-    assert_eq!(a.report, b.report, "reports diverged ({label})");
-    assert_eq!(a.log, b.log, "delivery logs diverged ({label})");
-    assert_eq!(
-        a.payload_links, b.payload_links,
-        "link tables diverged ({label})"
-    );
-    assert_eq!(
-        a.payloads_per_node, b.payloads_per_node,
-        "per-node payloads diverged ({label})"
-    );
-    assert_eq!(a.scheduler, b.scheduler, "scheduler stats ({label})");
-    assert_eq!(a.events, b.events, "event counts diverged ({label})");
-    assert_eq!(a.victims, b.victims, "victims diverged ({label})");
-    assert_eq!(a.best_ids, b.best_ids, "best ids diverged ({label})");
-    assert_eq!(
-        a.reranked_best_ids, b.reranked_best_ids,
-        "re-ranked best ids diverged ({label})"
-    );
-    assert_eq!(a.latency, b.latency, "latency histograms ({label})");
-}
 
 /// The base resilience scenario: a transit–stub model (so domain
 /// outages are real), gossip-sorted ranking with two online re-rank
@@ -65,10 +43,11 @@ fn assert_byte_identical_across_widths(kind: FaultScenarioKind) {
     let schedule = kind.schedule(&model, base.warmup_ms, traffic_ms, base.seed);
     let scenario = base.with_fault_schedule(Some(schedule));
     let label = kind.label();
+    let setup = prepare(&scenario, Some(model));
+    let run = |w: usize| run_prepared(&scenario.clone().with_shards(Some(w)), &setup);
 
-    let seq = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
-    let again = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
-    assert_outcomes_match(&seq, &again, &format!("{label}: seq rerun"));
+    let seq = run(0);
+    assert_eq!(seq.first_difference(&run(0)), None, "{label}: seq rerun");
     assert!(
         seq.report.mean_delivery_fraction > 0.5,
         "{label}: {}",
@@ -81,8 +60,7 @@ fn assert_byte_identical_across_widths(kind: FaultScenarioKind) {
         );
     }
     for w in [1usize, 2, 4] {
-        let sharded = run_detailed(&scenario.clone().with_shards(Some(w)), Some(model.clone()));
-        assert_outcomes_match(&seq, &sharded, &format!("{label}: W={w}"));
+        assert_eq!(seq.first_difference(&run(w)), None, "{label}: W={w}");
     }
 }
 

@@ -1,54 +1,29 @@
 //! End-to-end queue A/B regression: the heap escape hatch must be a real
 //! A/B switch, not a divergent code path.
 //!
-//! The `N1k` scale preset runs once per [`QueueKind`] over a shared
-//! topology; every observable output — the full `DeliveryLog`, the
-//! per-link traffic tables, per-node payload counts, scheduler counters
-//! and the simulator event count — must be byte-identical. Together with
+//! The `N1k` scale preset runs once per [`QueueKind`] over one prepared
+//! setup; every output `RunOutcome::first_difference` compares — the
+//! full `DeliveryLog`, the per-link traffic tables, per-node payload
+//! counts, scheduler counters, the simulator event count — must be
+//! byte-identical. Together with
 //! `egm_simnet`'s `queue_equivalence` proptest suite this pins the
 //! property every sweep test relies on: queue choice is a performance
 //! knob, never a behavioural one.
 
 use egm_simnet::QueueKind;
 use egm_workload::experiments::scale::ScalePreset;
-use egm_workload::runner::run_detailed;
-use std::sync::Arc;
+use egm_workload::runner::{prepare, run_prepared};
 
 #[test]
 fn one_k_preset_is_byte_identical_across_queues() {
     let scenario = ScalePreset::N1k.scenario(4, 11);
-    // Share the model so the comparison is purely about the event loop.
-    let model = Arc::new(scenario.build_model());
+    // Share the setup so the comparison is purely about the event loop.
+    let setup = prepare(&scenario, None);
+    let on = |queue| run_prepared(&scenario.clone().with_event_queue(Some(queue)), &setup);
+    let heap = on(QueueKind::Heap);
+    let calendar = on(QueueKind::Calendar);
 
-    let heap = run_detailed(
-        &scenario.clone().with_event_queue(Some(QueueKind::Heap)),
-        Some(model.clone()),
-    );
-    let calendar = run_detailed(
-        &scenario.with_event_queue(Some(QueueKind::Calendar)),
-        Some(model),
-    );
-
-    // The complete delivery log: every (message, node, time, round)
-    // record of the run.
-    assert_eq!(heap.log, calendar.log, "delivery logs diverged");
-    // Traffic: per-link tables and per-node payload counts.
-    assert_eq!(
-        heap.payload_links, calendar.payload_links,
-        "link tables diverged"
-    );
-    assert_eq!(heap.payloads_per_node, calendar.payloads_per_node);
-    // Aggregates and counters.
-    assert_eq!(heap.report, calendar.report, "reports diverged");
-    assert_eq!(
-        heap.scheduler, calendar.scheduler,
-        "scheduler stats diverged"
-    );
-    assert_eq!(heap.events, calendar.events, "event counts diverged");
-    assert_eq!(heap.timers_cancelled, calendar.timers_cancelled);
-    assert_eq!(heap.stale_timer_drops, calendar.stale_timer_drops);
-    assert_eq!(heap.victims, calendar.victims);
-    assert_eq!(heap.best_ids, calendar.best_ids);
+    assert_eq!(heap.first_difference(&calendar), None);
     // The queues did the same amount of work, each its own way.
     assert_eq!(heap.queue.pushes, calendar.queue.pushes);
     assert_eq!(heap.queue.pops, calendar.queue.pops);

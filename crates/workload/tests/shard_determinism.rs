@@ -2,11 +2,12 @@
 //! performance knob, never a behavioural one.
 //!
 //! The `N1k` scale preset runs once on one shard and once per wider
-//! width over a shared topology; every observable output — the full
-//! `DeliveryLog`, the per-link traffic tables (including which links
-//! spill — shards cap locally and merge), per-node payload counts,
-//! scheduler counters and the simulator event count —
-//! must be byte-identical. Together with `egm_simnet`'s
+//! width over one prepared setup; every output
+//! `RunOutcome::first_difference` compares — the full `DeliveryLog`, the
+//! per-link traffic tables (including which links spill — shards cap
+//! locally and merge), per-node payload counts, scheduler and timer
+//! counters, latency histograms, the simulator event count — must be
+//! byte-identical. Together with `egm_simnet`'s
 //! `shard_equivalence` proptest suite this pins the property the whole
 //! scale axis relies on: sharding one run across cores cannot change its
 //! results.
@@ -14,46 +15,24 @@
 use egm_simnet::shard::auto_shards_for;
 use egm_simnet::{ProgressEvent, ProgressSink, ShardStats};
 use egm_workload::experiments::scale::ScalePreset;
-use egm_workload::runner::{prepare, run_detailed, run_prepared_observed, RunOutcome};
+use egm_workload::runner::{prepare, run_prepared, run_prepared_observed};
 use std::sync::{Arc, Mutex};
-
-fn assert_outcomes_match(a: &RunOutcome, b: &RunOutcome, label: &str) {
-    assert_eq!(a.log, b.log, "delivery logs diverged ({label})");
-    assert_eq!(
-        a.payload_links, b.payload_links,
-        "link tables diverged ({label})"
-    );
-    assert_eq!(
-        a.payloads_per_node, b.payloads_per_node,
-        "per-node payloads diverged ({label})"
-    );
-    assert_eq!(a.report, b.report, "reports diverged ({label})");
-    assert_eq!(
-        a.scheduler, b.scheduler,
-        "scheduler stats diverged ({label})"
-    );
-    assert_eq!(a.events, b.events, "event counts diverged ({label})");
-    assert_eq!(a.timers_cancelled, b.timers_cancelled, "({label})");
-    assert_eq!(a.stale_timer_drops, b.stale_timer_drops, "({label})");
-    assert_eq!(a.victims, b.victims, "({label})");
-    assert_eq!(a.best_ids, b.best_ids, "({label})");
-}
 
 #[test]
 fn one_k_preset_is_byte_identical_across_shard_widths() {
     let scenario = ScalePreset::N1k.scenario(4, 11);
-    // Share the model so the comparison is purely about the event loop.
-    let model = Arc::new(scenario.build_model());
+    // Share the setup so the comparison is purely about the event loop.
+    let setup = prepare(&scenario, None);
 
     // The reference: one shard, forced explicitly so the test is immune
     // to the multi-core auto default.
-    let seq = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
+    let seq = run_prepared(&scenario.clone().with_shards(Some(0)), &setup);
     assert_eq!(seq.shard_stats.shards, 1);
     assert_eq!(seq.shard_stats.windows, 0, "one shard runs no windows");
 
     for w in [2usize, 4] {
-        let sharded = run_detailed(&scenario.clone().with_shards(Some(w)), Some(model.clone()));
-        assert_outcomes_match(&seq, &sharded, &format!("W={w}"));
+        let sharded = run_prepared(&scenario.clone().with_shards(Some(w)), &setup);
+        assert_eq!(seq.first_difference(&sharded), None, "W={w}");
         assert_eq!(sharded.shard_stats.shards, w);
         assert!(
             sharded.shard_stats.windows > 1,
@@ -78,7 +57,7 @@ fn planned_cut_balances_two_shards_of_the_one_k_preset() {
         .scenario(30, 42)
         .with_shards(Some(2))
         .with_partition(Some(PartitionStrategy::DomainAligned));
-    let outcome = run_detailed(&scenario, None);
+    let outcome = scenario.run();
     let stats = &outcome.shard_stats;
     assert_eq!(stats.strategy, PartitionStrategy::DomainAligned);
     let per_shard = &stats.per_shard_events;
@@ -116,7 +95,7 @@ fn zero_and_one_shards_are_the_same_run() {
     };
     let (zero, zero_frames) = observe(0);
     let (one, one_frames) = observe(1);
-    assert_outcomes_match(&zero, &one, "shards 0 vs 1");
+    assert_eq!(zero.first_difference(&one), None, "shards 0 vs 1");
     assert_eq!(zero.queue, one.queue);
     assert_eq!(zero.shard_stats, one.shard_stats);
     // No windows, no lookahead, no lanes, the contiguous default.
@@ -148,11 +127,11 @@ fn zero_and_one_shards_are_the_same_run() {
 #[ignore = "10k nodes: minutes of wall time; run explicitly"]
 fn ten_k_preset_is_byte_identical_across_shard_widths() {
     let scenario = ScalePreset::N10k.scenario(4, 11);
-    let model = Arc::new(scenario.build_model());
-    let seq = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
+    let setup = prepare(&scenario, None);
+    let seq = run_prepared(&scenario.clone().with_shards(Some(0)), &setup);
     for w in [2usize, 8] {
-        let sharded = run_detailed(&scenario.clone().with_shards(Some(w)), Some(model.clone()));
-        assert_outcomes_match(&seq, &sharded, &format!("W={w}"));
+        let sharded = run_prepared(&scenario.clone().with_shards(Some(w)), &setup);
+        assert_eq!(seq.first_difference(&sharded), None, "W={w}");
         assert!(sharded.shard_stats.lane_events > 0);
     }
 }
@@ -171,17 +150,17 @@ fn shard_merge_caps_the_accumulator_and_matches_sequential() {
         .with_strategy(StrategySpec::Flat { pi: 1.0 })
         .with_messages(60)
         .with_link_spill_threshold(Some(threshold));
-    let model = Arc::new(scenario.build_model());
+    let setup = prepare(&scenario, None);
 
-    let seq = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
+    let seq = run_prepared(&scenario.clone().with_shards(Some(0)), &setup);
     // One shard caps incrementally while recording, so its merge path
     // never accumulates anything.
     assert_eq!(seq.traffic_acc_peak, 0);
     assert_eq!(seq.report.used_links, threshold);
 
     for w in [2usize, 4] {
-        let sharded = run_detailed(&scenario.clone().with_shards(Some(w)), Some(model.clone()));
-        assert_outcomes_match(&seq, &sharded, &format!("capped W={w}"));
+        let sharded = run_prepared(&scenario.clone().with_shards(Some(w)), &setup);
+        assert_eq!(seq.first_difference(&sharded), None, "capped W={w}");
         assert!(
             sharded.traffic_acc_peak > 0,
             "W={w} must exercise the capped merge path"

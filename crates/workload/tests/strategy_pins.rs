@@ -8,7 +8,6 @@
 //! shapes; these constants pin the outcomes themselves.
 
 use egm_core::StrategySpec;
-use egm_workload::runner::run_detailed;
 use egm_workload::{NoiseConfig, Scenario};
 
 /// `(label, scenario, events, total_payloads, mean_latency_ms bits)`.
@@ -93,7 +92,7 @@ fn cases() -> Vec<(&'static str, Scenario, u64, u64, u64)> {
 #[test]
 fn every_strategy_decision_is_pinned() {
     for (label, scenario, events, payloads, latency_bits) in cases() {
-        let out = run_detailed(&scenario, None);
+        let out = scenario.run();
         assert_eq!(out.events, events, "{label}: events");
         assert_eq!(out.report.total_payloads, payloads, "{label}: payloads");
         assert_eq!(

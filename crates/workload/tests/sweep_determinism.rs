@@ -3,7 +3,7 @@
 //! its whole RNG tree from its own seed and owns all mutable state.
 
 use egm_core::StrategySpec;
-use egm_workload::runner::{run_detailed, run_sweep};
+use egm_workload::runner::run_sweep;
 use egm_workload::Scenario;
 
 /// A small figure-style grid: a π sweep plus a ranked point, each at two
@@ -32,26 +32,12 @@ fn grid() -> Vec<Scenario> {
 #[test]
 fn parallel_sweep_is_byte_identical_to_sequential() {
     let scenarios = grid();
-    let sequential: Vec<_> = scenarios.iter().map(|s| run_detailed(s, None)).collect();
+    let sequential: Vec<_> = scenarios.iter().map(Scenario::run).collect();
     let parallel = run_sweep(scenarios, None);
 
     assert_eq!(sequential.len(), parallel.len());
     for (seq, par) in sequential.iter().zip(&parallel) {
-        // Delivery fractions, latency summaries, traffic totals...
-        assert_eq!(seq.report, par.report, "reports must match exactly");
-        // ...the full delivery log...
-        assert_eq!(seq.log, par.log, "delivery logs must match exactly");
-        // ...per-link payload tables and per-node loads...
-        assert_eq!(
-            seq.payload_links, par.payload_links,
-            "link tables must match"
-        );
-        assert_eq!(seq.payloads_per_node, par.payloads_per_node);
-        // ...and the run's structural metadata.
-        assert_eq!(seq.victims, par.victims);
-        assert_eq!(seq.best_ids, par.best_ids);
-        assert_eq!(seq.scheduler, par.scheduler);
-        assert_eq!(seq.events, par.events, "event counts must match");
+        assert_eq!(seq.first_difference(par), None);
     }
 }
 
@@ -68,14 +54,18 @@ fn sweep_results_arrive_in_input_order() {
                 .with_seed(seed)
         })
         .collect();
-    let reports = egm_workload::runner::run_sweep_reports(scenarios, None);
-    assert_eq!(reports.len(), seeds.len());
-    for (&seed, report) in seeds.iter().zip(&reports) {
+    let outcomes = run_sweep(scenarios, None);
+    assert_eq!(outcomes.len(), seeds.len());
+    for (&seed, outcome) in seeds.iter().zip(&outcomes) {
         let direct = Scenario::smoke_test()
             .with_strategy(StrategySpec::Ttl { u: 2 })
             .with_seed(seed)
-            .run();
-        assert_eq!(&direct, report, "report for seed {seed} out of place");
+            .run()
+            .report;
+        assert_eq!(
+            direct, outcome.report,
+            "report for seed {seed} out of place"
+        );
     }
 }
 

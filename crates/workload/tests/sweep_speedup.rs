@@ -7,7 +7,7 @@
 
 use egm_core::StrategySpec;
 use egm_workload::experiments::Scale;
-use egm_workload::runner::run_sweep;
+use egm_workload::runner::{prepare, run_prepared, run_sweep};
 use std::time::Instant;
 
 #[test]
@@ -37,7 +37,7 @@ fn parallel_sweep_beats_sequential_on_multicore() {
     let seq_start = Instant::now();
     let sequential: Vec<_> = scenarios
         .iter()
-        .map(|s| egm_workload::runner::run_detailed(s, Some(model.clone())).report)
+        .map(|s| run_prepared(s, &prepare(s, Some(model.clone()))).report)
         .collect();
     let seq_ms = seq_start.elapsed().as_secs_f64() * 1000.0;
 

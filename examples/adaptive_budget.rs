@@ -10,6 +10,7 @@
 use egm_core::StrategySpec;
 use egm_metrics::{table, Table};
 use egm_workload::experiments::{base_scenario, shared_model, Scale};
+use egm_workload::runner::{prepare, run_prepared};
 
 fn main() {
     let scale = Scale::from_env();
@@ -21,9 +22,8 @@ fn main() {
 
     let mut t = Table::new(["strategy", "payload/msg", "latency (ms)", "delivered (%)"]);
     let mut run = |label: &str, spec: StrategySpec| {
-        let report = base_scenario(&scale)
-            .with_strategy(spec)
-            .run_with_model(model.clone());
+        let scenario = base_scenario(&scale).with_strategy(spec);
+        let report = run_prepared(&scenario, &prepare(&scenario, Some(model.clone()))).report;
         t.row([
             label.to_string(),
             table::num(report.payloads_per_delivery, 2),

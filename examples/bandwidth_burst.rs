@@ -15,6 +15,7 @@
 use egm_core::StrategySpec;
 use egm_metrics::{table, Table};
 use egm_workload::experiments::{base_scenario, shared_model, Scale};
+use egm_workload::runner::{prepare, run_prepared};
 
 fn main() {
     let scale = Scale::from_env();
@@ -37,7 +38,7 @@ fn main() {
             if bw_kbps.is_finite() {
                 s.egress_bandwidth = Some(bw_kbps * 1000.0);
             }
-            s.run_with_model(model.clone())
+            run_prepared(&s, &prepare(&s, Some(model.clone()))).report
         };
         let eager = with_bw(1.0);
         let lazy = with_bw(0.0);

@@ -11,6 +11,7 @@
 use egm_core::{MonitorSpec, StrategySpec};
 use egm_simnet::SimDuration;
 use egm_workload::experiments::{base_scenario, shared_model, Scale};
+use egm_workload::runner::{prepare, run_prepared};
 
 fn main() {
     let scale = Scale::from_env();
@@ -25,10 +26,14 @@ fn main() {
         t0_ms: 25.0,
     };
 
-    let oracle = base_scenario(&scale)
+    let oracle_scenario = base_scenario(&scale)
         .with_strategy(strategy.clone())
-        .with_monitor(MonitorSpec::OracleLatency)
-        .run_with_model(model.clone());
+        .with_monitor(MonitorSpec::OracleLatency);
+    let oracle = run_prepared(
+        &oracle_scenario,
+        &prepare(&oracle_scenario, Some(model.clone())),
+    )
+    .report;
 
     // Runtime monitor: nodes ping 3 view peers every 250ms; the EWMA of
     // measured RTT/2 replaces the oracle. Until a peer is measured its
@@ -38,7 +43,7 @@ fn main() {
         .with_monitor(MonitorSpec::Runtime);
     runtime_scenario.protocol.ping_interval = Some(SimDuration::from_ms(250.0));
     runtime_scenario.warmup_ms = 4000.0; // give the monitor time to learn
-    let runtime = runtime_scenario.run_with_model(model);
+    let runtime = run_prepared(&runtime_scenario, &prepare(&runtime_scenario, Some(model))).report;
 
     println!("oracle : {oracle}");
     println!("runtime: {runtime}");

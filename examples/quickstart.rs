@@ -23,17 +23,20 @@ fn main() {
     let eager = scenario
         .clone()
         .with_strategy(StrategySpec::Flat { pi: 1.0 })
-        .run();
+        .run()
+        .report;
     // Pure lazy push: ~1 payload per delivery, two extra hops of latency.
     let lazy = scenario
         .clone()
         .with_strategy(StrategySpec::Flat { pi: 0.0 })
-        .run();
+        .run()
+        .report;
     // The paper's contribution: let structure emerge by scheduling payload
     // through 20% hub nodes.
     let ranked = scenario
         .with_strategy(StrategySpec::Ranked { best_fraction: 0.2 })
-        .run();
+        .run()
+        .report;
 
     for report in [&eager, &lazy, &ranked] {
         println!("{report}");

@@ -13,7 +13,8 @@
 //!
 //! let report = Scenario::smoke_test()
 //!     .with_strategy(StrategySpec::Ttl { u: 2 })
-//!     .run();
+//!     .run()
+//!     .report;
 //! assert!(report.mean_delivery_fraction > 0.99);
 //! ```
 

@@ -18,8 +18,9 @@ fn tight_budget_cuts_traffic_without_losing_messages() {
     let eager = Scenario::smoke_test()
         .with_strategy(StrategySpec::Flat { pi: 1.0 })
         .with_messages(60)
-        .run();
-    let tuned = adaptive(1.0, 0.2).with_messages(60).run();
+        .run()
+        .report;
+    let tuned = adaptive(1.0, 0.2).with_messages(60).run().report;
     assert!(
         tuned.payloads_per_delivery < 0.7 * eager.payloads_per_delivery,
         "adaptive {} vs eager {}",
@@ -33,7 +34,7 @@ fn tight_budget_cuts_traffic_without_losing_messages() {
 /// reacts to the observed ratio, not to a fixed setpoint of pi.
 #[test]
 fn loose_budget_stays_eager() {
-    let loose = adaptive(1.0, 0.95).with_messages(60).run();
+    let loose = adaptive(1.0, 0.95).with_messages(60).run().report;
     assert!(
         loose.payloads_per_delivery > 3.5,
         "loose budget should stay close to eager: {loose}"
@@ -45,11 +46,12 @@ fn loose_budget_stays_eager() {
 /// staying at the slow floor.
 #[test]
 fn adaptation_works_upward_too() {
-    let from_lazy = adaptive(0.0, 0.5).with_messages(80).run();
+    let from_lazy = adaptive(0.0, 0.5).with_messages(80).run().report;
     let pure_lazy = Scenario::smoke_test()
         .with_strategy(StrategySpec::Flat { pi: 0.0 })
         .with_messages(80)
-        .run();
+        .run()
+        .report;
     assert!(
         from_lazy.payloads_per_delivery > pure_lazy.payloads_per_delivery + 0.3,
         "adaptive-from-lazy {} should exceed pure lazy {}",
@@ -62,7 +64,7 @@ fn adaptation_works_upward_too() {
 /// Adaptation is deterministic under a fixed seed, like everything else.
 #[test]
 fn adaptive_runs_are_reproducible() {
-    let a = adaptive(1.0, 0.3).run();
-    let b = adaptive(1.0, 0.3).run();
+    let a = adaptive(1.0, 0.3).run().report;
+    let b = adaptive(1.0, 0.3).run().report;
     assert_eq!(a, b);
 }

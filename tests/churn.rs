@@ -14,7 +14,8 @@ fn modest_churn_barely_dents_reliability() {
         .with_strategy(StrategySpec::Flat { pi: 1.0 })
         .with_messages(60)
         .with_churn(Some(ChurnPlan::new(400.0, 300.0)))
-        .run();
+        .run()
+        .report;
     assert!(
         report.mean_delivery_fraction > 0.90,
         "churn cost too much: {report}"
@@ -35,7 +36,7 @@ fn lazy_push_with_retries_survives_churn() {
         .with_messages(40)
         .with_churn(Some(ChurnPlan::new(500.0, 200.0)));
     scenario.drain_ms = 8000.0;
-    let report = scenario.run();
+    let report = scenario.run().report;
     assert!(report.mean_delivery_fraction > 0.88, "{report}");
 }
 
@@ -50,7 +51,8 @@ fn churn_composes_with_permanent_faults() {
         })
         .with_faults(Some(FaultPlan::new(0.2, FaultSelection::Random)))
         .with_churn(Some(ChurnPlan::new(500.0, 250.0)))
-        .run();
+        .run()
+        .report;
     assert!(report.mean_delivery_fraction > 0.85, "{report}");
 }
 
@@ -60,5 +62,5 @@ fn churn_is_deterministic() {
     let scenario = Scenario::smoke_test()
         .with_strategy(StrategySpec::Ttl { u: 2 })
         .with_churn(Some(ChurnPlan::new(300.0, 200.0)));
-    assert_eq!(scenario.run(), scenario.run());
+    assert_eq!(scenario.run().report, scenario.run().report);
 }

@@ -11,7 +11,8 @@ use egm_workload::Scenario;
 fn eager_push_is_atomic_and_fanout_expensive() {
     let report = Scenario::smoke_test()
         .with_strategy(StrategySpec::Flat { pi: 1.0 })
-        .run();
+        .run()
+        .report;
     assert!(report.mean_delivery_fraction > 0.999, "{report}");
     assert!(report.atomic_delivery_fraction > 0.95, "{report}");
     let fanout = 6.0; // smoke_test fanout
@@ -29,10 +30,12 @@ fn eager_push_is_atomic_and_fanout_expensive() {
 fn lazy_push_is_near_optimal_but_slow() {
     let lazy = Scenario::smoke_test()
         .with_strategy(StrategySpec::Flat { pi: 0.0 })
-        .run();
+        .run()
+        .report;
     let eager = Scenario::smoke_test()
         .with_strategy(StrategySpec::Flat { pi: 1.0 })
-        .run();
+        .run()
+        .report;
     assert!(lazy.payloads_per_delivery < 1.25, "{lazy}");
     assert!(
         lazy.mean_delivery_fraction > 0.99,
@@ -55,7 +58,8 @@ fn flat_interpolates_the_tradeoff() {
     for pi in [0.0, 0.3, 0.7, 1.0] {
         let report = Scenario::smoke_test()
             .with_strategy(StrategySpec::Flat { pi })
-            .run();
+            .run()
+            .report;
         assert!(
             report.payloads_per_delivery >= last_payloads - 0.05,
             "traffic must grow with pi: {} after {last_payloads}",
@@ -72,13 +76,15 @@ fn flat_interpolates_the_tradeoff() {
 fn ttl_dominates_flat_at_matched_traffic() {
     let ttl = Scenario::smoke_test()
         .with_strategy(StrategySpec::Ttl { u: 2 })
-        .run();
+        .run()
+        .report;
     // Find a flat configuration with at least as much traffic.
     let flat = Scenario::smoke_test()
         .with_strategy(StrategySpec::Flat {
             pi: (ttl.payloads_per_delivery / 6.0).clamp(0.0, 1.0),
         })
-        .run();
+        .run()
+        .report;
     assert!(
         flat.payloads_per_delivery >= ttl.payloads_per_delivery * 0.85,
         "flat comparator must not be cheaper: flat {} vs ttl {}",
@@ -100,7 +106,8 @@ fn ranked_splits_cost_between_hubs_and_spokes() {
         .with_strategy(StrategySpec::Ranked {
             best_fraction: 0.25,
         })
-        .run();
+        .run()
+        .report;
     let low = report.payloads_per_delivery_low.expect("low series");
     let best = report.payloads_per_delivery_best.expect("best series");
     assert!(best > 2.0 * low, "hubs {best} vs spokes {low}");
@@ -120,7 +127,7 @@ fn two_hundred_nodes_still_work() {
     scenario.protocol.fanout = 11;
     scenario.protocol.rounds = 6;
     scenario.messages = 20;
-    let report = scenario.run();
+    let report = scenario.run().report;
     assert_eq!(report.nodes, 200);
     assert!(report.mean_delivery_fraction > 0.99, "{report}");
 }
@@ -131,7 +138,8 @@ fn two_hundred_nodes_still_work() {
 fn byte_accounting_reflects_neem_framing() {
     let report = Scenario::smoke_test()
         .with_strategy(StrategySpec::Flat { pi: 1.0 })
-        .run();
+        .run()
+        .report;
     // All traffic in a pure-eager run is payload + shuffle control;
     // payload bytes alone are 280 × payload count.
     assert!(report.total_bytes >= report.total_payloads * 280);
@@ -150,10 +158,10 @@ fn byte_accounting_reflects_neem_framing() {
 #[test]
 fn determinism_and_seed_sensitivity() {
     let base = Scenario::smoke_test().with_strategy(StrategySpec::Ttl { u: 2 });
-    let a = base.clone().run();
-    let b = base.clone().run();
+    let a = base.clone().run().report;
+    let b = base.clone().run().report;
     assert_eq!(a, b);
-    let c = base.with_seed(777).run();
+    let c = base.with_seed(777).run().report;
     assert_ne!(a, c, "different seeds must differ somewhere");
 }
 
@@ -164,7 +172,7 @@ fn loss_is_recovered_by_retries() {
     let mut scenario = Scenario::smoke_test().with_strategy(StrategySpec::Flat { pi: 0.3 });
     scenario.loss = 0.05;
     scenario.drain_ms = 8000.0;
-    let report = scenario.run();
+    let report = scenario.run().report;
     assert!(
         report.mean_delivery_fraction > 0.97,
         "5% loss should be absorbed: {report}"
@@ -176,6 +184,6 @@ fn loss_is_recovered_by_retries() {
 fn jitter_is_tolerated() {
     let mut scenario = Scenario::smoke_test().with_strategy(StrategySpec::Ttl { u: 2 });
     scenario.jitter = 0.3;
-    let report = scenario.run();
+    let report = scenario.run().report;
     assert!(report.mean_delivery_fraction > 0.99, "{report}");
 }

@@ -17,8 +17,11 @@ fn ranked_scenario() -> Scenario {
 fn full_noise_equalizes_group_contributions() {
     let base = ranked_scenario();
     let c = calibrate::eager_rate(&base, None);
-    let clean = base.clone().run();
-    let noisy = base.with_noise(Some(NoiseConfig { o: 1.0, c })).run();
+    let clean = base.clone().run().report;
+    let noisy = base
+        .with_noise(Some(NoiseConfig { o: 1.0, c }))
+        .run()
+        .report;
 
     let clean_low = clean.payloads_per_delivery_low.expect("group series");
     let clean_best = clean.payloads_per_delivery_best.expect("group series");
@@ -38,9 +41,13 @@ fn full_noise_equalizes_group_contributions() {
 fn noise_preserves_total_traffic() {
     let base = ranked_scenario();
     let c = calibrate::eager_rate(&base, None);
-    let clean = base.clone().run();
+    let clean = base.clone().run().report;
     for o in [0.5, 1.0] {
-        let noisy = base.clone().with_noise(Some(NoiseConfig { o, c })).run();
+        let noisy = base
+            .clone()
+            .with_noise(Some(NoiseConfig { o, c }))
+            .run()
+            .report;
         let ratio = noisy.payloads_per_delivery / clean.payloads_per_delivery;
         assert!(
             (0.75..=1.35).contains(&ratio),
@@ -57,7 +64,11 @@ fn noise_never_breaks_delivery() {
     let base = ranked_scenario();
     let c = calibrate::eager_rate(&base, None);
     for o in [0.25, 0.75, 1.0] {
-        let report = base.clone().with_noise(Some(NoiseConfig { o, c })).run();
+        let report = base
+            .clone()
+            .with_noise(Some(NoiseConfig { o, c }))
+            .run()
+            .report;
         assert!(report.mean_delivery_fraction > 0.99, "noise {o}: {report}");
     }
 }
@@ -68,8 +79,11 @@ fn noise_never_breaks_delivery() {
 fn structure_decays_toward_uniform() {
     let base = ranked_scenario();
     let c = calibrate::eager_rate(&base, None);
-    let clean = base.clone().run();
-    let noisy = base.with_noise(Some(NoiseConfig { o: 1.0, c })).run();
+    let clean = base.clone().run().report;
+    let noisy = base
+        .with_noise(Some(NoiseConfig { o: 1.0, c }))
+        .run()
+        .report;
     assert!(
         noisy.top5_link_share < clean.top5_link_share,
         "top-5% share must shrink: {} -> {}",

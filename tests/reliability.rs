@@ -14,7 +14,8 @@ fn scenario() -> Scenario {
 fn no_failures_is_perfect() {
     let report = scenario()
         .with_strategy(StrategySpec::Flat { pi: 1.0 })
-        .run();
+        .run()
+        .report;
     assert_eq!(report.mean_delivery_fraction, 1.0, "{report}");
 }
 
@@ -25,7 +26,8 @@ fn random_failures_do_not_hurt_live_nodes() {
         let report = scenario()
             .with_strategy(StrategySpec::Flat { pi: 1.0 })
             .with_faults(Some(FaultPlan::new(fraction, FaultSelection::Random)))
-            .run();
+            .run()
+            .report;
         assert!(
             report.mean_delivery_fraction > 0.97,
             "at {fraction}: {report}"
@@ -42,7 +44,8 @@ fn killing_the_hubs_is_survivable() {
         let report = scenario()
             .with_strategy(StrategySpec::Ranked { best_fraction: 0.2 })
             .with_faults(Some(FaultPlan::new(fraction, FaultSelection::BestRanked)))
-            .run();
+            .run()
+            .report;
         assert!(
             report.mean_delivery_fraction > 0.95,
             "hub kill at {fraction}: {report}"
@@ -63,7 +66,8 @@ fn extreme_failures_finally_break_dissemination() {
     };
     let report = s
         .with_faults(Some(FaultPlan::new(0.85, FaultSelection::Random)))
-        .run();
+        .run()
+        .report;
     assert!(
         report.mean_delivery_fraction < 0.95,
         "85% dead should visibly hurt: {report}"
@@ -77,7 +81,8 @@ fn accounting_with_faults_stays_consistent() {
     let report = scenario()
         .with_strategy(StrategySpec::Flat { pi: 1.0 })
         .with_faults(Some(FaultPlan::new(0.25, FaultSelection::Random)))
-        .run();
+        .run()
+        .report;
     // Senders keep pushing to dead peers (they cannot know), so traffic
     // per *live* delivery can even exceed the fanout.
     assert!(report.payloads_per_delivery > 3.0, "{report}");
