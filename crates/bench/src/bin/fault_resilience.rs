@@ -4,7 +4,8 @@
 //! Runs [`egm_workload::experiments::fault_resilience::run_at_preset`] —
 //! every [`FaultScenarioKind`] against
 //! every churn level, recording delivery ratio, hub-overlap stability
-//! and the p99 publish→delivery latency per cell — then re-runs one
+//! and the p99 publish→delivery latency per cell, and asserting every
+//! cell delivers at least [`MIN_DELIVERY_RATIO`] — then re-runs one
 //! representative harsh cell (domain outage × heavy churn) at every
 //! shard width in `EGM_SHARD_WIDTHS`, asserting byte-identical results
 //! against the sequential engine. Results are upserted as the
@@ -18,27 +19,25 @@
 //! Environment:
 //! * `EGM_SCALE_PRESET` — `1k` (default), `4k` or `10k`.
 //! * `EGM_BENCH_OUT` — output path (default `BENCH_events_per_sec.json`).
-//! * `EGM_MIN_DELIVERY_RATIO` — when set, *assert* every cell's delivery
-//!   ratio meets this floor (the CI fault smoke job's regression guard).
 //! * `EGM_SHARD_WIDTHS` — comma-separated widths for the byte-identity
 //!   check on the representative cell (default `2,4`; empty to skip).
 
-use egm_bench::{env_list, env_parse, peak_rss_field, record, rounded};
+use egm_bench::{env_list, peak_rss_field, record, rounded};
 use egm_server::json::Json;
 use egm_workload::experiments::fault_resilience::{
-    churn_levels, render, rerank_plan, run_at_preset,
+    churn_levels, harshest_cell, render, run_at_preset,
 };
 use egm_workload::experiments::scale::ScalePreset;
 use egm_workload::{runner, FaultScenarioKind};
-use std::sync::Arc;
 
 /// Multicasts per cell.
 const MESSAGES: usize = 10;
 const SEED: u64 = 42;
+/// Floor on every cell's delivery ratio.
+const MIN_DELIVERY_RATIO: f64 = 0.90;
 
 fn main() {
     let preset = ScalePreset::from_env();
-    let min_delivery = env_parse::<f64>("EGM_MIN_DELIVERY_RATIO");
     let widths: Vec<usize> = env_list("EGM_SHARD_WIDTHS").unwrap_or_else(|| vec![2, 4]);
 
     let nodes = preset.nodes();
@@ -52,32 +51,25 @@ fn main() {
     let rows = run_at_preset(preset, MESSAGES, SEED);
     println!("{}", render(&rows));
 
-    if let Some(min) = min_delivery {
-        for r in &rows {
-            assert!(
-                r.delivery >= min,
-                "{} / {}: delivery {:.4} below the {min:.4} floor",
-                r.scenario,
-                r.churn,
-                r.delivery
-            );
-        }
-        println!("delivery floor {min:.2}: all {} cells pass", rows.len());
+    for r in &rows {
+        assert!(
+            r.delivery >= MIN_DELIVERY_RATIO,
+            "{} / {}: delivery {:.4} below the {MIN_DELIVERY_RATIO:.4} floor",
+            r.scenario,
+            r.churn,
+            r.delivery
+        );
     }
+    println!(
+        "delivery floor {MIN_DELIVERY_RATIO:.2}: all {} cells pass",
+        rows.len()
+    );
 
     // Byte-identity of the harshest cell across shard widths: the same
     // fault trace, churn layout and re-rank ticks must reproduce the
     // sequential results exactly under the parallel engine.
     if !widths.is_empty() {
-        let base = preset
-            .scenario(MESSAGES, SEED)
-            .with_rerank(Some(rerank_plan()));
-        let model = Arc::new(base.build_model());
-        let traffic_ms = MESSAGES as f64 * base.mean_interval_ms + base.drain_ms;
-        let schedule =
-            FaultScenarioKind::DomainOutage.schedule(&model, base.warmup_ms, traffic_ms, SEED);
-        let (_, heavy) = churn_levels()[2];
-        let cell = base.with_fault_schedule(Some(schedule)).with_churn(heavy);
+        let (cell, model) = harshest_cell(preset, MESSAGES, SEED);
         let setup = runner::prepare(&cell, Some(model));
         let seq = runner::run_prepared(&cell.clone().with_shards(Some(0)), &setup);
         for &w in &widths {

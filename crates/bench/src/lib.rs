@@ -67,8 +67,8 @@
 //!   [`FaultScenarioKind`](egm_workload::FaultScenarioKind) × churn level
 //!   with online re-ranking, 10 messages per cell: `scenario`, the
 //!   `cells` count and one `<scenario>_<churn>` sub-object per cell with
-//!   `delivery`, `hub_stability` and `p99_ms`. Gates:
-//!   `EGM_MIN_DELIVERY_RATIO` floors every cell's delivery, and the
+//!   `delivery`, `hub_stability` and `p99_ms`. Gates: every cell
+//!   delivers at least 90 % of messages, and the
 //!   domain-outage × heavy-churn cell is byte-identical at every
 //!   `EGM_SHARD_WIDTHS` width.
 //!
@@ -106,8 +106,8 @@ fn parse_knob_list<T: FromStr>(key: &str, value: &str) -> Vec<T> {
     value.split(',').map(|v| parse_knob(key, v)).collect()
 }
 
-/// Reads an optional environment knob (`EGM_MIN_DELIVERY_RATIO`,
-/// `EGM_SCALE_RSS_BUDGET_MB`, …): `None` when unset. Shared by every
+/// Reads an optional environment knob (`EGM_SCALE_RSS_BUDGET_MB`,
+/// `EGM_SHARD_MAX_WINDOWS`, …): `None` when unset. Shared by every
 /// bench binary.
 ///
 /// # Panics
@@ -177,14 +177,14 @@ mod tests {
 
     #[test]
     fn knobs_parse_with_surrounding_whitespace() {
-        assert_eq!(parse_knob::<f64>("EGM_MIN_DELIVERY_RATIO", " 0.90 "), 0.9);
+        assert_eq!(parse_knob::<f64>("EGM_SCALE_RSS_BUDGET_MB", " 0.90 "), 0.9);
         assert_eq!(parse_knob::<u64>("EGM_SHARD_MAX_WINDOWS", "3"), 3);
     }
 
     #[test]
-    #[should_panic(expected = "unrecognized EGM_MIN_DELIVERY_RATIO \"0,90\"")]
+    #[should_panic(expected = "unrecognized EGM_SCALE_RSS_BUDGET_MB \"0,90\"")]
     fn a_typoed_gate_value_panics_naming_variable_and_value() {
-        let _ = parse_knob::<f64>("EGM_MIN_DELIVERY_RATIO", "0,90");
+        let _ = parse_knob::<f64>("EGM_SCALE_RSS_BUDGET_MB", "0,90");
     }
 
     #[test]

@@ -361,12 +361,12 @@ impl ProgressSink for JobSink {
                 ]),
                 true,
             ),
-            ProgressEvent::Fault { at_ms, action } => self.job.push_event(
+            ProgressEvent::Fault { at_ms, fault } => self.job.push_event(
                 "fault",
                 &Json::obj(vec![
                     run,
                     ("at_ms", Json::num(at_ms)),
-                    ("action", Json::str(action)),
+                    ("action", Json::str(format!("{fault:?}"))),
                 ]),
                 false,
             ),

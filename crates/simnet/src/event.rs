@@ -44,17 +44,71 @@ pub(crate) enum EventKind<M> {
     },
     /// Deliver a harness command to a protocol node.
     Command { node: NodeId, value: u64 },
-    /// Silence a node (fault injection).
+    /// Apply a fault to the network.
+    Fault(Fault),
+}
+
+/// A fault-injection action, scheduled with
+/// [`Sim::schedule_fault`](crate::Sim::schedule_fault).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Fault {
+    /// The node stops sending and receiving (fail-by-firewall, §6.3).
     Silence(NodeId),
-    /// Revive a previously silenced node.
+    /// The node comes back online, its protocol state intact.
     Revive(NodeId),
-    /// Set the transit-link degradation state: a latency multiplier and
-    /// an extra loss probability applied to cross-domain traffic
-    /// (fault injection; `1.0` / `0.0` restores the healthy network).
-    Degrade { latency_mult: f64, extra_loss: f64 },
-    /// Set a node's processing slowdown: an additive receive-side delay
-    /// (fault injection; `ZERO` restores full speed).
-    Slowdown { node: NodeId, delay: SimDuration },
+    /// Cross-domain (transit) links degrade: latencies multiply by
+    /// `latency_mult` and each message is additionally lost with
+    /// probability `extra_loss`. `1.0` / `0.0` restores the healthy
+    /// network. Intra-domain traffic is unaffected.
+    Degrade {
+        /// Latency multiplier on cross-domain links (`≥ 1.0`).
+        latency_mult: f64,
+        /// Extra loss probability on cross-domain links (`[0, 1]`).
+        extra_loss: f64,
+    },
+    /// Every message into `node` is delayed by an extra `delay`
+    /// (`ZERO` restores full speed).
+    Slowdown {
+        /// Slowed node.
+        node: NodeId,
+        /// Additive receive-side delay per message.
+        delay: SimDuration,
+    },
+}
+
+impl Fault {
+    /// The node this fault targets, if any (degradation is global).
+    pub fn node(&self) -> Option<NodeId> {
+        match *self {
+            Fault::Silence(node) | Fault::Revive(node) | Fault::Slowdown { node, .. } => Some(node),
+            Fault::Degrade { .. } => None,
+        }
+    }
+
+    /// Checks the fault's parameters. Degradation may only *lengthen*
+    /// delays, so the conservative window lookahead computed from the
+    /// healthy network remains a valid lower bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a degradation has `latency_mult < 1.0` (or non-finite)
+    /// or `extra_loss` outside `[0, 1]`.
+    pub fn check(&self) {
+        if let Fault::Degrade {
+            latency_mult,
+            extra_loss,
+        } = *self
+        {
+            assert!(
+                latency_mult.is_finite() && latency_mult >= 1.0,
+                "degradation may only lengthen delays"
+            );
+            assert!(
+                (0.0..=1.0).contains(&extra_loss),
+                "extra loss must be a probability"
+            );
+        }
+    }
 }
 
 /// A scheduled item; ordering is by `(time, seq)`, making the simulation
@@ -743,8 +797,14 @@ impl<T> QueueImpl<T> {
 
 #[cfg(test)]
 mod tests {
-    use super::{CalendarQueue, EventQueue, HeapQueue, QueueKind, Scheduled};
+    use super::{CalendarQueue, EventKind, EventQueue, HeapQueue, QueueKind, Scheduled};
     use crate::SimTime;
+
+    #[test]
+    fn a_queued_event_stays_48_bytes() {
+        // The hot queue entry: time, seq and the largest event kind.
+        assert_eq!(std::mem::size_of::<Scheduled<EventKind<u32>>>(), 48);
+    }
 
     fn ev(ms: f64, seq: u64) -> Scheduled<u64> {
         Scheduled {

@@ -54,7 +54,7 @@ pub mod stats;
 pub mod time;
 pub mod wire;
 
-pub use event::{CalendarQueue, EventQueue, HeapQueue, QueueKind, QueueStats, Scheduled};
+pub use event::{CalendarQueue, EventQueue, Fault, HeapQueue, QueueKind, QueueStats, Scheduled};
 pub use net::{Network, SimConfig};
 pub use progress::{NoopSink, ProgressEvent, ProgressSink, SharedSink};
 pub use shard::{Partition, PartitionStrategy, ShardStats};

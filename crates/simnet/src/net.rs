@@ -1,6 +1,6 @@
 //! The virtual network: delays, loss, jitter, and fault injection.
 
-use crate::event::QueueKind;
+use crate::event::{Fault, QueueKind};
 use crate::shard::PartitionStrategy;
 use crate::time::{SimDuration, SimTime};
 use crate::NodeId;
@@ -432,16 +432,13 @@ impl Network {
     /// # Panics
     ///
     /// Panics if `latency_mult < 1.0` or is non-finite, or `extra_loss`
-    /// is outside `[0, 1]`.
+    /// is outside `[0, 1]` (see [`Fault::check`]).
     pub fn degrade_transit(&mut self, latency_mult: f64, extra_loss: f64) {
-        assert!(
-            latency_mult.is_finite() && latency_mult >= 1.0,
-            "degradation may only lengthen delays"
-        );
-        assert!(
-            (0.0..=1.0).contains(&extra_loss),
-            "extra loss must be a probability"
-        );
+        Fault::Degrade {
+            latency_mult,
+            extra_loss,
+        }
+        .check();
         self.degrade_mult = latency_mult;
         self.degrade_loss = extra_loss;
     }

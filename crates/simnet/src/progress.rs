@@ -13,6 +13,7 @@
 //! once per planned window, which on a large multi-shard run can be
 //! thousands of times per wall-clock second.
 
+use crate::Fault;
 use std::sync::Arc;
 
 /// A coarse progress notification from an engine or the runner.
@@ -42,14 +43,14 @@ pub enum ProgressEvent {
         /// Events dispatched so far.
         events: u64,
     },
-    /// A fault was scheduled onto the engine (the schedule is replayed
-    /// verbatim from the scenario, so activation times are known at
-    /// submission; emitted once per fault at schedule time).
+    /// A fault was scheduled onto the engine (every fault is laid out
+    /// before the run starts, so activation times are known at
+    /// submission; emitted once per fault action at schedule time).
     Fault {
         /// Virtual activation time, in milliseconds.
         at_ms: f64,
-        /// Human-readable description of the fault action.
-        action: String,
+        /// The scheduled action.
+        fault: Fault,
     },
     /// An online re-rank tick completed: the hub ranking re-ran over
     /// the live population and every node was rebound to the new set.

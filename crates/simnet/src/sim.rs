@@ -16,7 +16,7 @@
 //! stream *per sender* rather than one global stream: a sender's draws
 //! depend only on its own send order, which every shard count reproduces.
 
-use crate::event::{EventKind, QueueImpl, QueueStats, Scheduled};
+use crate::event::{EventKind, Fault, QueueImpl, QueueStats, Scheduled};
 use crate::net::{Network, SimConfig};
 use crate::progress::SharedSink;
 use crate::shard::{Partition, ShardStats, WindowLoop};
@@ -526,36 +526,23 @@ impl<P: Protocol> EngineState<P> {
             }
             // Fault events are replicated to every shard (each keeps its
             // own fault view); the event is *counted* once, by the shard
-            // owning the affected node, so `events_processed` sums to the
-            // one-shard count.
-            EventKind::Silence(node) => {
-                if self.core.owns(node) {
+            // owning the affected node — node 0's for a global
+            // degradation — so `events_processed` sums to the one-shard
+            // count.
+            EventKind::Fault(fault) => {
+                if self.core.owns(fault.node().unwrap_or(NodeId(0))) {
                     self.events_processed += 1;
                 }
-                self.core.network.silence(node);
-            }
-            EventKind::Revive(node) => {
-                if self.core.owns(node) {
-                    self.events_processed += 1;
+                let network = &mut self.core.network;
+                match fault {
+                    Fault::Silence(node) => network.silence(node),
+                    Fault::Revive(node) => network.revive(node),
+                    Fault::Degrade {
+                        latency_mult,
+                        extra_loss,
+                    } => network.degrade_transit(latency_mult, extra_loss),
+                    Fault::Slowdown { node, delay } => network.slow_down(node, delay),
                 }
-                self.core.network.revive(node);
-            }
-            // Degradation is global (no affected node); the shard owning
-            // node 0 is the designated counter.
-            EventKind::Degrade {
-                latency_mult,
-                extra_loss,
-            } => {
-                if self.core.owns(NodeId(0)) {
-                    self.events_processed += 1;
-                }
-                self.core.network.degrade_transit(latency_mult, extra_loss);
-            }
-            EventKind::Slowdown { node, delay } => {
-                if self.core.owns(node) {
-                    self.events_processed += 1;
-                }
-                self.core.network.slow_down(node, delay);
             }
         }
     }
@@ -872,77 +859,27 @@ where
         });
     }
 
-    /// Enqueues one fault event on every shard (each keeps its own fault
+    /// Schedules `fault` at absolute time `at` (fault injection, §6.3).
+    /// The event is enqueued on every shard (each keeps its own fault
     /// view) under one shared key, so all shards apply it at the same
     /// point of the global order.
-    fn schedule_fault(&mut self, at: SimTime, fault: impl Fn() -> EventKind<P::Msg>) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past, or the fault's parameters are
+    /// invalid ([`Fault::check`] — here, so a bad schedule fails fast,
+    /// not mid-run).
+    pub fn schedule_fault(&mut self, at: SimTime, fault: Fault) {
         assert!(at >= self.now(), "cannot schedule in the past");
+        fault.check();
         let seq = self.next_harness_seq();
         for sh in &mut self.shards {
             sh.core.enqueue(Scheduled {
                 time: at,
                 seq,
-                item: fault(),
+                item: EventKind::Fault(fault),
             });
         }
-    }
-
-    /// Schedules node silencing (fault injection, §6.3) at time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_silence(&mut self, at: SimTime, node: NodeId) {
-        self.schedule_fault(at, || EventKind::Silence(node));
-    }
-
-    /// Schedules node revival at time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_revive(&mut self, at: SimTime, node: NodeId) {
-        self.schedule_fault(at, || EventKind::Revive(node));
-    }
-
-    /// Schedules a transit-degradation change at time `at`: cross-domain
-    /// traffic gets its base delay multiplied by `latency_mult` and an
-    /// extra drop probability `extra_loss` from then on. Schedule
-    /// `(1.0, 0.0)` to restore the healthy network (see
-    /// [`crate::Network::degrade_transit`]). Degradation only
-    /// *lengthens* delays, so the conservative window lookahead computed
-    /// from the healthy network remains a valid lower bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past, `latency_mult < 1.0`, or
-    /// `extra_loss` is outside `[0, 1]` (parameters are validated here so
-    /// a bad schedule fails fast, not mid-run).
-    pub fn schedule_degrade(&mut self, at: SimTime, latency_mult: f64, extra_loss: f64) {
-        assert!(
-            latency_mult.is_finite() && latency_mult >= 1.0,
-            "degradation may only lengthen delays"
-        );
-        assert!(
-            (0.0..=1.0).contains(&extra_loss),
-            "extra loss must be a probability"
-        );
-        self.schedule_fault(at, || EventKind::Degrade {
-            latency_mult,
-            extra_loss,
-        });
-    }
-
-    /// Schedules a processing-slowdown change for `node` at time `at`:
-    /// every message *into* the node is delayed by an extra `delay` from
-    /// then on. Schedule `ZERO` to restore full speed (see
-    /// [`crate::Network::slow_down`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_slowdown(&mut self, at: SimTime, node: NodeId, delay: SimDuration) {
-        self.schedule_fault(at, || EventKind::Slowdown { node, delay });
     }
 
     /// Processes the next event, if any. Returns `false` when the queue is
@@ -1007,7 +944,7 @@ mod tests {
     use crate::net::SimConfig;
     use crate::time::{SimDuration, SimTime};
     use crate::wire::Wire;
-    use crate::NodeId;
+    use crate::{Fault, NodeId};
 
     #[derive(Clone, Debug, PartialEq)]
     enum Msg {
@@ -1139,7 +1076,7 @@ mod tests {
     #[test]
     fn silencing_stops_delivery_but_not_accounting() {
         let mut sim = two_nodes(10.0);
-        sim.schedule_silence(SimTime::from_ms(0.0), NodeId(1));
+        sim.schedule_fault(SimTime::from_ms(0.0), Fault::Silence(NodeId(1)));
         sim.schedule_command(SimTime::from_ms(1.0), NodeId(0), 2);
         sim.run_for(SimDuration::from_ms(100.0));
         assert!(sim.node(NodeId(0)).pongs.is_empty());
@@ -1150,8 +1087,8 @@ mod tests {
     #[test]
     fn revive_restores_connectivity() {
         let mut sim = two_nodes(10.0);
-        sim.schedule_silence(SimTime::from_ms(0.0), NodeId(1));
-        sim.schedule_revive(SimTime::from_ms(50.0), NodeId(1));
+        sim.schedule_fault(SimTime::from_ms(0.0), Fault::Silence(NodeId(1)));
+        sim.schedule_fault(SimTime::from_ms(50.0), Fault::Revive(NodeId(1)));
         sim.schedule_command(SimTime::from_ms(60.0), NodeId(0), 3);
         sim.run_for(SimDuration::from_ms(200.0));
         assert_eq!(sim.node(NodeId(0)).pongs.len(), 1);

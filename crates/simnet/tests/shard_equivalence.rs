@@ -23,8 +23,8 @@
 //! count (`PROPTEST_CASES`).
 
 use egm_simnet::{
-    Context, LinkTally, NodeId, Partition, PartitionStrategy, Protocol, ShardStats, Sim, SimConfig,
-    SimDuration, SimTime, TimerToken, Wire,
+    Context, Fault, LinkTally, NodeId, Partition, PartitionStrategy, Protocol, ShardStats, Sim,
+    SimConfig, SimDuration, SimTime, TimerToken, Wire,
 };
 use egm_topology::{RoutedModel, TransitStubConfig};
 use proptest::prelude::*;
@@ -188,8 +188,8 @@ fn run_script(config: SimConfig, script: &Script, shards: Option<usize>) -> Snap
     }
     for &(at, node, down_us) in &script.faults {
         let node = NodeId(node % script.n);
-        sim.schedule_silence(SimTime::from_micros(at), node);
-        sim.schedule_revive(SimTime::from_micros(at + down_us), node);
+        sim.schedule_fault(SimTime::from_micros(at), Fault::Silence(node));
+        sim.schedule_fault(SimTime::from_micros(at + down_us), Fault::Revive(node));
     }
     sim.run_until(SimTime::from_micros(script.deadline_us));
     sim.seal_traffic();

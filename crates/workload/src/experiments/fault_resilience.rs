@@ -19,8 +19,10 @@
 
 use super::scale::ScalePreset;
 use crate::faults::{ChurnPlan, FaultScenarioKind, RerankPlan};
+use crate::scenario::Scenario;
 use egm_core::BestSet;
 use egm_metrics::{table, RunReport, Table};
+use egm_topology::RoutedModel;
 use std::sync::Arc;
 
 /// One (scenario, churn) cell of the resilience grid.
@@ -56,6 +58,26 @@ pub fn churn_levels() -> [(&'static str, Option<ChurnPlan>); 3] {
 /// half warm-up ([`FaultScenarioKind::schedule`]).
 pub fn rerank_plan() -> RerankPlan {
     RerankPlan::new(1_000.0, 2)
+}
+
+/// The grid's harshest cell — domain outage × heavy churn, with online
+/// re-ranking — and the model its fault trace was laid out on: the cell
+/// the byte-identity checks re-run at every shard width.
+pub fn harshest_cell(
+    preset: ScalePreset,
+    messages: usize,
+    seed: u64,
+) -> (Scenario, Arc<RoutedModel>) {
+    let base = preset
+        .scenario(messages, seed)
+        .with_rerank(Some(rerank_plan()));
+    let model = Arc::new(base.build_model());
+    let traffic_ms = messages as f64 * base.mean_interval_ms + base.drain_ms;
+    let schedule =
+        FaultScenarioKind::DomainOutage.schedule(&model, base.warmup_ms, traffic_ms, seed);
+    let (_, heavy) = churn_levels()[2];
+    let cell = base.with_fault_schedule(Some(schedule)).with_churn(heavy);
+    (cell, model)
 }
 
 /// Runs the full (scenario × churn) grid at a scale preset through the
@@ -132,7 +154,9 @@ pub fn render(rows: &[ResilienceRow]) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{churn_levels, render, run_at_preset, FaultScenarioKind, ScalePreset};
+    use super::{
+        churn_levels, harshest_cell, render, run_at_preset, FaultScenarioKind, ScalePreset,
+    };
 
     #[test]
     fn one_k_grid_measures_every_cell() {
@@ -179,21 +203,9 @@ mod tests {
 
     #[test]
     fn representative_cell_is_byte_identical_across_shard_widths() {
-        use crate::faults::RerankPlan;
-        use std::sync::Arc;
         // One harsh cell — domain outage plus heavy churn plus online
         // re-ranking — across the sequential engine and W ∈ {1, 2, 4}.
-        let preset = ScalePreset::N1k;
-        let base = preset
-            .scenario(2, 11)
-            .with_rerank(Some(RerankPlan::new(1_000.0, 2)));
-        let model = Arc::new(base.build_model());
-        let traffic_ms = 2.0 * base.mean_interval_ms + base.drain_ms;
-        let schedule =
-            FaultScenarioKind::DomainOutage.schedule(&model, base.warmup_ms, traffic_ms, 11);
-        let (_, heavy) = churn_levels()[2];
-        let cell = base.with_fault_schedule(Some(schedule)).with_churn(heavy);
-
+        let (cell, model) = harshest_cell(ScalePreset::N1k, 2, 11);
         let setup = crate::runner::prepare(&cell, Some(model));
         let run =
             |w: usize| crate::runner::run_prepared(&cell.clone().with_shards(Some(w)), &setup);

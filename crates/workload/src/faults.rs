@@ -1,4 +1,4 @@
-//! Fault plans: node silencing after warm-up (§6.3).
+//! Fault models: node silencing after warm-up (§6.3) and its extensions.
 //!
 //! The paper *"simulates failed nodes by silencing them with firewall
 //! rules after letting them join the overlay and warm up, i.e. immediately
@@ -7,10 +7,17 @@
 //! hubs (the adversarial case of Fig. 5(b)) — and the runner silences them
 //! at the end of warm-up. Failed nodes neither multicast nor count toward
 //! delivery statistics.
+//!
+//! Every fault reaches the engine the same way: as a [`FaultSchedule`] of
+//! timed [`Fault`] actions, replayed through `Sim::schedule_fault`. The
+//! warm-up victims become `Silence` events at warm-up end, a
+//! [`ChurnPlan`] lays out silence/revive pairs over the traffic window,
+//! and a scenario's explicit schedule (the [`FaultScenarioKind`] library
+//! or a hand-written trace) is replayed verbatim.
 
 use egm_core::BestSet;
 use egm_rng::{sample, Rng};
-use egm_simnet::NodeId;
+use egm_simnet::{Fault, NodeId, SimDuration, SimTime};
 use egm_topology::RoutedModel;
 
 /// How failed nodes are selected.
@@ -154,106 +161,48 @@ impl ChurnPlan {
         }
     }
 
-    /// Picks the victim of the `k`-th churn event among `n` nodes.
-    pub fn victim(&self, n: usize, rng: &mut Rng) -> NodeId {
-        NodeId(rng.range_usize(0, n))
-    }
-
-    /// Lays out the plan's outages over a window of `window_ms`: one
-    /// event every `period_ms`, each victim drawn uniformly but
-    /// *rejected* if it is in `excluded` (permanent fault victims) or
-    /// still down from an earlier churn outage (`down_ms > period_ms`
-    /// makes outages overlap). Redraws are bounded; an event whose
-    /// budget runs out is skipped rather than silently doubled onto an
-    /// already-dead node.
-    ///
-    /// Times are relative to the start of the churn window.
+    /// Lays out the plan's outages over the window of `window_ms` that
+    /// opens at `start`: one outage every `period_ms`, each a `Silence`
+    /// followed `down_ms` later by its `Revive`. Each victim is drawn
+    /// uniformly but *rejected* if it is in `excluded` (permanent fault
+    /// victims) or still down from an earlier churn outage (`down_ms >
+    /// period_ms` makes outages overlap). Redraws are bounded; an outage
+    /// whose budget runs out is skipped rather than silently doubled onto
+    /// an already-dead node.
     pub fn schedule(
         &self,
         n: usize,
+        start: SimTime,
         window_ms: f64,
         excluded: &[NodeId],
         rng: &mut Rng,
-    ) -> Vec<ChurnEvent> {
-        /// Redraw budget per event: generous enough that a draw only
+    ) -> FaultSchedule {
+        /// Redraw budget per outage: generous enough that a draw only
         /// fails when nearly every node is excluded or mid-outage.
         const MAX_REDRAWS: u32 = 64;
         let mut down_until = vec![f64::NEG_INFINITY; n];
         let blocked = |node: NodeId, at_ms: f64, down_until: &[f64]| {
             excluded.contains(&node) || down_until[node.index()] > at_ms
         };
-        let mut events = Vec::new();
+        let mut s = FaultSchedule::empty();
         for k in 1..=self.events_within(window_ms) {
             let at_ms = k as f64 * self.period_ms;
-            let mut node = self.victim(n, rng);
+            let mut node = NodeId(rng.range_usize(0, n));
             let mut redraws = 0;
             while blocked(node, at_ms, &down_until) && redraws < MAX_REDRAWS {
-                node = self.victim(n, rng);
+                node = NodeId(rng.range_usize(0, n));
                 redraws += 1;
             }
             if blocked(node, at_ms, &down_until) {
                 continue;
             }
             down_until[node.index()] = at_ms + self.down_ms;
-            events.push(ChurnEvent { at_ms, node });
+            let down = start + SimDuration::from_ms(at_ms);
+            s.push(down.as_ms(), Fault::Silence(node));
+            let up = down + SimDuration::from_ms(self.down_ms);
+            s.push(up.as_ms(), Fault::Revive(node));
         }
-        events
-    }
-}
-
-/// One laid-out churn outage (see [`ChurnPlan::schedule`]): `node` goes
-/// silent at `at_ms` and revives `down_ms` later.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnEvent {
-    /// Outage start, relative to the start of the churn window.
-    pub at_ms: f64,
-    /// The churned node.
-    pub node: NodeId,
-}
-
-/// One timed fault action (see [`FaultSchedule`]). Nodes are raw indices
-/// so traces serialize without depending on simulator types.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultAction {
-    /// The node stops sending and receiving (fail-by-firewall, §6.3).
-    Silence {
-        /// Victim node index.
-        node: usize,
-    },
-    /// The node comes back online (its protocol state intact).
-    Revive {
-        /// Revived node index.
-        node: usize,
-    },
-    /// Cross-domain (transit) links degrade: latencies multiply by
-    /// `latency_mult` and each message is additionally lost with
-    /// probability `extra_loss`. `1.0` / `0.0` restores the healthy
-    /// network. Intra-domain traffic is unaffected.
-    Degrade {
-        /// Latency multiplier on cross-domain links (`≥ 1.0`).
-        latency_mult: f64,
-        /// Extra loss probability on cross-domain links (`[0, 1]`).
-        extra_loss: f64,
-    },
-    /// The node's receive-side processing slows by `delay_ms` per
-    /// message (`0` restores full speed).
-    Slowdown {
-        /// Slowed node index.
-        node: usize,
-        /// Additive per-message delay in milliseconds.
-        delay_ms: f64,
-    },
-}
-
-impl FaultAction {
-    /// The node this action targets, if any (degradation is global).
-    pub fn node(&self) -> Option<usize> {
-        match *self {
-            FaultAction::Silence { node }
-            | FaultAction::Revive { node }
-            | FaultAction::Slowdown { node, .. } => Some(node),
-            FaultAction::Degrade { .. } => None,
-        }
+        s
     }
 }
 
@@ -263,13 +212,14 @@ pub struct TimedFault {
     /// When the action fires, in absolute simulated milliseconds.
     pub at_ms: f64,
     /// What happens.
-    pub action: FaultAction,
+    pub action: Fault,
 }
 
 /// A deterministic fault trace: timed join/leave/crash/revive/degrade
-/// events, generalizing [`FaultPlan`] (one permanent cut at warm-up end)
-/// and [`ChurnPlan`] (periodic transient outages) into an explicit
-/// schedule the runner replays event by event.
+/// events, the one form in which every fault reaches the engine — the
+/// runner lowers [`FaultPlan`] (one permanent cut at warm-up end) and
+/// [`ChurnPlan`] (periodic transient outages) into schedules too, and
+/// replays each event by event.
 ///
 /// Schedules are plain data — seed-derived and independent of simulator
 /// state — so the same trace drives every shard width to byte-identical
@@ -278,9 +228,7 @@ pub struct TimedFault {
 /// [domain outages](FaultSchedule::domain_outage), transit-link
 /// [degradation](FaultSchedule::transit_degradation),
 /// [flash crowds](FaultSchedule::flash_crowd), per-node
-/// [slowdowns](FaultSchedule::node_slowdown) and
-/// [rolling churn](FaultSchedule::rolling_churn); [`FaultSchedule::merge`]
-/// composes them.
+/// [slowdowns](FaultSchedule::node_slowdown).
 ///
 /// # Examples
 ///
@@ -303,7 +251,7 @@ impl FaultSchedule {
         FaultSchedule::default()
     }
 
-    fn push(&mut self, at_ms: f64, action: FaultAction) {
+    fn push(&mut self, at_ms: f64, action: Fault) {
         self.events.push(TimedFault { at_ms, action });
     }
 
@@ -333,10 +281,10 @@ impl FaultSchedule {
         };
         let mut s = FaultSchedule::empty();
         for &node in &members {
-            s.push(at_ms, FaultAction::Silence { node });
+            s.push(at_ms, Fault::Silence(NodeId(node)));
         }
         for &node in &members {
-            s.push(at_ms + down_ms, FaultAction::Revive { node });
+            s.push(at_ms + down_ms, Fault::Revive(NodeId(node)));
         }
         s
     }
@@ -350,25 +298,16 @@ impl FaultSchedule {
         latency_mult: f64,
         extra_loss: f64,
     ) -> Self {
-        assert!(
-            latency_mult.is_finite() && latency_mult >= 1.0,
-            "degradation may only lengthen delays"
-        );
-        assert!(
-            (0.0..=1.0).contains(&extra_loss),
-            "extra loss must be a probability"
-        );
+        let onset = Fault::Degrade {
+            latency_mult,
+            extra_loss,
+        };
+        onset.check();
         let mut s = FaultSchedule::empty();
-        s.push(
-            at_ms,
-            FaultAction::Degrade {
-                latency_mult,
-                extra_loss,
-            },
-        );
+        s.push(at_ms, onset);
         s.push(
             at_ms + duration_ms,
-            FaultAction::Degrade {
+            Fault::Degrade {
                 latency_mult: 1.0,
                 extra_loss: 0.0,
             },
@@ -389,10 +328,10 @@ impl FaultSchedule {
         let crowd = sample::distinct_indices(&mut rng, n, k);
         let mut s = FaultSchedule::empty();
         for &node in &crowd {
-            s.push(0.0, FaultAction::Silence { node });
+            s.push(0.0, Fault::Silence(NodeId(node)));
         }
         for &node in &crowd {
-            s.push(join_at_ms, FaultAction::Revive { node });
+            s.push(join_at_ms, Fault::Revive(NodeId(node)));
         }
         s
     }
@@ -412,69 +351,21 @@ impl FaultSchedule {
             (0.0..=1.0).contains(&fraction),
             "slowdown fraction must be in [0, 1]"
         );
-        assert!(
-            delay_ms.is_finite() && delay_ms >= 0.0,
-            "slowdown delay must be non-negative"
-        );
+        let delay = SimDuration::from_ms(delay_ms);
         let k = (n as f64 * fraction).round() as usize;
         let mut rng = Rng::seed_from_u64(seed);
         let slowed = sample::distinct_indices(&mut rng, n, k.min(n));
         let mut s = FaultSchedule::empty();
         for &node in &slowed {
-            s.push(at_ms, FaultAction::Slowdown { node, delay_ms });
+            let node = NodeId(node);
+            s.push(at_ms, Fault::Slowdown { node, delay });
         }
         for &node in &slowed {
-            s.push(
-                at_ms + duration_ms,
-                FaultAction::Slowdown {
-                    node,
-                    delay_ms: 0.0,
-                },
-            );
+            let node = NodeId(node);
+            let delay = SimDuration::ZERO;
+            s.push(at_ms + duration_ms, Fault::Slowdown { node, delay });
         }
         s
-    }
-
-    /// Rolling churn: lays out `plan` over `[start_ms, start_ms +
-    /// window_ms)` with a seed-derived RNG (see [`ChurnPlan::schedule`]
-    /// for the overlap-aware victim rejection).
-    pub fn rolling_churn(
-        n: usize,
-        plan: ChurnPlan,
-        start_ms: f64,
-        window_ms: f64,
-        seed: u64,
-    ) -> Self {
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut s = FaultSchedule::empty();
-        for ev in plan.schedule(n, window_ms, &[], &mut rng) {
-            s.push(
-                start_ms + ev.at_ms,
-                FaultAction::Silence {
-                    node: ev.node.index(),
-                },
-            );
-            s.push(
-                start_ms + ev.at_ms + plan.down_ms,
-                FaultAction::Revive {
-                    node: ev.node.index(),
-                },
-            );
-        }
-        s
-    }
-
-    /// Merges two schedules, keeping events time-ordered (ties keep
-    /// `self`'s events first — the stable sort preserves insertion
-    /// order, and the runner breaks remaining ties by scheduling order).
-    pub fn merge(mut self, other: FaultSchedule) -> Self {
-        self.events.extend(other.events);
-        self.events.sort_by(|a, b| {
-            a.at_ms
-                .partial_cmp(&b.at_ms)
-                .expect("fault times are finite")
-        });
-        self
     }
 
     /// Whether the schedule has no events.
@@ -493,9 +384,9 @@ impl FaultSchedule {
                 continue;
             }
             match ev.action {
-                FaultAction::Silence { node } => down[node] = true,
-                FaultAction::Revive { node } => down[node] = false,
-                FaultAction::Degrade { .. } | FaultAction::Slowdown { .. } => {}
+                Fault::Silence(node) => down[node.index()] = true,
+                Fault::Revive(node) => down[node.index()] = false,
+                Fault::Degrade { .. } | Fault::Slowdown { .. } => {}
             }
         }
         down
@@ -516,30 +407,9 @@ impl FaultSchedule {
                 ev.at_ms
             );
             if let Some(node) = ev.action.node() {
-                assert!(node < n, "fault targets node {node} of {n}");
+                assert!(node.index() < n, "fault targets {node} of {n} nodes");
             }
-            match ev.action {
-                FaultAction::Degrade {
-                    latency_mult,
-                    extra_loss,
-                } => {
-                    assert!(
-                        latency_mult.is_finite() && latency_mult >= 1.0,
-                        "degradation may only lengthen delays"
-                    );
-                    assert!(
-                        (0.0..=1.0).contains(&extra_loss),
-                        "extra loss must be a probability"
-                    );
-                }
-                FaultAction::Slowdown { delay_ms, .. } => {
-                    assert!(
-                        delay_ms.is_finite() && delay_ms >= 0.0,
-                        "slowdown delay must be non-negative"
-                    );
-                }
-                FaultAction::Silence { .. } | FaultAction::Revive { .. } => {}
-            }
+            ev.action.check();
         }
     }
 }
@@ -650,7 +520,7 @@ mod tests {
     use super::{ChurnPlan, FaultPlan, FaultSelection};
     use egm_core::BestSet;
     use egm_rng::Rng;
-    use egm_simnet::NodeId;
+    use egm_simnet::{Fault, NodeId, SimTime};
     use std::collections::HashSet;
 
     #[test]
@@ -724,15 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn churn_victims_are_in_range() {
-        let plan = ChurnPlan::new(100.0, 50.0);
-        let mut rng = Rng::seed_from_u64(6);
-        for _ in 0..100 {
-            assert!(plan.victim(7, &mut rng).index() < 7);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "period must be positive")]
     fn churn_rejects_zero_period() {
         let _ = ChurnPlan::new(0.0, 10.0);
@@ -746,23 +607,25 @@ mod tests {
         let plan = ChurnPlan::new(100.0, 450.0);
         let excluded = [NodeId(0), NodeId(1)];
         let mut rng = Rng::seed_from_u64(7);
-        let events = plan.schedule(6, 2000.0, &excluded, &mut rng);
-        assert!(!events.is_empty());
+        let s = plan.schedule(6, SimTime::ZERO, 2000.0, &excluded, &mut rng);
+        assert!(!s.is_empty());
         let mut down_until = [f64::NEG_INFINITY; 6];
-        for ev in &events {
+        for pair in s.events.chunks(2) {
+            let (at_ms, Fault::Silence(node)) = (pair[0].at_ms, pair[0].action) else {
+                panic!("outage must open with a silence: {pair:?}");
+            };
+            assert_eq!(pair[1].action, Fault::Revive(node), "{pair:?}");
+            assert_eq!(pair[1].at_ms, at_ms + plan.down_ms, "{pair:?}");
             assert!(
-                !excluded.contains(&ev.node),
-                "permanent victim churned: {:?}",
-                ev.node
+                !excluded.contains(&node),
+                "permanent victim churned: {node}"
             );
             assert!(
-                down_until[ev.node.index()] <= ev.at_ms,
-                "node {:?} churned at {} while down until {}",
-                ev.node,
-                ev.at_ms,
-                down_until[ev.node.index()]
+                down_until[node.index()] <= at_ms,
+                "{node} churned at {at_ms} while down until {}",
+                down_until[node.index()]
             );
-            down_until[ev.node.index()] = ev.at_ms + plan.down_ms;
+            down_until[node.index()] = at_ms + plan.down_ms;
         }
     }
 
@@ -774,9 +637,9 @@ mod tests {
         let plan = ChurnPlan::new(100.0, 10_000.0);
         let excluded = [NodeId(1)];
         let mut rng = Rng::seed_from_u64(8);
-        let events = plan.schedule(2, 1000.0, &excluded, &mut rng);
-        assert_eq!(events.len(), 1, "only the first outage can fire");
-        assert_eq!(events[0].node, NodeId(0));
+        let s = plan.schedule(2, SimTime::ZERO, 1000.0, &excluded, &mut rng);
+        assert_eq!(s.events.len(), 2, "only the first outage can fire");
+        assert_eq!(s.events[0].action, Fault::Silence(NodeId(0)));
     }
 
     #[test]
@@ -812,17 +675,6 @@ mod tests {
         let at_start = s.down_at(0.0, 20);
         assert_eq!(at_start.iter().filter(|&&d| d).count(), 5);
         assert!(!s.down_at(500.0, 20).iter().any(|&d| d), "all joined");
-    }
-
-    #[test]
-    fn merge_orders_by_time() {
-        let a = super::FaultSchedule::transit_degradation(300.0, 100.0, 2.0, 0.0);
-        let b = super::FaultSchedule::flash_crowd(10, 0.2, 350.0, 1);
-        let merged = a.merge(b);
-        let times: Vec<f64> = merged.events.iter().map(|e| e.at_ms).collect();
-        let mut sorted = times.clone();
-        sorted.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
-        assert_eq!(times, sorted);
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub mod scenario;
 pub mod traffic;
 
 pub use arrival::{Arrival, ArrivalProcess, SteadyState};
+pub use egm_simnet::Fault;
 pub use faults::{
-    ChurnPlan, FaultAction, FaultPlan, FaultScenarioKind, FaultSchedule, FaultSelection,
-    RerankPlan, TimedFault,
+    ChurnPlan, FaultPlan, FaultScenarioKind, FaultSchedule, FaultSelection, RerankPlan, TimedFault,
 };
 pub use scenario::{NoiseConfig, Scenario, TopologySource};

@@ -17,7 +17,7 @@
 //! runs agree.
 
 use crate::arrival::{self, Arrival, SteadyState};
-use crate::faults::{FaultAction, FaultSchedule, RerankPlan};
+use crate::faults::{FaultSchedule, RerankPlan, TimedFault};
 use crate::scenario::Scenario;
 use crate::traffic;
 use egm_core::{BestSet, EgmNode, PublishChain, SchedulerStats};
@@ -25,7 +25,8 @@ use egm_membership::PartialView;
 use egm_metrics::{link, DeliveryLog, LatencyHistogram, RunReport};
 use egm_rng::Rng;
 use egm_simnet::{
-    NodeId, ProgressEvent, QueueStats, ShardStats, SharedSink, Sim, SimConfig, SimDuration, SimTime,
+    Fault, NodeId, ProgressEvent, QueueStats, ShardStats, SharedSink, Sim, SimConfig, SimDuration,
+    SimTime,
 };
 use egm_topology::RoutedModel;
 use std::collections::{HashMap, HashSet};
@@ -470,41 +471,22 @@ pub(crate) fn execute(
         Some(plan) => plan.choose_victims(n, best.as_deref(), &mut rng),
         None => Vec::new(),
     };
-    for &v in &victims {
-        sim.schedule_silence(warmup_end, v);
-        if let Some(sink) = &sink {
-            sink.emit(ProgressEvent::Fault {
+    let warmup_kills = FaultSchedule {
+        events: victims
+            .iter()
+            .map(|&v| TimedFault {
                 at_ms: scenario.warmup_ms,
-                action: format!("warm-up kill {v}"),
-            });
-        }
-    }
+                action: Fault::Silence(v),
+            })
+            .collect(),
+    };
+    inject(&mut sim, &warmup_kills, sink.as_ref());
 
     // Explicit fault trace (extension): replayed verbatim, in event
     // order. Draws no harness randomness, so a schedule never perturbs
     // victims, views or the traffic plan.
     if let Some(schedule) = &scenario.fault_schedule {
-        schedule.validate(n);
-        for ev in &schedule.events {
-            let at = SimTime::from_ms(ev.at_ms);
-            if let Some(sink) = &sink {
-                sink.emit(ProgressEvent::Fault {
-                    at_ms: ev.at_ms,
-                    action: format!("{:?}", ev.action),
-                });
-            }
-            match ev.action {
-                FaultAction::Silence { node } => sim.schedule_silence(at, NodeId(node)),
-                FaultAction::Revive { node } => sim.schedule_revive(at, NodeId(node)),
-                FaultAction::Degrade {
-                    latency_mult,
-                    extra_loss,
-                } => sim.schedule_degrade(at, latency_mult, extra_loss),
-                FaultAction::Slowdown { node, delay_ms } => {
-                    sim.schedule_slowdown(at, NodeId(node), SimDuration::from_ms(delay_ms))
-                }
-            }
-        }
+        inject(&mut sim, schedule, sink.as_ref());
     }
 
     // Traffic: live nodes multicast round-robin (§5.3), driven by the
@@ -544,17 +526,8 @@ pub(crate) fn execute(
         // churn event never lands as a no-op on a dead node.
         if let Some(churn) = scenario.churn {
             let window = (end - warmup_end).as_ms();
-            for ev in churn.schedule(n, window, &victims, &mut rng) {
-                let down = warmup_end + SimDuration::from_ms(ev.at_ms);
-                sim.schedule_silence(down, ev.node);
-                sim.schedule_revive(down + SimDuration::from_ms(churn.down_ms), ev.node);
-                if let Some(sink) = &sink {
-                    sink.emit(ProgressEvent::Fault {
-                        at_ms: down.as_ms(),
-                        action: format!("churn {} down for {} ms", ev.node, churn.down_ms),
-                    });
-                }
-            }
+            let outages = churn.schedule(n, warmup_end, window, &victims, &mut rng);
+            inject(&mut sim, &outages, sink.as_ref());
         }
 
         // Online re-ranking (extension): advance warm-up in global
@@ -605,6 +578,21 @@ pub(crate) fn execute(
         });
     }
     outcome
+}
+
+/// Validates `schedule` against the engine's node count, then schedules
+/// every action in trace order, reporting each to the sink.
+fn inject(sim: &mut Sim<EgmNode>, schedule: &FaultSchedule, sink: Option<&SharedSink>) {
+    schedule.validate(sim.node_count());
+    for ev in &schedule.events {
+        if let Some(sink) = sink {
+            sink.emit(ProgressEvent::Fault {
+                at_ms: ev.at_ms,
+                fault: ev.action,
+            });
+        }
+        sim.schedule_fault(SimTime::from_ms(ev.at_ms), ev.action);
+    }
 }
 
 /// Runs the warm-up phase in re-rank ticks: every `plan.period_ms` the
@@ -1089,7 +1077,7 @@ mod tests {
 
     #[test]
     fn online_rerank_replaces_downed_hubs() {
-        use crate::faults::{FaultAction, FaultSchedule, RerankPlan, TimedFault};
+        use crate::{Fault, FaultSchedule, RerankPlan, TimedFault};
         let base = Scenario::smoke_test().with_strategy(StrategySpec::Ranked {
             best_fraction: 0.25,
         });
@@ -1106,7 +1094,7 @@ mod tests {
                 .iter()
                 .map(|id| TimedFault {
                     at_ms: 50.0,
-                    action: FaultAction::Silence { node: id.index() },
+                    action: Fault::Silence(*id),
                 })
                 .collect(),
         };

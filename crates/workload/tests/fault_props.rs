@@ -7,7 +7,7 @@
 
 use egm_core::BestSet;
 use egm_rng::Rng;
-use egm_simnet::NodeId;
+use egm_simnet::{Fault, NodeId, SimTime};
 use egm_workload::faults::{ChurnPlan, FaultPlan, FaultSelection};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -114,21 +114,30 @@ proptest! {
         let plan = ChurnPlan::new(period_ms, down_mult * period_ms);
         let mut rng = Rng::seed_from_u64(seed);
         let window_ms = windows as f64 * period_ms;
-        let events = plan.schedule(n, window_ms, &excluded, &mut rng);
-        prop_assert!(events.len() <= plan.events_within(window_ms));
-        let mut down_until = vec![f64::NEG_INFINITY; n];
-        for ev in &events {
-            prop_assert!(ev.node.index() < n);
-            prop_assert!(!excluded.contains(&ev.node), "excluded node churned");
+        let s = plan.schedule(n, SimTime::ZERO, window_ms, &excluded, &mut rng);
+        prop_assert!(s.events.len() <= 2 * plan.events_within(window_ms));
+        // Outages come as (silence, revive) pairs; a node is never
+        // silenced again before its previous revive.
+        let mut up_at = vec![f64::NEG_INFINITY; n];
+        for pair in s.events.chunks(2) {
+            let Fault::Silence(node) = pair[0].action else {
+                panic!("outage must open with a silence: {pair:?}");
+            };
+            prop_assert_eq!(pair[1].action, Fault::Revive(node));
+            prop_assert!(node.index() < n);
+            prop_assert!(!excluded.contains(&node), "excluded node churned");
             prop_assert!(
-                down_until[ev.node.index()] <= ev.at_ms,
+                up_at[node.index()] <= pair[0].at_ms,
                 "node {:?} re-silenced while down",
-                ev.node
+                node
             );
-            down_until[ev.node.index()] = ev.at_ms + plan.down_ms;
+            up_at[node.index()] = pair[1].at_ms;
         }
         // Determinism: the same seed lays out the same schedule.
         let mut rng2 = Rng::seed_from_u64(seed);
-        prop_assert_eq!(events, plan.schedule(n, window_ms, &excluded, &mut rng2));
+        prop_assert_eq!(
+            s,
+            plan.schedule(n, SimTime::ZERO, window_ms, &excluded, &mut rng2)
+        );
     }
 }

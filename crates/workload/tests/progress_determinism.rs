@@ -7,9 +7,9 @@
 //! benched ones.
 
 use egm_core::StrategySpec;
-use egm_simnet::{ProgressEvent, ProgressSink};
+use egm_simnet::{Fault, ProgressEvent, ProgressSink, SimDuration, SimTime};
 use egm_workload::runner;
-use egm_workload::{FaultSchedule, RerankPlan, Scenario};
+use egm_workload::{ChurnPlan, FaultPlan, FaultSchedule, FaultSelection, RerankPlan, Scenario};
 use std::sync::{Arc, Mutex};
 
 /// Collects every event; the test asserts the stream is non-trivial so
@@ -126,4 +126,61 @@ fn faulted_reranked_run_is_byte_identical_and_reports_ticks() {
         2,
         "one event per re-rank tick: {events:?}"
     );
+}
+
+#[test]
+fn every_fault_action_is_reported_once_in_schedule_order() {
+    let schedule = FaultSchedule::transit_degradation(50.0, 400.0, 2.0, 0.0);
+    let churn = ChurnPlan::new(400.0, 300.0);
+    let scenario = Scenario::smoke_test()
+        .with_faults(Some(FaultPlan::new(0.25, FaultSelection::Random)))
+        .with_fault_schedule(Some(schedule.clone()))
+        .with_churn(Some(churn));
+    let plain = scenario.run();
+    let sink = Arc::new(Collecting::default());
+    let observed =
+        runner::run_prepared_observed(&scenario, &runner::prepare(&scenario, None), sink.clone());
+    assert_eq!(plain.first_difference(&observed), None);
+
+    let events = sink.0.lock().unwrap();
+    let frames: Vec<(f64, Fault)> = events
+        .iter()
+        .filter_map(|e| match *e {
+            ProgressEvent::Fault { at_ms, fault } => Some((at_ms, fault)),
+            _ => None,
+        })
+        .collect();
+    let victims = observed.victims.len();
+    assert!(victims > 0, "the fault plan must kill someone");
+    // Warm-up kills first, one `Silence` per victim at warm-up end.
+    let kills: Vec<(f64, Fault)> = observed
+        .victims
+        .iter()
+        .map(|&v| (scenario.warmup_ms, Fault::Silence(v)))
+        .collect();
+    assert_eq!(frames[..victims], kills[..]);
+    // Then the explicit trace, verbatim.
+    let traced: Vec<(f64, Fault)> = schedule
+        .events
+        .iter()
+        .map(|e| (e.at_ms, e.action))
+        .collect();
+    let churned = &frames[victims..][traced.len()..];
+    assert_eq!(frames[victims..][..traced.len()], traced[..]);
+    // Then one (silence, revive) pair per churn outage.
+    let outages = churned
+        .iter()
+        .filter(|(_, f)| matches!(f, Fault::Silence(_)))
+        .count();
+    assert!(outages > 0, "churn must strike within the run");
+    assert_eq!(frames.len(), victims + traced.len() + 2 * outages);
+    for pair in churned.chunks(2) {
+        let (down_ms, Fault::Silence(node)) = pair[0] else {
+            panic!("outage must open with a silence: {pair:?}");
+        };
+        assert!(!observed.victims.contains(&node), "{pair:?}");
+        assert_eq!(pair[1].1, Fault::Revive(node), "{pair:?}");
+        let up = SimTime::from_ms(down_ms) + SimDuration::from_ms(churn.down_ms);
+        assert_eq!(SimTime::from_ms(pair[1].0), up, "{pair:?}");
+    }
 }
