@@ -12,9 +12,11 @@
 //! [`MsgState`] records holding every per-message flag, the cached
 //! payload and the retry-timer handle in one cache line. A message event
 //! costs one hash probe to find the slot; everything else is field
-//! access on that one record. The variable-length lists (holders,
-//! request sources) live in a parallel cold slab that only the
-//! missing-message path and NeEM-style suppression ever touch. Slots are
+//! access on that one record. The variable-length state lives outside the
+//! slab: request sources of every advertised-but-missing message share
+//! one per-node list (a node has few such messages at a time, so there is
+//! no per-slot list to keep warm or clear), and holder lists exist only
+//! when NeEM-style suppression is on. Slots are
 //! generation-stamped and recycled through a free list; a FIFO eviction
 //! queue bounds live slots to the configured `known_capacity` (mirroring
 //! the old bounded sets — far above any experiment's live message count),
@@ -47,8 +49,8 @@ pub struct ArenaStats {
 }
 
 /// The per-message state every message event reads, in one cache line
-/// (pinned by a size test). The variable-length lists live in a parallel
-/// cold slab.
+/// (pinned by a size test). The variable-length lists live in the arena's
+/// `pending` and `holders` tables.
 #[derive(Debug, Default)]
 pub struct MsgState {
     /// The interned message id.
@@ -73,17 +75,24 @@ pub struct MsgState {
     timer: Option<TimerToken>,
 }
 
-/// The cold side of a slot: lists only the missing-message path and
-/// holder tracking touch. Parallel to the [`MsgState`] slab.
-#[derive(Debug, Default)]
-struct MsgLists {
-    /// Peers known to hold the message (only tracked when NeEM-style
-    /// suppression is enabled).
-    holders: Vec<NodeId>,
-    /// Known sources in advertisement order (missing-message queue).
-    sources: Vec<NodeId>,
-    /// Which sources have been asked in the current rotation.
-    requested: Vec<bool>,
+/// One known source of an advertised-but-missing message.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    slot: u32,
+    source: u32,
+    /// Whether `source` has been asked in the current rotation.
+    requested: bool,
+}
+
+impl Pending {
+    fn new(slot: u32, source: NodeId) -> Self {
+        debug_assert!(source.index() < u32::MAX as usize);
+        Pending {
+            slot,
+            source: source.index() as u32,
+            requested: false,
+        }
+    }
 }
 
 /// Dense, generation-checked arena of per-message state for one node.
@@ -109,8 +118,12 @@ pub struct MsgArena {
     next_retire: Option<SimTime>,
     index: FastHashMap<MsgId, u32>,
     slots: Vec<MsgState>,
-    /// Cold lists, one per slot (same index as `slots`).
-    lists: Vec<MsgLists>,
+    /// Sources of every missing message, in advertisement order; a
+    /// message's entries, read in order, are its request rotation.
+    pending: Vec<Pending>,
+    /// Peers known to hold each slot's message, parallel to `slots` when
+    /// holder tracking is on and empty otherwise.
+    holders: Vec<Vec<NodeId>>,
     free: Vec<u32>,
     /// Slot insertion order (with mint generation) for FIFO eviction;
     /// at most `2 × live + FIFO_SLACK` entries.
@@ -152,7 +165,8 @@ impl MsgArena {
             next_retire: None,
             index: FastHashMap::default(),
             slots: Vec::new(),
-            lists: Vec::new(),
+            pending: Vec::new(),
+            holders: Vec::new(),
             free: Vec::new(),
             fifo: VecDeque::new(),
             cache_fifo: VecDeque::new(),
@@ -190,7 +204,9 @@ impl MsgArena {
                     id,
                     ..MsgState::default()
                 });
-                self.lists.push(MsgLists::default());
+                if self.track_holders {
+                    self.holders.push(Vec::new());
+                }
                 s
             }
         };
@@ -233,16 +249,11 @@ impl MsgArena {
         }
         if s.missing {
             self.missing -= 1;
+            self.pending.retain(|p| p.slot != slot);
         }
         self.index.remove(&s.id);
-        // `sources`/`requested` are only ever read while `missing` is set
-        // and `missing_start` clears them first, so the cold lists need a
-        // visit only if this slot could have written to them.
-        if s.missing || self.track_holders {
-            let lists = &mut self.lists[slot as usize];
-            lists.holders.clear();
-            lists.sources.clear();
-            lists.requested.clear();
+        if let Some(holders) = self.holders.get_mut(slot as usize) {
+            holders.clear();
         }
         s.known = false;
         s.received = false;
@@ -476,7 +487,7 @@ impl MsgArena {
         if !self.track_holders {
             return;
         }
-        let holders = &mut self.lists[slot as usize].holders;
+        let holders = &mut self.holders[slot as usize];
         if !holders.contains(&peer) {
             holders.push(peer);
         }
@@ -484,7 +495,9 @@ impl MsgArena {
 
     /// Whether `peer` is known to hold the message.
     pub fn is_holder(&self, slot: u32, peer: NodeId) -> bool {
-        self.lists[slot as usize].holders.contains(&peer)
+        self.holders
+            .get(slot as usize)
+            .is_some_and(|h| h.contains(&peer))
     }
 
     // --- missing-message queue ------------------------------------------
@@ -503,22 +516,22 @@ impl MsgArena {
     pub fn missing_start(&mut self, slot: u32, source: NodeId) {
         let s = &mut self.slots[slot as usize];
         debug_assert!(!s.missing);
+        debug_assert!(self.pending.iter().all(|p| p.slot != slot));
         s.missing = true;
-        let lists = &mut self.lists[slot as usize];
-        lists.sources.clear();
-        lists.requested.clear();
-        lists.sources.push(source);
-        lists.requested.push(false);
+        self.pending.push(Pending::new(slot, source));
         self.missing += 1;
     }
 
     /// Queues another source for a missing message (`Queue(i, s)`).
     pub fn missing_add_source(&mut self, slot: u32, source: NodeId) {
         debug_assert!(self.slots[slot as usize].missing);
-        let lists = &mut self.lists[slot as usize];
-        if !lists.sources.contains(&source) {
-            lists.sources.push(source);
-            lists.requested.push(false);
+        let entry = Pending::new(slot, source);
+        if !self
+            .pending
+            .iter()
+            .any(|p| (p.slot, p.source) == (slot, entry.source))
+        {
+            self.pending.push(entry);
         }
     }
 
@@ -530,18 +543,17 @@ impl MsgArena {
             return false;
         }
         s.missing = false;
-        let lists = &mut self.lists[slot as usize];
-        lists.sources.clear();
-        lists.requested.clear();
+        self.pending.retain(|p| p.slot != slot);
         self.missing -= 1;
         true
     }
 
     /// Fills `idx`/`sources` with the positions and ids of sources not
     /// yet requested this rotation, resetting the rotation when exhausted
-    /// (requests cycle through all known sources). Writes into
-    /// caller-owned scratch buffers: this runs on every request-timer
-    /// expiry, so it must not allocate.
+    /// (requests cycle through all known sources). A position is valid
+    /// for [`MsgArena::missing_mark_requested`] until the missing state of
+    /// any message next changes. Writes into caller-owned scratch buffers:
+    /// this runs on every request-timer expiry, so it must not allocate.
     pub fn missing_candidates_into(
         &mut self,
         slot: u32,
@@ -549,16 +561,18 @@ impl MsgArena {
         sources: &mut Vec<NodeId>,
     ) {
         debug_assert!(self.slots[slot as usize].missing);
-        let lists = &mut self.lists[slot as usize];
-        if lists.requested.iter().all(|&r| r) {
-            lists.requested.fill(false);
+        let mine = |p: &&mut Pending| p.slot == slot;
+        if self.pending.iter_mut().filter(mine).all(|p| p.requested) {
+            for p in self.pending.iter_mut().filter(mine) {
+                p.requested = false;
+            }
         }
         idx.clear();
         sources.clear();
-        for (i, &asked) in lists.requested.iter().enumerate() {
-            if !asked {
+        for (i, p) in self.pending.iter().enumerate() {
+            if p.slot == slot && !p.requested {
                 idx.push(i);
-                sources.push(lists.sources[i]);
+                sources.push(NodeId(p.source as usize));
             }
         }
     }
@@ -566,9 +580,10 @@ impl MsgArena {
     /// Marks rotation position `source_idx` as requested and returns its
     /// source id.
     pub fn missing_mark_requested(&mut self, slot: u32, source_idx: usize) -> NodeId {
-        let lists = &mut self.lists[slot as usize];
-        lists.requested[source_idx] = true;
-        lists.sources[source_idx]
+        let p = &mut self.pending[source_idx];
+        debug_assert_eq!(p.slot, slot, "position from another message's rotation");
+        p.requested = true;
+        NodeId(p.source as usize)
     }
 
     // --- request-timer handle -------------------------------------------
@@ -865,8 +880,8 @@ mod tests {
 
     #[test]
     fn missing_state_does_not_survive_slot_reuse() {
-        // The cold lists are cleared lazily; a recycled slot must still
-        // start its rotation from the new message's sources alone.
+        // Eviction drops the slot's queued sources and holders; a recycled
+        // slot must start its rotation from the new message's sources alone.
         let mut a = MsgArena::new(1, 1, true);
         let s = a.intern(MsgId::from_raw(1));
         a.note_holder(s, NodeId(9));
@@ -881,6 +896,67 @@ mod tests {
         let (mut idx, mut sources) = (Vec::new(), Vec::new());
         a.missing_candidates_into(s2, &mut idx, &mut sources);
         assert_eq!(sources, vec![NodeId(5)]);
+    }
+
+    /// The unrequested sources of `slot`, in rotation order.
+    fn candidates(a: &mut MsgArena, slot: u32) -> (Vec<usize>, Vec<NodeId>) {
+        let (mut idx, mut sources) = (Vec::new(), Vec::new());
+        a.missing_candidates_into(slot, &mut idx, &mut sources);
+        (idx, sources)
+    }
+
+    #[test]
+    fn interleaved_missing_messages_keep_separate_rotations() {
+        // Three messages go missing at once, their IHAVEs interleaved.
+        let mut a = MsgArena::new(3, 3, false);
+        let s1 = a.intern(MsgId::from_raw(1));
+        let s2 = a.intern(MsgId::from_raw(2));
+        let s3 = a.intern(MsgId::from_raw(3));
+        a.missing_start(s1, NodeId(1));
+        a.missing_start(s2, NodeId(2));
+        a.missing_add_source(s1, NodeId(3));
+        a.missing_start(s3, NodeId(4));
+        a.missing_add_source(s2, NodeId(1));
+        a.missing_add_source(s3, NodeId(5));
+        a.missing_add_source(s1, NodeId(2));
+        a.missing_add_source(s1, NodeId(3)); // duplicate ignored
+        assert_eq!(a.missing_count(), 3);
+        assert_eq!(candidates(&mut a, s1).1, [NodeId(1), NodeId(3), NodeId(2)]);
+        assert_eq!(candidates(&mut a, s2).1, [NodeId(2), NodeId(1)]);
+        assert_eq!(candidates(&mut a, s3).1, [NodeId(4), NodeId(5)]);
+
+        // Requesting from one message's rotation leaves the others whole.
+        let (idx, _) = candidates(&mut a, s1);
+        assert_eq!(a.missing_mark_requested(s1, idx[1]), NodeId(3));
+        assert_eq!(candidates(&mut a, s1).1, [NodeId(1), NodeId(2)]);
+        assert_eq!(candidates(&mut a, s2).1, [NodeId(2), NodeId(1)]);
+        let (idx, _) = candidates(&mut a, s3);
+        assert_eq!(a.missing_mark_requested(s3, idx[0]), NodeId(4));
+
+        // Clearing s2 and evicting s1 mid-rotation leave s3's rotation
+        // exactly where it was.
+        assert!(a.missing_clear(s2));
+        assert_eq!(a.missing_count(), 2);
+        let s4 = a.intern(MsgId::from_raw(4)); // capacity evicts message 1
+        assert_eq!(s4, s1, "slot recycled");
+        assert_eq!(a.missing_count(), 1);
+        assert!(a.is_missing(s3));
+        let (idx, sources) = candidates(&mut a, s3);
+        assert_eq!(sources, [NodeId(5)]);
+        assert_eq!(a.missing_mark_requested(s3, idx[0]), NodeId(5));
+        // Exhausted: s3's rotation resets to all of its sources.
+        assert_eq!(candidates(&mut a, s3).1, [NodeId(4), NodeId(5)]);
+
+        // The recycled slot starts with no sources of its predecessor.
+        assert!(!a.is_missing(s4));
+        a.missing_start(s4, NodeId(7));
+        a.missing_add_source(s4, NodeId(1));
+        assert_eq!(candidates(&mut a, s4).1, [NodeId(7), NodeId(1)]);
+        assert_eq!(candidates(&mut a, s3).1, [NodeId(4), NodeId(5)]);
+        // A cleared message can go missing again from scratch.
+        a.missing_start(s2, NodeId(9));
+        assert_eq!(candidates(&mut a, s2).1, [NodeId(9)]);
+        assert_eq!(a.missing_count(), 3);
     }
 
     #[test]

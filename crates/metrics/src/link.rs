@@ -45,9 +45,8 @@ pub fn top_fraction_share(counts: &[u64], fraction: f64) -> f64 {
 
 /// [`top_fraction_share`] over a caller-owned buffer: O(n) via
 /// `select_nth_unstable` instead of a full sort, and no clone. The slice
-/// is reordered (partitioned around the k-th heaviest element). Hot
-/// callers that already own a scratch `counts` vector — the per-run report
-/// assembly does — should use this.
+/// is reordered (partitioned around the k-th heaviest element), so a
+/// caller that also wants [`gini_sorted`] sorts first and calls this last.
 ///
 /// # Panics
 ///
@@ -95,14 +94,27 @@ pub fn top_fraction_count(link_count: usize, fraction: f64) -> usize {
 ///
 /// Panics if `counts` is empty.
 pub fn gini(counts: &[u64]) -> f64 {
-    assert!(!counts.is_empty(), "no samples");
-    let n = counts.len() as f64;
-    let total: u64 = counts.iter().sum();
+    let mut sorted = counts.to_vec();
+    sorted.sort_unstable();
+    gini_sorted(&sorted)
+}
+
+/// [`gini`] over counts already sorted ascending, without the copy.
+///
+/// # Panics
+///
+/// Panics if `sorted` is empty.
+pub fn gini_sorted(sorted: &[u64]) -> f64 {
+    assert!(!sorted.is_empty(), "no samples");
+    debug_assert!(
+        sorted.windows(2).all(|w| w[0] <= w[1]),
+        "counts must be sorted ascending"
+    );
+    let n = sorted.len() as f64;
+    let total: u64 = sorted.iter().sum();
     if total == 0 {
         return 0.0;
     }
-    let mut sorted = counts.to_vec();
-    sorted.sort_unstable();
     let mut cum = 0.0;
     let mut weighted = 0.0;
     for (i, &c) in sorted.iter().enumerate() {
@@ -114,7 +126,10 @@ pub fn gini(counts: &[u64]) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::{gini, top_fraction_count, top_fraction_share};
+    use super::{
+        gini, gini_sorted, top_fraction_count, top_fraction_share, top_fraction_share_mut,
+    };
+    use proptest::prelude::*;
 
     #[test]
     fn uniform_traffic_share_equals_fraction() {
@@ -190,5 +205,44 @@ mod tests {
         let mild = gini(&[20, 10, 10, 5, 5]);
         let strong = gini(&[40, 5, 2, 2, 1]);
         assert!(even < mild && mild < strong);
+    }
+
+    proptest! {
+        /// One ascending buffer, used as the per-run report uses it
+        /// (`gini_sorted`, then `top_fraction_share_mut`), gives the same
+        /// bits as the unsorted entry points, all-zero and single-link
+        /// inputs included.
+        #[test]
+        fn sorted_buffer_measures_match_bit_for_bit(
+            raw in prop::collection::vec(0u64..1_000_000_000, 1..200),
+            spread in 0u32..3,
+            fraction_class in 0u32..3,
+            free_fraction in 0.001f64..1.0,
+        ) {
+            // Small counts with many ties, wide counts, or no traffic.
+            let counts: Vec<u64> = match spread {
+                0 => raw.iter().map(|c| c % 50).collect(),
+                1 => raw,
+                _ => vec![0; raw.len()],
+            };
+            let fraction = match fraction_class {
+                0 => 0.05,
+                1 => 1.0,
+                _ => free_fraction,
+            };
+            let mut sorted = counts.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(gini_sorted(&sorted).to_bits(), gini(&counts).to_bits());
+            prop_assert_eq!(
+                top_fraction_share_mut(&mut sorted, fraction).to_bits(),
+                top_fraction_share(&counts, fraction).to_bits()
+            );
+            let mut one = counts[..1].to_vec();
+            prop_assert_eq!(gini_sorted(&one).to_bits(), gini(&one).to_bits());
+            prop_assert_eq!(
+                top_fraction_share_mut(&mut one, fraction).to_bits(),
+                top_fraction_share(&counts[..1], fraction).to_bits()
+            );
+        }
     }
 }

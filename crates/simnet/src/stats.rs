@@ -16,13 +16,23 @@
 //! appends one 16-byte record to a log — a sequential, cache-friendly
 //! write — and the per-link view is built once, on demand, by a
 //! counting-sort aggregation over the log. Long runs stay bounded: the
-//! log folds into per-link accumulators every `COMPACT_AT` records, so
-//! traffic memory is O(distinct links) plus a ~64 MB log window rather
-//! than O(total sends). Where the folds fall cannot show in any query:
-//! tally sums are integer additions, and the spill rule below does not
-//! depend on order. The folds stay in memory: sealing materialises the
-//! whole tracked link set anyway, so moving them out of RAM between
-//! folds would not lower the peak.
+//! log folds into per-link accumulators every `COMPACT_AT` (2²⁰)
+//! records, so traffic memory is O(distinct links) plus a 16 MB log
+//! window rather than O(total sends). Where the folds fall cannot show in
+//! any query: tally sums are integer additions, and the spill rule below
+//! does not depend on order. The folds stay in memory: sealing
+//! materialises the whole tracked link set anyway, so moving them out of
+//! RAM between folds would not lower the peak.
+//!
+//! # One copy of the link table
+//!
+//! A fold drops the log once its records are grouped by sender, builds
+//! the chunk's links in one exact-size list, and merges that list into
+//! the accumulator in place, back to front, so no third list is
+//! allocated. Sealing is one last fold: the accumulator *becomes* the
+//! sealed table, and every query — [`Traffic::link`] by binary search,
+//! [`Traffic::map_links`] by one scan — reads it where it lies. The table
+//! is never held in a second shape.
 //!
 //! # Spill threshold
 //!
@@ -100,26 +110,29 @@ struct SendRecord {
 }
 
 /// One partially aggregated link and its tally so far.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct LinkAcc {
     from: u32,
     to: u32,
     tally: LinkTally,
 }
 
-/// Fold the log into the partial aggregate whenever it reaches this many
-/// records (64 MB of log), so traffic memory is bounded by the distinct
-/// link count plus a constant, not by the total send count of the run.
-const COMPACT_AT: usize = 1 << 22;
+impl LinkAcc {
+    fn key(&self) -> (u32, u32) {
+        (self.from, self.to)
+    }
+}
 
-/// The aggregated per-link view: one sorted target table per sender.
+/// Fold the log into the partial aggregate whenever it reaches this many
+/// records (16 MB of log), so traffic memory is bounded by the distinct
+/// link count plus a constant, not by the total send count of the run.
+const COMPACT_AT: usize = 1 << 20;
+
+/// The aggregated per-link view: one flat `(from, to)`-sorted table.
 #[derive(Debug, Clone)]
 struct SealedLinks {
-    /// `per_sender[from]` lists `(to, tally)` sorted by `to`, tracked
-    /// links only.
-    per_sender: Vec<Vec<(NodeId, LinkTally)>>,
-    /// Number of individually tracked links.
-    tracked: usize,
+    /// Tracked links only, sorted by `(from, to)`.
+    flat: Vec<LinkAcc>,
     /// Aggregate tally of records on links beyond the spill threshold.
     spilled: LinkTally,
 }
@@ -206,7 +219,7 @@ impl Traffic {
     /// Longest link-accumulator list held while merging shard parts:
     /// each part's drained list and the merged output. 0 for one-shard
     /// runs; never exceeds the configured threshold otherwise — every
-    /// shard caps locally, and the merge stops emitting at the threshold.
+    /// shard caps locally, and the merge never writes past the threshold.
     /// Pinned by the shard-determinism regression tests.
     pub fn shard_merge_acc_peak(&self) -> usize {
         self.shard_merge_acc_peak
@@ -241,34 +254,20 @@ impl Traffic {
         }
     }
 
-    /// Folds the log into `folded` and clears it (keeping its capacity),
-    /// bounding traffic memory over arbitrarily long runs. The fold is
-    /// capped at the spill threshold, so `folded` never exceeds it.
+    /// Folds the log into `folded` and drops it, bounding traffic memory
+    /// over arbitrarily long runs. The fold is capped at the spill
+    /// threshold, so `folded` never exceeds it.
     fn compact(&mut self) {
         if self.log.is_empty() {
             return;
         }
-        let flat = Self::flatten(&self.log);
-        self.log.clear();
-        self.folded = Self::merge(
-            vec![std::mem::take(&mut self.folded), flat],
+        let flat = Self::flatten(std::mem::take(&mut self.log));
+        Self::merge_into(
+            &mut self.folded,
+            flat,
             self.spill_threshold,
             &mut self.spilled_acc,
         );
-    }
-
-    /// Applies the spill rule to one `(from, to)`-sorted accumulator
-    /// list: keeps the `threshold` smallest links and folds the tail into
-    /// `spilled` (see the module docs for why capping at every fold
-    /// equals capping once at seal).
-    fn cap(mut flat: Vec<LinkAcc>, threshold: usize, spilled: &mut LinkTally) -> Vec<LinkAcc> {
-        if flat.len() > threshold {
-            for acc in &flat[threshold..] {
-                spilled.absorb(&acc.tally);
-            }
-            flat.truncate(threshold);
-        }
-        flat
     }
 
     /// Compacts, then takes the complete folded accumulator list.
@@ -285,16 +284,19 @@ impl Traffic {
     pub fn seal(&mut self) {
         if self.sealed.is_none() {
             let flat = self.drain_folded();
-            self.log = Vec::new();
-            self.sealed = Some(Self::finish(&flat, self.spilled_acc));
+            self.sealed = Some(SealedLinks {
+                flat,
+                spilled: self.spilled_acc,
+            });
         }
     }
 
     /// Folds one log chunk into per-link accumulators sorted by
-    /// `(from, to)`: counting-sort by sender, sort each sender's slice by
-    /// target, group. Tally sums are integer additions, so accumulation
-    /// order within a link is irrelevant.
-    fn flatten(log: &[SendRecord]) -> Vec<LinkAcc> {
+    /// `(from, to)`: counting-sort by sender, drop the log, sort each
+    /// sender's slice by target, group into an exact-size list. Tally sums
+    /// are integer additions, so accumulation order within a link is
+    /// irrelevant.
+    fn flatten(log: Vec<SendRecord>) -> Vec<LinkAcc> {
         debug_assert!(log.len() < u32::MAX as usize);
         let senders = log.iter().map(|r| r.from as usize + 1).max().unwrap_or(0);
         // Counting sort: group records by sender (contiguous copies, so
@@ -306,7 +308,7 @@ impl Traffic {
             payload: bool,
         }
         let mut offsets = vec![0u32; senders + 1];
-        for r in log {
+        for r in &log {
             offsets[r.from as usize + 1] += 1;
         }
         for i in 0..senders {
@@ -314,7 +316,7 @@ impl Traffic {
         }
         let mut grouped = vec![GroupedRec::default(); log.len()];
         let mut cursor: Vec<u32> = offsets[..senders].to_vec();
-        for r in log {
+        for r in &log {
             let c = &mut cursor[r.from as usize];
             grouped[*c as usize] = GroupedRec {
                 to: r.to,
@@ -323,15 +325,23 @@ impl Traffic {
             };
             *c += 1;
         }
-        // Per sender: sort by target, then fold each group. The result
-        // is ordered by (from, to).
-        let mut flat: Vec<LinkAcc> = Vec::new();
+        drop(log);
+        // Per sender: sort by target and count the distinct targets, so
+        // the output is allocated once at its exact size.
+        let segment = |from: usize| offsets[from] as usize..offsets[from + 1] as usize;
+        let mut links = 0;
         for from in 0..senders {
-            let seg = &mut grouped[offsets[from] as usize..offsets[from + 1] as usize];
+            let seg = &mut grouped[segment(from)];
             seg.sort_unstable_by_key(|g| g.to);
-            for g in seg.iter() {
+            links += usize::from(!seg.is_empty());
+            links += seg.windows(2).filter(|w| w[0].to != w[1].to).count();
+        }
+        // Fold each group. The result is ordered by (from, to).
+        let mut flat: Vec<LinkAcc> = Vec::with_capacity(links);
+        for from in 0..senders {
+            for g in &grouped[segment(from)] {
                 match flat.last_mut() {
-                    Some(last) if last.from == from as u32 && last.to == g.to => {
+                    Some(last) if last.key() == (from as u32, g.to) => {
                         last.tally.add(g.bytes, g.payload);
                     }
                     _ => {
@@ -346,63 +356,71 @@ impl Traffic {
                 }
             }
         }
+        debug_assert_eq!(flat.len(), flat.capacity());
         flat
     }
 
-    /// Merges `(from, to)`-sorted accumulator lists into one, adding the
-    /// tallies of equal links, and applies the spill rule on the way:
-    /// once `threshold` links are out, whatever the inputs still hold is
-    /// folded into `spilled` without ever entering the output.
-    fn merge(
-        mut lists: Vec<Vec<LinkAcc>>,
+    /// Merges the `(from, to)`-sorted list `add` into the sorted list
+    /// `acc` in place, adding the tallies of equal links, and applies the
+    /// spill rule on the way: only the `threshold` smallest links of the
+    /// union are written, and the tallies of the rest are folded into
+    /// `spilled`. `acc` must already hold at most `threshold` links.
+    ///
+    /// One counting pass finds the union's size; the merge then runs back
+    /// to front, so it writes each kept link once into its final place in
+    /// `acc` — never ahead of the `acc` entries still to be read — and
+    /// needs no third list.
+    fn merge_into(
+        acc: &mut Vec<LinkAcc>,
+        add: Vec<LinkAcc>,
         threshold: usize,
         spilled: &mut LinkTally,
-    ) -> Vec<LinkAcc> {
-        lists.retain(|l| !l.is_empty());
-        if lists.len() <= 1 {
-            return Self::cap(lists.pop().unwrap_or_default(), threshold, spilled);
+    ) {
+        debug_assert!(acc.len() <= threshold);
+        let (mut i, mut j) = (acc.len(), add.len());
+        let mut union = 0;
+        let (mut x, mut y) = (0, 0);
+        while x < i || y < j {
+            match (acc.get(x), add.get(y)) {
+                (Some(a), Some(b)) if a.key() == b.key() => (x, y) = (x + 1, y + 1),
+                (Some(a), b) if b.map_or(true, |b| a.key() < b.key()) => x += 1,
+                _ => y += 1,
+            }
+            union += 1;
         }
-        let total: usize = lists.iter().map(Vec::len).sum();
-        let mut out: Vec<LinkAcc> = Vec::with_capacity(total.min(threshold));
-        let mut heads = vec![0usize; lists.len()];
-        while out.len() < threshold {
-            let next = lists
-                .iter()
-                .zip(&heads)
-                .filter_map(|(l, &h)| l.get(h).map(|a| (a.from, a.to)))
-                .min();
-            let Some((from, to)) = next else { break };
-            let mut tally = LinkTally::default();
-            for (l, h) in lists.iter().zip(&mut heads) {
-                if let Some(a) = l.get(*h).filter(|a| (a.from, a.to) == (from, to)) {
-                    tally.absorb(&a.tally);
-                    *h += 1;
+        let kept = union.min(threshold);
+        let mut skip = union - kept;
+        acc.reserve_exact(kept - acc.len());
+        acc.resize(kept, LinkAcc::default());
+        let mut w = kept;
+        while i > 0 || j > 0 {
+            let a = i.checked_sub(1).map(|k| acc[k]);
+            let b = j.checked_sub(1).map(|k| add[k]);
+            let link = match (a, b) {
+                (Some(a), Some(b)) if a.key() == b.key() => {
+                    (i, j) = (i - 1, j - 1);
+                    let mut tally = a.tally;
+                    tally.absorb(&b.tally);
+                    LinkAcc { tally, ..a }
                 }
+                (Some(a), b) if b.map_or(true, |b| a.key() > b.key()) => {
+                    i -= 1;
+                    a
+                }
+                (_, b) => {
+                    j -= 1;
+                    b.expect("one list is non-empty")
+                }
+            };
+            if skip > 0 {
+                skip -= 1;
+                spilled.absorb(&link.tally);
+            } else {
+                w -= 1;
+                acc[w] = link;
             }
-            out.push(LinkAcc { from, to, tally });
         }
-        for (l, &h) in lists.iter().zip(&heads) {
-            for a in &l[h..] {
-                spilled.absorb(&a.tally);
-            }
-        }
-        out
-    }
-
-    /// Builds the queryable per-sender view from a capped accumulator
-    /// list; `spilled` carries the tallies of every evicted link.
-    fn finish(flat: &[LinkAcc], spilled: LinkTally) -> SealedLinks {
-        let senders = flat.last().map_or(0, |l| l.from as usize + 1);
-        let mut per_sender: Vec<Vec<(NodeId, LinkTally)>> = Vec::new();
-        per_sender.resize_with(senders, Vec::new);
-        for link in flat {
-            per_sender[link.from as usize].push((NodeId(link.to as usize), link.tally));
-        }
-        SealedLinks {
-            per_sender,
-            tracked: flat.len(),
-            spilled,
-        }
+        debug_assert_eq!(w, 0);
     }
 
     /// Merges the per-shard traffic tables of a multi-shard run into the
@@ -414,11 +432,11 @@ impl Traffic {
     /// payload counters and per-link tallies are plain sums (links are
     /// disjoint across sender-partitioned shards, but equal keys merge
     /// defensively); the tracked set is the `threshold` smallest links of
-    /// the k-way merge of the parts' sorted lists. That equals what one
-    /// table fed every record would track, because the spill rule ranks
-    /// links by `(from, to)` alone (module docs): a link some shard
-    /// already evicted has at least `threshold` smaller links in that
-    /// shard, so the merge would evict it too.
+    /// the union of the parts' sorted lists, folded in one part at a
+    /// time. That equals what one table fed every record would track,
+    /// because the spill rule ranks links by `(from, to)` alone (module
+    /// docs): a link some shard already evicted has at least `threshold`
+    /// smaller links in that shard, so the merge would evict it too.
     ///
     /// # Panics
     ///
@@ -432,7 +450,7 @@ impl Traffic {
             .expect("at least one shard");
         let mut node_payloads = std::mem::take(&mut parts[donor].node_payloads);
         let mut total = LinkTally::default();
-        let mut lists = Vec::with_capacity(parts.len());
+        let mut flat = Vec::new();
         let mut node_payload_growths = 0u32;
         let mut spilled_acc = LinkTally::default();
         let mut merge_acc_peak = 0usize;
@@ -452,13 +470,15 @@ impl Traffic {
             }
             let drained = part.drain_folded();
             merge_acc_peak = merge_acc_peak.max(drained.len());
-            lists.push(drained);
             spilled_acc.absorb(&part.spilled_acc);
+            Self::merge_into(&mut flat, drained, spill_threshold, &mut spilled_acc);
+            merge_acc_peak = merge_acc_peak.max(flat.len());
         }
-        let flat = Self::merge(lists, spill_threshold, &mut spilled_acc);
-        merge_acc_peak = merge_acc_peak.max(flat.len());
         Traffic {
-            sealed: Some(Self::finish(&flat, spilled_acc)),
+            sealed: Some(SealedLinks {
+                flat,
+                spilled: spilled_acc,
+            }),
             total,
             node_payloads,
             node_payload_growths,
@@ -469,16 +489,20 @@ impl Traffic {
     }
 
     /// Runs `f` over the per-link view — the sealed one if available,
-    /// otherwise a freshly aggregated snapshot of the folded state plus
-    /// the log so far.
+    /// otherwise one sealed from a copy of the folded state plus the log
+    /// so far.
     fn with_links<R>(&self, f: impl FnOnce(&SealedLinks) -> R) -> R {
         match &self.sealed {
             Some(s) => f(s),
             None => {
-                let mut spilled = self.spilled_acc;
-                let lists = vec![self.folded.clone(), Self::flatten(&self.log)];
-                let flat = Self::merge(lists, self.spill_threshold, &mut spilled);
-                f(&Self::finish(&flat, spilled))
+                let mut snapshot = Traffic {
+                    log: self.log.clone(),
+                    folded: self.folded.clone(),
+                    spilled_acc: self.spilled_acc,
+                    ..Traffic::with_spill_threshold(self.spill_threshold)
+                };
+                snapshot.seal();
+                f(snapshot.sealed.as_ref().expect("just sealed"))
             }
         }
     }
@@ -503,7 +527,7 @@ impl Traffic {
     /// undercounts the true distinct-link count (by design: tracking is
     /// bounded).
     pub fn link_count(&self) -> usize {
-        self.with_links(|s| s.tracked)
+        self.with_links(|s| s.flat.len())
     }
 
     /// Aggregate tally of traffic recorded on links beyond the spill
@@ -516,25 +540,31 @@ impl Traffic {
     /// individually.
     pub fn link(&self, from: NodeId, to: NodeId) -> Option<LinkTally> {
         self.with_links(|s| {
-            let table = s.per_sender.get(from.index())?;
-            table
-                .binary_search_by_key(&to, |e| e.0)
+            s.flat
+                .binary_search_by_key(&(from.index(), to.index()), |l| {
+                    (l.from as usize, l.to as usize)
+                })
                 .ok()
-                .map(|i| table[i].1)
+                .map(|i| s.flat[i].tally)
         })
     }
 
     /// All individually tracked directed links and their tallies, in
     /// deterministic (source, destination) order.
     pub fn links(&self) -> Vec<((NodeId, NodeId), LinkTally)> {
+        self.map_links(|pair, tally| (pair, tally))
+    }
+
+    /// `f` applied to every individually tracked directed link and its
+    /// tally, in (source, destination) order, collected into a vector of
+    /// exactly [`Traffic::link_count`] capacity. Reads a sealed table in
+    /// place.
+    pub fn map_links<T>(&self, mut f: impl FnMut((NodeId, NodeId), LinkTally) -> T) -> Vec<T> {
         self.with_links(|s| {
-            let mut v = Vec::with_capacity(s.tracked);
-            for (from, table) in s.per_sender.iter().enumerate() {
-                for &(to, tally) in table {
-                    v.push(((NodeId(from), to), tally));
-                }
-            }
-            v
+            s.flat
+                .iter()
+                .map(|l| f((NodeId(l.from as usize), NodeId(l.to as usize)), l.tally))
+                .collect()
         })
     }
 
@@ -558,6 +588,8 @@ mod tests {
     use super::{LinkTally, Traffic};
     use crate::NodeId;
     use proptest::prelude::*;
+    use proptest::TestCaseError;
+    use std::collections::BTreeMap;
 
     #[test]
     fn records_accumulate_per_link() {
@@ -834,8 +866,113 @@ mod tests {
         t
     }
 
+    #[test]
+    fn in_place_merge_adds_equal_keys_at_both_ends() {
+        // `add` shares its first and last link with `acc`, interleaves
+        // new links between them, and the union exceeds the threshold by
+        // one: the largest link spills, with both of its tally pieces.
+        let acc_link = |from, to, messages| super::LinkAcc {
+            from,
+            to,
+            tally: LinkTally {
+                messages,
+                bytes: messages * 10,
+                payloads: messages,
+            },
+        };
+        let mut acc = vec![acc_link(0, 1, 1), acc_link(0, 4, 1), acc_link(2, 0, 1)];
+        let add = vec![
+            acc_link(0, 1, 2),
+            acc_link(0, 2, 2),
+            acc_link(1, 0, 2),
+            acc_link(2, 0, 2),
+        ];
+        let mut spilled = LinkTally::default();
+        Traffic::merge_into(&mut acc, add, 4, &mut spilled);
+        let keys: Vec<_> = acc.iter().map(|l| (l.key(), l.tally.messages)).collect();
+        assert_eq!(keys, [((0, 1), 3), ((0, 2), 2), ((0, 4), 1), ((1, 0), 2)]);
+        assert_eq!(spilled.messages, 3, "(2,0) from both lists");
+        assert_eq!(acc.capacity(), 4, "merged in place at the kept size");
+
+        // Into an empty list, and with everything spilled.
+        let mut empty = Vec::new();
+        let mut spilled = LinkTally::default();
+        Traffic::merge_into(&mut empty, vec![acc_link(3, 3, 5)], 1, &mut spilled);
+        assert_eq!(empty.len(), 1);
+        let mut none = Vec::new();
+        Traffic::merge_into(&mut none, vec![acc_link(3, 3, 5)], 0, &mut spilled);
+        assert!(none.is_empty());
+        assert_eq!(spilled.messages, 5);
+    }
+
+    /// The table a brute-force tally of `stream` predicts: the
+    /// `threshold` smallest links and the sum of all others.
+    fn brute_force(
+        stream: &[(usize, usize, u32, bool)],
+        threshold: usize,
+    ) -> (BTreeMap<(usize, usize), LinkTally>, LinkTally) {
+        let mut all: BTreeMap<(usize, usize), LinkTally> = BTreeMap::new();
+        for &(from, to, bytes, payload) in stream {
+            all.entry((from, to)).or_default().add(bytes, payload);
+        }
+        let mut spilled = LinkTally::default();
+        for tally in all.values().skip(threshold) {
+            spilled.absorb(tally);
+        }
+        let tracked = all.into_iter().take(threshold).collect();
+        (tracked, spilled)
+    }
+
+    /// Every per-link query of `t` agrees with the brute-force tally.
+    fn assert_matches(
+        t: &Traffic,
+        tracked: &BTreeMap<(usize, usize), LinkTally>,
+        spilled: LinkTally,
+    ) -> Result<(), TestCaseError> {
+        let expect: Vec<_> = tracked
+            .iter()
+            .map(|(&(f, to), &tally)| ((NodeId(f), NodeId(to)), tally))
+            .collect();
+        prop_assert_eq!(t.links(), expect);
+        prop_assert_eq!(t.link_count(), tracked.len());
+        prop_assert_eq!(t.spilled(), spilled);
+        for from in 0..NODES + 1 {
+            for to in 0..NODES + 1 {
+                prop_assert_eq!(
+                    t.link(NodeId(from), NodeId(to)),
+                    tracked.get(&(from, to)).copied()
+                );
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Folding (at random points, into a possibly empty or capped
+        /// accumulator) and sealing compute exactly the brute-force
+        /// tally: the same links, every `link()` lookup, `link_count()`
+        /// and `spilled()`, before and after sealing.
+        #[test]
+        fn fold_and_seal_match_brute_force_tally(
+            stream in prop::collection::vec(
+                ((0usize..NODES, 0usize..NODES), (1u32..400, prop::bool::ANY)),
+                0..80,
+            ),
+            threshold in 0usize..NODES * NODES + 2,
+            compact_at in prop::collection::vec(0usize..80, 0..8),
+        ) {
+            let stream: Vec<(usize, usize, u32, bool)> = stream
+                .into_iter()
+                .map(|((from, to), (bytes, payload))| (from, to, bytes, payload))
+                .collect();
+            let (tracked, spilled) = brute_force(&stream, threshold);
+            let mut t = recording_table(&stream, threshold, &compact_at);
+            assert_matches(&t, &tracked, spilled)?;
+            t.seal();
+            assert_matches(&t, &tracked, spilled)?;
+        }
 
         /// The spill rule is order-free: for a random record stream and a
         /// threshold from every class, (a) any permutation of the stream,

@@ -43,16 +43,17 @@
 //! and records it in `BENCH_events_per_sec.json`; the repository
 //! benchmark (`benchmark/`) times them.
 //!
-//! # Memory budget (measured with the inline per-node views and shuffle
-//! messages, release build, sequential engine, 30 messages, Ranked
-//! best=20 %; the `Vec`-based layout before them read 37 / 124 / 281 MB)
+//! # Memory budget (measured by the `scale_events_per_sec` bin with the
+//! link table held in one copy, release build, sequential engine, 30
+//! messages, Ranked best=20 %, 2-vCPU x86-64; with the table held in up
+//! to four shapes at once it read 35 / 110 / 246 / 2 006 MB)
 //!
 //! | preset | nodes     | routed model | peak process RSS |
 //! |--------|-----------|--------------|------------------|
-//! | 1k     | 1 000     | ~0.3 MB      | ~35 MB  |
-//! | 4k     | 4 000     | ~0.5 MB      | ~110 MB |
-//! | 10k    | 10 000    | ~1 MB        | ~246 MB |
-//! | 100k   | 100 000   | ~10 MB       | ~2 006 MB |
+//! | 1k     | 1 000     | ~0.3 MB      | ~26 MB  |
+//! | 4k     | 4 000     | ~0.5 MB      | ~75 MB  |
+//! | 10k    | 10 000    | ~1 MB        | ~173 MB |
+//! | 100k   | 100 000   | ~10 MB       | ~1 385 MB |
 //!
 //! Peak RSS is dominated by in-flight simulator events and per-node
 //! protocol state, both O(n); nothing is O(n²). For comparison, a dense

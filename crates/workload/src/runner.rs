@@ -813,11 +813,7 @@ fn collect(
     }
 
     let traffic = sim.traffic();
-    let payload_links: Vec<((NodeId, NodeId), u64)> = traffic
-        .links()
-        .into_iter()
-        .map(|(pair, tally)| (pair, tally.payloads))
-        .collect();
+    let payload_links = traffic.map_links(|pair, tally| (pair, tally.payloads));
     let payloads_per_node = traffic.payloads_sent_per_node(n);
 
     let eligible = live_mask(n, &victims);
@@ -852,11 +848,11 @@ fn collect(
     report.mean_delivery_fraction = log.mean_delivery_fraction(&eligible);
     report.atomic_delivery_fraction = log.atomic_delivery_fraction(&eligible);
     if !payload_links.is_empty() {
+        // One buffer, sorted once, feeds both structure measures.
         let mut counts: Vec<u64> = payload_links.iter().map(|&(_, c)| c).collect();
-        // The owned scratch buffer lets the O(n) selection variant skip
-        // the clone + full sort; `gini` sorts its own copy afterwards.
+        counts.sort_unstable();
+        report.link_gini = link::gini_sorted(&counts);
         report.top5_link_share = link::top_fraction_share_mut(&mut counts, 0.05);
-        report.link_gini = link::gini(&counts);
     }
     report.node_gini = link::gini(&payloads_per_node);
     let rounds = log.delivery_rounds();
