@@ -743,6 +743,18 @@ where
         }
     }
 
+    /// Ends the simulation and hands over its sealed traffic table
+    /// (sealing it first, as [`Sim::seal_traffic`] does), so a caller can
+    /// consume it — say with [`Traffic::into_map_links`] — instead of
+    /// copying it out of [`Sim::traffic`].
+    pub fn into_traffic(mut self) -> Traffic {
+        self.seal_traffic();
+        match self.windows {
+            None => std::mem::take(&mut self.shards[0].core.traffic),
+            Some(w) => w.merged.expect("sealed above"),
+        }
+    }
+
     /// Event-queue counters (pushes/pops plus, for the calendar queue,
     /// bucket geometry and resize activity; see
     /// [`crate::event::QueueStats`]), aggregated over the per-shard

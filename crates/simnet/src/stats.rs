@@ -14,25 +14,27 @@
 //! thousands of entries, and the per-send probe (plus its periodic
 //! rehashes) was worth ~20 % of the whole event loop. Instead every send
 //! appends one 16-byte record to a log — a sequential, cache-friendly
-//! write — and the per-link view is built once, on demand, by a
-//! counting-sort aggregation over the log. Long runs stay bounded: the
-//! log folds into per-link accumulators every `COMPACT_AT` (2²⁰)
-//! records, so traffic memory is O(distinct links) plus a 16 MB log
-//! window rather than O(total sends). Where the folds fall cannot show in
-//! any query: tally sums are integer additions, and the spill rule below
-//! does not depend on order. The folds stay in memory: sealing
-//! materialises the whole tracked link set anyway, so moving them out of
-//! RAM between folds would not lower the peak.
+//! write — and the log folds into a `(from, to)`-sorted link table once
+//! it holds as many records as the table has links, within
+//! `[FOLD_FLOOR, COMPACT_AT]` (2¹⁶ to 2²⁰ records, 1 to 16 MB). So traffic
+//! memory is O(distinct links) — beyond a 1 MB floor the log never holds
+//! more records than the table has links — rather than O(total sends),
+//! and total fold work stays linear in the records. Where the folds fall
+//! cannot show in any query: tally sums are integer additions, and the
+//! spill rule below does not depend on order. The folds stay in memory:
+//! sealing materialises the whole tracked link set anyway, so moving them
+//! out of RAM between folds would not lower the peak.
 //!
 //! # One copy of the link table
 //!
-//! A fold drops the log once its records are grouped by sender, builds
-//! the chunk's links in one exact-size list, and merges that list into
-//! the accumulator in place, back to front, so no third list is
-//! allocated. Sealing is one last fold: the accumulator *becomes* the
-//! sealed table, and every query — [`Traffic::link`] by binary search,
-//! [`Traffic::map_links`] by one scan — reads it where it lies. The table
-//! is never held in a second shape.
+//! A fold sorts the log where it lies and merges its runs of equal links
+//! straight into the table, in place, back to front, so the table is the
+//! only allocation a fold grows. Sealing is one last fold: the table
+//! *becomes* the sealed table, and every query — [`Traffic::link`] by
+//! binary search, [`Traffic::map_links`] by one scan — reads it where it
+//! lies. [`Traffic::into_map_links`] hands it over: a caller done with
+//! the table maps its links in the table's own buffer instead of beside
+//! a copy.
 //!
 //! # Spill threshold
 //!
@@ -118,14 +120,26 @@ struct LinkAcc {
 }
 
 impl LinkAcc {
-    fn key(&self) -> (u32, u32) {
-        (self.from, self.to)
+    /// `(from, to)` packed into one integer, in the same order.
+    fn key(&self) -> u64 {
+        u64::from(self.from) << 32 | u64::from(self.to)
     }
 }
 
-/// Fold the log into the partial aggregate whenever it reaches this many
-/// records (16 MB of log), so traffic memory is bounded by the distinct
-/// link count plus a constant, not by the total send count of the run.
+impl From<SendRecord> for LinkAcc {
+    fn from(r: SendRecord) -> Self {
+        let mut tally = LinkTally::default();
+        tally.add(r.bytes, r.payload);
+        LinkAcc {
+            from: r.from,
+            to: r.to,
+            tally,
+        }
+    }
+}
+
+/// Bounds of the fold window (`Traffic::window`): 1 MB and 16 MB of log.
+const FOLD_FLOOR: usize = 1 << 16;
 const COMPACT_AT: usize = 1 << 20;
 
 /// The aggregated per-link view: one flat `(from, to)`-sorted table.
@@ -156,7 +170,7 @@ pub struct Traffic {
     log: Vec<SendRecord>,
     /// Records folded out of `log` so far (sorted by `(from, to)`, at
     /// most `spill_threshold` entries); the log is compacted into this
-    /// once it reaches `COMPACT_AT`.
+    /// once it fills its window (`Traffic::window`).
     folded: Vec<LinkAcc>,
     /// Built by [`Traffic::seal`]; `None` while recording.
     sealed: Option<SealedLinks>,
@@ -249,30 +263,40 @@ impl Traffic {
             bytes,
             payload,
         });
-        if self.log.len() >= COMPACT_AT {
+        if self.log.len() >= self.window() {
             self.compact();
+            // Grow the emptied log to the next window once, rather than
+            // doubling past it.
+            self.log.reserve_exact(self.window());
         }
     }
 
-    /// Folds the log into `folded` and drops it, bounding traffic memory
-    /// over arbitrarily long runs. The fold is capped at the spill
-    /// threshold, so `folded` never exceeds it.
+    /// How many records the log holds before it folds: as many as the
+    /// table has links, within `[FOLD_FLOOR, COMPACT_AT]`. A fold costs
+    /// O(table + window), so total fold work stays linear in the records.
+    fn window(&self) -> usize {
+        self.folded.len().clamp(FOLD_FLOOR, COMPACT_AT)
+    }
+
+    /// Folds the log into `folded` and empties it: the log is sorted by
+    /// `(from, to)` where it lies and its runs of equal links are merged
+    /// straight into the table, capped at the spill threshold.
     fn compact(&mut self) {
-        if self.log.is_empty() {
-            return;
-        }
-        let flat = Self::flatten(std::mem::take(&mut self.log));
+        self.log.sort_unstable_by_key(|&r| LinkAcc::from(r).key());
         Self::merge_into(
             &mut self.folded,
-            flat,
+            &self.log,
             self.spill_threshold,
             &mut self.spilled_acc,
         );
+        self.log.clear();
     }
 
-    /// Compacts, then takes the complete folded accumulator list.
+    /// Compacts, drops the log, then takes the complete folded
+    /// accumulator list.
     fn drain_folded(&mut self) -> Vec<LinkAcc> {
         self.compact();
+        self.log = Vec::new();
         std::mem::take(&mut self.folded)
     }
 
@@ -291,127 +315,50 @@ impl Traffic {
         }
     }
 
-    /// Folds one log chunk into per-link accumulators sorted by
-    /// `(from, to)`: counting-sort by sender, drop the log, sort each
-    /// sender's slice by target, group into an exact-size list. Tally sums
-    /// are integer additions, so accumulation order within a link is
-    /// irrelevant.
-    fn flatten(log: Vec<SendRecord>) -> Vec<LinkAcc> {
-        debug_assert!(log.len() < u32::MAX as usize);
-        let senders = log.iter().map(|r| r.from as usize + 1).max().unwrap_or(0);
-        // Counting sort: group records by sender (contiguous copies, so
-        // the per-sender sorts below stay cache-resident).
-        #[derive(Clone, Copy, Default)]
-        struct GroupedRec {
-            to: u32,
-            bytes: u32,
-            payload: bool,
-        }
-        let mut offsets = vec![0u32; senders + 1];
-        for r in &log {
-            offsets[r.from as usize + 1] += 1;
-        }
-        for i in 0..senders {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut grouped = vec![GroupedRec::default(); log.len()];
-        let mut cursor: Vec<u32> = offsets[..senders].to_vec();
-        for r in &log {
-            let c = &mut cursor[r.from as usize];
-            grouped[*c as usize] = GroupedRec {
-                to: r.to,
-                bytes: r.bytes,
-                payload: r.payload,
-            };
-            *c += 1;
-        }
-        drop(log);
-        // Per sender: sort by target and count the distinct targets, so
-        // the output is allocated once at its exact size.
-        let segment = |from: usize| offsets[from] as usize..offsets[from + 1] as usize;
-        let mut links = 0;
-        for from in 0..senders {
-            let seg = &mut grouped[segment(from)];
-            seg.sort_unstable_by_key(|g| g.to);
-            links += usize::from(!seg.is_empty());
-            links += seg.windows(2).filter(|w| w[0].to != w[1].to).count();
-        }
-        // Fold each group. The result is ordered by (from, to).
-        let mut flat: Vec<LinkAcc> = Vec::with_capacity(links);
-        for from in 0..senders {
-            for g in &grouped[segment(from)] {
-                match flat.last_mut() {
-                    Some(last) if last.key() == (from as u32, g.to) => {
-                        last.tally.add(g.bytes, g.payload);
-                    }
-                    _ => {
-                        let mut tally = LinkTally::default();
-                        tally.add(g.bytes, g.payload);
-                        flat.push(LinkAcc {
-                            from: from as u32,
-                            to: g.to,
-                            tally,
-                        });
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(flat.len(), flat.capacity());
-        flat
-    }
-
-    /// Merges the `(from, to)`-sorted list `add` into the sorted list
-    /// `acc` in place, adding the tallies of equal links, and applies the
-    /// spill rule on the way: only the `threshold` smallest links of the
-    /// union are written, and the tallies of the rest are folded into
+    /// Merges the `(from, to)`-sorted list `add` — whose equal links may
+    /// repeat, as in a sorted log — into the sorted, duplicate-free list
+    /// `acc` in place, summing the tallies of equal links, and applies
+    /// the spill rule on the way: only the `threshold` smallest links of
+    /// the union are written, and the tallies of the rest are folded into
     /// `spilled`. `acc` must already hold at most `threshold` links.
     ///
     /// One counting pass finds the union's size; the merge then runs back
     /// to front, so it writes each kept link once into its final place in
     /// `acc` — never ahead of the `acc` entries still to be read — and
-    /// needs no third list.
-    fn merge_into(
+    /// `acc` is the only list that grows, to its exact new size.
+    fn merge_into<T: Copy>(
         acc: &mut Vec<LinkAcc>,
-        add: Vec<LinkAcc>,
+        add: &[T],
         threshold: usize,
         spilled: &mut LinkTally,
-    ) {
+    ) where
+        LinkAcc: From<T>,
+    {
         debug_assert!(acc.len() <= threshold);
-        let (mut i, mut j) = (acc.len(), add.len());
-        let mut union = 0;
+        let key = |&e: &T| LinkAcc::from(e).key();
+        // No link has the key `u64::MAX` (node ids are below `u32::MAX`).
+        let (mut union, mut last) = (0, u64::MAX);
         let (mut x, mut y) = (0, 0);
-        while x < i || y < j {
-            match (acc.get(x), add.get(y)) {
-                (Some(a), Some(b)) if a.key() == b.key() => (x, y) = (x + 1, y + 1),
-                (Some(a), b) if b.map_or(true, |b| a.key() < b.key()) => x += 1,
-                _ => y += 1,
-            }
-            union += 1;
+        while x < acc.len() && y < add.len() {
+            let (a, b) = (acc[x].key(), key(&add[y]));
+            let next = a.min(b);
+            union += usize::from(next != last);
+            last = next;
+            x += usize::from(a == next);
+            y += usize::from(b == next);
+        }
+        union += acc.len() - x;
+        for e in &add[y..] {
+            union += usize::from(key(e) != last);
+            last = key(e);
         }
         let kept = union.min(threshold);
         let mut skip = union - kept;
-        acc.reserve_exact(kept - acc.len());
+        let mut i = acc.len();
+        acc.reserve_exact(kept - i);
         acc.resize(kept, LinkAcc::default());
-        let mut w = kept;
-        while i > 0 || j > 0 {
-            let a = i.checked_sub(1).map(|k| acc[k]);
-            let b = j.checked_sub(1).map(|k| add[k]);
-            let link = match (a, b) {
-                (Some(a), Some(b)) if a.key() == b.key() => {
-                    (i, j) = (i - 1, j - 1);
-                    let mut tally = a.tally;
-                    tally.absorb(&b.tally);
-                    LinkAcc { tally, ..a }
-                }
-                (Some(a), b) if b.map_or(true, |b| a.key() > b.key()) => {
-                    i -= 1;
-                    a
-                }
-                (_, b) => {
-                    j -= 1;
-                    b.expect("one list is non-empty")
-                }
-            };
+        let (mut w, mut j) = (kept, add.len());
+        let mut emit = |acc: &mut [LinkAcc], link: LinkAcc| {
             if skip > 0 {
                 skip -= 1;
                 spilled.absorb(&link.tally);
@@ -419,8 +366,34 @@ impl Traffic {
                 w -= 1;
                 acc[w] = link;
             }
+        };
+        while j > 0 {
+            // The last link of `add[..j]`, summed over its run, after
+            // the `acc` links above it.
+            let mut link = LinkAcc::from(add[j - 1]);
+            j -= 1;
+            while j > 0 && key(&add[j - 1]) == link.key() {
+                j -= 1;
+                link.tally.absorb(&LinkAcc::from(add[j]).tally);
+            }
+            while i > 0 && acc[i - 1].key() > link.key() {
+                i -= 1;
+                let above = acc[i];
+                emit(acc, above);
+            }
+            if i > 0 && acc[i - 1].key() == link.key() {
+                i -= 1;
+                link.tally.absorb(&acc[i].tally);
+            }
+            emit(acc, link);
         }
-        debug_assert_eq!(w, 0);
+        // The rest of `acc` lies below every `add` link: its largest
+        // `skip` links spill (then nothing was written yet), and the
+        // others are already in place.
+        for below in &acc[i - skip..i] {
+            spilled.absorb(&below.tally);
+        }
+        debug_assert_eq!(w, i - skip);
     }
 
     /// Merges the per-shard traffic tables of a multi-shard run into the
@@ -471,7 +444,13 @@ impl Traffic {
             let drained = part.drain_folded();
             merge_acc_peak = merge_acc_peak.max(drained.len());
             spilled_acc.absorb(&part.spilled_acc);
-            Self::merge_into(&mut flat, drained, spill_threshold, &mut spilled_acc);
+            if flat.is_empty() {
+                // Adopt a capped, sorted list as it is: copying it into a
+                // second allocation would raise the seal-time peak.
+                flat = drained;
+            } else {
+                Self::merge_into(&mut flat, &drained, spill_threshold, &mut spilled_acc);
+            }
             merge_acc_peak = merge_acc_peak.max(flat.len());
         }
         Traffic {
@@ -568,6 +547,23 @@ impl Traffic {
         })
     }
 
+    /// [`Traffic::map_links`] for a table that is needed no more: seals it
+    /// and maps its links in the sealed table's own buffer (a `T` no
+    /// larger than the 32-byte table entry reuses it), so the caller holds
+    /// one list of links, not two.
+    pub fn into_map_links<T>(
+        mut self,
+        mut f: impl FnMut((NodeId, NodeId), LinkTally) -> T,
+    ) -> Vec<T> {
+        self.seal();
+        let sealed = self.sealed.expect("just sealed");
+        sealed
+            .flat
+            .into_iter()
+            .map(|l| f((NodeId(l.from as usize), NodeId(l.to as usize)), l.tally))
+            .collect()
+    }
+
     /// Payload transmissions sent by one node. Exact regardless of link
     /// spill.
     pub fn node_payloads_sent(&self, node: NodeId) -> u64 {
@@ -585,7 +581,7 @@ impl Traffic {
 
 #[cfg(test)]
 mod tests {
-    use super::{LinkTally, Traffic};
+    use super::{LinkTally, Traffic, FOLD_FLOOR};
     use crate::NodeId;
     use proptest::prelude::*;
     use proptest::TestCaseError;
@@ -720,6 +716,54 @@ mod tests {
         assert!(b.link(NodeId(0), NodeId(1)).is_some(), "seen third, kept");
         assert!(b.link(NodeId(5), NodeId(6)).is_none(), "seen first, spilt");
         assert_eq!(b.spilled().messages, 4, "(5,6) and (4,5), twice each");
+    }
+
+    #[test]
+    fn log_window_tracks_the_table() {
+        // Many sends on few links: the log folds at the floor, never
+        // growing toward the record count.
+        let mut t = Traffic::default();
+        let mut rng = egm_rng::Rng::seed_from_u64(5);
+        for _ in 0..300_000 {
+            let (from, to) = (rng.range_usize(0, 20), rng.range_usize(0, 25));
+            t.record(NodeId(from), NodeId(to), 8, true);
+            let bound = FOLD_FLOOR.max(t.folded.len());
+            assert!(t.log.len() <= bound && t.log.capacity() <= bound);
+        }
+        assert_eq!(t.folded.len(), 500);
+        // Few sends per link: the window grows with the table, in one
+        // allocation per fold.
+        let mut t = Traffic::default();
+        for i in 0..400_000 {
+            t.record(NodeId(i % 1000), NodeId(i / 1000), 8, false);
+            let bound = FOLD_FLOOR.max(t.folded.len());
+            assert!(t.log.len() <= bound && t.log.capacity() <= bound);
+        }
+        assert!(t.folded.len() > FOLD_FLOOR, "the window grew");
+    }
+
+    #[test]
+    fn into_map_links_maps_the_sealed_table_in_its_own_buffer() {
+        let stream: Vec<_> = (0..40)
+            .map(|i| (i % 7, i % 5, 10 + i as u32, i % 3 == 0))
+            .collect();
+        let payloads = |pair, tally: LinkTally| (pair, tally.payloads);
+        let untaken = sealed_table(&stream, usize::MAX, &[]);
+        let mut t = recording_table(&stream, usize::MAX, &[9]);
+        t.seal();
+        let table = t.sealed.as_ref().expect("sealed").flat.as_ptr() as usize;
+        let links = t.into_map_links(payloads);
+        assert_eq!(links, untaken.map_links(payloads));
+        assert_eq!(links.as_ptr() as usize, table, "mapped in place");
+        // Unsealed and merged tables hand over the same links.
+        let unsealed = recording_table(&stream, usize::MAX, &[]);
+        assert_eq!(unsealed.into_map_links(payloads), links);
+        let (low, high): (Vec<_>, Vec<_>) = stream.iter().partition(|r| r.0 < 3);
+        let parts = vec![
+            recording_table(&low, usize::MAX, &[]),
+            recording_table(&high, usize::MAX, &[]),
+        ];
+        assert_eq!(Traffic::merge_shards(parts).into_map_links(payloads), links);
     }
 
     #[test]
@@ -888,8 +932,11 @@ mod tests {
             acc_link(2, 0, 2),
         ];
         let mut spilled = LinkTally::default();
-        Traffic::merge_into(&mut acc, add, 4, &mut spilled);
-        let keys: Vec<_> = acc.iter().map(|l| (l.key(), l.tally.messages)).collect();
+        Traffic::merge_into(&mut acc, &add, 4, &mut spilled);
+        let keys: Vec<_> = acc
+            .iter()
+            .map(|l| ((l.from, l.to), l.tally.messages))
+            .collect();
         assert_eq!(keys, [((0, 1), 3), ((0, 2), 2), ((0, 4), 1), ((1, 0), 2)]);
         assert_eq!(spilled.messages, 3, "(2,0) from both lists");
         assert_eq!(acc.capacity(), 4, "merged in place at the kept size");
@@ -897,10 +944,10 @@ mod tests {
         // Into an empty list, and with everything spilled.
         let mut empty = Vec::new();
         let mut spilled = LinkTally::default();
-        Traffic::merge_into(&mut empty, vec![acc_link(3, 3, 5)], 1, &mut spilled);
+        Traffic::merge_into(&mut empty, &[acc_link(3, 3, 5)], 1, &mut spilled);
         assert_eq!(empty.len(), 1);
         let mut none = Vec::new();
-        Traffic::merge_into(&mut none, vec![acc_link(3, 3, 5)], 0, &mut spilled);
+        Traffic::merge_into(&mut none, &[acc_link(3, 3, 5)], 0, &mut spilled);
         assert!(none.is_empty());
         assert_eq!(spilled.messages, 5);
     }
@@ -950,28 +997,56 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Folding (at random points, into a possibly empty or capped
-        /// accumulator) and sealing compute exactly the brute-force
-        /// tally: the same links, every `link()` lookup, `link_count()`
-        /// and `spilled()`, before and after sealing.
+        /// Folding (at random points, at full log windows, into a
+        /// possibly empty or capped accumulator), sealing and merging
+        /// shard parts compute exactly the brute-force tally: the same
+        /// links, every `link()` lookup, `link_count()` and `spilled()`,
+        /// before and after sealing.
         #[test]
         fn fold_and_seal_match_brute_force_tally(
-            stream in prop::collection::vec(
+            tail in prop::collection::vec(
                 ((0usize..NODES, 0usize..NODES), (1u32..400, prop::bool::ANY)),
                 0..80,
             ),
             threshold in 0usize..NODES * NODES + 2,
             compact_at in prop::collection::vec(0usize..80, 0..8),
+            windows in 0usize..3,
+            stream_seed in 0u64..1_000_000,
+            parts in 1usize..4,
         ) {
-            let stream: Vec<(usize, usize, u32, bool)> = stream
-                .into_iter()
-                .map(|((from, to), (bytes, payload))| (from, to, bytes, payload))
+            // `windows` full log windows of random sends ahead of the
+            // proptest's tail: the log folds on its own at each window
+            // (fewer links than `FOLD_FLOOR`), then holds the tail.
+            let mut rng = egm_rng::Rng::seed_from_u64(stream_seed);
+            let head = windows * FOLD_FLOOR;
+            let mut stream: Vec<(usize, usize, u32, bool)> = (0..head)
+                .map(|_| {
+                    let (from, to) = (rng.range_usize(0, NODES), rng.range_usize(0, NODES));
+                    (from, to, rng.range_u64(1, 400) as u32, rng.bool(0.5))
+                })
                 .collect();
+            stream.extend(
+                tail.into_iter()
+                    .map(|((from, to), (bytes, payload))| (from, to, bytes, payload)),
+            );
+            let compact_at: Vec<usize> = compact_at.iter().map(|&i| head + i).collect();
             let (tracked, spilled) = brute_force(&stream, threshold);
             let mut t = recording_table(&stream, threshold, &compact_at);
+            prop_assert!(t.log.len() < FOLD_FLOOR, "the head folded at its windows");
             assert_matches(&t, &tracked, spilled)?;
             t.seal();
             assert_matches(&t, &tracked, spilled)?;
+
+            // Senders dealt to `parts` shards, each folding its share at
+            // its own windows, merged.
+            let shards: Vec<Traffic> = (0..parts)
+                .map(|p| {
+                    let share: Vec<_> =
+                        stream.iter().copied().filter(|r| r.0 % parts == p).collect();
+                    recording_table(&share, threshold, &[])
+                })
+                .collect();
+            assert_matches(&Traffic::merge_shards(shards), &tracked, spilled)?;
         }
 
         /// The spill rule is order-free: for a random record stream and a

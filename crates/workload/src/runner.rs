@@ -367,6 +367,30 @@ pub(crate) fn execute(
     setup: RunSetup,
     sink: Option<SharedSink>,
 ) -> RunOutcome {
+    let outcome = collect(scenario, simulate(scenario, setup, sink.clone()));
+    if let Some(sink) = &sink {
+        sink.emit(ProgressEvent::Summary {
+            events: outcome.events,
+            delivery_fraction: outcome.report.mean_delivery_fraction,
+            p50_ms: outcome.latency.p50_ms(),
+            p99_ms: outcome.latency.p99_ms(),
+            p999_ms: outcome.latency.p999_ms(),
+        });
+    }
+    outcome
+}
+
+/// A finished simulation and the harness state [`collect`] reads.
+struct Finished {
+    sim: Sim<EgmNode>,
+    model: Arc<RoutedModel>,
+    victims: Vec<NodeId>,
+    best_ids: Vec<NodeId>,
+    reranked_best_ids: Option<Vec<NodeId>>,
+}
+
+/// Builds the engine over `setup` and runs the scenario to its end.
+fn simulate(scenario: &Scenario, setup: RunSetup, sink: Option<SharedSink>) -> Finished {
     let n = scenario.node_count();
     assert!(scenario.messages > 0, "need at least one message");
     let RunSetup {
@@ -567,17 +591,13 @@ pub(crate) fn execute(
         }
     }
 
-    let outcome = collect(scenario, sim, model, victims, best_ids, reranked_best_ids);
-    if let Some(sink) = &sink {
-        sink.emit(ProgressEvent::Summary {
-            events: outcome.events,
-            delivery_fraction: outcome.report.mean_delivery_fraction,
-            p50_ms: outcome.latency.p50_ms(),
-            p99_ms: outcome.latency.p99_ms(),
-            p999_ms: outcome.latency.p999_ms(),
-        });
+    Finished {
+        sim,
+        model,
+        victims,
+        best_ids,
+        reranked_best_ids,
     }
-    outcome
 }
 
 /// Validates `schedule` against the engine's node count, then schedules
@@ -723,14 +743,14 @@ fn live_mask(n: usize, victims: &[NodeId]) -> Vec<bool> {
 }
 
 /// Gathers node-side and network-side records into the outcome.
-fn collect(
-    scenario: &Scenario,
-    mut sim: Sim<EgmNode>,
-    model: Arc<RoutedModel>,
-    victims: Vec<NodeId>,
-    best_ids: Vec<NodeId>,
-    reranked_best_ids: Option<Vec<NodeId>>,
-) -> RunOutcome {
+fn collect(scenario: &Scenario, finished: Finished) -> RunOutcome {
+    let Finished {
+        mut sim,
+        model,
+        victims,
+        best_ids,
+        reranked_best_ids,
+    } = finished;
     // The run is over: seal the traffic log so the per-link queries below
     // aggregate once instead of re-scanning the send log each.
     sim.seal_traffic();
@@ -813,7 +833,6 @@ fn collect(
     }
 
     let traffic = sim.traffic();
-    let payload_links = traffic.map_links(|pair, tally| (pair, tally.payloads));
     let payloads_per_node = traffic.payloads_sent_per_node(n);
 
     let eligible = live_mask(n, &victims);
@@ -847,9 +866,10 @@ fn collect(
     }
     report.mean_delivery_fraction = log.mean_delivery_fraction(&eligible);
     report.atomic_delivery_fraction = log.atomic_delivery_fraction(&eligible);
-    if !payload_links.is_empty() {
+    report.used_links = traffic.link_count();
+    if report.used_links > 0 {
         // One buffer, sorted once, feeds both structure measures.
-        let mut counts: Vec<u64> = payload_links.iter().map(|&(_, c)| c).collect();
+        let mut counts = traffic.map_links(|_, tally| tally.payloads);
         counts.sort_unstable();
         report.link_gini = link::gini_sorted(&counts);
         report.top5_link_share = link::top_fraction_share_mut(&mut counts, 0.05);
@@ -864,13 +884,14 @@ fn collect(
     report.total_messages = traffic.total_messages();
     report.total_payloads = traffic.total_payloads();
     report.total_bytes = traffic.total_bytes();
-    report.used_links = traffic.link_count();
     report.sim_duration_ms = sim.now().as_ms();
 
+    // Fields are evaluated in the order written: everything read from
+    // `sim` comes before `payload_links`, which consumes it to map the
+    // sealed table in its own buffer rather than beside a copy.
     RunOutcome {
         report,
         log,
-        payload_links,
         payloads_per_node,
         victims,
         best_ids,
@@ -888,15 +909,46 @@ fn collect(
         steady,
         traffic_acc_peak: traffic.shard_merge_acc_peak(),
         model,
+        payload_links: sim
+            .into_traffic()
+            .into_map_links(|pair, tally| (pair, tally.payloads)),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{prepare, run_prepared, run_sweep};
+    use super::{collect, prepare, run_prepared, run_sweep, simulate};
     use crate::scenario::Scenario;
     use crate::{FaultPlan, FaultSelection};
     use egm_core::StrategySpec;
+
+    #[test]
+    fn collect_hands_the_sealed_table_over() {
+        for shards in [1, 2] {
+            let scenario = Scenario::smoke_test()
+                .with_strategy(StrategySpec::Flat { pi: 0.5 })
+                .with_shards(Some(shards));
+            let run = || simulate(&scenario, prepare(&scenario, None), None);
+            let mut twin = run().sim;
+            twin.seal_traffic();
+            let untaken = twin
+                .traffic()
+                .map_links(|pair, tally| (pair, tally.payloads));
+            let outcome = collect(&scenario, run());
+            assert_eq!(outcome.payload_links, untaken, "width {shards}");
+            // The table's address is private to `egm_simnet`, whose own
+            // test pins the pointer; here the list's capacity shows it: a
+            // copy is allocated at its length, the sealed table's buffer
+            // holds 32-byte links and so a third more 24-byte entries.
+            let links = outcome.payload_links.len();
+            assert!(links > 3, "width {shards}: {links} links");
+            assert_eq!(
+                outcome.payload_links.capacity(),
+                links * 32 / std::mem::size_of_val(&outcome.payload_links[0]),
+                "width {shards}: payload_links was copied out of the table"
+            );
+        }
+    }
 
     #[test]
     fn eager_smoke_run_delivers_everything() {
