@@ -21,7 +21,7 @@
 //! * `EGM_SCALE_PLATEAU_MAX` — switches to *plateau mode*: run the
 //!   preset at 120 messages and then at 240 in the same
 //!   process and assert the 2× peak RSS stays within this factor of the
-//!   1× peak (CI: `1.30`, 1.24 measured at 4k). Peak RSS is
+//!   1× peak (CI: `1.30`, 1.26 measured at 4k). Peak RSS is
 //!   process-monotone, so the ratio isolates exactly the memory the
 //!   extra messages added — with horizon-based retirement on, mostly
 //!   the per-delivery records a run keeps by design. Writes no bin.
@@ -150,6 +150,11 @@ fn main() {
         ),
         ("retired_messages", Json::num(cold.retired_messages as f64)),
         ("arena_high_water", Json::num(cold.arena_high_water as f64)),
+        ("traffic_folds", Json::num(cold.traffic_folds.folds as f64)),
+        (
+            "traffic_folded_records",
+            Json::num(cold.traffic_folds.records as f64),
+        ),
         (
             "peak_rss_mb",
             peak_rss_field(Some(rss_budget_mb), preset.label()),

@@ -36,7 +36,9 @@
 //! * `scale_events_per_sec_<preset>` — the preset on one shard, run cold
 //!   and then from a prepared setup; the two reports must be identical.
 //!   Adds `scenario`, `rank_source`, `events`, `timers_cancelled`,
-//!   `stale_timer_drops`, `retired_messages` and `arena_high_water`.
+//!   `stale_timer_drops`, `retired_messages`, `arena_high_water`, and
+//!   `traffic_folds` / `traffic_folded_records` (how often the traffic
+//!   log folded into its link table, and the send records it folded).
 //!   Gates: no dense latency cells, no payload
 //!   table regrowth, peak RSS under
 //!   [`ScalePreset::rss_budget_mb`](egm_workload::experiments::scale::ScalePreset::rss_budget_mb)

@@ -59,7 +59,7 @@ pub use net::{Network, SimConfig};
 pub use progress::{NoopSink, ProgressEvent, ProgressSink, SharedSink};
 pub use shard::{Partition, PartitionStrategy, ShardStats};
 pub use sim::{Context, Protocol, Sim, TimerTag, TimerToken};
-pub use stats::{LinkTally, Traffic};
+pub use stats::{FoldStats, Traffic};
 pub use time::{SimDuration, SimTime};
 pub use wire::Wire;
 

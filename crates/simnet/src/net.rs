@@ -142,8 +142,8 @@ impl SimConfig {
     }
 
     /// Bounds how many distinct links the simulator's traffic accounting
-    /// tracks individually; traffic on further links is folded into an
-    /// aggregate spill tally. Totals and per-node payload counters stay
+    /// tracks individually; the payloads of further links are summed into
+    /// one aggregate spilled count. Totals and per-node payload counters stay
     /// exact. The default is unbounded; 1k–10k-node scenarios should set
     /// a bound so link accounting cannot grow toward n².
     pub fn with_link_spill_threshold(mut self, links: usize) -> Self {

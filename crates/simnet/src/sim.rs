@@ -39,6 +39,11 @@ const LOCAL_SEQ_BITS: u32 = 40;
 /// (24 bits of origin rank, minus the harness rank).
 const MAX_NODES: usize = (1 << (64 - LOCAL_SEQ_BITS)) - 1;
 
+// `Sim::with_shards` asserts the node count against `MAX_NODES`; this
+// makes that assert also keep every node id below the traffic log's
+// 2³¹ bound (bit 31 of a send record is its payload flag).
+const _: () = assert!(MAX_NODES <= Traffic::MAX_NODES);
+
 /// Packs an origin rank and its per-origin counter into the
 /// [`Scheduled::seq`] tie-breaker. Keys are unique (each origin counts
 /// its own pushes) and independent of execution interleaving, so every
@@ -631,6 +636,7 @@ where
             config.node_count(),
             "node vector must match network size"
         );
+        // Also bounds the node ids below 2³¹, as the traffic log needs.
         assert!(n <= MAX_NODES, "too many nodes for event keys");
         assert!(shards > 0, "need at least one shard");
         let w = shards.min(n);
@@ -744,9 +750,8 @@ where
     }
 
     /// Ends the simulation and hands over its sealed traffic table
-    /// (sealing it first, as [`Sim::seal_traffic`] does), so a caller can
-    /// consume it — say with [`Traffic::into_map_links`] — instead of
-    /// copying it out of [`Sim::traffic`].
+    /// (sealing it first, as [`Sim::seal_traffic`] does), so a caller
+    /// holds the table without the nodes, queues and shards of the run.
     pub fn into_traffic(mut self) -> Traffic {
         self.seal_traffic();
         match self.windows {

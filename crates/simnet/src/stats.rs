@@ -6,24 +6,34 @@
 //! a transmitted-but-dropped packet still consumed bandwidth at the sender,
 //! which matches how the paper counts transmissions.
 //!
+//! # What is counted
+//!
+//! Run totals — messages, bytes and payloads — and per-node payload
+//! counters are flat counters, exact. Per link the table keeps one
+//! number: the payload transmissions it carried, the only per-link
+//! quantity the structure measures read. A link that carried only
+//! headers (advertisements, requests, shuffles) is still in the table,
+//! with a count of zero: it is a used link.
+//!
 //! # Storage: append-only log, aggregated on demand
 //!
-//! Totals and per-node payload counters are updated inline (flat
-//! counters, exact). Per-link tallies, however, are *not* maintained in a
-//! hash map on the hot path: at 10k nodes that map holds hundreds of
-//! thousands of entries, and the per-send probe (plus its periodic
-//! rehashes) was worth ~20 % of the whole event loop. Instead every send
-//! appends one 16-byte record to a log — a sequential, cache-friendly
-//! write — and the log folds into a `(from, to)`-sorted link table once
-//! it holds as many records as the table has links, within
-//! `[FOLD_FLOOR, COMPACT_AT]` (2¹⁶ to 2²⁰ records, 1 to 16 MB). So traffic
-//! memory is O(distinct links) — beyond a 1 MB floor the log never holds
-//! more records than the table has links — rather than O(total sends),
-//! and total fold work stays linear in the records. Where the folds fall
-//! cannot show in any query: tally sums are integer additions, and the
-//! spill rule below does not depend on order. The folds stay in memory:
-//! sealing materialises the whole tracked link set anyway, so moving them
-//! out of RAM between folds would not lower the peak.
+//! Per-link counts are *not* maintained in a hash map on the hot path: at
+//! 10k nodes that map holds hundreds of thousands of entries, and the
+//! per-send probe (plus its periodic rehashes) was worth ~20 % of the
+//! whole event loop. Instead every send appends one 8-byte record — the
+//! two node ids, with the payload flag in bit 31 of the destination — to
+//! a log, a sequential, cache-friendly write, and the log folds into a
+//! `(from, to)`-sorted link table of 16-byte entries once it holds as
+//! many records as the table has links, within `[FOLD_FLOOR, COMPACT_AT]`
+//! (2¹⁶ to 2²⁰ records, 0.5 to 8 MB). So traffic memory is O(distinct
+//! links) — beyond a 0.5 MB floor the log never holds more records than
+//! the table has links — rather than O(total sends), and total fold work
+//! stays linear in the records. Where the folds fall cannot show in any
+//! query: counts are integer sums, and the spill rule below does not
+//! depend on order. The folds stay in memory: sealing materialises the
+//! whole tracked link set anyway, so moving them out of RAM between
+//! folds would not lower the peak. [`Traffic::fold_stats`] counts the
+//! folds and the records they carried.
 //!
 //! # One copy of the link table
 //!
@@ -32,9 +42,11 @@
 //! only allocation a fold grows. Sealing is one last fold: the table
 //! *becomes* the sealed table, and every query — [`Traffic::link`] by
 //! binary search, [`Traffic::map_links`] by one scan — reads it where it
-//! lies. [`Traffic::into_map_links`] hands it over: a caller done with
-//! the table maps its links in the table's own buffer instead of beside
-//! a copy.
+//! lies. A shard merge counts the union of the parts' links first and
+//! writes them into one table of that size. Nothing is handed over in
+//! place: a caller's per-link entry (24 bytes for a pair of `NodeId`s
+//! and a count) does not fit a 16-byte slot, so it maps the sealed table
+//! with [`Traffic::map_links`] into a list of its own.
 //!
 //! # Spill threshold
 //!
@@ -42,9 +54,9 @@
 //! 10k-node run cannot let link accounting grow toward the n² worst
 //! case: once more than `threshold` distinct links exist, the tracked
 //! set is the `threshold` **smallest links in `(from, to)` order**, and
-//! every other link is folded into the single aggregate
-//! [`Traffic::spilled`] tally. Totals and per-node payload counters stay
-//! exact either way.
+//! the payloads of every other link are summed into the single aggregate
+//! [`Traffic::spilled`]. Totals and per-node payload counters stay exact
+//! either way.
 //!
 //! Which links are tracked is therefore a function of the set of links
 //! alone — never of when a link first appeared, how the record stream
@@ -55,13 +67,12 @@
 //! no sort, no hashing and no per-link side data. The threshold is a
 //! memory bound that no preset reaches (`report.used_links` stays well
 //! below it), not a sampling device; a run that does hit it keeps exact
-//! tallies for its low-id senders and says so through a non-zero
-//! `spilled()`.
+//! counts for its low-id senders and tracks exactly `threshold` links.
 //!
 //! The rule is *monotone*: a link outside the `threshold` smallest of
 //! some set of links is outside the `threshold` smallest of every
 //! superset, so an evicted link can never re-enter — when it reappears
-//! in a later fold it is evicted again and its tally lands in the same
+//! in a later fold it is evicted again and its payloads land in the same
 //! aggregate. Three things follow, and the proptests at the bottom of
 //! this file pin each of them:
 //!
@@ -75,48 +86,35 @@
 
 use crate::NodeId;
 
-/// Per-directed-link tally of traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkTally {
-    /// Messages of any kind sent over this link.
-    pub messages: u64,
-    /// Total bytes sent over this link.
-    pub bytes: u64,
-    /// Payload-bearing messages sent over this link.
-    pub payloads: u64,
-}
+/// Bit 31 of [`SendRecord::to`]: set when the send carried a payload.
+const PAYLOAD_BIT: u32 = 1 << 31;
 
-impl LinkTally {
-    fn add(&mut self, bytes: u32, payload: bool) {
-        self.messages += 1;
-        self.bytes += u64::from(bytes);
-        if payload {
-            self.payloads += 1;
-        }
-    }
-
-    fn absorb(&mut self, other: &LinkTally) {
-        self.messages += other.messages;
-        self.bytes += other.bytes;
-        self.payloads += other.payloads;
-    }
-}
-
-/// One logged transmission (16 bytes).
+/// One logged transmission (8 bytes): the sender, and the destination
+/// with the payload flag in [`PAYLOAD_BIT`].
 #[derive(Debug, Clone, Copy)]
 struct SendRecord {
     from: u32,
     to: u32,
-    bytes: u32,
-    payload: bool,
 }
 
-/// One partially aggregated link and its tally so far.
+impl SendRecord {
+    /// `(from, to)` packed into one integer, in the same order.
+    fn key(self) -> u64 {
+        u64::from(self.from) << 32 | u64::from(self.to & !PAYLOAD_BIT)
+    }
+
+    /// 1 for a payload transmission, 0 for any other message.
+    fn payloads(self) -> u64 {
+        u64::from(self.to >> 31)
+    }
+}
+
+/// One partially aggregated link and its payload count so far (16 bytes).
 #[derive(Debug, Clone, Copy, Default)]
 struct LinkAcc {
     from: u32,
     to: u32,
-    tally: LinkTally,
+    payloads: u64,
 }
 
 impl LinkAcc {
@@ -128,27 +126,70 @@ impl LinkAcc {
 
 impl From<SendRecord> for LinkAcc {
     fn from(r: SendRecord) -> Self {
-        let mut tally = LinkTally::default();
-        tally.add(r.bytes, r.payload);
         LinkAcc {
             from: r.from,
-            to: r.to,
-            tally,
+            to: r.to & !PAYLOAD_BIT,
+            payloads: r.payloads(),
         }
     }
 }
 
-/// Bounds of the fold window (`Traffic::window`): 1 MB and 16 MB of log.
+/// The links of a sorted table and a sorted log together, in `(from, to)`
+/// order, each once, with the payloads of both summed.
+struct UnionLinks<'a> {
+    table: &'a [LinkAcc],
+    log: &'a [SendRecord],
+}
+
+impl Iterator for UnionLinks<'_> {
+    type Item = LinkAcc;
+
+    fn next(&mut self) -> Option<LinkAcc> {
+        let key = match (self.table.first(), self.log.first()) {
+            (None, None) => return None,
+            (Some(l), None) => l.key(),
+            (None, Some(r)) => r.key(),
+            (Some(l), Some(r)) => l.key().min(r.key()),
+        };
+        let mut link = LinkAcc {
+            from: (key >> 32) as u32,
+            to: key as u32,
+            payloads: 0,
+        };
+        if let Some((l, rest)) = self.table.split_first().filter(|(l, _)| l.key() == key) {
+            link.payloads += l.payloads;
+            self.table = rest;
+        }
+        let run = self.log.iter().take_while(|r| r.key() == key).count();
+        link.payloads += self.log[..run].iter().map(|r| r.payloads()).sum::<u64>();
+        self.log = &self.log[run..];
+        Some(link)
+    }
+}
+
+/// Bounds of the fold window (`Traffic::window`): 0.5 MB and 8 MB of log.
 const FOLD_FLOOR: usize = 1 << 16;
 const COMPACT_AT: usize = 1 << 20;
+
+/// How often a [`Traffic`] log folded into its link table, and how many
+/// send records those folds carried (a shard merge adds its parts').
+/// Where folds fall depends on how senders are split over shards, so
+/// these counts describe the engine's work, not the run's outcome.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FoldStats {
+    /// Folds of a non-empty log, the last one at seal included.
+    pub folds: u64,
+    /// Send records those folds sorted and merged.
+    pub records: u64,
+}
 
 /// The aggregated per-link view: one flat `(from, to)`-sorted table.
 #[derive(Debug, Clone)]
 struct SealedLinks {
     /// Tracked links only, sorted by `(from, to)`.
     flat: Vec<LinkAcc>,
-    /// Aggregate tally of records on links beyond the spill threshold.
-    spilled: LinkTally,
+    /// Payloads recorded on links beyond the spill threshold.
+    spilled: u64,
 }
 
 /// Aggregated traffic over the whole virtual network.
@@ -164,6 +205,7 @@ struct SealedLinks {
 /// assert_eq!(t.total_payloads(), 1);
 /// assert_eq!(t.total_bytes(), 320);
 /// assert_eq!(t.node_payloads_sent(NodeId(0)), 1);
+/// assert_eq!(t.link(NodeId(0), NodeId(1)), Some(1));
 /// ```
 #[derive(Debug)]
 pub struct Traffic {
@@ -174,7 +216,9 @@ pub struct Traffic {
     folded: Vec<LinkAcc>,
     /// Built by [`Traffic::seal`]; `None` while recording.
     sealed: Option<SealedLinks>,
-    total: LinkTally,
+    total_messages: u64,
+    total_bytes: u64,
+    total_payloads: u64,
     /// Payloads sent per node, pre-sized via [`Traffic::reserve_nodes`]
     /// or grown on demand (exact even when link tracking spills).
     node_payloads: Vec<u64>,
@@ -183,12 +227,13 @@ pub struct Traffic {
     node_payload_growths: u32,
     /// Maximum number of distinct links tracked individually.
     spill_threshold: usize,
-    /// Tallies of links already folded into the spilled aggregate by the
-    /// cap applied at each fold.
-    spilled_acc: LinkTally,
+    /// Payloads of links already evicted by the cap applied at each fold.
+    spilled_acc: u64,
     /// Longest accumulator list held while merging shard parts (0 for
     /// one-shard runs); see [`Traffic::shard_merge_acc_peak`].
     shard_merge_acc_peak: usize,
+    /// See [`Traffic::fold_stats`].
+    fold_stats: FoldStats,
 }
 
 impl Default for Traffic {
@@ -198,21 +243,28 @@ impl Default for Traffic {
 }
 
 impl Traffic {
+    /// Node ids the log can hold are below this: bit 31 of a record's
+    /// destination is its payload flag.
+    pub(crate) const MAX_NODES: usize = PAYLOAD_BIT as usize;
+
     /// Creates an accounting table that tracks at most `spill_threshold`
     /// distinct links individually — the smallest in `(from, to)` order;
-    /// records on all other links are folded into the aggregate
-    /// [`Traffic::spilled`] tally.
+    /// the payloads of all other links are summed into the aggregate
+    /// [`Traffic::spilled`].
     pub fn with_spill_threshold(spill_threshold: usize) -> Self {
         Traffic {
             log: Vec::new(),
             folded: Vec::new(),
             sealed: None,
-            total: LinkTally::default(),
+            total_messages: 0,
+            total_bytes: 0,
+            total_payloads: 0,
             node_payloads: Vec::new(),
             node_payload_growths: 0,
             spill_threshold,
-            spilled_acc: LinkTally::default(),
+            spilled_acc: 0,
             shard_merge_acc_peak: 0,
+            fold_stats: FoldStats::default(),
         }
     }
 
@@ -231,15 +283,23 @@ impl Traffic {
     }
 
     /// Longest link-accumulator list held while merging shard parts:
-    /// each part's drained list and the merged output. 0 for one-shard
-    /// runs; never exceeds the configured threshold otherwise — every
-    /// shard caps locally, and the merge never writes past the threshold.
+    /// each part's table and the merged output. 0 for one-shard runs;
+    /// never exceeds the configured threshold otherwise — every shard
+    /// caps locally, and the merge never writes past the threshold.
     /// Pinned by the shard-determinism regression tests.
     pub fn shard_merge_acc_peak(&self) -> usize {
         self.shard_merge_acc_peak
     }
 
-    /// Records one message from `from` to `to`.
+    /// How many times the log folded into the link table so far, and the
+    /// records those folds carried. Observe-only.
+    pub fn fold_stats(&self) -> FoldStats {
+        self.fold_stats
+    }
+
+    /// Records one message from `from` to `to`. Node ids must be below
+    /// 2³¹ (`Sim` asserts it for its node count; debug builds check each
+    /// record).
     ///
     /// # Panics
     ///
@@ -247,21 +307,24 @@ impl Traffic {
     /// record log.
     pub fn record(&mut self, from: NodeId, to: NodeId, bytes: u32, payload: bool) {
         assert!(self.sealed.is_none(), "record() after seal()");
-        self.total.add(bytes, payload);
         let idx = from.index();
+        debug_assert!(
+            idx < Self::MAX_NODES && to.index() < Self::MAX_NODES,
+            "node id beyond the traffic log's 31 bits"
+        );
+        self.total_messages += 1;
+        self.total_bytes += u64::from(bytes);
         if payload {
+            self.total_payloads += 1;
             if idx >= self.node_payloads.len() {
                 self.node_payloads.resize(idx + 1, 0);
                 self.node_payload_growths += 1;
             }
             self.node_payloads[idx] += 1;
         }
-        debug_assert!(idx < u32::MAX as usize && to.index() < u32::MAX as usize);
         self.log.push(SendRecord {
             from: idx as u32,
-            to: to.index() as u32,
-            bytes,
-            payload,
+            to: to.index() as u32 | if payload { PAYLOAD_BIT } else { 0 },
         });
         if self.log.len() >= self.window() {
             self.compact();
@@ -278,11 +341,24 @@ impl Traffic {
         self.folded.len().clamp(FOLD_FLOOR, COMPACT_AT)
     }
 
+    /// Sorts the log by `(from, to)` where it lies and counts the fold
+    /// that consumes it.
+    fn sort_log(&mut self) {
+        self.log.sort_unstable_by_key(|&r| r.key());
+        if !self.log.is_empty() {
+            self.fold_stats.folds += 1;
+            self.fold_stats.records += self.log.len() as u64;
+        }
+    }
+
     /// Folds the log into `folded` and empties it: the log is sorted by
     /// `(from, to)` where it lies and its runs of equal links are merged
     /// straight into the table, capped at the spill threshold.
     fn compact(&mut self) {
-        self.log.sort_unstable_by_key(|&r| LinkAcc::from(r).key());
+        if self.log.is_empty() {
+            return;
+        }
+        self.sort_log();
         Self::merge_into(
             &mut self.folded,
             &self.log,
@@ -292,14 +368,6 @@ impl Traffic {
         self.log.clear();
     }
 
-    /// Compacts, drops the log, then takes the complete folded
-    /// accumulator list.
-    fn drain_folded(&mut self) -> Vec<LinkAcc> {
-        self.compact();
-        self.log = Vec::new();
-        std::mem::take(&mut self.folded)
-    }
-
     /// Builds the per-link view once and drops the record log. Optional:
     /// queries aggregate transparently (each call re-scans the log) —
     /// sealing makes repeated queries O(1) and frees the log's memory,
@@ -307,51 +375,33 @@ impl Traffic {
     /// [`Traffic::record`] is accepted.
     pub fn seal(&mut self) {
         if self.sealed.is_none() {
-            let flat = self.drain_folded();
+            self.compact();
+            self.log = Vec::new();
             self.sealed = Some(SealedLinks {
-                flat,
+                flat: std::mem::take(&mut self.folded),
                 spilled: self.spilled_acc,
             });
         }
     }
 
-    /// Merges the `(from, to)`-sorted list `add` — whose equal links may
-    /// repeat, as in a sorted log — into the sorted, duplicate-free list
-    /// `acc` in place, summing the tallies of equal links, and applies
-    /// the spill rule on the way: only the `threshold` smallest links of
-    /// the union are written, and the tallies of the rest are folded into
-    /// `spilled`. `acc` must already hold at most `threshold` links.
+    /// Merges the `(from, to)`-sorted log `add` — whose equal links may
+    /// repeat — into the sorted, duplicate-free table `acc` in place,
+    /// summing the payloads of equal links, and applies the spill rule on
+    /// the way: only the `threshold` smallest links of the union are
+    /// written, and the payloads of the rest are added to `spilled`.
+    /// `acc` must already hold at most `threshold` links.
     ///
     /// One counting pass finds the union's size; the merge then runs back
     /// to front, so it writes each kept link once into its final place in
     /// `acc` — never ahead of the `acc` entries still to be read — and
     /// `acc` is the only list that grows, to its exact new size.
-    fn merge_into<T: Copy>(
-        acc: &mut Vec<LinkAcc>,
-        add: &[T],
-        threshold: usize,
-        spilled: &mut LinkTally,
-    ) where
-        LinkAcc: From<T>,
-    {
+    fn merge_into(acc: &mut Vec<LinkAcc>, add: &[SendRecord], threshold: usize, spilled: &mut u64) {
         debug_assert!(acc.len() <= threshold);
-        let key = |&e: &T| LinkAcc::from(e).key();
-        // No link has the key `u64::MAX` (node ids are below `u32::MAX`).
-        let (mut union, mut last) = (0, u64::MAX);
-        let (mut x, mut y) = (0, 0);
-        while x < acc.len() && y < add.len() {
-            let (a, b) = (acc[x].key(), key(&add[y]));
-            let next = a.min(b);
-            union += usize::from(next != last);
-            last = next;
-            x += usize::from(a == next);
-            y += usize::from(b == next);
+        let union = UnionLinks {
+            table: acc,
+            log: add,
         }
-        union += acc.len() - x;
-        for e in &add[y..] {
-            union += usize::from(key(e) != last);
-            last = key(e);
-        }
+        .count();
         let kept = union.min(threshold);
         let mut skip = union - kept;
         let mut i = acc.len();
@@ -361,7 +411,7 @@ impl Traffic {
         let mut emit = |acc: &mut [LinkAcc], link: LinkAcc| {
             if skip > 0 {
                 skip -= 1;
-                spilled.absorb(&link.tally);
+                *spilled += link.payloads;
             } else {
                 w -= 1;
                 acc[w] = link;
@@ -372,9 +422,9 @@ impl Traffic {
             // the `acc` links above it.
             let mut link = LinkAcc::from(add[j - 1]);
             j -= 1;
-            while j > 0 && key(&add[j - 1]) == link.key() {
+            while j > 0 && add[j - 1].key() == link.key() {
                 j -= 1;
-                link.tally.absorb(&LinkAcc::from(add[j]).tally);
+                link.payloads += add[j].payloads();
             }
             while i > 0 && acc[i - 1].key() > link.key() {
                 i -= 1;
@@ -383,16 +433,14 @@ impl Traffic {
             }
             if i > 0 && acc[i - 1].key() == link.key() {
                 i -= 1;
-                link.tally.absorb(&acc[i].tally);
+                link.payloads += acc[i].payloads;
             }
             emit(acc, link);
         }
         // The rest of `acc` lies below every `add` link: its largest
         // `skip` links spill (then nothing was written yet), and the
         // others are already in place.
-        for below in &acc[i - skip..i] {
-            spilled.absorb(&below.tally);
-        }
+        *spilled += acc[i - skip..i].iter().map(|l| l.payloads).sum::<u64>();
         debug_assert_eq!(w, i - skip);
     }
 
@@ -401,15 +449,18 @@ impl Traffic {
     ///
     /// Each part must still be recording (unsealed), and all parts must
     /// share one spill threshold — the run's configured one, which each
-    /// shard has been applying locally all along. Totals, per-node
-    /// payload counters and per-link tallies are plain sums (links are
-    /// disjoint across sender-partitioned shards, but equal keys merge
-    /// defensively); the tracked set is the `threshold` smallest links of
-    /// the union of the parts' sorted lists, folded in one part at a
-    /// time. That equals what one table fed every record would track,
-    /// because the spill rule ranks links by `(from, to)` alone (module
-    /// docs): a link some shard already evicted has at least `threshold`
-    /// smaller links in that shard, so the merge would evict it too.
+    /// shard has been applying locally all along. Totals and per-node
+    /// payload counters are plain sums. Links are not: every shard
+    /// records at its own senders, so no link occurs in two parts. Each
+    /// part's log is sorted where it lies, the union of all parts' tables
+    /// and logs is counted, and one table of that size (capped at the
+    /// threshold) receives a k-way merge of the parts before they are
+    /// dropped — no part's table grows at seal. The tracked set is the
+    /// `threshold` smallest links of the union. That equals what one
+    /// table fed every record would track, because the spill rule ranks
+    /// links by `(from, to)` alone (module docs): a link some shard
+    /// already evicted has at least `threshold` smaller links in that
+    /// shard, so the merge would evict it too.
     ///
     /// # Panics
     ///
@@ -421,49 +472,69 @@ impl Traffic {
         let donor = (0..parts.len())
             .max_by_key(|&i| parts[i].node_payloads.len())
             .expect("at least one shard");
-        let mut node_payloads = std::mem::take(&mut parts[donor].node_payloads);
-        let mut total = LinkTally::default();
-        let mut flat = Vec::new();
-        let mut node_payload_growths = 0u32;
-        let mut spilled_acc = LinkTally::default();
-        let mut merge_acc_peak = 0usize;
-        for mut part in parts {
+        let mut merged = Traffic {
+            node_payloads: std::mem::take(&mut parts[donor].node_payloads),
+            ..Traffic::with_spill_threshold(spill_threshold)
+        };
+        let mut union = 0;
+        for part in &mut parts {
             assert!(part.sealed.is_none(), "cannot merge sealed traffic");
             assert_eq!(
                 part.spill_threshold, spill_threshold,
                 "shards of one run share one spill threshold"
             );
-            total.absorb(&part.total);
-            node_payload_growths += part.node_payload_growths;
-            if node_payloads.len() < part.node_payloads.len() {
-                node_payloads.resize(part.node_payloads.len(), 0);
+            merged.total_messages += part.total_messages;
+            merged.total_bytes += part.total_bytes;
+            merged.total_payloads += part.total_payloads;
+            merged.node_payload_growths += part.node_payload_growths;
+            if merged.node_payloads.len() < part.node_payloads.len() {
+                merged.node_payloads.resize(part.node_payloads.len(), 0);
             }
             for (i, v) in part.node_payloads.iter().enumerate() {
-                node_payloads[i] += v;
+                merged.node_payloads[i] += v;
             }
-            let drained = part.drain_folded();
-            merge_acc_peak = merge_acc_peak.max(drained.len());
-            spilled_acc.absorb(&part.spilled_acc);
-            if flat.is_empty() {
-                // Adopt a capped, sorted list as it is: copying it into a
-                // second allocation would raise the seal-time peak.
-                flat = drained;
-            } else {
-                Self::merge_into(&mut flat, &drained, spill_threshold, &mut spilled_acc);
-            }
-            merge_acc_peak = merge_acc_peak.max(flat.len());
+            merged.spilled_acc += part.spilled_acc;
+            part.sort_log();
+            merged.fold_stats.folds += part.fold_stats.folds;
+            merged.fold_stats.records += part.fold_stats.records;
+            merged.shard_merge_acc_peak = merged.shard_merge_acc_peak.max(part.folded.len());
+            union += part.union_links().count();
         }
-        Traffic {
-            sealed: Some(SealedLinks {
-                flat,
-                spilled: spilled_acc,
-            }),
-            total,
-            node_payloads,
-            node_payload_growths,
-            spilled_acc,
-            shard_merge_acc_peak: merge_acc_peak,
-            ..Traffic::with_spill_threshold(spill_threshold)
+        let kept = union.min(spill_threshold);
+        let mut flat = Vec::with_capacity(kept);
+        let mut links: Vec<_> = parts.iter().map(|p| p.union_links().peekable()).collect();
+        let mut last = None;
+        while let Some((key, p)) = links
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(p, part)| part.peek().map(|l| (l.key(), p)))
+            .min()
+        {
+            let link = links[p].next().expect("peeked");
+            debug_assert!(last < Some(key), "a link occurs in two shards");
+            last = Some(key);
+            if flat.len() < kept {
+                flat.push(link);
+            } else {
+                merged.spilled_acc += link.payloads;
+            }
+        }
+        drop(links);
+        drop(parts);
+        merged.shard_merge_acc_peak = merged.shard_merge_acc_peak.max(flat.len());
+        merged.sealed = Some(SealedLinks {
+            flat,
+            spilled: merged.spilled_acc,
+        });
+        merged
+    }
+
+    /// The links of this (unsealed) table and its log, which must be
+    /// sorted, in `(from, to)` order.
+    fn union_links(&self) -> UnionLinks<'_> {
+        UnionLinks {
+            table: &self.folded,
+            log: &self.log,
         }
     }
 
@@ -488,80 +559,65 @@ impl Traffic {
 
     /// Total messages sent (including later-dropped ones).
     pub fn total_messages(&self) -> u64 {
-        self.total.messages
+        self.total_messages
     }
 
     /// Total bytes sent.
     pub fn total_bytes(&self) -> u64 {
-        self.total.bytes
+        self.total_bytes
     }
 
     /// Total payload transmissions.
     pub fn total_payloads(&self) -> u64 {
-        self.total.payloads
+        self.total_payloads
     }
 
     /// Number of individually tracked directed links that carried at
-    /// least one message. When [`Traffic::spilled`] is non-empty this
-    /// undercounts the true distinct-link count (by design: tracking is
-    /// bounded).
+    /// least one message, payload or not. When more distinct links were
+    /// used than the spill threshold allows, this is the threshold
+    /// (by design: tracking is bounded).
     pub fn link_count(&self) -> usize {
         self.with_links(|s| s.flat.len())
     }
 
-    /// Aggregate tally of traffic recorded on links beyond the spill
-    /// threshold (all zeros when nothing spilled).
-    pub fn spilled(&self) -> LinkTally {
+    /// Payload transmissions recorded on links beyond the spill threshold
+    /// (0 when nothing spilled, or when the spilled links carried only
+    /// headers).
+    pub fn spilled(&self) -> u64 {
         self.with_links(|s| s.spilled)
     }
 
-    /// Tally for one directed link, if it carried traffic and was tracked
-    /// individually.
-    pub fn link(&self, from: NodeId, to: NodeId) -> Option<LinkTally> {
+    /// Payload transmissions on one directed link, if it carried any
+    /// message and was tracked individually (`Some(0)` for a link that
+    /// carried headers only).
+    pub fn link(&self, from: NodeId, to: NodeId) -> Option<u64> {
         self.with_links(|s| {
             s.flat
                 .binary_search_by_key(&(from.index(), to.index()), |l| {
                     (l.from as usize, l.to as usize)
                 })
                 .ok()
-                .map(|i| s.flat[i].tally)
+                .map(|i| s.flat[i].payloads)
         })
     }
 
-    /// All individually tracked directed links and their tallies, in
-    /// deterministic (source, destination) order.
-    pub fn links(&self) -> Vec<((NodeId, NodeId), LinkTally)> {
-        self.map_links(|pair, tally| (pair, tally))
+    /// All individually tracked directed links and their payload counts,
+    /// in deterministic (source, destination) order.
+    pub fn links(&self) -> Vec<((NodeId, NodeId), u64)> {
+        self.map_links(|pair, payloads| (pair, payloads))
     }
 
     /// `f` applied to every individually tracked directed link and its
-    /// tally, in (source, destination) order, collected into a vector of
-    /// exactly [`Traffic::link_count`] capacity. Reads a sealed table in
-    /// place.
-    pub fn map_links<T>(&self, mut f: impl FnMut((NodeId, NodeId), LinkTally) -> T) -> Vec<T> {
+    /// payload count, in (source, destination) order, collected into a
+    /// vector of exactly [`Traffic::link_count`] capacity. Reads a sealed
+    /// table in place.
+    pub fn map_links<T>(&self, mut f: impl FnMut((NodeId, NodeId), u64) -> T) -> Vec<T> {
         self.with_links(|s| {
             s.flat
                 .iter()
-                .map(|l| f((NodeId(l.from as usize), NodeId(l.to as usize)), l.tally))
+                .map(|l| f((NodeId(l.from as usize), NodeId(l.to as usize)), l.payloads))
                 .collect()
         })
-    }
-
-    /// [`Traffic::map_links`] for a table that is needed no more: seals it
-    /// and maps its links in the sealed table's own buffer (a `T` no
-    /// larger than the 32-byte table entry reuses it), so the caller holds
-    /// one list of links, not two.
-    pub fn into_map_links<T>(
-        mut self,
-        mut f: impl FnMut((NodeId, NodeId), LinkTally) -> T,
-    ) -> Vec<T> {
-        self.seal();
-        let sealed = self.sealed.expect("just sealed");
-        sealed
-            .flat
-            .into_iter()
-            .map(|l| f((NodeId(l.from as usize), NodeId(l.to as usize)), l.tally))
-            .collect()
     }
 
     /// Payload transmissions sent by one node. Exact regardless of link
@@ -581,7 +637,7 @@ impl Traffic {
 
 #[cfg(test)]
 mod tests {
-    use super::{LinkTally, Traffic, FOLD_FLOOR};
+    use super::{FoldStats, LinkAcc, SendRecord, Traffic, FOLD_FLOOR};
     use crate::NodeId;
     use proptest::prelude::*;
     use proptest::TestCaseError;
@@ -593,15 +649,29 @@ mod tests {
         t.record(NodeId(0), NodeId(1), 100, true);
         t.record(NodeId(0), NodeId(1), 50, false);
         t.record(NodeId(1), NodeId(0), 10, true);
-        let l01 = t.link(NodeId(0), NodeId(1)).expect("link exists");
-        assert_eq!(l01.messages, 2);
-        assert_eq!(l01.bytes, 150);
-        assert_eq!(l01.payloads, 1);
-        assert_eq!(t.link_count(), 2);
-        assert_eq!(t.total_messages(), 3);
+        t.record(NodeId(1), NodeId(2), 10, false);
+        assert_eq!(t.link(NodeId(0), NodeId(1)), Some(1));
+        assert_eq!(t.link(NodeId(1), NodeId(2)), Some(0), "a header-only link");
+        assert_eq!(t.link_count(), 3);
+        assert_eq!(t.total_messages(), 4);
+        assert_eq!(t.total_bytes(), 170);
         assert_eq!(t.total_payloads(), 2);
         assert!(t.link(NodeId(2), NodeId(0)).is_none());
-        assert_eq!(t.spilled().messages, 0, "no spill by default");
+        assert_eq!(t.spilled(), 0, "no spill by default");
+    }
+
+    #[test]
+    fn records_and_links_are_eight_and_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<SendRecord>(), 8);
+        assert_eq!(std::mem::size_of::<LinkAcc>(), 16);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "beyond the traffic log's 31 bits")]
+    fn recording_an_id_that_reaches_the_payload_bit_panics() {
+        let mut t = Traffic::default();
+        t.record(NodeId(0), NodeId(1 << 31), 8, false);
     }
 
     #[test]
@@ -640,18 +710,16 @@ mod tests {
         t.record(NodeId(0), NodeId(1), 10, true);
         t.record(NodeId(0), NodeId(2), 10, false);
         // ...and the tracked links keep accumulating exactly.
-        t.record(NodeId(0), NodeId(1), 10, false);
+        t.record(NodeId(0), NodeId(1), 10, true);
         assert_eq!(t.link_count(), 2);
         assert!(t.link(NodeId(0), NodeId(3)).is_none(), "spilled link");
-        assert_eq!(t.spilled().messages, 1);
-        assert_eq!(t.spilled().payloads, 1);
-        assert_eq!(t.spilled().bytes, 10);
+        assert_eq!(t.spilled(), 1);
         // Totals and per-node counters stay exact.
         assert_eq!(t.total_messages(), 4);
-        assert_eq!(t.total_payloads(), 2);
-        assert_eq!(t.node_payloads_sent(NodeId(0)), 2);
-        let l01 = t.link(NodeId(0), NodeId(1)).expect("tracked");
-        assert_eq!(l01.messages, 2);
+        assert_eq!(t.total_bytes(), 40);
+        assert_eq!(t.total_payloads(), 3);
+        assert_eq!(t.node_payloads_sent(NodeId(0)), 3);
+        assert_eq!(t.link(NodeId(0), NodeId(1)), Some(2));
     }
 
     #[test]
@@ -659,7 +727,7 @@ mod tests {
         let mut t = Traffic::with_spill_threshold(0);
         t.record(NodeId(0), NodeId(1), 7, true);
         assert_eq!(t.link_count(), 0);
-        assert_eq!(t.spilled().messages, 1);
+        assert_eq!(t.spilled(), 1);
         assert_eq!(t.total_bytes(), 7);
         assert_eq!(t.node_payloads_sent(NodeId(0)), 1);
     }
@@ -677,7 +745,7 @@ mod tests {
         assert_eq!(before.0, t.links());
         assert_eq!(before.1, t.link_count());
         assert_eq!(before.2, t.spilled());
-        assert_eq!(t.spilled().messages, 1);
+        assert_eq!(t.spilled(), 1);
     }
 
     #[test]
@@ -698,8 +766,8 @@ mod tests {
         let mut a = Traffic::with_spill_threshold(2);
         let mut b = Traffic::with_spill_threshold(2);
         for (i, &(f, t)) in stream.iter().enumerate() {
-            a.record(NodeId(f), NodeId(t), 10, i % 2 == 0);
-            b.record(NodeId(f), NodeId(t), 10, i % 2 == 0);
+            a.record(NodeId(f), NodeId(t), 10, i != 2);
+            b.record(NodeId(f), NodeId(t), 10, i != 2);
             if i % 2 == 0 {
                 b.compact();
             }
@@ -715,7 +783,7 @@ mod tests {
         // followed them into the aggregate.
         assert!(b.link(NodeId(0), NodeId(1)).is_some(), "seen third, kept");
         assert!(b.link(NodeId(5), NodeId(6)).is_none(), "seen first, spilt");
-        assert_eq!(b.spilled().messages, 4, "(5,6) and (4,5), twice each");
+        assert_eq!(b.spilled(), 4, "(5,6) and (4,5), twice each");
     }
 
     #[test]
@@ -731,6 +799,12 @@ mod tests {
             assert!(t.log.len() <= bound && t.log.capacity() <= bound);
         }
         assert_eq!(t.folded.len(), 500);
+        // Four full floor windows folded; sealing folds the rest.
+        let floor = FOLD_FLOOR as u64;
+        let stats = |folds, records| FoldStats { folds, records };
+        assert_eq!(t.fold_stats(), stats(4, 4 * floor));
+        t.seal();
+        assert_eq!(t.fold_stats(), stats(5, 300_000));
         // Few sends per link: the window grows with the table, in one
         // allocation per fold.
         let mut t = Traffic::default();
@@ -740,30 +814,10 @@ mod tests {
             assert!(t.log.len() <= bound && t.log.capacity() <= bound);
         }
         assert!(t.folded.len() > FOLD_FLOOR, "the window grew");
-    }
-
-    #[test]
-    fn into_map_links_maps_the_sealed_table_in_its_own_buffer() {
-        let stream: Vec<_> = (0..40)
-            .map(|i| (i % 7, i % 5, 10 + i as u32, i % 3 == 0))
-            .collect();
-        let payloads = |pair, tally: LinkTally| (pair, tally.payloads);
-        let untaken = sealed_table(&stream, usize::MAX, &[]);
-        let mut t = recording_table(&stream, usize::MAX, &[9]);
-        t.seal();
-        let table = t.sealed.as_ref().expect("sealed").flat.as_ptr() as usize;
-        let links = t.into_map_links(payloads);
-        assert_eq!(links, untaken.map_links(payloads));
-        assert_eq!(links.as_ptr() as usize, table, "mapped in place");
-        // Unsealed and merged tables hand over the same links.
-        let unsealed = recording_table(&stream, usize::MAX, &[]);
-        assert_eq!(unsealed.into_map_links(payloads), links);
-        let (low, high): (Vec<_>, Vec<_>) = stream.iter().partition(|r| r.0 < 3);
-        let parts = vec![
-            recording_table(&low, usize::MAX, &[]),
-            recording_table(&high, usize::MAX, &[]),
-        ];
-        assert_eq!(Traffic::merge_shards(parts).into_map_links(payloads), links);
+        // Windows of 2¹⁶, 2¹⁶ and 2¹⁷ records grow the table to 2¹⁸
+        // links, and the next window to past the stream's end.
+        assert_eq!(t.fold_stats(), stats(3, 4 * floor));
+        assert_eq!(t.folded.len(), 4 * FOLD_FLOOR);
     }
 
     #[test]
@@ -787,20 +841,21 @@ mod tests {
 
     #[test]
     fn merge_shards_caps_working_set_and_matches_sequential() {
-        // Two sender-partitioned parts, each capping locally at the
-        // run's threshold: part 0 evicts (0,3) on its own, and the merge
-        // evicts both of part 1's links in favour of (0,1) and (0,2).
+        // Two sender-partitioned parts at the run's threshold, part 1
+        // folded mid-run: the merge keeps the two smallest links of the
+        // union, (0,1) and (0,2), and evicts (0,3) and both of part 1's.
         let mut part0 = Traffic::with_spill_threshold(2);
         part0.record(NodeId(0), NodeId(3), 10, true);
         part0.record(NodeId(0), NodeId(1), 10, true);
         part0.record(NodeId(0), NodeId(2), 10, false);
         let mut part1 = Traffic::with_spill_threshold(2);
-        part1.record(NodeId(1), NodeId(9), 10, false);
+        part1.record(NodeId(1), NodeId(9), 10, true);
         part1.record(NodeId(1), NodeId(8), 10, true);
+        part1.compact();
         let merged = Traffic::merge_shards(vec![part0, part1]);
         // Sequential twin: the same records interleaved, same threshold.
         let mut seq = Traffic::with_spill_threshold(2);
-        seq.record(NodeId(1), NodeId(9), 10, false);
+        seq.record(NodeId(1), NodeId(9), 10, true);
         seq.record(NodeId(0), NodeId(3), 10, true);
         seq.record(NodeId(0), NodeId(1), 10, true);
         seq.record(NodeId(1), NodeId(8), 10, true);
@@ -809,9 +864,20 @@ mod tests {
         assert_eq!(merged.links(), seq.links());
         assert_eq!(merged.link_count(), seq.link_count());
         assert_eq!(merged.spilled(), seq.spilled());
-        assert_eq!(merged.spilled().messages, 3);
+        assert_eq!(merged.spilled(), 3);
         assert_eq!(merged.total_messages(), seq.total_messages());
-        assert_eq!(merged.payloads_sent_per_node(2), vec![2, 1]);
+        assert_eq!(merged.total_bytes(), seq.total_bytes());
+        assert_eq!(merged.payloads_sent_per_node(2), vec![2, 2]);
+        // Part 1's fold mid-run, then the merge's pass over part 0's log.
+        assert_eq!(
+            merged.fold_stats(),
+            FoldStats {
+                folds: 2,
+                records: 5
+            }
+        );
+        let flat = &merged.sealed.as_ref().expect("sealed").flat;
+        assert_eq!(flat.capacity(), flat.len(), "allocated once, exactly");
         let peak = merged.shard_merge_acc_peak();
         assert!(peak > 0 && peak <= 2, "peak {peak} exceeds threshold");
         assert_eq!(seq.shard_merge_acc_peak(), 0, "sequential never merges");
@@ -821,26 +887,26 @@ mod tests {
     fn merge_shards_caps_folds_with_reappearing_links() {
         // Part 0 folds twice; link (0,3) is evicted by the first fold and
         // reappears in the second, so it must be evicted again with both
-        // tally pieces landing in the spilled aggregate.
+        // of its payloads landing in the spilled aggregate.
         let mut part0 = Traffic::with_spill_threshold(2);
-        part0.record(NodeId(0), NodeId(1), 1, false);
-        part0.record(NodeId(0), NodeId(2), 1, false);
-        part0.record(NodeId(0), NodeId(3), 1, false);
+        part0.record(NodeId(0), NodeId(1), 1, true);
+        part0.record(NodeId(0), NodeId(2), 1, true);
+        part0.record(NodeId(0), NodeId(3), 1, true);
         part0.compact();
-        part0.record(NodeId(0), NodeId(1), 1, false);
-        part0.record(NodeId(0), NodeId(3), 1, false);
+        part0.record(NodeId(0), NodeId(1), 1, true);
+        part0.record(NodeId(0), NodeId(3), 1, true);
         part0.compact();
         let mut part1 = Traffic::with_spill_threshold(2);
-        part1.record(NodeId(1), NodeId(5), 1, false);
+        part1.record(NodeId(1), NodeId(5), 1, true);
         let merged = Traffic::merge_shards(vec![part0, part1]);
         let mut seq = Traffic::with_spill_threshold(2);
         for (f, t) in [(0, 1), (0, 2), (0, 3), (1, 5), (0, 1), (0, 3)] {
-            seq.record(NodeId(f), NodeId(t), 1, false);
+            seq.record(NodeId(f), NodeId(t), 1, true);
         }
         seq.seal();
         assert_eq!(merged.links(), seq.links());
         assert_eq!(merged.spilled(), seq.spilled());
-        assert_eq!(merged.spilled().messages, 3, "(0,3) twice plus (1,5)");
+        assert_eq!(merged.spilled(), 3, "(0,3) twice plus (1,5)");
         let peak = merged.shard_merge_acc_peak();
         assert!(peak > 0 && peak <= 2, "peak {peak} exceeds threshold");
     }
@@ -850,25 +916,20 @@ mod tests {
         // The link seen first spills because it is the largest pair; the
         // one seen last is tracked because it is the smallest.
         let mut t = Traffic::with_spill_threshold(2);
-        t.record(NodeId(5), NodeId(6), 1, false);
-        t.record(NodeId(4), NodeId(5), 1, false);
-        t.record(NodeId(0), NodeId(1), 1, false);
+        t.record(NodeId(5), NodeId(6), 1, true);
+        t.record(NodeId(4), NodeId(5), 1, true);
+        t.record(NodeId(0), NodeId(1), 1, true);
         assert!(t.link(NodeId(0), NodeId(1)).is_some());
         assert!(t.link(NodeId(4), NodeId(5)).is_some());
         assert!(
             t.link(NodeId(5), NodeId(6)).is_none(),
             "largest pair spills"
         );
-        assert_eq!(t.spilled().messages, 1);
+        assert_eq!(t.spilled(), 1);
     }
 
     /// Everything a sealed table answers.
-    type View = (
-        Vec<((NodeId, NodeId), LinkTally)>,
-        LinkTally,
-        (u64, u64, u64),
-        Vec<u64>,
-    );
+    type View = (Vec<((NodeId, NodeId), u64)>, u64, (u64, u64, u64), Vec<u64>);
 
     fn view(t: &Traffic) -> View {
         (
@@ -914,71 +975,67 @@ mod tests {
     fn in_place_merge_adds_equal_keys_at_both_ends() {
         // `add` shares its first and last link with `acc`, interleaves
         // new links between them, and the union exceeds the threshold by
-        // one: the largest link spills, with both of its tally pieces.
-        let acc_link = |from, to, messages| super::LinkAcc {
-            from,
-            to,
-            tally: LinkTally {
-                messages,
-                bytes: messages * 10,
-                payloads: messages,
-            },
+        // one: the largest link spills, with the payloads of both lists.
+        let link = |from, to, payloads| LinkAcc { from, to, payloads };
+        let sends = |from, to, n| {
+            let payload = SendRecord {
+                from,
+                to: to | super::PAYLOAD_BIT,
+            };
+            vec![payload; n]
         };
-        let mut acc = vec![acc_link(0, 1, 1), acc_link(0, 4, 1), acc_link(2, 0, 1)];
-        let add = vec![
-            acc_link(0, 1, 2),
-            acc_link(0, 2, 2),
-            acc_link(1, 0, 2),
-            acc_link(2, 0, 2),
-        ];
-        let mut spilled = LinkTally::default();
+        let mut acc = vec![link(0, 1, 1), link(0, 4, 1), link(2, 0, 1)];
+        let add = [
+            sends(0, 1, 2),
+            sends(0, 2, 2),
+            sends(1, 0, 2),
+            sends(2, 0, 2),
+        ]
+        .concat();
+        let mut spilled = 0;
         Traffic::merge_into(&mut acc, &add, 4, &mut spilled);
-        let keys: Vec<_> = acc
-            .iter()
-            .map(|l| ((l.from, l.to), l.tally.messages))
-            .collect();
+        let keys: Vec<_> = acc.iter().map(|l| ((l.from, l.to), l.payloads)).collect();
         assert_eq!(keys, [((0, 1), 3), ((0, 2), 2), ((0, 4), 1), ((1, 0), 2)]);
-        assert_eq!(spilled.messages, 3, "(2,0) from both lists");
+        assert_eq!(spilled, 3, "(2,0) from both lists");
         assert_eq!(acc.capacity(), 4, "merged in place at the kept size");
 
-        // Into an empty list, and with everything spilled.
+        // Into an empty list, and with everything spilled; a header-only
+        // send adds a link but no payload.
+        let header = SendRecord { from: 3, to: 4 };
         let mut empty = Vec::new();
-        let mut spilled = LinkTally::default();
-        Traffic::merge_into(&mut empty, &[acc_link(3, 3, 5)], 1, &mut spilled);
-        assert_eq!(empty.len(), 1);
+        let mut spilled = 0;
+        Traffic::merge_into(&mut empty, &[header], 1, &mut spilled);
+        assert_eq!((empty[0].key(), empty[0].payloads), (3 << 32 | 4, 0));
         let mut none = Vec::new();
-        Traffic::merge_into(&mut none, &[acc_link(3, 3, 5)], 0, &mut spilled);
+        Traffic::merge_into(&mut none, &sends(3, 3, 5), 0, &mut spilled);
         assert!(none.is_empty());
-        assert_eq!(spilled.messages, 5);
+        assert_eq!(spilled, 5);
     }
 
-    /// The table a brute-force tally of `stream` predicts: the
-    /// `threshold` smallest links and the sum of all others.
+    /// The table a brute-force count of `stream` predicts: the
+    /// `threshold` smallest links and the payloads of all others.
     fn brute_force(
         stream: &[(usize, usize, u32, bool)],
         threshold: usize,
-    ) -> (BTreeMap<(usize, usize), LinkTally>, LinkTally) {
-        let mut all: BTreeMap<(usize, usize), LinkTally> = BTreeMap::new();
-        for &(from, to, bytes, payload) in stream {
-            all.entry((from, to)).or_default().add(bytes, payload);
+    ) -> (BTreeMap<(usize, usize), u64>, u64) {
+        let mut all: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+        for &(from, to, _, payload) in stream {
+            *all.entry((from, to)).or_default() += u64::from(payload);
         }
-        let mut spilled = LinkTally::default();
-        for tally in all.values().skip(threshold) {
-            spilled.absorb(tally);
-        }
+        let spilled = all.values().skip(threshold).sum();
         let tracked = all.into_iter().take(threshold).collect();
         (tracked, spilled)
     }
 
-    /// Every per-link query of `t` agrees with the brute-force tally.
+    /// Every per-link query of `t` agrees with the brute-force count.
     fn assert_matches(
         t: &Traffic,
-        tracked: &BTreeMap<(usize, usize), LinkTally>,
-        spilled: LinkTally,
+        tracked: &BTreeMap<(usize, usize), u64>,
+        spilled: u64,
     ) -> Result<(), TestCaseError> {
         let expect: Vec<_> = tracked
             .iter()
-            .map(|(&(f, to), &tally)| ((NodeId(f), NodeId(to)), tally))
+            .map(|(&(f, to), &payloads)| ((NodeId(f), NodeId(to)), payloads))
             .collect();
         prop_assert_eq!(t.links(), expect);
         prop_assert_eq!(t.link_count(), tracked.len());

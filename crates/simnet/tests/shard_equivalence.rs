@@ -23,8 +23,8 @@
 //! count (`PROPTEST_CASES`).
 
 use egm_simnet::{
-    Context, Fault, LinkTally, NodeId, Partition, PartitionStrategy, Protocol, ShardStats, Sim,
-    SimConfig, SimDuration, SimTime, TimerToken, Wire,
+    Context, Fault, NodeId, Partition, PartitionStrategy, Protocol, ShardStats, Sim, SimConfig,
+    SimDuration, SimTime, TimerToken, Wire,
 };
 use egm_topology::{RoutedModel, TransitStubConfig};
 use proptest::prelude::*;
@@ -145,8 +145,9 @@ struct Snapshot {
     total_messages: u64,
     total_bytes: u64,
     total_payloads: u64,
-    links: Vec<((NodeId, NodeId), LinkTally)>,
-    spilled: LinkTally,
+    /// Per-link payload counts; the totals above stay exact.
+    links: Vec<((NodeId, NodeId), u64)>,
+    spilled: u64,
     link_count: usize,
     payloads_per_node: Vec<u64>,
     now_us: u64,
@@ -210,6 +211,19 @@ fn run_script(config: SimConfig, script: &Script, shards: Option<usize>) -> Snap
     }
 }
 
+/// The scenario must actually exercise the spill rule: the capped run
+/// tracks exactly `threshold` links, and the next link of its unbounded
+/// twin is not among them.
+fn assert_spill_fired(capped: &Snapshot, unbounded: &Snapshot, threshold: usize) {
+    assert_eq!(capped.link_count, threshold);
+    assert!(unbounded.link_count > threshold, "too few links to spill");
+    let (first_spilt, _) = unbounded.links[threshold];
+    assert!(
+        capped.links.iter().all(|&(pair, _)| pair != first_spilt),
+        "{first_spilt:?} is tracked beyond the threshold"
+    );
+}
+
 fn default_script(n: usize, seed: u64) -> Script {
     Script {
         n,
@@ -246,10 +260,12 @@ fn sharded_matches_sequential_with_loss_jitter_and_spill() {
             .with_link_spill_threshold(12)
     };
     let seq = run_script(config(), &script, None);
-    assert!(
-        seq.spilled.messages > 0,
-        "the scenario must actually exercise the spill rule"
+    let unbounded = run_script(
+        config().with_link_spill_threshold(usize::MAX),
+        &script,
+        None,
     );
+    assert_spill_fired(&seq, &unbounded, 12);
     for w in [2, 4] {
         let sharded = run_script(config(), &script, Some(w));
         assert_eq!(seq, sharded, "divergence at W={w}");
@@ -301,10 +317,12 @@ fn domain_aligned_chaos_matches_sequential_under_loss_jitter_faults_and_spill() 
             );
         }
         let seq = run_script(config(), &script, None);
-        assert!(
-            seq.spilled.messages > 0,
-            "the scenario must actually exercise the spill rule"
+        let unbounded = run_script(
+            config().with_link_spill_threshold(usize::MAX),
+            &script,
+            None,
         );
+        assert_spill_fired(&seq, &unbounded, 12);
         for w in [2, 3, 4] {
             let sharded = run_script(config(), &script, Some(w));
             assert_eq!(seq, sharded, "divergence at {strategy}, W={w}");
@@ -396,7 +414,12 @@ fn spill_order_survives_same_tick_key_inversion() {
     };
     let (seq_links, seq_spill) = run(None);
     assert_eq!(seq_links.len(), 3, "three tracked links");
-    assert_eq!(seq_spill.messages, 1, "the fourth spills");
+    assert!(
+        seq_links
+            .iter()
+            .all(|&(pair, _)| pair != (NodeId(3), NodeId(2))),
+        "the fourth, largest link spills"
+    );
     for w in [2usize, 4] {
         let (links, spill) = run(Some(w));
         assert_eq!(links, seq_links, "tracked set diverged at W={w}");

@@ -15,8 +15,8 @@
 //! * **arena-backed node state** (`egm_core::arena::MsgArena`) replaces
 //!   the per-node per-message hash maps with dense generation-stamped
 //!   slots — one intern probe per message event;
-//! * **log-based traffic accounting** appends 16-byte send records and
-//!   aggregates once at the end of the run, with a **spill threshold**
+//! * **log-based traffic accounting** appends 8-byte send records and
+//!   folds them into a 16-byte-per-link payload table, with a **spill threshold**
 //!   bounding tracked links ([`Scenario::link_spill_threshold`]);
 //! * **index-free timer cancellation** keeps the event queue free of
 //!   dead request retries (the dominant event class under lazy push);
@@ -43,19 +43,20 @@
 //! and records it in `BENCH_events_per_sec.json`; the repository
 //! benchmark (`benchmark/`) times them.
 //!
-//! # Memory budget (measured by the `scale_events_per_sec` bin with a
-//! traffic log window that tracks the link table and the sealed table
-//! handed to the report, release build, sequential engine, 30 messages,
-//! Ranked best=20 %, 2-vCPU x86-64; with a fixed 16 MB log window and a
-//! copied table it read 26 / 75 / 173 / 1 384 MB, with the table held in
-//! up to four shapes at once 35 / 110 / 246 / 2 006 MB)
+//! # Memory budget (measured by the `scale_events_per_sec` bin with 8 B
+//! send records folded into a 16 B payload-only link table, release
+//! build, sequential engine, 30 messages, Ranked best=20 %, 2-vCPU
+//! x86-64; with 16 B records and 32 B link entries it read
+//! 19 / 68 / 155 / 1 268 MB, with a fixed 16 MB log window and a copied
+//! table 26 / 75 / 173 / 1 384 MB, with the table held in up to four
+//! shapes at once 35 / 110 / 246 / 2 006 MB)
 //!
 //! | preset | nodes     | routed model | peak process RSS |
 //! |--------|-----------|--------------|------------------|
-//! | 1k     | 1 000     | ~0.3 MB      | ~19 MB  |
-//! | 4k     | 4 000     | ~0.5 MB      | ~68 MB  |
-//! | 10k    | 10 000    | ~1 MB        | ~155 MB |
-//! | 100k   | 100 000   | ~10 MB       | ~1 268 MB |
+//! | 1k     | 1 000     | ~0.3 MB      | ~18 MB  |
+//! | 4k     | 4 000     | ~0.5 MB      | ~66 MB  |
+//! | 10k    | 10 000    | ~1 MB        | ~156 MB |
+//! | 100k   | 100 000   | ~10 MB       | ~1 105 MB |
 //!
 //! Peak RSS is dominated by in-flight simulator events and per-node
 //! protocol state, both O(n); nothing is O(n²). For comparison, a dense
@@ -158,9 +159,9 @@ impl ScalePreset {
     /// O(total-messages) term.
     pub fn rss_budget_mb(&self) -> u64 {
         match self {
-            // Measured 18.9 MB; armed at 18 the bin fails.
+            // Measured 17.7 MB; armed at 17 the bin fails.
             ScalePreset::N1k => 64,
-            // Measured 68.4 MB; armed at 68 the bin fails.
+            // Measured 65.9 MB; armed at 65 the bin fails.
             ScalePreset::N4k => 192,
             ScalePreset::N10k => 512,
             // The issue's acceptance bound: ≤ ~10× the 10k preset.
@@ -335,7 +336,7 @@ mod tests {
             assert!(pair[0] < pair[1], "budgets must be monotone: {budgets:?}");
         }
         // 100k within ~10× the 10k preset's budget (the 10k bin measures
-        // ~155 MB, the 100k bin ~1 268 MB).
+        // ~156 MB, the 100k bin ~1 105 MB).
         assert!(ScalePreset::N100k.rss_budget_mb() <= 2_900);
     }
 

@@ -25,8 +25,8 @@ use egm_membership::PartialView;
 use egm_metrics::{link, DeliveryLog, LatencyHistogram, RunReport};
 use egm_rng::Rng;
 use egm_simnet::{
-    Fault, NodeId, ProgressEvent, QueueStats, ShardStats, SharedSink, Sim, SimConfig, SimDuration,
-    SimTime,
+    Fault, FoldStats, NodeId, ProgressEvent, QueueStats, ShardStats, SharedSink, Sim, SimConfig,
+    SimDuration, SimTime,
 };
 use egm_topology::RoutedModel;
 use std::collections::{HashMap, HashSet};
@@ -110,6 +110,10 @@ pub struct RunOutcome {
     /// runs and unbounded merges; bounded by the spill threshold
     /// otherwise — the shard-merge regression test pins this).
     pub traffic_acc_peak: usize,
+    /// Folds of the traffic log into its link table and the send records
+    /// they carried, summed over shards. Observe-only: where folds fall
+    /// depends on how senders are split over shards.
+    pub traffic_folds: FoldStats,
     /// Window-loop counters: shard count, effective partition strategy,
     /// window lookahead (configured and realized), windows executed,
     /// cross-shard lane events/flushes/skips, and per-shard event counts
@@ -126,11 +130,12 @@ impl RunOutcome {
     /// byte-identical — the one determinism check behind every rerun,
     /// width, queue, sink, sweep and prepared-setup A/B in the workspace.
     ///
-    /// Every field is compared except the four that legitimately vary
+    /// Every field is compared except the five that legitimately vary
     /// with the engine choice or the sharing: `queue` (queue geometry,
     /// replicated fault pushes), `traffic_acc_peak` (the shard-merge
-    /// working set), `shard_stats` (window and lane counters) and `model`
-    /// (a shared handle, built from the scenario's setup inputs).
+    /// working set), `traffic_folds` (the traffic log's fold work),
+    /// `shard_stats` (window and lane counters) and `model` (a shared
+    /// handle, built from the scenario's setup inputs).
     pub fn first_difference(&self, other: &RunOutcome) -> Option<&'static str> {
         // Destructuring without `..` makes a new field a compile error
         // here until it is classified as compared or engine-dependent.
@@ -147,7 +152,7 @@ impl RunOutcome {
             report, log, payload_links, payloads_per_node, victims, best_ids,
             reranked_best_ids, scheduler, events, timers_cancelled, stale_timer_drops,
             retired_messages, arena_high_water, payload_vec_growths, latency, steady;
-            skip queue, traffic_acc_peak, shard_stats, model
+            skip queue, traffic_acc_peak, traffic_folds, shard_stats, model
         )
     }
 }
@@ -869,7 +874,7 @@ fn collect(scenario: &Scenario, finished: Finished) -> RunOutcome {
     report.used_links = traffic.link_count();
     if report.used_links > 0 {
         // One buffer, sorted once, feeds both structure measures.
-        let mut counts = traffic.map_links(|_, tally| tally.payloads);
+        let mut counts = traffic.map_links(|_, payloads| payloads);
         counts.sort_unstable();
         report.link_gini = link::gini_sorted(&counts);
         report.top5_link_share = link::top_fraction_share_mut(&mut counts, 0.05);
@@ -887,8 +892,8 @@ fn collect(scenario: &Scenario, finished: Finished) -> RunOutcome {
     report.sim_duration_ms = sim.now().as_ms();
 
     // Fields are evaluated in the order written: everything read from
-    // `sim` comes before `payload_links`, which consumes it to map the
-    // sealed table in its own buffer rather than beside a copy.
+    // `sim` comes before `payload_links`, which consumes it, so the
+    // nodes are freed before the link list is built beside the table.
     RunOutcome {
         report,
         log,
@@ -908,10 +913,9 @@ fn collect(scenario: &Scenario, finished: Finished) -> RunOutcome {
         latency,
         steady,
         traffic_acc_peak: traffic.shard_merge_acc_peak(),
+        traffic_folds: traffic.fold_stats(),
         model,
-        payload_links: sim
-            .into_traffic()
-            .into_map_links(|pair, tally| (pair, tally.payloads)),
+        payload_links: sim.into_traffic().links(),
     }
 }
 
@@ -923,7 +927,7 @@ mod tests {
     use egm_core::StrategySpec;
 
     #[test]
-    fn collect_hands_the_sealed_table_over() {
+    fn collect_maps_the_sealed_table_exactly() {
         for shards in [1, 2] {
             let scenario = Scenario::smoke_test()
                 .with_strategy(StrategySpec::Flat { pi: 0.5 })
@@ -931,21 +935,16 @@ mod tests {
             let run = || simulate(&scenario, prepare(&scenario, None), None);
             let mut twin = run().sim;
             twin.seal_traffic();
-            let untaken = twin
-                .traffic()
-                .map_links(|pair, tally| (pair, tally.payloads));
+            let untaken = twin.traffic().links();
             let outcome = collect(&scenario, run());
             assert_eq!(outcome.payload_links, untaken, "width {shards}");
-            // The table's address is private to `egm_simnet`, whose own
-            // test pins the pointer; here the list's capacity shows it: a
-            // copy is allocated at its length, the sealed table's buffer
-            // holds 32-byte links and so a third more 24-byte entries.
+            // Built at its length from the table, never grown past it.
             let links = outcome.payload_links.len();
             assert!(links > 3, "width {shards}: {links} links");
             assert_eq!(
                 outcome.payload_links.capacity(),
-                links * 32 / std::mem::size_of_val(&outcome.payload_links[0]),
-                "width {shards}: payload_links was copied out of the table"
+                links,
+                "width {shards}: payload_links over-allocated"
             );
         }
     }

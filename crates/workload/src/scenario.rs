@@ -132,10 +132,10 @@ pub struct Scenario {
     /// (§5.3).
     pub egress_bandwidth: Option<f64>,
     /// Bound on individually tracked links in traffic accounting (`None`
-    /// = unbounded). Scale scenarios set this so link tallies stay sparse:
-    /// once the map holds this many distinct links, further new links are
-    /// folded into one aggregate spill tally (totals and per-node payload
-    /// counts remain exact). See
+    /// = unbounded). Scale scenarios set this so link accounting stays
+    /// sparse: only that many links, the smallest in `(from, to)` order, are
+    /// tracked, and the payloads of the rest sum into one aggregate
+    /// spilled count (totals and per-node payload counts remain exact). See
     /// [`egm_simnet::SimConfig::with_link_spill_threshold`].
     pub link_spill_threshold: Option<usize>,
     /// Forces a simulator event-queue implementation (`None` = the
