@@ -21,10 +21,11 @@
 //! * `EGM_SCALE_PLATEAU_MAX` — switches to *plateau mode*: run the
 //!   preset at 120 messages and then at 240 in the same
 //!   process and assert the 2× peak RSS stays within this factor of the
-//!   1× peak (CI: `1.30`, 1.26 measured at 4k). Peak RSS is
+//!   1× peak (CI: `1.30`, 1.15 measured at 4k). Peak RSS is
 //!   process-monotone, so the ratio isolates exactly the memory the
 //!   extra messages added — with horizon-based retirement on, mostly
-//!   the per-delivery records a run keeps by design. Writes no bin.
+//!   the one record of each delivery a run keeps by design. Writes no
+//!   bin.
 
 use egm_bench::{env_parse, peak_rss_field, peak_rss_mb, record};
 use egm_server::json::Json;

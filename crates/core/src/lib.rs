@@ -66,8 +66,10 @@
 //! sim.schedule_command(SimTime::from_ms(1.0), NodeId(3), 0);
 //! sim.run_for(SimDuration::from_ms(5000.0));
 //!
-//! let delivered = sim.nodes().filter(|(_, n)| !n.deliveries().is_empty()).count();
-//! assert_eq!(delivered, 16);
+//! let mut delivered: Vec<NodeId> = sim.deliveries().map(|d| d.node()).collect();
+//! delivered.sort();
+//! delivered.dedup();
+//! assert_eq!(delivered.len(), 16);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -88,7 +90,7 @@ pub use config::ProtocolConfig;
 pub use id::MsgId;
 pub use monitor::MonitorSpec;
 pub use msg::{EgmMessage, Payload};
-pub use node::{DeliveryRecord, EgmNode, MulticastRecord, PublishChain};
+pub use node::{EgmNode, PublishChain};
 pub use rank::{BestSet, RankSource};
 pub use scheduler::SchedulerStats;
 pub use strategy::{Strategy, StrategySpec};

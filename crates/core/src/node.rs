@@ -15,27 +15,7 @@ use crate::msg::{EgmMessage, Payload};
 use crate::scheduler::{PayloadScheduler, RequestAction, SchedulerStats};
 use crate::strategy::{Strategy, StrategyCtx};
 use egm_membership::PartialView;
-use egm_simnet::{Context, NodeId, Protocol, SimDuration, SimTime, TimerTag};
-
-/// A payload delivered to the application at this node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeliveryRecord {
-    /// Harness sequence number of the multicast.
-    pub seq: u64,
-    /// Virtual delivery time.
-    pub time: SimTime,
-    /// Gossip round at which the payload arrived (0 = own multicast).
-    pub round: u32,
-}
-
-/// A multicast initiated at this node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MulticastRecord {
-    /// Harness sequence number.
-    pub seq: u64,
-    /// Virtual multicast time.
-    pub time: SimTime,
-}
+use egm_simnet::{Context, NodeId, Protocol, SimDuration, TimerTag};
 
 const TAG_SHUFFLE: TimerTag = 0;
 const TAG_PING: TimerTag = 1;
@@ -102,8 +82,13 @@ const PING_FANOUT: usize = 3;
 /// view.insert(NodeId(1));
 /// let strategy = StrategySpec::Flat { pi: 0.5 }.build(None);
 /// let node = EgmNode::new(NodeId(0), config, view, strategy, Monitor::Null(NullMonitor));
-/// assert_eq!(node.deliveries().len(), 0);
+/// assert_eq!(node.id(), NodeId(0));
 /// ```
+///
+/// A node keeps no record of what it multicast or delivered: it logs both
+/// through its [`Context`] (`log_multicast`, `log_delivery`), and the
+/// engine holds the records ([`egm_simnet::Sim::multicasts`],
+/// [`egm_simnet::Sim::deliveries`]).
 #[derive(Debug)]
 pub struct EgmNode {
     id: NodeId,
@@ -117,8 +102,6 @@ pub struct EgmNode {
     /// cache, missing queue, holder lists, retry-timer handles) in dense
     /// generation-stamped slots — one hash probe per message event.
     msgs: MsgArena,
-    multicasts: Vec<MulticastRecord>,
-    deliveries: Vec<DeliveryRecord>,
     /// Closed-loop publish schedule, if this run gates publishes on
     /// deliveries (see [`PublishChain`]).
     chain: Option<PublishChain>,
@@ -153,8 +136,6 @@ impl EgmNode {
             view,
             strategy,
             monitor,
-            multicasts: Vec::new(),
-            deliveries: Vec::new(),
             chain: None,
         }
     }
@@ -179,16 +160,6 @@ impl EgmNode {
     /// The node id.
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// Payloads delivered to the application, in delivery order.
-    pub fn deliveries(&self) -> &[DeliveryRecord] {
-        &self.deliveries
-    }
-
-    /// Multicasts initiated at this node.
-    pub fn multicasts(&self) -> &[MulticastRecord] {
-        &self.multicasts
     }
 
     /// Scheduler counters.
@@ -237,11 +208,7 @@ impl EgmNode {
         slot: u32,
         step: GossipStep,
     ) {
-        self.deliveries.push(DeliveryRecord {
-            seq: step.payload.seq,
-            time: ctx.now(),
-            round: step.round,
-        });
+        ctx.log_delivery(step.payload.seq, step.round);
         if let Some(horizon) = self.config.retire_after {
             self.msgs.schedule_retire(slot, ctx.now() + horizon);
         }
@@ -308,10 +275,7 @@ impl EgmNode {
             seq,
             bytes: self.config.payload_bytes,
         };
-        self.multicasts.push(MulticastRecord {
-            seq,
-            time: ctx.now(),
-        });
+        ctx.log_multicast(seq);
         let (slot, step) = self
             .gossip
             .multicast(ctx.rng(), &self.view, &mut self.msgs, payload);
@@ -497,10 +461,24 @@ mod tests {
         Sim::new(SimConfig::uniform(n, 20.0), seed, nodes)
     }
 
+    /// Number of distinct nodes that delivered `seq`.
     fn delivery_count(sim: &Sim<EgmNode>, seq: u64) -> usize {
-        sim.nodes()
-            .filter(|(_, n)| n.deliveries().iter().any(|d| d.seq == seq))
-            .count()
+        let mut nodes: Vec<NodeId> = sim
+            .deliveries()
+            .filter(|d| d.seq == seq)
+            .map(|d| d.node())
+            .collect();
+        nodes.sort();
+        nodes.dedup();
+        nodes.len()
+    }
+
+    #[test]
+    fn node_holds_no_record_buffers() {
+        // The engine keeps the multicast and delivery logs, so a node
+        // carries no record buffer (two more Vec headers: 904 B).
+        let size = std::mem::size_of::<EgmNode>();
+        assert!(size <= 856, "EgmNode grew to {size} B");
     }
 
     #[test]
@@ -513,8 +491,11 @@ mod tests {
             20,
             "atomic delivery under eager push"
         );
-        for (_, node) in sim.nodes() {
-            let count = node.deliveries().iter().filter(|d| d.seq == 0).count();
+        for (id, _) in sim.nodes() {
+            let count = sim
+                .deliveries()
+                .filter(|d| d.node() == id && d.seq == 0)
+                .count();
             assert!(count <= 1, "no duplicate deliveries");
         }
     }
@@ -559,12 +540,10 @@ mod tests {
             sim.run_for(SimDuration::from_ms(5000.0));
             let mut sum = 0.0;
             let mut count = 0;
-            for (id, node) in sim.nodes() {
-                if id != NodeId(0) {
-                    for d in node.deliveries() {
-                        sum += d.time.as_ms();
-                        count += 1;
-                    }
+            for d in sim.deliveries() {
+                if d.node() != NodeId(0) {
+                    sum += d.time.as_ms();
+                    count += 1;
                 }
             }
             sum / count as f64
@@ -583,12 +562,14 @@ mod tests {
         sim.schedule_command(SimTime::from_ms(10.0), NodeId(2), 0);
         sim.schedule_command(SimTime::from_ms(20.0), NodeId(2), 1);
         sim.run_for(SimDuration::from_ms(500.0));
-        let node = sim.node(NodeId(2));
-        assert_eq!(node.multicasts().len(), 2);
-        assert_eq!(node.multicasts()[0].seq, 0);
-        assert_eq!(node.multicasts()[1].time, SimTime::from_ms(20.0));
+        let multicasts: Vec<_> = sim.multicasts().filter(|m| m.node() == NodeId(2)).collect();
+        assert_eq!(multicasts.len(), 2);
+        assert_eq!(multicasts[0].seq, 0);
+        assert_eq!(multicasts[1].time, SimTime::from_ms(20.0));
         // Source delivers its own message at round 0.
-        assert!(node.deliveries().iter().any(|d| d.seq == 0 && d.round == 0));
+        assert!(sim
+            .deliveries()
+            .any(|d| d.node() == NodeId(2) && d.seq == 0 && d.round == 0));
     }
 
     #[test]
@@ -635,12 +616,10 @@ mod tests {
         sim.run_for(SimDuration::from_ms(20_000.0));
         // Every sequence is published exactly once, by its rotation owner.
         let mut publish_time = vec![None; total as usize];
-        for (id, node) in sim.nodes() {
-            for m in node.multicasts() {
-                assert_eq!(NodeId((m.seq % n as u64) as usize), id, "wrong owner");
-                assert!(publish_time[m.seq as usize].is_none(), "duplicate publish");
-                publish_time[m.seq as usize] = Some(m.time);
-            }
+        for m in sim.multicasts() {
+            assert_eq!(NodeId((m.seq % n as u64) as usize), m.node(), "wrong owner");
+            assert!(publish_time[m.seq as usize].is_none(), "duplicate publish");
+            publish_time[m.seq as usize] = Some(m.time);
         }
         // Each publish happens at least one think time plus one delivery
         // after the previous one — the chain is gated, not open-loop.

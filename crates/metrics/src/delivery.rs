@@ -2,6 +2,19 @@
 
 use crate::summary::Summary;
 
+/// One delivery handed to [`DeliveryLog::from_deliveries`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Delivery {
+    /// Message index (position in the log's multicast list).
+    pub msg: usize,
+    /// Delivering node.
+    pub node: usize,
+    /// Delivery time (ms).
+    pub time_ms: f64,
+    /// Gossip round at which the message arrived (0 = the source's own).
+    pub round: u32,
+}
+
 /// Log of multicasts and deliveries for one experiment run.
 ///
 /// Mirrors §5.3 of the paper: *"All messages multicast and delivered are
@@ -11,27 +24,22 @@ use crate::summary::Summary;
 ///
 /// # Layout
 ///
-/// Deliveries are stored **sparsely per message**: each message holds a
-/// packed `(node, time, round)` record per delivery in arrival order,
-/// plus a `SeenSet` for first-delivery deduplication. The seen-set is
-/// a sparse→dense→sealed hybrid: a sorted id list while deliveries are
-/// few, an `n`-bit bitmap once that would cost more, and — when the
-/// message saturates (every node delivered) — no storage at all, the
-/// entry is *sealed* and membership is implicit. Memory is
-/// `O(total deliveries)` rather than the `O(messages × n/8)` a
-/// per-message bitmap costs (12.5 KB per in-flight message at 100k nodes)
-/// or the dense `O(messages × n)` of a per-(node, message) matrix.
+/// The log is built once, in bulk, after the run
+/// ([`DeliveryLog::from_deliveries`]). Each message holds one packed
+/// `(node, time, round)` entry per delivering node, sorted by node: a
+/// node that delivered a message twice keeps only its first delivery,
+/// and "did node `i` deliver" is a binary search. Memory is exactly
+/// 16 B per first delivery — no dedup set, no `O(messages × n)` matrix.
 ///
 /// # Examples
 ///
 /// ```
-/// use egm_metrics::DeliveryLog;
+/// use egm_metrics::{Delivery, DeliveryLog};
 ///
-/// let mut log = DeliveryLog::new(3);
-/// let m = log.record_multicast(0, 100.0);
-/// log.record_delivery(m, 1, 150.0, 1);
-/// log.record_delivery(m, 2, 160.0, 2);
-/// assert_eq!(log.delivery_count(m), 2);
+/// let at = |node, time_ms, round| Delivery { msg: 0, node, time_ms, round };
+/// // Message 0 is multicast by node 0 at 100 ms; deliveries come in any order.
+/// let log = DeliveryLog::from_deliveries(3, vec![(0, 100.0)], [at(2, 160.0, 2), at(1, 150.0, 1)]);
+/// assert_eq!(log.delivery_count(0), 2);
 /// assert_eq!(log.latencies(), vec![50.0, 60.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -39,123 +47,49 @@ pub struct DeliveryLog {
     node_count: usize,
     /// Per message: (source node, multicast time ms).
     sends: Vec<(usize, f64)>,
-    /// Per message: sparse first-delivery records.
-    deliveries: Vec<MessageDeliveries>,
-}
-
-/// Sparse first-delivery records of one message.
-#[derive(Debug, Clone, PartialEq)]
-struct MessageDeliveries {
-    /// `(node, delivery time ms, gossip round)` in arrival order.
-    entries: Vec<(u32, f64, u32)>,
-    /// Which nodes already delivered (first-delivery dedup).
-    seen: SeenSet,
-}
-
-/// Dedup set behind one message's delivery records.
-///
-/// Starts sparse (a sorted id list), promotes itself to a dense bitmap
-/// once the list would cost more than the bitmap, and drops all storage
-/// when the message saturates — at which point membership is implicit.
-#[derive(Debug, Clone, PartialEq)]
-enum SeenSet {
-    /// Sorted node ids; membership and insertion by binary search.
-    Sparse(Vec<u32>),
-    /// One bit per node.
-    Dense(Vec<u64>),
-    /// Every node delivered: the entry is sealed, `contains` is `true`.
-    Saturated,
-}
-
-/// Sparse capacity: promote to the bitmap once the sorted list costs as
-/// much (4 bytes/entry vs `n/8` bytes), capped so the O(len) sorted
-/// insert stays bounded at very large `n`.
-fn sparse_cap(node_count: usize) -> usize {
-    (node_count / 32).clamp(8, 4096)
-}
-
-impl SeenSet {
-    #[inline]
-    fn contains(&self, node: usize) -> bool {
-        match self {
-            SeenSet::Sparse(v) => v.binary_search(&(node as u32)).is_ok(),
-            SeenSet::Dense(bits) => bits[node / 64] & (1u64 << (node % 64)) != 0,
-            SeenSet::Saturated => true,
-        }
-    }
-
-    /// Inserts `node`; `true` when newly seen.
-    fn insert(&mut self, node: usize, node_count: usize) -> bool {
-        match self {
-            SeenSet::Saturated => false,
-            SeenSet::Dense(bits) => {
-                let word = &mut bits[node / 64];
-                let bit = 1u64 << (node % 64);
-                if *word & bit != 0 {
-                    return false;
-                }
-                *word |= bit;
-                true
-            }
-            SeenSet::Sparse(v) => match v.binary_search(&(node as u32)) {
-                Ok(_) => false,
-                Err(pos) => {
-                    if v.len() < sparse_cap(node_count) {
-                        v.insert(pos, node as u32);
-                    } else {
-                        let mut bits = vec![0u64; node_count.div_ceil(64)];
-                        for &n in v.iter() {
-                            bits[n as usize / 64] |= 1u64 << (n % 64);
-                        }
-                        bits[node / 64] |= 1u64 << (node % 64);
-                        *self = SeenSet::Dense(bits);
-                    }
-                    true
-                }
-            },
-        }
-    }
-}
-
-impl MessageDeliveries {
-    fn new() -> Self {
-        MessageDeliveries {
-            entries: Vec::new(),
-            seen: SeenSet::Sparse(Vec::new()),
-        }
-    }
-
-    #[inline]
-    fn contains(&self, node: usize) -> bool {
-        self.seen.contains(node)
-    }
-
-    /// Records the first delivery at `node`; later duplicates are
-    /// ignored. When the message saturates, the dedup storage is dropped
-    /// and the entry sealed.
-    fn insert(&mut self, node: usize, node_count: usize, time_ms: f64, round: u32) {
-        if !self.seen.insert(node, node_count) {
-            return;
-        }
-        self.entries.push((node as u32, time_ms, round));
-        if self.entries.len() == node_count {
-            self.seen = SeenSet::Saturated;
-        }
-    }
+    /// Per message: `(node, delivery time ms, gossip round)` of each
+    /// node's first delivery, sorted by node.
+    deliveries: Vec<Vec<(u32, f64, u32)>>,
 }
 
 impl DeliveryLog {
-    /// Creates an empty log for `node_count` nodes.
+    /// Builds the log of a run: `sends[m]` is message `m`'s (source node,
+    /// multicast time ms), and `deliveries` yields every delivery in any
+    /// order. Per message, entries are sorted by (node, time) and each
+    /// node keeps its earliest delivery; exact ties keep the one yielded
+    /// first. A delivery at the source is kept like any other (it counts
+    /// once, see [`DeliveryLog::mean_delivery_fraction`]).
     ///
     /// # Panics
     ///
-    /// Panics if `node_count == 0`.
-    pub fn new(node_count: usize) -> Self {
+    /// Panics if `node_count == 0`, or a source, message or node index is
+    /// out of range.
+    pub fn from_deliveries<I>(node_count: usize, sends: Vec<(usize, f64)>, deliveries: I) -> Self
+    where
+        I: IntoIterator<Item = Delivery>,
+    {
         assert!(node_count > 0, "need at least one node");
+        assert!(
+            sends.iter().all(|&(source, _)| source < node_count),
+            "source out of range"
+        );
+        let mut per_message: Vec<Vec<(u32, f64, u32)>> = vec![Vec::new(); sends.len()];
+        for d in deliveries {
+            assert!(d.msg < sends.len(), "unknown message {}", d.msg);
+            assert!(d.node < node_count, "node out of range");
+            per_message[d.msg].push((d.node as u32, d.time_ms, d.round));
+        }
+        for entries in &mut per_message {
+            // Stable, so exact (node, time) ties stay in input order and
+            // the dedup below keeps the first of them.
+            entries.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+            entries.dedup_by_key(|e| e.0);
+            entries.shrink_to_fit();
+        }
         DeliveryLog {
             node_count,
-            sends: Vec::new(),
-            deliveries: Vec::new(),
+            sends,
+            deliveries: per_message,
         }
     }
 
@@ -169,32 +103,11 @@ impl DeliveryLog {
         self.sends.len()
     }
 
-    /// Records a multicast by `source` at `time_ms`; returns the message
-    /// index used for delivery records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` is out of range.
-    pub fn record_multicast(&mut self, source: usize, time_ms: f64) -> usize {
-        assert!(source < self.node_count, "source out of range");
-        self.sends.push((source, time_ms));
-        self.deliveries.push(MessageDeliveries::new());
-        self.sends.len() - 1
-    }
-
-    /// Records the first delivery of message `msg` at `node`.
-    ///
-    /// Later duplicate records for the same (msg, node) are ignored — the
-    /// protocol's `Deliver` upcall fires once per node, but the harness is
-    /// defensive about it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `msg` or `node` is out of range.
-    pub fn record_delivery(&mut self, msg: usize, node: usize, time_ms: f64, round: u32) {
-        assert!(msg < self.sends.len(), "unknown message {msg}");
-        assert!(node < self.node_count, "node out of range");
-        self.deliveries[msg].insert(node, self.node_count, time_ms, round);
+    /// Whether `node` delivered message `msg`.
+    fn delivered(&self, msg: usize, node: usize) -> bool {
+        self.deliveries[msg]
+            .binary_search_by_key(&(node as u32), |e| e.0)
+            .is_ok()
     }
 
     /// Number of nodes that delivered message `msg`.
@@ -203,16 +116,16 @@ impl DeliveryLog {
     ///
     /// Panics if `msg` is out of range.
     pub fn delivery_count(&self, msg: usize) -> usize {
-        self.deliveries[msg].entries.len()
+        self.deliveries[msg].len()
     }
 
     /// End-to-end latencies (ms) of all deliveries at nodes *other than
-    /// the source* (the source delivers to itself at multicast time), in
-    /// recording order.
+    /// the source* (the source delivers to itself at multicast time),
+    /// message by message, each message's in node order.
     pub fn latencies(&self) -> Vec<f64> {
         let mut out = Vec::new();
         for (msg, &(source, t0)) in self.sends.iter().enumerate() {
-            for &(node, t, _) in &self.deliveries[msg].entries {
+            for &(node, t, _) in &self.deliveries[msg] {
                 if node as usize == source {
                     continue;
                 }
@@ -237,7 +150,7 @@ impl DeliveryLog {
     pub fn delivery_rounds(&self) -> Vec<u32> {
         let mut out = Vec::new();
         for (msg, &(source, _)) in self.sends.iter().enumerate() {
-            for &(node, _, r) in &self.deliveries[msg].entries {
+            for &(node, _, r) in &self.deliveries[msg] {
                 if node as usize == source {
                     continue;
                 }
@@ -265,13 +178,11 @@ impl DeliveryLog {
         assert!(!self.sends.is_empty(), "no messages recorded");
         let mut total = 0.0;
         for (msg, &(source, _)) in self.sends.iter().enumerate() {
-            let d = &self.deliveries[msg];
-            let mut delivered = d
-                .entries
+            let mut delivered = self.deliveries[msg]
                 .iter()
                 .filter(|&&(node, _, _)| eligible[node as usize])
                 .count();
-            if eligible[source] && !d.contains(source) {
+            if eligible[source] && !self.delivered(msg, source) {
                 delivered += 1; // implicit self-delivery
             }
             total += delivered as f64 / eligible_count as f64;
@@ -291,13 +202,11 @@ impl DeliveryLog {
         assert!(!self.sends.is_empty(), "no messages recorded");
         let mut atomic = 0usize;
         for (msg, &(source, _)) in self.sends.iter().enumerate() {
-            let d = &self.deliveries[msg];
-            let mut delivered = d
-                .entries
+            let mut delivered = self.deliveries[msg]
                 .iter()
                 .filter(|&&(node, _, _)| eligible[node as usize])
                 .count();
-            if eligible[source] && !d.contains(source) {
+            if eligible[source] && !self.delivered(msg, source) {
                 delivered += 1;
             }
             if delivered == eligible_count {
@@ -310,24 +219,36 @@ impl DeliveryLog {
     /// Total number of deliveries recorded (excluding implicit source
     /// self-deliveries).
     pub fn total_deliveries(&self) -> u64 {
-        self.deliveries.iter().map(|d| d.entries.len() as u64).sum()
+        self.deliveries.iter().map(|d| d.len() as u64).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::DeliveryLog;
+    use super::{Delivery, DeliveryLog};
+    use crate::summary::Summary;
+
+    fn d(msg: usize, node: usize, time_ms: f64, round: u32) -> Delivery {
+        Delivery {
+            msg,
+            node,
+            time_ms,
+            round,
+        }
+    }
 
     fn two_message_log() -> DeliveryLog {
-        let mut log = DeliveryLog::new(4);
-        let m0 = log.record_multicast(0, 0.0);
-        log.record_delivery(m0, 1, 40.0, 1);
-        log.record_delivery(m0, 2, 55.0, 2);
-        log.record_delivery(m0, 3, 70.0, 3);
-        let m1 = log.record_multicast(1, 100.0);
-        log.record_delivery(m1, 0, 145.0, 1);
-        log.record_delivery(m1, 2, 150.0, 2);
-        log
+        DeliveryLog::from_deliveries(
+            4,
+            vec![(0, 0.0), (1, 100.0)],
+            [
+                d(0, 1, 40.0, 1),
+                d(0, 2, 55.0, 2),
+                d(0, 3, 70.0, 3),
+                d(1, 0, 145.0, 1),
+                d(1, 2, 150.0, 2),
+            ],
+        )
     }
 
     #[test]
@@ -341,12 +262,60 @@ mod tests {
 
     #[test]
     fn duplicate_deliveries_keep_first() {
-        let mut log = DeliveryLog::new(2);
-        let m = log.record_multicast(0, 0.0);
-        log.record_delivery(m, 1, 30.0, 1);
-        log.record_delivery(m, 1, 99.0, 5);
+        let log =
+            DeliveryLog::from_deliveries(2, vec![(0, 0.0)], [d(0, 1, 30.0, 1), d(0, 1, 99.0, 5)]);
         assert_eq!(log.latencies(), vec![30.0]);
-        assert_eq!(log.delivery_count(m), 1);
+        assert_eq!(log.delivery_rounds(), vec![1]);
+        assert_eq!(log.delivery_count(0), 1);
+    }
+
+    #[test]
+    fn out_of_order_stream_matches_node_order_reference() {
+        // The reference is what a node-by-node collection produces: nodes
+        // in id order, each node's deliveries in time order, the first
+        // delivery of a (message, node) pair kept.
+        let sends = vec![(3, 10.0), (0, 20.0), (6, 35.0)];
+        let reference = [
+            d(0, 0, 31.5, 2),
+            d(0, 1, 27.25, 1),
+            d(0, 3, 10.0, 0),
+            d(0, 5, 44.125, 3),
+            d(0, 6, 29.0, 1),
+            d(1, 0, 20.0, 0),
+            d(1, 2, 61.0, 2),
+            d(1, 4, 48.5, 1),
+            d(1, 6, 57.75, 2),
+            d(2, 1, 80.0, 2),
+            d(2, 2, 66.0, 1),
+            d(2, 6, 35.0, 0),
+        ];
+        // The same deliveries in dispatch (time) order with messages
+        // interleaved, plus two later duplicates at the end and one
+        // duplicate that comes first but carries the later time.
+        let mut stream = reference.to_vec();
+        stream.sort_by(|a, b| a.time_ms.total_cmp(&b.time_ms));
+        stream.insert(0, d(0, 5, 90.0, 4));
+        stream.push(d(1, 4, 120.0, 3));
+        stream.push(d(2, 2, 66.5, 4));
+        let built = DeliveryLog::from_deliveries(7, sends.clone(), stream);
+
+        // Node order within each message, sources excluded, by hand.
+        let latencies = vec![21.5, 17.25, 34.125, 19.0, 41.0, 28.5, 37.75, 45.0, 31.0];
+        assert_eq!(built.latencies(), latencies);
+        assert_eq!(built.delivery_rounds(), vec![2, 1, 3, 1, 2, 1, 2, 2, 1]);
+        let bits = |s: Summary| {
+            (
+                s.n,
+                [s.mean, s.std_dev, s.ci95_half, s.min, s.max].map(f64::to_bits),
+            )
+        };
+        assert_eq!(
+            bits(built.latency_summary().expect("non-empty")),
+            bits(Summary::from_samples(&latencies))
+        );
+        assert_eq!(built, DeliveryLog::from_deliveries(7, sends, reference));
+        assert_eq!(built.delivery_count(0), 5);
+        assert_eq!(built.total_deliveries(), 12);
     }
 
     #[test]
@@ -360,11 +329,15 @@ mod tests {
 
     #[test]
     fn explicit_source_delivery_is_not_double_counted() {
-        let mut log = DeliveryLog::new(3);
-        let m = log.record_multicast(0, 0.0);
-        log.record_delivery(m, 0, 0.0, 0); // source logs its own delivery
-        log.record_delivery(m, 1, 10.0, 1);
-        log.record_delivery(m, 2, 12.0, 1);
+        let log = DeliveryLog::from_deliveries(
+            3,
+            vec![(0, 0.0)],
+            [
+                d(0, 0, 0.0, 0), // source logs its own delivery
+                d(0, 1, 10.0, 1),
+                d(0, 2, 12.0, 1),
+            ],
+        );
         let all = vec![true; 3];
         assert_eq!(log.mean_delivery_fraction(&all), 1.0);
         assert_eq!(log.atomic_delivery_fraction(&all), 1.0);
@@ -391,93 +364,63 @@ mod tests {
 
     #[test]
     fn empty_log_has_no_latency_summary() {
-        let mut log = DeliveryLog::new(2);
+        let log = DeliveryLog::from_deliveries(2, vec![], []);
         assert!(log.latency_summary().is_none());
-        let m = log.record_multicast(0, 0.0);
-        assert_eq!(log.delivery_count(m), 0);
+        let log = DeliveryLog::from_deliveries(2, vec![(0, 0.0)], []);
+        assert!(log.latency_summary().is_none());
+        assert_eq!(log.delivery_count(0), 0);
     }
 
     #[test]
-    fn bitmap_covers_many_nodes() {
-        // Cross the 64-bit word boundary.
-        let mut log = DeliveryLog::new(200);
-        let m = log.record_multicast(0, 0.0);
-        for node in [1usize, 63, 64, 65, 127, 128, 199] {
-            log.record_delivery(m, node, node as f64, 1);
-            log.record_delivery(m, node, 999.0, 9); // duplicate ignored
-        }
-        assert_eq!(log.delivery_count(m), 7);
-        let lat = log.latencies();
-        assert_eq!(lat.len(), 7);
-        assert_eq!(lat[0], 1.0);
-        assert_eq!(*lat.last().expect("non-empty"), 199.0);
+    fn dedup_covers_many_nodes() {
+        // Ids across 64-bit word boundaries, each delivered twice, the
+        // duplicates interleaved with the firsts.
+        let nodes = [1usize, 63, 64, 65, 127, 128, 199];
+        let stream = nodes
+            .iter()
+            .rev()
+            .flat_map(|&node| [d(0, node, 999.0, 9), d(0, node, node as f64, 1)]);
+        let log = DeliveryLog::from_deliveries(200, vec![(0, 0.0)], stream);
+        assert_eq!(log.delivery_count(0), 7);
+        let expected: Vec<f64> = nodes.iter().map(|&n| n as f64).collect();
+        assert_eq!(log.latencies(), expected, "node order, first kept");
     }
 
     #[test]
-    fn sparse_set_promotes_to_dense_past_the_cap() {
-        // 1024 nodes → sparse cap 32: the 33rd distinct delivery promotes
-        // the set to the bitmap; dedup keeps working across the switch.
-        let mut log = DeliveryLog::new(1024);
-        let m = log.record_multicast(0, 0.0);
-        for node in 1..=40usize {
-            let id = node * 19 % 1024; // unordered inserts
-            log.record_delivery(m, id, node as f64, 1);
-            log.record_delivery(m, id, 999.0, 9); // duplicate ignored
-        }
-        assert_eq!(log.delivery_count(m), 40);
-        assert!(matches!(log.deliveries[m].seen, super::SeenSet::Dense(_)));
-        // Duplicates after the promotion are still ignored.
-        log.record_delivery(m, 19, 999.0, 9);
-        assert_eq!(log.delivery_count(m), 40);
-    }
-
-    #[test]
-    fn saturation_seals_the_entry_and_frees_the_set() {
-        let mut log = DeliveryLog::new(5);
-        let m = log.record_multicast(0, 0.0);
-        for node in 0..5usize {
-            log.record_delivery(m, node, node as f64, 1);
-        }
-        assert!(matches!(log.deliveries[m].seen, super::SeenSet::Saturated));
-        // Sealed entries treat everything as a duplicate...
-        log.record_delivery(m, 3, 999.0, 9);
-        assert_eq!(log.delivery_count(m), 5);
-        // ...and the fraction accounting still sees the source delivery.
+    fn saturated_message_counts_every_node() {
+        let stream = (0..5usize).flat_map(|node| [d(0, node, node as f64, 1), d(0, 3, 999.0, 9)]);
+        let log = DeliveryLog::from_deliveries(5, vec![(0, 0.0)], stream);
+        assert_eq!(log.delivery_count(0), 5);
+        // The fraction accounting still sees the source delivery.
         let all = vec![true; 5];
         assert_eq!(log.mean_delivery_fraction(&all), 1.0);
         assert_eq!(log.atomic_delivery_fraction(&all), 1.0);
     }
 
     #[test]
-    fn hybrid_states_agree_on_fractions() {
-        // One message promoted to dense, one still sparse, checked
-        // against hand-computed fractions.
-        let mut log = DeliveryLog::new(100);
-        let m = log.record_multicast(7, 0.0);
-        for node in 0..50usize {
-            log.record_delivery(m, node, 1.0, 1);
-        }
+    fn fractions_match_hand_counts() {
+        // One message delivered by half the nodes (its source among
+        // them), one by a single node other than its source.
+        let mut stream: Vec<Delivery> = (0..50usize).map(|node| d(0, node, 1.0, 1)).collect();
+        stream.push(d(1, 0, 11.0, 1));
+        let log = DeliveryLog::from_deliveries(100, vec![(7, 0.0), (99, 10.0)], stream);
         let all = vec![true; 100];
-        // 50 explicit + source (node 7 already among 0..50): 50/100.
-        assert!((log.mean_delivery_fraction(&all) - 0.5).abs() < 1e-12);
-        let m2 = log.record_multicast(99, 10.0);
-        log.record_delivery(m2, 0, 11.0, 1);
-        // m2: 1 explicit + implicit source = 2/100.
+        // m0: 50 explicit (source 7 among them): 50/100. m1: 1 explicit
+        // + implicit source = 2/100.
         assert!((log.mean_delivery_fraction(&all) - (0.5 + 0.02) / 2.0).abs() < 1e-12);
+        assert_eq!(log.atomic_delivery_fraction(&all), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "unknown message")]
     fn delivery_for_unknown_message_panics() {
-        let mut log = DeliveryLog::new(2);
-        log.record_delivery(0, 1, 1.0, 1);
+        let _ = DeliveryLog::from_deliveries(2, vec![], [d(0, 1, 1.0, 1)]);
     }
 
     #[test]
     #[should_panic(expected = "no eligible nodes")]
     fn all_dead_mask_panics() {
-        let mut log = DeliveryLog::new(2);
-        log.record_multicast(0, 0.0);
+        let log = DeliveryLog::from_deliveries(2, vec![(0, 0.0)], []);
         let _ = log.mean_delivery_fraction(&[false, false]);
     }
 }

@@ -37,7 +37,7 @@ pub mod report;
 pub mod summary;
 pub mod table;
 
-pub use delivery::DeliveryLog;
+pub use delivery::{Delivery, DeliveryLog};
 pub use latency::LatencyHistogram;
 pub use report::RunReport;
 pub use summary::Summary;

@@ -48,6 +48,7 @@
 pub mod event;
 pub mod net;
 pub mod progress;
+pub mod record;
 pub mod shard;
 pub mod sim;
 pub mod stats;
@@ -57,6 +58,7 @@ pub mod wire;
 pub use event::{CalendarQueue, EventQueue, Fault, HeapQueue, QueueKind, QueueStats, Scheduled};
 pub use net::{Network, SimConfig};
 pub use progress::{NoopSink, ProgressEvent, ProgressSink, SharedSink};
+pub use record::{DeliveryRecord, DeliveryStream, MulticastRecord};
 pub use shard::{Partition, PartitionStrategy, ShardStats};
 pub use sim::{Context, Protocol, Sim, TimerTag, TimerToken};
 pub use stats::{FoldStats, Traffic};

@@ -7,7 +7,8 @@
 //! from the routed model
 //! ([`egm_topology::RoutedModel::partition_plan`]); each shard owns its
 //! nodes, their RNG streams, an [`EventQueue`](crate::EventQueue), a
-//! [`Traffic`] table and a copy of the fault view, and dispatches its
+//! [`Traffic`] table, a multicast/delivery log
+//! ([`crate::record`]) and a copy of the fault view, and dispatches its
 //! own events through the *same* per-event path as a one-shard run.
 //! Shards synchronize at window boundaries: a window's length is the
 //! **lookahead** — a conservative lower bound on the delivery delay of
@@ -26,7 +27,8 @@
 //! needs no repair at the merge: every event carries an intrinsic
 //! `(time, origin, origin-seq)` key (see [`crate::sim`]), so the
 //! destination queue interleaves merged and local events exactly where
-//! one shard would have dispatched them. The outputs — delivery records,
+//! one shard would have dispatched them. The outputs — the set of
+//! delivery records (each shard logs its own nodes' in dispatch order),
 //! sealed [`Traffic`] (including which links spill: the rule depends on
 //! the link alone, so shards cap locally and merge), scheduler counters,
 //! event counts — are

@@ -19,6 +19,7 @@
 use crate::event::{EventKind, Fault, QueueImpl, QueueStats, Scheduled};
 use crate::net::{Network, SimConfig};
 use crate::progress::SharedSink;
+use crate::record::{DeliveryRecord, DeliveryStream, MulticastRecord};
 use crate::shard::{Partition, ShardStats, WindowLoop};
 use crate::stats::Traffic;
 use crate::time::{SimDuration, SimTime};
@@ -213,6 +214,11 @@ pub(crate) struct SimCore<M> {
     net_rngs: Vec<Rng>,
     /// Cross-shard routing; `None` on one shard.
     pub(crate) route: Option<ShardRoute<M>>,
+    /// Multicasts reported by this shard's nodes, in dispatch order (so
+    /// in time order).
+    multicasts: Vec<MulticastRecord>,
+    /// Deliveries reported by this shard's nodes, in dispatch order.
+    deliveries: DeliveryStream,
 }
 
 impl<M: Wire> SimCore<M> {
@@ -247,6 +253,8 @@ impl<M: Wire> SimCore<M> {
             node_rngs,
             net_rngs,
             route,
+            multicasts: Vec::new(),
+            deliveries: DeliveryStream::default(),
         }
     }
 
@@ -442,6 +450,20 @@ impl<M: Wire> Context<'_, M> {
     /// already fired or was already cancelled (tokens are single-use).
     pub fn cancel_timer(&mut self, token: TimerToken) -> bool {
         self.core.timers.cancel(token)
+    }
+
+    /// Logs that this node multicasts application message `seq` now (see
+    /// [`Sim::multicasts`]).
+    pub fn log_multicast(&mut self, seq: u64) {
+        let record = MulticastRecord::new(seq, self.now, self.id);
+        self.core.multicasts.push(record);
+    }
+
+    /// Logs that application message `seq` is delivered at this node now,
+    /// `round` hops from its source (see [`Sim::deliveries`]).
+    pub fn log_delivery(&mut self, seq: u64, round: u32) {
+        let record = DeliveryRecord::new(seq, self.now, self.id, round);
+        self.core.deliveries.push(record);
     }
 }
 
@@ -760,6 +782,44 @@ where
         }
     }
 
+    /// Number of multicasts logged through [`Context::log_multicast`].
+    pub fn multicast_count(&self) -> usize {
+        self.shards.iter().map(|s| s.core.multicasts.len()).sum()
+    }
+
+    /// Time of the latest multicast logged so far, if any.
+    pub fn last_multicast_time(&self) -> Option<SimTime> {
+        // Each shard logs in dispatch order, so its last record is its
+        // latest.
+        self.shards
+            .iter()
+            .filter_map(|s| s.core.multicasts.last().map(|m| m.time))
+            .max()
+    }
+
+    /// Every multicast logged through [`Context::log_multicast`]: shard by
+    /// shard, each shard's in dispatch order.
+    pub fn multicasts(&self) -> impl Iterator<Item = &MulticastRecord> {
+        self.shards.iter().flat_map(|s| s.core.multicasts.iter())
+    }
+
+    /// Every delivery logged through [`Context::log_delivery`] and not yet
+    /// taken: shard by shard, each shard's in dispatch order.
+    pub fn deliveries(&self) -> impl Iterator<Item = &DeliveryRecord> {
+        self.shards.iter().flat_map(|s| s.core.deliveries.iter())
+    }
+
+    /// Takes every shard's delivery stream, joined in shard order, and
+    /// leaves the engine's empty: the caller then holds the run's only
+    /// copy of its deliveries.
+    pub fn take_deliveries(&mut self) -> DeliveryStream {
+        let mut all = DeliveryStream::default();
+        for s in &mut self.shards {
+            all.append(std::mem::take(&mut s.core.deliveries));
+        }
+        all
+    }
+
     /// Event-queue counters (pushes/pops plus, for the calendar queue,
     /// bucket geometry and resize activity; see
     /// [`crate::event::QueueStats`]), aggregated over the per-shard
@@ -995,7 +1055,10 @@ mod tests {
 
         fn on_receive(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
             match msg {
-                Msg::Ping(k) => ctx.send(from, Msg::Pong(k)),
+                Msg::Ping(k) => {
+                    ctx.log_delivery(u64::from(k), 1);
+                    ctx.send(from, Msg::Pong(k));
+                }
                 Msg::Pong(k) => self.pongs.push((k, ctx.now().as_ms())),
             }
         }
@@ -1005,6 +1068,7 @@ mod tests {
         }
 
         fn on_command(&mut self, ctx: &mut Context<'_, Msg>, value: u64) {
+            ctx.log_multicast(value);
             let n = ctx.node_count();
             for i in 0..n {
                 if NodeId(i) != ctx.id() {
@@ -1196,6 +1260,44 @@ mod tests {
         two.seal_traffic();
         assert_eq!(two.traffic().total_messages(), 2);
         assert_eq!(two.node(NodeId(1)).pongs, vec![(9, 20.0)]);
+    }
+
+    #[test]
+    fn logged_records_reach_the_engine_at_every_width() {
+        for shards in [1, 2] {
+            let nodes = (0..4).map(|_| Echo::default()).collect();
+            let mut sim = Sim::with_shards(SimConfig::uniform(4, 10.0), 7, nodes, shards);
+            sim.schedule_command(SimTime::from_ms(1.0), NodeId(0), 0);
+            sim.schedule_command(SimTime::from_ms(5.0), NodeId(3), 1);
+            sim.run_to_idle();
+            assert_eq!(sim.multicast_count(), 2, "width {shards}");
+            assert_eq!(sim.last_multicast_time(), Some(SimTime::from_ms(5.0)));
+            let mut multicasts: Vec<_> = sim.multicasts().map(|m| (m.seq, m.node())).collect();
+            multicasts.sort();
+            assert_eq!(multicasts, vec![(0, NodeId(0)), (1, NodeId(3))]);
+            let logged = sim.deliveries().count();
+            let mut delivered: Vec<_> = sim
+                .take_deliveries()
+                .into_iter()
+                .map(|d| (d.seq, d.node().index(), d.time.as_ms(), d.round))
+                .collect();
+            delivered.sort_by_key(|&(seq, node, ..)| (seq, node));
+            let expect = |seq, node, ms| (seq, node, ms, 1);
+            assert_eq!(
+                delivered,
+                vec![
+                    expect(0, 1, 11.0),
+                    expect(0, 2, 11.0),
+                    expect(0, 3, 11.0),
+                    expect(1, 0, 15.0),
+                    expect(1, 1, 15.0),
+                    expect(1, 2, 15.0),
+                ],
+                "width {shards}"
+            );
+            assert_eq!(logged, 6);
+            assert_eq!(sim.deliveries().count(), 0, "taken, not copied");
+        }
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //!   bounding tracked links ([`Scenario::link_spill_threshold`]);
 //! * **index-free timer cancellation** keeps the event queue free of
 //!   dead request retries (the dominant event class under lazy push);
-//! * the **sparse delivery log** stores per-message records, not a
-//!   per-(node, message) table;
+//! * **one record of each delivery**: nodes log deliveries into the
+//!   engine's chunked stream, which the delivery log drains into
+//!   per-message entries sorted by node — no per-node record buffers and
+//!   no per-(node, message) table;
 //! * the **decentralized gossip-sorted ranking**
 //!   ([`ScalePreset::rank_source`]) replaces the O(n²) centrality
 //!   oracle, and the remaining fixed per-run cost (ranking + view
@@ -31,10 +33,7 @@
 //!   ([`egm_core::ProtocolConfig::retire_after`], on for every preset)
 //!   frees delivered arena slots once no protocol event can reference
 //!   them, so steady-state RSS plateaus at the in-flight window instead
-//!   of growing with total messages sent;
-//! * the **sparse→dense seen-set hybrid** in the delivery log costs
-//!   O(actual deliveries) per message, never the n/8-byte bitmap up
-//!   front (12.5 KB per in-flight message at 100k).
+//!   of growing with total messages sent.
 //!
 //! Presets run through [`run_sweep`] like every figure experiment, so
 //! multi-seed scale sweeps parallelize across cores with byte-identical
@@ -43,27 +42,30 @@
 //! and records it in `BENCH_events_per_sec.json`; the repository
 //! benchmark (`benchmark/`) times them.
 //!
-//! # Memory budget (measured by the `scale_events_per_sec` bin with 8 B
-//! send records folded into a 16 B payload-only link table, release
-//! build, sequential engine, 30 messages, Ranked best=20 %, 2-vCPU
-//! x86-64; with 16 B records and 32 B link entries it read
-//! 19 / 68 / 155 / 1 268 MB, with a fixed 16 MB log window and a copied
-//! table 26 / 75 / 173 / 1 384 MB, with the table held in up to four
-//! shapes at once 35 / 110 / 246 / 2 006 MB)
+//! # Memory budget (measured by the `scale_events_per_sec` bin with one
+//! record of each delivery — the engine's chunked stream, then the
+//! delivery log — and 8 B send records folded into a 16 B payload-only
+//! link table, release build, sequential engine, 30 messages, Ranked
+//! best=20 %, 2-vCPU x86-64; with per-node delivery vectors beside the
+//! log it read 18 / 66 / 156 / 1 105 MB, with 16 B records and 32 B link
+//! entries 19 / 68 / 155 / 1 268 MB, with a fixed 16 MB log window and a
+//! copied table 26 / 75 / 173 / 1 384 MB, with the table held in up to
+//! four shapes at once 35 / 110 / 246 / 2 006 MB)
 //!
 //! | preset | nodes     | routed model | peak process RSS |
 //! |--------|-----------|--------------|------------------|
-//! | 1k     | 1 000     | ~0.3 MB      | ~18 MB  |
+//! | 1k     | 1 000     | ~0.3 MB      | ~17 MB  |
 //! | 4k     | 4 000     | ~0.5 MB      | ~66 MB  |
-//! | 10k    | 10 000    | ~1 MB        | ~156 MB |
-//! | 100k   | 100 000   | ~10 MB       | ~1 105 MB |
+//! | 10k    | 10 000    | ~1 MB        | ~153 MB |
+//! | 100k   | 100 000   | ~10 MB       | ~1 069 MB |
 //!
 //! Peak RSS is dominated by in-flight simulator events and per-node
 //! protocol state, both O(n); nothing is O(n²). For comparison, a dense
 //! client latency+hop matrix alone would be ~1.2 GB at 10k nodes, and a
 //! dense per-(node, message) delivery table another ~5 MB per message.
 //! With retirement on, total messages sent contributes to peak RSS
-//! mostly through the per-delivery records every run keeps — the
+//! mostly through the one record of each delivery every run keeps (the
+//! engine's delivery stream, then the delivery log built from it) — the
 //! `scale_events_per_sec` bench's plateau mode (`EGM_SCALE_PLATEAU_MAX`)
 //! bounds it.
 
@@ -159,9 +161,9 @@ impl ScalePreset {
     /// O(total-messages) term.
     pub fn rss_budget_mb(&self) -> u64 {
         match self {
-            // Measured 17.7 MB; armed at 17 the bin fails.
+            // Measured 17.4 MB; armed at 17 the bin fails.
             ScalePreset::N1k => 64,
-            // Measured 65.9 MB; armed at 65 the bin fails.
+            // Measured 65.8 MB; armed at 65 the bin fails.
             ScalePreset::N4k => 192,
             ScalePreset::N10k => 512,
             // The issue's acceptance bound: ≤ ~10× the 10k preset.

@@ -22,7 +22,7 @@ use crate::scenario::Scenario;
 use crate::traffic;
 use egm_core::{BestSet, EgmNode, PublishChain, SchedulerStats};
 use egm_membership::PartialView;
-use egm_metrics::{link, DeliveryLog, LatencyHistogram, RunReport};
+use egm_metrics::{link, Delivery, DeliveryLog, LatencyHistogram, RunReport};
 use egm_rng::Rng;
 use egm_simnet::{
     Fault, FoldStats, NodeId, ProgressEvent, QueueStats, ShardStats, SharedSink, Sim, SimConfig,
@@ -714,7 +714,7 @@ fn run_closed_loop(
                 events: sim.events_processed(),
             });
         }
-        let done: usize = sim.nodes().map(|(_, node)| node.multicasts().len()).sum();
+        let done = sim.multicast_count();
         if done >= scenario.messages {
             break;
         }
@@ -731,10 +731,7 @@ fn run_closed_loop(
             last_done = done;
         }
     }
-    let last = sim
-        .nodes()
-        .flat_map(|(_, node)| node.multicasts().iter().map(|m| m.time))
-        .fold(start, |a, b| if b > a { b } else { a });
+    let last = sim.last_multicast_time().map_or(start, |t| t.max(start));
     sim.run_until(last + SimDuration::from_ms(scenario.drain_ms));
 }
 
@@ -747,7 +744,8 @@ fn live_mask(n: usize, victims: &[NodeId]) -> Vec<bool> {
     live
 }
 
-/// Gathers node-side and network-side records into the outcome.
+/// Gathers the engine's multicast/delivery log, the node counters and
+/// the traffic table into the outcome.
 fn collect(scenario: &Scenario, finished: Finished) -> RunOutcome {
     let Finished {
         mut sim,
@@ -769,46 +767,53 @@ fn collect(scenario: &Scenario, finished: Finished) -> RunOutcome {
         node.sweep_retirements();
     }
 
-    // Rebuild the delivery log from per-node records.
+    // Message `seq`'s (source, multicast time) from the engine's log.
     let mut sends: Vec<Option<(usize, f64)>> = vec![None; scenario.messages];
-    for (id, node) in sim.nodes() {
-        for m in node.multicasts() {
-            sends[m.seq as usize] = Some((id.index(), m.time.as_ms()));
-        }
+    for m in sim.multicasts() {
+        sends[m.seq as usize] = Some((m.node().index(), m.time.as_ms()));
     }
-    let mut log = DeliveryLog::new(n);
-    for (seq, send) in sends.iter().enumerate() {
-        let (source, time) = send.unwrap_or_else(|| panic!("message {seq} was never multicast"));
-        let idx = log.record_multicast(source, time);
-        debug_assert_eq!(idx, seq);
-    }
+    let sends: Vec<(usize, f64)> = sends
+        .into_iter()
+        .enumerate()
+        .map(|(seq, send)| send.unwrap_or_else(|| panic!("message {seq} was never multicast")))
+        .collect();
 
     // Tail-latency histogram over the steady-state window: publish →
     // delivery for every message published after the arrival process's
-    // analytic warm-up. Pure counter accumulation, so the node iteration
-    // order cannot perturb it.
+    // analytic warm-up. Pure counter accumulation, so the stream order
+    // cannot perturb it.
     let window_start_ms = scenario.warmup_ms
         + match &scenario.arrival {
             Some(Arrival::Open(process)) => process.warmup_ms(),
             _ => 0.0,
         };
     let window_end_ms = sim.now().as_ms();
+    let deliveries = sim.take_deliveries();
     let mut latency = LatencyHistogram::new();
     let mut window_deliveries = 0u64;
-    for (id, node) in sim.nodes() {
-        for d in node.deliveries() {
-            let sent_ms = sends[d.seq as usize].expect("checked above").1;
-            if sent_ms >= window_start_ms {
-                latency.record_ms(d.time.as_ms() - sent_ms);
-                window_deliveries += 1;
-            }
-            log.record_delivery(d.seq as usize, id.index(), d.time.as_ms(), d.round);
+    for d in deliveries.iter() {
+        let sent_ms = sends[d.seq as usize].1;
+        if sent_ms >= window_start_ms {
+            latency.record_ms(d.time.as_ms() - sent_ms);
+            window_deliveries += 1;
         }
     }
     let window_published = sends
         .iter()
-        .filter(|s| s.expect("checked above").1 >= window_start_ms)
+        .filter(|&&(_, sent_ms)| sent_ms >= window_start_ms)
         .count();
+    // The log takes the stream over chunk by chunk, so the run's
+    // deliveries are held once throughout.
+    let log = DeliveryLog::from_deliveries(
+        n,
+        sends,
+        deliveries.into_iter().map(|d| Delivery {
+            msg: d.seq as usize,
+            node: d.node().index(),
+            time_ms: d.time.as_ms(),
+            round: d.round,
+        }),
+    );
     let span_s = ((window_end_ms - window_start_ms) / 1000.0).max(f64::MIN_POSITIVE);
     let steady = SteadyState {
         window_start_ms,
