@@ -90,7 +90,7 @@ pub use config::ProtocolConfig;
 pub use id::MsgId;
 pub use monitor::MonitorSpec;
 pub use msg::{EgmMessage, Payload};
-pub use node::{EgmNode, PublishChain};
+pub use node::EgmNode;
 pub use rank::{BestSet, RankSource};
 pub use scheduler::SchedulerStats;
 pub use strategy::{Strategy, StrategySpec};

@@ -26,33 +26,6 @@ const TAG_PING: TimerTag = 1;
 /// tag-to-message maps.
 const REQUEST_TAG_FLAG: TimerTag = 1 << 63;
 
-/// Publish-chain timer tags have bit 62 set (and bit 63 clear, keeping
-/// them disjoint from request tags) and carry the sequence number to
-/// multicast in the low bits. Used by closed-loop workloads: delivering
-/// sequence `s` arms this timer at the node that owns `s + 1`.
-const PUBLISH_TAG_FLAG: TimerTag = 1 << 62;
-
-/// Closed-loop publish schedule for one node: the node multicasts
-/// sequence `s` after a fixed think time whenever it delivers `s - 1`
-/// and owns `s` under round-robin assignment (`s % senders == index`).
-///
-/// The chain is seeded by the harness commanding sequence 0; every later
-/// publish is gated on the previous message's delivery at its publisher,
-/// which is what makes the load *closed-loop* — offered rate adapts to
-/// delivery latency instead of being fixed. Timers are node-local, so
-/// chained publishes stay byte-identical under sharded execution.
-#[derive(Debug, Clone, Copy)]
-pub struct PublishChain {
-    /// This node's position in the sender rotation.
-    pub index: u64,
-    /// Rotation size (number of publishing nodes).
-    pub senders: u64,
-    /// Total messages in the run; sequences `0..total`.
-    pub total: u64,
-    /// Think time between delivering `s - 1` and multicasting `s`.
-    pub think: SimDuration,
-}
-
 fn request_tag(slot: u32, generation: u32) -> TimerTag {
     REQUEST_TAG_FLAG | (u64::from(slot) << 32) | u64::from(generation)
 }
@@ -102,9 +75,6 @@ pub struct EgmNode {
     /// cache, missing queue, holder lists, retry-timer handles) in dense
     /// generation-stamped slots — one hash probe per message event.
     msgs: MsgArena,
-    /// Closed-loop publish schedule, if this run gates publishes on
-    /// deliveries (see [`PublishChain`]).
-    chain: Option<PublishChain>,
 }
 
 impl EgmNode {
@@ -136,25 +106,7 @@ impl EgmNode {
             view,
             strategy,
             monitor,
-            chain: None,
         }
-    }
-
-    /// Installs the closed-loop publish chain for this node. Call before
-    /// the simulation starts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chain is degenerate (`senders == 0`, out-of-range
-    /// `index`, or a sequence range that cannot fit a publish tag).
-    pub fn set_publish_chain(&mut self, chain: PublishChain) {
-        assert!(chain.senders > 0, "chain needs at least one sender");
-        assert!(chain.index < chain.senders, "chain index out of range");
-        assert!(
-            chain.total < PUBLISH_TAG_FLAG,
-            "sequence range must fit a publish tag"
-        );
-        self.chain = Some(chain);
     }
 
     /// The node id.
@@ -212,16 +164,6 @@ impl EgmNode {
         if let Some(horizon) = self.config.retire_after {
             self.msgs.schedule_retire(slot, ctx.now() + horizon);
         }
-        if let Some(chain) = &self.chain {
-            // Closed loop: delivering sequence s arms the publish timer
-            // for s + 1 at its (round-robin) owner. Exactly one node
-            // receives each delivery exactly once, so each sequence is
-            // published exactly once.
-            let next = step.payload.seq + 1;
-            if next < chain.total && next % chain.senders == chain.index {
-                ctx.set_timer(chain.think, PUBLISH_TAG_FLAG | next);
-            }
-        }
         for to in step.targets.iter() {
             let wire = {
                 let mut sctx = StrategyCtx {
@@ -266,20 +208,6 @@ impl EgmNode {
         if let Some(token) = self.msgs.take_timer(slot) {
             ctx.cancel_timer(token);
         }
-    }
-
-    /// Multicasts sequence `seq` from this node — the application-level
-    /// publish, shared by harness commands and publish-chain timers.
-    fn publish(&mut self, ctx: &mut Context<'_, EgmMessage>, seq: u64) {
-        let payload = Payload {
-            seq,
-            bytes: self.config.payload_bytes,
-        };
-        ctx.log_multicast(seq);
-        let (slot, step) = self
-            .gossip
-            .multicast(ctx.rng(), &self.view, &mut self.msgs, payload);
-        self.deliver_and_forward(ctx, slot, step);
     }
 }
 
@@ -381,9 +309,6 @@ impl Protocol for EgmNode {
                     ctx.set_timer(interval, TAG_PING);
                 }
             }
-            tag if tag & PUBLISH_TAG_FLAG != 0 && tag & REQUEST_TAG_FLAG == 0 => {
-                self.publish(ctx, tag & !PUBLISH_TAG_FLAG);
-            }
             tag if tag & REQUEST_TAG_FLAG != 0 => {
                 let (slot, generation) = decode_request_tag(tag);
                 if !self.msgs.check_generation(slot, generation) {
@@ -414,9 +339,19 @@ impl Protocol for EgmNode {
         }
     }
 
-    fn on_command(&mut self, ctx: &mut Context<'_, EgmMessage>, value: u64) {
+    /// Multicasts sequence `seq` from this node — the application-level
+    /// publish the harness injects as a command.
+    fn on_command(&mut self, ctx: &mut Context<'_, EgmMessage>, seq: u64) {
         self.msgs.retire_expired(ctx.now());
-        self.publish(ctx, value);
+        let payload = Payload {
+            seq,
+            bytes: self.config.payload_bytes,
+        };
+        ctx.log_multicast(seq);
+        let (slot, step) = self
+            .gossip
+            .multicast(ctx.rng(), &self.view, &mut self.msgs, payload);
+        self.deliver_and_forward(ctx, slot, step);
     }
 }
 
@@ -476,9 +411,11 @@ mod tests {
     #[test]
     fn node_holds_no_record_buffers() {
         // The engine keeps the multicast and delivery logs, so a node
-        // carries no record buffer (two more Vec headers: 904 B).
+        // carries no record buffer (two more Vec headers: 904 B), and
+        // publishes come only from harness commands, so it carries no
+        // publish schedule either (an `Option` of one: 856 B).
         let size = std::mem::size_of::<EgmNode>();
-        assert!(size <= 856, "EgmNode grew to {size} B");
+        assert!(size <= 816, "EgmNode grew to {size} B");
     }
 
     #[test]
@@ -570,69 +507,6 @@ mod tests {
         assert!(sim
             .deliveries()
             .any(|d| d.node() == NodeId(2) && d.seq == 0 && d.round == 0));
-    }
-
-    #[test]
-    fn publish_chain_gates_each_publish_on_the_prior_delivery() {
-        use super::PublishChain;
-        let n = 12;
-        let total = 6u64;
-        let think = SimDuration::from_ms(15.0);
-        let config = ProtocolConfig {
-            fanout: 6,
-            rounds: 5,
-            view: ViewConfig {
-                capacity: 10,
-                shuffle_size: 3,
-            },
-            retry_interval: SimDuration::from_ms(200.0),
-            shuffle_interval: None,
-            ..ProtocolConfig::default()
-        };
-        let mut rng = Rng::seed_from_u64(21 ^ 0xBEEF);
-        let views = bootstrap_views(n, &config.view, &mut rng);
-        let nodes: Vec<EgmNode> = views
-            .into_iter()
-            .enumerate()
-            .map(|(i, view)| {
-                let mut node = EgmNode::new(
-                    NodeId(i),
-                    config.clone(),
-                    view,
-                    StrategySpec::Flat { pi: 1.0 }.build(None),
-                    Monitor::Null(NullMonitor),
-                );
-                node.set_publish_chain(PublishChain {
-                    index: i as u64,
-                    senders: n as u64,
-                    total,
-                    think,
-                });
-                node
-            })
-            .collect();
-        let mut sim = Sim::new(SimConfig::uniform(n, 20.0), 21, nodes);
-        sim.schedule_command(SimTime::from_ms(10.0), NodeId(0), 0);
-        sim.run_for(SimDuration::from_ms(20_000.0));
-        // Every sequence is published exactly once, by its rotation owner.
-        let mut publish_time = vec![None; total as usize];
-        for m in sim.multicasts() {
-            assert_eq!(NodeId((m.seq % n as u64) as usize), m.node(), "wrong owner");
-            assert!(publish_time[m.seq as usize].is_none(), "duplicate publish");
-            publish_time[m.seq as usize] = Some(m.time);
-        }
-        // Each publish happens at least one think time plus one delivery
-        // after the previous one — the chain is gated, not open-loop.
-        for s in 1..total as usize {
-            let (prev, cur) = (
-                publish_time[s - 1].expect("published"),
-                publish_time[s].expect("published"),
-            );
-            assert!(cur >= prev + think, "seq {s} not gated on {}", s - 1);
-        }
-        for s in 0..total {
-            assert_eq!(delivery_count(&sim, s), n, "seq {s} delivered everywhere");
-        }
     }
 
     #[test]

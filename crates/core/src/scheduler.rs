@@ -51,6 +51,31 @@ pub struct SchedulerStats {
     pub resolved_timer_pops: u64,
 }
 
+/// Sums per-node counters into a run total. The pattern lists every
+/// field, so a new counter that is not summed here fails to compile.
+impl std::ops::AddAssign for SchedulerStats {
+    fn add_assign(&mut self, other: SchedulerStats) {
+        let SchedulerStats {
+            eager_sends,
+            lazy_advertisements,
+            requests_sent,
+            request_replies,
+            request_misses,
+            duplicate_payloads,
+            suppressed_sends,
+            resolved_timer_pops,
+        } = other;
+        self.eager_sends += eager_sends;
+        self.lazy_advertisements += lazy_advertisements;
+        self.requests_sent += requests_sent;
+        self.request_replies += request_replies;
+        self.request_misses += request_misses;
+        self.duplicate_payloads += duplicate_payloads;
+        self.suppressed_sends += suppressed_sends;
+        self.resolved_timer_pops += resolved_timer_pops;
+    }
+}
+
 /// Outcome of a request-timer expiry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RequestAction {

@@ -119,45 +119,80 @@ impl DeliveryLog {
         self.deliveries[msg].len()
     }
 
+    /// `(latency ms, gossip round)` of every first delivery at a node
+    /// *other than the source* (the source delivers to itself at
+    /// multicast time), message by message, each message's in node
+    /// order. Every reduction below folds this one sequence, so each
+    /// reads the same deliveries in the same order.
+    fn relayed(&self) -> impl Iterator<Item = (f64, u32)> + Clone + '_ {
+        self.sends
+            .iter()
+            .zip(&self.deliveries)
+            .flat_map(|(&(source, t0), entries)| {
+                entries
+                    .iter()
+                    .filter(move |e| e.0 as usize != source)
+                    .map(move |&(_, t, round)| (t - t0, round))
+            })
+    }
+
     /// End-to-end latencies (ms) of all deliveries at nodes *other than
     /// the source* (the source delivers to itself at multicast time),
     /// message by message, each message's in node order.
     pub fn latencies(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        for (msg, &(source, t0)) in self.sends.iter().enumerate() {
-            for &(node, t, _) in &self.deliveries[msg] {
-                if node as usize == source {
-                    continue;
-                }
-                out.push(t - t0);
-            }
-        }
-        out
+        self.relayed().map(|(latency, _)| latency).collect()
     }
 
     /// Summary of delivery latency, or `None` if nothing was delivered.
+    /// Folds the deliveries in place, bit-identical to
+    /// [`Summary::from_samples`] over [`DeliveryLog::latencies`].
     pub fn latency_summary(&self) -> Option<Summary> {
-        let l = self.latencies();
-        if l.is_empty() {
-            None
-        } else {
-            Some(Summary::from_samples(&l))
-        }
+        let latencies = self.relayed().map(|(latency, _)| latency);
+        latencies.clone().next()?;
+        Some(Summary::from_sample_iter(latencies))
     }
 
     /// Gossip rounds (hops) after which deliveries happened, excluding the
     /// source's own delivery at round 0.
     pub fn delivery_rounds(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        for (msg, &(source, _)) in self.sends.iter().enumerate() {
-            for &(node, _, r) in &self.deliveries[msg] {
-                if node as usize == source {
-                    continue;
-                }
-                out.push(r);
-            }
+        self.relayed().map(|(_, round)| round).collect()
+    }
+
+    /// Mean of [`DeliveryLog::delivery_rounds`], or `0.0` if nothing was
+    /// delivered. Folds the deliveries in place, summing in the same
+    /// order as the collected rounds would.
+    pub fn mean_delivery_round(&self) -> f64 {
+        let count = self.relayed().count();
+        if count == 0 {
+            return 0.0;
         }
-        out
+        let sum = self
+            .relayed()
+            .map(|(_, round)| f64::from(round))
+            .sum::<f64>();
+        sum / count as f64
+    }
+
+    /// Per message, in message order: how many `eligible` nodes
+    /// delivered it, the source counting as having delivered its own
+    /// message.
+    fn eligible_delivery_counts<'a>(
+        &'a self,
+        eligible: &'a [bool],
+    ) -> impl Iterator<Item = usize> + 'a {
+        self.sends
+            .iter()
+            .enumerate()
+            .map(move |(msg, &(source, _))| {
+                let mut delivered = self.deliveries[msg]
+                    .iter()
+                    .filter(|&&(node, _, _)| eligible[node as usize])
+                    .count();
+                if eligible[source] && !self.delivered(msg, source) {
+                    delivered += 1; // implicit self-delivery
+                }
+                delivered
+            })
     }
 
     /// Mean fraction of `eligible` nodes that delivered each message — the
@@ -176,17 +211,11 @@ impl DeliveryLog {
         let eligible_count = eligible.iter().filter(|&&e| e).count();
         assert!(eligible_count > 0, "no eligible nodes");
         assert!(!self.sends.is_empty(), "no messages recorded");
-        let mut total = 0.0;
-        for (msg, &(source, _)) in self.sends.iter().enumerate() {
-            let mut delivered = self.deliveries[msg]
-                .iter()
-                .filter(|&&(node, _, _)| eligible[node as usize])
-                .count();
-            if eligible[source] && !self.delivered(msg, source) {
-                delivered += 1; // implicit self-delivery
-            }
-            total += delivered as f64 / eligible_count as f64;
-        }
+        let total = self
+            .eligible_delivery_counts(eligible)
+            .fold(0.0, |total, delivered| {
+                total + delivered as f64 / eligible_count as f64
+            });
         total / self.sends.len() as f64
     }
 
@@ -200,19 +229,10 @@ impl DeliveryLog {
         assert_eq!(eligible.len(), self.node_count, "eligibility mask size");
         let eligible_count = eligible.iter().filter(|&&e| e).count();
         assert!(!self.sends.is_empty(), "no messages recorded");
-        let mut atomic = 0usize;
-        for (msg, &(source, _)) in self.sends.iter().enumerate() {
-            let mut delivered = self.deliveries[msg]
-                .iter()
-                .filter(|&&(node, _, _)| eligible[node as usize])
-                .count();
-            if eligible[source] && !self.delivered(msg, source) {
-                delivered += 1;
-            }
-            if delivered == eligible_count {
-                atomic += 1;
-            }
-        }
+        let atomic = self
+            .eligible_delivery_counts(eligible)
+            .filter(|&delivered| delivered == eligible_count)
+            .count();
         atomic as f64 / self.sends.len() as f64
     }
 
@@ -357,6 +377,7 @@ mod tests {
     fn delivery_rounds_track_gossip_depth() {
         let log = two_message_log();
         assert_eq!(log.delivery_rounds(), vec![1, 2, 3, 1, 2]);
+        assert_eq!(log.mean_delivery_round(), 9.0 / 5.0);
         assert_eq!(log.total_deliveries(), 5);
         assert_eq!(log.message_count(), 2);
         assert_eq!(log.node_count(), 4);
@@ -368,6 +389,7 @@ mod tests {
         assert!(log.latency_summary().is_none());
         let log = DeliveryLog::from_deliveries(2, vec![(0, 0.0)], []);
         assert!(log.latency_summary().is_none());
+        assert_eq!(log.mean_delivery_round(), 0.0);
         assert_eq!(log.delivery_count(0), 0);
     }
 

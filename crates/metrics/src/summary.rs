@@ -40,25 +40,41 @@ impl Summary {
     ///
     /// Panics if `samples` is empty or contains non-finite values.
     pub fn from_samples(samples: &[f64]) -> Self {
-        assert!(!samples.is_empty(), "cannot summarize zero samples");
-        assert!(samples.iter().all(|x| x.is_finite()), "non-finite sample");
-        let n = samples.len();
-        let mean = samples.iter().sum::<f64>() / n as f64;
+        Self::from_sample_iter(samples.iter().copied())
+    }
+
+    /// Computes statistics over the samples `samples` yields, without
+    /// collecting them: the iterator is cloned once per pass, so a
+    /// caller can summarize a computed sequence in place. The sums run
+    /// in yield order, so the result has the same bits as
+    /// [`Summary::from_samples`] over the collected samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` yields nothing or a non-finite value.
+    pub fn from_sample_iter<I>(samples: I) -> Self
+    where
+        I: Iterator<Item = f64> + Clone,
+    {
+        let (mut n, mut min, mut max) = (0usize, f64::INFINITY, f64::NEG_INFINITY);
+        for x in samples.clone() {
+            assert!(x.is_finite(), "non-finite sample");
+            n += 1;
+            min = min.min(x);
+            max = max.max(x);
+        }
+        assert!(n > 0, "cannot summarize zero samples");
+        let mean = samples.clone().sum::<f64>() / n as f64;
         let std_dev = if n < 2 {
             0.0
         } else {
-            (samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64).sqrt()
+            (samples.map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64).sqrt()
         };
         let ci95_half = if n < 2 {
             0.0
         } else {
             1.96 * std_dev / (n as f64).sqrt()
         };
-        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &x in samples {
-            min = min.min(x);
-            max = max.max(x);
-        }
         Summary {
             n,
             mean,

@@ -782,21 +782,6 @@ where
         }
     }
 
-    /// Number of multicasts logged through [`Context::log_multicast`].
-    pub fn multicast_count(&self) -> usize {
-        self.shards.iter().map(|s| s.core.multicasts.len()).sum()
-    }
-
-    /// Time of the latest multicast logged so far, if any.
-    pub fn last_multicast_time(&self) -> Option<SimTime> {
-        // Each shard logs in dispatch order, so its last record is its
-        // latest.
-        self.shards
-            .iter()
-            .filter_map(|s| s.core.multicasts.last().map(|m| m.time))
-            .max()
-    }
-
     /// Every multicast logged through [`Context::log_multicast`]: shard by
     /// shard, each shard's in dispatch order.
     pub fn multicasts(&self) -> impl Iterator<Item = &MulticastRecord> {
@@ -1270,8 +1255,6 @@ mod tests {
             sim.schedule_command(SimTime::from_ms(1.0), NodeId(0), 0);
             sim.schedule_command(SimTime::from_ms(5.0), NodeId(3), 1);
             sim.run_to_idle();
-            assert_eq!(sim.multicast_count(), 2, "width {shards}");
-            assert_eq!(sim.last_multicast_time(), Some(SimTime::from_ms(5.0)));
             let mut multicasts: Vec<_> = sim.multicasts().map(|m| (m.seq, m.node())).collect();
             multicasts.sort();
             assert_eq!(multicasts, vec![(0, NodeId(0)), (1, NodeId(3))]);

@@ -32,11 +32,10 @@
 //! ranking the 1k–10k [`experiments::scale`] presets use.
 //!
 //! Heavy-traffic runs opt into the [`arrival`] axis
-//! ([`Scenario::arrival`]): open-loop arrival-process generators
-//! (Poisson, bursty, diurnal) at a fixed offered rate, or a closed loop
-//! that gates each publish on the previous delivery. Either mode feeds
-//! the publish→delivery latency histogram and steady-state throughput
-//! block in [`runner::RunOutcome`].
+//! ([`Scenario::arrival`]): open-loop Poisson arrivals at a fixed offered
+//! rate in place of the uniform-gap plan. Every run, on either plan,
+//! feeds the publish→delivery latency histogram and steady-state
+//! throughput block in [`runner::RunOutcome`].
 //!
 //! # Examples
 //!

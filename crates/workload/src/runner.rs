@@ -20,7 +20,7 @@ use crate::arrival::{self, Arrival, SteadyState};
 use crate::faults::{FaultSchedule, RerankPlan, TimedFault};
 use crate::scenario::Scenario;
 use crate::traffic;
-use egm_core::{BestSet, EgmNode, PublishChain, SchedulerStats};
+use egm_core::{BestSet, EgmNode, SchedulerStats};
 use egm_membership::PartialView;
 use egm_metrics::{link, Delivery, DeliveryLog, LatencyHistogram, RunReport};
 use egm_rng::Rng;
@@ -44,7 +44,7 @@ const RANK_SEED_SALT: u64 = 0x524E_4B53;
 /// [`ProgressEvent::Chunk`]. A pure constant (never derived from live
 /// state), so chunked execution replays the exact event schedule of one
 /// uninterrupted `run_until` — the same argument that makes the re-rank
-/// ticks and the closed-loop chunks byte-identical across shard counts.
+/// ticks byte-identical across shard counts.
 const PROGRESS_CHUNK_MS: f64 = 500.0;
 
 /// Everything measured in one run: the summary report plus the raw data
@@ -98,8 +98,8 @@ pub struct RunOutcome {
     /// Publish→delivery latency histogram over messages published in the
     /// steady-state window (log-bucketed, O(1) memory, ≤ 1/32 relative
     /// error on the percentiles; see [`egm_metrics::LatencyHistogram`]).
-    /// With `arrival: None` the window is the whole traffic phase, so
-    /// this covers every delivery.
+    /// The window is the whole traffic phase, so this covers every
+    /// delivery.
     pub latency: LatencyHistogram,
     /// Steady-state throughput block: post-warm-up window bounds, the
     /// messages published and delivered within it, and the corresponding
@@ -413,28 +413,6 @@ fn simulate(scenario: &Scenario, setup: RunSetup, sink: Option<SharedSink>) -> F
 
     let best_ids = best.as_ref().map(|b| b.best_ids()).unwrap_or_default();
 
-    // Closed-loop arrival installs a publish chain on every node before
-    // the engine is built: the chain is part of node state, and a
-    // silenced or churned publisher would stall it, so those axes are
-    // mutually exclusive with this mode.
-    let chain_think = match scenario.arrival {
-        Some(Arrival::Closed { think_ms }) => {
-            assert!(
-                scenario.faults.is_none()
-                    && scenario.churn.is_none()
-                    && scenario.fault_schedule.is_none()
-                    && scenario.rerank.is_none(),
-                "closed-loop arrival requires a fault-free, churn-free scenario"
-            );
-            assert!(
-                think_ms.is_finite() && think_ms >= 0.0,
-                "think time must be finite and non-negative"
-            );
-            Some(SimDuration::from_ms(think_ms))
-        }
-        _ => None,
-    };
-
     // Build nodes over the bootstrapped overlay.
     if scenario.protocol.shuffle_interval.is_none() {
         for v in &mut views {
@@ -450,22 +428,13 @@ fn simulate(scenario: &Scenario, setup: RunSetup, sink: Option<SharedSink>) -> F
                 strategy = strategy.with_noise(noise.c, noise.o);
             }
             let monitor = scenario.monitor.build(Some(&model));
-            let mut node = EgmNode::new(
+            EgmNode::new(
                 NodeId(i),
                 scenario.protocol.clone(),
                 view,
                 strategy,
                 monitor,
-            );
-            if let Some(think) = chain_think {
-                node.set_publish_chain(PublishChain {
-                    index: i as u64,
-                    senders: n as u64,
-                    total: scenario.messages as u64,
-                    think,
-                });
-            }
-            node
+            )
         })
         .collect();
 
@@ -522,78 +491,68 @@ fn simulate(scenario: &Scenario, setup: RunSetup, sink: Option<SharedSink>) -> F
     // scenario's arrival mode.
     let live = live_mask(n, &victims);
     let senders: Vec<NodeId> = (0..n).map(NodeId).filter(|id| live[id.index()]).collect();
-    let mut reranked_best_ids = None;
-    if chain_think.is_some() {
-        // Closed loop: seed sequence 0 at its round-robin owner; every
-        // later publish is self-scheduled by the chain, so the end time
-        // is a function of dissemination latency discovered by running.
-        sim.schedule_command(warmup_end, NodeId(0), 0);
-        run_closed_loop(&mut sim, scenario, warmup_end, sink.as_ref());
-    } else {
-        let schedule = match &scenario.arrival {
-            Some(Arrival::Open(process)) => {
-                arrival::plan(process, &senders, scenario.messages, warmup_end, &mut rng)
-            }
-            _ => traffic::plan(
-                &senders,
-                scenario.messages,
-                warmup_end,
-                scenario.mean_interval_ms,
-                &mut rng,
-            ),
-        };
-        for p in &schedule {
-            sim.schedule_command(p.at, p.source, p.seq);
+    let schedule = match &scenario.arrival {
+        Some(Arrival::Open(process)) => {
+            arrival::plan(process, &senders, scenario.messages, warmup_end, &mut rng)
         }
-        let end = schedule.last().expect("non-empty schedule").at
-            + SimDuration::from_ms(scenario.drain_ms);
+        None => traffic::plan(
+            &senders,
+            scenario.messages,
+            warmup_end,
+            scenario.mean_interval_ms,
+            &mut rng,
+        ),
+    };
+    for p in &schedule {
+        sim.schedule_command(p.at, p.source, p.seq);
+    }
+    let end =
+        schedule.last().expect("non-empty schedule").at + SimDuration::from_ms(scenario.drain_ms);
 
-        // Transient churn (extension): periodic silence + revive cycles
-        // while traffic flows. Victims are drawn with bounded rejection
-        // against permanent victims *and* nodes still down from an
-        // earlier overlapping outage (see `ChurnPlan::schedule`), so a
-        // churn event never lands as a no-op on a dead node.
-        if let Some(churn) = scenario.churn {
-            let window = (end - warmup_end).as_ms();
-            let outages = churn.schedule(n, warmup_end, window, &victims, &mut rng);
-            inject(&mut sim, &outages, sink.as_ref());
-        }
+    // Transient churn (extension): periodic silence + revive cycles
+    // while traffic flows. Victims are drawn with bounded rejection
+    // against permanent victims *and* nodes still down from an
+    // earlier overlapping outage (see `ChurnPlan::schedule`), so a
+    // churn event never lands as a no-op on a dead node.
+    if let Some(churn) = scenario.churn {
+        let window = (end - warmup_end).as_ms();
+        let outages = churn.schedule(n, warmup_end, window, &victims, &mut rng);
+        inject(&mut sim, &outages, sink.as_ref());
+    }
 
-        // Online re-ranking (extension): advance warm-up in global
-        // barrier ticks, re-ranking the hubs at each one.
-        if let Some(plan) = scenario.rerank {
-            reranked_best_ids =
-                rerank_during_warmup(&mut sim, scenario, &model, plan, warmup_end, sink.as_ref());
-        }
+    // Online re-ranking (extension): advance warm-up in global
+    // barrier ticks, re-ranking the hubs at each one.
+    let reranked_best_ids = scenario.rerank.and_then(|plan| {
+        rerank_during_warmup(&mut sim, scenario, &model, plan, warmup_end, sink.as_ref())
+    });
 
-        // One shard has no window boundaries to report from, so an
-        // observed run advances it in fixed virtual-time chunks —
-        // deadlines are multiples of a constant, a pure function of
-        // nothing, so the event schedule is exactly that of one
-        // uninterrupted `run_until(end)`.
-        match &sink {
-            Some(sink) if sim.shard_count() == 1 => {
-                let mut k = 1u64;
-                loop {
-                    let deadline = SimTime::from_ms(k as f64 * PROGRESS_CHUNK_MS);
-                    if deadline >= end {
-                        break;
-                    }
-                    sim.run_until(deadline);
-                    sink.emit(ProgressEvent::Chunk {
-                        now_ms: deadline.as_ms(),
-                        events: sim.events_processed(),
-                    });
-                    k += 1;
+    // One shard has no window boundaries to report from, so an
+    // observed run advances it in fixed virtual-time chunks —
+    // deadlines are multiples of a constant, a pure function of
+    // nothing, so the event schedule is exactly that of one
+    // uninterrupted `run_until(end)`.
+    match &sink {
+        Some(sink) if sim.shard_count() == 1 => {
+            let mut k = 1u64;
+            loop {
+                let deadline = SimTime::from_ms(k as f64 * PROGRESS_CHUNK_MS);
+                if deadline >= end {
+                    break;
                 }
-                sim.run_until(end);
+                sim.run_until(deadline);
                 sink.emit(ProgressEvent::Chunk {
-                    now_ms: end.as_ms(),
+                    now_ms: deadline.as_ms(),
                     events: sim.events_processed(),
                 });
+                k += 1;
             }
-            _ => sim.run_until(end),
+            sim.run_until(end);
+            sink.emit(ProgressEvent::Chunk {
+                now_ms: end.as_ms(),
+                events: sim.events_processed(),
+            });
         }
+        _ => sim.run_until(end),
     }
 
     Finished {
@@ -687,54 +646,6 @@ fn rerank_during_warmup(
     last.map(|b| b.best_ids())
 }
 
-/// Runs a closed-loop scenario to completion: the deadline is unknown up
-/// front (each publish waits on the previous delivery), so the engine
-/// advances in fixed chunks until every message has been multicast —
-/// with a stall guard, since a break in the chain would otherwise spin
-/// forever — then drains from the last multicast.
-///
-/// The chunk deadlines are a pure function of the scenario, so chunked
-/// execution stays byte-identical across shard widths.
-fn run_closed_loop(
-    sim: &mut Sim<EgmNode>,
-    scenario: &Scenario,
-    start: SimTime,
-    sink: Option<&SharedSink>,
-) {
-    let chunk = SimDuration::from_ms(5_000.0);
-    let mut deadline = start;
-    let mut last_done = 0usize;
-    let mut quiet = 0u32;
-    loop {
-        deadline += chunk;
-        sim.run_until(deadline);
-        if let Some(sink) = sink {
-            sink.emit(ProgressEvent::Chunk {
-                now_ms: deadline.as_ms(),
-                events: sim.events_processed(),
-            });
-        }
-        let done = sim.multicast_count();
-        if done >= scenario.messages {
-            break;
-        }
-        if done == last_done {
-            quiet += 1;
-            assert!(
-                quiet < 64,
-                "closed-loop run stalled at {done}/{} messages ({quiet} quiet chunks of {} ms)",
-                scenario.messages,
-                chunk.as_ms()
-            );
-        } else {
-            quiet = 0;
-            last_done = done;
-        }
-    }
-    let last = sim.last_multicast_time().map_or(start, |t| t.max(start));
-    sim.run_until(last + SimDuration::from_ms(scenario.drain_ms));
-}
-
 /// One flag per node: `false` for the permanent fault victims.
 fn live_mask(n: usize, victims: &[NodeId]) -> Vec<bool> {
     let mut live = vec![true; n];
@@ -779,14 +690,10 @@ fn collect(scenario: &Scenario, finished: Finished) -> RunOutcome {
         .collect();
 
     // Tail-latency histogram over the steady-state window: publish →
-    // delivery for every message published after the arrival process's
-    // analytic warm-up. Pure counter accumulation, so the stream order
+    // delivery for every message published once traffic starts at the
+    // end of warm-up. Pure counter accumulation, so the stream order
     // cannot perturb it.
-    let window_start_ms = scenario.warmup_ms
-        + match &scenario.arrival {
-            Some(Arrival::Open(process)) => process.warmup_ms(),
-            _ => 0.0,
-        };
+    let window_start_ms = scenario.warmup_ms;
     let window_end_ms = sim.now().as_ms();
     let deliveries = sim.take_deliveries();
     let mut latency = LatencyHistogram::new();
@@ -831,15 +738,7 @@ fn collect(scenario: &Scenario, finished: Finished) -> RunOutcome {
         let arena = node.arena_stats();
         retired_messages += arena.retired;
         arena_high_water = arena_high_water.max(arena.high_water);
-        let s = node.scheduler_stats();
-        scheduler.eager_sends += s.eager_sends;
-        scheduler.lazy_advertisements += s.lazy_advertisements;
-        scheduler.requests_sent += s.requests_sent;
-        scheduler.request_replies += s.request_replies;
-        scheduler.request_misses += s.request_misses;
-        scheduler.duplicate_payloads += s.duplicate_payloads;
-        scheduler.suppressed_sends += s.suppressed_sends;
-        scheduler.resolved_timer_pops += s.resolved_timer_pops;
+        scheduler += node.scheduler_stats();
     }
 
     let traffic = sim.traffic();
@@ -885,12 +784,7 @@ fn collect(scenario: &Scenario, finished: Finished) -> RunOutcome {
         report.top5_link_share = link::top_fraction_share_mut(&mut counts, 0.05);
     }
     report.node_gini = link::gini(&payloads_per_node);
-    let rounds = log.delivery_rounds();
-    report.mean_delivery_round = if rounds.is_empty() {
-        0.0
-    } else {
-        rounds.iter().map(|&r| r as f64).sum::<f64>() / rounds.len() as f64
-    };
+    report.mean_delivery_round = log.mean_delivery_round();
     report.total_messages = traffic.total_messages();
     report.total_payloads = traffic.total_payloads();
     report.total_bytes = traffic.total_bytes();

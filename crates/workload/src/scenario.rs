@@ -115,9 +115,8 @@ pub struct Scenario {
     /// is set.
     pub mean_interval_ms: f64,
     /// Heavy-traffic workload axis (`None` = the historical uniform-gap
-    /// plan, byte-identical to pre-arrival builds): an open-loop arrival
-    /// process at a fixed offered rate, or a closed loop gating each
-    /// publish on the previous delivery. See [`crate::arrival`].
+    /// plan, byte-identical to pre-arrival builds): an open-loop Poisson
+    /// process at a fixed offered rate. See [`crate::arrival`].
     pub arrival: Option<Arrival>,
     /// Warm-up time before traffic starts (overlay joins and shuffles).
     pub warmup_ms: f64,
